@@ -219,7 +219,7 @@ fn main() -> ExitCode {
     let gc = GlobalCost::new(machine);
     let pn = n.max(1).next_multiple_of(width);
     let (model_speedup, model_single_launches, model_fleet_launches) = match (
-        gc.exact_counts(SatAlgorithm::OneR1W, pn),
+        gc.exact_counts(SatAlgorithm::OneR1W, pn, pn),
         gc.banded_1r1w_exact_counts(pn, pn, shards),
     ) {
         (Some(single), Some(fleet)) => (

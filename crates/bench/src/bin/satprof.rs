@@ -303,7 +303,7 @@ fn profile_algorithm(
 
     // Closed forms: exact for 1R1W on block-aligned squares, Table I
     // leading terms otherwise.
-    let ok = if let Some(exact) = gc.exact_counts(alg, n) {
+    let ok = if let Some(exact) = gc.exact_counts(alg, n, n) {
         let ok = exact.matches(&stats);
         print_row(
             alg.name(),

@@ -340,57 +340,12 @@ pub fn size_label(n: usize) -> String {
 ///
 /// This is the scrape *schema*: `loadgen --metrics-snapshot` and
 /// `chaosgen --metrics-snapshot` run [`unknown_families`] over the
-/// snapshot they write and exit nonzero on any name missing here, so CI
-/// fails when a new metric is registered without being added to this
-/// list (instead of dashboards silently missing it).
-pub fn known_metric_families() -> &'static [&'static str] {
-    &[
-        // Device execution layer (gpu-exec).
-        "gpu_coalesced_ops",
-        "gpu_stride_ops",
-        "gpu_global_stages",
-        "gpu_launches",
-        "gpu_barrier_steps",
-        "gpu_handoff_publishes",
-        "gpu_handoff_acquires",
-        "gpu_launch_duration_seconds",
-        // Fault injection (gpu-exec chaos devices; labelled by kind).
-        "gpu_fault_injections",
-        // Serving layer (sat-service).
-        "sat_service_submitted_total",
-        "sat_service_completed_total",
-        "sat_service_rejected_total",
-        "sat_service_batches_total",
-        "sat_service_launches_total",
-        "sat_service_barrier_steps_total",
-        "sat_service_attempts_total",
-        "sat_service_retries_total",
-        "sat_service_degraded_total",
-        "sat_service_verifications_total",
-        "sat_service_breaker_transitions_total",
-        "sat_service_canary_probes_total",
-        "sat_service_shard_tasks_total",
-        "sat_service_shard_failovers_total",
-        "sat_service_shards_lost_total",
-        "sat_service_shard_launches_total",
-        "sat_service_request_latency_seconds",
-        "sat_service_stage_latency_seconds",
-        "sat_service_queue_latency_ms",
-        "sat_service_exec_latency_ms",
-        "sat_service_total_latency_ms",
-        "sat_service_slo_target_seconds",
-        "sat_service_slo_attainment_ratio",
-        "sat_service_slo_error_budget_burn",
-        // Model-conformance observatory (obs::conformance).
-        "sat_service_model_samples_total",
-        "sat_service_model_drift_alerts_total",
-        "sat_service_model_fitted_width",
-        "sat_service_model_fitted_window_overhead",
-        "sat_service_model_fit_converged",
-        "sat_service_model_tau_ns",
-        "sat_service_model_residual_relative",
-        "sat_service_model_residual_tau_ratio",
-    ]
+/// snapshot they write and exit nonzero on any name missing here. The
+/// list is [`sat_service::metric_families`], derived from the constants
+/// each registration site uses, so a family registered by hand without
+/// such a constant still fails the check.
+pub fn known_metric_families() -> Vec<String> {
+    sat_service::metric_families()
 }
 
 /// Metric families appearing in a Prometheus-style text exposition that
@@ -413,7 +368,8 @@ pub fn unknown_families(text: &str) -> Vec<String> {
             .or_else(|| name.strip_suffix("_sum"))
             .or_else(|| name.strip_suffix("_count"))
             .unwrap_or(name);
-        if !known.contains(&name) && !known.contains(&base) && !out.iter().any(|o| o == name) {
+        let known_as = |n: &str| known.iter().any(|k| k == n);
+        if !known_as(name) && !known_as(base) && !out.iter().any(|o| o == name) {
             out.push(name.to_string());
         }
     }

@@ -354,7 +354,7 @@ mod tests {
         let w = 4usize;
         let dev = dev(w);
         let exact = hmm_model::cost::GlobalCost::new(*dev.config())
-            .exact_counts(SatAlgorithm::OneR1W, 16)
+            .exact_counts(SatAlgorithm::OneR1W, 16, 16)
             .unwrap();
         for batch in [1usize, 3, 5] {
             let imgs: Vec<Matrix<i64>> = (0..batch)

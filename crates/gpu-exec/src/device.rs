@@ -6,7 +6,8 @@ use std::time::Instant;
 use hmm_model::cost::CostCounters;
 use hmm_model::MachineConfig;
 use obs::conformance::LaunchSample;
-use obs::{ArgValue, Conformance, Counter, FlightKind, FlowPhase, Histogram, Obs, Track};
+use obs::profile::gpu;
+use obs::{ArgValue, Conformance, Counter, FlightKind, FlowPhase, Histogram, Obs, Registry, Track};
 use parking_lot::Mutex;
 
 use crate::buffer::{GlobalBuffer, GlobalView};
@@ -331,14 +332,14 @@ impl Device {
             .workers
             .unwrap_or_else(|| opts.config.num_dmms.min(host).saturating_sub(1));
         let counters = opts.observer.registry().map(|reg| DeviceCounters {
-            coalesced_ops: reg.counter("gpu_coalesced_ops"),
-            stride_ops: reg.counter("gpu_stride_ops"),
-            global_stages: reg.counter("gpu_global_stages"),
-            launches: reg.counter("gpu_launches"),
-            barrier_steps: reg.counter("gpu_barrier_steps"),
-            handoff_publishes: reg.counter("gpu_handoff_publishes"),
-            handoff_acquires: reg.counter("gpu_handoff_acquires"),
-            launch_duration: reg.histogram("gpu_launch_duration_seconds"),
+            coalesced_ops: reg.counter(gpu::COALESCED_OPS),
+            stride_ops: reg.counter(gpu::STRIDE_OPS),
+            global_stages: reg.counter(gpu::GLOBAL_STAGES),
+            launches: reg.counter(gpu::LAUNCHES),
+            barrier_steps: reg.counter(gpu::BARRIER_STEPS),
+            handoff_publishes: reg.counter(gpu::HANDOFF_PUBLISHES),
+            handoff_acquires: reg.counter(gpu::HANDOFF_ACQUIRES),
+            launch_duration: reg.histogram(gpu::LAUNCH_DURATION),
         });
         let fault = opts
             .fault_plan
@@ -348,11 +349,15 @@ impl Device {
                 events: Mutex::new(Vec::new()),
                 failed_launches: AtomicU64::new(0),
                 loss_started: Mutex::new(None),
-                counters: opts.observer.registry().map(|reg| FaultCounters {
-                    abort: reg.counter("gpu_fault_injections{kind=\"launch_abort\"}"),
-                    loss: reg.counter("gpu_fault_injections{kind=\"device_loss\"}"),
-                    straggler: reg.counter("gpu_fault_injections{kind=\"straggler\"}"),
-                    corruption: reg.counter("gpu_fault_injections{kind=\"corruption\"}"),
+                counters: opts.observer.registry().map(|reg| {
+                    let kind =
+                        |k| reg.counter(&Registry::labeled(gpu::FAULT_INJECTIONS, &[("kind", k)]));
+                    FaultCounters {
+                        abort: kind("launch_abort"),
+                        loss: kind("device_loss"),
+                        straggler: kind("straggler"),
+                        corruption: kind("corruption"),
+                    }
                 }),
             });
         Device {

@@ -313,6 +313,19 @@ impl ExactCounts {
         self.stride_reads + self.stride_writes
     }
 
+    /// Counts of `batch` same-shape runs fused into one launch sequence
+    /// (the batched wavefront): every transaction is paid per image, the
+    /// barrier steps only once.
+    pub fn fused(self, batch: u64) -> ExactCounts {
+        ExactCounts {
+            coalesced_reads: self.coalesced_reads * batch,
+            coalesced_writes: self.coalesced_writes * batch,
+            stride_reads: self.stride_reads * batch,
+            stride_writes: self.stride_writes * batch,
+            barrier_steps: self.barrier_steps,
+        }
+    }
+
     /// Whether measured counters agree exactly on `C`, `S` and `B`.
     pub fn matches(&self, measured: &CostCounters) -> bool {
         self.coalesced_reads == measured.coalesced_reads
@@ -619,36 +632,44 @@ impl GlobalCost {
         }
     }
 
-    /// Transaction-exact counts for `algorithm` on an `n × n` input, where
-    /// the kernel admits a closed form with *every* term (currently 1R1W on
-    /// square inputs with `w | n`; other algorithms return `None` and should
-    /// be compared against [`table_one_row`](Self::table_one_row) leading
-    /// terms with a tolerance).
+    /// Transaction-exact counts for `algorithm` on a `rows × cols` input,
+    /// where the kernel admits a closed form with *every* term (currently
+    /// 1R1W with `w | rows` and `w | cols` — pad first, as the drivers do;
+    /// other algorithms return `None` and should be compared against
+    /// [`table_one_row`](Self::table_one_row) leading terms with a
+    /// tolerance).
     ///
-    /// 1R1W per Theorem 6, counting the fringes Table I drops: each of the
-    /// `m² = (n/w)²` blocks loads its `w × w` tile coalesced (`n²` reads)
-    /// and stores it once (`n²` coalesced writes). Blocks below the first
-    /// block-row additionally read the `w`-wide column-sum fringe above them
-    /// coalesced (`(m−1)·m·w` reads); blocks right of the first block-column
-    /// read the `w`-tall row-sum fringe to their left, a stride access down
-    /// a column (`(m−1)·m·w` stride reads); interior blocks read one corner
-    /// prefix scalar (`(m−1)²` coalesced reads). The block anti-diagonal
-    /// wavefront takes `2m − 1` launches, hence `2m − 2` barrier steps.
-    pub fn exact_counts(&self, algorithm: SatAlgorithm, n: usize) -> Option<ExactCounts> {
+    /// 1R1W per Theorem 6, counting the fringes Table I drops, with
+    /// `m_r = rows/w` block-rows and `m_c = cols/w` block-columns: each
+    /// block loads its `w × w` tile coalesced (`rows·cols` reads) and
+    /// stores it once (`rows·cols` coalesced writes). Blocks below the
+    /// first block-row additionally read the `w`-wide column-sum fringe
+    /// above them coalesced (`(m_r−1)·m_c·w` reads); blocks right of the
+    /// first block-column read the `w`-tall row-sum fringe to their left, a
+    /// stride access down a column (`m_r·(m_c−1)·w` stride reads); interior
+    /// blocks read one corner prefix scalar (`(m_r−1)·(m_c−1)` coalesced
+    /// reads). The block anti-diagonal wavefront takes `m_r + m_c − 1`
+    /// launches, hence `m_r + m_c − 2` barrier steps.
+    pub fn exact_counts(
+        &self,
+        algorithm: SatAlgorithm,
+        rows: usize,
+        cols: usize,
+    ) -> Option<ExactCounts> {
         let w = self.cfg.width;
-        if n == 0 || n % w != 0 {
+        if rows == 0 || cols == 0 || rows % w != 0 || cols % w != 0 {
             return None;
         }
-        let m = (n / w) as u64;
+        let (mr, mc) = ((rows / w) as u64, (cols / w) as u64);
         let wu = w as u64;
-        let n2 = (n as u64) * (n as u64);
+        let area = (rows as u64) * (cols as u64);
         match algorithm {
             SatAlgorithm::OneR1W => Some(ExactCounts {
-                coalesced_reads: n2 + (m - 1) * m * wu + (m - 1) * (m - 1),
-                coalesced_writes: n2,
-                stride_reads: (m - 1) * m * wu,
+                coalesced_reads: area + (mr - 1) * mc * wu + (mr - 1) * (mc - 1),
+                coalesced_writes: area,
+                stride_reads: mr * (mc - 1) * wu,
                 stride_writes: 0,
-                barrier_steps: 2 * m - 2,
+                barrier_steps: mr + mc - 2,
             }),
             _ => None,
         }
@@ -769,7 +790,7 @@ impl GlobalCost {
     /// reads when each acquire succeeds on its first poll). The launch
     /// barrier disappears entirely: `B = 0`.
     pub fn persistent_1r1w_exact_counts(&self, n: usize) -> Option<ExactCounts> {
-        let base = self.exact_counts(SatAlgorithm::OneR1W, n)?;
+        let base = self.exact_counts(SatAlgorithm::OneR1W, n, n)?;
         let m = (n / self.cfg.width) as u64;
         Some(ExactCounts {
             coalesced_reads: base.coalesced_reads + (m - 1) * m,
@@ -1051,7 +1072,7 @@ mod tests {
     fn exact_counts_refine_table_one_leading_terms() {
         let g = gc();
         let (w, n) = (32usize, 1024usize);
-        let e = g.exact_counts(SatAlgorithm::OneR1W, n).unwrap();
+        let e = g.exact_counts(SatAlgorithm::OneR1W, n, n).unwrap();
         let row = g.table_one_row(SatAlgorithm::OneR1W, n);
         // Each exact column agrees with its Table I leading term to the
         // dropped-small-terms order, O(1/w) relative…
@@ -1072,7 +1093,7 @@ mod tests {
         let g = gc(); // w = 32
         let n = 256;
         let m = (n / 32) as u64;
-        let base = g.exact_counts(SatAlgorithm::OneR1W, n).unwrap();
+        let base = g.exact_counts(SatAlgorithm::OneR1W, n, n).unwrap();
         let p = g.persistent_1r1w_exact_counts(n).unwrap();
         assert_eq!(p.coalesced_reads, base.coalesced_reads + (m - 1) * m);
         assert_eq!(p.coalesced_writes, base.coalesced_writes + (m - 1) * m);
@@ -1086,14 +1107,15 @@ mod tests {
     }
 
     #[test]
-    fn exact_counts_require_block_aligned_square() {
+    fn exact_counts_require_block_aligned_dims() {
         let g = gc(); // w = 32
-        assert!(g.exact_counts(SatAlgorithm::OneR1W, 0).is_none());
-        assert!(g.exact_counts(SatAlgorithm::OneR1W, 100).is_none()); // 32 ∤ 100
-        assert!(g.exact_counts(SatAlgorithm::TwoR2W, 1024).is_none()); // no closed form
+        assert!(g.exact_counts(SatAlgorithm::OneR1W, 0, 32).is_none());
+        assert!(g.exact_counts(SatAlgorithm::OneR1W, 100, 100).is_none()); // 32 ∤ 100
+        assert!(g.exact_counts(SatAlgorithm::OneR1W, 64, 100).is_none());
+        assert!(g.exact_counts(SatAlgorithm::TwoR2W, 1024, 1024).is_none()); // no closed form
 
         // Degenerate single-block case: no fringes, no barriers.
-        let e = g.exact_counts(SatAlgorithm::OneR1W, 32).unwrap();
+        let e = g.exact_counts(SatAlgorithm::OneR1W, 32, 32).unwrap();
         assert_eq!(e.coalesced_reads, 32 * 32);
         assert_eq!(e.coalesced_writes, 32 * 32);
         assert_eq!(e.stride_reads, 0);
@@ -1103,7 +1125,7 @@ mod tests {
     #[test]
     fn exact_counts_match_detects_divergence() {
         let g = gc();
-        let e = g.exact_counts(SatAlgorithm::OneR1W, 64).unwrap();
+        let e = g.exact_counts(SatAlgorithm::OneR1W, 64, 64).unwrap();
         let mut measured = CostCounters {
             coalesced_reads: e.coalesced_reads,
             coalesced_writes: e.coalesced_writes,
@@ -1216,7 +1238,7 @@ mod tests {
         let cfg = MachineConfig::with_width(8);
         let g = GlobalCost::new(cfg);
         let n = 512;
-        let single = g.exact_counts(SatAlgorithm::OneR1W, n).unwrap();
+        let single = g.exact_counts(SatAlgorithm::OneR1W, n, n).unwrap();
         let single_cost = single.coalesced_ops() as f64 / 8.0
             + single.stride_ops() as f64
             + cfg.window_overhead() as f64 * (single.barrier_steps + 1) as f64;

@@ -287,6 +287,19 @@ struct Inner {
     state: Mutex<State>,
 }
 
+/// Metric families [`Conformance::with_registry`] registers, before the
+/// caller's prefix is prepended.
+pub const MODEL_FAMILIES: [&str; 8] = [
+    "model_samples_total",
+    "model_drift_alerts_total",
+    "model_fitted_width",
+    "model_fitted_window_overhead",
+    "model_fit_converged",
+    "model_tau_ns",
+    "model_residual_relative",
+    "model_residual_tau_ratio",
+];
+
 /// The live conformance tracker; see the [module docs](self). Cloning is
 /// cheap (one `Arc`) and all clones share one stream.
 #[derive(Clone)]
@@ -323,22 +336,19 @@ impl Conformance {
     /// / `model_fit_converged` / `model_tau_ns` gauges, and
     /// `model_samples_total` / `model_drift_alerts_total` counters.
     pub fn with_registry(cfg: ConformanceConfig, registry: &Registry, prefix: &str) -> Self {
+        let [samples, alerts, width, overhead, converged, tau, relative, tau_ratio] =
+            MODEL_FAMILIES.map(|f| format!("{prefix}{f}"));
         let metrics = Metrics {
-            samples_total: registry.counter(&format!("{prefix}model_samples_total")),
-            drift_alerts_total: registry.counter(&format!("{prefix}model_drift_alerts_total")),
-            fitted_width: registry.gauge(&format!("{prefix}model_fitted_width")),
-            fitted_window_overhead: registry
-                .gauge(&format!("{prefix}model_fitted_window_overhead")),
-            fit_converged: registry.gauge(&format!("{prefix}model_fit_converged")),
-            tau_ns: registry.gauge(&format!("{prefix}model_tau_ns")),
-            residual_relative: registry.histogram_with(
-                &format!("{prefix}model_residual_relative"),
-                &BucketLayout::log(1e-4, 2.0, 20),
-            ),
-            residual_tau_ratio: registry.histogram_with(
-                &format!("{prefix}model_residual_tau_ratio"),
-                &BucketLayout::log(0.125, 2.0, 12),
-            ),
+            samples_total: registry.counter(&samples),
+            drift_alerts_total: registry.counter(&alerts),
+            fitted_width: registry.gauge(&width),
+            fitted_window_overhead: registry.gauge(&overhead),
+            fit_converged: registry.gauge(&converged),
+            tau_ns: registry.gauge(&tau),
+            residual_relative: registry
+                .histogram_with(&relative, &BucketLayout::log(1e-4, 2.0, 20)),
+            residual_tau_ratio: registry
+                .histogram_with(&tau_ratio, &BucketLayout::log(0.125, 2.0, 12)),
         };
         Conformance {
             inner: Arc::new(Inner {

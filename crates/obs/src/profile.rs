@@ -22,12 +22,48 @@ use std::time::Instant;
 use crate::span::EventKind;
 use crate::{ArgValue, Obs, Registry, Track};
 
+/// Metric families the `gpu-exec` device registers. Declared here, not in
+/// `gpu-exec`, because `gpu-exec` depends on `obs` and the profiler reads
+/// them back.
+pub mod gpu {
+    /// Coalesced global-memory operations.
+    pub const COALESCED_OPS: &str = "gpu_coalesced_ops";
+    /// Stride global-memory operations.
+    pub const STRIDE_OPS: &str = "gpu_stride_ops";
+    /// Global-memory pipeline stages.
+    pub const GLOBAL_STAGES: &str = "gpu_global_stages";
+    /// Kernel launches.
+    pub const LAUNCHES: &str = "gpu_launches";
+    /// Barrier steps between launches.
+    pub const BARRIER_STEPS: &str = "gpu_barrier_steps";
+    /// Persistent-block handoff flag publishes.
+    pub const HANDOFF_PUBLISHES: &str = "gpu_handoff_publishes";
+    /// Persistent-block handoff flag acquires.
+    pub const HANDOFF_ACQUIRES: &str = "gpu_handoff_acquires";
+    /// Launch wall-time histogram.
+    pub const LAUNCH_DURATION: &str = "gpu_launch_duration_seconds";
+    /// Injected faults, labelled by `kind`.
+    pub const FAULT_INJECTIONS: &str = "gpu_fault_injections";
+    /// Every family above.
+    pub const FAMILIES: [&str; 9] = [
+        COALESCED_OPS,
+        STRIDE_OPS,
+        GLOBAL_STAGES,
+        LAUNCHES,
+        BARRIER_STEPS,
+        HANDOFF_PUBLISHES,
+        HANDOFF_ACQUIRES,
+        LAUNCH_DURATION,
+        FAULT_INJECTIONS,
+    ];
+}
+
 /// The gpu-exec registry counters a phase is attributed from.
 const PHASE_COUNTERS: [&str; 4] = [
-    "gpu_coalesced_ops",
-    "gpu_stride_ops",
-    "gpu_global_stages",
-    "gpu_launches",
+    gpu::COALESCED_OPS,
+    gpu::STRIDE_OPS,
+    gpu::GLOBAL_STAGES,
+    gpu::LAUNCHES,
 ];
 
 /// The paper's global-memory cost parameters: width `w` and per-window

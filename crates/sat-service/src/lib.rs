@@ -47,22 +47,24 @@
 //!   (counted under `reason="shutdown_drain"`) instead of being left to
 //!   hit their deadlines; then the batch-former is joined. A request
 //!   already dispatched to the device still completes.
-//! * The executor **self-heals** ([`ResilienceConfig`]): failed or
-//!   corrupted device attempts (detected via the device's fault epoch, the
-//!   paper's Table-I closed-form operation counts, and a SAT checksum /
+//! * Every dispatch goes through one **fleet router** over
+//!   [`ServiceConfig::shards`] devices, each its own fault domain with its
+//!   own circuit breaker; a single device is a fleet of one. On one
+//!   device a batched `OneR1W` dispatch is one fused wavefront; on `D > 1`
+//!   devices `OneR1W` requests shard into `D` row-bands (the banded
+//!   decomposition with an explicit margin exchange) whose kernels are
+//!   pulled from a shared queue by whichever shards are healthy; other
+//!   algorithms run one whole-image task per request.
+//! * The router **self-heals** ([`ResilienceConfig`]): failed or corrupted
+//!   device attempts (detected via the device's fault epoch, the paper's
+//!   Table-I closed-form operation counts, and a SAT checksum /
 //!   recurrence sweep) are retried with exponential backoff; consecutive
-//!   launch failures open a circuit breaker that degrades dispatches to
-//!   the sequential CPU path — requests complete slower instead of
-//!   erroring — until a half-open canary probe re-closes it.
-//! * With [`ServiceConfig::shards`]` > 1` the executor runs a **device
-//!   fleet**: `D` devices, each its own fault domain with its own circuit
-//!   breaker. `OneR1W` requests shard into `D` row-bands (the banded
-//!   decomposition with an explicit margin exchange), the band kernels
-//!   are pulled from a shared queue by whichever shards are healthy, and
-//!   a shard whose breaker opens mid-dispatch hands its remaining bands
-//!   to the survivors (`ShardFailover` in the flight recorder) — results
-//!   stay bit-exact, and the CPU degradation path is reached only when
-//!   *every* shard is open.
+//!   launch failures open a shard's breaker, and the shard hands its
+//!   remaining work to the survivors (`ShardFailover` in the flight
+//!   recorder) — results stay bit-exact. Only when *every* shard is open
+//!   do dispatches degrade to the sequential CPU path — requests complete
+//!   slower instead of erroring — until a half-open canary probe re-closes
+//!   a breaker.
 //! * Everything is instrumented ([`ServiceStats`]): per-request queue /
 //!   execute / total latency, a batch-width histogram, and the launches and
 //!   barrier windows actually issued vs. what per-request execution would
@@ -97,6 +99,23 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use hmm_model::MachineConfig;
+
+/// Every metric family a service's `/metrics` scrape can contain, with
+/// label sets and histogram-series suffixes stripped: the device's `gpu_*`
+/// families, the serving layer's `sat_service_*` families and the
+/// conformance observatory's `sat_service_model_*` families — each
+/// derived from the constants its registration site uses.
+pub fn metric_families() -> Vec<String> {
+    let model = obs::conformance::MODEL_FAMILIES
+        .iter()
+        .map(|f| format!("{}{f}", metrics::MODEL_PREFIX));
+    obs::profile::gpu::FAMILIES
+        .iter()
+        .chain(&metrics::FAMILIES)
+        .map(|f| f.to_string())
+        .chain(model)
+        .collect()
+}
 
 /// Telemetry HTTP listener configuration ([`ServiceConfig::telemetry`]).
 ///
@@ -189,13 +208,14 @@ pub struct ServiceConfig {
     /// [`shard_fault_plans`](Self::shard_fault_plans) when that is
     /// non-empty.
     pub fault_plan: Option<gpu_exec::FaultPlan>,
-    /// Number of device shards (fault domains). `1` — the default — keeps
-    /// the single-device executor. `D > 1` builds a
-    /// [`gpu_exec::DeviceFleet`] and serves `OneR1W` requests through the
-    /// banded decomposition ([`sat_core::par::sat_1r1w_banded`]'s kernels):
-    /// each request's matrix splits into `D` row-bands whose phase kernels
-    /// are work-stolen by the healthy shards, each guarded by its own
-    /// circuit breaker — losing a device resharding its bands onto the
+    /// Number of device shards (fault domains) in the
+    /// [`gpu_exec::DeviceFleet`] every dispatch is routed through, each
+    /// guarded by its own circuit breaker. `1` — the default — is a fleet
+    /// of one: batched `OneR1W` dispatches run as one fused wavefront.
+    /// `D > 1` serves `OneR1W` requests through the banded decomposition
+    /// ([`sat_core::par::sat_1r1w_banded`]'s kernels): each request's
+    /// matrix splits into `D` row-bands whose phase kernels are work-stolen
+    /// by the healthy shards — losing a device reshards its bands onto the
     /// survivors instead of degrading the whole service.
     pub shards: usize,
     /// Per-shard fault schedules, chaos-testing hook for asymmetric fleet

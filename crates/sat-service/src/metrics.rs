@@ -39,6 +39,58 @@ impl Default for SloConfig {
     }
 }
 
+// Metric families the serving layer registers, each spelled once here.
+const SUBMITTED: &str = "sat_service_submitted_total";
+const COMPLETED: &str = "sat_service_completed_total";
+const REJECTED: &str = "sat_service_rejected_total";
+const BATCHES: &str = "sat_service_batches_total";
+const LAUNCHES: &str = "sat_service_launches_total";
+const BARRIER_STEPS: &str = "sat_service_barrier_steps_total";
+const ATTEMPTS: &str = "sat_service_attempts_total";
+const RETRIES: &str = "sat_service_retries_total";
+const DEGRADED: &str = "sat_service_degraded_total";
+const VERIFICATIONS: &str = "sat_service_verifications_total";
+const BREAKER_TRANSITIONS: &str = "sat_service_breaker_transitions_total";
+const CANARY_PROBES: &str = "sat_service_canary_probes_total";
+const SHARD_TASKS: &str = "sat_service_shard_tasks_total";
+const SHARD_FAILOVERS: &str = "sat_service_shard_failovers_total";
+const SHARDS_LOST: &str = "sat_service_shards_lost_total";
+const SHARD_LAUNCHES: &str = "sat_service_shard_launches_total";
+const REQUEST_LATENCY: &str = "sat_service_request_latency_seconds";
+const STAGE_LATENCY: &str = "sat_service_stage_latency_seconds";
+const SLO_TARGET: &str = "sat_service_slo_target_seconds";
+const SLO_ATTAINMENT: &str = "sat_service_slo_attainment_ratio";
+const SLO_BURN: &str = "sat_service_slo_error_budget_burn";
+
+/// Every family registered above.
+pub(crate) const FAMILIES: [&str; 21] = [
+    SUBMITTED,
+    COMPLETED,
+    REJECTED,
+    BATCHES,
+    LAUNCHES,
+    BARRIER_STEPS,
+    ATTEMPTS,
+    RETRIES,
+    DEGRADED,
+    VERIFICATIONS,
+    BREAKER_TRANSITIONS,
+    CANARY_PROBES,
+    SHARD_TASKS,
+    SHARD_FAILOVERS,
+    SHARDS_LOST,
+    SHARD_LAUNCHES,
+    REQUEST_LATENCY,
+    STAGE_LATENCY,
+    SLO_TARGET,
+    SLO_ATTAINMENT,
+    SLO_BURN,
+];
+
+/// Prefix the service registers the conformance observatory's
+/// [`obs::conformance::MODEL_FAMILIES`] under.
+pub(crate) const MODEL_PREFIX: &str = "sat_service_";
+
 /// Shared counters and latency histograms, updated by submitters and the
 /// batch-former.
 pub(crate) struct Metrics {
@@ -47,17 +99,12 @@ pub(crate) struct Metrics {
     c: Counters,
     h: Hists,
     slo: SloConfig,
-    /// Current circuit-breaker state ("closed" / "open" / "half_open"),
-    /// tracked for the `/healthz` endpoint. In fleet mode this is the
-    /// aggregate of the per-shard breakers: "closed" when all are closed,
-    /// "open" when all are open, "half_open" otherwise.
-    breaker: Mutex<&'static str>,
-    /// Number of device shards ([`configure_shards`](Self::configure_shards)).
-    shards: usize,
     /// Per-shard launch counters (`sat_service_shard_launches_total{shard=…}`),
     /// parallel to the shard indices.
     shard_launches: Vec<Counter>,
-    /// Per-shard breaker states feeding the aggregate in `breaker`.
+    /// Per-shard circuit-breaker states ("closed" / "open" / "half_open"),
+    /// aggregated for the `/healthz` endpoint by
+    /// [`breaker_state`](Self::breaker_state).
     shard_breakers: Mutex<Vec<&'static str>>,
 }
 
@@ -72,11 +119,6 @@ struct Hists {
     /// Device execution of the request's batch, per request.
     exec: Histogram,
 }
-
-const REQUEST_HIST: &str = "sat_service_request_latency_seconds";
-const QUEUE_HIST: &str = "sat_service_stage_latency_seconds{stage=\"queue\"}";
-const BATCH_HIST: &str = "sat_service_stage_latency_seconds{stage=\"batch\"}";
-const EXEC_HIST: &str = "sat_service_stage_latency_seconds{stage=\"execute\"}";
 
 /// Registry-backed counter handles (cheap atomics; see `obs::Counter`).
 struct Counters {
@@ -133,52 +175,53 @@ pub(crate) struct BatchRecord<'a> {
 impl Metrics {
     /// Register the service's counters and histograms on `registry`
     /// (typically the one behind the service's [`obs::Obs`], falling back
-    /// to a private one).
-    pub(crate) fn new(registry: Registry, slo: SloConfig) -> Metrics {
+    /// to a private one), with one launch counter and one tracked breaker
+    /// state per device shard.
+    pub(crate) fn new(registry: Registry, slo: SloConfig, shards: usize) -> Metrics {
+        let counter = |family: &str, key: &str, value: &str| {
+            registry.counter(&Registry::labeled(family, &[(key, value)]))
+        };
         let c = Counters {
-            submitted: registry.counter("sat_service_submitted_total"),
-            completed: registry.counter("sat_service_completed_total"),
-            rejected_deadline: registry.counter("sat_service_rejected_total{reason=\"deadline\"}"),
-            rejected_queue_full: registry
-                .counter("sat_service_rejected_total{reason=\"queue_full\"}"),
-            rejected_shutdown: registry.counter("sat_service_rejected_total{reason=\"shutdown\"}"),
-            rejected_invalid: registry.counter("sat_service_rejected_total{reason=\"invalid\"}"),
-            batches: registry.counter("sat_service_batches_total"),
-            launches_issued: registry.counter("sat_service_launches_total{kind=\"issued\"}"),
-            launches_unbatched_equiv: registry
-                .counter("sat_service_launches_total{kind=\"unbatched_equiv\"}"),
-            barriers_issued: registry.counter("sat_service_barrier_steps_total{kind=\"issued\"}"),
-            barriers_unbatched_equiv: registry
-                .counter("sat_service_barrier_steps_total{kind=\"unbatched_equiv\"}"),
-            rejected_shutdown_drain: registry
-                .counter("sat_service_rejected_total{reason=\"shutdown_drain\"}"),
-            attempts_ok: registry.counter("sat_service_attempts_total{result=\"ok\"}"),
-            attempts_failed: registry.counter("sat_service_attempts_total{result=\"failed\"}"),
-            retries: registry.counter("sat_service_retries_total"),
-            degraded: registry.counter("sat_service_degraded_total"),
-            verify_pass: registry.counter("sat_service_verifications_total{result=\"pass\"}"),
-            verify_fail: registry.counter("sat_service_verifications_total{result=\"fail\"}"),
-            breaker_opened: registry.counter("sat_service_breaker_transitions_total{to=\"open\"}"),
-            breaker_half_open: registry
-                .counter("sat_service_breaker_transitions_total{to=\"half_open\"}"),
-            breaker_closed: registry
-                .counter("sat_service_breaker_transitions_total{to=\"closed\"}"),
-            canaries: registry.counter("sat_service_canary_probes_total"),
-            shard_tasks_ok: registry.counter("sat_service_shard_tasks_total{result=\"ok\"}"),
-            shard_tasks_failed: registry
-                .counter("sat_service_shard_tasks_total{result=\"failed\"}"),
-            shard_failovers: registry.counter("sat_service_shard_failovers_total"),
-            shards_lost: registry.counter("sat_service_shards_lost_total"),
+            submitted: registry.counter(SUBMITTED),
+            completed: registry.counter(COMPLETED),
+            rejected_deadline: counter(REJECTED, "reason", "deadline"),
+            rejected_queue_full: counter(REJECTED, "reason", "queue_full"),
+            rejected_shutdown: counter(REJECTED, "reason", "shutdown"),
+            rejected_invalid: counter(REJECTED, "reason", "invalid"),
+            batches: registry.counter(BATCHES),
+            launches_issued: counter(LAUNCHES, "kind", "issued"),
+            launches_unbatched_equiv: counter(LAUNCHES, "kind", "unbatched_equiv"),
+            barriers_issued: counter(BARRIER_STEPS, "kind", "issued"),
+            barriers_unbatched_equiv: counter(BARRIER_STEPS, "kind", "unbatched_equiv"),
+            rejected_shutdown_drain: counter(REJECTED, "reason", "shutdown_drain"),
+            attempts_ok: counter(ATTEMPTS, "result", "ok"),
+            attempts_failed: counter(ATTEMPTS, "result", "failed"),
+            retries: registry.counter(RETRIES),
+            degraded: registry.counter(DEGRADED),
+            verify_pass: counter(VERIFICATIONS, "result", "pass"),
+            verify_fail: counter(VERIFICATIONS, "result", "fail"),
+            breaker_opened: counter(BREAKER_TRANSITIONS, "to", "open"),
+            breaker_half_open: counter(BREAKER_TRANSITIONS, "to", "half_open"),
+            breaker_closed: counter(BREAKER_TRANSITIONS, "to", "closed"),
+            canaries: registry.counter(CANARY_PROBES),
+            shard_tasks_ok: counter(SHARD_TASKS, "result", "ok"),
+            shard_tasks_failed: counter(SHARD_TASKS, "result", "failed"),
+            shard_failovers: registry.counter(SHARD_FAILOVERS),
+            shards_lost: registry.counter(SHARDS_LOST),
         };
+        let stage =
+            |name| registry.histogram(&Registry::labeled(STAGE_LATENCY, &[("stage", name)]));
         let h = Hists {
-            request: registry.histogram(REQUEST_HIST),
-            queue: registry.histogram(QUEUE_HIST),
-            batch: registry.histogram(BATCH_HIST),
-            exec: registry.histogram(EXEC_HIST),
+            request: registry.histogram(REQUEST_LATENCY),
+            queue: stage("queue"),
+            batch: stage("batch"),
+            exec: stage("execute"),
         };
-        registry
-            .gauge("sat_service_slo_target_seconds")
-            .set(slo.target.as_secs_f64());
+        registry.gauge(SLO_TARGET).set(slo.target.as_secs_f64());
+        let shards = shards.max(1);
+        let shard_launches = (0..shards)
+            .map(|s| counter(SHARD_LAUNCHES, "shard", &s.to_string()))
+            .collect();
         Metrics {
             inner: Mutex::new(Inner {
                 batch_width_hist: Vec::new(),
@@ -187,37 +230,14 @@ impl Metrics {
             c,
             h,
             slo,
-            breaker: Mutex::new("closed"),
-            shards: 1,
-            shard_launches: Vec::new(),
-            shard_breakers: Mutex::new(vec!["closed"]),
+            shard_launches,
+            shard_breakers: Mutex::new(vec!["closed"; shards]),
         }
-    }
-
-    /// Size the per-shard state for a `D`-shard fleet: one launch counter
-    /// and one tracked breaker state per shard. Called once at service
-    /// construction, before the metrics are shared.
-    pub(crate) fn configure_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-        // Single-device services keep their scrape output free of shard
-        // series; the fleet registers one launch counter per shard.
-        self.shard_launches = if self.shards > 1 {
-            (0..self.shards)
-                .map(|s| {
-                    self.registry.counter(&format!(
-                        "sat_service_shard_launches_total{{shard=\"{s}\"}}"
-                    ))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        *self.shard_breakers.lock() = vec!["closed"; self.shards];
     }
 
     /// Number of configured device shards, for the health endpoint.
     pub(crate) fn shards(&self) -> usize {
-        self.shards
+        self.shard_launches.len()
     }
 
     pub(crate) fn on_submit(&self) {
@@ -235,12 +255,16 @@ impl Metrics {
         }
     }
 
-    /// Record one device attempt (a whole batch dispatch counts as one).
+    /// Record one device attempt: one fleet task run on some shard (a fused
+    /// batch, a band's phase kernel, or a whole image). Counted under both
+    /// the attempt and the shard-task families.
     pub(crate) fn on_attempt(&self, ok: bool) {
         if ok {
             self.c.attempts_ok.inc();
+            self.c.shard_tasks_ok.inc();
         } else {
             self.c.attempts_failed.inc();
+            self.c.shard_tasks_failed.inc();
         }
     }
 
@@ -263,8 +287,10 @@ impl Metrics {
         }
     }
 
-    /// The circuit breaker moved to `to` ("open" / "half_open" / "closed").
-    pub(crate) fn on_breaker(&self, to: &str) {
+    /// Shard `shard`'s circuit breaker moved to `to` ("open" /
+    /// "half_open" / "closed"): counts the transition and updates the
+    /// state [`breaker_state`](Self::breaker_state) aggregates.
+    pub(crate) fn on_breaker(&self, shard: usize, to: &str) {
         let state = match to {
             "open" => {
                 self.c.breaker_opened.inc();
@@ -279,51 +305,8 @@ impl Metrics {
                 "closed"
             }
         };
-        *self.breaker.lock() = state;
-    }
-
-    /// Shard `shard`'s circuit breaker moved to `to`. Counts the transition
-    /// on the shared transition counters and refreshes the aggregate
-    /// breaker state the health endpoint reports: "closed" when every
-    /// shard is closed, "open" when every shard is open, "half_open" for
-    /// any mix (some capacity lost, some remaining).
-    pub(crate) fn on_shard_breaker(&self, shard: usize, to: &str) {
-        let state = match to {
-            "open" => {
-                self.c.breaker_opened.inc();
-                "open"
-            }
-            "half_open" => {
-                self.c.breaker_half_open.inc();
-                "half_open"
-            }
-            _ => {
-                self.c.breaker_closed.inc();
-                "closed"
-            }
-        };
-        let mut shards = self.shard_breakers.lock();
-        if shards.len() <= shard {
-            shards.resize(shard + 1, "closed");
-        }
-        shards[shard] = state;
-        let agg = if shards.iter().all(|&s| s == "closed") {
-            "closed"
-        } else if shards.iter().all(|&s| s == "open") {
-            "open"
-        } else {
-            "half_open"
-        };
-        *self.breaker.lock() = agg;
-    }
-
-    /// One fleet task (a band's phase kernel, or a whole image on the
-    /// non-banded algorithms) finished on some shard.
-    pub(crate) fn on_shard_task(&self, ok: bool) {
-        if ok {
-            self.c.shard_tasks_ok.inc();
-        } else {
-            self.c.shard_tasks_failed.inc();
+        if let Some(s) = self.shard_breakers.lock().get_mut(shard) {
+            *s = state;
         }
     }
 
@@ -345,9 +328,19 @@ impl Metrics {
         }
     }
 
-    /// Current circuit-breaker state, for the health endpoint.
+    /// Aggregate circuit-breaker state, for the health endpoint: "closed"
+    /// when every shard is closed, "open" when every shard is open, and
+    /// "half_open" for any mix (some capacity lost, some remaining). With
+    /// one shard this is that shard's state.
     pub(crate) fn breaker_state(&self) -> &'static str {
-        *self.breaker.lock()
+        let shards = self.shard_breakers.lock();
+        if shards.iter().all(|&s| s == "closed") {
+            "closed"
+        } else if shards.iter().all(|&s| s == "open") {
+            "open"
+        } else {
+            "half_open"
+        }
     }
 
     /// SLO attainment and error-budget burn derived from one request
@@ -440,11 +433,12 @@ impl Metrics {
                 .cloned()
                 .expect("latency histogram registered at construction")
         };
+        let stage = |name| get(&Registry::labeled(STAGE_LATENCY, &[("stage", name)]));
         (
-            get(QUEUE_HIST),
-            get(EXEC_HIST),
-            get(REQUEST_HIST),
-            get(BATCH_HIST),
+            stage("queue"),
+            stage("execute"),
+            get(REQUEST_LATENCY),
+            stage("batch"),
         )
     }
 
@@ -475,7 +469,7 @@ impl Metrics {
             breaker_half_open: self.c.breaker_half_open.total(),
             breaker_closed: self.c.breaker_closed.total(),
             canary_probes: self.c.canaries.total(),
-            shards: self.shards as u64,
+            shards: self.shards() as u64,
             shard_tasks_ok: self.c.shard_tasks_ok.total(),
             shard_tasks_failed: self.c.shard_tasks_failed.total(),
             shard_failovers: self.c.shard_failovers.total(),
@@ -487,31 +481,13 @@ impl Metrics {
         }
     }
 
-    /// Prometheus-style text exposition: refresh the latency-summary and
-    /// SLO gauges from the histogram buckets, then render every metric on
-    /// the registry — counters, gauges and the histograms' own
-    /// `_bucket`/`_sum`/`_count` series (including the device's `gpu_*`
-    /// family when the registry is shared).
+    /// Prometheus-style text exposition: refresh the SLO gauges from the
+    /// request histogram, then render every metric on the registry —
+    /// counters, gauges and the histograms' own `_bucket`/`_sum`/`_count`
+    /// series (including the device's `gpu_*` family when the registry is
+    /// shared).
     pub(crate) fn expose_text(&self) -> String {
-        let (queue, exec, request, _) = self.latency_samples();
-        for (prefix, sample) in [
-            ("sat_service_queue_latency_ms", &queue),
-            ("sat_service_exec_latency_ms", &exec),
-            ("sat_service_total_latency_ms", &request),
-        ] {
-            let s = LatencySummary::from_histogram(sample);
-            for (stat, v) in [
-                ("mean", s.mean_ms),
-                ("p50", s.p50_ms),
-                ("p95", s.p95_ms),
-                ("p99", s.p99_ms),
-                ("max", s.max_ms),
-            ] {
-                self.registry
-                    .gauge(&format!("{prefix}{{stat=\"{stat}\"}}"))
-                    .set(v);
-            }
-        }
+        let (_, _, request, _) = self.latency_samples();
         // SLO attainment from the request histogram: the `<= target`
         // fraction is rounded up to a bucket boundary (conservative in the
         // service's favour is the wrong direction for an SLO, so the burn
@@ -519,12 +495,8 @@ impl Metrics {
         // the target bounds the error either way within one bucket). The
         // same `burn_stats` feeds the post-mortem trigger's `slo_burn`.
         let (attainment, burn) = self.burn_stats(&request);
-        self.registry
-            .gauge("sat_service_slo_attainment_ratio")
-            .set(attainment);
-        self.registry
-            .gauge("sat_service_slo_error_budget_burn")
-            .set(burn);
+        self.registry.gauge(SLO_ATTAINMENT).set(attainment);
+        self.registry.gauge(SLO_BURN).set(burn);
         self.registry.expose_text()
     }
 }
@@ -560,7 +532,7 @@ pub struct ServiceStats {
     /// Requests failed with [`crate::ServiceError::Shutdown`] because the
     /// service shut down while they were still queued.
     pub rejected_shutdown_drain: u64,
-    /// Device attempts (one per batch dispatch) that passed every check.
+    /// Device attempts (one per fleet task run) that passed every check.
     pub attempts_ok: u64,
     /// Device attempts that failed a launch or a verification.
     pub attempts_failed: u64,
@@ -582,11 +554,13 @@ pub struct ServiceStats {
     pub canary_probes: u64,
     /// Device shards the service was configured with (1 = single device).
     pub shards: u64,
-    /// Fleet tasks (band phase kernels, or whole images on non-banded
-    /// algorithms) that completed cleanly on some shard.
+    /// Fleet tasks (fused batches, band phase kernels, or whole images on
+    /// non-banded algorithms) that completed cleanly on some shard; equal
+    /// to [`attempts_ok`](Self::attempts_ok).
     pub shard_tasks_ok: u64,
     /// Fleet tasks whose attempt failed on a shard (requeued for the
-    /// survivors or retried).
+    /// survivors or retried); equal to
+    /// [`attempts_failed`](Self::attempts_failed).
     pub shard_tasks_failed: u64,
     /// Times an open shard's remaining tasks were resharded onto the
     /// surviving shards.
@@ -594,8 +568,8 @@ pub struct ServiceStats {
     /// Shard breakers opened mid-dispatch (the shard's fault domain lost
     /// until a canary re-closes it).
     pub shards_lost: u64,
-    /// Kernel launches issued per shard, in shard order (empty when the
-    /// service runs single-device).
+    /// Kernel launches issued per shard, in shard order (one entry for a
+    /// single-device service).
     pub shard_launches: Vec<u64>,
     /// Time from admission to batch dispatch, per request
     /// (bucket-estimated; see [`LatencySummary::from_histogram`]).
@@ -702,7 +676,7 @@ impl LatencySummary {
 
 impl Default for Metrics {
     fn default() -> Metrics {
-        Metrics::new(Registry::new(), SloConfig::default())
+        Metrics::new(Registry::new(), SloConfig::default(), 1)
     }
 }
 
@@ -811,11 +785,13 @@ mod tests {
         assert!(text.contains("sat_service_submitted_total 1"));
         assert!(text.contains("sat_service_rejected_total{reason=\"deadline\"} 1"));
         assert!(text.contains("sat_service_launches_total{kind=\"issued\"} 2"));
-        // Continuity gauges, now bucket-derived: the 2 ms queue sample's
-        // p50 is the containing bucket's upper bound, 2.048 ms.
-        assert!(text.contains("# TYPE sat_service_queue_latency_ms gauge"));
-        assert!(text.contains("sat_service_queue_latency_ms{stat=\"p50\"} 2.048"));
-        assert!(text.contains("sat_service_total_latency_ms{stat=\"max\"} 3"));
+        // Stage histograms carry the per-stage latencies: the 2 ms queue
+        // sample lands in the bucket whose upper bound is 2.048 ms.
+        assert!(text.contains("# TYPE sat_service_stage_latency_seconds histogram"));
+        assert!(text.contains("sat_service_stage_latency_seconds_sum{stage=\"queue\"} 0.002"));
+        assert!(text.contains(
+            "sat_service_stage_latency_seconds_bucket{stage=\"queue\",le=\"0.002048\"} 1"
+        ));
         // Raw Prometheus histogram series.
         assert!(text.contains("# TYPE sat_service_request_latency_seconds histogram"));
         assert!(text.contains("sat_service_request_latency_seconds_bucket{le=\"+Inf\"} 1"));
@@ -842,11 +818,11 @@ mod tests {
     fn breaker_state_tracks_transitions_for_health() {
         let m = Metrics::default();
         assert_eq!(m.breaker_state(), "closed");
-        m.on_breaker("open");
+        m.on_breaker(0, "open");
         assert_eq!(m.breaker_state(), "open");
-        m.on_breaker("half_open");
+        m.on_breaker(0, "half_open");
         assert_eq!(m.breaker_state(), "half_open");
-        m.on_breaker("closed");
+        m.on_breaker(0, "closed");
         assert_eq!(m.breaker_state(), "closed");
         // No samples yet: the burn rate reads zero, not NaN.
         assert_eq!(m.slo_burn(), 0.0);
@@ -854,23 +830,22 @@ mod tests {
 
     #[test]
     fn shard_breakers_aggregate_for_health() {
-        let mut m = Metrics::default();
-        m.configure_shards(3);
+        let m = Metrics::new(Registry::new(), SloConfig::default(), 3);
         assert_eq!(m.breaker_state(), "closed");
         // One shard down: the fleet is degraded, not dead.
-        m.on_shard_breaker(1, "open");
+        m.on_breaker(1, "open");
         assert_eq!(m.breaker_state(), "half_open");
-        m.on_shard_breaker(0, "open");
-        m.on_shard_breaker(2, "open");
+        m.on_breaker(0, "open");
+        m.on_breaker(2, "open");
         assert_eq!(m.breaker_state(), "open");
-        m.on_shard_breaker(1, "half_open");
+        m.on_breaker(1, "half_open");
         assert_eq!(m.breaker_state(), "half_open");
         for s in 0..3 {
-            m.on_shard_breaker(s, "closed");
+            m.on_breaker(s, "closed");
         }
         assert_eq!(m.breaker_state(), "closed");
-        m.on_shard_task(true);
-        m.on_shard_task(false);
+        m.on_attempt(true);
+        m.on_attempt(false);
         m.on_shard_failover();
         m.on_shard_lost();
         m.on_shard_launches(2, 7);
@@ -892,6 +867,7 @@ mod tests {
                 target: Duration::from_millis(10),
                 error_budget: 0.1,
             },
+            1,
         );
         // Before any traffic the SLO is vacuously met: the shared burn
         // computation special-cases the empty histogram (whose raw
@@ -923,6 +899,7 @@ mod tests {
                 target: Duration::from_millis(10),
                 error_budget: 0.1,
             },
+            1,
         );
         for exec_ns in [1_000_000, 1_000_000, 1_000_000, 1_000_000_000] {
             m.on_batch(&BatchRecord {

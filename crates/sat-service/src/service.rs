@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use gpu_exec::{
     BufferPool, Device, DeviceFleet, DeviceOptions, FleetOptions, GlobalBuffer, LaunchContext,
 };
-use hmm_model::cost::{CostCounters, ExactCounts, GlobalCost, SatAlgorithm};
+use hmm_model::cost::{ExactCounts, GlobalCost, SatAlgorithm};
 use obs::conformance::cell_label;
 use obs::flight::Trigger;
 use obs::{ArgValue, Conformance, FlightKind, FlowPhase, Obs, Track};
@@ -20,7 +20,7 @@ use sat_core::par::{band_colsum, band_wavefront, margin_exchange, BandPlan};
 use sat_core::{compute_sat, compute_sat_batch_with, Matrix, SumTable};
 
 use crate::http::Telemetry;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, MODEL_PREFIX};
 use crate::resilience::{backoff_delay, canary_ok, verify_sat, CircuitBreaker, Disposition};
 use crate::{ServiceConfig, ServiceError, ServiceStats, VerifyMode};
 
@@ -89,8 +89,8 @@ pub struct Client {
 }
 
 impl Service {
-    /// Start the service: build the device fleet (one device unless
-    /// [`ServiceConfig::shards`]` > 1`) and spawn the batch-former.
+    /// Start the service: build the device fleet of
+    /// [`ServiceConfig::shards`] devices and spawn the batch-former.
     pub fn start(cfg: ServiceConfig) -> Service {
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         assert!(cfg.max_batch > 0, "max batch must be positive");
@@ -110,7 +110,7 @@ impl Service {
             .unwrap_or_else(|| obs::ConformanceConfig::for_machine(0, 0));
         ccfg.width = cfg.machine.width as u64;
         ccfg.window_overhead = cfg.machine.window_overhead();
-        let conformance = Conformance::with_registry(ccfg, &registry, "sat_service_");
+        let conformance = Conformance::with_registry(ccfg, &registry, MODEL_PREFIX);
         let mut opts = DeviceOptions::new(cfg.machine)
             .observer(cfg.observer.clone())
             .conformance(conformance.clone());
@@ -131,8 +131,7 @@ impl Service {
             fleet_opts = fleet_opts.fault_plans(cfg.shard_fault_plans.clone());
         }
         let fleet = DeviceFleet::new(fleet_opts);
-        let mut metrics = Metrics::new(registry, cfg.slo);
-        metrics.configure_shards(cfg.shards);
+        let metrics = Metrics::new(registry, cfg.slo, cfg.shards);
         let shared = Arc::new(Shared {
             cfg,
             state: Mutex::new(QueueState::default()),
@@ -391,20 +390,40 @@ struct GroupView {
     oldest: Instant,
 }
 
-/// Per-batcher resilience state: the circuit breakers (one per shard;
-/// index 0 doubles as *the* breaker in single-device mode) and buffer pool
-/// are owned by this one thread between dispatches. During a fleet
-/// dispatch each shard worker borrows its own breaker mutably — the
-/// breakers are disjoint, so no locking is needed.
-struct ExecState {
-    breakers: Vec<CircuitBreaker>,
+/// How one dispatch maps its pending images onto fleet tasks. The only
+/// inputs are the algorithm and the fleet size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plan {
+    /// 1R1W on a one-device fleet: every pending image in one fused
+    /// wavefront ([`compute_sat_batch_with`]) — a single task paying
+    /// `m_r + m_c − 1` launches for the whole batch.
+    Fused,
+    /// 1R1W on a fleet of several devices: each image through the banded
+    /// three-phase pipeline, its band kernels spread over the shards.
+    Banded,
+    /// Every other algorithm: one whole-image task per request.
+    Whole(SatAlgorithm),
+}
+
+/// The batch-former's execution state: the fleet, one circuit breaker per
+/// shard and the buffer pool, owned by this one thread between
+/// dispatches. During a dispatch each shard worker locks only its own
+/// breaker, so those locks are never contended.
+struct Router<'a> {
+    shared: &'a Shared,
+    fleet: &'a DeviceFleet,
+    breakers: Vec<Mutex<CircuitBreaker>>,
     pool: BufferPool<f64>,
-    /// Whether result verification runs (resolved from [`VerifyMode`]).
+    /// Whether result verification and the closed-form launch check run
+    /// (resolved from [`VerifyMode`]).
     verify_on: bool,
     /// Decorrelates successive backoff jitters within one batcher lifetime.
     salt: u64,
     /// Dispatch sequence number, carried as launch metadata.
     batch_no: u64,
+    /// Post-mortem triggers queued during the current dispatch; dumped at
+    /// its end, once the lifecycle records they point at are emitted.
+    dumps: Mutex<Vec<Trigger>>,
 }
 
 fn batcher_loop(shared: &Shared, fleet: &DeviceFleet) {
@@ -413,14 +432,17 @@ fn batcher_loop(shared: &Shared, fleet: &DeviceFleet) {
         VerifyMode::Never => false,
         VerifyMode::Auto => fleet.iter().any(|d| d.fault_plan().is_some()),
     };
-    let mut ex = ExecState {
+    let mut router = Router {
+        shared,
+        fleet,
         breakers: (0..fleet.len())
-            .map(|_| CircuitBreaker::new(&shared.cfg.resilience))
+            .map(|_| Mutex::new(CircuitBreaker::new(&shared.cfg.resilience)))
             .collect(),
         pool: BufferPool::new(),
         verify_on,
         salt: 0,
         batch_no: 0,
+        dumps: Mutex::new(Vec::new()),
     };
     loop {
         let mut expired: Vec<Request> = Vec::new();
@@ -581,49 +603,10 @@ fn batcher_loop(shared: &Shared, fleet: &DeviceFleet) {
             }
         }
         for d in ready {
-            if fleet.len() == 1 {
-                execute(shared, fleet.device(0), d, &mut ex);
-            } else {
-                fleet_execute(shared, fleet, d, &mut ex);
-            }
+            router.dispatch(d);
         }
         if exit {
             return;
-        }
-    }
-}
-
-/// Report a circuit-breaker transition, if one happened: counters, an
-/// instant on the trace, a flight-recorder event — and, on a transition
-/// into `open`, a queued post-mortem trigger (dumped once the dispatch's
-/// lifecycle records are all emitted, so the bundle holds the full chain).
-fn report_breaker(
-    shared: &Shared,
-    transition: Option<&'static str>,
-    request: u64,
-    dumps: &mut Vec<Trigger>,
-) {
-    if let Some(to) = transition {
-        shared.metrics.on_breaker(to);
-        shared
-            .cfg
-            .observer
-            .instant(Track::wall(0), "breaker", vec![("to", ArgValue::from(to))]);
-        let code = match to {
-            "open" => 1,
-            "half_open" => 2,
-            _ => 3,
-        };
-        shared
-            .cfg
-            .observer
-            .flight_event(FlightKind::BreakerTransition, request, code, 0);
-        if to == "open" {
-            dumps.push(Trigger {
-                reason: "breaker_open".to_string(),
-                request,
-                detail: "consecutive launch failures opened the circuit breaker".to_string(),
-            });
         }
     }
 }
@@ -707,339 +690,348 @@ fn check_drift(shared: &Shared, dumps: &mut Vec<Trigger>) {
     }
 }
 
-/// Table-I closed-form check: on block-aligned squares the batched 1R1W
-/// kernel must cost exactly `B×` the single-run exact counts
-/// ([`GlobalCost::exact_counts`]) in coalesced and stride transactions —
-/// blocks silently skipped by a fault show up as missing work. Returns
-/// `true` (no evidence of failure) for shapes without a closed form.
-fn counts_match_closed_form(
-    dev: &Device,
-    before: &CostCounters,
-    batch: usize,
-    rows: usize,
-    cols: usize,
-) -> bool {
-    let w = dev.width();
-    let prows = rows.max(1).next_multiple_of(w);
-    let pcols = cols.max(1).next_multiple_of(w);
-    if prows != pcols {
-        return true;
-    }
-    let Some(exact) = GlobalCost::new(*dev.config()).exact_counts(SatAlgorithm::OneR1W, prows)
-    else {
+/// Run `work` on `dev` and compare the device's measured deltas with the
+/// closed form `expect` ([`GlobalCost::exact_counts`], fused or banded):
+/// blocks silently skipped by a fault show up as missing transactions, a
+/// lost launch as a short launch count. Without a closed form (`None`:
+/// verification off, or an algorithm without one) there is no evidence of
+/// failure and the check passes.
+fn counts_match(dev: &Device, expect: Option<&ExactCounts>, work: impl FnOnce()) -> bool {
+    let Some(e) = expect else {
+        work();
         return true;
     };
+    let (before, launches) = (dev.stats(), dev.launches());
+    work();
     let after = dev.stats();
-    let b = batch as u64;
-    after.coalesced_reads.wrapping_sub(before.coalesced_reads) == b * exact.coalesced_reads
-        && after.coalesced_writes.wrapping_sub(before.coalesced_writes)
-            == b * exact.coalesced_writes
-        && after.stride_reads.wrapping_sub(before.stride_reads) == b * exact.stride_reads
-        && after.stride_writes.wrapping_sub(before.stride_writes) == b * exact.stride_writes
+    after.coalesced_reads.wrapping_sub(before.coalesced_reads) == e.coalesced_reads
+        && after.coalesced_writes.wrapping_sub(before.coalesced_writes) == e.coalesced_writes
+        && after.stride_reads.wrapping_sub(before.stride_reads) == e.stride_reads
+        && after.stride_writes.wrapping_sub(before.stride_writes) == e.stride_writes
+        && dev.launches().wrapping_sub(launches) == e.barrier_steps + 1
 }
 
-/// Run one dispatch through the self-healing attempt loop and answer its
-/// requests. Every request is answered `Ok` — a device that keeps failing
-/// degrades to the CPU path rather than erroring.
-fn execute(shared: &Shared, dev: &Device, d: Dispatch, ex: &mut ExecState) {
-    let width = d.requests.len();
-    if width == 0 {
-        return;
-    }
-    let dispatched_at = Instant::now();
-    let queue_ns: Vec<u64> = d
-        .requests
-        .iter()
-        .map(|r| dispatched_at.duration_since(r.enqueued).as_nanos() as u64)
-        .collect();
-    let enqueued_at: Vec<Instant> = d.requests.iter().map(|r| r.enqueued).collect();
-    let ids: Vec<u64> = d.requests.iter().map(|r| r.id).collect();
-    let mut images = Vec::with_capacity(width);
-    let mut replies = Vec::with_capacity(width);
-    for r in d.requests {
-        images.push(r.image);
-        replies.push(r.reply);
-    }
-    ex.batch_no += 1;
-    let batch_no = ex.batch_no;
-    shared
-        .cfg
-        .observer
-        .flight_event(FlightKind::BatchFormed, ids[0], batch_no, width as u64);
-    let mut dumps: Vec<Trigger> = Vec::new();
-
-    let w = dev.width();
-    // Launches one per-request 1R1W run of this shape would cost: the
-    // padded grid has `m_r × m_c` blocks and `m_r + m_c − 1` diagonals.
-    let (rows, cols) = (images[0].rows(), images[0].cols());
-    let per_single = {
-        let m_r = rows.max(1).div_ceil(w);
-        let m_c = cols.max(1).div_ceil(w);
-        m_r + m_c - 1
-    } as u64;
-
-    // Conformance cells bucket launches by (algorithm, shape); every
-    // launch of this dispatch reports its sample under this label.
-    dev.set_conformance_cell(Some(cell_label(d.algorithm.name(), rows, cols)));
-
-    let rcfg = &shared.cfg.resilience;
-    let before = dev.launches();
-    let mut results: Vec<Option<Matrix<f64>>> = (0..width).map(|_| None).collect();
-    let mut degraded: Vec<bool> = vec![false; width];
-    let mut pending: Vec<usize> = (0..width).collect();
-    let mut attempts = 0u32;
-    while !pending.is_empty() {
-        // Attempt budget exhausted: stop fighting the device.
-        if attempts >= rcfg.max_attempts {
-            degrade_pending(shared, &images, &mut pending, &mut results, &mut degraded);
-            break;
+impl Router<'_> {
+    /// Run one dispatch through the self-healing attempt loop and answer
+    /// its requests. Every request is answered `Ok`: work lost with a shard
+    /// moves to the survivors, and only when no shard is healthy — or the
+    /// attempt budget is spent — does a request degrade to the CPU path.
+    fn dispatch(&mut self, d: Dispatch) {
+        let (shared, fleet) = (self.shared, self.fleet);
+        let width = d.requests.len();
+        if width == 0 {
+            return;
         }
-        let (disposition, transition) = ex.breakers[0].poll(Instant::now());
-        report_breaker(shared, transition, ids[pending[0]], &mut dumps);
-        match disposition {
-            Disposition::Degrade => {
+        let dispatched_at = Instant::now();
+        let queue_ns: Vec<u64> = d
+            .requests
+            .iter()
+            .map(|r| dispatched_at.duration_since(r.enqueued).as_nanos() as u64)
+            .collect();
+        let enqueued_at: Vec<Instant> = d.requests.iter().map(|r| r.enqueued).collect();
+        let ids: Vec<u64> = d.requests.iter().map(|r| r.id).collect();
+        let mut images = Vec::with_capacity(width);
+        let mut replies = Vec::with_capacity(width);
+        for r in d.requests {
+            images.push(r.image);
+            replies.push(r.reply);
+        }
+        self.batch_no += 1;
+        let batch_no = self.batch_no;
+        shared
+            .cfg
+            .observer
+            .flight_event(FlightKind::BatchFormed, ids[0], batch_no, width as u64);
+
+        let plan = match (d.algorithm, fleet.len()) {
+            (SatAlgorithm::OneR1W, 1) => Plan::Fused,
+            (SatAlgorithm::OneR1W, _) => Plan::Banded,
+            (algorithm, _) => Plan::Whole(algorithm),
+        };
+        // Launches one per-request 1R1W run of this shape would cost: the
+        // padded grid has `m_r × m_c` blocks and `m_r + m_c − 1` diagonals.
+        let w = fleet.device(0).width();
+        let (rows, cols) = (images[0].rows(), images[0].cols());
+        let per_single = (rows.div_ceil(w) + cols.div_ceil(w) - 1) as u64;
+
+        let rcfg = &shared.cfg.resilience;
+        let launches_before = fleet.launches();
+        for dev in fleet {
+            // One label per dispatch; each shard device appends its own
+            // `@s<i>` suffix, which is what lets the shard-relative drift
+            // channel localize a sick device.
+            dev.set_conformance_cell(Some(cell_label(d.algorithm.name(), rows, cols)));
+        }
+        let mut results: Vec<Option<Matrix<f64>>> = (0..width).map(|_| None).collect();
+        let mut degraded: Vec<bool> = vec![false; width];
+        let mut pending: Vec<usize> = (0..width).collect();
+        let mut attempts = 0u32;
+        while !pending.is_empty() {
+            // Attempt budget spent, or no shard healthy even after probing
+            // the cooled-down ones: stop fighting the fleet.
+            if attempts >= rcfg.max_attempts || self.poll_breakers(ids[pending[0]]) == 0 {
                 degrade_pending(shared, &images, &mut pending, &mut results, &mut degraded);
                 break;
             }
-            Disposition::Probe => {
-                shared.metrics.on_canary();
-                let ok = canary_ok(dev);
+            if attempts > 0 {
+                shared.metrics.on_retry();
+                self.salt = self.salt.wrapping_add(1);
+                std::thread::sleep(backoff_delay(rcfg, attempts, self.salt));
+            }
+            attempts += 1;
+            // Launch metadata: the devices stamp these ids onto their
+            // launch spans and emit one flow step per id inside them, which
+            // links each request's admit-side chain to the kernel level.
+            for dev in fleet {
+                dev.set_launch_context(Some(LaunchContext {
+                    batch: batch_no,
+                    requests: pending.iter().map(|&i| ids[i]).collect(),
+                }));
+            }
+            let out = self.attempt(plan, &images, &pending, &ids);
+
+            // Verify each result; failures stay pending for the next
+            // attempt (they do not feed the breakers — the launches
+            // themselves were healthy), as do images whose tasks ran out
+            // of shards.
+            let mut unverified: Vec<usize> = Vec::new();
+            let mut still: Vec<usize> = Vec::new();
+            for (i, sat) in pending.iter().copied().zip(out) {
+                let Some(sat) = sat else {
+                    still.push(i);
+                    continue;
+                };
+                let ok = !self.verify_on || verify_sat(&images[i], &sat);
+                if self.verify_on {
+                    shared.metrics.on_verify(ok);
+                }
+                if ok {
+                    results[i] = Some(sat);
+                } else {
+                    unverified.push(i);
+                    still.push(i);
+                    shared.cfg.observer.flight_event(
+                        FlightKind::VerifyFailure,
+                        ids[i],
+                        attempts as u64,
+                        0,
+                    );
+                }
+            }
+            if let Some(&first) = unverified.first() {
                 shared.cfg.observer.instant(
                     Track::wall(0),
-                    "canary",
-                    vec![("ok", ArgValue::from(usize::from(ok)))],
+                    "verify_failed",
+                    vec![("count", ArgValue::from(unverified.len()))],
                 );
-                let t = if ok {
-                    ex.breakers[0].on_success()
-                } else {
-                    ex.breakers[0].on_failure(Instant::now())
-                };
-                report_breaker(shared, t, ids[pending[0]], &mut dumps);
-                continue; // Re-poll: the probe decided Use vs. Degrade.
+                self.dumps.get_mut().push(Trigger {
+                    reason: "verify_failure".to_string(),
+                    request: ids[first],
+                    detail: format!("{} result(s) failed SAT verification", unverified.len()),
+                });
             }
-            Disposition::Use => {}
+            pending = still;
+        }
+        for dev in fleet {
+            dev.set_launch_context(None);
+            dev.set_conformance_cell(None);
         }
 
-        if attempts > 0 {
-            shared.metrics.on_retry();
-            ex.salt = ex.salt.wrapping_add(1);
-            std::thread::sleep(backoff_delay(rcfg, attempts, ex.salt));
+        let mut issued = 0u64;
+        for (shard, (after, before)) in fleet.launches().iter().zip(&launches_before).enumerate() {
+            let delta = after.wrapping_sub(*before);
+            shared.metrics.on_shard_launches(shard, delta);
+            issued += delta;
         }
-        attempts += 1;
+        let exec_ns = dispatched_at.elapsed().as_nanos() as u64;
 
-        let epoch_before = dev.fault_epoch();
-        let stats_before =
-            (ex.verify_on && d.algorithm == SatAlgorithm::OneR1W).then(|| dev.stats());
-        // Launch metadata: the device stamps these ids onto its launch
-        // spans and emits one flow step per id inside them, which is what
-        // links the request's admit-side chain to the kernel level.
-        dev.set_launch_context(Some(LaunchContext {
-            batch: batch_no,
-            requests: pending.iter().map(|&i| ids[i]).collect(),
-        }));
-        let out: Vec<Matrix<f64>> = if d.algorithm == SatAlgorithm::OneR1W {
-            if pending.len() == width {
-                compute_sat_batch_with(dev, &ex.pool, &images)
-            } else {
-                let retry: Vec<Matrix<f64>> = pending.iter().map(|&i| images[i].clone()).collect();
-                compute_sat_batch_with(dev, &ex.pool, &retry)
-            }
-        } else {
-            pending
-                .iter()
-                .map(|&i| compute_sat(dev, d.algorithm, &images[i]))
-                .collect()
+        // What per-request single-device execution would have cost: 1R1W
+        // re-pays the full wavefront per image, so the fused batch saves
+        // all but one and the fleet spreads the banded pipeline's launches
+        // over `D` devices (the loadgen fleet gate asserts
+        // `max(shard launches) × D < equiv`); the other algorithms see no
+        // amortisation (equiv = issued).
+        let launches_equiv = match plan {
+            Plan::Whole(_) => issued,
+            Plan::Fused | Plan::Banded => per_single * width as u64,
         };
-        dev.set_launch_context(None);
+        let runs = if plan == Plan::Fused { 1 } else { width as u64 };
+        shared.metrics.on_batch(&crate::metrics::BatchRecord {
+            width,
+            launches: issued,
+            launches_equiv,
+            barriers: issued.saturating_sub(runs),
+            barriers_equiv: launches_equiv.saturating_sub(width as u64),
+            queue_ns: &queue_ns,
+            exec_ns,
+            request_ids: &ids,
+        });
 
-        // A fault-epoch bump is the "CUDA error code" analogue; the
-        // closed-form mismatch catches work lost without an error.
-        let launch_failed = dev.fault_epoch() != epoch_before
-            || stats_before
-                .is_some_and(|s| !counts_match_closed_form(dev, &s, pending.len(), rows, cols));
-        shared.metrics.on_attempt(!launch_failed);
-        if launch_failed {
-            shared.cfg.observer.instant(
-                Track::wall(0),
-                "attempt_failed",
-                vec![("attempt", ArgValue::from(attempts as usize))],
-            );
-            report_breaker(
-                shared,
-                ex.breakers[0].on_failure(Instant::now()),
-                ids[pending[0]],
-                &mut dumps,
-            );
-            continue;
-        }
-        report_breaker(
-            shared,
-            ex.breakers[0].on_success(),
-            ids[pending[0]],
-            &mut dumps,
-        );
-
-        // Verify each result; failures stay pending for the next attempt
-        // (they do not feed the breaker — the launch itself was healthy).
-        let mut unverified = 0usize;
-        let mut still: Vec<usize> = Vec::new();
-        for (i, sat) in pending.iter().copied().zip(out) {
-            let ok = !ex.verify_on || verify_sat(&images[i], &sat);
-            if ex.verify_on {
-                shared.metrics.on_verify(ok);
-            }
-            if ok {
-                results[i] = Some(sat);
-            } else {
-                unverified += 1;
-                still.push(i);
+        // SLO-burn trigger: check the scrape-time burn rate after folding
+        // this batch in, and queue a dump the first time it crosses the
+        // threshold.
+        if let Some(threshold) = shared.cfg.postmortem.burn_threshold {
+            let burn = shared.metrics.slo_burn();
+            if burn >= threshold {
                 shared.cfg.observer.flight_event(
-                    FlightKind::VerifyFailure,
-                    ids[i],
-                    attempts as u64,
-                    0,
+                    FlightKind::SloBurn,
+                    ids[0],
+                    (burn * 1000.0) as u64,
+                    (threshold * 1000.0) as u64,
                 );
+                self.dumps.get_mut().push(Trigger {
+                    reason: "slo_burn".to_string(),
+                    request: ids[0],
+                    detail: format!("error-budget burn {burn:.3} reached threshold {threshold:.3}"),
+                });
             }
         }
-        if unverified > 0 {
-            shared.cfg.observer.instant(
+        check_drift(shared, self.dumps.get_mut());
+
+        // Retro-emit the lifecycle spans now that the batch's end is known:
+        // a `batch` span covering device execution on lane 0 (the devices'
+        // own per-launch spans nest inside it by containment), one `queue`
+        // span per request from admission to dispatch parented to the
+        // batch, and one `request` span per request carrying its terminal
+        // status and the flow chain's endpoints. A flow step at dispatch
+        // time inside the batch span joins the per-request chains to the
+        // shared batch.
+        let obs = &shared.cfg.observer;
+        if obs.is_enabled() {
+            let done = Instant::now();
+            let batch = obs.wall_span_at(
                 Track::wall(0),
-                "verify_failed",
-                vec![("count", ArgValue::from(unverified))],
-            );
-            dumps.push(Trigger {
-                reason: "verify_failure".to_string(),
-                request: ids[still[0]],
-                detail: format!("{unverified} result(s) failed SAT verification"),
-            });
-        }
-        pending = still;
-    }
-    dev.set_conformance_cell(None);
-
-    let issued = dev.launches() - before;
-    let exec_ns = dispatched_at.elapsed().as_nanos() as u64;
-
-    // What per-request execution would have cost. For the batched 1R1W
-    // path each extra request would have re-paid the full wavefront; the
-    // unbatched algorithms see no amortisation (equiv = issued).
-    let (launches_equiv, runs) = if d.algorithm == SatAlgorithm::OneR1W {
-        (per_single * width as u64, 1u64)
-    } else {
-        (issued, width as u64)
-    };
-    let barriers = issued.saturating_sub(runs);
-    let barriers_equiv = launches_equiv.saturating_sub(width as u64);
-
-    shared.metrics.on_batch(&crate::metrics::BatchRecord {
-        width,
-        launches: issued,
-        launches_equiv,
-        barriers,
-        barriers_equiv,
-        queue_ns: &queue_ns,
-        exec_ns,
-        request_ids: &ids,
-    });
-
-    // SLO-burn trigger: check the scrape-time burn rate after folding this
-    // batch in, and queue a dump the first time it crosses the threshold.
-    if let Some(threshold) = shared.cfg.postmortem.burn_threshold {
-        let burn = shared.metrics.slo_burn();
-        if burn >= threshold {
-            shared.cfg.observer.flight_event(
-                FlightKind::SloBurn,
-                ids[0],
-                (burn * 1000.0) as u64,
-                (threshold * 1000.0) as u64,
-            );
-            dumps.push(Trigger {
-                reason: "slo_burn".to_string(),
-                request: ids[0],
-                detail: format!("error-budget burn {burn:.3} reached threshold {threshold:.3}"),
-            });
-        }
-    }
-    check_drift(shared, &mut dumps);
-
-    // Retro-emit the lifecycle spans now that the batch's end is known: a
-    // `batch` span covering device execution on lane 0 (the device's own
-    // per-launch spans nest inside it by containment), one `queue` span
-    // per request from admission to dispatch parented to the batch, and
-    // one `request` span per request carrying its terminal status and the
-    // flow chain's endpoints. A flow step at dispatch time inside the
-    // batch span joins the per-request chains to the shared batch.
-    let obs = &shared.cfg.observer;
-    if obs.is_enabled() {
-        let done = Instant::now();
-        let batch = obs.wall_span_at(
-            Track::wall(0),
-            "batch",
-            dispatched_at,
-            done,
-            None,
-            vec![
-                ("batch", ArgValue::from(batch_no)),
-                ("width", ArgValue::from(width)),
-                ("algo", ArgValue::from(d.algorithm.name())),
-                ("launches", ArgValue::from(issued)),
-            ],
-        );
-        for (i, &enq) in enqueued_at.iter().enumerate() {
-            obs.wall_span_at(
-                Track::wall(1 + (i as u32 % 16)),
-                "queue",
-                enq,
+                "batch",
                 dispatched_at,
-                batch,
-                vec![("request", ArgValue::from(ids[i]))],
+                done,
+                None,
+                vec![
+                    ("batch", ArgValue::from(batch_no)),
+                    ("width", ArgValue::from(width)),
+                    ("algo", ArgValue::from(d.algorithm.name())),
+                    ("launches", ArgValue::from(issued)),
+                    ("shards", ArgValue::from(fleet.len())),
+                ],
             );
-            obs.flow_wall(
+            for (i, &enq) in enqueued_at.iter().enumerate() {
+                obs.wall_span_at(
+                    Track::wall(1 + (i as u32 % 16)),
+                    "queue",
+                    enq,
+                    dispatched_at,
+                    batch,
+                    vec![("request", ArgValue::from(ids[i]))],
+                );
+                obs.flow_wall(
+                    Track::wall(0),
+                    "request",
+                    FlowPhase::Step,
+                    ids[i],
+                    dispatched_at,
+                );
+                let status = if degraded[i] { "degraded" } else { "ok" };
+                close_request_span(obs, ids[i], enq, done, status);
+            }
+            obs.instant(
                 Track::wall(0),
-                "request",
-                FlowPhase::Step,
-                ids[i],
-                dispatched_at,
+                "complete",
+                vec![("width", ArgValue::from(width))],
             );
-            let status = if degraded[i] { "degraded" } else { "ok" };
-            close_request_span(obs, ids[i], enq, done, status);
         }
+        // Dump queued post-mortems only now, so a bundle triggered
+        // mid-attempt still captures the triggering request's complete
+        // event chain.
+        for trigger in std::mem::take(self.dumps.get_mut()) {
+            maybe_dump(shared, &trigger);
+        }
+        for (reply, sat) in replies.into_iter().zip(results) {
+            let sat = sat.expect("the attempt loop resolves every request");
+            let _ = reply.send(Ok(SumTable::from_sat(sat)));
+        }
+    }
+
+    /// One attempt at every pending image under `plan`; `None` marks an
+    /// image whose tasks could not complete because every shard they could
+    /// run on opened.
+    fn attempt(
+        &self,
+        plan: Plan,
+        images: &[Matrix<f64>],
+        pending: &[usize],
+        ids: &[u64],
+    ) -> Vec<Option<Matrix<f64>>> {
+        match plan {
+            Plan::Fused => {
+                let retry: Vec<Matrix<f64>>;
+                let batch = if pending.len() == images.len() {
+                    images
+                } else {
+                    retry = pending.iter().map(|&i| images[i].clone()).collect();
+                    &retry
+                };
+                let expect = self.verify_on.then(|| self.fused_counts(batch)).flatten();
+                let slot = Mutex::new(None);
+                let complete = self.run_tasks(ids[pending[0]], vec![0], &|dev, _| {
+                    counts_match(dev, expect.as_ref(), || {
+                        *slot.lock() = Some(compute_sat_batch_with(dev, &self.pool, batch));
+                    })
+                });
+                match slot.into_inner() {
+                    Some(out) if complete => out.into_iter().map(Some).collect(),
+                    _ => pending.iter().map(|_| None).collect(),
+                }
+            }
+            Plan::Banded => pending
+                .iter()
+                .map(|&i| self.banded_sat(ids[i], &images[i]))
+                .collect(),
+            Plan::Whole(algorithm) => pending
+                .iter()
+                .map(|&i| {
+                    let slot = Mutex::new(None);
+                    let complete = self.run_tasks(ids[i], vec![0], &|dev, _| {
+                        *slot.lock() = Some(compute_sat(dev, algorithm, &images[i]));
+                        true
+                    });
+                    slot.into_inner().filter(|_| complete)
+                })
+                .collect(),
+        }
+    }
+
+    /// Closed form of one fused 1R1W wavefront over `batch`: the single-run
+    /// counts of the padded shape, paid per image, barriers paid once.
+    fn fused_counts(&self, batch: &[Matrix<f64>]) -> Option<ExactCounts> {
+        let dev = self.fleet.device(0);
+        let w = dev.width();
+        let (rows, cols) = (batch[0].rows(), batch[0].cols());
+        GlobalCost::new(*dev.config())
+            .exact_counts(
+                SatAlgorithm::OneR1W,
+                rows.next_multiple_of(w),
+                cols.next_multiple_of(w),
+            )
+            .map(|e| e.fused(batch.len() as u64))
+    }
+
+    /// Report shard `shard`'s circuit-breaker transition, if one happened:
+    /// counters, an instant on the trace and a flight-recorder event (the
+    /// shard in its `b` word). A transition into `open` also queues a
+    /// post-mortem trigger: `shard_failover` when `survivors` other shards
+    /// take the work over, `breaker_open` when none is left to.
+    fn report_breaker(
+        &self,
+        transition: Option<&'static str>,
+        shard: usize,
+        survivors: usize,
+        request: u64,
+    ) {
+        let Some(to) = transition else {
+            return;
+        };
+        let obs = &self.shared.cfg.observer;
+        self.shared.metrics.on_breaker(shard, to);
         obs.instant(
-            Track::wall(0),
-            "complete",
-            vec![("width", ArgValue::from(width))],
-        );
-    }
-    // Dump queued post-mortems only now, so a bundle triggered mid-attempt
-    // still captures the triggering request's complete event chain.
-    for trigger in &dumps {
-        maybe_dump(shared, trigger);
-    }
-    for (reply, sat) in replies.into_iter().zip(results) {
-        let sat = sat.expect("the attempt loop resolves every request");
-        let _ = reply.send(Ok(SumTable::from_sat(sat)));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet execution: sharded dispatch with work stealing and shard failover.
-// ---------------------------------------------------------------------------
-
-/// [`report_breaker`]'s fleet sibling: the transition belongs to one
-/// shard's breaker. Counts it, stamps the shard onto the trace instant and
-/// into the flight event's `b` word, and refreshes the aggregate breaker
-/// state the health endpoint reports. Post-mortem triggers are *not*
-/// queued here — fleet bundles are keyed to the failover itself, which is
-/// the moment work actually moved.
-fn report_shard_breaker(
-    shared: &Shared,
-    transition: Option<&'static str>,
-    shard: usize,
-    request: u64,
-) {
-    if let Some(to) = transition {
-        shared.metrics.on_shard_breaker(shard, to);
-        shared.cfg.observer.instant(
             Track::wall(0),
             "breaker",
             vec![("shard", ArgValue::from(shard)), ("to", ArgValue::from(to))],
@@ -1049,594 +1041,253 @@ fn report_shard_breaker(
             "half_open" => 2,
             _ => 3,
         };
-        shared.cfg.observer.flight_event(
-            FlightKind::BreakerTransition,
-            request,
-            code,
-            shard as u64,
-        );
-    }
-}
-
-/// Advance every shard breaker at a dispatch boundary: closed shards count
-/// as healthy, open shards whose cooldown elapsed get a canary probe on
-/// *their own* device (a recovered device rejoins the fleet here), and
-/// still-open shards sit the dispatch out. Returns the number of healthy
-/// shards.
-fn poll_fleet_breakers(
-    shared: &Shared,
-    fleet: &DeviceFleet,
-    breakers: &mut [CircuitBreaker],
-    request: u64,
-) -> usize {
-    let mut healthy = 0usize;
-    for (shard, b) in breakers.iter_mut().enumerate() {
-        let (disposition, transition) = b.poll(Instant::now());
-        report_shard_breaker(shared, transition, shard, request);
-        match disposition {
-            Disposition::Use => healthy += 1,
-            Disposition::Probe => {
-                shared.metrics.on_canary();
-                let ok = canary_ok(fleet.device(shard));
-                shared.cfg.observer.instant(
-                    Track::wall(0),
-                    "canary",
-                    vec![
-                        ("shard", ArgValue::from(shard)),
-                        ("ok", ArgValue::from(usize::from(ok))),
-                    ],
-                );
-                let t = if ok {
-                    b.on_success()
-                } else {
-                    b.on_failure(Instant::now())
-                };
-                report_shard_breaker(shared, t, shard, request);
-                if ok {
-                    healthy += 1;
-                }
-            }
-            Disposition::Degrade => {}
+        obs.flight_event(FlightKind::BreakerTransition, request, code, shard as u64);
+        if to != "open" {
+            return;
         }
+        self.dumps.lock().push(if survivors > 0 {
+            Trigger {
+                reason: "shard_failover".to_string(),
+                request,
+                detail: format!(
+                    "shard {shard}'s breaker opened; {survivors} healthy shard(s) take its work"
+                ),
+            }
+        } else {
+            Trigger {
+                reason: "breaker_open".to_string(),
+                request,
+                detail: "consecutive launch failures opened the last healthy shard's \
+                         circuit breaker"
+                    .to_string(),
+            }
+        });
     }
-    healthy
-}
 
-/// Compare one fleet task's measured device deltas against its closed-form
-/// phase entry. `before` is `None` when verification is off or no closed
-/// form applies — no evidence of failure, so the check passes.
-fn phase_counts_ok(
-    dev: &Device,
-    before: Option<(CostCounters, u64)>,
-    expect: Option<&ExactCounts>,
-) -> bool {
-    let (Some((st, launches_before)), Some(e)) = (before, expect) else {
-        return true;
-    };
-    let after = dev.stats();
-    after.coalesced_reads.wrapping_sub(st.coalesced_reads) == e.coalesced_reads
-        && after.coalesced_writes.wrapping_sub(st.coalesced_writes) == e.coalesced_writes
-        && after.stride_reads.wrapping_sub(st.stride_reads) == e.stride_reads
-        && after.stride_writes.wrapping_sub(st.stride_writes) == e.stride_writes
-        && dev.launches().wrapping_sub(launches_before) == e.barrier_steps + 1
-}
+    /// Shards whose breaker is closed right now.
+    fn closed_shards(&self) -> Vec<usize> {
+        (0..self.breakers.len())
+            .filter(|&s| self.breakers[s].lock().is_closed())
+            .collect()
+    }
 
-/// Run one phase's tasks to completion across the healthy shards.
-///
-/// Every shard whose breaker is closed gets a worker thread that pulls
-/// task indices from a shared queue (work stealing: a fast shard simply
-/// pulls more). A failed attempt — fault-epoch bump or closed-form count
-/// mismatch, both checked by `run_task` returning `false` for the latter —
-/// stays with the failing shard (feeding its breaker) until either a retry
-/// succeeds or the breaker opens; on open the worker requeues the task,
-/// emits [`FlightKind::DeviceLost`], and hands the queue to the survivors
-/// ([`FlightKind::ShardFailover`] + a post-mortem trigger, provided
-/// someone survives) before exiting. Returns `true` when every task
-/// completed on some shard.
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_tasks(
-    shared: &Shared,
-    fleet: &DeviceFleet,
-    breakers: &mut [CircuitBreaker],
-    request: u64,
-    salt: u64,
-    dumps: &Mutex<Vec<Trigger>>,
-    tasks: Vec<usize>,
-    run_task: &(dyn Fn(&Device, usize) -> bool + Sync),
-) -> bool {
-    if tasks.is_empty() {
-        return true;
-    }
-    let healthy: Vec<usize> = breakers
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.is_closed())
-        .map(|(s, _)| s)
-        .collect();
-    if healthy.is_empty() {
-        return false;
-    }
-    let total = tasks.len();
-    let queue = Mutex::new(VecDeque::from(tasks));
-    let done = AtomicUsize::new(0);
-    // Fault domains still standing this phase: decremented only when a
-    // breaker opens, never on normal worker exit — a worker that drained
-    // the queue and left is still a healthy shard the retry path can use.
-    let alive = AtomicUsize::new(healthy.len());
-    let rcfg = &shared.cfg.resilience;
-    std::thread::scope(|sc| {
-        for (shard, breaker) in breakers
-            .iter_mut()
-            .enumerate()
-            .filter(|(s, _)| healthy.contains(s))
-        {
-            let (queue, done, alive) = (&queue, &done, &alive);
-            sc.spawn(move || {
-                let dev = fleet.device(shard);
-                let mut streak = 0u32;
-                // A failed task is retained by this worker across its own
-                // retries rather than requeued immediately: if it went
-                // back on the queue a fast healthy shard would steal it,
-                // the failure streak would never reach the breaker
-                // threshold, and a permanently dead shard would keep
-                // sampling (and stalling) fresh tasks forever. The task
-                // moves to the survivors the moment the breaker opens.
-                let mut held: Option<usize> = None;
-                loop {
-                    let task = match held.take() {
-                        Some(t) => t,
-                        None => {
-                            let Some(t) = queue.lock().pop_front() else {
-                                break;
-                            };
-                            t
-                        }
-                    };
-                    let epoch_before = dev.fault_epoch();
-                    let counts_ok = run_task(dev, task);
-                    let failed = dev.fault_epoch() != epoch_before || !counts_ok;
-                    shared.metrics.on_attempt(!failed);
-                    shared.metrics.on_shard_task(!failed);
-                    if !failed {
-                        streak = 0;
-                        report_shard_breaker(shared, breaker.on_success(), shard, request);
-                        done.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    held = Some(task);
-                    streak += 1;
-                    shared.cfg.observer.instant(
+    /// Advance every shard breaker at a dispatch boundary: closed shards
+    /// count as healthy, open shards whose cooldown elapsed get a canary
+    /// probe on *their own* device (a recovered device rejoins the fleet
+    /// here), and still-open shards sit the attempt out. Returns the number
+    /// of healthy shards.
+    fn poll_breakers(&self, request: u64) -> usize {
+        let mut healthy = 0usize;
+        for (shard, breaker) in self.breakers.iter().enumerate() {
+            let (disposition, transition) = breaker.lock().poll(Instant::now());
+            self.report_breaker(transition, shard, 0, request);
+            match disposition {
+                Disposition::Use => healthy += 1,
+                Disposition::Probe => {
+                    self.shared.metrics.on_canary();
+                    let ok = canary_ok(self.fleet.device(shard));
+                    self.shared.cfg.observer.instant(
                         Track::wall(0),
-                        "attempt_failed",
+                        "canary",
                         vec![
                             ("shard", ArgValue::from(shard)),
-                            ("attempt", ArgValue::from(streak as usize)),
+                            ("ok", ArgValue::from(usize::from(ok))),
                         ],
                     );
-                    let transition = breaker.on_failure(Instant::now());
-                    let opened = transition == Some("open");
-                    report_shard_breaker(shared, transition, shard, request);
-                    if opened {
-                        // This fault domain is gone until a canary re-closes
-                        // it: hand the held task back, record the loss, and
-                        // reshard the remaining work onto whoever survives.
-                        if let Some(t) = held.take() {
-                            queue.lock().push_front(t);
-                        }
-                        shared.metrics.on_shard_lost();
-                        shared.cfg.observer.flight_event(
-                            FlightKind::DeviceLost,
-                            request,
-                            shard as u64,
-                            dev.fault_epoch(),
-                        );
-                        let survivors = alive.fetch_sub(1, Ordering::AcqRel) - 1;
-                        let left = queue.lock().len() as u64;
-                        if survivors > 0 {
-                            shared.metrics.on_shard_failover();
-                            shared.cfg.observer.flight_event(
-                                FlightKind::ShardFailover,
-                                request,
-                                shard as u64,
-                                left,
-                            );
-                            dumps.lock().push(Trigger {
-                                reason: "shard_failover".to_string(),
-                                request,
-                                detail: format!(
-                                    "shard {shard} opened mid-dispatch; {left} task(s) \
-                                     resharded onto {survivors} surviving shard(s)"
-                                ),
-                            });
-                        }
-                        return;
-                    }
-                    shared.metrics.on_retry();
-                    std::thread::sleep(backoff_delay(rcfg, streak, salt ^ ((shard as u64) << 8)));
+                    let transition = if ok {
+                        breaker.lock().on_success()
+                    } else {
+                        breaker.lock().on_failure(Instant::now())
+                    };
+                    let survivors = self.closed_shards().len();
+                    self.report_breaker(transition, shard, survivors, request);
+                    healthy += usize::from(ok);
                 }
-            });
+                Disposition::Degrade => {}
+            }
         }
-    });
-    done.load(Ordering::Relaxed) == total
-}
-
-/// One image through the banded three-phase pipeline (column sums →
-/// margin exchange → carry-seeded band wavefronts), its phase kernels
-/// spread over the fleet's healthy shards with failover. Returns `None`
-/// when some phase could not complete — every remaining shard opened —
-/// in which case the caller re-polls the breakers and usually degrades.
-///
-/// Bit-exactness: the banded kernels sum in exactly the association order
-/// of the single-device 1R1W wavefront within each band, and band
-/// boundaries only ever consume finished carry rows, so re-running a band
-/// on a different shard cannot change a single bit of the result
-/// (pinned by `sat_core::par::band` tests).
-#[allow(clippy::too_many_arguments)]
-fn banded_fleet_sat(
-    shared: &Shared,
-    fleet: &DeviceFleet,
-    breakers: &mut [CircuitBreaker],
-    request: u64,
-    salt: u64,
-    dumps: &Mutex<Vec<Trigger>>,
-    image: &Matrix<f64>,
-    verify_counts: bool,
-) -> Option<Matrix<f64>> {
-    let w = fleet.device(0).width();
-    let (rows, cols) = (image.rows(), image.cols());
-    let prows = rows.max(1).next_multiple_of(w);
-    let pcols = cols.max(1).next_multiple_of(w);
-    let mut padded = vec![0.0f64; prows * pcols];
-    for i in 0..rows {
-        padded[i * pcols..i * pcols + cols]
-            .copy_from_slice(&image.as_slice()[i * cols..(i + 1) * cols]);
+        healthy
     }
-    let plan = BandPlan::new(prows, pcols, w, fleet.len());
-    let d = plan.len();
-    let a = GlobalBuffer::from_vec(padded);
-    let s = GlobalBuffer::filled(0.0f64, prows * pcols);
-    let colsums = GlobalBuffer::filled(0.0f64, plan.boundary_len());
-    let carries = GlobalBuffer::filled(0.0f64, plan.boundary_len());
-    let mirror = GlobalBuffer::filled(0.0f64, plan.mirror_len());
-    // Closed-form phase entries for the per-task launch-failure check
-    // (always available: the dims are padded to multiples of `w`).
-    let model = if verify_counts {
-        GlobalCost::new(*fleet.device(0).config()).banded_1r1w_exact_counts(prows, pcols, d)
-    } else {
-        None
-    };
-    let snap = |dev: &Device| model.as_ref().map(|_| (dev.stats(), dev.launches()));
 
-    if d > 1 {
-        let ok = run_fleet_tasks(
-            shared,
-            fleet,
-            breakers,
-            request,
-            salt,
-            dumps,
-            (0..d - 1).collect(),
-            &|dev, k| {
-                let before = snap(dev);
-                band_colsum(dev, &a, &colsums, &plan, k);
-                phase_counts_ok(dev, before, model.as_ref().map(|m| &m.colsum[k]))
-            },
-        );
-        if !ok {
-            return None;
+    /// Run one phase's tasks to completion across the healthy shards.
+    ///
+    /// Every shard whose breaker is closed runs a worker that pulls task
+    /// indices from a shared queue (work stealing: a fast shard simply
+    /// pulls more). The first healthy shard's worker runs on the calling
+    /// thread and only the others get scoped threads, so a one-device
+    /// fleet spawns nothing. Returns `true` when every task completed on
+    /// some shard; see [`shard_worker`](Self::shard_worker) for failures.
+    fn run_tasks(
+        &self,
+        request: u64,
+        tasks: Vec<usize>,
+        run_task: &(dyn Fn(&Device, usize) -> bool + Sync),
+    ) -> bool {
+        if tasks.is_empty() {
+            return true;
         }
-        let ok = run_fleet_tasks(
-            shared,
-            fleet,
-            breakers,
-            request,
-            salt,
-            dumps,
-            vec![0],
-            &|dev, _| {
-                let before = snap(dev);
-                margin_exchange(dev, &colsums, &carries, &plan);
-                phase_counts_ok(dev, before, model.as_ref().map(|m| &m.exchange))
-            },
-        );
-        if !ok {
-            return None;
-        }
-    }
-    let ok = run_fleet_tasks(
-        shared,
-        fleet,
-        breakers,
-        request,
-        salt,
-        dumps,
-        (0..d).collect(),
-        &|dev, k| {
-            let before = snap(dev);
-            band_wavefront(dev, &a, &s, &carries, &mirror, &plan, k);
-            phase_counts_ok(dev, before, model.as_ref().map(|m| &m.wavefront[k]))
-        },
-    );
-    if !ok {
-        return None;
-    }
-    let out = s.into_vec();
-    Some(Matrix::from_fn(rows, cols, |i, j| out[i * pcols + j]))
-}
-
-/// The fleet path for algorithms without a banded decomposition: the whole
-/// image is one task, computed by whichever shard picks it up (failover
-/// still applies — a shard that dies mid-image hands it to a survivor).
-#[allow(clippy::too_many_arguments)]
-fn whole_image_fleet_sat(
-    shared: &Shared,
-    fleet: &DeviceFleet,
-    breakers: &mut [CircuitBreaker],
-    request: u64,
-    salt: u64,
-    dumps: &Mutex<Vec<Trigger>>,
-    algorithm: SatAlgorithm,
-    image: &Matrix<f64>,
-) -> Option<Matrix<f64>> {
-    let slot: Mutex<Option<Matrix<f64>>> = Mutex::new(None);
-    let complete = run_fleet_tasks(
-        shared,
-        fleet,
-        breakers,
-        request,
-        salt,
-        dumps,
-        vec![0],
-        &|dev, _| {
-            *slot.lock() = Some(compute_sat(dev, algorithm, image));
-            true
-        },
-    );
-    if complete {
-        slot.into_inner()
-    } else {
-        None
-    }
-}
-
-/// [`execute`]'s fleet sibling: run one dispatch across `D > 1` shard
-/// devices. Images go through the banded pipeline one at a time (each
-/// image's band kernels run fleet-parallel); a shard lost mid-image
-/// reshards its bands onto the survivors, and the CPU degradation path is
-/// reached only when *every* shard's breaker is open. Every admitted
-/// request still completes — bit-exactly whenever any shard stayed
-/// healthy.
-fn fleet_execute(shared: &Shared, fleet: &DeviceFleet, d: Dispatch, ex: &mut ExecState) {
-    let width = d.requests.len();
-    if width == 0 {
-        return;
-    }
-    let dispatched_at = Instant::now();
-    let queue_ns: Vec<u64> = d
-        .requests
-        .iter()
-        .map(|r| dispatched_at.duration_since(r.enqueued).as_nanos() as u64)
-        .collect();
-    let enqueued_at: Vec<Instant> = d.requests.iter().map(|r| r.enqueued).collect();
-    let ids: Vec<u64> = d.requests.iter().map(|r| r.id).collect();
-    let mut images = Vec::with_capacity(width);
-    let mut replies = Vec::with_capacity(width);
-    for r in d.requests {
-        images.push(r.image);
-        replies.push(r.reply);
-    }
-    ex.batch_no += 1;
-    let batch_no = ex.batch_no;
-    shared
-        .cfg
-        .observer
-        .flight_event(FlightKind::BatchFormed, ids[0], batch_no, width as u64);
-    let dumps: Mutex<Vec<Trigger>> = Mutex::new(Vec::new());
-
-    let w = fleet.device(0).width();
-    let (rows, cols) = (images[0].rows(), images[0].cols());
-    let per_single = {
-        let m_r = rows.max(1).div_ceil(w);
-        let m_c = cols.max(1).div_ceil(w);
-        m_r + m_c - 1
-    } as u64;
-
-    let rcfg = &shared.cfg.resilience;
-    let launches_before = fleet.launches();
-    for dev in fleet {
-        dev.set_launch_context(Some(LaunchContext {
-            batch: batch_no,
-            requests: ids.clone(),
-        }));
-        // One label per dispatch; each shard device appends its own
-        // `@s<i>` suffix, which is what lets the shard-relative drift
-        // channel localize a sick device.
-        dev.set_conformance_cell(Some(cell_label(d.algorithm.name(), rows, cols)));
+        let healthy = self.closed_shards();
+        let Some((&first, rest)) = healthy.split_first() else {
+            return false;
+        };
+        let total = tasks.len();
+        let queue = Mutex::new(VecDeque::from(tasks));
+        let done = AtomicUsize::new(0);
+        // Fault domains still standing this phase: decremented only when a
+        // breaker opens, never on normal worker exit — a worker that
+        // drained the queue and left is still a healthy shard.
+        let alive = AtomicUsize::new(healthy.len());
+        let worker = |shard| {
+            let completed = self.shard_worker(shard, request, &queue, &alive, run_task);
+            done.fetch_add(completed, Ordering::Relaxed);
+        };
+        std::thread::scope(|sc| {
+            for &shard in rest {
+                sc.spawn(move || worker(shard));
+            }
+            worker(first);
+        });
+        done.load(Ordering::Relaxed) == total
     }
 
-    let mut results: Vec<Option<Matrix<f64>>> = (0..width).map(|_| None).collect();
-    let mut degraded: Vec<bool> = vec![false; width];
-    for idx in 0..width {
-        let request = ids[idx];
-        let mut attempts = 0u32;
+    /// One shard's worker: pull tasks until the queue drains or the shard's
+    /// breaker opens; returns the number of tasks it completed.
+    ///
+    /// A failed attempt — fault-epoch bump, or `run_task` returning `false`
+    /// on a closed-form count mismatch — stays with this shard (feeding its
+    /// breaker) across backoff retries until either a retry succeeds or the
+    /// breaker opens. On open the worker puts the task back at the front of
+    /// the queue, emits [`FlightKind::DeviceLost`] and, when some shard
+    /// survives, [`FlightKind::ShardFailover`], and exits: the survivors
+    /// drain the queue.
+    fn shard_worker(
+        &self,
+        shard: usize,
+        request: u64,
+        queue: &Mutex<VecDeque<usize>>,
+        alive: &AtomicUsize,
+        run_task: &(dyn Fn(&Device, usize) -> bool + Sync),
+    ) -> usize {
+        let (shared, dev) = (self.shared, self.fleet.device(shard));
+        let breaker = &self.breakers[shard];
+        let mut completed = 0usize;
+        let mut streak = 0u32;
+        // A failed task is retained by this worker across its own retries
+        // rather than requeued immediately: if it went back on the queue a
+        // fast healthy shard would steal it, the failure streak would never
+        // reach the breaker threshold, and a permanently dead shard would
+        // keep sampling (and stalling) fresh tasks forever.
+        let mut held: Option<usize> = None;
         loop {
-            if attempts >= rcfg.max_attempts {
-                let mut pending = vec![idx];
-                degrade_pending(shared, &images, &mut pending, &mut results, &mut degraded);
-                break;
-            }
-            if attempts > 0 {
-                shared.metrics.on_retry();
-                ex.salt = ex.salt.wrapping_add(1);
-                std::thread::sleep(backoff_delay(rcfg, attempts, ex.salt));
-            }
-            attempts += 1;
-            // Dispatch boundary: probe cooled-down shards back in, and only
-            // fall back to the CPU when the whole fleet is open.
-            if poll_fleet_breakers(shared, fleet, &mut ex.breakers, request) == 0 {
-                let mut pending = vec![idx];
-                degrade_pending(shared, &images, &mut pending, &mut results, &mut degraded);
-                break;
-            }
-            let out = if d.algorithm == SatAlgorithm::OneR1W {
-                banded_fleet_sat(
-                    shared,
-                    fleet,
-                    &mut ex.breakers,
-                    request,
-                    ex.salt,
-                    &dumps,
-                    &images[idx],
-                    ex.verify_on,
-                )
-            } else {
-                whole_image_fleet_sat(
-                    shared,
-                    fleet,
-                    &mut ex.breakers,
-                    request,
-                    ex.salt,
-                    &dumps,
-                    d.algorithm,
-                    &images[idx],
-                )
+            let Some(task) = held.take().or_else(|| queue.lock().pop_front()) else {
+                return completed;
             };
-            let Some(sat) = out else {
-                // A phase ran out of shards; the next attempt re-polls the
-                // breakers (and degrades if the whole fleet stays open).
+            let epoch_before = dev.fault_epoch();
+            let counts_ok = run_task(dev, task);
+            let failed = dev.fault_epoch() != epoch_before || !counts_ok;
+            shared.metrics.on_attempt(!failed);
+            if !failed {
+                streak = 0;
+                let transition = breaker.lock().on_success();
+                self.report_breaker(transition, shard, 0, request);
+                completed += 1;
                 continue;
-            };
-            let ok = !ex.verify_on || verify_sat(&images[idx], &sat);
-            if ex.verify_on {
-                shared.metrics.on_verify(ok);
             }
-            if ok {
-                results[idx] = Some(sat);
-                break;
-            }
-            shared.cfg.observer.flight_event(
-                FlightKind::VerifyFailure,
-                request,
-                attempts as u64,
-                0,
-            );
+            streak += 1;
             shared.cfg.observer.instant(
                 Track::wall(0),
-                "verify_failed",
-                vec![("count", ArgValue::from(1usize))],
+                "attempt_failed",
+                vec![
+                    ("shard", ArgValue::from(shard)),
+                    ("attempt", ArgValue::from(streak as usize)),
+                ],
             );
-            dumps.lock().push(Trigger {
-                reason: "verify_failure".to_string(),
-                request,
-                detail: "1 result(s) failed SAT verification".to_string(),
-            });
-        }
-    }
-    for dev in fleet {
-        dev.set_launch_context(None);
-        dev.set_conformance_cell(None);
-    }
-
-    let launches_after = fleet.launches();
-    let mut issued = 0u64;
-    for (shard, (after, before)) in launches_after.iter().zip(&launches_before).enumerate() {
-        let delta = after.wrapping_sub(*before);
-        shared.metrics.on_shard_launches(shard, delta);
-        issued += delta;
-    }
-    let exec_ns = dispatched_at.elapsed().as_nanos() as u64;
-
-    // Per-request single-device execution of the same traffic would have
-    // paid the full `m_r + m_c − 1` wavefront per image; the fleet pays the
-    // banded pipeline's launches, spread over `D` devices — the loadgen
-    // fleet gate asserts `max(shard launches) × D < equiv`.
-    let launches_equiv = if d.algorithm == SatAlgorithm::OneR1W {
-        per_single * width as u64
-    } else {
-        issued
-    };
-    let runs = width as u64;
-    let barriers = issued.saturating_sub(runs);
-    let barriers_equiv = launches_equiv.saturating_sub(width as u64);
-
-    shared.metrics.on_batch(&crate::metrics::BatchRecord {
-        width,
-        launches: issued,
-        launches_equiv,
-        barriers,
-        barriers_equiv,
-        queue_ns: &queue_ns,
-        exec_ns,
-        request_ids: &ids,
-    });
-
-    if let Some(threshold) = shared.cfg.postmortem.burn_threshold {
-        let burn = shared.metrics.slo_burn();
-        if burn >= threshold {
+            let transition = breaker.lock().on_failure(Instant::now());
+            if transition != Some("open") {
+                held = Some(task);
+                shared.metrics.on_retry();
+                let salt = self.salt ^ ((shard as u64) << 8);
+                std::thread::sleep(backoff_delay(&shared.cfg.resilience, streak, salt));
+                continue;
+            }
+            // This fault domain is gone until a canary re-closes it: hand
+            // the task back, record the loss, and leave the remaining work
+            // to whoever survives.
+            queue.lock().push_front(task);
+            let survivors = alive.fetch_sub(1, Ordering::AcqRel) - 1;
+            self.report_breaker(transition, shard, survivors, request);
+            shared.metrics.on_shard_lost();
             shared.cfg.observer.flight_event(
-                FlightKind::SloBurn,
-                ids[0],
-                (burn * 1000.0) as u64,
-                (threshold * 1000.0) as u64,
+                FlightKind::DeviceLost,
+                request,
+                shard as u64,
+                dev.fault_epoch(),
             );
-            dumps.lock().push(Trigger {
-                reason: "slo_burn".to_string(),
-                request: ids[0],
-                detail: format!("error-budget burn {burn:.3} reached threshold {threshold:.3}"),
-            });
+            if survivors > 0 {
+                shared.metrics.on_shard_failover();
+                let left = queue.lock().len() as u64;
+                shared.cfg.observer.flight_event(
+                    FlightKind::ShardFailover,
+                    request,
+                    shard as u64,
+                    left,
+                );
+            }
+            return completed;
         }
     }
-    check_drift(shared, &mut dumps.lock());
 
-    // Same retro-emitted lifecycle records as the single-device path, so
-    // fleet traces and flight bundles read identically downstream.
-    let obs = &shared.cfg.observer;
-    if obs.is_enabled() {
-        let done = Instant::now();
-        let batch = obs.wall_span_at(
-            Track::wall(0),
-            "batch",
-            dispatched_at,
-            done,
-            None,
-            vec![
-                ("batch", ArgValue::from(batch_no)),
-                ("width", ArgValue::from(width)),
-                ("algo", ArgValue::from(d.algorithm.name())),
-                ("launches", ArgValue::from(issued)),
-                ("shards", ArgValue::from(fleet.len())),
-            ],
-        );
-        for (i, &enq) in enqueued_at.iter().enumerate() {
-            obs.wall_span_at(
-                Track::wall(1 + (i as u32 % 16)),
-                "queue",
-                enq,
-                dispatched_at,
-                batch,
-                vec![("request", ArgValue::from(ids[i]))],
-            );
-            obs.flow_wall(
-                Track::wall(0),
-                "request",
-                FlowPhase::Step,
-                ids[i],
-                dispatched_at,
-            );
-            let status = if degraded[i] { "degraded" } else { "ok" };
-            close_request_span(obs, ids[i], enq, done, status);
+    /// One image through the banded three-phase pipeline (column sums →
+    /// margin exchange → carry-seeded band wavefronts), its phase kernels
+    /// spread over the healthy shards with failover. Returns `None` when
+    /// some phase could not complete — every remaining shard opened.
+    ///
+    /// Bit-exactness: the banded kernels sum in exactly the association
+    /// order of the single-device 1R1W wavefront within each band, and band
+    /// boundaries only ever consume finished carry rows, so re-running a
+    /// band on a different shard cannot change a single bit of the result
+    /// (pinned by `sat_core::par::band` tests).
+    fn banded_sat(&self, request: u64, image: &Matrix<f64>) -> Option<Matrix<f64>> {
+        let dev0 = self.fleet.device(0);
+        let w = dev0.width();
+        let (rows, cols) = (image.rows(), image.cols());
+        let prows = rows.next_multiple_of(w);
+        let pcols = cols.next_multiple_of(w);
+        let plan = BandPlan::new(prows, pcols, w, self.fleet.len());
+        let d = plan.len();
+        let a = GlobalBuffer::from_vec(image.zero_padded_to(prows, pcols).into_vec());
+        let s = GlobalBuffer::filled(0.0f64, prows * pcols);
+        let colsums = GlobalBuffer::filled(0.0f64, plan.boundary_len());
+        let carries = GlobalBuffer::filled(0.0f64, plan.boundary_len());
+        let mirror = GlobalBuffer::filled(0.0f64, plan.mirror_len());
+        // Closed-form phase entries for the per-task launch check (always
+        // available: the dims are padded to multiples of `w`).
+        let model = if self.verify_on {
+            GlobalCost::new(*dev0.config()).banded_1r1w_exact_counts(prows, pcols, d)
+        } else {
+            None
+        };
+        let model = model.as_ref();
+
+        if d > 1 {
+            let complete = self.run_tasks(request, (0..d - 1).collect(), &|dev, k| {
+                counts_match(dev, model.map(|m| &m.colsum[k]), || {
+                    band_colsum(dev, &a, &colsums, &plan, k)
+                })
+            }) && self.run_tasks(request, vec![0], &|dev, _| {
+                counts_match(dev, model.map(|m| &m.exchange), || {
+                    margin_exchange(dev, &colsums, &carries, &plan)
+                })
+            });
+            if !complete {
+                return None;
+            }
         }
-        obs.instant(
-            Track::wall(0),
-            "complete",
-            vec![("width", ArgValue::from(width))],
-        );
-    }
-    for trigger in dumps.into_inner().iter() {
-        maybe_dump(shared, trigger);
-    }
-    for (reply, sat) in replies.into_iter().zip(results) {
-        let sat = sat.expect("the attempt loop resolves every request");
-        let _ = reply.send(Ok(SumTable::from_sat(sat)));
+        let complete = self.run_tasks(request, (0..d).collect(), &|dev, k| {
+            counts_match(dev, model.map(|m| &m.wavefront[k]), || {
+                band_wavefront(dev, &a, &s, &carries, &mirror, &plan, k)
+            })
+        });
+        complete.then(|| Matrix::from_vec(prows, pcols, s.into_vec()).cropped(rows, cols))
     }
 }

@@ -278,7 +278,7 @@ fn observed_service_exposes_metrics_text_and_lifecycle_spans() {
     );
     assert!(text.contains("sat_service_completed_total 3"));
     assert!(text.contains("sat_service_rejected_total{reason=\"invalid\"} 1"));
-    assert!(text.contains("# TYPE sat_service_queue_latency_ms gauge"));
+    assert!(text.contains("# TYPE sat_service_stage_latency_seconds histogram"));
     assert!(text.contains("# TYPE gpu_launches counter"));
     let launches_line = text
         .lines()

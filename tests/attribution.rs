@@ -37,7 +37,7 @@ fn one_r1w_attribution_matches_exact_counts() {
             },
         );
         let exact = GlobalCost::new(cfg)
-            .exact_counts(SatAlgorithm::OneR1W, n)
+            .exact_counts(SatAlgorithm::OneR1W, n, n)
             .expect("1R1W has closed forms");
         let total = report.total();
 

@@ -135,16 +135,39 @@ fn measured_cost_matches_closed_form_within_slack() {
 
 #[test]
 fn one_r1w_counts_match_exact_closed_form() {
-    // Beyond the leading-term slack above: for 1R1W on a block-aligned
-    // square the model has an *exact* closed form, and a real execution
-    // must reproduce every column of it (including barrier steps). This is
-    // the same equality the `satprof --check` gate enforces.
+    // Beyond the leading-term slack above: 1R1W has an *exact* closed form
+    // on the padded `rows × cols` grid, and a real execution must
+    // reproduce every column of it (including barrier steps) — on the
+    // block-aligned square of the other tests, and on the ragged, 1×n and
+    // n×1 shapes `compute_sat` admits by padding. This is the same
+    // equality the `satprof --check` gate and the service's closed-form
+    // launch check enforce.
     let (s, gc) = run(SatAlgorithm::OneR1W);
     let exact = gc
-        .exact_counts(SatAlgorithm::OneR1W, N)
+        .exact_counts(SatAlgorithm::OneR1W, N, N)
         .expect("N is a multiple of W");
     assert!(
         exact.matches(&s),
         "measured {s:?} diverges from exact closed form {exact:?}"
     );
+    let w = 4;
+    let cfg = MachineConfig::with_width(w);
+    let dev = Device::new(DeviceOptions::new(cfg).workers(1));
+    for (rows, cols) in [(16, 16), (48, 80), (1, 64), (64, 1), (13, 30), (8, 24)] {
+        let a = Matrix::from_fn(rows, cols, |i, j| ((i + 2 * j) % 17) as i64);
+        dev.reset_stats();
+        let _ = compute_sat(&dev, SatAlgorithm::OneR1W, &a);
+        let s = dev.stats();
+        let exact = GlobalCost::new(cfg)
+            .exact_counts(
+                SatAlgorithm::OneR1W,
+                rows.next_multiple_of(w),
+                cols.next_multiple_of(w),
+            )
+            .expect("padded sides are multiples of w");
+        assert!(
+            exact.matches(&s),
+            "{rows}x{cols}: measured {s:?} diverges from exact closed form {exact:?}"
+        );
+    }
 }
