@@ -93,8 +93,6 @@ struct ScenarioRecord {
     /// Fleet shape and per-shard outcomes (shards = 1 for the
     /// single-device scenarios; the shard counters then stay 0).
     shards: u64,
-    shard_tasks_ok: u64,
-    shard_tasks_failed: u64,
     shard_failovers: u64,
     shards_lost: u64,
 }
@@ -313,8 +311,6 @@ fn run_scenario(
         injected_corruptions: injected("corruption"),
         postmortem_bundles,
         shards: stats.shards,
-        shard_tasks_ok: stats.shard_tasks_ok,
-        shard_tasks_failed: stats.shard_tasks_failed,
         shard_failovers: stats.shard_failovers,
         shards_lost: stats.shards_lost,
     };

@@ -109,36 +109,7 @@ pub fn compute_sat_hybrid<T: SatElement>(dev: &Device, a: &Matrix<T>, r: f64) ->
 /// # Panics
 /// Panics if the matrices do not all share one shape.
 pub fn compute_sat_batch<T: SatElement>(dev: &Device, images: &[Matrix<T>]) -> Vec<Matrix<T>> {
-    let Some(first) = images.first() else {
-        return Vec::new();
-    };
-    let (rows, cols) = (first.rows(), first.cols());
-    assert!(
-        images.iter().all(|a| a.rows() == rows && a.cols() == cols),
-        "compute_sat_batch requires same-shaped matrices"
-    );
-    if rows == 0 || cols == 0 {
-        return images.to_vec();
-    }
-    let (prows, pcols) = padded_dims(dev, first);
-    let ins: Vec<GlobalBuffer<T>> = images
-        .iter()
-        .map(|a| GlobalBuffer::from_vec(a.zero_padded_to(prows, pcols).into_vec()))
-        .collect();
-    let outs: Vec<GlobalBuffer<T>> = images
-        .iter()
-        .map(|_| GlobalBuffer::filled(T::ZERO, prows * pcols))
-        .collect();
-    par::sat_1r1w_batch(
-        dev,
-        &ins.iter().collect::<Vec<_>>(),
-        &outs.iter().collect::<Vec<_>>(),
-        prows,
-        pcols,
-    );
-    outs.into_iter()
-        .map(|s| Matrix::from_vec(prows, pcols, s.into_vec()).cropped(rows, cols))
-        .collect()
+    compute_sat_batch_with(dev, &BufferPool::new(), images)
 }
 
 /// [`compute_sat_batch`] drawing its device buffers from a recycling
@@ -167,7 +138,7 @@ pub fn compute_sat_batch_with<T: SatElement>(
     let (rows, cols) = (first.rows(), first.cols());
     assert!(
         images.iter().all(|a| a.rows() == rows && a.cols() == cols),
-        "compute_sat_batch_with requires same-shaped matrices"
+        "compute_sat_batch requires same-shaped matrices"
     );
     if rows == 0 || cols == 0 {
         return images.to_vec();

@@ -20,9 +20,10 @@
 //!    block wavefront inside each band, except blocks in a band's first
 //!    block-row read their top fringe and corner from the carry row
 //!    instead of finished neighbours. Left fringes go through a mirror
-//!    buffer (as in [`sat_1r1w_mirror`](super::one_r1w::sat_1r1w_mirror)),
-//!    so the banded pipeline performs **zero** stride accesses and its
-//!    critical path is the slowest band, not the whole matrix.
+//!    buffer, so the banded pipeline performs **zero** stride accesses and
+//!    its critical path is the slowest band, not the whole matrix. One band
+//!    is exactly [`sat_1r1w_mirror`](super::one_r1w::sat_1r1w_mirror),
+//!    which runs this phase alone.
 //!
 //! Bands touch pairwise-disjoint rows of the shared input/output/mirror
 //! buffers, so concurrent launches on different devices are race-free (the
@@ -36,7 +37,8 @@
 use gpu_exec::{Device, GlobalBuffer};
 
 use crate::element::SatElement;
-use crate::par::common::{default_tile, load_block, tile_sat, Grid};
+use crate::par::common::Grid;
+use crate::par::one_r1w::stage_block;
 
 /// One horizontal band: `rows` matrix rows starting at `start_row`, both
 /// multiples of the block width.
@@ -219,47 +221,15 @@ pub fn band_wavefront_stage<T: SatElement>(
         let gs = ctx.view(s);
         let gm = ctx.view(mirror);
         let (lbi, bj) = blocks[ctx.block_id()];
-        let (r0, c0) = grid.origin(bi0 + lbi, bj);
-        let mut tile: SharedTileOf<T> = default_tile(ctx);
-        load_block(ctx, &ga, grid, bi0 + lbi, bj, &mut tile);
-        tile_sat(ctx, &mut tile);
-        // Top fringe: finished rows above within the band, or the carry
-        // row when this is the band's first block-row (band 0 has none).
-        let mut top = vec![T::ZERO; w];
-        if lbi > 0 {
-            gs.read_contig(grid.addr(r0 - 1, c0), &mut top, &mut ctx.rec);
-        } else if k > 0 {
-            let gcar = ctx.view(carries);
-            gcar.read_contig((k - 1) * grid.cols + c0, &mut top, &mut ctx.rec);
-        }
-        // Left fringe from the mirror — coalesced, same addressing as the
-        // single-device mirror variant (bands use disjoint row ranges).
-        let mut left = vec![T::ZERO; w];
-        if bj > 0 {
-            gm.read_contig((bj - 1) * grid.rows + r0, &mut left, &mut ctx.rec);
-        }
-        let corner = if bj == 0 {
-            T::ZERO
-        } else if lbi > 0 {
-            gs.read(grid.addr(r0 - 1, c0 - 1), &mut ctx.rec)
-        } else if k > 0 {
-            let gcar = ctx.view(carries);
-            gcar.read((k - 1) * grid.cols + c0 - 1, &mut ctx.rec)
+        let bi = bi0 + lbi;
+        // The row above: finished rows within the band, or the carry row
+        // when this is the band's first block-row (band 0 has none).
+        let above = if lbi > 0 {
+            Some((gs, grid.addr(bi * w - 1, 0)))
         } else {
-            T::ZERO
+            (k > 0).then(|| (ctx.view(carries), (k - 1) * grid.cols))
         };
-        let mut row = vec![T::ZERO; w];
-        let mut right_col = vec![T::ZERO; w];
-        for i in 0..w {
-            tile.read_row(i, &mut row, &mut ctx.rec);
-            let li = left[i].sub(corner);
-            for j in 0..w {
-                row[j] = row[j].add(top[j]).add(li);
-            }
-            right_col[i] = row[w - 1];
-            gs.write_contig(grid.addr(r0 + i, c0), &row, &mut ctx.rec);
-        }
-        gm.write_contig(bj * grid.rows + r0, &right_col, &mut ctx.rec);
+        stage_block(ctx, &ga, &gs, Some(&gm), grid, (bi, bj), above);
     });
 }
 
@@ -280,9 +250,6 @@ pub fn band_wavefront<T: SatElement>(
         band_wavefront_stage(dev, a, s, carries, mirror, plan, k, d);
     }
 }
-
-/// Alias so the kernel body reads like its single-device siblings.
-type SharedTileOf<T> = gpu_exec::SharedTile<T>;
 
 /// **Banded 1R1W, reference driver**: compute into `s` the SAT of the
 /// `rows × cols` matrix in `a`, split into `shards` bands over `devs`

@@ -27,10 +27,15 @@
 //! output written (Theorem 6). The price is `2·(n/w) − 1` barrier-separated
 //! stages, whose latency dominates for small matrices — hence the hybrid
 //! `(1+r²)R1W`.
+//!
+//! Every 1R1W variant — staged, batched, banded (and so mirror), and
+//! persistent — emits its blocks through one body; they differ only in
+//! where the fringes come from.
 
-use gpu_exec::{BlockCtx, Device, GlobalBuffer, HandoffFlags, SharedTile};
+use gpu_exec::{BlockCtx, Device, GlobalBuffer, GlobalView, HandoffFlags, SharedTile};
 
 use crate::element::SatElement;
+use crate::par::band::{band_wavefront, BandPlan};
 use crate::par::common::{default_tile, load_block, tile_sat, Grid};
 
 /// **1R1W**: compute into `s` the SAT of the `rows × cols` matrix in `a`,
@@ -42,13 +47,41 @@ pub fn sat_1r1w<T: SatElement>(
     rows: usize,
     cols: usize,
 ) {
+    sat_1r1w_batch(dev, &[a], &[s], rows, cols);
+}
+
+/// Batched **1R1W**: compute `outputs[k]` = SAT of `inputs[k]` for every
+/// `k`, all matrices `rows × cols`, with the block wavefront fused across
+/// the batch (`rows/w + cols/w − 1` launches in total, independent of the
+/// batch size).
+///
+/// 1R1W's weakness is its barrier-separated stages whose corner launches
+/// are too narrow to hide latency (§VII). When several matrices need SATs
+/// (video frames, depth + depth² for shadow maps, image stacks), stage `d`
+/// of every image runs in one launch, so each launch is `B×` wider: the
+/// corner stages of a 16-image batch hold 16 blocks instead of one. (The
+/// paper's hybrid is still the answer for a *single* matrix; this is the
+/// batch counterpart.) [`sat_1r1w`] is the batch of one.
+pub fn sat_1r1w_batch<T: SatElement>(
+    dev: &Device,
+    inputs: &[&GlobalBuffer<T>],
+    outputs: &[&GlobalBuffer<T>],
+    rows: usize,
+    cols: usize,
+) {
+    assert_eq!(inputs.len(), outputs.len(), "one output per input");
+    if inputs.is_empty() {
+        return;
+    }
     let grid = Grid::new(rows, cols, dev.width());
-    assert!(
-        a.len() >= rows * cols && s.len() >= rows * cols,
-        "buffers too small"
-    );
+    for (a, s) in inputs.iter().zip(outputs) {
+        assert!(
+            a.len() >= rows * cols && s.len() >= rows * cols,
+            "buffers too small"
+        );
+    }
     for d in 0..grid.diagonals() {
-        one_r1w_stage(dev, a, s, grid, d);
+        stage(dev, inputs, outputs, grid, d);
     }
 }
 
@@ -63,44 +96,124 @@ pub fn one_r1w_stage<T: SatElement>(
     grid: Grid,
     d: usize,
 ) {
+    stage(dev, &[a], &[s], grid, d);
+}
+
+/// Stage `d` over a whole batch in one launch: block id
+/// `img · per_image + k` finishes the `k`-th block of diagonal `d` in image
+/// `img`.
+fn stage<T: SatElement>(
+    dev: &Device,
+    inputs: &[&GlobalBuffer<T>],
+    outputs: &[&GlobalBuffer<T>],
+    grid: Grid,
+    d: usize,
+) {
     let blocks: Vec<(usize, usize)> = grid.diagonal_blocks(d).collect();
-    let w = grid.w;
-    dev.launch(blocks.len(), |ctx| {
-        let ga = ctx.view(a);
-        let gs = ctx.view(s);
-        let (bi, bj) = blocks[ctx.block_id()];
-        let (r0, c0) = grid.origin(bi, bj);
-        let mut tile: SharedTile<T> = default_tile(ctx);
-        load_block(ctx, &ga, grid, bi, bj, &mut tile);
-        tile_sat(ctx, &mut tile);
-        // Fringes from finished neighbours, by pairwise subtraction.
-        let mut top = vec![T::ZERO; w];
-        if bi > 0 {
-            // Bottom row of the block above — coalesced.
-            gs.read_contig(grid.addr(r0 - 1, c0), &mut top, &mut ctx.rec);
-        }
-        let mut left = vec![T::ZERO; w];
-        if bj > 0 {
-            // Rightmost column of the block to the left — stride w reads
-            // (the O(n²/w) lower-order term of Theorem 6).
-            gs.read_strided(grid.addr(r0, c0 - 1), grid.cols, &mut left, &mut ctx.rec);
-        }
-        let corner = if bi > 0 && bj > 0 {
-            gs.read(grid.addr(r0 - 1, c0 - 1), &mut ctx.rec)
-        } else {
-            T::ZERO
-        };
-        // Emit final values row by row — coalesced.
-        let mut row = vec![T::ZERO; w];
-        for (i, l) in left.iter().enumerate() {
-            tile.read_row(i, &mut row, &mut ctx.rec);
-            let li = l.sub(corner);
-            for j in 0..w {
-                row[j] = row[j].add(top[j]).add(li);
-            }
-            gs.write_contig(grid.addr(r0 + i, c0), &row, &mut ctx.rec);
-        }
+    let per_image = blocks.len();
+    dev.launch(per_image * inputs.len(), |ctx| {
+        let id = ctx.block_id();
+        let (img, which) = (id / per_image, id % per_image);
+        let ga = ctx.view(inputs[img]);
+        let gs = ctx.view(outputs[img]);
+        let (bi, bj) = blocks[which];
+        let above = (bi > 0).then(|| (gs, grid.addr(bi * grid.w - 1, 0)));
+        stage_block(ctx, &ga, &gs, None, grid, (bi, bj), above);
     });
+}
+
+/// A block's fringes, read from its finished neighbours by pairwise
+/// subtraction: `top[j] = T[j]`, `left[i] = Lᵢ` and `corner = c` (zero
+/// where the neighbour does not exist), plus a row of scratch.
+struct Fringes<T> {
+    top: Vec<T>,
+    left: Vec<T>,
+    corner: T,
+    row: Vec<T>,
+}
+
+impl<T: SatElement> Fringes<T> {
+    fn zero(w: usize) -> Self {
+        Fringes {
+            top: vec![T::ZERO; w],
+            left: vec![T::ZERO; w],
+            corner: T::ZERO,
+            row: vec![T::ZERO; w],
+        }
+    }
+
+    /// Emit the block at element `(r0, c0)` from its local SAT `ℓ` in
+    /// `tile`: `S(r0+i, c0+j) = ℓ(i,j) + T[j] + (Lᵢ − c)`, one coalesced
+    /// row write per tile row. `right`, when given, receives the block's
+    /// right column (the payload of a mirror write).
+    fn emit(
+        &mut self,
+        ctx: &mut BlockCtx<'_>,
+        gs: &GlobalView<'_, T>,
+        tile: &SharedTile<T>,
+        grid: Grid,
+        (r0, c0): (usize, usize),
+        mut right: Option<&mut [T]>,
+    ) {
+        let w = grid.w;
+        for i in 0..w {
+            tile.read_row(i, &mut self.row, &mut ctx.rec);
+            let li = self.left[i].sub(self.corner);
+            for (v, t) in self.row.iter_mut().zip(&self.top) {
+                *v = v.add(*t).add(li);
+            }
+            if let Some(right) = right.as_deref_mut() {
+                right[i] = self.row[w - 1];
+            }
+            gs.write_contig(grid.addr(r0 + i, c0), &self.row, &mut ctx.rec);
+        }
+    }
+}
+
+/// One block of a launch-per-stage 1R1W kernel: load block `(bi, bj)` and
+/// scan it in shared memory, read its fringes, and emit it.
+///
+/// * `above` is the row above the block, `S(r0 − 1, c)` at word `base + c`
+///   of the view — the finished block-row in `s`, or a band's carry row —
+///   or `None` in the first block-row. The top fringe is one coalesced read
+///   of it, the corner one single-word read.
+/// * The left fringe is the right column of the block to the left: a
+///   stride read of `s` (the `O(n²/w)` lower-order term of Theorem 6), or,
+///   with a `mirror`, one coalesced read of that column mirrored
+///   transposed — in which case the block mirrors its own right column
+///   too.
+pub(super) fn stage_block<T: SatElement>(
+    ctx: &mut BlockCtx<'_>,
+    ga: &GlobalView<'_, T>,
+    gs: &GlobalView<'_, T>,
+    mirror: Option<&GlobalView<'_, T>>,
+    grid: Grid,
+    (bi, bj): (usize, usize),
+    above: Option<(GlobalView<'_, T>, usize)>,
+) {
+    let w = grid.w;
+    let (r0, c0) = grid.origin(bi, bj);
+    let mut tile: SharedTile<T> = default_tile(ctx);
+    load_block(ctx, ga, grid, bi, bj, &mut tile);
+    tile_sat(ctx, &mut tile);
+    let mut f = Fringes::zero(w);
+    if let Some((g, base)) = above {
+        g.read_contig(base + c0, &mut f.top, &mut ctx.rec);
+    }
+    if bj > 0 {
+        match mirror {
+            Some(gm) => gm.read_contig((bj - 1) * grid.rows + r0, &mut f.left, &mut ctx.rec),
+            None => gs.read_strided(grid.addr(r0, c0 - 1), grid.cols, &mut f.left, &mut ctx.rec),
+        }
+        if let Some((g, base)) = above {
+            f.corner = g.read(base + c0 - 1, &mut ctx.rec);
+        }
+    }
+    let mut right = mirror.map(|_| vec![T::ZERO; w]);
+    f.emit(ctx, gs, &tile, grid, (r0, c0), right.as_deref_mut());
+    if let (Some(gm), Some(right)) = (mirror, right) {
+        gm.write_contig(bj * grid.rows + r0, &right, &mut ctx.rec);
+    }
 }
 
 /// Polls per [`HandoffFlags::acquire`] call before the resident re-checks
@@ -209,9 +322,7 @@ pub fn one_r1w_persistent<T: SatElement>(
     // overwrites all w² words) — persistent blocks must live within the
     // same shared-memory budget as a single launch-per-stage block.
     let mut tile: SharedTile<T> = default_tile(ctx);
-    let mut top = vec![T::ZERO; w];
-    let mut left = vec![T::ZERO; w];
-    let mut row = vec![T::ZERO; w];
+    let mut f = Fringes::zero(w);
     let mut bi = ctx.block_id();
     while bi < grid.mr {
         for bj in 0..grid.mc {
@@ -222,34 +333,27 @@ pub fn one_r1w_persistent<T: SatElement>(
                 if !acquire_ready(flags, (bi - 1) * grid.mc + bj, ctx) {
                     return; // launch failed; the producer will never publish
                 }
-                gs.read_contig(grid.addr(r0 - 1, c0), &mut top, &mut ctx.rec);
+                gs.read_contig(grid.addr(r0 - 1, c0), &mut f.top, &mut ctx.rec);
             } else {
-                top.fill(T::ZERO);
+                f.top.fill(T::ZERO);
             }
             load_block(ctx, &ga, grid, bi, bj, &mut tile);
             tile_sat(ctx, &mut tile);
             if bj > 0 {
                 // Same-resident program order: tile (bi, bj−1) is already
                 // final. Stride w reads, as in the launch-per-stage kernel.
-                gs.read_strided(grid.addr(r0, c0 - 1), grid.cols, &mut left, &mut ctx.rec);
+                gs.read_strided(grid.addr(r0, c0 - 1), grid.cols, &mut f.left, &mut ctx.rec);
             } else {
-                left.fill(T::ZERO);
+                f.left.fill(T::ZERO);
             }
             // The corner lies in the bottom row of block (bi−1, bj−1),
             // whose slot this resident acquired one tile ago.
-            let corner = if bi > 0 && bj > 0 {
+            f.corner = if bi > 0 && bj > 0 {
                 gs.read(grid.addr(r0 - 1, c0 - 1), &mut ctx.rec)
             } else {
                 T::ZERO
             };
-            for (i, l) in left.iter().enumerate() {
-                tile.read_row(i, &mut row, &mut ctx.rec);
-                let li = l.sub(corner);
-                for j in 0..w {
-                    row[j] = row[j].add(top[j]).add(li);
-                }
-                gs.write_contig(grid.addr(r0 + i, c0), &row, &mut ctx.rec);
-            }
+            f.emit(ctx, &gs, &tile, grid, (r0, c0), None);
             if bi + 1 < grid.mr {
                 // Release the finished bottom row to the block-row below.
                 flags.publish(
@@ -291,7 +395,7 @@ fn acquire_ready(flags: &HandoffFlags, slot: usize, ctx: &mut BlockCtx<'_>) -> b
 /// reads its left fringe from `M` with one coalesced read. Total: `+rows·mc`
 /// coalesced writes, `−rows·mc` stride reads; every access of the whole
 /// algorithm is now coalesced. The `ablation` benchmark quantifies the
-/// trade.
+/// trade. It is the banded wavefront ([`band_wavefront`]) over one band.
 pub fn sat_1r1w_mirror<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,
@@ -299,65 +403,15 @@ pub fn sat_1r1w_mirror<T: SatElement>(
     rows: usize,
     cols: usize,
 ) {
-    let grid = Grid::new(rows, cols, dev.width());
+    let plan = BandPlan::new(rows, cols, dev.width(), 1);
     assert!(
         a.len() >= rows * cols && s.len() >= rows * cols,
         "buffers too small"
     );
-    let mirror = GlobalBuffer::filled(T::ZERO, grid.mc * rows);
-    for d in 0..grid.diagonals() {
-        one_r1w_stage_mirror(dev, a, s, &mirror, grid, d);
-    }
-}
-
-/// One mirror-variant wavefront stage (see [`sat_1r1w_mirror`]).
-fn one_r1w_stage_mirror<T: SatElement>(
-    dev: &Device,
-    a: &GlobalBuffer<T>,
-    s: &GlobalBuffer<T>,
-    mirror: &GlobalBuffer<T>,
-    grid: Grid,
-    d: usize,
-) {
-    let blocks: Vec<(usize, usize)> = grid.diagonal_blocks(d).collect();
-    let w = grid.w;
-    dev.launch(blocks.len(), |ctx| {
-        let ga = ctx.view(a);
-        let gs = ctx.view(s);
-        let gm = ctx.view(mirror);
-        let (bi, bj) = blocks[ctx.block_id()];
-        let (r0, c0) = grid.origin(bi, bj);
-        let mut tile: SharedTile<T> = default_tile(ctx);
-        load_block(ctx, &ga, grid, bi, bj, &mut tile);
-        tile_sat(ctx, &mut tile);
-        let mut top = vec![T::ZERO; w];
-        if bi > 0 {
-            gs.read_contig(grid.addr(r0 - 1, c0), &mut top, &mut ctx.rec);
-        }
-        let mut left = vec![T::ZERO; w];
-        if bj > 0 {
-            // The mirrored right column of the left neighbour — coalesced.
-            gm.read_contig((bj - 1) * grid.rows + r0, &mut left, &mut ctx.rec);
-        }
-        let corner = if bi > 0 && bj > 0 {
-            gs.read(grid.addr(r0 - 1, c0 - 1), &mut ctx.rec)
-        } else {
-            T::ZERO
-        };
-        let mut row = vec![T::ZERO; w];
-        let mut right_col = vec![T::ZERO; w];
-        for i in 0..w {
-            tile.read_row(i, &mut row, &mut ctx.rec);
-            let li = left[i].sub(corner);
-            for j in 0..w {
-                row[j] = row[j].add(top[j]).add(li);
-            }
-            right_col[i] = row[w - 1];
-            gs.write_contig(grid.addr(r0 + i, c0), &row, &mut ctx.rec);
-        }
-        // Publish this block's right column, transposed — coalesced.
-        gm.write_contig(bj * grid.rows + r0, &right_col, &mut ctx.rec);
-    });
+    // One band has no carry row; the buffer is never read.
+    let carries = GlobalBuffer::filled(T::ZERO, plan.boundary_len());
+    let mirror = GlobalBuffer::filled(T::ZERO, plan.mirror_len());
+    band_wavefront(dev, a, s, &carries, &mirror, &plan, 0);
 }
 
 #[cfg(test)]
@@ -365,6 +419,7 @@ mod tests {
     use super::*;
     use gpu_exec::{BlockOrder, Device, DeviceOptions};
     use hmm_model::MachineConfig;
+    use hmm_sim::AsyncHmm;
 
     use crate::fixtures::{fig3_input, fig3_sat, FIG_BLOCK_WIDTH};
     use crate::matrix::Matrix;
@@ -684,5 +739,115 @@ mod tests {
         let sb = GlobalBuffer::from_vec_checked(vec![0i64; n * n]);
         sat_1r1w(&dev, &ab, &sb, n, n);
         assert_eq!(sb.into_vec(), sat_reference(&a).into_vec());
+    }
+
+    fn images(batch: usize, rows: usize, cols: usize) -> Vec<Matrix<i64>> {
+        (0..batch)
+            .map(|k| {
+                Matrix::from_fn(rows, cols, |i, j| {
+                    ((i * 31 + j * 7 + k * 13) % 29) as i64 - 14
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_matches_per_image_results() {
+        let (w, rows, cols) = (4usize, 16usize, 24usize);
+        let d = dev(w);
+        let imgs = images(5, rows, cols);
+        let ins: Vec<GlobalBuffer<i64>> = imgs
+            .iter()
+            .map(|m| GlobalBuffer::from_vec(m.as_slice().to_vec()))
+            .collect();
+        let outs: Vec<GlobalBuffer<i64>> = (0..5)
+            .map(|_| GlobalBuffer::filled(0i64, rows * cols))
+            .collect();
+        sat_1r1w_batch(
+            &d,
+            &ins.iter().collect::<Vec<_>>(),
+            &outs.iter().collect::<Vec<_>>(),
+            rows,
+            cols,
+        );
+        for (img, out) in imgs.iter().zip(outs) {
+            assert_eq!(out.into_vec(), sat_reference(img).into_vec());
+        }
+    }
+
+    #[test]
+    fn launch_count_is_batch_independent() {
+        let (w, n) = (4usize, 16usize);
+        let m = n / w;
+        for batch in [1usize, 4, 8] {
+            let d = dev(w);
+            let imgs = images(batch, n, n);
+            let ins: Vec<GlobalBuffer<i64>> = imgs
+                .iter()
+                .map(|mx| GlobalBuffer::from_vec(mx.as_slice().to_vec()))
+                .collect();
+            let outs: Vec<GlobalBuffer<i64>> = (0..batch)
+                .map(|_| GlobalBuffer::filled(0i64, n * n))
+                .collect();
+            d.reset_stats();
+            sat_1r1w_batch(
+                &d,
+                &ins.iter().collect::<Vec<_>>(),
+                &outs.iter().collect::<Vec<_>>(),
+                n,
+                n,
+            );
+            assert_eq!(d.launches() as usize, 2 * m - 1, "batch={batch}");
+        }
+    }
+
+    #[test]
+    fn batching_hides_latency_in_simulation() {
+        // Simulated time per image must drop with batching: the fused
+        // corner stages finally have enough blocks to fill the pipeline.
+        let (w, n) = (8usize, 64usize);
+        let cfg = MachineConfig::with_width(w).latency(200).num_dmms(64);
+        let mut per_image = Vec::new();
+        for batch in [1usize, 8] {
+            let d = Device::new(DeviceOptions::new(cfg).workers(0).record_trace(true));
+            let imgs = images(batch, n, n);
+            let ins: Vec<GlobalBuffer<i64>> = imgs
+                .iter()
+                .map(|mx| GlobalBuffer::from_vec(mx.as_slice().to_vec()))
+                .collect();
+            let outs: Vec<GlobalBuffer<i64>> = (0..batch)
+                .map(|_| GlobalBuffer::filled(0i64, n * n))
+                .collect();
+            sat_1r1w_batch(
+                &d,
+                &ins.iter().collect::<Vec<_>>(),
+                &outs.iter().collect::<Vec<_>>(),
+                n,
+                n,
+            );
+            let sim = AsyncHmm::new(cfg).simulate(&d.take_trace());
+            per_image.push(sim.total_time as f64 / batch as f64);
+        }
+        assert!(
+            per_image[1] < per_image[0] * 0.7,
+            "batched {} vs single {} time units per image",
+            per_image[1],
+            per_image[0]
+        );
+    }
+
+    #[test]
+    fn empty_batch_is_noop() {
+        let d = dev(4);
+        sat_1r1w_batch::<i64>(&d, &[], &[], 8, 8);
+        assert_eq!(d.launches(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one output per input")]
+    fn mismatched_batch_rejected() {
+        let d = dev(4);
+        let a = GlobalBuffer::filled(0i64, 64);
+        sat_1r1w_batch(&d, &[&a], &[], 8, 8);
     }
 }

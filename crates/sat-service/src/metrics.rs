@@ -52,7 +52,6 @@ const DEGRADED: &str = "sat_service_degraded_total";
 const VERIFICATIONS: &str = "sat_service_verifications_total";
 const BREAKER_TRANSITIONS: &str = "sat_service_breaker_transitions_total";
 const CANARY_PROBES: &str = "sat_service_canary_probes_total";
-const SHARD_TASKS: &str = "sat_service_shard_tasks_total";
 const SHARD_FAILOVERS: &str = "sat_service_shard_failovers_total";
 const SHARDS_LOST: &str = "sat_service_shards_lost_total";
 const SHARD_LAUNCHES: &str = "sat_service_shard_launches_total";
@@ -63,7 +62,7 @@ const SLO_ATTAINMENT: &str = "sat_service_slo_attainment_ratio";
 const SLO_BURN: &str = "sat_service_slo_error_budget_burn";
 
 /// Every family registered above.
-pub(crate) const FAMILIES: [&str; 21] = [
+pub(crate) const FAMILIES: [&str; 20] = [
     SUBMITTED,
     COMPLETED,
     REJECTED,
@@ -76,7 +75,6 @@ pub(crate) const FAMILIES: [&str; 21] = [
     VERIFICATIONS,
     BREAKER_TRANSITIONS,
     CANARY_PROBES,
-    SHARD_TASKS,
     SHARD_FAILOVERS,
     SHARDS_LOST,
     SHARD_LAUNCHES,
@@ -144,8 +142,6 @@ struct Counters {
     breaker_half_open: Counter,
     breaker_closed: Counter,
     canaries: Counter,
-    shard_tasks_ok: Counter,
-    shard_tasks_failed: Counter,
     shard_failovers: Counter,
     shards_lost: Counter,
 }
@@ -204,8 +200,6 @@ impl Metrics {
             breaker_half_open: counter(BREAKER_TRANSITIONS, "to", "half_open"),
             breaker_closed: counter(BREAKER_TRANSITIONS, "to", "closed"),
             canaries: registry.counter(CANARY_PROBES),
-            shard_tasks_ok: counter(SHARD_TASKS, "result", "ok"),
-            shard_tasks_failed: counter(SHARD_TASKS, "result", "failed"),
             shard_failovers: registry.counter(SHARD_FAILOVERS),
             shards_lost: registry.counter(SHARDS_LOST),
         };
@@ -256,15 +250,12 @@ impl Metrics {
     }
 
     /// Record one device attempt: one fleet task run on some shard (a fused
-    /// batch, a band's phase kernel, or a whole image). Counted under both
-    /// the attempt and the shard-task families.
+    /// batch, a band's phase kernel, or a whole image).
     pub(crate) fn on_attempt(&self, ok: bool) {
         if ok {
             self.c.attempts_ok.inc();
-            self.c.shard_tasks_ok.inc();
         } else {
             self.c.attempts_failed.inc();
-            self.c.shard_tasks_failed.inc();
         }
     }
 
@@ -470,8 +461,6 @@ impl Metrics {
             breaker_closed: self.c.breaker_closed.total(),
             canary_probes: self.c.canaries.total(),
             shards: self.shards() as u64,
-            shard_tasks_ok: self.c.shard_tasks_ok.total(),
-            shard_tasks_failed: self.c.shard_tasks_failed.total(),
             shard_failovers: self.c.shard_failovers.total(),
             shards_lost: self.c.shards_lost.total(),
             shard_launches: self.shard_launches.iter().map(Counter::total).collect(),
@@ -554,14 +543,6 @@ pub struct ServiceStats {
     pub canary_probes: u64,
     /// Device shards the service was configured with (1 = single device).
     pub shards: u64,
-    /// Fleet tasks (fused batches, band phase kernels, or whole images on
-    /// non-banded algorithms) that completed cleanly on some shard; equal
-    /// to [`attempts_ok`](Self::attempts_ok).
-    pub shard_tasks_ok: u64,
-    /// Fleet tasks whose attempt failed on a shard (requeued for the
-    /// survivors or retried); equal to
-    /// [`attempts_failed`](Self::attempts_failed).
-    pub shard_tasks_failed: u64,
     /// Times an open shard's remaining tasks were resharded onto the
     /// surviving shards.
     pub shard_failovers: u64,
@@ -852,8 +833,8 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.shards, 3);
         assert_eq!(s.breaker_opened, 3);
-        assert_eq!(s.shard_tasks_ok, 1);
-        assert_eq!(s.shard_tasks_failed, 1);
+        assert_eq!(s.attempts_ok, 1);
+        assert_eq!(s.attempts_failed, 1);
         assert_eq!(s.shard_failovers, 1);
         assert_eq!(s.shards_lost, 1);
         assert_eq!(s.shard_launches, vec![0, 0, 7]);

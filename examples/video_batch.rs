@@ -32,11 +32,15 @@ fn main() {
 
     // One frame at a time.
     let dev = Device::new(DeviceOptions::new(cfg).workers(0).record_trace(true));
-    for f in &frames {
-        let a = GlobalBuffer::from_vec(f.as_slice().to_vec());
-        let s = GlobalBuffer::filled(0.0f64, rows * cols);
-        sat_1r1w(&dev, &a, &s, rows, cols);
-    }
+    let staged: Vec<Vec<f64>> = frames
+        .iter()
+        .map(|f| {
+            let a = GlobalBuffer::from_vec(f.as_slice().to_vec());
+            let s = GlobalBuffer::filled(0.0f64, rows * cols);
+            sat_1r1w(&dev, &a, &s, rows, cols);
+            s.into_vec()
+        })
+        .collect();
     let seq_launches = dev.launches();
     let seq_time = AsyncHmm::new(cfg).simulate(&dev.take_trace()).total_time;
 
@@ -59,12 +63,18 @@ fn main() {
     let batch_launches = dev.launches();
     let batch_time = AsyncHmm::new(cfg).simulate(&dev.take_trace()).total_time;
 
-    // Verify a couple of outputs while we are here (float tolerance:
-    // different summation orders round differently).
-    for (k, out) in outs.into_iter().enumerate().take(2) {
-        let want = sat_reference(&frames[k]);
-        let got = Matrix::from_vec(rows, cols, out.into_vec());
-        let diff = got.max_abs_diff(&want);
+    // Verify every frame: both strategies run the same per-block arithmetic,
+    // so they agree bit for bit, and they match the sequential reference
+    // (float tolerance: different summation orders round differently).
+    for (k, (out, one)) in outs.into_iter().zip(staged).enumerate() {
+        let got = out.into_vec();
+        assert!(
+            got.iter()
+                .zip(&one)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "frame {k}: batched and one-at-a-time results differ"
+        );
+        let diff = Matrix::from_vec(rows, cols, got).max_abs_diff(&sat_reference(&frames[k]));
         assert!(diff < 1e-6, "frame {k}: max diff {diff}");
     }
 

@@ -81,6 +81,10 @@ echo "== svcprobe (telemetry listener over plain TCP: /metrics byte-identity,"
 echo "   exposition + exemplar syntax, /healthz JSON, /debug/flight, shutdown)"
 cargo run --release -q -p sat-bench --bin svcprobe
 
+echo "== video_batch example (staged and batch-fused 1R1W through the simulator:"
+echo "   bit-equal to each other and within tolerance of the reference)"
+cargo run --release -q --example video_batch
+
 echo "== satlint over a traced service batch"
 cargo run --release -q -p sat-bench --bin satlint -- --n 64 --batch 8
 
