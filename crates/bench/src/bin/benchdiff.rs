@@ -62,7 +62,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use gpu_exec::{Device, DeviceFleet, DeviceOptions, FaultPlan, FleetOptions};
+use gpu_exec::{Device, DeviceFleet, DeviceOptions, FaultPlan, FleetOptions, LaunchContext};
 use hmm_model::cost::{CostCounters, GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use obs::json::JsonValue;
@@ -421,7 +421,10 @@ fn conformance_pass(
                     .observer(obs.clone())
                     .conformance(tracker.clone()),
             );
-            dev.set_conformance_cell(Some(label.clone()));
+            dev.set_launch_context(Some(LaunchContext {
+                cell: Some(label.clone()),
+                ..LaunchContext::default()
+            }));
             for _ in 0..20 {
                 let launches_before = dev.launches();
                 let tick = Instant::now();
@@ -457,7 +460,10 @@ fn conformance_pass(
                 .conformance(tracker.clone())
                 .fault_plan(plan),
         );
-        dev.set_conformance_cell(Some(label.clone()));
+        dev.set_launch_context(Some(LaunchContext {
+            cell: Some(label.clone()),
+            ..LaunchContext::default()
+        }));
         let (_, run) = cells_for(n)
             .into_iter()
             .find(|(c, _)| c == name)

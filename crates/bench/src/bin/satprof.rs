@@ -49,7 +49,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use gpu_exec::{Device, DeviceOptions};
+use gpu_exec::{Device, DeviceOptions, LaunchContext};
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use hmm_sim::{export_sim_timeline, trace_and_simulate};
@@ -233,9 +233,10 @@ fn profile_algorithm(
         opts = opts.conformance(t.clone());
     }
     let dev = Device::new(opts);
-    if tracker.is_some() {
-        dev.set_conformance_cell(Some(obs::conformance::cell_label(alg.name(), n, n)));
-    }
+    dev.set_launch_context(Some(LaunchContext {
+        cell: Some(obs::conformance::cell_label(alg.name(), n, n)),
+        ..LaunchContext::default()
+    }));
     let (coal_before, stride_before) = device_counter_totals(registry);
     // The trace is shared across algorithms; remember how many launch rows
     // it already holds so this algorithm's attribution covers only its own.
@@ -368,9 +369,10 @@ fn profile_persistent(
         opts = opts.conformance(t.clone());
     }
     let dev = Device::new(opts);
-    if tracker.is_some() {
-        dev.set_conformance_cell(Some(obs::conformance::cell_label(NAME, n, n)));
-    }
+    dev.set_launch_context(Some(LaunchContext {
+        cell: Some(obs::conformance::cell_label(NAME, n, n)),
+        ..LaunchContext::default()
+    }));
     let (coal_before, stride_before) = device_counter_totals(registry);
     let rows_before = attribution_from_trace(obs, model).rows.len();
     let mut guard = obs.span(Track::wall(0), NAME);

@@ -376,7 +376,8 @@ pub fn unknown_families(text: &str) -> Vec<String> {
     out
 }
 
-/// Write records as JSON lines if `--json PATH` was given.
+/// Write records as JSON lines if `--json PATH` was given; an unwritable
+/// path is reported on stderr and exits 2, like a bad flag value.
 pub fn maybe_write_json<T: Serialize>(args: &[String], records: &[T]) {
     if let Some(path) = flag_value(args, "--json") {
         let mut out = String::new();
@@ -384,7 +385,10 @@ pub fn maybe_write_json<T: Serialize>(args: &[String], records: &[T]) {
             out.push_str(&serde_json::to_string(r).expect("serializable record"));
             out.push('\n');
         }
-        std::fs::write(&path, out).expect("writing JSON output");
+        if let Err(e) = std::fs::write(&path, out) {
+            eprintln!("error: cannot write JSON output to {path}: {e}");
+            std::process::exit(2);
+        }
         eprintln!("wrote {} records to {path}", records.len());
     }
 }

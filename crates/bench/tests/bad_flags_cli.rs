@@ -38,6 +38,16 @@ fn bench_bins_reject_unparsable_flag_values() {
 }
 
 #[test]
+fn unwritable_json_path_fails_cleanly() {
+    check_bad_flag(
+        "table1",
+        env!("CARGO_BIN_EXE_table1"),
+        &["--json", "/nonexistent-dir/x.json"],
+        "/nonexistent-dir/x.json",
+    );
+}
+
+#[test]
 fn satprof_rejects_unknown_algorithm() {
     check_bad_flag(
         "satprof",

@@ -1,7 +1,7 @@
 //! The virtual GPU device: launch machinery, block contexts and statistics.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hmm_model::cost::CostCounters;
 use hmm_model::MachineConfig;
@@ -42,11 +42,6 @@ pub enum BlockOrder {
     Adversarial(u64),
 }
 
-/// Per-block spans fold onto this many wall-clock lanes so huge grids do
-/// not create one Perfetto track per block (the true id stays in the
-/// span's `block` arg).
-const BLOCK_LANES: u32 = 64;
-
 /// Construction options for a [`Device`].
 #[derive(Debug, Clone)]
 pub struct DeviceOptions {
@@ -75,9 +70,6 @@ pub struct DeviceOptions {
     /// args) and maintains `gpu_*` counters in the handle's registry
     /// (implies statistics). Disabled by default — the no-op fast path.
     pub observer: Obs,
-    /// Additionally emit one span per *block* (tid = block id), parented to
-    /// the launch span. Costly for large grids; off by default.
-    pub observe_blocks: bool,
     /// Deterministic fault schedule (see [`FaultPlan`]); `None` (the
     /// default) injects nothing and adds no per-launch work.
     pub fault_plan: Option<FaultPlan>,
@@ -105,7 +97,6 @@ impl DeviceOptions {
             record_addrs: true,
             order: BlockOrder::Forward,
             observer: Obs::disabled(),
-            observe_blocks: false,
             fault_plan: None,
             conformance: None,
             shard: None,
@@ -128,9 +119,6 @@ impl DeviceOptions {
     /// [`DeviceOptions::record_trace`]).
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
-        if on {
-            self.record_stats = true;
-        }
         self
     }
 
@@ -150,17 +138,7 @@ impl DeviceOptions {
     /// Attach an observability handle (see [`DeviceOptions::observer`]).
     /// An enabled handle implies statistics recording.
     pub fn observer(mut self, obs: Obs) -> Self {
-        if obs.is_enabled() {
-            self.record_stats = true;
-        }
         self.observer = obs;
-        self
-    }
-
-    /// Enable or disable per-block spans (see
-    /// [`DeviceOptions::observe_blocks`]).
-    pub fn observe_blocks(mut self, on: bool) -> Self {
-        self.observe_blocks = on;
         self
     }
 
@@ -176,7 +154,6 @@ impl DeviceOptions {
     /// [`DeviceOptions::conformance`]). Implies statistics recording — the
     /// tracker needs the per-launch counter deltas.
     pub fn conformance(mut self, tracker: Conformance) -> Self {
-        self.record_stats = true;
         self.conformance = Some(tracker);
         self
     }
@@ -201,14 +178,6 @@ struct DeviceCounters {
     launch_duration: Histogram,
 }
 
-/// Registry counters for injected faults, one per fault class.
-struct FaultCounters {
-    abort: Counter,
-    loss: Counter,
-    straggler: Counter,
-    corruption: Counter,
-}
-
 /// Cap on the retained fault-event log; beyond it, events still count and
 /// fail launches but are no longer retained for [`Device::take_fault_events`].
 const FAULT_EVENT_CAP: usize = 65_536;
@@ -220,37 +189,36 @@ struct FaultState {
     /// under the launch gate).
     events: Mutex<Vec<FaultEvent>>,
     /// Launches that failed (abort or loss) since construction — the
-    /// device's *fault epoch*. Corruption is silent and does not move it.
+    /// device's *fault epoch*, moved by `FaultState::log`. Corruption is
+    /// silent and does not move it.
     failed_launches: AtomicU64,
     /// Wall-clock loss window state (set at the first triggering launch).
     loss_started: Mutex<Option<Instant>>,
-    counters: Option<FaultCounters>,
+    /// `gpu_fault_injections{kind=…}` counters, indexed by fault class − 1.
+    counters: Option<[Counter; 4]>,
 }
 
 impl FaultState {
     fn log(&self, ev: FaultEvent, obs: &Obs) {
+        let class = match ev {
+            FaultEvent::LaunchAborted { .. } => 1,
+            FaultEvent::DeviceLost { .. } => 2,
+            FaultEvent::Straggler { .. } => 3,
+            FaultEvent::Corrupted { .. } => 4,
+        };
         if let Some(c) = &self.counters {
-            match ev {
-                FaultEvent::LaunchAborted { .. } => c.abort.inc(),
-                FaultEvent::DeviceLost { .. } => c.loss.inc(),
-                FaultEvent::Straggler { .. } => c.straggler.inc(),
-                FaultEvent::Corrupted { .. } => c.corruption.inc(),
-            }
+            c[class as usize - 1].inc();
         }
-        if obs.is_enabled() {
-            obs.instant(
-                Track::wall(0),
-                ev.kind(),
-                vec![("launch", ArgValue::from(ev.launch()))],
-            );
-            let class = match ev {
-                FaultEvent::LaunchAborted { .. } => 1,
-                FaultEvent::DeviceLost { .. } => 2,
-                FaultEvent::Straggler { .. } => 3,
-                FaultEvent::Corrupted { .. } => 4,
-            };
-            obs.flight_event(FlightKind::FaultInjected, 0, ev.launch(), class);
+        // Aborts and losses fail their launch and move the fault epoch.
+        if class <= 2 {
+            self.failed_launches.fetch_add(1, Ordering::Relaxed);
         }
+        obs.instant(
+            Track::wall(0),
+            ev.kind(),
+            vec![("launch", ArgValue::from(ev.launch()))],
+        );
+        obs.flight_event(FlightKind::FaultInjected, 0, ev.launch(), class);
         let mut log = self.events.lock();
         if log.len() < FAULT_EVENT_CAP {
             log.push(ev);
@@ -258,26 +226,22 @@ impl FaultState {
     }
 }
 
-/// Request-scoped metadata a serving layer attaches to the launches it is
-/// about to issue ([`Device::set_launch_context`]): the batch id and the
-/// request ids fused into it. While set, every launch span carries the
-/// batch id and a flow point per request, so Perfetto's arrow chain for a
-/// request passes *through* the launches that computed it.
+/// Request-scoped metadata a caller attaches to the launches it is about to
+/// issue ([`Device::set_launch_context`]): the batch id, the request ids
+/// fused into it and the conformance cell. While set, a launch with
+/// requests carries the batch id and first request id as span args and a
+/// flow point per request, so Perfetto's arrow chain for a request passes
+/// *through* the launches that computed it.
 #[derive(Debug, Clone, Default)]
 pub struct LaunchContext {
-    /// The serving layer's batch sequence number.
+    /// The serving layer's batch sequence number (ignored without requests).
     pub batch: u64,
     /// Ids of the requests fused into the batch, in lane order.
     pub requests: Vec<u64>,
-}
-
-/// The per-launch fault decision, fixed under the launch gate before any
-/// block runs so every worker (and the event log) agrees on it.
-struct FaultDecision {
-    lost: bool,
-    aborted: bool,
-    /// `(victim block, nth element store of that block)` to corrupt.
-    corrupt: Option<(usize, u64)>,
+    /// The (algorithm × shape-bucket) conformance cell of the launches (see
+    /// [`obs::conformance::cell_label`]); `None` falls back to a
+    /// mode/grid-derived label. Ignored without an attached tracker.
+    pub cell: Option<String>,
 }
 
 /// A virtual GPU executing kernels with asynchronous-HMM semantics.
@@ -297,7 +261,6 @@ pub struct Device {
     record_addrs: bool,
     order: BlockOrder,
     obs: Obs,
-    observe_blocks: bool,
     counters: Option<DeviceCounters>,
     pool: Pool,
     /// Serializes launches: the worker pool supports one job at a time.
@@ -314,12 +277,9 @@ pub struct Device {
     /// Model-conformance tracker fed once per launch (shared across a
     /// fleet's devices via its inner `Arc`).
     conformance: Option<Conformance>,
-    /// The (algorithm × shape-bucket) cell the next launches belong to
-    /// (serving layer hook, like `launch_ctx`). `None` falls back to a
-    /// mode/grid-derived label.
-    conformance_cell: Mutex<Option<String>>,
-    /// Fleet shard index, appended to cell labels as `@s<shard>`.
-    shard: Option<u64>,
+    /// `@s<shard>` on fleet devices (empty otherwise), appended to every
+    /// conformance cell label.
+    cell_suffix: String,
 }
 
 impl Device {
@@ -350,14 +310,9 @@ impl Device {
                 failed_launches: AtomicU64::new(0),
                 loss_started: Mutex::new(None),
                 counters: opts.observer.registry().map(|reg| {
-                    let kind =
-                        |k| reg.counter(&Registry::labeled(gpu::FAULT_INJECTIONS, &[("kind", k)]));
-                    FaultCounters {
-                        abort: kind("launch_abort"),
-                        loss: kind("device_loss"),
-                        straggler: kind("straggler"),
-                        corruption: kind("corruption"),
-                    }
+                    ["launch_abort", "device_loss", "straggler", "corruption"].map(|k| {
+                        reg.counter(&Registry::labeled(gpu::FAULT_INJECTIONS, &[("kind", k)]))
+                    })
                 }),
             });
         Device {
@@ -367,10 +322,9 @@ impl Device {
                 || opts.observer.is_enabled()
                 || opts.conformance.is_some(),
             record_trace: opts.record_trace,
-            record_addrs: opts.record_addrs,
+            record_addrs: opts.record_trace && opts.record_addrs,
             order: opts.order,
             obs: opts.observer,
-            observe_blocks: opts.observe_blocks,
             counters,
             pool: Pool::new(workers),
             launch_gate: Mutex::new(()),
@@ -381,28 +335,20 @@ impl Device {
             fault,
             launch_ctx: Mutex::new(None),
             conformance: opts.conformance,
-            conformance_cell: Mutex::new(None),
-            shard: opts.shard,
+            cell_suffix: opts.shard.map_or_else(String::new, |s| format!("@s{s}")),
         }
     }
 
-    /// Attach (or with `None` clear) request-scoped launch metadata. Until
-    /// changed, every launch's trace span carries the context's batch id
-    /// and one flow point per request id, linking the serving layer's
-    /// request chain through the device's launches. Callers dispatching
-    /// batches serially set it before the batch's launches and clear it
-    /// after; launches are serialized by the launch gate, so the context
-    /// observed by a launch is the one its dispatcher set.
+    /// Attach (or with `None` clear) launch metadata (see
+    /// [`LaunchContext`]). Until changed, every launch's span carries the
+    /// context's batch id and one flow point per request id, linking the
+    /// serving layer's request chain through the device's launches, and
+    /// its conformance sample lands in the context's cell. Callers
+    /// dispatching batches serially set it before the batch's launches and
+    /// clear it after; launches are serialized by the launch gate, so the
+    /// context observed by a launch is the one its dispatcher set.
     pub fn set_launch_context(&self, ctx: Option<LaunchContext>) {
         *self.launch_ctx.lock() = ctx;
-    }
-
-    /// Attach (or with `None` clear) the conformance cell label for the
-    /// next launches (see [`obs::conformance::cell_label`]). Same
-    /// discipline as [`Device::set_launch_context`]: set before a batch's
-    /// launches, clear after. Ignored without an attached tracker.
-    pub fn set_conformance_cell(&self, cell: Option<String>) {
-        *self.conformance_cell.lock() = cell;
     }
 
     /// The attached model-conformance tracker, if any.
@@ -481,318 +427,198 @@ impl Device {
         self.launch_impl(grid, kernel, true);
     }
 
+    /// One launch, in order: gate, fault decision, schedule, blocks, then
+    /// the launch's one counter delta fanned out to the sinks (device
+    /// stats, registry, launch span, conformance, flight recorder).
     fn launch_impl<F>(&self, grid: usize, kernel: F, persistent: bool)
     where
         F: Fn(&mut BlockCtx<'_>) + Sync,
     {
+        // Gate: one launch at a time. `seq` counts launches since the last
+        // stats reset; the never-reset `launch` keys fault decisions, fault
+        // events and the cumulative barrier counter. The clock is read only
+        // for the sinks that take wall time (duration histogram, conformance).
         let _stream = self.launch_gate.lock();
-        let launch_no = self.launches.fetch_add(1, Ordering::Relaxed);
-        // The never-reset launch index keys fault decisions (and the
-        // cumulative barrier counter below).
-        let fault_no = self.launches_total.fetch_add(1, Ordering::Relaxed);
-        let decision: Option<FaultDecision> = self.fault.as_ref().map(|f| {
-            let lost = f.plan.launch_lost(fault_no, &mut f.loss_started.lock());
-            FaultDecision {
-                lost,
-                aborted: !lost && f.plan.launch_aborts(fault_no),
-                corrupt: if lost {
-                    None
-                } else {
-                    f.plan.corruption(fault_no, grid)
-                },
-            }
-        });
-        let corrupt_hit = AtomicBool::new(false);
+        let started = (self.counters.is_some() || self.conformance.is_some()).then(Instant::now);
+        let seq = self.launches.fetch_add(1, Ordering::Relaxed);
+        let launch = self.launches_total.fetch_add(1, Ordering::Relaxed);
+        let lc = self.launch_ctx.lock().clone().unwrap_or_default();
+        let (stats, trace, addrs) = (self.record_stats, self.record_trace, self.record_addrs);
+        let obs = &self.obs;
+
+        // Fault decision, fixed before any block runs so every worker (and
+        // the event log) agrees on it. `corrupt` is `(victim block, nth
+        // element store of that block)`.
+        let fault = self.fault.as_ref();
+        let plan = fault.map(|f| &f.plan);
+        let lost = fault.is_some_and(|f| f.plan.launch_lost(launch, &mut f.loss_started.lock()));
+        let aborted = !lost && plan.is_some_and(|p| p.launch_aborts(launch));
+        let corrupt = plan
+            .and_then(|p| p.corruption(launch, grid))
+            .filter(|_| !lost);
+        // A block must be able to tell that its launch failed: a persistent
+        // kernel spinning on a handoff whose producer was skipped would
+        // otherwise never return. Also gates buffer poisoning — only writes
+        // made under a failed launch taint a buffer.
+        let failed = lost || aborted;
+        let skips = |b: u64| lost || (aborted && plan.is_some_and(|p| p.skips_block(launch, b)));
+
+        // Schedule: the block permutation, plus adversarial start delays
+        // (only meaningful when blocks actually overlap). Adversarial uses a
+        // distinct stream from Shuffled's, so `Adversarial(s)` and
+        // `Shuffled(s)` explore different permutations of each launch.
+        let (perm, stagger): (Option<Vec<u32>>, _) = match self.order {
+            BlockOrder::Forward => (None, None),
+            BlockOrder::Reverse => (Some((0..grid as u32).rev().collect()), None),
+            BlockOrder::Shuffled(seed) => (Some(permutation(grid, seed ^ seq)), None),
+            BlockOrder::Adversarial(seed) => (
+                Some(permutation(grid, seed ^ seq ^ 0xADE5_A21A_15EE_D000)),
+                (self.pool.extra_workers() > 0).then_some(seed ^ seq),
+            ),
+        };
         // Race-table entries are tagged `(epoch, block)`; the epoch is
         // *process-global* (not per-device) so that concurrent launches on
         // different devices of a fleet touching one checked buffer can
         // never alias each other's tags and report false races.
         static NEXT_LAUNCH_EPOCH: AtomicU64 = AtomicU64::new(1);
         let epoch = NEXT_LAUNCH_EPOCH.fetch_add(1, Ordering::Relaxed);
-        let perm: Option<Vec<u32>> = match self.order {
-            BlockOrder::Forward => None,
-            BlockOrder::Reverse => Some((0..grid as u32).rev().collect()),
-            BlockOrder::Shuffled(seed) => Some(permutation(grid, seed ^ launch_no)),
-            // A distinct stream from Shuffled's, so `Adversarial(s)` and
-            // `Shuffled(s)` explore different permutations of each launch.
-            BlockOrder::Adversarial(seed) => {
-                Some(permutation(grid, seed ^ launch_no ^ 0xADE5_A21A_15EE_D000))
-            }
-        };
-        // Adversarial delays: only meaningful when blocks actually overlap.
-        let stagger_seed = match self.order {
-            BlockOrder::Adversarial(seed) if self.pool.extra_workers() > 0 => {
-                Some(seed ^ launch_no)
-            }
-            _ => None,
-        };
-        let launch_trace: Option<Mutex<LaunchTrace>> = self.record_trace.then(|| {
+
+        if let Some(reg) = obs.registry() {
+            reg.reset_scope();
+        }
+        let mut span = obs.span(Track::wall(0), "launch");
+        span.arg("launch", ArgValue::from(seq));
+        span.arg("grid", ArgValue::from(grid));
+        if persistent {
+            span.arg("mode", ArgValue::from("persistent"));
+        }
+        if let Some(&first) = lc.requests.first() {
+            span.arg("batch", ArgValue::from(lc.batch));
+            span.arg("request", ArgValue::from(first));
+        }
+        let first = lc.requests.first().copied().unwrap_or(0);
+        obs.flight_event(FlightKind::LaunchBegin, first, launch, grid as u64);
+
+        // Blocks: each merges its recorder into the launch-local delta.
+        let delta = Mutex::new(CostCounters::new());
+        let corrupt_hit = AtomicBool::new(false);
+        let launch_trace = trace.then(|| {
             Mutex::new(LaunchTrace {
                 blocks: vec![Vec::new(); grid],
-                addrs: if self.record_addrs {
-                    vec![Vec::new(); grid]
-                } else {
-                    Vec::new()
-                },
-                lost: decision.as_ref().is_some_and(|d| d.lost),
+                addrs: vec![Vec::new(); if addrs { grid } else { 0 }],
+                lost,
             })
         });
-        // Observability: everything below the `is_enabled` branches is the
-        // no-op fast path when no observer (and no conformance tracker) is
-        // attached.
-        let mut launch_span = None;
-        let mut stats_before = None;
-        let mut request_ctx: Option<LaunchContext> = None;
-        let launch_started =
-            (self.obs.is_enabled() || self.conformance.is_some()).then(Instant::now);
-        if self.obs.is_enabled() || self.conformance.is_some() {
-            stats_before = Some(*self.stats.lock());
-        }
-        if self.obs.is_enabled() {
-            request_ctx = self.launch_ctx.lock().clone();
-            if let Some(reg) = self.obs.registry() {
-                reg.reset_scope();
-            }
-            let mut span = self.obs.span(Track::wall(0), "launch");
-            span.arg("launch", ArgValue::from(launch_no));
-            span.arg("grid", ArgValue::from(grid));
-            if persistent {
-                span.arg("mode", ArgValue::from("persistent"));
-            }
-            if let Some(lc) = &request_ctx {
-                span.arg("batch", ArgValue::from(lc.batch));
-                if let Some(&first) = lc.requests.first() {
-                    span.arg("request", ArgValue::from(first));
-                }
-            }
-            let first_request = request_ctx
-                .as_ref()
-                .and_then(|lc| lc.requests.first().copied())
-                .unwrap_or(0);
-            self.obs.flight_event(
-                FlightKind::LaunchBegin,
-                first_request,
-                fault_no,
-                grid as u64,
-            );
-            launch_span = Some(span);
-        }
-        let span_id = launch_span.as_ref().and_then(|s| s.id());
-        let observe_blocks = self.observe_blocks && self.obs.is_enabled();
-        // A block must be able to tell that its launch failed: a persistent
-        // kernel spinning on a handoff whose producer was skipped would
-        // otherwise never return. Also gates buffer poisoning — only writes
-        // made under a failed launch taint a buffer.
-        let launch_failed = decision.as_ref().is_some_and(|d| d.lost || d.aborted);
         let wrapper = |idx: usize| {
-            let block_id = match &perm {
-                None => idx,
-                Some(p) => p[idx] as usize,
-            };
-            if let (Some(f), Some(d)) = (&self.fault, &decision) {
-                if d.lost || (d.aborted && f.plan.skips_block(fault_no, block_id as u64)) {
-                    return; // this block never runs
-                }
-                if f.plan.straggles(fault_no, block_id as u64) {
-                    std::thread::sleep(f.plan.straggler_delay);
-                }
+            let block_id = perm.as_ref().map_or(idx, |p| p[idx] as usize);
+            if skips(block_id as u64) {
+                return; // this block never runs
             }
-            if let Some(seed) = stagger_seed {
-                // Roughly a quarter of the blocks start up to ~40 µs late —
-                // enough to scramble worker interleavings without making
-                // large grids crawl.
-                let h = splitmix64(seed.wrapping_add(block_id as u64));
-                if h % 4 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros((h >> 8) % 40 + 1));
-                }
+            if let Some(p) = plan.filter(|p| p.straggles(launch, block_id as u64)) {
+                std::thread::sleep(p.straggler_delay);
             }
-            let block_start = observe_blocks.then(Instant::now);
+            // Roughly a quarter of the blocks start up to ~40 µs late —
+            // enough to scramble worker interleavings without making large
+            // grids crawl.
+            let h = stagger.map(|seed| splitmix64(seed.wrapping_add(block_id as u64)));
+            if let Some(h) = h.filter(|h| h % 4 == 0) {
+                std::thread::sleep(Duration::from_micros((h >> 8) % 40 + 1));
+            }
             let mut ctx = BlockCtx {
                 dev: self,
                 block_id,
                 epoch,
-                failed: launch_failed,
-                shared_used: 0,
+                failed,
                 tiles_allocated: 0,
-                rec: TxnRecorder::with_options(
-                    self.cfg.width,
-                    self.record_stats,
-                    self.record_trace,
-                    self.record_trace && self.record_addrs,
-                ),
+                rec: TxnRecorder::with_options(self.cfg.width, stats, trace, addrs),
             };
-            if let Some(d) = &decision {
-                if let Some((victim, nth)) = d.corrupt {
-                    if block_id == victim {
-                        ctx.rec.arm_corruption(nth);
-                    }
-                }
+            if let Some((_, nth)) = corrupt.filter(|&(victim, _)| victim == block_id) {
+                ctx.rec.arm_corruption(nth);
             }
             kernel(&mut ctx);
             if ctx.rec.corruption_hit() {
                 corrupt_hit.store(true, Ordering::Relaxed);
             }
-            if self.record_stats {
-                self.stats.lock().merge_parallel(&ctx.rec.take());
+            if stats {
+                delta.lock().merge_parallel(&ctx.rec.take());
             }
             if let Some(lt) = &launch_trace {
                 let mut lt = lt.lock();
                 lt.blocks[block_id] = ctx.rec.take_trace();
-                if self.record_addrs {
+                if addrs {
                     lt.addrs[block_id] = ctx.rec.take_addrs();
                 }
-            }
-            if let Some(start) = block_start {
-                self.obs.wall_span_at(
-                    Track::wall(1 + (block_id as u32 % BLOCK_LANES)),
-                    "block",
-                    start,
-                    Instant::now(),
-                    span_id,
-                    vec![("block", ArgValue::from(block_id))],
-                );
             }
         };
         self.pool.run(grid, &wrapper);
         if let Some(lt) = launch_trace {
             self.trace.lock().launches.push(lt.into_inner());
         }
-        if let (Some(f), Some(d)) = (&self.fault, &decision) {
+        let delta = delta.into_inner();
+        self.stats.lock().merge_parallel(&delta);
+
+        if let Some(f) = fault {
             // All events are logged here, on the launching thread, in a
             // canonical order (failure, stragglers by block, corruption) so
             // the log is identical across runs regardless of worker timing.
-            if d.lost {
-                f.log(FaultEvent::DeviceLost { launch: fault_no }, &self.obs);
-                f.failed_launches.fetch_add(1, Ordering::Relaxed);
-            } else {
-                if d.aborted {
-                    let skipped = (0..grid as u64)
-                        .filter(|&b| f.plan.skips_block(fault_no, b))
-                        .count() as u64;
-                    f.log(
-                        FaultEvent::LaunchAborted {
-                            launch: fault_no,
-                            skipped,
-                        },
-                        &self.obs,
-                    );
-                    f.failed_launches.fetch_add(1, Ordering::Relaxed);
-                }
-                if f.plan.straggler_p > 0.0 {
-                    for b in 0..grid as u64 {
-                        let skipped = d.aborted && f.plan.skips_block(fault_no, b);
-                        if !skipped && f.plan.straggles(fault_no, b) {
-                            f.log(
-                                FaultEvent::Straggler {
-                                    launch: fault_no,
-                                    block: b,
-                                },
-                                &self.obs,
-                            );
-                        }
-                    }
-                }
-                if corrupt_hit.load(Ordering::Relaxed) {
-                    let (victim, _) = d.corrupt.expect("hit implies armed");
-                    f.log(
-                        FaultEvent::Corrupted {
-                            launch: fault_no,
-                            block: victim as u64,
-                        },
-                        &self.obs,
-                    );
-                }
-            }
+            let blocks = 0..grid as u64;
+            let skipped = blocks.clone().filter(|&b| skips(b)).count() as u64;
+            let lost_ev = lost.then_some(FaultEvent::DeviceLost { launch });
+            let aborted_ev = aborted.then_some(FaultEvent::LaunchAborted { launch, skipped });
+            let stragglers = blocks
+                .filter(|&b| !skips(b) && f.plan.straggles(launch, b))
+                .map(|block| FaultEvent::Straggler { launch, block });
+            let corrupted = corrupt
+                .filter(|_| corrupt_hit.into_inner())
+                .map(|(victim, _)| victim as u64)
+                .map(|block| FaultEvent::Corrupted { launch, block });
+            let events = lost_ev.into_iter().chain(aborted_ev).chain(stragglers);
+            events.chain(corrupted).for_each(|ev| f.log(ev, obs));
         }
-        let mut launch_deltas = None;
-        if let Some(before) = stats_before {
-            let after = *self.stats.lock();
-            let coalesced = after.coalesced_ops() - before.coalesced_ops();
-            let stride = after.stride_ops() - before.stride_ops();
-            let stages = after.global_stages - before.global_stages;
-            launch_deltas = Some((coalesced, stride, stages));
-            if let Some(c) = &self.counters {
-                c.coalesced_ops.add(coalesced);
-                c.stride_ops.add(stride);
-                c.global_stages.add(stages);
-                c.handoff_publishes
-                    .add(after.handoff_publishes - before.handoff_publishes);
-                c.handoff_acquires
-                    .add(after.handoff_acquires - before.handoff_acquires);
-                c.launches.inc();
-                if fault_no > 0 {
-                    c.barrier_steps.inc();
-                }
-            }
-            if let Some(span) = &mut launch_span {
-                span.arg("coalesced_ops", ArgValue::from(coalesced));
-                span.arg("stride_ops", ArgValue::from(stride));
-                span.arg("global_stages", ArgValue::from(stages));
-            }
-        }
-        let launch_elapsed = launch_started.map(|s| s.elapsed());
-        if let (Some(elapsed), Some(c)) = (launch_elapsed, &self.counters) {
+
+        // The one delta fans out to the registry, the span and conformance.
+        let elapsed = started.map_or(Duration::ZERO, |s| s.elapsed());
+        if let Some(c) = &self.counters {
+            c.coalesced_ops.add(delta.coalesced_ops());
+            c.stride_ops.add(delta.stride_ops());
+            c.global_stages.add(delta.global_stages);
+            c.handoff_publishes.add(delta.handoff_publishes);
+            c.handoff_acquires.add(delta.handoff_acquires);
+            c.launches.inc();
+            c.barrier_steps.add(u64::from(launch > 0));
             c.launch_duration.observe_duration(elapsed);
         }
-        if let (Some(conf), Some(elapsed), Some((coalesced, stride, stages))) =
-            (&self.conformance, launch_elapsed, launch_deltas)
-        {
-            let mut cell = self.conformance_cell.lock().clone().unwrap_or_else(|| {
-                // Unlabeled launches still get a stable mode/grid bucket.
-                format!(
-                    "{}/g{}",
-                    if persistent { "persistent" } else { "launch" },
-                    grid.max(1).next_power_of_two()
-                )
-            });
-            if let Some(s) = self.shard {
-                cell.push_str(&format!("@s{s}"));
-            }
+        span.arg("coalesced_ops", ArgValue::from(delta.coalesced_ops()));
+        span.arg("stride_ops", ArgValue::from(delta.stride_ops()));
+        span.arg("global_stages", ArgValue::from(delta.global_stages));
+        if let Some(conf) = &self.conformance {
+            // Unlabeled launches still get a stable mode/grid bucket.
+            let mode = if persistent { "persistent" } else { "launch" };
+            let bucket = grid.max(1).next_power_of_two();
+            let cell = lc.cell.unwrap_or_else(|| format!("{mode}/g{bucket}")) + &self.cell_suffix;
             conf.ingest(LaunchSample {
                 cell,
-                coalesced_ops: coalesced,
-                stride_ops: stride,
-                global_stages: stages,
+                coalesced_ops: delta.coalesced_ops(),
+                stride_ops: delta.stride_ops(),
+                global_stages: delta.global_stages,
                 wall_seconds: elapsed.as_secs_f64(),
             });
-            if self.obs.is_enabled() {
-                for alert in conf.take_new_alerts() {
-                    // The cell label lives in the conformance report; the
-                    // flight breadcrumb carries the ratio (ppm) and sample
-                    // count.
-                    let ratio_ppm = if alert.ratio.is_finite() && alert.ratio > 0.0 {
-                        (alert.ratio * 1e6) as u64
-                    } else {
-                        0
-                    };
-                    self.obs
-                        .flight_event(FlightKind::DriftAlert, 0, ratio_ppm, alert.samples);
-                }
+            for alert in conf.take_new_alerts() {
+                // The cell label lives in the conformance report; the flight
+                // breadcrumb carries the ratio (ppm) and sample count.
+                let ppm = (alert.ratio * 1e6) as u64;
+                obs.flight_event(FlightKind::DriftAlert, 0, ppm, alert.samples);
             }
         }
-        if self.obs.is_enabled() {
-            // Flow points for every request the batch carries, emitted while
-            // the launch span is still open so they anchor *inside* it —
-            // Perfetto then routes each request's arrow chain through this
-            // launch. Dropped after, the span guard records the slice.
+        // Flow points for every request the batch carries, stamped while
+        // the launch span is still open so they anchor *inside* it —
+        // Perfetto then routes each request's arrow chain through this
+        // launch. Dropped after, the span guard records the slice.
+        for &rid in &lc.requests {
             let now = Instant::now();
-            if let Some(lc) = &request_ctx {
-                for &rid in &lc.requests {
-                    self.obs
-                        .flow_wall(Track::wall(0), "request", FlowPhase::Step, rid, now);
-                }
-            }
-            let first_request = request_ctx
-                .as_ref()
-                .and_then(|lc| lc.requests.first().copied())
-                .unwrap_or(0);
-            self.obs.flight_event(
-                FlightKind::LaunchEnd,
-                first_request,
-                fault_no,
-                launch_failed as u64,
-            );
+            obs.flow_wall(Track::wall(0), "request", FlowPhase::Step, rid, now);
         }
+        obs.flight_event(FlightKind::LaunchEnd, first, launch, failed as u64);
     }
 
     /// Reset the accumulated statistics (typically before timing a run).
@@ -865,7 +691,6 @@ pub struct BlockCtx<'a> {
     block_id: usize,
     epoch: u64,
     failed: bool,
-    shared_used: usize,
     tiles_allocated: u32,
     /// The block's transaction recorder. Pass `ctx.rec()` (or borrow this
     /// field) to every memory accessor.
@@ -913,17 +738,15 @@ impl<'a> BlockCtx<'a> {
     /// models.
     pub fn shared_tile<T: Copy + Default>(&mut self, layout: TileLayout) -> SharedTile<T> {
         let w = self.dev.cfg.width;
-        let words = w * w;
-        self.shared_used += words;
-        assert!(
-            self.shared_used <= self.dev.cfg.shared_capacity,
-            "block {} exceeded shared memory capacity: {} words used, {} available",
-            self.block_id,
-            self.shared_used,
-            self.dev.cfg.shared_capacity
-        );
         let id = self.tiles_allocated;
         self.tiles_allocated += 1;
+        let used = self.tiles_allocated as usize * w * w;
+        assert!(
+            used <= self.dev.cfg.shared_capacity,
+            "block {} exceeded shared memory capacity: {used} words used, {} available",
+            self.block_id,
+            self.dev.cfg.shared_capacity
+        );
         SharedTile::new(w, layout, id)
     }
 }
@@ -1162,7 +985,10 @@ mod tests {
                 .conformance(tracker.clone()),
         );
         let buf = GlobalBuffer::filled(1.0f64, 64);
-        dev.set_conformance_cell(Some(cell_label("1r1w", 8, 8)));
+        dev.set_launch_context(Some(LaunchContext {
+            cell: Some(cell_label("1r1w", 8, 8)),
+            ..LaunchContext::default()
+        }));
         for i in 0..4usize {
             // Vary the grid so C varies launch to launch.
             dev.launch(2 + i * 2, |ctx| {
@@ -1173,7 +999,7 @@ mod tests {
                 g.write_contig(base, &v, ctx.rec());
             });
         }
-        dev.set_conformance_cell(None);
+        dev.set_launch_context(None);
         dev.launch(2, |ctx| {
             let g = ctx.view(&buf);
             let mut v = [0.0; 4];
@@ -1233,7 +1059,10 @@ mod tests {
         );
         let buf = GlobalBuffer::filled(1.0f64, 64);
         let cell = "drifting/64x64";
-        dev.set_conformance_cell(Some(cell.to_string()));
+        dev.set_launch_context(Some(LaunchContext {
+            cell: Some(cell.to_string()),
+            ..LaunchContext::default()
+        }));
         let run = |dev: &Device| {
             dev.launch(2, |ctx| {
                 let g = ctx.view(&buf);
@@ -1277,14 +1106,13 @@ mod tests {
     }
 
     #[test]
-    fn observer_implies_stats_and_block_spans_parent_to_launch() {
+    fn observer_implies_stats_and_one_span_per_launch() {
         let obs = Obs::new();
         let dev = Device::new(
             DeviceOptions::new(MachineConfig::with_width(4))
                 .workers(2)
                 .record_stats(false)
-                .observer(obs.clone())
-                .observe_blocks(true),
+                .observer(obs.clone()),
         );
         let buf = GlobalBuffer::filled(1u32, 16);
         dev.launch(4, |ctx| {
@@ -1294,30 +1122,8 @@ mod tests {
         });
         // The observer forced stats back on.
         assert_eq!(dev.stats().coalesced_reads, 16);
-        // 1 launch span + 4 block spans, each block parented to the launch.
-        assert_eq!(obs.event_count(), 5);
-        let json = obs.trace_json();
-        let v = obs::json::JsonValue::parse(&json).unwrap();
-        let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        let launch_id = events
-            .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("launch"))
-            .and_then(|e| e.get("args").unwrap().get("id").unwrap().as_f64())
-            .unwrap();
-        let block_parents: Vec<f64> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("block"))
-            .map(|e| {
-                e.get("args")
-                    .unwrap()
-                    .get("parent")
-                    .unwrap()
-                    .as_f64()
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(block_parents.len(), 4);
-        assert!(block_parents.iter().all(|&p| p == launch_id));
+        // One launch span and nothing per block.
+        assert_eq!(obs.event_count(), 1);
     }
 
     #[test]
@@ -1329,24 +1135,31 @@ mod tests {
                 .observer(obs.clone()),
         );
         let buf = GlobalBuffer::filled(1u32, 16);
-        dev.set_launch_context(Some(LaunchContext {
-            batch: 9,
-            requests: vec![101, 102],
-        }));
-        dev.launch(4, |ctx| {
-            let g = ctx.view(&buf);
-            let mut v = [0u32; 4];
-            g.read_contig(ctx.block_id() * 4, &mut v, ctx.rec());
-        });
-        dev.set_launch_context(None);
-        dev.launch(4, |ctx| {
-            let g = ctx.view(&buf);
-            let mut v = [0u32; 4];
-            g.read_contig(ctx.block_id() * 4, &mut v, ctx.rec());
-        });
+        // A request context, no context, and a context carrying only a
+        // conformance cell (as the profilers set): the last must look
+        // exactly like no context at all.
+        for ctx in [
+            Some(LaunchContext {
+                batch: 9,
+                requests: vec![101, 102],
+                cell: None,
+            }),
+            None,
+            Some(LaunchContext {
+                cell: Some("1r1w/16x16".to_string()),
+                ..LaunchContext::default()
+            }),
+        ] {
+            dev.set_launch_context(ctx);
+            dev.launch(4, |ctx| {
+                let g = ctx.view(&buf);
+                let mut v = [0u32; 4];
+                g.read_contig(ctx.block_id() * 4, &mut v, ctx.rec());
+            });
+        }
         let json = obs.trace_json();
         let stats = obs::chrome::validate(&json).unwrap();
-        assert_eq!(stats.complete, 2, "two launch spans");
+        assert_eq!(stats.complete, 3, "three launch spans");
         assert_eq!(stats.flows, 2, "one flow point per context request");
         let v = obs::json::JsonValue::parse(&json).unwrap();
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
@@ -1354,12 +1167,15 @@ mod tests {
             .iter()
             .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("launch"))
             .collect();
-        // First launch carries the batch + first request args; the second
-        // (context cleared) carries neither.
+        // First launch carries the batch + first request args; the others
+        // (context cleared, or cell only) carry neither.
         let args0 = launches[0].get("args").unwrap();
         assert_eq!(args0.get("batch").unwrap().as_f64(), Some(9.0));
         assert_eq!(args0.get("request").unwrap().as_f64(), Some(101.0));
-        assert!(launches[1].get("args").unwrap().get("batch").is_none());
+        for l in &launches[1..] {
+            let args = l.get("args").unwrap();
+            assert!(args.get("batch").is_none() && args.get("request").is_none());
+        }
         let flow_ids: Vec<f64> = events
             .iter()
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("t"))
@@ -1373,9 +1189,10 @@ mod tests {
             .iter()
             .filter(|e| e.kind == FlightKind::LaunchBegin)
             .collect();
-        assert_eq!(begins.len(), 2);
+        assert_eq!(begins.len(), 3);
         assert_eq!(begins[0].request, 101);
         assert_eq!(begins[1].request, 0);
+        assert_eq!(begins[2].request, 0);
     }
 
     #[test]

@@ -756,12 +756,10 @@ impl Router<'_> {
 
         let rcfg = &shared.cfg.resilience;
         let launches_before = fleet.launches();
-        for dev in fleet {
-            // One label per dispatch; each shard device appends its own
-            // `@s<i>` suffix, which is what lets the shard-relative drift
-            // channel localize a sick device.
-            dev.set_conformance_cell(Some(cell_label(d.algorithm.name(), rows, cols)));
-        }
+        // One cell label per dispatch; each shard device appends its own
+        // `@s<i>` suffix, which is what lets the shard-relative drift
+        // channel localize a sick device.
+        let cell = cell_label(d.algorithm.name(), rows, cols);
         let mut results: Vec<Option<Matrix<f64>>> = (0..width).map(|_| None).collect();
         let mut degraded: Vec<bool> = vec![false; width];
         let mut pending: Vec<usize> = (0..width).collect();
@@ -786,6 +784,7 @@ impl Router<'_> {
                 dev.set_launch_context(Some(LaunchContext {
                     batch: batch_no,
                     requests: pending.iter().map(|&i| ids[i]).collect(),
+                    cell: Some(cell.clone()),
                 }));
             }
             let out = self.attempt(plan, &images, &pending, &ids);
@@ -834,7 +833,6 @@ impl Router<'_> {
         }
         for dev in fleet {
             dev.set_launch_context(None);
-            dev.set_conformance_cell(None);
         }
 
         let mut issued = 0u64;

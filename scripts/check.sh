@@ -16,6 +16,14 @@ cargo test -q
 echo "== cargo test (workspace)"
 cargo test -q --workspace
 
+echo "== perfbench smoke (the benchmark package lives outside the workspace,"
+echo "   so neither clippy nor the workspace tests compile it: build and run"
+echo "   two short workloads against the current crates)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-mixed --seed 1 --seconds 2 --trace 0
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload paper-mix-256 --seed 1 --seconds 2 --trace 1
+
 echo "== loadgen smoke (serving layer end-to-end; traced run must link at"
 echo "   least one request admit -> batch -> launch -> complete by flow arrows)"
 cargo run --release -q -p sat-bench --bin loadgen -- \
