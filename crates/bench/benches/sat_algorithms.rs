@@ -4,7 +4,7 @@
 //! track the implementation's real cost and catch regressions).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
+use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
 use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use sat_bench::workload;
@@ -31,41 +31,9 @@ fn bench_algorithms(c: &mut Criterion) {
                 continue;
             }
             group.bench_with_input(BenchmarkId::new(alg.name(), n), &input, |b, input| {
-                b.iter(|| match alg {
-                    SatAlgorithm::TwoR2W => {
-                        let buf = GlobalBuffer::from_vec(input.as_slice().to_vec());
-                        par::sat_2r2w(&dev, &buf, n, n);
-                        buf
-                    }
-                    SatAlgorithm::FourR4W => {
-                        let buf = GlobalBuffer::from_vec(input.as_slice().to_vec());
-                        let tmp = GlobalBuffer::filled(0.0f64, n * n);
-                        par::sat_4r4w(&dev, &buf, &tmp, n, n);
-                        buf
-                    }
-                    SatAlgorithm::FourR1W => {
-                        let buf = GlobalBuffer::from_vec(input.as_slice().to_vec());
-                        par::sat_4r1w(&dev, &buf, n, n);
-                        buf
-                    }
-                    SatAlgorithm::TwoR1W => {
-                        let buf = GlobalBuffer::from_vec(input.as_slice().to_vec());
-                        let s = GlobalBuffer::filled(0.0f64, n * n);
-                        par::sat_2r1w(&dev, &buf, &s, n, n);
-                        s
-                    }
-                    SatAlgorithm::OneR1W => {
-                        let buf = GlobalBuffer::from_vec(input.as_slice().to_vec());
-                        let s = GlobalBuffer::filled(0.0f64, n * n);
-                        par::sat_1r1w(&dev, &buf, &s, n, n);
-                        s
-                    }
-                    SatAlgorithm::HybridR1W => {
-                        let buf = GlobalBuffer::from_vec(input.as_slice().to_vec());
-                        let s = GlobalBuffer::filled(0.0f64, n * n);
-                        par::sat_hybrid(&dev, &buf, &s, n, n, 0.5);
-                        s
-                    }
+                b.iter(|| {
+                    let buf = GlobalBuffer::from_vec(input.as_slice().to_vec());
+                    par::sat(&dev, &BufferPool::new(), alg, 0.5, buf, n, n)
                 });
             });
         }

@@ -92,7 +92,7 @@ fn main() {
         let cfg = MachineConfig::with_width(w);
         let gc = GlobalCost::new(cfg);
         let dev = bench_device(cfg);
-        let (s, _) = run_real(&dev, SatAlgorithm::TwoR1W, 0.0, nn);
+        let s = run_real(&dev, SatAlgorithm::TwoR1W, 0.0, nn).counters;
         println!(
             "{:>8} {:>6} {:>8} {:>10}",
             nn,

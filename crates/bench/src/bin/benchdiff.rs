@@ -63,13 +63,13 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use gpu_exec::{Device, DeviceFleet, DeviceOptions, FaultPlan, FleetOptions, LaunchContext};
-use hmm_model::cost::{CostCounters, GlobalCost, SatAlgorithm};
+use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use obs::json::JsonValue;
 use obs::profile::CostModel;
 use obs::Obs;
 use sat_bench::{
-    bench_device, flag_value, parsed_flag, run_fleet_banded, run_persistent, run_real,
+    bench_device, flag_value, parsed_flag, run_fleet_banded, run_persistent, run_real, Run,
 };
 use serde::Serialize;
 
@@ -732,15 +732,15 @@ fn measure_named_cell(
     n: usize,
     runs: usize,
     calibration: f64,
-    run: &dyn Fn(&Device) -> (CostCounters, f64),
+    run: &dyn Fn(&Device) -> Run,
 ) -> PerfEntry {
     let dev = bench_device(cfg);
     let mut walls = Vec::with_capacity(runs);
     let mut stats = None;
     for _ in 0..runs {
-        let (s, secs) = run(&dev);
-        walls.push(secs);
-        stats = Some(s);
+        let r = run(&dev);
+        walls.push(r.seconds);
+        stats = Some(r.counters);
     }
     let stats = stats.expect("runs >= 1");
     walls.sort_by(f64::total_cmp);

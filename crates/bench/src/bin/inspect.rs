@@ -7,11 +7,15 @@
 //! cargo run --release -p sat-bench --bin inspect -- --alg 1r1w --n 256 [--w 16] [--latency 64]
 //! ```
 //!
+//! `--alg` takes any paper algorithm name (any case, or `hybrid`, run at
+//! r = 0.5), `1r1w-mirror` or `kogge-stone`.
+//!
 //! The efficiency column makes the paper's §VII argument visible launch by
 //! launch: wide launches run at ≈ 1 stage/time-unit, while the wavefront's
 //! one-block corner stages crawl at 1/L.
 
-use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
+use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
+use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use hmm_sim::AsyncHmm;
 use sat_bench::{flag_value, parsed_flag, workload};
@@ -27,20 +31,17 @@ fn main() {
     let cfg = MachineConfig::with_width(w).latency(latency).num_dmms(16);
     let dev = Device::new(DeviceOptions::new(cfg).workers(0).record_trace(true));
     let a = GlobalBuffer::from_vec(workload(n).into_vec());
-    let s = GlobalBuffer::filled(0.0f64, n * n);
-    let tmp = GlobalBuffer::filled(0.0f64, n * n);
+    let scratch = || GlobalBuffer::filled(0.0f64, n * n);
     match alg.as_str() {
-        "2r2w" => par::sat_2r2w(&dev, &a, n, n),
-        "4r4w" => par::sat_4r4w(&dev, &a, &tmp, n, n),
-        "2r1w" => par::sat_2r1w(&dev, &a, &s, n, n),
-        "1r1w" => par::sat_1r1w(&dev, &a, &s, n, n),
-        "1r1w-mirror" => par::sat_1r1w_mirror(&dev, &a, &s, n, n),
-        "hybrid" => par::sat_hybrid(&dev, &a, &s, n, n, 0.5),
-        "kogge-stone" => par::sat_kogge_stone(&dev, &a, &tmp, n, n),
-        other => {
-            eprintln!("inspect: unknown --alg {other:?}");
-            std::process::exit(1);
-        }
+        "1r1w-mirror" => par::sat_1r1w_mirror(&dev, &a, &scratch(), n, n),
+        "kogge-stone" => par::sat_kogge_stone(&dev, &a, &scratch(), n, n),
+        name => match name.parse::<SatAlgorithm>() {
+            Ok(paper) => drop(par::sat(&dev, &BufferPool::new(), paper, 0.5, a, n, n)),
+            Err(e) => {
+                eprintln!("inspect: --alg: {e}");
+                std::process::exit(1);
+            }
+        },
     }
     let trace = dev.take_trace();
     let sim = AsyncHmm::new(cfg);

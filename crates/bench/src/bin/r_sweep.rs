@@ -72,7 +72,7 @@ fn main() {
     let mut best = (f64::INFINITY, 0.0);
     for k in 0..=m {
         let r = k as f64 / m as f64;
-        let (s, _) = run_real(&dev, SatAlgorithm::HybridR1W, r, n);
+        let s = run_real(&dev, SatAlgorithm::HybridR1W, r, n).counters;
         let cost = s.global_cost(&cfg);
         if cost < best.0 {
             best = (cost, r);

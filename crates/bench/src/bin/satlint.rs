@@ -27,16 +27,13 @@
 
 use std::process::ExitCode;
 
-use gpu_exec::replay::replay_schedules;
+use gpu_exec::replay::{fingerprint_f64, replay_schedules};
 use gpu_exec::{Device, DeviceOptions};
 use hmm_lint::fixtures::{run_fixture, Fixture};
 use hmm_lint::{analyze_run, KernelContract, Rule, RunAnalysis, SCHEMA_VERSION};
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
-use sat_bench::{
-    maybe_write_json, parsed_flag, run_fingerprint, run_persistent, run_persistent_fingerprint,
-    run_real, workload,
-};
+use sat_bench::{maybe_write_json, parsed_flag, run_persistent, run_real, workload};
 use sat_core::par::sat_1r1w_batch;
 use sat_core::Matrix;
 use serde::{Deserialize, Serialize};
@@ -126,7 +123,7 @@ fn main() -> ExitCode {
                 SatAlgorithm::HybridR1W => GlobalCost::new(cfg).optimal_r(n),
                 _ => 0.0,
             };
-            let (counters, _) = run_real(&dev, alg, r, n);
+            let counters = run_real(&dev, alg, r, n).counters;
             let trace = dev.take_trace();
             let contract = KernelContract::for_algorithm(alg, n, cfg);
             let analysis = analyze_run(&trace, &counters, &cfg, &contract);
@@ -150,7 +147,7 @@ fn main() -> ExitCode {
             if schedules > 0 {
                 let replay = replay_schedules(schedules, seed, |order| {
                     let rdev = Device::new(DeviceOptions::new(cfg).workers(0).order(order));
-                    run_fingerprint(&rdev, alg, r, n)
+                    fingerprint_f64(&run_real(&rdev, alg, r, n).output)
                 });
                 explored = replay.schedules();
                 divergent = replay.divergent.len();
@@ -188,7 +185,7 @@ fn main() -> ExitCode {
     for (label, cfg) in machine_grid() {
         println!("== machine {label}, persistent-block 1R1W ==");
         let dev = Device::new(DeviceOptions::new(cfg).workers(0).record_trace(true));
-        let (counters, _) = run_persistent(&dev, n);
+        let counters = run_persistent(&dev, n).counters;
         let trace = dev.take_trace();
         let contract = KernelContract::for_persistent_1r1w(n, cfg);
         let analysis = analyze_run(&trace, &counters, &cfg, &contract);
@@ -204,7 +201,7 @@ fn main() -> ExitCode {
         if schedules > 0 {
             let replay = replay_schedules(schedules, seed, |order| {
                 let rdev = Device::new(DeviceOptions::new(cfg).workers(3).order(order));
-                run_persistent_fingerprint(&rdev, n)
+                fingerprint_f64(&run_persistent(&rdev, n).output)
             });
             explored = replay.schedules();
             divergent = replay.divergent.len();

@@ -58,12 +58,6 @@ use obs::{ArgValue, Obs, Registry, Track};
 use sat_bench::{flag_value, parsed_flag, run_persistent, run_real, workload};
 use sat_service::{Service, ServiceConfig};
 
-fn algo_by_name(s: &str) -> Option<SatAlgorithm> {
-    SatAlgorithm::ALL
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(s))
-}
-
 /// Sum of the device's registry counters relevant to the C/S/B check.
 fn device_counter_totals(reg: &Registry) -> (u64, u64) {
     let snap = reg.snapshot();
@@ -93,12 +87,12 @@ fn main() -> ExitCode {
     } else if persist_only {
         Vec::new()
     } else {
-        match algo_by_name(&algo_flag) {
-            Some(a) => vec![a],
-            None => {
+        match algo_flag.parse() {
+            Ok(a) => vec![a],
+            Err(_) => {
                 eprintln!(
                     "error: --algo got unknown algorithm {algo_flag:?} \
-                     (expected one of {}, 1r1w-persist or all)",
+                     (expected one of {}, hybrid, 1r1w-persist or all)",
                     SatAlgorithm::ALL.map(|a| a.name()).join(", ")
                 );
                 return ExitCode::from(2);
@@ -243,7 +237,7 @@ fn profile_algorithm(
     let rows_before = attribution_from_trace(obs, model).rows.len();
     let mut guard = obs.span(Track::wall(0), alg.name());
     guard.arg("n", ArgValue::from(n));
-    let (stats, _) = run_real(&dev, alg, r, n);
+    let stats = run_real(&dev, alg, r, n).counters;
     drop(guard);
 
     // The registry's cumulative device counters must agree with the
@@ -377,7 +371,7 @@ fn profile_persistent(
     let rows_before = attribution_from_trace(obs, model).rows.len();
     let mut guard = obs.span(Track::wall(0), NAME);
     guard.arg("n", ArgValue::from(n));
-    let (stats, _) = run_persistent(&dev, n);
+    let stats = run_persistent(&dev, n).counters;
     drop(guard);
 
     let (coal_after, stride_after) = device_counter_totals(registry);

@@ -59,7 +59,8 @@ fn main() {
             );
             continue;
         }
-        let (s, secs) = run_real(&dev, alg, r, n);
+        let run = run_real(&dev, alg, r, n);
+        let s = run.counters;
         let cost = s.global_cost(&cfg);
         println!(
             "{:<11} | {:>13} {:>13.0} | {:>13} {:>13.0} | {:>10} | {:>14.0} {:>14.0}",
@@ -82,7 +83,7 @@ fn main() {
             writes_per_elt: s.writes_per_element(n),
             barriers: s.barrier_steps as f64,
             hybrid_r: r,
-            host_seconds: Some(secs),
+            host_seconds: Some(run.seconds),
         });
     }
 
@@ -100,7 +101,7 @@ fn main() {
         } else {
             0.0
         };
-        let (s, _) = run_real(&dev, alg, r, n);
+        let s = run_real(&dev, alg, r, n).counters;
         let n2 = (n * n) as f64;
         println!(
             "{:<11} {:>8.3} {:>8.3} {:>12.3} {:>12.3}",

@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
+use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
 use hmm_model::cost::{CostCounters, GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use sat_core::{par, seq, Matrix};
@@ -72,100 +72,50 @@ pub fn workload(n: usize) -> Matrix<f64> {
     })
 }
 
-/// Run one algorithm for real on a device, returning its counters and host
-/// wall-clock. The caller supplies fresh input each call.
-pub fn run_real(dev: &Device, alg: SatAlgorithm, r: f64, n: usize) -> (CostCounters, f64) {
+/// One real execution: the device's counters, the host wall-clock of
+/// buffer construction plus the driver (seconds), and the SAT it produced.
+pub struct Run {
+    /// Counters of this run alone (the device is reset first).
+    pub counters: CostCounters,
+    /// Host wall-clock of building the buffers and running the driver;
+    /// reading the output back is not timed.
+    pub seconds: f64,
+    /// The SAT, row-major `n × n`.
+    pub output: Vec<f64>,
+}
+
+/// Run one algorithm for real on a device through [`par::sat`]. The caller
+/// supplies fresh input each call.
+pub fn run_real(dev: &Device, alg: SatAlgorithm, r: f64, n: usize) -> Run {
     let a = workload(n);
     dev.reset_stats();
     let start = Instant::now();
-    match alg {
-        SatAlgorithm::TwoR2W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            par::sat_2r2w(dev, &buf, n, n);
-        }
-        SatAlgorithm::FourR4W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let tmp = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_4r4w(dev, &buf, &tmp, n, n);
-        }
-        SatAlgorithm::FourR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            par::sat_4r1w(dev, &buf, n, n);
-        }
-        SatAlgorithm::TwoR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_2r1w(dev, &buf, &s, n, n);
-        }
-        SatAlgorithm::OneR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_1r1w(dev, &buf, &s, n, n);
-        }
-        SatAlgorithm::HybridR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_hybrid(dev, &buf, &s, n, n, r);
-        }
-    }
-    (dev.stats(), start.elapsed().as_secs_f64())
+    let buf = GlobalBuffer::from_vec(a.into_vec());
+    let s = par::sat(dev, &BufferPool::new(), alg, r, buf, n, n);
+    finish(dev, start, s)
 }
 
-/// Run one algorithm on `dev` and return a bit-exact fingerprint of its SAT
-/// output, for adversarial schedule replay (`satlint --schedules`).
-pub fn run_fingerprint(dev: &Device, alg: SatAlgorithm, r: f64, n: usize) -> u64 {
-    let a = workload(n);
-    let out: Vec<f64> = match alg {
-        SatAlgorithm::TwoR2W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            par::sat_2r2w(dev, &buf, n, n);
-            buf.into_vec()
-        }
-        SatAlgorithm::FourR4W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let tmp = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_4r4w(dev, &buf, &tmp, n, n);
-            buf.into_vec()
-        }
-        SatAlgorithm::FourR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            par::sat_4r1w(dev, &buf, n, n);
-            buf.into_vec()
-        }
-        SatAlgorithm::TwoR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_2r1w(dev, &buf, &s, n, n);
-            s.into_vec()
-        }
-        SatAlgorithm::OneR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_1r1w(dev, &buf, &s, n, n);
-            s.into_vec()
-        }
-        SatAlgorithm::HybridR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_hybrid(dev, &buf, &s, n, n, r);
-            s.into_vec()
-        }
-    };
-    gpu_exec::replay::fingerprint_f64(&out)
-}
-
-/// Run the **persistent-block** 1R1W driver for real, returning its
-/// counters and host wall-clock. Same data movement as
-/// [`SatAlgorithm::OneR1W`] via [`run_real`], but the whole wavefront runs
-/// in a single launch with flagged handoffs instead of launch barriers.
-pub fn run_persistent(dev: &Device, n: usize) -> (CostCounters, f64) {
+/// Run the **persistent-block** 1R1W driver for real. Same data movement
+/// as [`SatAlgorithm::OneR1W`] via [`run_real`], but the whole wavefront
+/// runs in a single launch with flagged handoffs instead of launch
+/// barriers.
+pub fn run_persistent(dev: &Device, n: usize) -> Run {
     let a = workload(n);
     dev.reset_stats();
     let start = Instant::now();
     let buf = GlobalBuffer::from_vec(a.into_vec());
     let s = GlobalBuffer::filled(0.0f64, n * n);
     par::sat_1r1w_persistent(dev, &buf, &s, n, n);
-    (dev.stats(), start.elapsed().as_secs_f64())
+    finish(dev, start, s)
+}
+
+fn finish(dev: &Device, start: Instant, s: GlobalBuffer<f64>) -> Run {
+    let seconds = start.elapsed().as_secs_f64();
+    Run {
+        counters: dev.stats(),
+        seconds,
+        output: s.into_vec(),
+    }
 }
 
 /// Run the **banded** 1R1W decomposition for real across a device fleet
@@ -188,16 +138,6 @@ pub fn run_fleet_banded(fleet: &gpu_exec::DeviceFleet, n: usize) -> (CostCounter
     (fleet.stats(), secs, launches)
 }
 
-/// Bit-exact output fingerprint of the persistent-block 1R1W driver, for
-/// adversarial schedule replay (`satlint --schedules`).
-pub fn run_persistent_fingerprint(dev: &Device, n: usize) -> u64 {
-    let a = workload(n);
-    let buf = GlobalBuffer::from_vec(a.into_vec());
-    let s = GlobalBuffer::filled(0.0f64, n * n);
-    par::sat_1r1w_persistent(dev, &buf, &s, n, n);
-    gpu_exec::replay::fingerprint_f64(&s.into_vec())
-}
-
 /// Produce the record for `(alg, n)`: measured when `n ≤ measured_max`
 /// (4R1W is additionally capped — its `2n − 1` launches are prohibitive),
 /// closed-form otherwise.
@@ -216,7 +156,8 @@ pub fn record_for(
     let four_r1w_cap = 1024;
     let measurable = n <= measured_max && (alg != SatAlgorithm::FourR1W || n <= four_r1w_cap);
     if measurable {
-        let (s, secs) = run_real(dev, alg, r, n);
+        let run = run_real(dev, alg, r, n);
+        let s = run.counters;
         let cost = s.global_cost(&cfg);
         AlgoRecord {
             algorithm: alg.name().to_string(),
@@ -228,7 +169,7 @@ pub fn record_for(
             writes_per_elt: s.writes_per_element(n),
             barriers: s.barrier_steps as f64,
             hybrid_r: r,
-            host_seconds: Some(secs),
+            host_seconds: Some(run.seconds),
         }
     } else {
         let row = gc.table_one_row(alg, n);

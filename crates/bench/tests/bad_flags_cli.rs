@@ -48,13 +48,13 @@ fn unwritable_json_path_fails_cleanly() {
 }
 
 #[test]
-fn satprof_rejects_unknown_algorithm() {
-    check_bad_flag(
-        "satprof",
-        env!("CARGO_BIN_EXE_satprof"),
-        &["--algo", "9r9w"],
-        "9r9w",
-    );
+fn unknown_algorithm_names_are_rejected() {
+    for (bin, exe, flag) in [
+        ("satprof", env!("CARGO_BIN_EXE_satprof"), "--algo"),
+        ("inspect", env!("CARGO_BIN_EXE_inspect"), "--alg"),
+    ] {
+        check_bad_flag(bin, exe, &[flag, "9r9w"], "9r9w");
+    }
 }
 
 #[test]
@@ -101,4 +101,33 @@ fn satprof_rejects_non_block_aligned_size() {
         stderr.contains("multiple of") && !stderr.contains("panicked"),
         "expected a clean validation error, got:\n{stderr}"
     );
+}
+
+#[test]
+fn satprof_and_inspect_accept_the_shared_algorithm_names() {
+    // One parser (`SatAlgorithm: FromStr`) serves satprof, inspect and
+    // satcli: `hybrid` and any-case paper names work everywhere.
+    let trace = format!("{}/satprof_hybrid.json", env!("CARGO_TARGET_TMPDIR"));
+    for (bin, exe, args) in [
+        (
+            "satprof",
+            env!("CARGO_BIN_EXE_satprof"),
+            vec!["--algo", "hybrid", "--n", "64", "--trace", &trace],
+        ),
+        (
+            "inspect",
+            env!("CARGO_BIN_EXE_inspect"),
+            vec!["--alg", "4r1w", "--n", "64", "--w", "8"],
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(&args)
+            .output()
+            .unwrap_or_else(|e| panic!("{bin} runs: {e}"));
+        assert!(
+            out.status.success(),
+            "{bin} {args:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

@@ -61,19 +61,13 @@ pub use rect::{Rect, SumTable};
 use gpu_exec::{BufferPool, Device, GlobalBuffer};
 use hmm_model::cost::SatAlgorithm;
 
-/// Ratio used for [`SatAlgorithm::HybridR1W`] when going through
-/// [`compute_sat`]: the cost model's optimum for the padded size.
-fn default_hybrid_ratio(dev: &Device, n: usize) -> f64 {
-    hmm_model::cost::GlobalCost::new(*dev.config()).optimal_r(n)
-}
-
 /// Compute the SAT of an arbitrary-shaped matrix with the chosen algorithm.
 ///
-/// The input is zero-padded to a square multiple of the device width (the
-/// paper's algorithms assume that shape; padding does not disturb the SAT of
-/// the original region), computed on the device, and cropped back.
-/// [`SatAlgorithm::HybridR1W`] uses the cost model's optimal ratio; use
-/// [`compute_sat_hybrid`] to pick `r` yourself.
+/// The input is zero-padded so each side is a multiple of the device width
+/// (the paper's algorithms assume that shape; padding does not disturb the
+/// SAT of the original region), computed on the device, and cropped back.
+/// [`SatAlgorithm::HybridR1W`] uses the cost model's optimal ratio for the
+/// padded size; use [`compute_sat_hybrid`] to pick `r` yourself.
 pub fn compute_sat<T: SatElement>(
     dev: &Device,
     algorithm: SatAlgorithm,
@@ -82,7 +76,7 @@ pub fn compute_sat<T: SatElement>(
     let r = match algorithm {
         SatAlgorithm::HybridR1W => {
             let (rows, cols) = padded_dims(dev, a);
-            default_hybrid_ratio(dev, rows.max(cols))
+            hmm_model::cost::GlobalCost::new(*dev.config()).optimal_r(rows.max(cols))
         }
         _ => 0.0,
     };
@@ -132,6 +126,72 @@ pub fn compute_sat_batch_with<T: SatElement>(
     pool: &BufferPool<T>,
     images: &[Matrix<T>],
 ) -> Vec<Matrix<T>> {
+    marshal(dev, pool, images, |ins, rows, cols| {
+        let outs: Vec<GlobalBuffer<T>> = ins
+            .iter()
+            .map(|_| pool.checkout_zeroed(rows * cols))
+            .collect();
+        par::sat_1r1w_batch(
+            dev,
+            &ins.iter().collect::<Vec<_>>(),
+            &outs.iter().collect::<Vec<_>>(),
+            rows,
+            cols,
+        );
+        for buf in ins {
+            pool.recycle(buf, true);
+        }
+        outs
+    })
+}
+
+fn padded_dims<T: SatElement>(dev: &Device, a: &Matrix<T>) -> (usize, usize) {
+    let w = dev.width();
+    (
+        a.rows().max(1).next_multiple_of(w),
+        a.cols().max(1).next_multiple_of(w),
+    )
+}
+
+/// One image through [`par::sat`] on call-local pools: nothing outlives
+/// the call.
+fn compute_sat_inner<T: SatElement>(
+    dev: &Device,
+    algorithm: SatAlgorithm,
+    a: &Matrix<T>,
+    r: f64,
+) -> Matrix<T> {
+    let mut sats = marshal(
+        dev,
+        &BufferPool::new(),
+        std::slice::from_ref(a),
+        |ins, rows, cols| {
+            // The spare buffer `par::sat` recycles is freed here, before
+            // the crop allocates the output, so at most two padded buffers
+            // are live at once.
+            let spares = BufferPool::new();
+            ins.into_iter()
+                .map(|buf| par::sat(dev, &spares, algorithm, r, buf, rows, cols))
+                .collect()
+        },
+    );
+    sats.pop().expect("one SAT per image")
+}
+
+/// The one pad-in/crop-out around every device SAT: pad each image straight
+/// into a pooled buffer, let `solve` turn the padded inputs into one result
+/// buffer each, then crop each result straight out of its buffer and
+/// recycle it. `solve` owns the inputs and recycles the ones it does not
+/// return.
+///
+/// `checkout_uninit` hands back stale words from earlier calls, so the pad
+/// region is zeroed explicitly rather than assumed.
+fn marshal<T: SatElement>(
+    dev: &Device,
+    pool: &BufferPool<T>,
+    images: &[Matrix<T>],
+    solve: impl FnOnce(Vec<GlobalBuffer<T>>, usize, usize) -> Vec<GlobalBuffer<T>>,
+) -> Vec<Matrix<T>> {
     let Some(first) = images.first() else {
         return Vec::new();
     };
@@ -144,97 +204,25 @@ pub fn compute_sat_batch_with<T: SatElement>(
         return images.to_vec();
     }
     let (prows, pcols) = padded_dims(dev, first);
-    let ins: Vec<GlobalBuffer<T>> = images
+    let ins = images
         .iter()
         .map(|a| {
-            // Every word is overwritten from the padded image, so an
-            // unspecified-contents checkout is safe here.
             let mut buf = pool.checkout_uninit(prows * pcols);
-            buf.as_mut_slice()
-                .copy_from_slice(a.zero_padded_to(prows, pcols).as_slice());
+            a.pad_into(buf.as_mut_slice(), pcols);
             buf
         })
         .collect();
-    let outs: Vec<GlobalBuffer<T>> = images
-        .iter()
-        .map(|_| pool.checkout_zeroed(prows * pcols))
-        .collect();
-    par::sat_1r1w_batch(
-        dev,
-        &ins.iter().collect::<Vec<_>>(),
-        &outs.iter().collect::<Vec<_>>(),
-        prows,
-        pcols,
-    );
-    let mut outs = outs;
-    let results: Vec<Matrix<T>> = outs
+    let mut outs = solve(ins, prows, pcols);
+    let sats = outs
         .iter_mut()
-        .map(|s| Matrix::from_vec(prows, pcols, s.as_slice().to_vec()).cropped(rows, cols))
+        .map(|s| Matrix::crop_of(s.as_slice(), pcols, rows, cols))
         .collect();
-    for buf in ins.into_iter().chain(outs) {
+    for buf in outs {
         // `clean` from the caller's view — the per-buffer poison flag
         // forces a scrub for exactly the buffers a failed launch wrote.
         pool.recycle(buf, true);
     }
-    results
-}
-
-fn padded_dims<T: SatElement>(dev: &Device, a: &Matrix<T>) -> (usize, usize) {
-    let w = dev.width();
-    (
-        a.rows().max(1).next_multiple_of(w),
-        a.cols().max(1).next_multiple_of(w),
-    )
-}
-
-fn compute_sat_inner<T: SatElement>(
-    dev: &Device,
-    algorithm: SatAlgorithm,
-    a: &Matrix<T>,
-    r: f64,
-) -> Matrix<T> {
-    if a.rows() == 0 || a.cols() == 0 {
-        return a.clone();
-    }
-    let (rows, cols) = padded_dims(dev, a);
-    let padded = a.zero_padded_to(rows, cols);
-    let out = match algorithm {
-        SatAlgorithm::TwoR2W => {
-            let buf = GlobalBuffer::from_vec(padded.into_vec());
-            par::sat_2r2w(dev, &buf, rows, cols);
-            buf.into_vec()
-        }
-        SatAlgorithm::FourR4W => {
-            let buf = GlobalBuffer::from_vec(padded.into_vec());
-            let tmp = GlobalBuffer::filled(T::ZERO, rows * cols);
-            par::sat_4r4w(dev, &buf, &tmp, rows, cols);
-            buf.into_vec()
-        }
-        SatAlgorithm::FourR1W => {
-            let buf = GlobalBuffer::from_vec(padded.into_vec());
-            par::sat_4r1w(dev, &buf, rows, cols);
-            buf.into_vec()
-        }
-        SatAlgorithm::TwoR1W => {
-            let buf = GlobalBuffer::from_vec(padded.into_vec());
-            let s = GlobalBuffer::filled(T::ZERO, rows * cols);
-            par::sat_2r1w(dev, &buf, &s, rows, cols);
-            s.into_vec()
-        }
-        SatAlgorithm::OneR1W => {
-            let buf = GlobalBuffer::from_vec(padded.into_vec());
-            let s = GlobalBuffer::filled(T::ZERO, rows * cols);
-            par::sat_1r1w(dev, &buf, &s, rows, cols);
-            s.into_vec()
-        }
-        SatAlgorithm::HybridR1W => {
-            let buf = GlobalBuffer::from_vec(padded.into_vec());
-            let s = GlobalBuffer::filled(T::ZERO, rows * cols);
-            par::sat_hybrid(dev, &buf, &s, rows, cols, r);
-            s.into_vec()
-        }
-    };
-    Matrix::from_vec(rows, cols, out).cropped(a.rows(), a.cols())
+    sats
 }
 
 #[cfg(test)]
@@ -249,17 +237,83 @@ mod tests {
         Device::new(DeviceOptions::new(MachineConfig::with_width(w)).workers(2))
     }
 
+    /// Each paper driver called by hand on a hand-padded buffer: the
+    /// reference for every dispatch arm's buffer roles and the hybrid's `r`.
+    fn direct_sat<T: SatElement>(dev: &Device, alg: SatAlgorithm, a: &Matrix<T>) -> Matrix<T> {
+        let w = dev.width();
+        let (rows, cols) = (a.rows().next_multiple_of(w), a.cols().next_multiple_of(w));
+        let buf = GlobalBuffer::from_vec(a.zero_padded_to(rows, cols).into_vec());
+        let s = GlobalBuffer::filled(T::ZERO, rows * cols);
+        let r = hmm_model::cost::GlobalCost::new(*dev.config()).optimal_r(rows.max(cols));
+        let out = match alg {
+            SatAlgorithm::TwoR2W => {
+                par::sat_2r2w(dev, &buf, rows, cols);
+                buf
+            }
+            SatAlgorithm::FourR4W => {
+                par::sat_4r4w(dev, &buf, &s, rows, cols);
+                buf
+            }
+            SatAlgorithm::FourR1W => {
+                par::sat_4r1w(dev, &buf, rows, cols);
+                buf
+            }
+            SatAlgorithm::TwoR1W => {
+                par::sat_2r1w(dev, &buf, &s, rows, cols);
+                s
+            }
+            SatAlgorithm::OneR1W => {
+                par::sat_1r1w(dev, &buf, &s, rows, cols);
+                s
+            }
+            SatAlgorithm::HybridR1W => {
+                par::sat_hybrid(dev, &buf, &s, rows, cols, r);
+                s
+            }
+        };
+        Matrix::from_vec(rows, cols, out.into_vec()).cropped(a.rows(), a.cols())
+    }
+
+    /// `compute_sat` equals the reference, and both its output and its
+    /// device counters equal a direct driver call.
+    fn check_dispatch<T: SatElement>(dev: &Device, a: &Matrix<T>) {
+        let want = sat_reference(a);
+        for alg in SatAlgorithm::ALL {
+            let (rows, cols) = (a.rows(), a.cols());
+            dev.reset_stats();
+            let got = compute_sat(dev, alg, a);
+            let via_dispatch = dev.stats();
+            assert_eq!(got, want, "{alg:?} {rows}x{cols}");
+            if rows == 0 || cols == 0 {
+                assert_eq!(dev.launches(), 0, "{alg:?} {rows}x{cols}: no launch");
+                continue;
+            }
+            dev.reset_stats();
+            assert_eq!(direct_sat(dev, alg, a), want, "{alg:?} {rows}x{cols}");
+            assert_eq!(dev.stats(), via_dispatch, "{alg:?} {rows}x{cols} stats");
+        }
+    }
+
     #[test]
     fn all_algorithms_agree_on_padded_shapes() {
         let dev = dev(4);
-        for (rows, cols) in [(1, 1), (5, 3), (9, 9), (17, 20), (32, 32)] {
+        for (rows, cols) in [
+            (1, 1),
+            (5, 3),
+            (9, 9),
+            (17, 20),
+            (32, 32),
+            (1, 9),
+            (9, 1),
+            (0, 5),
+            (5, 0),
+        ] {
             let a = Matrix::from_fn(rows, cols, |i, j| ((i * 3 + j * 7) % 13) as i64 - 6);
-            let want = sat_reference(&a);
-            for alg in SatAlgorithm::ALL {
-                let got = compute_sat(&dev, alg, &a);
-                assert_eq!(got, want, "{alg:?} {rows}x{cols}");
-            }
+            check_dispatch(&dev, &a);
         }
+        // Integer-valued floats sum exactly in any association order.
+        let a = Matrix::from_fn(13, 22, |i, j| ((i * 31 + j * 7) % 97) as f64 - 40.0);
+        check_dispatch(&dev, &a);
     }
 
     #[test]
@@ -363,6 +417,35 @@ mod tests {
         );
         assert_eq!(scrubbed, 0, "no faults, no scrubs");
         assert_eq!(reused, 12, "rounds 2 and 3 reuse round 1's buffers");
+
+        // 16×24 fills every word of its buffers; 13×22 pads to the same
+        // 16×24, so its inputs land in recycled buffers whose pad region
+        // still holds the previous SATs unless the marshal zeroes it.
+        let pool: BufferPool<f64> = BufferPool::new();
+        let mut imgs = Vec::new();
+        for (rows, cols) in [(16, 24), (13, 22)] {
+            imgs = (0..3)
+                .map(|k| Matrix::from_fn(rows, cols, |i, j| ((i * 5 + j * 3 + k) % 11) as f64))
+                .collect();
+            for (a, s) in imgs.iter().zip(compute_sat_batch_with(&dev, &pool, &imgs)) {
+                assert_eq!(s, sat_reference(a), "{rows}x{cols}");
+            }
+        }
+        assert_eq!(pool.stats().0, 6, "13x22 reuses the 16x24 buffers");
+        // A SAT cell depends only on cells above and to its left, so the
+        // cropped outputs cannot see the pad region. The batch only reads
+        // its inputs, though: each recycled input buffer must still hold
+        // its image zero-padded, pad region included.
+        let shelved: Vec<Vec<f64>> = (0..6)
+            .map(|_| pool.checkout_uninit(16 * 24).as_slice().to_vec())
+            .collect();
+        for a in &imgs {
+            let padded = a.zero_padded_to(16, 24);
+            assert!(
+                shelved.iter().any(|b| b.as_slice() == padded.as_slice()),
+                "an input buffer kept stale words in its pad region"
+            );
+        }
     }
 
     #[test]

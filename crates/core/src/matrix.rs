@@ -104,18 +104,46 @@ impl<T: SatElement> Matrix<T> {
     /// only grow). Zero padding on the right/bottom does not change the SAT
     /// values of the original region.
     pub fn zero_padded_to(&self, rows: usize, cols: usize) -> Matrix<T> {
-        assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
+        assert!(rows >= self.rows, "padding must grow");
         let mut out = Matrix::zeros(rows, cols);
-        for i in 0..self.rows {
-            out.data[i * cols..i * cols + self.cols].copy_from_slice(self.row(i));
-        }
+        self.pad_into(&mut out.data, cols);
         out
+    }
+
+    /// Write this matrix zero-padded into the row-major `dst`, `cols` wide:
+    /// one copy per row, and every pad word zeroed explicitly, so `dst` may
+    /// arrive with stale contents (a recycled pool buffer).
+    pub(crate) fn pad_into(&self, dst: &mut [T], cols: usize) {
+        assert!(
+            cols >= self.cols && dst.len() >= self.rows * cols,
+            "padding must grow"
+        );
+        for i in 0..self.rows {
+            let row = &mut dst[i * cols..(i + 1) * cols];
+            row[..self.cols].copy_from_slice(self.row(i));
+            row[self.cols..].fill(T::ZERO);
+        }
+        dst[self.rows * cols..].fill(T::ZERO);
     }
 
     /// Extract the top-left `rows × cols` corner.
     pub fn cropped(&self, rows: usize, cols: usize) -> Matrix<T> {
-        assert!(rows <= self.rows && cols <= self.cols, "crop must shrink");
-        Matrix::from_fn(rows, cols, |i, j| self.get(i, j))
+        assert!(rows <= self.rows, "crop must shrink");
+        Self::crop_of(&self.data, self.cols, rows, cols)
+    }
+
+    /// The top-left `rows × cols` corner of the row-major `src`, `src_cols`
+    /// wide, copied one row slice at a time.
+    pub(crate) fn crop_of(src: &[T], src_cols: usize, rows: usize, cols: usize) -> Matrix<T> {
+        assert!(
+            cols <= src_cols && rows * src_cols <= src.len(),
+            "crop must shrink"
+        );
+        let mut data = Vec::with_capacity(rows * cols);
+        for i in 0..rows {
+            data.extend_from_slice(&src[i * src_cols..i * src_cols + cols]);
+        }
+        Matrix { rows, cols, data }
     }
 
     /// The transpose.

@@ -3,7 +3,7 @@
 //! races, no reads of reset shared state) on *arbitrary* shapes and
 //! widths, and against its full Table I budget on aligned sizes.
 
-use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
+use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
 use hmm_lint::{analyze, analyze_run, KernelContract, LintReport};
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
@@ -22,38 +22,9 @@ fn workload(n: usize) -> Matrix<f64> {
 /// against its own Table I contract.
 fn lint_algorithm(cfg: MachineConfig, alg: SatAlgorithm, n: usize) -> LintReport {
     let dev = tracing_device(cfg);
-    let a = workload(n);
-    match alg {
-        SatAlgorithm::TwoR2W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            par::sat_2r2w(&dev, &buf, n, n);
-        }
-        SatAlgorithm::FourR4W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let tmp = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_4r4w(&dev, &buf, &tmp, n, n);
-        }
-        SatAlgorithm::FourR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            par::sat_4r1w(&dev, &buf, n, n);
-        }
-        SatAlgorithm::TwoR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_2r1w(&dev, &buf, &s, n, n);
-        }
-        SatAlgorithm::OneR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            par::sat_1r1w(&dev, &buf, &s, n, n);
-        }
-        SatAlgorithm::HybridR1W => {
-            let buf = GlobalBuffer::from_vec(a.into_vec());
-            let s = GlobalBuffer::filled(0.0f64, n * n);
-            let r = GlobalCost::new(cfg).optimal_r(n);
-            par::sat_hybrid(&dev, &buf, &s, n, n, r);
-        }
-    }
+    let a = GlobalBuffer::from_vec(workload(n).into_vec());
+    let r = GlobalCost::new(cfg).optimal_r(n);
+    par::sat(&dev, &BufferPool::new(), alg, r, a, n, n);
     let counters = dev.stats();
     let trace = dev.take_trace();
     analyze(

@@ -220,6 +220,22 @@ impl SatAlgorithm {
     }
 }
 
+impl std::str::FromStr for SatAlgorithm {
+    type Err = String;
+
+    /// Parse a paper [`name`](SatAlgorithm::name) in any case; the hybrid
+    /// also answers to `hybrid` and `1.25r1w`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        if s.eq_ignore_ascii_case("hybrid") || s.eq_ignore_ascii_case("1.25r1w") {
+            return Ok(SatAlgorithm::HybridR1W);
+        }
+        SatAlgorithm::ALL
+            .into_iter()
+            .find(|a| a.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown algorithm {s:?}"))
+    }
+}
+
 /// One row of Table I: leading-term operation counts and barrier steps.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TableOneRow {
@@ -807,6 +823,19 @@ mod tests {
 
     fn gc() -> GlobalCost {
         GlobalCost::new(MachineConfig::default())
+    }
+
+    #[test]
+    fn algorithm_names_parse_in_any_case() {
+        for alg in SatAlgorithm::ALL {
+            assert_eq!(alg.name().parse(), Ok(alg));
+            assert_eq!(alg.name().to_ascii_lowercase().parse(), Ok(alg));
+        }
+        for hybrid in ["hybrid", "HYBRID", "1.25r1w", "1.25R1W"] {
+            assert_eq!(hybrid.parse(), Ok(SatAlgorithm::HybridR1W));
+        }
+        assert!("9r9w".parse::<SatAlgorithm>().is_err());
+        assert!("".parse::<SatAlgorithm>().is_err());
     }
 
     #[test]

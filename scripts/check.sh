@@ -112,6 +112,12 @@ if ! grep -q "analyzer and replay agree" <<<"$out"; then
     exit 1
 fi
 
+echo "== inspect smoke (each of the six paper names parses and runs through"
+echo "   the one SAT dispatch)"
+for alg in 2R2W 4R4W 4R1W 2R1W 1R1W '(1+r^2)R1W'; do
+    cargo run --release -q -p sat-bench --bin inspect -- --alg "$alg" --n 64 --w 8 >/dev/null
+done
+
 echo "== unsafe-code audit (every unsafe block carries a SAFETY comment)"
 ./scripts/unsafe_audit.sh
 

@@ -17,7 +17,6 @@
 use std::process::ExitCode;
 
 use gpu_exec::{Device, DeviceOptions};
-use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use sat_core::{compute_sat, Matrix, SumTable};
 use sat_image::boxfilter::mean_filter;
@@ -25,18 +24,6 @@ use sat_image::pgm;
 use sat_image::synth;
 use sat_image::threshold::adaptive_threshold;
 use sat_image::variance::local_variance;
-
-fn parse_alg(s: &str) -> Result<SatAlgorithm, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "2r2w" => SatAlgorithm::TwoR2W,
-        "4r4w" => SatAlgorithm::FourR4W,
-        "4r1w" => SatAlgorithm::FourR1W,
-        "2r1w" => SatAlgorithm::TwoR1W,
-        "1r1w" => SatAlgorithm::OneR1W,
-        "hybrid" | "1.25r1w" => SatAlgorithm::HybridR1W,
-        other => return Err(format!("unknown algorithm {other:?}")),
-    })
-}
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -96,7 +83,7 @@ fn run() -> Result<(), String> {
         "sat" => {
             let input = args.first().ok_or("sat: missing input")?;
             let output = args.get(1).ok_or("sat: missing output")?;
-            let alg = parse_alg(flag(args, "--alg").unwrap_or("hybrid"))?;
+            let alg = flag(args, "--alg").unwrap_or("hybrid").parse()?;
             let img = load(input)?;
             let dev = device();
             let sat = compute_sat(&dev, alg, &img);
@@ -115,7 +102,7 @@ fn run() -> Result<(), String> {
             let input = args.first().ok_or("boxfilter: missing input")?;
             let output = args.get(1).ok_or("boxfilter: missing output")?;
             let radius: usize = flag_parse(args, "--radius", 4)?;
-            let alg = parse_alg(flag(args, "--alg").unwrap_or("hybrid"))?;
+            let alg = flag(args, "--alg").unwrap_or("hybrid").parse()?;
             let img = load(input)?;
             let dev = device();
             let table = SumTable::from_sat(compute_sat(&dev, alg, &img));
@@ -146,7 +133,7 @@ fn run() -> Result<(), String> {
         }
         "stats" => {
             let input = args.first().ok_or("stats: missing input")?;
-            let alg = parse_alg(flag(args, "--alg").unwrap_or("hybrid"))?;
+            let alg = flag(args, "--alg").unwrap_or("hybrid").parse()?;
             let img = load(input)?;
             let dev = device();
             dev.reset_stats();
