@@ -15,6 +15,8 @@
 //! writing — the paper's cautionary tale, and the direct inspiration for the
 //! *block-wise* wavefront of 1R1W.
 
+use std::ops::Range;
+
 use gpu_exec::{Device, GlobalBuffer};
 
 use crate::element::SatElement;
@@ -25,61 +27,48 @@ use crate::par::common::Grid;
 pub fn sat_4r1w<T: SatElement>(dev: &Device, buf: &GlobalBuffer<T>, rows: usize, cols: usize) {
     let grid = Grid::new(rows, cols, dev.width());
     let w = grid.w;
+    // Walking an anti-diagonal one row down and one column left moves
+    // `cols − 1` words forward: every warp access is a progression.
+    let step = cols - 1;
     for d in 0..(rows + cols - 1) {
         // Elements (i, d−i) with both coordinates in range.
         let lo = d.saturating_sub(cols - 1);
         let hi = d.min(rows - 1);
-        let len = hi - lo + 1;
-        let launches = len.div_ceil(w);
+        let launches = (hi - lo + 1).div_ceil(w);
         dev.launch(launches, |ctx| {
             let g = ctx.view(buf);
             let start = lo + ctx.block_id() * w;
             let lanes = w.min(hi + 1 - start);
-            // Gather lanes for each operand of Formula (1); lane t handles
-            // element (i, j) = (start + t, d − start − t).
-            let addr = |i: usize, j: usize| grid.addr(i, j);
-            let own: Vec<usize> = (0..lanes).map(|t| addr(start + t, d - start - t)).collect();
+            // Lane t handles element (start + t, d − start − t), at word
+            // `base + t·step`. Its operands s(i−1, j), s(i, j−1) and
+            // s(i−1, j−1) sit `cols`, 1 and `cols + 1` words back, on the
+            // same progression. Only lane 0 can lie in row 0 (when
+            // `start == 0`), and lanes `t ≥ d − start` lie in column 0, so
+            // the operands cover the lane ranges [off, lanes), [0, nl) and
+            // [off, nl).
+            let base = grid.addr(start, d - start);
+            let off = usize::from(start == 0);
+            let nl = lanes.min(d - start);
             let mut s = vec![T::ZERO; lanes];
-            g.read_gather(&own, &mut s, ctx.rec());
-            // s(i−1, j): lanes with i ≥ 1.
-            let up: Vec<usize> = (0..lanes)
-                .filter(|&t| start + t >= 1)
-                .map(|t| addr(start + t - 1, d - start - t))
-                .collect();
-            if !up.is_empty() {
-                let mut vals = vec![T::ZERO; up.len()];
-                g.read_gather(&up, &mut vals, ctx.rec());
-                let off = lanes - up.len(); // lanes missing "up" come first
-                for (k, v) in vals.into_iter().enumerate() {
-                    s[off + k] = s[off + k].add(v);
+            let mut operand = vec![T::ZERO; lanes];
+            g.read_strided(base, step, &mut s, ctx.rec());
+            // Fold one operand into its lanes: read it `back` words behind
+            // the lanes' own words, then combine lane by lane.
+            let mut fold = |r: Range<usize>, back: usize, f: fn(T, T) -> T| {
+                if r.is_empty() {
+                    return;
                 }
-            }
-            // s(i, j−1): lanes with j ≥ 1.
-            let left: Vec<usize> = (0..lanes)
-                .filter(|&t| d - start - t >= 1)
-                .map(|t| addr(start + t, d - start - t - 1))
-                .collect();
-            if !left.is_empty() {
-                let mut vals = vec![T::ZERO; left.len()];
-                g.read_gather(&left, &mut vals, ctx.rec());
-                for (k, v) in vals.into_iter().enumerate() {
-                    s[k] = s[k].add(v); // lanes missing "left" come last
+                let vals = &mut operand[r.clone()];
+                g.read_strided(base + r.start * step - back, step, vals, ctx.rec());
+                for (x, &v) in s[r].iter_mut().zip(vals.iter()) {
+                    *x = f(*x, v);
                 }
-            }
-            // s(i−1, j−1): lanes with i ≥ 1 and j ≥ 1.
-            let diag: Vec<(usize, usize)> = (0..lanes)
-                .filter(|&t| start + t >= 1 && d - start - t >= 1)
-                .map(|t| (t, addr(start + t - 1, d - start - t - 1)))
-                .collect();
-            if !diag.is_empty() {
-                let addrs: Vec<usize> = diag.iter().map(|&(_, a)| a).collect();
-                let mut vals = vec![T::ZERO; addrs.len()];
-                g.read_gather(&addrs, &mut vals, ctx.rec());
-                for ((t, _), v) in diag.into_iter().zip(vals) {
-                    s[t] = s[t].sub(v);
-                }
-            }
-            g.write_scatter(&own, &s, ctx.rec());
+            };
+            // Formula (1), per lane in this order: +up, +left, −diag.
+            fold(off..lanes, cols, T::add);
+            fold(0..nl, 1, T::add);
+            fold(off..nl, cols + 1, T::sub);
+            g.write_strided(base, step, &s, ctx.rec());
         });
     }
 }

@@ -278,30 +278,6 @@ impl<'a, T: Copy> GlobalView<'a, T> {
             self.store(base + t * stride, v);
         }
     }
-
-    /// Warp gather of arbitrary `addrs` into `out`.
-    pub fn read_gather(&self, addrs: &[usize], out: &mut [T], rec: &mut TxnRecorder) {
-        assert_eq!(addrs.len(), out.len());
-        rec.record_gather(AccessKind::Read, self.buf, addrs);
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = self.load(a);
-        }
-    }
-
-    /// Warp scatter of `vals` to arbitrary `addrs`.
-    pub fn write_scatter(&self, addrs: &[usize], vals: &[T], rec: &mut TxnRecorder) {
-        assert_eq!(addrs.len(), vals.len());
-        rec.record_gather(AccessKind::Write, self.buf, addrs);
-        let victim = rec.corrupt_lane(vals.len());
-        for (t, (&v, &a)) in vals.iter().zip(addrs).enumerate() {
-            let v = if victim == Some(t) {
-                corrupt_value(v)
-            } else {
-                v
-            };
-            self.store(a, v);
-        }
-    }
 }
 
 /// Epoch-tagged per-word ownership table for dynamic race detection.
@@ -391,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn strided_and_gather() {
+    fn strided_read() {
         let b = GlobalBuffer::from_vec((0..32i32).collect());
         let v = b.make_view(1, 0, false);
         let mut rec = TxnRecorder::new(4, true);
@@ -399,9 +375,6 @@ mod tests {
         v.read_strided(1, 8, &mut out, &mut rec);
         assert_eq!(out, [1, 9, 17, 25]);
         assert_eq!(rec.counters().stride_reads, 4);
-        let mut out2 = [0i32; 2];
-        v.read_gather(&[31, 0], &mut out2, &mut rec);
-        assert_eq!(out2, [31, 0]);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct DeviceOptions {
     pub record_trace: bool,
     /// Keep the per-transaction [`AddrPattern`](crate::AddrPattern) address
     /// channel alongside the trace (only meaningful with `record_trace`;
-    /// the heaviest channel — gathers store whole address vectors). On by
+    /// one pattern per transaction, on top of the op log). On by
     /// default when tracing so `hmm-lint` analyses keep working; turn it
     /// off to replay in `hmm-sim` at a fraction of the memory.
     pub record_addrs: bool,

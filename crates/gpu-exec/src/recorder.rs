@@ -3,13 +3,14 @@
 //! Every warp-shaped memory access performed by a kernel reports itself to
 //! the block's [`TxnRecorder`], which classifies it with the rules of
 //! [`hmm_model`] (coalesced vs. stride on the UMM, bank-conflict stages on
-//! the DMM) and accumulates [`CostCounters`]. Recording is cheap — the
-//! common patterns (contiguous, strided) are classified analytically without
-//! materialising address vectors — and can be disabled entirely, in which
-//! case accessors skip the bookkeeping.
+//! the DMM) and accumulates [`CostCounters`]. Recording is cheap — every
+//! global pattern (single, contiguous, strided) gets its stage count in
+//! closed form ([`hmm_model::strided_groups`]) without materialising address
+//! vectors — and can be disabled entirely, in which case accessors skip the
+//! bookkeeping.
 
 use hmm_model::cost::CostCounters;
-use hmm_model::{group_of, AccessKind, MemSpace};
+use hmm_model::{strided_groups, AccessKind, MemSpace};
 
 use crate::trace::{AddrPattern, BlockTrace, TraceOp};
 
@@ -174,7 +175,7 @@ impl TxnRecorder {
         let end = base + len;
         while start < end {
             let lanes = w.min(end - start);
-            let stages = (group_of(start + lanes - 1, w) - group_of(start, w) + 1) as u64;
+            let stages = strided_groups(start, 1, lanes, w) as u64;
             self.record_global(kind, lanes as u64, stages, || AddrPattern::Contig {
                 buf,
                 base: start,
@@ -204,44 +205,15 @@ impl TxnRecorder {
         let mut i = 0;
         while i < len {
             let lanes = w.min(len - i);
-            // Addresses are monotone, so distinct groups = number of
-            // quotient changes.
-            let mut stages = 1u64;
-            let mut prev = group_of(base + i * stride, w);
-            for t in 1..lanes {
-                let g = group_of(base + (i + t) * stride, w);
-                if g != prev {
-                    stages += 1;
-                    prev = g;
-                }
-            }
+            let first = base + i * stride;
+            let stages = strided_groups(first, stride, lanes, w) as u64;
             self.record_global(kind, lanes as u64, stages, || AddrPattern::Strided {
                 buf,
-                base: base + i * stride,
+                base: first,
                 stride,
                 lanes: lanes as u32,
             });
             i += lanes;
-        }
-    }
-
-    /// Record a gather/scatter of arbitrary addresses, split into warp
-    /// transactions of `w` lanes.
-    pub fn record_gather(&mut self, kind: AccessKind, buf: u64, addrs: &[usize]) {
-        if !self.enabled || addrs.is_empty() {
-            return;
-        }
-        let w = self.w;
-        for chunk in addrs.chunks(w) {
-            let mut groups: Vec<usize> = chunk.iter().map(|&a| group_of(a, w)).collect();
-            groups.sort_unstable();
-            groups.dedup();
-            self.record_global(kind, chunk.len() as u64, groups.len() as u64, || {
-                AddrPattern::Gather {
-                    buf,
-                    addrs: chunk.to_vec(),
-                }
-            });
         }
     }
 
@@ -412,17 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_matches_model() {
-        let w = 4;
-        let addrs = [7usize, 5, 15, 0, 10, 11, 12, 9];
-        let mut fast = TxnRecorder::new(w, true);
-        fast.record_gather(AccessKind::Read, 0, &addrs);
-        // Figure 4: warp {7,5,15,0} → 3 groups; warp {10,11,12,9} → 2.
-        assert_eq!(fast.counters().global_stages, 5);
-        assert_eq!(fast.counters().stride_reads, 8);
-    }
-
-    #[test]
     fn disabled_recorder_is_noop() {
         let mut r = TxnRecorder::new(32, false);
         r.record_contig(AccessKind::Read, 0, 0, 100);
@@ -455,7 +416,6 @@ mod tests {
         r.record_contig(AccessKind::Read, 3, 2, 6); // chunks at 2 (4 lanes) and 6 (2 lanes)
         r.record_strided(AccessKind::Write, 3, 0, 8, 4);
         r.record_single(AccessKind::Read, 4, 17);
-        r.record_gather(AccessKind::Read, 4, &[7, 5, 15, 0]);
         r.record_shared(AccessKind::Write, 4, 1);
         let trace = r.take_trace();
         let addrs = r.take_addrs();
@@ -480,10 +440,6 @@ mod tests {
                     lanes: 4
                 },
                 AddrPattern::Single { buf: 4, addr: 17 },
-                AddrPattern::Gather {
-                    buf: 4,
-                    addrs: vec![7, 5, 15, 0]
-                },
                 AddrPattern::Opaque,
             ]
         );

@@ -11,7 +11,7 @@
 //! round-robin warp dispatch — turning one real execution into a
 //! dependency-aware simulated time.
 
-use hmm_model::{group_of, AccessKind, MemSpace};
+use hmm_model::{strided_groups, AccessKind, MemSpace};
 
 /// One warp-level memory operation performed by a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +61,6 @@ pub enum AddrPattern {
         stride: usize,
         /// Active lanes (≤ machine width).
         lanes: u32,
-    },
-    /// One warp chunk of a gather/scatter with arbitrary per-lane words.
-    Gather {
-        /// Identity of the accessed [`crate::GlobalBuffer`].
-        buf: u64,
-        /// Word address of each active lane.
-        addrs: Vec<usize>,
     },
     /// Full-warp access of logical row `index` of shared tile `tile`.
     TileRow {
@@ -134,9 +127,6 @@ impl AddrPattern {
             } => {
                 out.extend((0..*lanes as usize).map(|t| (*buf, base + t * stride)));
             }
-            AddrPattern::Gather { buf, addrs } => {
-                out.extend(addrs.iter().map(|&a| (*buf, a)));
-            }
             // Flag accesses touch only the synchronisation cell, which is
             // atomic and allowed to race; the *data* words a FlagWrite
             // publishes are covered by the producer's own write patterns.
@@ -154,32 +144,14 @@ impl AddrPattern {
         match self {
             AddrPattern::Single { .. } => Some(1),
             AddrPattern::Contig { base, lanes, .. } => {
-                let last = base + (*lanes as usize).max(1) - 1;
-                Some((group_of(last, w) - group_of(*base, w) + 1) as u32)
+                Some(strided_groups(*base, 1, *lanes as usize, w) as u32)
             }
             AddrPattern::Strided {
                 base,
                 stride,
                 lanes,
                 ..
-            } => {
-                let mut stages = 1u32;
-                let mut prev = group_of(*base, w);
-                for t in 1..*lanes as usize {
-                    let g = group_of(base + t * stride, w);
-                    if g != prev {
-                        stages += 1;
-                        prev = g;
-                    }
-                }
-                Some(stages)
-            }
-            AddrPattern::Gather { addrs, .. } => {
-                let mut groups: Vec<usize> = addrs.iter().map(|&a| group_of(a, w)).collect();
-                groups.sort_unstable();
-                groups.dedup();
-                Some(groups.len() as u32)
-            }
+            } => Some(strided_groups(*base, *stride, *lanes as usize, w) as u32),
             // A flag access is one word in one address group.
             AddrPattern::FlagWrite { .. } | AddrPattern::FlagRead { .. } => Some(1),
             AddrPattern::TileRow { .. } | AddrPattern::TileCol { .. } | AddrPattern::Opaque => None,
@@ -287,12 +259,6 @@ mod tests {
             lanes: 4,
         };
         assert_eq!(strided.umm_stages(w), Some(4));
-
-        let gather = AddrPattern::Gather {
-            buf: 2,
-            addrs: vec![7, 5, 15, 0],
-        };
-        assert_eq!(gather.umm_stages(w), Some(3)); // Figure 4
 
         assert_eq!(
             AddrPattern::Single { buf: 0, addr: 9 }.umm_stages(w),

@@ -11,8 +11,9 @@ fn cfg() -> MachineConfig {
     MachineConfig::with_width(W).latency(4)
 }
 
-/// A kernel exercising every access shape: contiguous, strided, gather,
-/// single-word, and shared tile rows/columns, over two launches.
+/// A kernel exercising every access shape: contiguous, strided (a column and
+/// an anti-diagonal), single-word, and shared tile rows/columns, over two
+/// launches.
 fn run_mixed(dev: &Device) {
     let a = GlobalBuffer::from_vec((0..4 * W * W).map(|x| x as f64).collect());
     let b = GlobalBuffer::filled(0.0f64, 4 * W * W);
@@ -25,8 +26,7 @@ fn run_mixed(dev: &Device) {
             let mut v = [0.0; W];
             ga.read_contig(base, &mut v, ctx.rec());
             ga.read_strided(base, W, &mut v, ctx.rec());
-            let addrs: Vec<usize> = (0..W).map(|t| base + (t * 3) % (W * W)).collect();
-            ga.read_gather(&addrs, &mut v, ctx.rec());
+            ga.read_strided(base + W - 1, W - 1, &mut v, ctx.rec());
             let x = ga.read(base + 1, ctx.rec());
             let mut t = ctx.shared_tile::<f64>(TileLayout::Diagonal);
             t.write_row(0, &v, ctx.rec());

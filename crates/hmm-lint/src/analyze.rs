@@ -112,9 +112,6 @@ fn describe(pat: &AddrPattern) -> String {
         } => {
             format!("{lanes} words from {base} by stride {stride} of buffer {buf}")
         }
-        AddrPattern::Gather { buf, addrs } => {
-            format!("gather of {} words of buffer {buf}", addrs.len())
-        }
         AddrPattern::TileRow { tile, index } => format!("row {index} of shared tile {tile}"),
         AddrPattern::TileCol { tile, index } => format!("column {index} of shared tile {tile}"),
         AddrPattern::FlagWrite {

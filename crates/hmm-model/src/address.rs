@@ -39,6 +39,27 @@ pub fn group_of(addr: Addr, w: usize) -> usize {
     addr / w
 }
 
+/// Address groups (UMM pipeline stages) touched by the warp access of
+/// `lanes` words `base, base + stride, …, base + (lanes − 1)·stride` on a
+/// UMM of width `w`.
+///
+/// The addresses are monotone, so no group is revisited: a step of at least
+/// `w` words puts every lane in its own group, and a shorter step skips no
+/// group between the first lane's and the last's. Equals
+/// [`WarpAccess::umm_stages`](crate::WarpAccess::umm_stages) of the same
+/// addresses without materialising them.
+///
+/// # Panics
+/// Panics if `w == 0`.
+#[inline]
+pub fn strided_groups(base: Addr, stride: usize, lanes: usize, w: usize) -> usize {
+    match lanes {
+        0 => 0,
+        _ if stride >= w => lanes,
+        _ => group_of(base + (lanes - 1) * stride, w) - group_of(base, w) + 1,
+    }
+}
+
 /// Row-major word address of element `(row, col)` of a matrix with `n_cols`
 /// columns.
 #[inline]
@@ -71,6 +92,25 @@ mod tests {
         // Figure 4 example: {7, 5, 15, 0} touches groups {1, 1, 3, 0}.
         let groups: Vec<_> = [7, 5, 15, 0].iter().map(|&a| group_of(a, w)).collect();
         assert_eq!(groups, vec![1, 1, 3, 0]);
+    }
+
+    #[test]
+    fn strided_groups_match_the_warp_model() {
+        use crate::WarpAccess;
+        for w in 1..=33usize {
+            for stride in 0..=3 * w {
+                for base in 0..2 * w {
+                    for lanes in 1..=w {
+                        let addrs: Vec<Addr> = (0..lanes).map(|t| base + t * stride).collect();
+                        assert_eq!(
+                            strided_groups(base, stride, lanes, w),
+                            WarpAccess::dense(&addrs, w).umm_stages(w),
+                            "w={w} stride={stride} base={base} lanes={lanes}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

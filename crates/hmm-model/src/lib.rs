@@ -47,7 +47,7 @@ pub mod diagonal;
 pub mod pipeline;
 pub mod warp;
 
-pub use address::{bank_of, group_of, Addr};
+pub use address::{bank_of, group_of, strided_groups, Addr};
 pub use config::MachineConfig;
 pub use cost::{CostCounters, ExactCounts, GlobalCost};
 pub use diagonal::DiagonalLayout;

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+echo "== bash -n (helper scripts parse)"
+bash -n scripts/bench_pairs.sh
+
 echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
