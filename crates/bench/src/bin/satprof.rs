@@ -108,6 +108,22 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    // 2R1W recurses on its block-sum matrix, which only shrinks for w ≥ 2;
+    // the hybrid's cost model prices that recursion too.
+    let recursing = algorithms
+        .iter()
+        .find(|a| matches!(a, SatAlgorithm::TwoR1W | SatAlgorithm::HybridR1W));
+    if let Some(alg) = recursing {
+        if width < 2 && n > 1 {
+            eprintln!(
+                "error: {} needs --width 2 or more, got {width} \
+                 (2R1W's recursion needs w ≥ 2)",
+                alg.name()
+            );
+            return ExitCode::from(2);
+        }
+    }
+
     let cfg = MachineConfig::with_width(width);
     let gc = GlobalCost::new(cfg);
     let obs = Obs::new();

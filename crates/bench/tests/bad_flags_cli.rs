@@ -104,6 +104,25 @@ fn satprof_rejects_non_block_aligned_size() {
 }
 
 #[test]
+fn satprof_rejects_2r1w_at_width_one_instead_of_aborting() {
+    // At w = 1, 2R1W's recursion never shrinks its block-sum matrix; the
+    // error must be a clean exit naming the constraint, not a stack
+    // overflow (or a panic) from inside the driver or the cost model.
+    for algo in ["2r1w", "hybrid"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_satprof"))
+            .args(["--algo", algo, "--n", "4", "--width", "1"])
+            .output()
+            .expect("satprof runs");
+        assert_eq!(out.status.code(), Some(2), "{algo}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("needs w ≥ 2") && !stderr.contains("panicked"),
+            "{algo}: expected a clean validation error, got:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn satprof_and_inspect_accept_the_shared_algorithm_names() {
     // One parser (`SatAlgorithm: FromStr`) serves satprof, inspect and
     // satcli: `hybrid` and any-case paper names work everywhere.

@@ -16,7 +16,7 @@
 //! | [`par::sat_2r2w`] | 2R + 2W, half stride | 1 | [`par::two_r2w`] |
 //! | [`par::sat_4r4w`] | 4R + 4W, coalesced | 3 | [`par::four_r4w`] |
 //! | [`par::sat_4r1w`] | 4R + 1W, stride | 2n−2 | [`par::four_r1w`] |
-//! | [`par::sat_2r1w`] | 2R + 1W, coalesced | 2k+2 | [`par::two_r1w`] |
+//! | [`par::sat_2r1w`] | 2R + 1W, coalesced | 2k+2 (Lemma 4); 3k+2 issued | [`par::two_r1w`] |
 //! | [`par::sat_1r1w`] | **1R + 1W**, coalesced (optimal) | 2n/w−2 | [`par::one_r1w`] |
 //! | [`par::sat_hybrid`] | (1+r²)R + 1W | mixed | [`par::hybrid`] |
 //!

@@ -1,5 +1,7 @@
 //! Shared machinery of the block-structured GPU algorithms.
 
+use std::ops::Range;
+
 use gpu_exec::{BlockCtx, GlobalView, SharedTile, TileLayout};
 
 use crate::element::SatElement;
@@ -126,6 +128,30 @@ pub fn store_block<T: SatElement>(
     for i in 0..w {
         tile.read_row(i, &mut row, &mut ctx.rec);
         g.write_contig(grid.addr(r0 + i, c0), &row, &mut ctx.rec);
+    }
+}
+
+/// Inclusive prefix sums down one `acc.len()`-wide column chunk, continuing
+/// the running sums in `acc`: for each `level`, read the words at
+/// `base + level·pitch`, add them into `acc` and write `acc` back. Every
+/// access is coalesced. 2R1W's fringe prefixes (plain and staircase) and
+/// 2R2W's column pass are this loop.
+pub fn prefix_down<T: SatElement>(
+    ctx: &mut BlockCtx<'_>,
+    g: &GlobalView<'_, T>,
+    base: usize,
+    pitch: usize,
+    levels: Range<usize>,
+    acc: &mut [T],
+) {
+    let mut row = vec![T::ZERO; acc.len()];
+    for level in levels {
+        let at = base + level * pitch;
+        g.read_contig(at, &mut row, &mut ctx.rec);
+        for (s, &v) in acc.iter_mut().zip(&row) {
+            *s = s.add(v);
+        }
+        g.write_contig(at, acc, &mut ctx.rec);
     }
 }
 

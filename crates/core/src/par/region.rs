@@ -1,10 +1,12 @@
-//! 2R1W generalised to *staircase block regions* — the building block of the
-//! hybrid `(1+r²)R1W` algorithm (§VII).
+//! The staircase half of the hybrid `(1+r²)R1W` (§VII): 2R1W on a
+//! [`Region`] of blocks delimited by block anti-diagonals.
 //!
-//! The hybrid runs 2R1W on the top-left and bottom-right block triangles of
-//! the matrix (Figure 12). The paper describes these phases by reference to
-//! the full-matrix algorithm; the boundary conditions they need are spelled
-//! out here:
+//! The hybrid computes its top-left and bottom-right block triangles "by
+//! 2R1W" (Figure 12). They run plain 2R1W's phase-1 block sums
+//! (`two_r1w::block_sums`, without `Q`) and phase-3 fix-up
+//! (`two_r1w::fixup`) over the region's block list, and the same
+//! fringe-prefix loop ([`prefix_down`]) in phase 2. What this module adds is the boundary
+//! conditions the paper leaves implicit:
 //!
 //! * a [`Region`] is a set of blocks delimited by block anti-diagonals; in
 //!   every block row and block column its members are contiguous;
@@ -14,25 +16,23 @@
 //!   neighbour fringes);
 //! * the block-corner offsets `ŝ(bi,bj) = S(bi·w−1, bj·w−1)` are obtained by
 //!   a row scan of the column-fringe prefixes (`ŝ(bi,bj) = Σ_{c<bj·w}
-//!   T̂(bi,c)`, telescoping the pairwise subtractions) instead of the
-//!   full-matrix algorithm's recursion — recursing on a staircase region is
-//!   not meaningful. This adds one launch and `O(n²/w)` coalesced traffic,
-//!   within the paper's dropped lower-order terms.
+//!   T̂(bi,c)`, telescoping the pairwise subtractions) instead of plain
+//!   2R1W's SAT of `Q` — recursing on a staircase region is not meaningful.
+//!   The scan writes `ŝ(bi,bj)` at `(bi−1)·mc + (bj−1)`, the word the shared
+//!   fix-up reads its corner from. This adds one launch and `O(n²/w)`
+//!   coalesced traffic, within the paper's dropped lower-order terms.
 //!
-//! `Region::Full` reproduces plain 2R1W (tested against it), which is how
-//! the machinery is validated independently of the hybrid. Everything works
-//! on rectangular `mr × mc` block grids.
+//! Everything works on rectangular `mr × mc` block grids.
 
-use gpu_exec::{BlockCtx, Device, GlobalBuffer, SharedTile};
+use gpu_exec::{BlockCtx, Device, GlobalBuffer};
 
 use crate::element::SatElement;
-use crate::par::common::{default_tile, load_block, store_block, tile_sat, Grid};
+use crate::par::common::{prefix_down, Grid};
+use crate::par::two_r1w::{block_sums, fixup, FringeSums};
 
 /// A staircase set of blocks, delimited by block anti-diagonals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
-    /// Every block.
-    Full,
     /// The top-left triangle: blocks with `bi + bj < diags`.
     UpperLeft {
         /// Number of leading block anti-diagonals included (≥ 1).
@@ -51,7 +51,6 @@ impl Region {
     pub fn contains(&self, grid: &Grid, bi: usize, bj: usize) -> bool {
         debug_assert!(bi < grid.mr && bj < grid.mc);
         match *self {
-            Region::Full => true,
             Region::UpperLeft { diags } => bi + bj < diags,
             Region::LowerRight { start } => bi + bj >= start,
         }
@@ -72,55 +71,30 @@ impl Region {
 
     /// Inclusive range of member block rows in block column `bv`.
     pub fn col_blocks(&self, grid: &Grid, bv: usize) -> Option<(usize, usize)> {
-        let mr = grid.mr;
-        match *self {
-            Region::Full => Some((0, mr - 1)),
-            Region::UpperLeft { diags } => {
-                if bv < diags {
-                    Some((0, (diags - bv - 1).min(mr - 1)))
-                } else {
-                    None
-                }
-            }
-            Region::LowerRight { start } => {
-                let lo = start.saturating_sub(bv);
-                if lo < mr {
-                    Some((lo, mr - 1))
-                } else {
-                    None
-                }
-            }
-        }
+        self.span(bv, grid.mr)
     }
 
     /// Inclusive range of member block columns in block row `bu`.
     pub fn row_blocks(&self, grid: &Grid, bu: usize) -> Option<(usize, usize)> {
-        let mc = grid.mc;
+        self.span(bu, grid.mc)
+    }
+
+    /// Inclusive range of member indices `0..len` along a block row or
+    /// column whose other index is `at`.
+    fn span(&self, at: usize, len: usize) -> Option<(usize, usize)> {
         match *self {
-            Region::Full => Some((0, mc - 1)),
-            Region::UpperLeft { diags } => {
-                if bu < diags {
-                    Some((0, (diags - bu - 1).min(mc - 1)))
-                } else {
-                    None
-                }
-            }
+            Region::UpperLeft { diags } => (at < diags).then(|| (0, (diags - at - 1).min(len - 1))),
             Region::LowerRight { start } => {
-                let lo = start.saturating_sub(bu);
-                if lo < mc {
-                    Some((lo, mc - 1))
-                } else {
-                    None
-                }
+                let lo = start.saturating_sub(at);
+                (lo < len).then_some((lo, len - 1))
             }
         }
     }
 }
 
-/// Region-generalised 2R1W: compute into `s` the final (global) SAT values
-/// of every block of `region`, assuming all blocks above/left of the region
-/// already hold final SAT values in `s` (vacuously true for
-/// [`Region::Full`] and [`Region::UpperLeft`]).
+/// Region 2R1W: compute into `s` the final (global) SAT values of every
+/// block of `region`, assuming all blocks above/left of the region already
+/// hold final SAT values in `s` (vacuously true for [`Region::UpperLeft`]).
 pub fn sat_2r1w_region<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,
@@ -132,48 +106,12 @@ pub fn sat_2r1w_region<T: SatElement>(
     if blocks.is_empty() {
         return;
     }
-    let rp = GlobalBuffer::filled(T::ZERO, grid.mr * grid.cols);
-    let ctp = GlobalBuffer::filled(T::ZERO, grid.mc * grid.rows);
-    let sq = GlobalBuffer::filled(T::ZERO, grid.mr * grid.mc);
-
-    phase1_block_sums(dev, a, &rp, &ctp, grid, &blocks);
-    phase2_fringe_prefixes(dev, s, &rp, &ctp, grid, region);
-    phase2b_corner_scan(dev, s, &rp, &sq, grid, region);
-    phase3_fixup(dev, a, s, &rp, &ctp, &sq, grid, &blocks);
-}
-
-/// Phase 1: per region block, column sums into `R[bi]` and row sums into
-/// `Cᵗ[bj]` (no block-total matrix — corners come from the phase-2b scan).
-fn phase1_block_sums<T: SatElement>(
-    dev: &Device,
-    a: &GlobalBuffer<T>,
-    rp: &GlobalBuffer<T>,
-    ctp: &GlobalBuffer<T>,
-    grid: Grid,
-    blocks: &[(usize, usize)],
-) {
-    let w = grid.w;
-    dev.launch(blocks.len(), |ctx| {
-        let ga = ctx.view(a);
-        let gr = ctx.view(rp);
-        let gc = ctx.view(ctp);
-        let (bi, bj) = blocks[ctx.block_id()];
-        let (r0, c0) = grid.origin(bi, bj);
-        let mut col_sums = vec![T::ZERO; w];
-        let mut row_sums = vec![T::ZERO; w];
-        let mut row = vec![T::ZERO; w];
-        for (i, slot) in row_sums.iter_mut().enumerate() {
-            ga.read_contig(grid.addr(r0 + i, c0), &mut row, &mut ctx.rec);
-            let mut rs = T::ZERO;
-            for t in 0..w {
-                col_sums[t] = col_sums[t].add(row[t]);
-                rs = rs.add(row[t]);
-            }
-            *slot = rs;
-        }
-        gr.write_contig(bi * grid.cols + c0, &col_sums, &mut ctx.rec);
-        gc.write_contig(bj * grid.rows + r0, &row_sums, &mut ctx.rec);
-    });
+    let fringes = FringeSums::zeroed(grid);
+    let corners = GlobalBuffer::filled(T::ZERO, grid.mr * grid.mc);
+    block_sums(dev, a, &fringes, None, grid, &blocks);
+    phase2_fringe_prefixes(dev, s, &fringes, grid, region);
+    phase2b_corner_scan(dev, s, &fringes.r, &corners, grid, region);
+    fixup(dev, a, s, &fringes, (&corners, grid.mc), grid, &blocks);
 }
 
 /// Read `w` consecutive values of `g` starting at `base − 1`, treating the
@@ -200,34 +138,32 @@ fn read_shifted_row<T: SatElement>(
 /// Phase 2: inclusive prefix sums down each fringe matrix, seeded with base
 /// values pairwise-subtracted from the finished SAT region where the region
 /// does not start at the matrix edge. Bases are stored one row before the
-/// first region row so phase 3 can address fringes uniformly as
+/// first region row so the fix-up can address fringes uniformly as
 /// `[bi − 1]` / `[bj − 1]`.
 fn phase2_fringe_prefixes<T: SatElement>(
     dev: &Device,
     s: &GlobalBuffer<T>,
-    rp: &GlobalBuffer<T>,
-    ctp: &GlobalBuffer<T>,
+    fringes: &FringeSums<T>,
     grid: Grid,
     region: Region,
 ) {
     let w = grid.w;
-    let col_tasks: Vec<usize> = (0..grid.mc)
-        .filter(|&bv| region.col_blocks(&grid, bv).is_some())
+    let col_tasks: Vec<_> = (0..grid.mc)
+        .filter_map(|bv| Some((bv, region.col_blocks(&grid, bv)?)))
         .collect();
-    let row_tasks: Vec<usize> = (0..grid.mr)
-        .filter(|&bu| region.row_blocks(&grid, bu).is_some())
+    let row_tasks: Vec<_> = (0..grid.mr)
+        .filter_map(|bu| Some((bu, region.row_blocks(&grid, bu)?)))
         .collect();
     let nc = col_tasks.len();
     dev.launch(nc + row_tasks.len(), |ctx| {
         let id = ctx.block_id();
+        let gs = ctx.view(s);
+        let mut acc = vec![T::ZERO; w];
         if id < nc {
             // T̂ prefix for the w columns of block column bv.
-            let bv = col_tasks[id];
-            let (lo, hi) = region.col_blocks(&grid, bv).expect("task exists");
-            let gs = ctx.view(s);
-            let gr = ctx.view(rp);
+            let (bv, (lo, hi)) = col_tasks[id];
+            let gr = ctx.view(&fringes.r);
             let c0 = bv * w;
-            let mut acc = vec![T::ZERO; w];
             if lo > 0 {
                 // base[c] = S(lo·w−1, c) − S(lo·w−1, c−1): summed column
                 // above, from the finished SAT.
@@ -241,22 +177,12 @@ fn phase2_fringe_prefixes<T: SatElement>(
                 }
                 gr.write_contig((lo - 1) * grid.cols + c0, &acc, &mut ctx.rec);
             }
-            let mut row = vec![T::ZERO; w];
-            for bi in lo..=hi {
-                gr.read_contig(bi * grid.cols + c0, &mut row, &mut ctx.rec);
-                for t in 0..w {
-                    acc[t] = acc[t].add(row[t]);
-                }
-                gr.write_contig(bi * grid.cols + c0, &acc, &mut ctx.rec);
-            }
+            prefix_down(ctx, &gr, c0, grid.cols, lo..hi + 1, &mut acc);
         } else {
             // Ĉ prefix for the w rows of block row bu.
-            let bu = row_tasks[id - nc];
-            let (lo, hi) = region.row_blocks(&grid, bu).expect("task exists");
-            let gs = ctx.view(s);
-            let gc = ctx.view(ctp);
+            let (bu, (lo, hi)) = row_tasks[id - nc];
+            let gc = ctx.view(&fringes.ct);
             let r0 = bu * w;
-            let mut acc = vec![T::ZERO; w];
             if lo > 0 {
                 // base[r] = S(r, lo·w−1) − S(r−1, lo·w−1), reading a column
                 // of the finished SAT (stride, O(rows) ops in total).
@@ -277,14 +203,7 @@ fn phase2_fringe_prefixes<T: SatElement>(
                 }
                 gc.write_contig((lo - 1) * grid.rows + r0, &acc, &mut ctx.rec);
             }
-            let mut row = vec![T::ZERO; w];
-            for bj in lo..=hi {
-                gc.read_contig(bj * grid.rows + r0, &mut row, &mut ctx.rec);
-                for t in 0..w {
-                    acc[t] = acc[t].add(row[t]);
-                }
-                gc.write_contig(bj * grid.rows + r0, &acc, &mut ctx.rec);
-            }
+            prefix_down(ctx, &gc, r0, grid.rows, lo..hi + 1, &mut acc);
         }
     });
 }
@@ -292,12 +211,13 @@ fn phase2_fringe_prefixes<T: SatElement>(
 /// Phase 2b: block-corner offsets. For every region row `bi ≥ 1`, scan the
 /// finished T̂ prefixes left to right; `ŝ(bi,bj) = S(bi·w−1, bj·w−1)` is the
 /// running sum (seeded from the finished SAT where the scan does not start
-/// at column 0).
+/// at column 0), written at `(bi−1)·mc + (bj−1)` of `corners` for the
+/// fix-up.
 fn phase2b_corner_scan<T: SatElement>(
     dev: &Device,
     s: &GlobalBuffer<T>,
     rp: &GlobalBuffer<T>,
-    sq: &GlobalBuffer<T>,
+    corners: &GlobalBuffer<T>,
     grid: Grid,
     region: Region,
 ) {
@@ -317,7 +237,7 @@ fn phase2b_corner_scan<T: SatElement>(
         let (bi, jstart, hi) = tasks[ctx.block_id()];
         let gs = ctx.view(s);
         let gr = ctx.view(rp);
-        let gq = ctx.view(sq);
+        let gq = ctx.view(corners);
         // First block column whose T̂ row bi−1 entry exists.
         let bv0 = (0..grid.mc)
             .find(|&bv| {
@@ -335,7 +255,7 @@ fn phase2b_corner_scan<T: SatElement>(
         let mut row = vec![T::ZERO; w];
         for bv in bv0..=hi {
             if bv >= jstart {
-                gq.write(bi * grid.mc + bv, acc, &mut ctx.rec);
+                gq.write((bi - 1) * grid.mc + (bv - 1), acc, &mut ctx.rec);
             }
             if bv < hi {
                 gr.read_contig((bi - 1) * grid.cols + bv * w, &mut row, &mut ctx.rec);
@@ -344,57 +264,6 @@ fn phase2b_corner_scan<T: SatElement>(
                 }
             }
         }
-    });
-}
-
-/// Phase 3: per region block, augment with T̂ (top row), Ĉ (left column) and
-/// ŝ (corner), compute the block SAT in shared memory, write out.
-#[allow(clippy::too_many_arguments)]
-fn phase3_fixup<T: SatElement>(
-    dev: &Device,
-    a: &GlobalBuffer<T>,
-    s: &GlobalBuffer<T>,
-    rp: &GlobalBuffer<T>,
-    ctp: &GlobalBuffer<T>,
-    sq: &GlobalBuffer<T>,
-    grid: Grid,
-    blocks: &[(usize, usize)],
-) {
-    let w = grid.w;
-    dev.launch(blocks.len(), |ctx| {
-        let ga = ctx.view(a);
-        let gs = ctx.view(s);
-        let gr = ctx.view(rp);
-        let gc = ctx.view(ctp);
-        let gq = ctx.view(sq);
-        let (bi, bj) = blocks[ctx.block_id()];
-        let (r0, c0) = grid.origin(bi, bj);
-        let mut tile: SharedTile<T> = default_tile(ctx);
-        load_block(ctx, &ga, grid, bi, bj, &mut tile);
-        let mut buf = vec![T::ZERO; w];
-        let mut fringe = vec![T::ZERO; w];
-        if bi > 0 {
-            gr.read_contig((bi - 1) * grid.cols + c0, &mut fringe, &mut ctx.rec);
-            tile.read_row(0, &mut buf, &mut ctx.rec);
-            for t in 0..w {
-                buf[t] = buf[t].add(fringe[t]);
-            }
-            tile.write_row(0, &buf, &mut ctx.rec);
-        }
-        if bj > 0 {
-            gc.read_contig((bj - 1) * grid.rows + r0, &mut fringe, &mut ctx.rec);
-            tile.read_col(0, &mut buf, &mut ctx.rec);
-            for t in 0..w {
-                buf[t] = buf[t].add(fringe[t]);
-            }
-            tile.write_col(0, &buf, &mut ctx.rec);
-        }
-        if bi > 0 && bj > 0 {
-            let corner = gq.read(bi * grid.mc + bj, &mut ctx.rec);
-            tile.set(0, 0, tile.get(0, 0).add(corner));
-        }
-        tile_sat(ctx, &mut tile);
-        store_block(ctx, &gs, grid, bi, bj, &tile);
     });
 }
 
@@ -433,12 +302,6 @@ mod tests {
         assert_eq!(lr.blocks(&g).len(), 3); // diagonals 5 and 6
                                             // The symmetric counterpart of UpperLeft{3} starts at 2m−1−3 = 4.
         assert_eq!(Region::LowerRight { start: 4 }.blocks(&g).len(), 6);
-
-        assert_eq!(Region::Full.blocks(&Grid::new(12, 12, 4)).len(), 9);
-        assert_eq!(
-            Region::Full.col_blocks(&Grid::new(12, 12, 4), 1),
-            Some((0, 2))
-        );
     }
 
     #[test]
@@ -480,30 +343,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn full_region_matches_reference() {
-        for (w, rows, cols) in [
-            (4usize, 8usize, 8usize),
-            (4, 16, 16),
-            (3, 27, 27),
-            (8, 64, 64),
-            (4, 8, 24),
-            (4, 24, 8),
-        ] {
-            let a = Matrix::from_fn(rows, cols, |i, j| ((i * 29 + j * 13) % 31) as i64 - 15);
-            let dev = dev(w);
-            let grid = Grid::new(rows, cols, w);
-            let ab = GlobalBuffer::from_vec(a.as_slice().to_vec());
-            let sb = GlobalBuffer::filled(0i64, rows * cols);
-            sat_2r1w_region(&dev, &ab, &sb, grid, Region::Full);
-            assert_eq!(
-                sb.into_vec(),
-                sat_reference(&a).into_vec(),
-                "w={w} {rows}x{cols}"
-            );
         }
     }
 

@@ -19,14 +19,24 @@
 //!    arrangement, *is* the global SAT of the block and is written out.
 //!
 //! Per element: 2 coalesced reads + 1 coalesced write (+ `O(1/w)` fringe
-//! traffic); `2k + 2` barriers (Lemma 4).
+//! traffic). Lemma 4 counts `2k + 2` barriers; this driver issues
+//! `3k + 2` (3, 6 and 9 launches at `k` = 0, 1 and 2): every recursion
+//! level runs its own three phases on a zero-padded copy of `Q`, one launch
+//! more per level than the paper's count.
+//!
+//! The hybrid's staircase triangles ([`crate::par::region`]) run the same
+//! block-sum, fringe-prefix and fix-up kernels; only their phase 2 differs.
 
-use gpu_exec::{Device, GlobalBuffer, SharedTile};
+use gpu_exec::{BlockCtx, Device, GlobalBuffer, SharedTile};
 
 use crate::element::SatElement;
-use crate::par::common::{default_tile, load_block, store_block, tile_sat, Grid};
+use crate::par::common::{default_tile, load_block, prefix_down, store_block, tile_sat, Grid};
 
 /// **2R1W**: compute into `s` the SAT of the `rows × cols` matrix in `a`.
+///
+/// # Panics
+/// Panics at `w = 1` on anything larger than `1 × 1`: the recursion on `Q`
+/// (`rows/w × cols/w`) needs `w ≥ 2` to shrink the problem.
 pub fn sat_2r1w<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,
@@ -44,23 +54,35 @@ pub fn sat_2r1w<T: SatElement>(
         single_block_sat(dev, a, s, grid);
         return;
     }
-    let rp = GlobalBuffer::filled(T::ZERO, mr * cols);
-    let ctp = GlobalBuffer::filled(T::ZERO, mc * rows);
+    let blocks: Vec<_> = (0..grid.blocks()).map(|id| grid.block_of(id)).collect();
+    let fringes = FringeSums::zeroed(grid);
     let q = GlobalBuffer::filled(T::ZERO, mr * mc);
-    step1_block_sums(dev, a, &rp, &ctp, &q, grid);
+    block_sums(dev, a, &fringes, Some(&q), grid, &blocks);
     if mr <= w && mc <= w {
-        step2_fused_with_block_qsat(dev, &rp, &ctp, &q, grid);
-        step3_fixup(dev, a, s, &rp, &ctp, &q, grid, mc);
+        prefixes_and(dev, &fringes, grid, 1, |ctx, _| tile_q_sat(ctx, &q, mr, mc));
+        fixup(dev, a, s, &fringes, (&q, mc), grid, &blocks);
     } else {
+        assert!(
+            w >= 2,
+            "2R1W's recursion needs w ≥ 2: at w = 1 the block-sum matrix Q of a \
+             {rows} × {cols} input is {rows} × {cols} again"
+        );
         // Recursion: zero-pad Q to multiples of w and call 2R1W on it.
         // Padding does not change SAT values inside the original region.
         let mrp = mr.next_multiple_of(w);
         let mcp = mc.next_multiple_of(w);
         let qa = GlobalBuffer::filled(T::ZERO, mrp * mcp);
-        step2_prefixes_and_pad(dev, &rp, &ctp, &q, &qa, grid, mcp);
+        prefixes_and(dev, &fringes, grid, mr, |ctx, bi| {
+            // Copy row bi of Q into the padded buffer.
+            let gq = ctx.view(&q);
+            let gqa = ctx.view(&qa);
+            let mut row = vec![T::ZERO; mc];
+            gq.read_contig(bi * mc, &mut row, &mut ctx.rec);
+            gqa.write_contig(bi * mcp, &row, &mut ctx.rec);
+        });
         let qs = GlobalBuffer::filled(T::ZERO, mrp * mcp);
         sat_2r1w(dev, &qa, &qs, mrp, mcp);
-        step3_fixup(dev, a, s, &rp, &ctp, &qs, grid, mcp);
+        fixup(dev, a, s, &fringes, (&qs, mcp), grid, &blocks);
     }
 }
 
@@ -81,23 +103,63 @@ fn single_block_sat<T: SatElement>(
     });
 }
 
-/// Phase 1: per block, write column sums to `R[bi]`, row sums to `Cᵗ[bj]`
-/// and the block total to `Q[bi][bj]`.
-fn step1_block_sums<T: SatElement>(
+/// SAT of the `mr × mc` matrix `Q` (`mr, mc ≤ w`), in place, inside one
+/// zero-padded shared tile.
+fn tile_q_sat<T: SatElement>(ctx: &mut BlockCtx<'_>, q: &GlobalBuffer<T>, mr: usize, mc: usize) {
+    let gq = ctx.view(q);
+    let mut tile: SharedTile<T> = default_tile(ctx);
+    let mut row = vec![T::ZERO; mc];
+    for i in 0..mr {
+        gq.read_contig(i * mc, &mut row, &mut ctx.rec);
+        for (j, &v) in row.iter().enumerate() {
+            tile.set(i, j, v);
+        }
+    }
+    tile_sat(ctx, &mut tile);
+    for i in 0..mr {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = tile.get(i, j);
+        }
+        gq.write_contig(i * mc, &row, &mut ctx.rec);
+    }
+}
+
+/// The two fringe matrices of 2R1W: per-block column sums `R`
+/// (`mr × cols`) and per-block row sums `Cᵗ` (`mc × rows`, stored
+/// transposed so phase 2 stays coalesced). Phase 2 turns both into
+/// prefix sums in place; row `bi − 1` of `R` and row `bj − 1` of `Cᵗ` are
+/// what block `(bi, bj)`'s fix-up adds.
+pub(crate) struct FringeSums<T> {
+    pub r: GlobalBuffer<T>,
+    pub ct: GlobalBuffer<T>,
+}
+
+impl<T: SatElement> FringeSums<T> {
+    /// Zeroed fringe matrices for `grid`.
+    pub fn zeroed(grid: Grid) -> Self {
+        FringeSums {
+            r: GlobalBuffer::filled(T::ZERO, grid.mr * grid.cols),
+            ct: GlobalBuffer::filled(T::ZERO, grid.mc * grid.rows),
+        }
+    }
+}
+
+/// Phase 1: per block of `blocks`, write its column sums to `R[bi]`, its
+/// row sums to `Cᵗ[bj]` and, when `q` is given, its total to `Q[bi][bj]`.
+pub(crate) fn block_sums<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,
-    rp: &GlobalBuffer<T>,
-    ctp: &GlobalBuffer<T>,
-    q: &GlobalBuffer<T>,
+    fringes: &FringeSums<T>,
+    q: Option<&GlobalBuffer<T>>,
     grid: Grid,
+    blocks: &[(usize, usize)],
 ) {
-    let (w, mc) = (grid.w, grid.mc);
-    dev.launch(grid.blocks(), |ctx| {
+    let w = grid.w;
+    dev.launch(blocks.len(), |ctx| {
         let ga = ctx.view(a);
-        let gr = ctx.view(rp);
-        let gc = ctx.view(ctp);
-        let gq = ctx.view(q);
-        let (bi, bj) = grid.block_of(ctx.block_id());
+        let gr = ctx.view(&fringes.r);
+        let gc = ctx.view(&fringes.ct);
+        let (bi, bj) = blocks[ctx.block_id()];
         let (r0, c0) = grid.origin(bi, bj);
         let mut col_sums = vec![T::ZERO; w];
         let mut row_sums = vec![T::ZERO; w];
@@ -115,132 +177,68 @@ fn step1_block_sums<T: SatElement>(
         }
         gr.write_contig(bi * grid.cols + c0, &col_sums, &mut ctx.rec);
         gc.write_contig(bj * grid.rows + r0, &row_sums, &mut ctx.rec);
-        gq.write(bi * mc + bj, total, &mut ctx.rec);
+        if let Some(q) = q {
+            ctx.view(q).write(bi * grid.mc + bj, total, &mut ctx.rec);
+        }
     });
 }
 
-/// Inclusive column-wise prefix over a `levels × pitch` fringe matrix, one
-/// task per `w`-column chunk (shared by phase-2 variants).
-fn fringe_prefix_task<T: SatElement>(
-    ctx: &mut gpu_exec::BlockCtx<'_>,
-    buf: &GlobalBuffer<T>,
-    pitch: usize,
-    levels: usize,
-    chunk: usize,
-) {
-    let w = ctx.width();
-    let g = ctx.view(buf);
-    let c0 = chunk * w;
-    let mut acc = vec![T::ZERO; w];
-    let mut row = vec![T::ZERO; w];
-    for level in 0..levels {
-        g.read_contig(level * pitch + c0, &mut row, &mut ctx.rec);
-        for t in 0..w {
-            acc[t] = acc[t].add(row[t]);
-        }
-        g.write_contig(level * pitch + c0, &acc, &mut ctx.rec);
-    }
-}
-
-/// Phase 2 when `Q` fits one block (`mr, mc ≤ w`): a single fused launch
-/// running the `R` prefix tasks, the `Cᵗ` prefix tasks and the
-/// in-shared-memory SAT of `Q` (in place).
-fn step2_fused_with_block_qsat<T: SatElement>(
+/// Phase 2 of plain 2R1W: one launch running the `R` prefix tasks (one per
+/// block column), the `Cᵗ` prefix tasks (one per block row) and `q_tasks`
+/// tasks of `q_task` for `Q`.
+fn prefixes_and<T: SatElement>(
     dev: &Device,
-    rp: &GlobalBuffer<T>,
-    ctp: &GlobalBuffer<T>,
-    q: &GlobalBuffer<T>,
+    fringes: &FringeSums<T>,
     grid: Grid,
+    q_tasks: usize,
+    q_task: impl Fn(&mut BlockCtx<'_>, usize) + Sync,
 ) {
-    let (mr, mc) = (grid.mr, grid.mc);
-    dev.launch(mc + mr + 1, |ctx| {
+    let (w, mr, mc) = (grid.w, grid.mr, grid.mc);
+    dev.launch(mc + mr + q_tasks, |ctx| {
         let id = ctx.block_id();
-        if id < mc {
-            fringe_prefix_task(ctx, rp, grid.cols, mr, id);
-        } else if id < mc + mr {
-            fringe_prefix_task(ctx, ctp, grid.rows, mc, id - mc);
-        } else {
-            // SAT of the mr × mc matrix Q inside one zero-padded tile.
-            let gq = ctx.view(q);
-            let mut tile: SharedTile<T> = default_tile(ctx);
-            let mut row = vec![T::ZERO; mc];
-            for i in 0..mr {
-                gq.read_contig(i * mc, &mut row, &mut ctx.rec);
-                for (j, &v) in row.iter().enumerate() {
-                    tile.set(i, j, v);
-                }
-            }
-            tile_sat(ctx, &mut tile);
-            for i in 0..mr {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = tile.get(i, j);
-                }
-                gq.write_contig(i * mc, &row, &mut ctx.rec);
-            }
+        if id >= mc + mr {
+            return q_task(ctx, id - mc - mr);
         }
+        let (buf, pitch, levels, chunk) = if id < mc {
+            (&fringes.r, grid.cols, mr, id)
+        } else {
+            (&fringes.ct, grid.rows, mc, id - mc)
+        };
+        let g = ctx.view(buf);
+        prefix_down(ctx, &g, chunk * w, pitch, 0..levels, &mut vec![T::ZERO; w]);
     });
 }
 
-/// Phase 2 when `Q` needs recursion (`max(mr, mc) > w`): prefix tasks for
-/// `R` and `Cᵗ`, fused with the tasks that zero-pad `Q` into the
-/// `mrp × mcp` buffer the recursive call consumes.
-fn step2_prefixes_and_pad<T: SatElement>(
-    dev: &Device,
-    rp: &GlobalBuffer<T>,
-    ctp: &GlobalBuffer<T>,
-    q: &GlobalBuffer<T>,
-    qa: &GlobalBuffer<T>,
-    grid: Grid,
-    mcp: usize,
-) {
-    let (mr, mc) = (grid.mr, grid.mc);
-    dev.launch(mc + mr + mr, |ctx| {
-        let id = ctx.block_id();
-        if id < mc {
-            fringe_prefix_task(ctx, rp, grid.cols, mr, id);
-        } else if id < mc + mr {
-            fringe_prefix_task(ctx, ctp, grid.rows, mc, id - mc);
-        } else {
-            // Copy row (id − mc − mr) of Q into the padded buffer.
-            let bi = id - mc - mr;
-            let gq = ctx.view(q);
-            let gqa = ctx.view(qa);
-            let mut row = vec![T::ZERO; mc];
-            gq.read_contig(bi * mc, &mut row, &mut ctx.rec);
-            gqa.write_contig(bi * mcp, &row, &mut ctx.rec);
-        }
-    });
-}
-
-/// Phase 3 (Figures 8 & 9): augment each block with its fringes and compute
-/// its SAT in shared memory. `q_pitch` is the row pitch of the (possibly
-/// padded) SAT-of-Q buffer.
-#[allow(clippy::too_many_arguments)]
-fn step3_fixup<T: SatElement>(
+/// Phase 3 (Figures 8 & 9): per block of `blocks`, add the prefix row
+/// `R[bi−1]` to its top row, `Cᵗ[bj−1]` to its leftmost column and the
+/// corner word `(bi−1)·pitch + (bj−1)` of `corners` (the sum of every
+/// element above-left of the block) to its top-left element; the SAT of
+/// the augmented block, computed in shared memory, is the global SAT of the
+/// block and is written to `s`.
+pub(crate) fn fixup<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,
     s: &GlobalBuffer<T>,
-    rp: &GlobalBuffer<T>,
-    ctp: &GlobalBuffer<T>,
-    qsat: &GlobalBuffer<T>,
+    fringes: &FringeSums<T>,
+    (corners, pitch): (&GlobalBuffer<T>, usize),
     grid: Grid,
-    q_pitch: usize,
+    blocks: &[(usize, usize)],
 ) {
     let w = grid.w;
-    dev.launch(grid.blocks(), |ctx| {
+    dev.launch(blocks.len(), |ctx| {
         let ga = ctx.view(a);
         let gs = ctx.view(s);
-        let gr = ctx.view(rp);
-        let gc = ctx.view(ctp);
-        let gq = ctx.view(qsat);
-        let (bi, bj) = grid.block_of(ctx.block_id());
+        let gr = ctx.view(&fringes.r);
+        let gc = ctx.view(&fringes.ct);
+        let gq = ctx.view(corners);
+        let (bi, bj) = blocks[ctx.block_id()];
         let (r0, c0) = grid.origin(bi, bj);
         let mut tile: SharedTile<T> = default_tile(ctx);
         load_block(ctx, &ga, grid, bi, bj, &mut tile);
         let mut buf = vec![T::ZERO; w];
         let mut fringe = vec![T::ZERO; w];
         if bi > 0 {
-            // Sum of everything above, per column: R's prefix row bi − 1.
+            // Sum of everything above, per column.
             gr.read_contig((bi - 1) * grid.cols + c0, &mut fringe, &mut ctx.rec);
             tile.read_row(0, &mut buf, &mut ctx.rec);
             for t in 0..w {
@@ -249,7 +247,7 @@ fn step3_fixup<T: SatElement>(
             tile.write_row(0, &buf, &mut ctx.rec);
         }
         if bj > 0 {
-            // Sum of everything to the left, per row: Cᵗ's prefix row bj − 1.
+            // Sum of everything to the left, per row.
             gc.read_contig((bj - 1) * grid.rows + r0, &mut fringe, &mut ctx.rec);
             tile.read_col(0, &mut buf, &mut ctx.rec);
             for t in 0..w {
@@ -258,8 +256,7 @@ fn step3_fixup<T: SatElement>(
             tile.write_col(0, &buf, &mut ctx.rec);
         }
         if bi > 0 && bj > 0 {
-            // Sum of all blocks above-left: SAT(Q)[bi−1][bj−1].
-            let corner = gq.read((bi - 1) * q_pitch + (bj - 1), &mut ctx.rec);
+            let corner = gq.read((bi - 1) * pitch + (bj - 1), &mut ctx.rec);
             tile.set(0, 0, tile.get(0, 0).add(corner));
         }
         tile_sat(ctx, &mut tile);
@@ -271,6 +268,7 @@ fn step3_fixup<T: SatElement>(
 mod tests {
     use super::*;
     use gpu_exec::{Device, DeviceOptions};
+    use hmm_model::cost::GlobalCost;
     use hmm_model::MachineConfig;
 
     use crate::fixtures::{fig3_input, fig3_sat, FIG_BLOCK_WIDTH};
@@ -318,12 +316,13 @@ mod tests {
         let grid = Grid::square(9, 3);
         let dev = dev(3);
         let ab = GlobalBuffer::from_vec(a.as_slice().to_vec());
-        let rp = GlobalBuffer::filled(0i64, 3 * 9);
-        let ctp = GlobalBuffer::filled(0i64, 3 * 9);
+        let fringes = FringeSums::zeroed(grid);
         let q = GlobalBuffer::filled(0i64, 9);
-        step1_block_sums(&dev, &ab, &rp, &ctp, &q, grid);
+        let blocks: Vec<_> = (0..grid.blocks()).map(|id| grid.block_of(id)).collect();
+        block_sums(&dev, &ab, &fringes, Some(&q), grid, &blocks);
         // R[bi][c] = Σ of column c within block row bi.
-        let r = rp.into_vec();
+        let FringeSums { r, ct } = fringes;
+        let r = r.into_vec();
         for bi in 0..3 {
             for c in 0..9 {
                 let want: i64 = (0..3).map(|i| a.get(bi * 3 + i, c)).sum();
@@ -331,7 +330,7 @@ mod tests {
             }
         }
         // Cᵗ[bj][r] = Σ of row r within block column bj.
-        let ct = ctp.into_vec();
+        let ct = ct.into_vec();
         for bj in 0..3 {
             for row in 0..9 {
                 let want: i64 = (0..3).map(|j| a.get(row, bj * 3 + j)).sum();
@@ -392,14 +391,28 @@ mod tests {
 
     #[test]
     fn barrier_steps_match_lemma4() {
-        // Non-recursive (m ≤ w): 3 launches = 2 barriers = 2k+2 with k = 0.
-        let (w, n) = (8usize, 64usize);
-        let dev = dev(w);
-        let a = GlobalBuffer::filled(1i64, n * n);
-        let s = GlobalBuffer::filled(0i64, n * n);
-        dev.reset_stats();
-        sat_2r1w(&dev, &a, &s, n, n);
-        assert_eq!(dev.stats().barrier_steps, 2);
+        // Lemma 4 counts 2k + 2 barriers; each recursion level here costs
+        // one launch more, so k = 0, 1, 2 give 3, 6, 9 launches = 3k + 2
+        // barriers. n = 16, 64, 68 at w = 4: Q is 4², 16² → 4², 17² → 20²
+        // → 5² → 8².
+        let w = 4usize;
+        let gc = GlobalCost::new(MachineConfig::with_width(w));
+        for (n, k) in [(16usize, 0u64), (64, 1), (68, 2)] {
+            assert_eq!(u64::from(gc.recursion_depth(n)), k, "n={n}");
+            let dev = dev(w);
+            let a = GlobalBuffer::filled(1i64, n * n);
+            let s = GlobalBuffer::filled(0i64, n * n);
+            dev.reset_stats();
+            sat_2r1w(&dev, &a, &s, n, n);
+            assert_eq!(dev.stats().barrier_steps, 3 * k + 2, "n={n}");
+            assert_eq!(dev.launches(), 3 * k + 3, "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2R1W's recursion needs w ≥ 2")]
+    fn width_one_fails_fast_instead_of_recursing_forever() {
+        run(1, &Matrix::from_fn(4, 4, |i, j| (i + j) as i64));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use gpu_exec::{Device, GlobalBuffer};
 
 use crate::element::SatElement;
-use crate::par::common::Grid;
+use crate::par::common::{prefix_down, Grid};
 
 /// Column-wise prefix sums of a `rows × cols` matrix, in place: one launch,
 /// a grid of `cols/w` blocks, each block owning `w` adjacent columns. All
@@ -26,16 +26,10 @@ pub fn column_prefix_kernel<T: SatElement>(
     dev.launch(grid.mc, |ctx| {
         let g = ctx.view(buf);
         let base_col = ctx.block_id() * w;
+        // Row 0 is its own prefix: read it, then continue down rows 1.. .
         let mut acc = vec![T::ZERO; w];
-        g.read_contig(grid.addr(0, base_col), &mut acc, ctx.rec());
-        let mut row = vec![T::ZERO; w];
-        for i in 1..rows {
-            g.read_contig(grid.addr(i, base_col), &mut row, ctx.rec());
-            for t in 0..w {
-                acc[t] = acc[t].add(row[t]);
-            }
-            g.write_contig(grid.addr(i, base_col), &acc, ctx.rec());
-        }
+        g.read_contig(base_col, &mut acc, ctx.rec());
+        prefix_down(ctx, &g, base_col, cols, 1..rows, &mut acc);
     });
 }
 

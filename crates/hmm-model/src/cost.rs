@@ -521,9 +521,18 @@ impl GlobalCost {
     /// Natural recursion depth of 2R1W: the sums matrix has side `n/w`;
     /// recursion continues while that exceeds one block, i.e. depth
     /// `k = ⌈log_w(n/w²)⌉` clamped at 0 (`k ≤ 1` for all practical sizes).
+    ///
+    /// # Panics
+    /// Panics at `w = 1` for `n > 1`: the sums matrix is `n × n` again, so
+    /// 2R1W's recursion needs `w ≥ 2` to terminate.
     pub fn recursion_depth(&self, n: usize) -> u32 {
         let w = self.cfg.width;
         let mut side = n.div_ceil(w); // side of the sums matrix
+        assert!(
+            w >= 2 || side <= w,
+            "2R1W's recursion needs w ≥ 2: at w = 1 the sums matrix of an \
+             n = {n} input is {side} × {side} again"
+        );
         let mut k = 0;
         while side > w {
             side = side.div_ceil(w);
@@ -609,7 +618,7 @@ impl GlobalCost {
         let n2 = (n as f64) * (n as f64);
         let w = self.w();
         let m = (n as f64) / w;
-        let k = self.recursion_depth(n) as f64;
+        let k = || self.recursion_depth(n) as f64;
         let (cr, cw, sr, sw, b) = match algorithm {
             SatAlgorithm::TwoR2W => (n2, n2, n2, n2, 1.0),
             SatAlgorithm::FourR4W => (4.0 * n2, 4.0 * n2, 0.0, 0.0, 3.0),
@@ -619,7 +628,7 @@ impl GlobalCost {
                 n2 + 3.0 * n2 / w,
                 0.0,
                 0.0,
-                2.0 * k + 2.0,
+                2.0 * k() + 2.0,
             ),
             SatAlgorithm::OneR1W => (n2 + 2.0 * n2 / w, n2 + n2 / w, n2 / w, 0.0, 2.0 * m - 2.0),
             SatAlgorithm::HybridR1W => {
@@ -633,7 +642,7 @@ impl GlobalCost {
                     n2 + 3.0 * r2 * n2 / w,
                     (1.0 - r2) * n2 / w,
                     0.0,
-                    2.0 * (1.0 - r) * m + 4.0 * k + 5.0,
+                    2.0 * (1.0 - r) * m + 4.0 * k() + 5.0,
                 )
             }
         };
@@ -1045,6 +1054,21 @@ mod tests {
         assert_eq!(g.recursion_depth(1024), 0); // 1024/32 = 32 ≤ w
         assert_eq!(g.recursion_depth(18 * 1024), 1); // 18432/32 = 576 > 32
         assert_eq!(g.recursion_depth(32), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "2R1W's recursion needs w ≥ 2")]
+    fn recursion_depth_fails_fast_at_width_one() {
+        GlobalCost::new(MachineConfig::with_width(1)).recursion_depth(4);
+    }
+
+    #[test]
+    fn width_one_prices_everything_but_the_2r1w_recursion() {
+        // n = 1 needs no recursion at any width, and the Table I rows of
+        // the algorithms without one never ask for its depth.
+        let g = GlobalCost::new(MachineConfig::with_width(1));
+        assert_eq!(g.recursion_depth(1), 0);
+        assert_eq!(g.table_one_row(SatAlgorithm::TwoR2W, 4).barrier_steps, 1.0);
     }
 
     #[test]

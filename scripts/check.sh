@@ -121,6 +121,17 @@ for alg in 2R2W 4R4W 4R1W 2R1W 1R1W '(1+r^2)R1W'; do
     cargo run --release -q -p sat-bench --bin inspect -- --alg "$alg" --n 64 --w 8 >/dev/null
 done
 
+echo "== inspect recursion smoke (at w = 4, n = 64 2R1W recurses once, k = 1:"
+echo "   3k + 3 = 6 launches; the hybrid's triangles share its kernels)"
+for alg in 2R1W '(1+r^2)R1W'; do
+    out=$(cargo run --release -q -p sat-bench --bin inspect -- --alg "$alg" --n 64 --w 4)
+    if [ "$alg" = 2R1W ] && ! grep -q ": 6 launches" <<<"$out"; then
+        echo "$out"
+        echo "error: inspect: 2R1W at n = 64, w = 4 should issue 6 launches" >&2
+        exit 1
+    fi
+done
+
 echo "== unsafe-code audit (every unsafe block carries a SAFETY comment)"
 ./scripts/unsafe_audit.sh
 
