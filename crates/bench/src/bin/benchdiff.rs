@@ -35,7 +35,8 @@
 //!   must instead trip **exactly one** `cusum` drift alert on the injected
 //!   algorithm's cell, emit the matching flight-recorder event, and dump
 //!   one post-mortem bundle (into `--conformance-dir`) that passes
-//!   [`obs::flight::validate`] — exiting nonzero on any other outcome;
+//!   [`obs::flight::validate`] and whose `drift_alert` event names the
+//!   injected cell and shard 0 — exiting nonzero on any other outcome;
 //! * `--conformance-dir DIR` — where the injected-drift bundle goes
 //!   (default `.`);
 //! * `--validate-history PATH` — parse a history file and check its
@@ -539,7 +540,8 @@ fn conformance_pass(
                 return false;
             }
             // The alert's flight event rides a dumped bundle, which must
-            // round-trip the validator.
+            // round-trip the validator and, alone, name the drifting cell
+            // (the label `/debug/conformance` shows) and its shard.
             let trigger = obs::flight::Trigger {
                 reason: "drift".to_string(),
                 request: 0,
@@ -553,14 +555,24 @@ fn conformance_pass(
                     let checked = std::fs::read_to_string(&path)
                         .map_err(|e| e.to_string())
                         .and_then(|text| {
-                            if !text.contains("\"kind\":\"drift_alert\"") {
-                                return Err("bundle lacks the drift_alert flight event".into());
+                            let stats = obs::flight::validate(&text)?;
+                            let names_cell = |e: &JsonValue| {
+                                let field = |k| e.get(k).and_then(JsonValue::as_str);
+                                field("kind") == Some("drift_alert")
+                                    && field("cell") == Some(expected.as_str())
+                                    && e.get("shard").and_then(JsonValue::as_f64) == Some(0.0)
+                            };
+                            let events = JsonValue::parse(&text)?;
+                            let events = events.get("events").and_then(JsonValue::as_array);
+                            if !events.is_some_and(|evs| evs.iter().any(names_cell)) {
+                                return Err(format!("no drift_alert event names {expected}"));
                             }
-                            obs::flight::validate(&text)
+                            Ok(stats)
                         });
                     match checked {
                         Ok(stats) => println!(
-                            "conformance: drift bundle {} validates ({} events)",
+                            "conformance: drift bundle {} validates ({} events); \
+                             drift_alert names {expected} on shard 0",
                             path.display(),
                             stats.events
                         ),

@@ -276,12 +276,10 @@ pub fn sat_1r1w_persistent<T: SatElement>(
     }
     // Leave a structured breadcrumb before retrying: a post-mortem bundle
     // must show that the persistent mode stalled and where it gave up.
-    dev.observer().flight_event(
-        obs::FlightKind::HandoffStall,
-        0,
-        grid.diagonals() as u64,
-        residents as u64,
-    );
+    dev.observer().emit(obs::Event::HandoffStall {
+        stages: grid.diagonals() as u64,
+        residents: residents as u64,
+    });
     // The persistent launch was aborted or lost: recompute stage by stage.
     // Every stage rewrites its blocks completely, so no scrub is needed,
     // and a stage whose launch fails is simply run again.
@@ -672,12 +670,15 @@ mod tests {
         let stalls: Vec<_> = obs
             .flight_recent()
             .into_iter()
-            .filter(|e| e.kind == obs::FlightKind::HandoffStall)
+            .filter_map(|e| match e.event {
+                obs::Event::HandoffStall { stages, residents } => Some((stages, residents)),
+                _ => None,
+            })
             .collect();
         assert_eq!(stalls.len(), 1, "one breadcrumb per fallback");
         let m = (n / w) as u64;
-        assert_eq!(stalls[0].a, 2 * m - 1, "stage count");
-        assert_eq!(stalls[0].b, 1, "workers(0) launches one resident");
+        assert_eq!(stalls[0].0, 2 * m - 1, "stage count");
+        assert_eq!(stalls[0].1, 1, "workers(0) launches one resident");
     }
 
     #[test]

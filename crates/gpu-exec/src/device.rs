@@ -1,5 +1,6 @@
 //! The virtual GPU device: launch machinery, block contexts and statistics.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -7,7 +8,10 @@ use hmm_model::cost::CostCounters;
 use hmm_model::MachineConfig;
 use obs::conformance::LaunchSample;
 use obs::profile::gpu;
-use obs::{ArgValue, Conformance, Counter, FlightKind, FlowPhase, Histogram, Obs, Registry, Track};
+use obs::{
+    ArgValue, Conformance, Counter, Event, FaultClass, FlowPhase, Histogram, Label, Obs, Registry,
+    Track,
+};
 use parking_lot::Mutex;
 
 use crate::buffer::{GlobalBuffer, GlobalView};
@@ -194,31 +198,24 @@ struct FaultState {
     failed_launches: AtomicU64,
     /// Wall-clock loss window state (set at the first triggering launch).
     loss_started: Mutex<Option<Instant>>,
-    /// `gpu_fault_injections{kind=…}` counters, indexed by fault class − 1.
-    counters: Option<[Counter; 4]>,
+    /// `gpu_fault_injections{kind=…}` counters, indexed by [`FaultClass`].
+    counters: Vec<Counter>,
 }
 
 impl FaultState {
     fn log(&self, ev: FaultEvent, obs: &Obs) {
-        let class = match ev {
-            FaultEvent::LaunchAborted { .. } => 1,
-            FaultEvent::DeviceLost { .. } => 2,
-            FaultEvent::Straggler { .. } => 3,
-            FaultEvent::Corrupted { .. } => 4,
-        };
-        if let Some(c) = &self.counters {
-            c[class as usize - 1].inc();
+        let class = ev.class();
+        if let Some(c) = self.counters.get(class as usize) {
+            c.inc();
         }
         // Aborts and losses fail their launch and move the fault epoch.
-        if class <= 2 {
+        if matches!(class, FaultClass::LaunchAbort | FaultClass::DeviceLoss) {
             self.failed_launches.fetch_add(1, Ordering::Relaxed);
         }
-        obs.instant(
-            Track::wall(0),
-            ev.kind(),
-            vec![("launch", ArgValue::from(ev.launch()))],
-        );
-        obs.flight_event(FlightKind::FaultInjected, 0, ev.launch(), class);
+        obs.emit(Event::FaultInjected {
+            launch: ev.launch(),
+            class,
+        });
         let mut log = self.events.lock();
         if log.len() < FAULT_EVENT_CAP {
             log.push(ev);
@@ -277,9 +274,10 @@ pub struct Device {
     /// Model-conformance tracker fed once per launch (shared across a
     /// fleet's devices via its inner `Arc`).
     conformance: Option<Conformance>,
-    /// `@s<shard>` on fleet devices (empty otherwise), appended to every
-    /// conformance cell label.
-    cell_suffix: String,
+    /// Fleet shard index: suffixes every conformance cell label
+    /// `@s<shard>` and names the shard in drift alerts (a standalone
+    /// device's alerts name shard 0).
+    shard: Option<u64>,
 }
 
 impl Device {
@@ -309,10 +307,15 @@ impl Device {
                 events: Mutex::new(Vec::new()),
                 failed_launches: AtomicU64::new(0),
                 loss_started: Mutex::new(None),
-                counters: opts.observer.registry().map(|reg| {
-                    ["launch_abort", "device_loss", "straggler", "corruption"].map(|k| {
-                        reg.counter(&Registry::labeled(gpu::FAULT_INJECTIONS, &[("kind", k)]))
-                    })
+                // The labels spell each class's name with `_` for `-`.
+                counters: opts.observer.registry().map_or_else(Vec::new, |reg| {
+                    let label = |c: &FaultClass| c.name().replace('-', "_");
+                    let labeled =
+                        |c| Registry::labeled(gpu::FAULT_INJECTIONS, &[("kind", &label(c))]);
+                    FaultClass::ALL
+                        .iter()
+                        .map(|c| reg.counter(&labeled(c)))
+                        .collect()
                 }),
             });
         Device {
@@ -335,7 +338,7 @@ impl Device {
             fault,
             launch_ctx: Mutex::new(None),
             conformance: opts.conformance,
-            cell_suffix: opts.shard.map_or_else(String::new, |s| format!("@s{s}")),
+            shard: opts.shard,
         }
     }
 
@@ -496,8 +499,12 @@ impl Device {
             span.arg("batch", ArgValue::from(lc.batch));
             span.arg("request", ArgValue::from(first));
         }
-        let first = lc.requests.first().copied().unwrap_or(0);
-        obs.flight_event(FlightKind::LaunchBegin, first, launch, grid as u64);
+        let request = lc.requests.first().copied().unwrap_or(0);
+        obs.emit(Event::LaunchBegin {
+            request,
+            launch,
+            grid: grid as u64,
+        });
 
         // Blocks: each merges its recorder into the launch-local delta.
         let delta = Mutex::new(CostCounters::new());
@@ -595,7 +602,10 @@ impl Device {
             // Unlabeled launches still get a stable mode/grid bucket.
             let mode = if persistent { "persistent" } else { "launch" };
             let bucket = grid.max(1).next_power_of_two();
-            let cell = lc.cell.unwrap_or_else(|| format!("{mode}/g{bucket}")) + &self.cell_suffix;
+            let mut cell = lc.cell.unwrap_or_else(|| format!("{mode}/g{bucket}"));
+            if let Some(s) = self.shard {
+                let _ = write!(cell, "@s{s}");
+            }
             conf.ingest(LaunchSample {
                 cell,
                 coalesced_ops: delta.coalesced_ops(),
@@ -604,10 +614,12 @@ impl Device {
                 wall_seconds: elapsed.as_secs_f64(),
             });
             for alert in conf.take_new_alerts() {
-                // The cell label lives in the conformance report; the flight
-                // breadcrumb carries the ratio (ppm) and sample count.
-                let ppm = (alert.ratio * 1e6) as u64;
-                obs.flight_event(FlightKind::DriftAlert, 0, ppm, alert.samples);
+                obs.emit(Event::DriftAlert {
+                    cell: Label::new(&alert.cell),
+                    shard: self.shard.unwrap_or(0),
+                    ratio_ppm: (alert.ratio * 1e6) as u64,
+                    samples: alert.samples,
+                });
             }
         }
         // Flow points for every request the batch carries, stamped while
@@ -618,7 +630,11 @@ impl Device {
             let now = Instant::now();
             obs.flow_wall(Track::wall(0), "request", FlowPhase::Step, rid, now);
         }
-        obs.flight_event(FlightKind::LaunchEnd, first, launch, failed as u64);
+        obs.emit(Event::LaunchEnd {
+            request,
+            launch,
+            failed,
+        });
     }
 
     /// Reset the accumulated statistics (typically before timing a run).
@@ -1091,16 +1107,26 @@ mod tests {
         let drifts: Vec<_> = obs
             .flight_recent()
             .into_iter()
-            .filter(|e| e.kind == FlightKind::DriftAlert)
+            .filter_map(|e| match e.event {
+                Event::DriftAlert {
+                    cell,
+                    shard,
+                    ratio_ppm,
+                    ..
+                } => Some((cell, shard, ratio_ppm)),
+                _ => None,
+            })
             .collect();
         assert_eq!(drifts.len(), 1, "{drifts:?}");
-        assert!(drifts[0].a > 1_000_000, "ratio ppm: {:?}", drifts[0]);
+        assert!(drifts[0].2 > 1_000_000, "ratio ppm: {:?}", drifts[0]);
+        // The event alone names the drifting cell and the device's shard.
+        assert_eq!((drifts[0].0.as_str(), drifts[0].1), (cell, 0));
         // Latched: further launches emit nothing new.
         run(&dev);
         let again = obs
             .flight_recent()
             .into_iter()
-            .filter(|e| e.kind == FlightKind::DriftAlert)
+            .filter(|e| matches!(e.event, Event::DriftAlert { .. }))
             .count();
         assert_eq!(again, 1);
     }
@@ -1185,14 +1211,17 @@ mod tests {
         // Launch begin/end made it into the flight recorder with the first
         // request id attached.
         let flight = obs.flight_recent();
-        let begins: Vec<_> = flight
+        let begins: Vec<u64> = flight
             .iter()
-            .filter(|e| e.kind == FlightKind::LaunchBegin)
+            .filter_map(|e| match e.event {
+                Event::LaunchBegin { request, .. } => Some(request),
+                _ => None,
+            })
             .collect();
         assert_eq!(begins.len(), 3);
-        assert_eq!(begins[0].request, 101);
-        assert_eq!(begins[1].request, 0);
-        assert_eq!(begins[2].request, 0);
+        assert_eq!(begins[0], 101);
+        assert_eq!(begins[1], 0);
+        assert_eq!(begins[2], 0);
     }
 
     #[test]

@@ -32,6 +32,8 @@
 
 use std::time::{Duration, Instant};
 
+use obs::FaultClass;
+
 /// When the transient device-loss window is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LossWindow {
@@ -129,14 +131,21 @@ impl FaultEvent {
         }
     }
 
-    /// Stable kebab-case name (used for counters and spans).
-    pub fn kind(&self) -> &'static str {
+    /// The event's fault class: its one spelling, shared by
+    /// [`kind`](Self::kind), the `gpu_fault_injections{kind=…}` labels and
+    /// the flight recorder's `fault_injected` events.
+    pub fn class(&self) -> FaultClass {
         match self {
-            FaultEvent::LaunchAborted { .. } => "launch-abort",
-            FaultEvent::DeviceLost { .. } => "device-loss",
-            FaultEvent::Straggler { .. } => "straggler",
-            FaultEvent::Corrupted { .. } => "corruption",
+            FaultEvent::LaunchAborted { .. } => FaultClass::LaunchAbort,
+            FaultEvent::DeviceLost { .. } => FaultClass::DeviceLoss,
+            FaultEvent::Straggler { .. } => FaultClass::Straggler,
+            FaultEvent::Corrupted { .. } => FaultClass::Corruption,
         }
+    }
+
+    /// Stable kebab-case name (the class's name).
+    pub fn kind(&self) -> &'static str {
+        self.class().name()
     }
 }
 

@@ -10,7 +10,7 @@ use gpu_exec::{Device, DeviceOptions, FaultPlan, GlobalBuffer, HandoffFlags};
 use hmm_model::MachineConfig;
 use obs::json::JsonValue;
 use obs::profile::gpu;
-use obs::{Conformance, ConformanceConfig, FlightKind, LaunchSample, Obs, Registry};
+use obs::{Conformance, ConformanceConfig, Event, LaunchSample, Obs, Registry};
 
 const GRID: usize = 8;
 const PER_BLOCK: usize = 16;
@@ -169,7 +169,7 @@ fn every_launch_sink_agrees_with_the_device_stats() {
 
     // The flight recorder brackets every launch exactly once.
     let flight = obs.flight_recent();
-    let count = |k: FlightKind| flight.iter().filter(|e| e.kind == k).count() as u64;
-    assert_eq!(count(FlightKind::LaunchBegin), launches);
-    assert_eq!(count(FlightKind::LaunchEnd), launches);
+    let count = |k: fn(&Event) -> bool| flight.iter().filter(|e| k(&e.event)).count() as u64;
+    assert_eq!(count(|e| matches!(e, Event::LaunchBegin { .. })), launches);
+    assert_eq!(count(|e| matches!(e, Event::LaunchEnd { .. })), launches);
 }

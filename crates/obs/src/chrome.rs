@@ -12,8 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::json::JsonValue;
-pub(crate) use crate::span::Event;
-use crate::span::{ArgValue, EventKind, FlowPhase, Track};
+use crate::span::{ArgValue, FlowPhase, Record, RecordKind, Track};
 
 /// Tallies returned by [`validate`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,7 +49,8 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn num(v: f64) -> f64 {
+/// `v`, or 0 when it is not finite (JSON has no NaN or infinity).
+pub(crate) fn finite(v: f64) -> f64 {
     if v.is_finite() {
         v
     } else {
@@ -58,49 +58,51 @@ fn num(v: f64) -> f64 {
     }
 }
 
-fn write_arg_value(out: &mut String, v: &ArgValue) {
+pub(crate) fn write_arg_value(out: &mut String, v: &ArgValue) {
     match v {
         ArgValue::U64(u) => {
             let _ = write!(out, "{u}");
         }
         ArgValue::F64(f) => {
-            let _ = write!(out, "{}", num(*f));
+            let _ = write!(out, "{}", finite(*f));
         }
         ArgValue::Str(s) => escape_into(out, s),
+        ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
 }
 
-fn write_args(out: &mut String, ev: &Event) {
-    out.push_str(",\"args\":{");
-    let _ = write!(out, "\"id\":{}", ev.id);
-    if let Some(p) = ev.parent {
-        let _ = write!(out, ",\"parent\":{p}");
-    }
-    for (k, v) in &ev.args {
-        out.push(',');
+/// Append `{"key":value,…}`, values rendered by [`write_arg_value`].
+pub(crate) fn write_object<'a>(
+    out: &mut String,
+    members: impl IntoIterator<Item = (&'a str, &'a ArgValue)>,
+) {
+    out.push('{');
+    for (i, (k, v)) in members.into_iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
         escape_into(out, k);
         out.push(':');
         write_arg_value(out, v);
     }
     out.push('}');
+}
+
+/// Span and instant args lead with the record's `id` and `parent`.
+fn write_args(out: &mut String, ev: &Record) {
+    let (id, parent) = (ArgValue::U64(ev.id), ev.parent.map(ArgValue::U64));
+    let head = [("id", Some(&id)), ("parent", parent.as_ref())];
+    let head = head.into_iter().filter_map(|(k, v)| Some((k, v?)));
+    out.push_str(",\"args\":");
+    write_object(out, head.chain(ev.args.iter().map(|(k, v)| (*k, v))));
 }
 
 /// Counter events carry *only* the series values: an injected `id` key
 /// would render as a bogus series in the Perfetto counter track.
-fn write_counter_args(out: &mut String, ev: &Event) {
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in ev.args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        escape_into(out, k);
-        out.push(':');
-        write_arg_value(out, v);
-    }
-    out.push('}');
+fn write_counter_args(out: &mut String, ev: &Record) {
+    out.push_str(",\"args\":");
+    write_object(out, ev.args.iter().map(|(k, v)| (*k, v)));
 }
 
-fn write_event(out: &mut String, ev: &Event) {
+fn write_event(out: &mut String, ev: &Record) {
     out.push_str("{\"name\":");
     escape_into(out, &ev.name);
     let _ = write!(
@@ -108,22 +110,22 @@ fn write_event(out: &mut String, ev: &Event) {
         ",\"pid\":{},\"tid\":{},\"ts\":{}",
         ev.track.pid,
         ev.track.tid,
-        num(ev.ts)
+        finite(ev.ts)
     );
     match ev.kind {
-        EventKind::Complete { dur } => {
-            let _ = write!(out, ",\"ph\":\"X\",\"dur\":{}", num(dur));
+        RecordKind::Complete { dur } => {
+            let _ = write!(out, ",\"ph\":\"X\",\"dur\":{}", finite(dur));
             write_args(out, ev);
         }
-        EventKind::Instant => {
+        RecordKind::Instant => {
             out.push_str(",\"ph\":\"i\",\"s\":\"t\"");
             write_args(out, ev);
         }
-        EventKind::Counter => {
+        RecordKind::Counter => {
             out.push_str(",\"ph\":\"C\"");
             write_counter_args(out, ev);
         }
-        EventKind::Flow(phase) => {
+        RecordKind::Flow(phase) => {
             // For flow points `ev.id` is the flow id (the request id):
             // Perfetto binds the arrow chain by this top-level `id`, and
             // `bp:"e"` anchors each point to its *enclosing* slice rather
@@ -147,7 +149,7 @@ fn write_event(out: &mut String, ev: &Event) {
 /// Serialize `events` as a bare JSON array (no metadata, no `traceEvents`
 /// wrapper) — the shape [`crate::flight`] embeds inside post-mortem
 /// bundles, still accepted by [`validate`].
-pub(crate) fn serialize_slice(events: &[Event]) -> String {
+pub(crate) fn serialize_slice(events: &[Record]) -> String {
     let mut out = String::with_capacity(2 + events.len() * 96);
     out.push('[');
     for (i, ev) in events.iter().enumerate() {
@@ -162,7 +164,7 @@ pub(crate) fn serialize_slice(events: &[Event]) -> String {
 
 /// Serialize `events` (plus clock-naming metadata) as a Chrome trace JSON
 /// object: `{"traceEvents":[…]}`.
-pub(crate) fn serialize(events: &[Event]) -> String {
+pub(crate) fn serialize(events: &[Record]) -> String {
     let mut out = String::with_capacity(128 + events.len() * 96);
     out.push_str("{\"traceEvents\":[");
     for (i, (pid, label)) in [
@@ -214,40 +216,27 @@ pub fn validate(text: &str) -> Result<TraceStats, String> {
 pub(crate) fn validate_events(events: &[JsonValue]) -> Result<TraceStats, String> {
     let mut stats = TraceStats::default();
     for (i, ev) in events.iter().enumerate() {
-        let field = |key: &str| {
-            ev.get(key)
-                .ok_or_else(|| format!("event {i} lacks required key {key:?}"))
-        };
-        let ph = field("ph")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: \"ph\" is not a string"))?
-            .to_string();
-        field("name")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: \"name\" is not a string"))?;
+        let ctx = format!("event {i}");
+        let num = |key| ev.require(&ctx, key, JsonValue::as_f64);
+        let ph = ev.require(&ctx, "ph", JsonValue::as_str)?;
+        ev.require(&ctx, "name", JsonValue::as_str)?;
         for key in ["ts", "pid", "tid"] {
-            field(key)?
-                .as_f64()
-                .ok_or_else(|| format!("event {i}: {key:?} is not a number"))?;
+            num(key)?;
         }
         stats.events += 1;
-        match ph.as_str() {
+        match ph {
             "X" => {
-                field("dur")?
-                    .as_f64()
-                    .ok_or_else(|| format!("event {i}: \"dur\" is not a number"))?;
+                num("dur")?;
                 stats.complete += 1;
             }
             "i" | "I" => stats.instants += 1,
             "C" => {
-                field("args")?;
+                ev.require(&ctx, "args", Some)?;
                 stats.counters += 1;
             }
             "M" => stats.metadata += 1,
             "s" | "t" | "f" => {
-                field("id")?
-                    .as_f64()
-                    .ok_or_else(|| format!("event {i}: flow \"id\" is not a number"))?;
+                num("id")?;
                 stats.flows += 1;
             }
             _ => {}
@@ -274,26 +263,26 @@ mod tests {
     #[test]
     fn serialized_events_round_trip_through_the_validator() {
         let events = vec![
-            Event {
+            Record {
                 name: "launch \"x\"\n".into(), // escaping exercise
                 track: Track::wall(0),
                 id: 1,
                 parent: None,
                 ts: 0.5,
-                kind: EventKind::Complete { dur: 10.0 },
+                kind: RecordKind::Complete { dur: 10.0 },
                 args: vec![
                     ("grid", ArgValue::U64(64)),
                     ("ratio", ArgValue::F64(0.25)),
                     ("algo", ArgValue::Str("1R1W".to_string())),
                 ],
             },
-            Event {
+            Record {
                 name: "admit".into(),
                 track: Track::wall(3),
                 id: 2,
                 parent: Some(1),
                 ts: 1.0,
-                kind: EventKind::Instant,
+                kind: RecordKind::Instant,
                 args: Vec::new(),
             },
         ];
@@ -317,13 +306,13 @@ mod tests {
 
     #[test]
     fn non_finite_values_degrade_to_zero_not_invalid_json() {
-        let events = vec![Event {
+        let events = vec![Record {
             name: "bad".into(),
             track: Track::wall(0),
             id: 1,
             parent: None,
             ts: f64::NAN,
-            kind: EventKind::Complete { dur: f64::INFINITY },
+            kind: RecordKind::Complete { dur: f64::INFINITY },
             args: vec![("x", ArgValue::F64(f64::NEG_INFINITY))],
         }];
         let json = serialize(&events);
@@ -360,7 +349,7 @@ mod tests {
             let _s = obs.span(Track::wall(0), "outer");
         }
         obs.sim_span(0, "w0", 0, 9, Some(SpanId(1)), Vec::new());
-        obs.instant(Track::wall(1), "mark", vec![("n", ArgValue::U64(3))]);
+        obs.emit(crate::Event::Degraded { request: 3 });
         let stats = validate(&obs.trace_json()).unwrap();
         assert_eq!(stats.complete, 2);
         assert_eq!(stats.instants, 1);

@@ -52,7 +52,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::chrome;
+use crate::chrome::{self, finite};
 use crate::histogram::{BucketLayout, Histogram};
 use crate::registry::{Counter, Gauge, Registry};
 
@@ -705,14 +705,6 @@ impl Conformance {
         }
         out.push_str("]}");
         out
-    }
-}
-
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
     }
 }
 

@@ -1,151 +1,52 @@
 //! The black-box flight recorder and post-mortem bundles.
 //!
-//! A [`FlightRecorder`] is a fixed-capacity ring of small structured
-//! events — admissions, rejections, batch formation, launch begin/end,
-//! injected faults, breaker transitions, verification failures, handoff
-//! stalls, SLO burn — recorded from every layer through
-//! [`crate::Obs::flight_event`]. Recording is lock-free and allocation-free
-//! (one atomic ticket plus six atomic word stores), so it is safe on hot
-//! paths and inside panic handling; once the ring is full, new events
-//! overwrite the oldest.
+//! A [`FlightRecorder`] is a fixed-capacity ring of typed [`Event`]s —
+//! admissions, rejections, batch formation, launch begin/end, injected
+//! faults, breaker transitions, verification failures, handoff stalls, SLO
+//! burn, shard loss and drift alerts — recorded from every layer through
+//! [`crate::Obs::emit`]. Recording is lock-free and allocation-free (one
+//! atomic ticket plus a fixed number of atomic word stores), so it is safe
+//! on hot paths and inside panic handling; once the ring is full, new
+//! events overwrite the oldest.
 //!
 //! On a trigger (breaker open, verification failure, a panic via
 //! [`install_panic_hook`], or an SLO-burn threshold) [`dump`] writes a
-//! schema-versioned post-mortem bundle: the surviving ring events, a metric
-//! registry snapshot, the last launch's trace slice and the triggering
-//! request's flow — everything needed to reconstruct "what was the system
-//! doing just before it went wrong" without a live debugger. [`validate`]
-//! checks a bundle structurally the way [`crate::chrome::validate`] checks
-//! a trace.
+//! schema-versioned post-mortem bundle: the surviving ring events with their
+//! named fields, a metric registry snapshot, the last launch's trace slice
+//! and the triggering request's flow — everything needed to reconstruct
+//! "what was the system doing just before it went wrong" without a live
+//! debugger. [`validate`] checks a bundle structurally the way
+//! [`crate::chrome::validate`] checks a trace, and checks each event's
+//! fields against its kind's entry in the event table.
 //!
 //! ## Ring without locks, without `unsafe`
 //!
-//! Each slot is seven atomic words: a validity tag plus six payload words.
-//! A writer claims a ticket (`head.fetch_add`), clears the slot's tag,
-//! writes the payload, then publishes `ticket + 1` as the tag with release
-//! ordering. A reader knows which ticket *should* occupy each slot (the
-//! ring is a pure function of `head`), reads the tag before and after the
-//! payload, and keeps the slot only when both reads equal the expected
-//! tag — a per-slot seqlock where the sequence number doubles as the lap
-//! count, so a slot mid-overwrite or from a stale lap is simply skipped
-//! rather than returned torn.
+//! Each slot is a validity tag plus fixed payload words: the timestamp,
+//! the kind code and the event's packed fields. A writer claims a ticket
+//! (`head.fetch_add`), clears the slot's tag, writes the payload, then
+//! publishes `ticket + 1` as the tag with release ordering. A reader knows
+//! which ticket *should* occupy each slot (the ring is a pure function of
+//! `head`), reads the tag before and after the payload, and keeps the slot
+//! only when both reads equal the expected tag — a per-slot seqlock where
+//! the sequence number doubles as the lap count, so a slot mid-overwrite or
+//! from a stale lap is simply skipped rather than returned torn.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::chrome;
+use crate::event::{Event, FIELD_WORDS};
 use crate::json::JsonValue;
-use crate::span::{ArgValue, Event, EventKind, Obs};
+use crate::span::{ArgValue, Obs, Record, RecordKind};
 
 /// Schema identifier stamped into (and required from) every bundle.
-/// v2 added the fleet kinds `device_lost` and `shard_failover`; v3 added
-/// `drift_alert` (model-conformance drift, see [`crate::conformance`]).
-pub const SCHEMA: &str = "sat-hmm/flight/v3";
+/// v4 renders each event's payload as named, typed fields (v3 carried two
+/// untyped words `a`/`b`).
+pub const SCHEMA: &str = "sat-hmm/flight/v4";
 
 /// Default ring capacity: enough for the last few hundred requests' worth
-/// of lifecycle events while keeping the recorder under 64 KiB.
+/// of lifecycle events while keeping the recorder under 96 KiB.
 pub const DEFAULT_CAPACITY: usize = 1024;
-
-/// What a flight-recorder event records. The `a`/`b` payload words are
-/// kind-specific (a launch index, a breaker-state code, a stage count…) and
-/// are carried into the bundle verbatim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u64)]
-pub enum FlightKind {
-    /// A request was admitted (`request` = its id).
-    Admit = 1,
-    /// A request was rejected (`a` = reason code, see the service layer).
-    Reject = 2,
-    /// A batch was formed (`request` = first request id, `a` = width).
-    BatchFormed = 3,
-    /// A device launch began (`a` = launch index, `b` = grid).
-    LaunchBegin = 4,
-    /// A device launch ended (`a` = launch index, `b` = 1 if it failed).
-    LaunchEnd = 5,
-    /// A fault was injected (`a` = launch index, `b` = fault class code).
-    FaultInjected = 6,
-    /// The circuit breaker changed state (`a` = new-state code).
-    BreakerTransition = 7,
-    /// A result failed verification (`request` = first affected id).
-    VerifyFailure = 8,
-    /// A persistent-block handoff stalled into the fallback path
-    /// (`a` = stage, `b` = block).
-    HandoffStall = 9,
-    /// SLO error-budget burn crossed the configured threshold
-    /// (`a` = burn ratio in parts-per-million).
-    SloBurn = 10,
-    /// A fleet shard's device was declared lost — its breaker opened and it
-    /// stopped taking band work (`a` = shard index, `b` = device fault
-    /// epoch at the time of loss).
-    DeviceLost = 11,
-    /// Band work owned by a failed shard was resharded onto survivors
-    /// (`request` = first affected request id, `a` = failed shard index,
-    /// `b` = number of bands moved).
-    ShardFailover = 12,
-    /// The model-conformance observatory latched a drift alert
-    /// (`a` = measured/baseline τ ratio in parts-per-million, `b` = cell
-    /// samples at alert time; the offending cell's label is in
-    /// `/debug/conformance`).
-    DriftAlert = 13,
-}
-
-impl FlightKind {
-    /// Stable lower-snake name, used in bundles and `/debug/flight` JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlightKind::Admit => "admit",
-            FlightKind::Reject => "reject",
-            FlightKind::BatchFormed => "batch_formed",
-            FlightKind::LaunchBegin => "launch_begin",
-            FlightKind::LaunchEnd => "launch_end",
-            FlightKind::FaultInjected => "fault_injected",
-            FlightKind::BreakerTransition => "breaker_transition",
-            FlightKind::VerifyFailure => "verify_failure",
-            FlightKind::HandoffStall => "handoff_stall",
-            FlightKind::SloBurn => "slo_burn",
-            FlightKind::DeviceLost => "device_lost",
-            FlightKind::ShardFailover => "shard_failover",
-            FlightKind::DriftAlert => "drift_alert",
-        }
-    }
-
-    fn from_code(code: u64) -> Option<FlightKind> {
-        Some(match code {
-            1 => FlightKind::Admit,
-            2 => FlightKind::Reject,
-            3 => FlightKind::BatchFormed,
-            4 => FlightKind::LaunchBegin,
-            5 => FlightKind::LaunchEnd,
-            6 => FlightKind::FaultInjected,
-            7 => FlightKind::BreakerTransition,
-            8 => FlightKind::VerifyFailure,
-            9 => FlightKind::HandoffStall,
-            10 => FlightKind::SloBurn,
-            11 => FlightKind::DeviceLost,
-            12 => FlightKind::ShardFailover,
-            13 => FlightKind::DriftAlert,
-            _ => return None,
-        })
-    }
-
-    fn known_names() -> &'static [&'static str] {
-        &[
-            "admit",
-            "reject",
-            "batch_formed",
-            "launch_begin",
-            "launch_end",
-            "fault_injected",
-            "breaker_transition",
-            "verify_failure",
-            "handoff_stall",
-            "slo_burn",
-            "device_lost",
-            "shard_failover",
-            "drift_alert",
-        ]
-    }
-}
 
 /// One event read back out of the ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,40 +58,21 @@ pub struct FlightEvent {
     /// Wall-clock microseconds since the owning [`Obs`] was created.
     pub ts_us: f64,
     /// What happened.
-    pub kind: FlightKind,
-    /// The request id this event belongs to (0 when not request-scoped).
-    pub request: u64,
-    /// Kind-specific payload word.
-    pub a: u64,
-    /// Kind-specific payload word.
-    pub b: u64,
+    pub event: Event,
 }
+
+/// Payload words per slot: timestamp, kind code, packed fields.
+const PAYLOAD: usize = 2 + FIELD_WORDS;
 
 /// A slot: validity tag + payload words. The tag holds `ticket + 1` when
 /// the slot's contents are complete (0 = empty or mid-write).
 struct Slot {
     tag: AtomicU64,
-    /// `[ts_us bits, kind code, request, a, b]`.
-    payload: [AtomicU64; 5],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            tag: AtomicU64::new(0),
-            payload: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-        }
-    }
+    payload: [AtomicU64; PAYLOAD],
 }
 
 /// The fixed-capacity lock-free ring. Owned by an enabled [`Obs`]; not
-/// exposed directly — record through [`Obs::flight_event`], read through
+/// exposed directly — record through [`Obs::emit`], read through
 /// [`Obs::flight_recent`].
 pub(crate) struct FlightRecorder {
     head: AtomicU64,
@@ -211,11 +93,17 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight recorder needs at least one slot");
         FlightRecorder {
             head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            slots: (0..capacity)
+                .map(|_| Slot {
+                    tag: AtomicU64::new(0),
+                    payload: std::array::from_fn(|_| AtomicU64::new(0)),
+                })
+                .collect(),
         }
     }
 
-    pub(crate) fn record(&self, ts_us: f64, kind: FlightKind, request: u64, a: u64, b: u64) {
+    pub(crate) fn record(&self, ts_us: f64, event: &Event) {
+        let (code, words) = event.pack();
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         // Clear the tag *before* touching the payload. The acquire half of
@@ -223,11 +111,10 @@ impl FlightRecorder {
         // the invalidation, so a reader can never pair fresh payload with
         // the previous lap's valid tag.
         slot.tag.swap(0, Ordering::AcqRel);
-        slot.payload[0].store(ts_us.to_bits(), Ordering::Relaxed);
-        slot.payload[1].store(kind as u64, Ordering::Relaxed);
-        slot.payload[2].store(request, Ordering::Relaxed);
-        slot.payload[3].store(a, Ordering::Relaxed);
-        slot.payload[4].store(b, Ordering::Relaxed);
+        let head = [ts_us.to_bits(), code];
+        for (cell, word) in slot.payload.iter().zip(head.iter().chain(&words)) {
+            cell.store(*word, Ordering::Relaxed);
+        }
         // Publish: the release store orders every payload store before the
         // tag becomes visible. `+ 1` keeps ticket 0 distinguishable from
         // the empty tag.
@@ -247,11 +134,8 @@ impl FlightRecorder {
             if slot.tag.load(Ordering::Acquire) != ticket + 1 {
                 continue;
             }
-            let ts = f64::from_bits(slot.payload[0].load(Ordering::Relaxed));
-            let kind_code = slot.payload[1].load(Ordering::Relaxed);
-            let request = slot.payload[2].load(Ordering::Relaxed);
-            let a = slot.payload[3].load(Ordering::Relaxed);
-            let b = slot.payload[4].load(Ordering::Relaxed);
+            let words: [u64; PAYLOAD] =
+                std::array::from_fn(|i| slot.payload[i].load(Ordering::Relaxed));
             // Seqlock re-check: the acquire fence keeps the payload loads
             // above from sinking below the second tag read. An unchanged
             // tag proves no writer touched the slot in between.
@@ -259,51 +143,42 @@ impl FlightRecorder {
             if slot.tag.load(Ordering::Relaxed) != ticket + 1 {
                 continue;
             }
-            let Some(kind) = FlightKind::from_code(kind_code) else {
+            let Some(event) = Event::unpack(words[1], &words[2..]) else {
                 continue;
             };
             out.push(FlightEvent {
                 seq: ticket,
-                ts_us: ts,
-                kind,
-                request,
-                a,
-                b,
+                ts_us: f64::from_bits(words[0]),
+                event,
             });
         }
         out
     }
 }
 
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
-}
-
-/// Render flight events as a JSON array (the `/debug/flight` endpoint body
-/// and the bundle's `events` field).
-pub fn events_json(events: &[FlightEvent]) -> String {
-    let mut out = String::with_capacity(2 + events.len() * 96);
-    out.push('[');
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"ts_us\":{},\"kind\":\"{}\",\"request\":{},\"a\":{},\"b\":{}}}",
-            e.seq,
-            finite(e.ts_us),
-            e.kind.name(),
-            e.request,
-            e.a,
-            e.b
-        ));
+/// A JSON array of objects, one per row of `(key, value)` members.
+fn objects(rows: impl Iterator<Item = Vec<(&'static str, ArgValue)>>) -> String {
+    let mut out = String::from("[");
+    for (i, row) in rows.enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        chrome::write_object(&mut out, row.iter().map(|(k, v)| (*k, v)));
     }
     out.push(']');
     out
+}
+
+/// Render flight events as a JSON array (the `/debug/flight` endpoint body
+/// and the bundle's `events` field): `seq`, `ts_us` and `kind`, then the
+/// kind's named fields.
+pub fn events_json(events: &[FlightEvent]) -> String {
+    objects(events.iter().map(|e| {
+        let head = [("seq", e.seq.into()), ("ts_us", e.ts_us.into())];
+        let kind = ("kind", e.event.name().into());
+        head.into_iter()
+            .chain([kind])
+            .chain(e.event.args())
+            .collect()
+    }))
 }
 
 /// Why a bundle was dumped.
@@ -320,60 +195,47 @@ pub struct Trigger {
 }
 
 fn registry_json(obs: &Obs) -> String {
-    let mut out = String::from("{\"counters\":[");
-    if let Some(reg) = obs.registry() {
-        let snap = reg.snapshot();
-        for (i, c) in snap.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            chrome::escape_into(&mut out, &c.name);
-            out.push_str(&format!(",\"total\":{}}}", c.total));
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, g) in snap.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            chrome::escape_into(&mut out, &g.name);
-            out.push_str(&format!(",\"value\":{}}}", finite(g.value)));
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in snap.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            chrome::escape_into(&mut out, &h.name);
-            out.push_str(&format!(
-                ",\"count\":{},\"sum\":{},\"max\":{}}}",
-                h.count,
-                finite(h.sum),
-                finite(h.max)
-            ));
-        }
-        out.push_str("]}");
-    } else {
-        out.push_str("],\"gauges\":[],\"histograms\":[]}");
-    }
-    out
+    let snap = obs.registry().map(|r| r.snapshot()).unwrap_or_default();
+    let counters = snap
+        .counters
+        .iter()
+        .map(|c| vec![("name", c.name.as_str().into()), ("total", c.total.into())]);
+    let gauges = snap
+        .gauges
+        .iter()
+        .map(|g| vec![("name", g.name.as_str().into()), ("value", g.value.into())]);
+    let histograms = snap.histograms.iter().map(|h| {
+        let stats = [
+            ("count", h.count.into()),
+            ("sum", h.sum.into()),
+            ("max", h.max.into()),
+        ];
+        [("name", h.name.as_str().into())]
+            .into_iter()
+            .chain(stats)
+            .collect()
+    });
+    format!(
+        "{{\"counters\":{},\"gauges\":{},\"histograms\":{}}}",
+        objects(counters),
+        objects(gauges),
+        objects(histograms)
+    )
 }
 
 /// The last `launch` span plus everything parented (transitively) under
 /// it. Flow points are excluded up front: their `id` is a *request* id
 /// from a different namespace than span ids, so letting them into the
 /// ancestor fixpoint could alias a span.
-fn last_launch_slice(events: &[Event]) -> Vec<Event> {
-    let spans: Vec<&Event> = events
+fn last_launch_slice(events: &[Record]) -> Vec<Record> {
+    let spans: Vec<&Record> = events
         .iter()
-        .filter(|e| !matches!(e.kind, EventKind::Flow(_)))
+        .filter(|e| !matches!(e.kind, RecordKind::Flow(_)))
         .collect();
     let launch = spans
         .iter()
         .rev()
-        .find(|e| e.name == "launch" && matches!(e.kind, EventKind::Complete { .. }));
+        .find(|e| e.name == "launch" && matches!(e.kind, RecordKind::Complete { .. }));
     let Some(launch) = launch else {
         return Vec::new();
     };
@@ -404,14 +266,14 @@ fn last_launch_slice(events: &[Event]) -> Vec<Event> {
 
 /// Every trace event belonging to `request`: its flow points (flow id =
 /// request id) and any span/instant carrying a `request` arg equal to it.
-fn request_flow_slice(events: &[Event], request: u64) -> Vec<Event> {
+fn request_flow_slice(events: &[Record], request: u64) -> Vec<Record> {
     if request == 0 {
         return Vec::new();
     }
     events
         .iter()
         .filter(|e| match e.kind {
-            EventKind::Flow(_) => e.id == request,
+            RecordKind::Flow(_) => e.id == request,
             _ => e
                 .args
                 .iter()
@@ -511,73 +373,53 @@ pub struct FlightStats {
     pub request_flow: usize,
 }
 
-fn req_num(v: &JsonValue, ctx: &str, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{ctx} lacks required key {key:?}"))?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: {key:?} is not a number"))
-}
-
-fn req_str<'a>(v: &'a JsonValue, ctx: &str, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{ctx} lacks required key {key:?}"))?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: {key:?} is not a string"))
-}
-
-fn req_array<'a>(v: &'a JsonValue, ctx: &str, key: &str) -> Result<&'a [JsonValue], String> {
-    v.get(key)
-        .ok_or_else(|| format!("{ctx} lacks required key {key:?}"))?
-        .as_array()
-        .ok_or_else(|| format!("{ctx}: {key:?} is not an array"))
-}
-
 /// Check that `text` is a well-formed post-mortem bundle: correct schema
-/// tag, a trigger with reason/request/detail, structurally sound flight
-/// events with known kinds and non-decreasing sequence numbers, a registry
-/// snapshot, and embedded trace slices that pass the Chrome trace-event
-/// checks. A request-scoped trigger must come with a non-empty
+/// tag, a trigger with reason/request/detail, flight events with known
+/// kinds, every named field of their kind well-formed, and increasing
+/// sequence numbers, a registry snapshot, and embedded trace slices that
+/// pass the Chrome trace-event checks. A request-scoped trigger must come with a non-empty
 /// `request_flow` — the bundle's whole point is linking the trigger to its
 /// request's event chain.
 pub fn validate(text: &str) -> Result<FlightStats, String> {
     let v = JsonValue::parse(text)?;
-    let schema = req_str(&v, "bundle", "schema")?;
+    let schema = v.require("bundle", "schema", JsonValue::as_str)?;
     if schema != SCHEMA {
         return Err(format!("schema {schema:?} is not {SCHEMA:?}"));
     }
     let trigger = v.get("trigger").ok_or("bundle lacks \"trigger\"")?;
-    req_str(trigger, "trigger", "reason")?;
-    req_str(trigger, "trigger", "detail")?;
-    let trig_request = req_num(trigger, "trigger", "request")?;
+    trigger.require("trigger", "reason", JsonValue::as_str)?;
+    trigger.require("trigger", "detail", JsonValue::as_str)?;
+    let trig_request = trigger.require("trigger", "request", JsonValue::as_f64)?;
 
-    let events = req_array(&v, "bundle", "events")?;
+    let events = v.require("bundle", "events", JsonValue::as_array)?;
     let mut last_seq = -1.0f64;
     for (i, e) in events.iter().enumerate() {
         let ctx = format!("event {i}");
-        let seq = req_num(e, &ctx, "seq")?;
+        let seq = e.require(&ctx, "seq", JsonValue::as_f64)?;
         if seq <= last_seq {
             return Err(format!("event {i}: seq {seq} not increasing"));
         }
         last_seq = seq;
-        req_num(e, &ctx, "ts_us")?;
-        for key in ["request", "a", "b"] {
-            req_num(e, &ctx, key)?;
-        }
-        let kind = req_str(e, &ctx, "kind")?;
-        if !FlightKind::known_names().contains(&kind) {
+        e.require(&ctx, "ts_us", JsonValue::as_f64)?;
+        let kind = e.require(&ctx, "kind", JsonValue::as_str)?;
+        let Some((_, fields)) = Event::KINDS.iter().find(|(name, _)| *name == kind) else {
             return Err(format!("event {i}: unknown kind {kind:?}"));
+        };
+        let ctx = format!("event {i} ({kind})");
+        for (field, check) in fields.iter() {
+            e.require(&ctx, field, |v| check(v).then_some(()))?;
         }
     }
 
     let registry = v.get("registry").ok_or("bundle lacks \"registry\"")?;
     for key in ["counters", "gauges", "histograms"] {
-        req_array(registry, "registry", key)?;
+        registry.require("registry", key, JsonValue::as_array)?;
     }
 
-    let trace_slice = req_array(&v, "bundle", "trace_slice")?;
+    let trace_slice = v.require("bundle", "trace_slice", JsonValue::as_array)?;
     let slice_stats =
         chrome::validate_events(trace_slice).map_err(|e| format!("trace_slice invalid: {e}"))?;
-    let request_flow = req_array(&v, "bundle", "request_flow")?;
+    let request_flow = v.require("bundle", "request_flow", JsonValue::as_array)?;
     let flow_stats =
         chrome::validate_events(request_flow).map_err(|e| format!("request_flow invalid: {e}"))?;
     if trig_request > 0.0 && request_flow.is_empty() {
@@ -595,13 +437,22 @@ pub fn validate(text: &str) -> Result<FlightStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{BreakerState, FaultClass, Label, RejectReason};
     use crate::span::{FlowPhase, Track};
+
+    fn admit(request: u64, rows: u64, cols: u64) -> Event {
+        Event::Admit {
+            request,
+            rows,
+            cols,
+        }
+    }
 
     #[test]
     fn ring_survives_wrap_and_keeps_order() {
         let r = FlightRecorder::new(8);
         for i in 0..20u64 {
-            r.record(i as f64, FlightKind::Admit, i, i * 2, i * 3);
+            r.record(i as f64, &admit(i, i * 2, i * 3));
         }
         let events = r.recent();
         assert_eq!(events.len(), 8, "exactly one ring of survivors");
@@ -609,9 +460,7 @@ mod tests {
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
         for e in &events {
-            assert_eq!(e.request, e.seq);
-            assert_eq!(e.a, e.seq * 2);
-            assert_eq!(e.b, e.seq * 3);
+            assert_eq!(e.event, admit(e.seq, e.seq * 2, e.seq * 3));
         }
     }
 
@@ -622,6 +471,11 @@ mod tests {
         // constant wrapping.
         let r = FlightRecorder::new(16);
         let stop_flag = AtomicU64::new(0);
+        let begin = |v: u64| Event::LaunchBegin {
+            request: v,
+            launch: v ^ 0xdead,
+            grid: !v,
+        };
         std::thread::scope(|s| {
             let reader = &r;
             let stop = &stop_flag;
@@ -630,16 +484,15 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..5000u64 {
                         let v = t * 5000 + i;
-                        r.record(v as f64, FlightKind::LaunchEnd, v, v ^ 0xdead, !v);
+                        r.record(v as f64, &begin(v));
                     }
                 });
             }
             s.spawn(move || {
                 while stop.load(Ordering::Relaxed) == 0 {
                     for e in reader.recent() {
-                        assert_eq!(e.a, e.request ^ 0xdead, "torn slot: {e:?}");
-                        assert_eq!(e.b, !e.request, "torn slot: {e:?}");
-                        assert_eq!(e.ts_us, e.request as f64, "torn slot: {e:?}");
+                        let v = e.ts_us as u64;
+                        assert_eq!(e.event, begin(v), "torn slot: {e:?}");
                     }
                 }
             });
@@ -651,8 +504,161 @@ mod tests {
         let final_events = r.recent();
         assert_eq!(final_events.len(), 16);
         for e in &final_events {
-            assert_eq!(e.a, e.request ^ 0xdead);
+            assert_eq!(e.event, begin(e.ts_us as u64));
         }
+    }
+
+    /// One event of every kind, with `big` choosing maximal field values
+    /// (`u64::MAX`, `true`, the last name, a full-length label) or minimal
+    /// ones (zero, `false`, the first name, an empty label).
+    fn every_kind(big: bool) -> Vec<Event> {
+        let n = if big { u64::MAX } else { 0 };
+        let cell = Label::new(if big {
+            "(1+r^2)R1W/65536x65536@s123456789"
+        } else {
+            ""
+        });
+        let pick = |all: &[RejectReason]| all[if big { all.len() - 1 } else { 0 }];
+        let to = if big {
+            BreakerState::HalfOpen
+        } else {
+            BreakerState::Closed
+        };
+        let class = if big {
+            FaultClass::Corruption
+        } else {
+            FaultClass::LaunchAbort
+        };
+        vec![
+            admit(n, n, n),
+            Event::Reject {
+                request: n,
+                reason: pick(RejectReason::ALL),
+            },
+            Event::BatchFormed {
+                request: n,
+                batch: n,
+                width: n,
+            },
+            Event::LaunchBegin {
+                request: n,
+                launch: n,
+                grid: n,
+            },
+            Event::LaunchEnd {
+                request: n,
+                launch: n,
+                failed: big,
+            },
+            Event::FaultInjected { launch: n, class },
+            Event::BreakerTransition {
+                request: n,
+                shard: n,
+                to,
+            },
+            Event::VerifyFailure {
+                request: n,
+                attempt: n,
+            },
+            Event::HandoffStall {
+                stages: n,
+                residents: n,
+            },
+            Event::SloBurn {
+                request: n,
+                burn_ppm: n,
+                threshold_ppm: n,
+            },
+            Event::DeviceLost {
+                request: n,
+                shard: n,
+                fault_epoch: n,
+            },
+            Event::ShardFailover {
+                request: n,
+                shard: n,
+                queued_tasks: n,
+            },
+            Event::DriftAlert {
+                cell,
+                shard: n,
+                ratio_ppm: n,
+                samples: n,
+            },
+            Event::AttemptFailed {
+                request: n,
+                shard: n,
+                streak: n,
+            },
+            Event::Canary { shard: n, ok: big },
+            Event::Degraded { request: n },
+            Event::Complete {
+                request: n,
+                batch: n,
+                width: n,
+            },
+            Event::Postmortem {
+                request: n,
+                bundles: n,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_the_ring_and_the_bundle() {
+        let names: Vec<&str> = every_kind(true).iter().map(Event::name).collect();
+        let table: Vec<&str> = Event::KINDS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, table, "the test covers every kind, in code order");
+        assert_eq!(
+            every_kind(true)[12],
+            Event::DriftAlert {
+                cell: Label::new("(1+r^2)R1W/65536x65536@s12345678"),
+                shard: u64::MAX,
+                ratio_ppm: u64::MAX,
+                samples: u64::MAX,
+            },
+            "the longest label keeps exactly Label::CAPACITY bytes"
+        );
+        for big in [true, false] {
+            let sent = every_kind(big);
+            let r = FlightRecorder::new(64);
+            for (i, e) in sent.iter().enumerate() {
+                r.record(i as f64, e);
+            }
+            let got: Vec<Event> = r.recent().into_iter().map(|e| e.event).collect();
+            assert_eq!(got, sent);
+
+            let obs = Obs::new();
+            sent.iter().for_each(|&e| obs.emit(e));
+            let trigger = Trigger {
+                reason: "panic".to_string(),
+                request: 0,
+                detail: String::new(),
+            };
+            let text = bundle(&obs, &trigger);
+            assert!(text.contains("sat-hmm/flight/v4"), "{text}");
+            let stats = validate(&text).unwrap_or_else(|e| panic!("invalid bundle: {e}\n{text}"));
+            assert_eq!(stats.events, sent.len());
+            let v = JsonValue::parse(&text).unwrap();
+            let drift = &v.get("events").unwrap().as_array().unwrap()[12];
+            let Event::DriftAlert { cell, .. } = sent[12] else {
+                unreachable!("kind 13 is drift_alert")
+            };
+            assert_eq!(drift.get("cell").unwrap().as_str(), Some(cell.as_str()));
+        }
+    }
+
+    #[test]
+    fn labels_truncate_on_a_char_boundary() {
+        let long = "a".repeat(Label::CAPACITY + 8);
+        assert_eq!(Label::new(&long).as_str(), &long[..Label::CAPACITY]);
+        // A two-byte character straddling the capacity is dropped whole.
+        let straddle = format!("{}é", "a".repeat(Label::CAPACITY - 1));
+        assert_eq!(
+            Label::new(&straddle).as_str(),
+            &straddle[..Label::CAPACITY - 1]
+        );
+        assert_eq!(Label::new("1R1W/64x64\0junk").as_str(), "1R1W/64x64");
     }
 
     #[test]
@@ -679,10 +685,13 @@ mod tests {
             launch,
             Vec::new(),
         );
-        obs.instant(Track::wall(2), "admit", vec![("request", ArgValue::U64(7))]);
         obs.flow_at(Track::wall(2), "request", FlowPhase::Start, 7, 1.0);
-        obs.flight_event(FlightKind::Admit, 7, 0, 0);
-        obs.flight_event(FlightKind::BreakerTransition, 7, 1, 0);
+        obs.emit(admit(7, 4, 4));
+        obs.emit(Event::BreakerTransition {
+            request: 7,
+            shard: 0,
+            to: BreakerState::Open,
+        });
 
         let trigger = Trigger {
             reason: "breaker_open".to_string(),
@@ -693,68 +702,93 @@ mod tests {
         let stats = validate(&text).unwrap_or_else(|e| panic!("invalid bundle: {e}\n{text}"));
         assert_eq!(stats.events, 2);
         assert_eq!(stats.trace_slice, 2, "launch + child block");
-        assert_eq!(stats.request_flow, 2, "admit instant + flow point");
+        assert_eq!(
+            stats.request_flow, 3,
+            "the emitted admit and breaker instants + the flow point"
+        );
+        assert!(text
+            .contains("\"kind\":\"breaker_transition\",\"request\":7,\"shard\":0,\"to\":\"open\""));
     }
 
     #[test]
     fn fleet_kinds_round_trip_through_bundle() {
-        // The v2/v3 kinds must survive record → bundle → validate with
-        // their payload words intact, and every enum code must invert
-        // through from_code/name.
-        for code in 1..=13u64 {
-            let kind = FlightKind::from_code(code).expect("codes 1..=13 are assigned");
-            assert_eq!(kind as u64, code);
-            assert!(FlightKind::known_names().contains(&kind.name()));
-        }
-        assert_eq!(FlightKind::from_code(14), None);
-
         let obs = Obs::new();
-        obs.instant(Track::wall(0), "admit", vec![("request", ArgValue::U64(9))]);
-        obs.flight_event(FlightKind::DeviceLost, 9, 2, 41);
-        obs.flight_event(FlightKind::ShardFailover, 9, 2, 3);
+        obs.emit(Event::DeviceLost {
+            request: 9,
+            shard: 2,
+            fault_epoch: 41,
+        });
+        obs.emit(Event::ShardFailover {
+            request: 9,
+            shard: 2,
+            queued_tasks: 3,
+        });
         let trigger = Trigger {
             reason: "shard_failover".to_string(),
             request: 9,
-            detail: "shard 2 lost; 3 bands resharded".to_string(),
+            detail: "shard 2 lost; 3 tasks left for the survivors".to_string(),
         };
         let text = bundle(&obs, &trigger);
         assert!(text.contains("\"device_lost\""), "{text}");
         assert!(text.contains("\"shard_failover\""), "{text}");
-        assert!(text.contains("sat-hmm/flight/v3"), "{text}");
+        assert!(text.contains("sat-hmm/flight/v4"), "{text}");
         let stats = validate(&text).unwrap_or_else(|e| panic!("invalid bundle: {e}\n{text}"));
         assert_eq!(stats.events, 2);
     }
 
     #[test]
-    fn ring_wrap_preserves_v3_drift_alert_events() {
+    fn ring_wrap_preserves_drift_alert_events() {
         // A DriftAlert recorded before a flood of lifecycle events must
         // survive as long as it is within the last ring-capacity tickets,
-        // and its payload words (τ ratio ppm, cell samples) must round-trip
-        // through the bundle.
+        // and its fields (cell, shard, τ ratio ppm, cell samples) must
+        // round-trip through the bundle.
+        let drift_alert = Event::DriftAlert {
+            cell: Label::new("1R1W/64x64@s1"),
+            shard: 1,
+            ratio_ppm: 4_200_000,
+            samples: 37,
+        };
         let r = FlightRecorder::new(8);
         for i in 0..3u64 {
-            r.record(i as f64, FlightKind::Admit, i + 1, 0, 0); // overwritten
+            r.record(i as f64, &admit(i + 1, 0, 0)); // overwritten
         }
         for i in 0..6u64 {
-            r.record((i + 3) as f64, FlightKind::LaunchEnd, i + 4, i, 0);
+            let end = Event::LaunchEnd {
+                request: i + 4,
+                launch: i,
+                failed: false,
+            };
+            r.record((i + 3) as f64, &end);
         }
-        r.record(9.0, FlightKind::DriftAlert, 0, 4_200_000, 37);
-        r.record(10.0, FlightKind::SloBurn, 9, 1_500_000, 0);
+        r.record(9.0, &drift_alert);
+        let burn = Event::SloBurn {
+            request: 9,
+            burn_ppm: 1_500_000,
+            threshold_ppm: 1_000_000,
+        };
+        r.record(10.0, &burn);
         let events = r.recent();
         assert_eq!(events.len(), 8, "exactly one ring of survivors");
         assert!(
-            events.iter().all(|e| e.kind != FlightKind::Admit),
+            events
+                .iter()
+                .all(|e| !matches!(e.event, Event::Admit { .. })),
             "oldest events must be overwritten: {events:?}"
         );
         let drift = events
             .iter()
-            .find(|e| e.kind == FlightKind::DriftAlert)
+            .find_map(|e| match e.event {
+                Event::DriftAlert {
+                    ratio_ppm, samples, ..
+                } => Some((ratio_ppm, samples)),
+                _ => None,
+            })
             .expect("drift alert survives the wrap");
-        assert_eq!(drift.a, 4_200_000);
-        assert_eq!(drift.b, 37);
+        assert_eq!(drift.0, 4_200_000);
+        assert_eq!(drift.1, 37);
 
         let obs = Obs::new();
-        obs.flight_event(FlightKind::DriftAlert, 0, 4_200_000, 37);
+        obs.emit(drift_alert);
         let text = bundle(
             &obs,
             &Trigger {
@@ -763,7 +797,10 @@ mod tests {
                 detail: "sustained model drift".to_string(),
             },
         );
-        assert!(text.contains("\"drift_alert\""), "{text}");
+        assert!(
+            text.contains("\"kind\":\"drift_alert\",\"cell\":\"1R1W/64x64@s1\",\"shard\":1"),
+            "{text}"
+        );
         let stats = validate(&text).unwrap_or_else(|e| panic!("invalid bundle: {e}\n{text}"));
         assert_eq!(stats.events, 1);
     }
@@ -780,21 +817,34 @@ mod tests {
         );
         let err = validate(&no_flow).unwrap_err();
         assert!(err.contains("request_flow"), "{err}");
-        let bad_kind = format!(
-            "{{\"schema\":\"{SCHEMA}\",\
-             \"trigger\":{{\"reason\":\"panic\",\"request\":0,\"detail\":\"\"}},\
-             \"events\":[{{\"seq\":0,\"ts_us\":1,\"kind\":\"nope\",\"request\":0,\"a\":0,\"b\":0}}],\
-             \"registry\":{{\"counters\":[],\"gauges\":[],\"histograms\":[]}},\
-             \"trace_slice\":[],\"request_flow\":[]}}"
-        );
+        let with_event = |event: &str| {
+            format!(
+                "{{\"schema\":\"{SCHEMA}\",\
+                 \"trigger\":{{\"reason\":\"panic\",\"request\":0,\"detail\":\"\"}},\
+                 \"events\":[{{\"seq\":0,\"ts_us\":1,{event}}}],\
+                 \"registry\":{{\"counters\":[],\"gauges\":[],\"histograms\":[]}},\
+                 \"trace_slice\":[],\"request_flow\":[]}}"
+            )
+        };
+        let ok = with_event("\"kind\":\"reject\",\"request\":0,\"reason\":\"deadline\"");
+        validate(&ok).unwrap_or_else(|e| panic!("{e}"));
+        let bad_kind = with_event("\"kind\":\"nope\",\"request\":0,\"a\":0,\"b\":0");
         assert!(validate(&bad_kind).unwrap_err().contains("unknown kind"));
+        let v3_words = with_event("\"kind\":\"reject\",\"request\":0,\"a\":4,\"b\":0");
+        let err = validate(&v3_words).unwrap_err();
+        assert!(err.contains("lacks required key \"reason\""), "{err}");
+        let bad_reason = with_event("\"kind\":\"reject\",\"request\":0,\"reason\":\"bored\"");
+        let err = validate(&bad_reason).unwrap_err();
+        assert!(err.contains("\"reason\" is malformed"), "{err}");
     }
 
     #[test]
     fn dump_writes_a_validating_file() {
         let obs = Obs::new();
-        obs.flight_event(FlightKind::VerifyFailure, 3, 0, 0);
-        obs.instant(Track::wall(0), "admit", vec![("request", ArgValue::U64(3))]);
+        obs.emit(Event::VerifyFailure {
+            request: 3,
+            attempt: 1,
+        });
         let dir = std::env::temp_dir().join(format!("obs-flight-dump-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let trigger = Trigger {
@@ -814,7 +864,11 @@ mod tests {
     #[test]
     fn panic_hook_dumps_before_delegating() {
         let obs = Obs::new();
-        obs.flight_event(FlightKind::LaunchBegin, 0, 4, 16);
+        obs.emit(Event::LaunchBegin {
+            request: 0,
+            launch: 4,
+            grid: 16,
+        });
         let dir = std::env::temp_dir().join(format!("obs-panic-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         install_panic_hook(obs, dir.clone(), "hooked".to_string());

@@ -53,6 +53,21 @@ impl JsonValue {
         }
     }
 
+    /// Member `key` read through `as_kind` (e.g. [`JsonValue::as_f64`]),
+    /// or an error naming `ctx` and the key: the required-key reader the
+    /// trace and bundle validators share.
+    pub(crate) fn require<'a, T>(
+        &'a self,
+        ctx: &str,
+        key: &str,
+        as_kind: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        let value = self
+            .get(key)
+            .ok_or_else(|| format!("{ctx} lacks required key {key:?}"))?;
+        as_kind(value).ok_or_else(|| format!("{ctx}: {key:?} is malformed"))
+    }
+
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -23,10 +23,14 @@
 //!   admit → batch → launch → complete across processes — plus a [`json`]
 //!   parser/validator used by tests and CI gates (the vendored `serde_json`
 //!   shim only serializes);
+//! * **one typed event per fact** ([`Event`]) — each variant carries its
+//!   payload as named fields, and [`Obs::emit`] is the one way to record
+//!   it: one flight-ring slot and one Chrome instant, both rendered from
+//!   the event table;
 //! * a **flight recorder** ([`flight`]) — a fixed-capacity lock-free ring
-//!   of structured events ([`Obs::flight_event`]) that on a trigger dumps a
-//!   schema-versioned post-mortem bundle (recent events, registry snapshot,
-//!   last launch's trace slice, the triggering request's flow), checked by
+//!   of those events that on a trigger dumps a schema-versioned post-mortem
+//!   bundle (recent events with named fields, registry snapshot, last
+//!   launch's trace slice, the triggering request's flow), checked by
 //!   [`flight::validate`] the way traces are checked by
 //!   [`chrome::validate`];
 //! * a **model-conformance observatory** ([`conformance`]) — an online
@@ -39,7 +43,7 @@
 //! ## Disabled means free
 //!
 //! [`Obs::disabled`] yields a handle whose inner state is `None`: every span
-//! or instant call reduces to one branch on an `Option` and returns. No
+//! or emit call reduces to one branch on an `Option` and returns. No
 //! clock is read, nothing allocates, no lock is touched. Code can therefore
 //! thread an `Obs` unconditionally and let construction decide; the
 //! `disabled_path_is_cheap` test holds this to a budget.
@@ -64,6 +68,7 @@
 
 pub mod chrome;
 pub mod conformance;
+mod event;
 pub mod flight;
 mod histogram;
 pub mod json;
@@ -72,7 +77,8 @@ mod registry;
 mod span;
 
 pub use conformance::{Conformance, ConformanceConfig, DriftAlert, FitReport, LaunchSample};
-pub use flight::{FlightEvent, FlightKind};
+pub use event::{BreakerState, Event, FaultClass, Label, RejectReason};
+pub use flight::FlightEvent;
 pub use histogram::{BucketLayout, Histogram, HistogramSample, MAX_BUCKETS};
 pub use registry::{Counter, CounterSample, Gauge, GaugeSample, Registry, Snapshot};
 pub use span::{ArgValue, FlowPhase, Obs, SpanGuard, SpanId, Track};

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use crate::span::EventKind;
+use crate::span::RecordKind;
 use crate::{ArgValue, Obs, Registry, Track};
 
 /// Metric families the `gpu-exec` device registers. Declared here, not in
@@ -297,7 +297,7 @@ pub fn attribution_from_trace(obs: &Obs, model: CostModel) -> PhaseReport {
                 .iter()
                 .filter(|e| e.name == "launch" && e.track.pid == Track::WALL_PID)
                 .filter_map(|e| {
-                    let EventKind::Complete { dur } = e.kind else {
+                    let RecordKind::Complete { dur } = e.kind else {
                         return None;
                     };
                     let coalesced = u64_arg(&e.args, "coalesced_ops")?;

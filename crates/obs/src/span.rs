@@ -17,7 +17,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::chrome;
-use crate::flight::{FlightEvent, FlightKind, FlightRecorder};
+use crate::event::Event;
+use crate::flight::{FlightEvent, FlightRecorder};
 use crate::registry::Registry;
 
 /// Where an event lives in the trace: Chrome's process/thread pair.
@@ -66,6 +67,8 @@ pub enum ArgValue {
     F64(f64),
     /// A string.
     Str(String),
+    /// A boolean.
+    Bool(bool),
 }
 
 impl From<u64> for ArgValue {
@@ -115,7 +118,7 @@ pub enum FlowPhase {
 
 /// How a recorded event renders in the Chrome trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EventKind {
+pub(crate) enum RecordKind {
     /// A complete span (`ph: "X"`) with a duration.
     Complete {
         /// Duration in the track's clock units.
@@ -125,7 +128,7 @@ pub(crate) enum EventKind {
     Instant,
     /// A counter sample (`ph: "C"`): args are the series values.
     Counter,
-    /// A flow point (`ph: "s"/"t"/"f"`). For flow events the [`Event::id`]
+    /// A flow point (`ph: "s"/"t"/"f"`). For flow events the [`Record::id`]
     /// field *is* the flow id (the request id), not a span-bookkeeping id —
     /// Perfetto binds arrows by that top-level `id`.
     Flow(FlowPhase),
@@ -133,14 +136,14 @@ pub(crate) enum EventKind {
 
 /// One recorded trace event (crate-internal; serialized by [`chrome`]).
 #[derive(Debug, Clone)]
-pub(crate) struct Event {
+pub(crate) struct Record {
     pub name: Cow<'static, str>,
     pub track: Track,
     pub id: u64,
     pub parent: Option<u64>,
     /// Timestamp in the track's clock (µs on wall, time units on sim).
     pub ts: f64,
-    pub kind: EventKind,
+    pub kind: RecordKind,
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
@@ -149,7 +152,7 @@ struct ObsInner {
     registry: Registry,
     t0: Instant,
     next_id: AtomicU64,
-    events: Mutex<Vec<Event>>,
+    events: Mutex<Vec<Record>>,
     flight: FlightRecorder,
 }
 
@@ -200,7 +203,7 @@ impl Obs {
         at.saturating_duration_since(inner.t0).as_secs_f64() * 1e6
     }
 
-    fn push(inner: &ObsInner, ev: Event) {
+    fn push(inner: &ObsInner, ev: Record) {
         inner.events.lock().expect("obs event lock").push(ev);
     }
 
@@ -234,30 +237,6 @@ impl Obs {
         }
     }
 
-    /// Record an instant event at "now" on the wall clock.
-    pub fn instant(
-        &self,
-        track: Track,
-        name: impl Into<Cow<'static, str>>,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        if let Some(inner) = &self.inner {
-            let ts = Self::wall_us(inner, Instant::now());
-            Self::push(
-                inner,
-                Event {
-                    name: name.into(),
-                    track,
-                    id: Self::alloc_id(inner),
-                    parent: None,
-                    ts,
-                    kind: EventKind::Instant,
-                    args,
-                },
-            );
-        }
-    }
-
     /// Record a counter sample (`ph: "C"`) at an explicit timestamp in the
     /// track's clock units (µs on wall, time units on sim). Counter events
     /// render as value-over-time tracks in Perfetto — one series per
@@ -273,13 +252,13 @@ impl Obs {
         if let Some(inner) = &self.inner {
             Self::push(
                 inner,
-                Event {
+                Record {
                     name: name.into(),
                     track,
                     id: Self::alloc_id(inner),
                     parent: None,
                     ts,
-                    kind: EventKind::Counter,
+                    kind: RecordKind::Counter,
                     args: values.iter().map(|&(k, v)| (k, ArgValue::F64(v))).collect(),
                 },
             );
@@ -305,13 +284,13 @@ impl Obs {
         if let Some(inner) = &self.inner {
             Self::push(
                 inner,
-                Event {
+                Record {
                     name: name.into(),
                     track,
                     id: flow,
                     parent: None,
                     ts,
-                    kind: EventKind::Flow(phase),
+                    kind: RecordKind::Flow(phase),
                     args: Vec::new(),
                 },
             );
@@ -334,13 +313,30 @@ impl Obs {
         }
     }
 
-    /// Record a structured event into the flight recorder (no-op when
-    /// disabled): one lock-free ring write, no allocation.
+    /// Emit one fact: one flight-ring slot plus, for every kind but
+    /// launch begin/end (the `launch` span covers those), a Chrome instant
+    /// on wall lane 0 whose args are the event's fields. Disabled, this is
+    /// one branch: no clock read, no allocation. The ring write itself
+    /// never allocates.
     #[inline]
-    pub fn flight_event(&self, kind: FlightKind, request: u64, a: u64, b: u64) {
+    pub fn emit(&self, event: Event) {
         if let Some(inner) = &self.inner {
             let ts = Self::wall_us(inner, Instant::now());
-            inner.flight.record(ts, kind, request, a, b);
+            inner.flight.record(ts, &event);
+            if !matches!(event, Event::LaunchBegin { .. } | Event::LaunchEnd { .. }) {
+                Self::push(
+                    inner,
+                    Record {
+                        name: Cow::Borrowed(event.name()),
+                        track: Track::wall(0),
+                        id: Self::alloc_id(inner),
+                        parent: None,
+                        ts,
+                        kind: RecordKind::Instant,
+                        args: event.args(),
+                    },
+                );
+            }
         }
     }
 
@@ -355,7 +351,7 @@ impl Obs {
 
     /// Run `f` over the recorded events (`None` when disabled). Used by
     /// [`crate::profile`] to reconstruct per-launch attribution from spans.
-    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> Option<R> {
+    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Record]) -> R) -> Option<R> {
         self.inner
             .as_ref()
             .map(|inner| f(&inner.events.lock().expect("obs event lock")))
@@ -385,7 +381,7 @@ impl Obs {
         let id = Self::alloc_id(inner);
         Self::push(
             inner,
-            Event {
+            Record {
                 name: name.into(),
                 track: Track {
                     pid: Track::WALL_PID,
@@ -394,7 +390,7 @@ impl Obs {
                 id,
                 parent: parent.map(|p| p.0),
                 ts,
-                kind: EventKind::Complete { dur },
+                kind: RecordKind::Complete { dur },
                 args,
             },
         );
@@ -416,13 +412,13 @@ impl Obs {
         let id = Self::alloc_id(inner);
         Self::push(
             inner,
-            Event {
+            Record {
                 name: name.into(),
                 track: Track::sim(tid),
                 id,
                 parent: parent.map(|p| p.0),
                 ts: start_units as f64,
-                kind: EventKind::Complete {
+                kind: RecordKind::Complete {
                     dur: end_units.saturating_sub(start_units) as f64,
                 },
                 args,
@@ -499,13 +495,13 @@ impl Drop for SpanGuard {
             let dur = (Obs::wall_us(&inner, Instant::now()) - ts).max(0.0);
             Obs::push(
                 &inner,
-                Event {
+                Record {
                     name: std::mem::replace(&mut self.name, Cow::Borrowed("")),
                     track: self.track,
                     id: self.id,
                     parent: self.parent.map(|p| p.0),
                     ts,
-                    kind: EventKind::Complete { dur },
+                    kind: RecordKind::Complete { dur },
                     args: std::mem::take(&mut self.args),
                 },
             );
@@ -527,9 +523,12 @@ mod tests {
             assert!(s.id().is_none());
             s.arg("k", ArgValue::U64(1));
         }
-        obs.instant(Track::wall(0), "i", Vec::new());
         obs.flow_at(Track::wall(0), "request", FlowPhase::Start, 7, 1.0);
-        obs.flight_event(FlightKind::Admit, 7, 0, 0);
+        obs.emit(Event::Admit {
+            request: 7,
+            rows: 1,
+            cols: 1,
+        });
         assert_eq!(obs.event_count(), 0);
         assert!(obs.flight_recent().is_empty());
         assert_eq!(obs.trace_json(), chrome::serialize(&[]));
@@ -653,7 +652,11 @@ mod tests {
         // the same single branch, with no clock read and no ring write.
         let t = Instant::now();
         for i in 0..iters {
-            obs.flight_event(FlightKind::Admit, i as u64, 0, 0);
+            obs.emit(Event::Admit {
+                request: i as u64,
+                rows: 1,
+                cols: 1,
+            });
         }
         let per_op = t.elapsed().as_nanos() as f64 / iters as f64;
         assert!(

@@ -11,7 +11,8 @@
 //!   the shard count, submission-queue depth/capacity, whether a drain is
 //!   in progress, and how many post-mortem bundles have been dumped;
 //! * `GET /debug/flight` — the flight recorder's surviving recent events
-//!   ([`obs::flight::events_json`]), oldest first;
+//!   ([`obs::flight::events_json`]), oldest first, each with its kind's
+//!   named fields under the bundle schema ([`obs::flight::SCHEMA`]);
 //! * `GET /debug/conformance` — the model-conformance observatory's JSON
 //!   report ([`obs::Conformance::report_json`]): the online (w, Λ) fit
 //!   vs the configured machine, per-cell residual statistics, and any
@@ -167,7 +168,7 @@ fn health_json(shared: &Shared) -> String {
     let breaker = shared.metrics.breaker_state();
     let status = if shutting_down {
         "shutting_down"
-    } else if breaker != "closed" {
+    } else if breaker != obs::BreakerState::Closed {
         "degraded"
     } else {
         "ok"
@@ -177,6 +178,7 @@ fn health_json(shared: &Shared) -> String {
          \"queue_depth\":{depth},\
          \"queue_capacity\":{cap},\"shutting_down\":{shutting_down},\
          \"postmortem_bundles\":{bundles}}}",
+        breaker = breaker.name(),
         shards = shared.metrics.shards(),
         cap = shared.cfg.queue_capacity,
         bundles = shared.postmortems.load(Ordering::Relaxed),

@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use obs::{Counter, Histogram, HistogramSample, Registry};
+use obs::{BreakerState, Counter, Event, Histogram, HistogramSample, Registry, RejectReason};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -100,10 +100,9 @@ pub(crate) struct Metrics {
     /// Per-shard launch counters (`sat_service_shard_launches_total{shard=…}`),
     /// parallel to the shard indices.
     shard_launches: Vec<Counter>,
-    /// Per-shard circuit-breaker states ("closed" / "open" / "half_open"),
-    /// aggregated for the `/healthz` endpoint by
-    /// [`breaker_state`](Self::breaker_state).
-    shard_breakers: Mutex<Vec<&'static str>>,
+    /// Per-shard circuit-breaker states, aggregated for the `/healthz`
+    /// endpoint by [`breaker_state`](Self::breaker_state).
+    shard_breakers: Mutex<Vec<BreakerState>>,
 }
 
 /// Registry-backed latency histograms (per-request plus per-stage).
@@ -122,25 +121,21 @@ struct Hists {
 struct Counters {
     submitted: Counter,
     completed: Counter,
-    rejected_deadline: Counter,
-    rejected_queue_full: Counter,
-    rejected_shutdown: Counter,
-    rejected_invalid: Counter,
+    /// `rejected_total{reason=…}`, indexed by [`RejectReason`].
+    rejected: Vec<Counter>,
     batches: Counter,
     launches_issued: Counter,
     launches_unbatched_equiv: Counter,
     barriers_issued: Counter,
     barriers_unbatched_equiv: Counter,
-    rejected_shutdown_drain: Counter,
     attempts_ok: Counter,
     attempts_failed: Counter,
     retries: Counter,
     degraded: Counter,
     verify_pass: Counter,
     verify_fail: Counter,
-    breaker_opened: Counter,
-    breaker_half_open: Counter,
-    breaker_closed: Counter,
+    /// `breaker_transitions_total{to=…}`, indexed by [`BreakerState`].
+    breaker_to: Vec<Counter>,
     canaries: Counter,
     shard_failovers: Counter,
     shards_lost: Counter,
@@ -180,25 +175,25 @@ impl Metrics {
         let c = Counters {
             submitted: registry.counter(SUBMITTED),
             completed: registry.counter(COMPLETED),
-            rejected_deadline: counter(REJECTED, "reason", "deadline"),
-            rejected_queue_full: counter(REJECTED, "reason", "queue_full"),
-            rejected_shutdown: counter(REJECTED, "reason", "shutdown"),
-            rejected_invalid: counter(REJECTED, "reason", "invalid"),
+            rejected: RejectReason::ALL
+                .iter()
+                .map(|r| counter(REJECTED, "reason", r.name()))
+                .collect(),
             batches: registry.counter(BATCHES),
             launches_issued: counter(LAUNCHES, "kind", "issued"),
             launches_unbatched_equiv: counter(LAUNCHES, "kind", "unbatched_equiv"),
             barriers_issued: counter(BARRIER_STEPS, "kind", "issued"),
             barriers_unbatched_equiv: counter(BARRIER_STEPS, "kind", "unbatched_equiv"),
-            rejected_shutdown_drain: counter(REJECTED, "reason", "shutdown_drain"),
             attempts_ok: counter(ATTEMPTS, "result", "ok"),
             attempts_failed: counter(ATTEMPTS, "result", "failed"),
             retries: registry.counter(RETRIES),
             degraded: registry.counter(DEGRADED),
             verify_pass: counter(VERIFICATIONS, "result", "pass"),
             verify_fail: counter(VERIFICATIONS, "result", "fail"),
-            breaker_opened: counter(BREAKER_TRANSITIONS, "to", "open"),
-            breaker_half_open: counter(BREAKER_TRANSITIONS, "to", "half_open"),
-            breaker_closed: counter(BREAKER_TRANSITIONS, "to", "closed"),
+            breaker_to: BreakerState::ALL
+                .iter()
+                .map(|b| counter(BREAKER_TRANSITIONS, "to", b.name()))
+                .collect(),
             canaries: registry.counter(CANARY_PROBES),
             shard_failovers: registry.counter(SHARD_FAILOVERS),
             shards_lost: registry.counter(SHARDS_LOST),
@@ -225,7 +220,7 @@ impl Metrics {
             h,
             slo,
             shard_launches,
-            shard_breakers: Mutex::new(vec!["closed"; shards]),
+            shard_breakers: Mutex::new(vec![BreakerState::Closed; shards]),
         }
     }
 
@@ -234,29 +229,36 @@ impl Metrics {
         self.shard_launches.len()
     }
 
-    pub(crate) fn on_submit(&self) {
-        self.c.submitted.inc();
-    }
-
-    pub(crate) fn on_reject(&self, err: &crate::ServiceError) {
-        match err {
-            crate::ServiceError::QueueFull => self.c.rejected_queue_full.inc(),
-            crate::ServiceError::DeadlineExceeded => self.c.rejected_deadline.inc(),
-            crate::ServiceError::ShuttingDown => self.c.rejected_shutdown.inc(),
-            crate::ServiceError::Shutdown => self.c.rejected_shutdown_drain.inc(),
-            crate::ServiceError::InvalidRequest(_) => self.c.rejected_invalid.inc(),
-            crate::ServiceError::Internal(_) => {}
+    /// Count the registry side of one emitted fact: the one match from
+    /// event to counter (kinds without a counter are ignored).
+    pub(crate) fn on_event(&self, event: &Event) {
+        match *event {
+            Event::Admit { .. } => self.c.submitted.inc(),
+            Event::Reject { reason, .. } => self.c.rejected[reason as usize].inc(),
+            Event::BreakerTransition { shard, to, .. } => {
+                self.c.breaker_to[to as usize].inc();
+                if let Some(s) = self.shard_breakers.lock().get_mut(shard as usize) {
+                    *s = to;
+                }
+            }
+            Event::DeviceLost { .. } => self.c.shards_lost.inc(),
+            Event::ShardFailover { .. } => self.c.shard_failovers.inc(),
+            Event::VerifyFailure { .. } => self.c.verify_fail.inc(),
+            Event::AttemptFailed { .. } => self.c.attempts_failed.inc(),
+            Event::Canary { .. } => self.c.canaries.inc(),
+            Event::Degraded { .. } => self.c.degraded.inc(),
+            Event::Complete { width, .. } => {
+                self.c.batches.inc();
+                self.c.completed.add(width);
+            }
+            _ => {}
         }
     }
 
-    /// Record one device attempt: one fleet task run on some shard (a fused
-    /// batch, a band's phase kernel, or a whole image).
-    pub(crate) fn on_attempt(&self, ok: bool) {
-        if ok {
-            self.c.attempts_ok.inc();
-        } else {
-            self.c.attempts_failed.inc();
-        }
+    /// One device attempt (one fleet task run on some shard) passed every
+    /// check; failures arrive as [`Event::AttemptFailed`].
+    pub(crate) fn on_attempt_ok(&self) {
+        self.c.attempts_ok.inc();
     }
 
     /// A failed attempt is about to be retried (after backoff).
@@ -264,52 +266,10 @@ impl Metrics {
         self.c.retries.inc();
     }
 
-    /// One request completed on the degraded CPU path.
-    pub(crate) fn on_degraded(&self) {
-        self.c.degraded.inc();
-    }
-
-    /// One per-result verification finished.
-    pub(crate) fn on_verify(&self, ok: bool) {
-        if ok {
-            self.c.verify_pass.inc();
-        } else {
-            self.c.verify_fail.inc();
-        }
-    }
-
-    /// Shard `shard`'s circuit breaker moved to `to` ("open" /
-    /// "half_open" / "closed"): counts the transition and updates the
-    /// state [`breaker_state`](Self::breaker_state) aggregates.
-    pub(crate) fn on_breaker(&self, shard: usize, to: &str) {
-        let state = match to {
-            "open" => {
-                self.c.breaker_opened.inc();
-                "open"
-            }
-            "half_open" => {
-                self.c.breaker_half_open.inc();
-                "half_open"
-            }
-            _ => {
-                self.c.breaker_closed.inc();
-                "closed"
-            }
-        };
-        if let Some(s) = self.shard_breakers.lock().get_mut(shard) {
-            *s = state;
-        }
-    }
-
-    /// An open shard handed its remaining tasks to the surviving shards.
-    pub(crate) fn on_shard_failover(&self) {
-        self.c.shard_failovers.inc();
-    }
-
-    /// A shard's breaker opened mid-dispatch (its fault domain is lost
-    /// until a canary re-closes it).
-    pub(crate) fn on_shard_lost(&self) {
-        self.c.shards_lost.inc();
+    /// One per-result verification passed; failures arrive as
+    /// [`Event::VerifyFailure`].
+    pub(crate) fn on_verify_pass(&self) {
+        self.c.verify_pass.inc();
     }
 
     /// Shard `shard` issued `n` more kernel launches.
@@ -323,14 +283,14 @@ impl Metrics {
     /// when every shard is closed, "open" when every shard is open, and
     /// "half_open" for any mix (some capacity lost, some remaining). With
     /// one shard this is that shard's state.
-    pub(crate) fn breaker_state(&self) -> &'static str {
+    pub(crate) fn breaker_state(&self) -> BreakerState {
         let shards = self.shard_breakers.lock();
-        if shards.iter().all(|&s| s == "closed") {
-            "closed"
-        } else if shards.iter().all(|&s| s == "open") {
-            "open"
+        if shards.iter().all(|&s| s == BreakerState::Closed) {
+            BreakerState::Closed
+        } else if shards.iter().all(|&s| s == BreakerState::Open) {
+            BreakerState::Open
         } else {
-            "half_open"
+            BreakerState::HalfOpen
         }
     }
 
@@ -363,19 +323,13 @@ impl Metrics {
         self.burn_stats(&request).1
     }
 
-    /// A half-open canary launch probed the device.
-    pub(crate) fn on_canary(&self) {
-        self.c.canaries.inc();
-    }
-
-    /// Record one dispatched batch.
+    /// Record one answered batch's launches, barriers and latencies; its
+    /// batch and completion counts arrive as [`Event::Complete`].
     pub(crate) fn on_batch(&self, b: &BatchRecord<'_>) {
-        self.c.batches.inc();
         self.c.launches_issued.add(b.launches);
         self.c.launches_unbatched_equiv.add(b.launches_equiv);
         self.c.barriers_issued.add(b.barriers);
         self.c.barriers_unbatched_equiv.add(b.barriers_equiv);
-        self.c.completed.add(b.width as u64);
         {
             let mut m = self.inner.lock();
             if m.batch_width_hist.len() <= b.width {
@@ -436,29 +390,31 @@ impl Metrics {
     pub(crate) fn snapshot(&self) -> ServiceStats {
         let (queue, exec, request, _) = self.latency_samples();
         let m = self.inner.lock();
+        let rejected = |r: RejectReason| self.c.rejected[r as usize].total();
+        let breaker_to = |b: BreakerState| self.c.breaker_to[b as usize].total();
         ServiceStats {
             submitted: self.c.submitted.total(),
             completed: self.c.completed.total(),
-            rejected_deadline: self.c.rejected_deadline.total(),
-            rejected_queue_full: self.c.rejected_queue_full.total(),
-            rejected_shutdown: self.c.rejected_shutdown.total(),
-            rejected_invalid: self.c.rejected_invalid.total(),
+            rejected_deadline: rejected(RejectReason::Deadline),
+            rejected_queue_full: rejected(RejectReason::QueueFull),
+            rejected_shutdown: rejected(RejectReason::Shutdown),
+            rejected_invalid: rejected(RejectReason::Invalid),
             batches: self.c.batches.total(),
             batch_width_hist: m.batch_width_hist.clone(),
             launches_issued: self.c.launches_issued.total(),
             launches_unbatched_equiv: self.c.launches_unbatched_equiv.total(),
             barriers_issued: self.c.barriers_issued.total(),
             barriers_unbatched_equiv: self.c.barriers_unbatched_equiv.total(),
-            rejected_shutdown_drain: self.c.rejected_shutdown_drain.total(),
+            rejected_shutdown_drain: rejected(RejectReason::ShutdownDrain),
             attempts_ok: self.c.attempts_ok.total(),
             attempts_failed: self.c.attempts_failed.total(),
             retries: self.c.retries.total(),
             degraded: self.c.degraded.total(),
             verify_pass: self.c.verify_pass.total(),
             verify_fail: self.c.verify_fail.total(),
-            breaker_opened: self.c.breaker_opened.total(),
-            breaker_half_open: self.c.breaker_half_open.total(),
-            breaker_closed: self.c.breaker_closed.total(),
+            breaker_opened: breaker_to(BreakerState::Open),
+            breaker_half_open: breaker_to(BreakerState::HalfOpen),
+            breaker_closed: breaker_to(BreakerState::Closed),
             canary_probes: self.c.canaries.total(),
             shards: self.shards() as u64,
             shard_failovers: self.c.shard_failovers.total(),
@@ -665,6 +621,23 @@ impl Default for Metrics {
 mod tests {
     use super::*;
 
+    fn admit() -> Event {
+        Event::Admit {
+            request: 1,
+            rows: 4,
+            cols: 4,
+        }
+    }
+
+    /// Shard `shard`'s breaker moved to `to`.
+    fn breaker(m: &Metrics, shard: u64, to: BreakerState) {
+        m.on_event(&Event::BreakerTransition {
+            request: 0,
+            shard,
+            to,
+        });
+    }
+
     #[test]
     fn empty_summary_is_zero() {
         let s = LatencySummary::from_ns(&[]);
@@ -687,8 +660,13 @@ mod tests {
     #[test]
     fn batch_accounting() {
         let m = Metrics::default();
-        m.on_submit();
-        m.on_submit();
+        m.on_event(&admit());
+        m.on_event(&admit());
+        m.on_event(&Event::Complete {
+            request: 1,
+            batch: 1,
+            width: 2,
+        });
         m.on_batch(&BatchRecord {
             width: 2,
             launches: 3,
@@ -749,8 +727,11 @@ mod tests {
     #[test]
     fn expose_text_renders_counters_latency_gauges_and_buckets() {
         let m = Metrics::default();
-        m.on_submit();
-        m.on_reject(&crate::ServiceError::DeadlineExceeded);
+        m.on_event(&admit());
+        m.on_event(&Event::Reject {
+            request: 1,
+            reason: RejectReason::Deadline,
+        });
         m.on_batch(&BatchRecord {
             width: 1,
             launches: 2,
@@ -798,13 +779,13 @@ mod tests {
     #[test]
     fn breaker_state_tracks_transitions_for_health() {
         let m = Metrics::default();
-        assert_eq!(m.breaker_state(), "closed");
-        m.on_breaker(0, "open");
-        assert_eq!(m.breaker_state(), "open");
-        m.on_breaker(0, "half_open");
-        assert_eq!(m.breaker_state(), "half_open");
-        m.on_breaker(0, "closed");
-        assert_eq!(m.breaker_state(), "closed");
+        assert_eq!(m.breaker_state().name(), "closed");
+        breaker(&m, 0, BreakerState::Open);
+        assert_eq!(m.breaker_state().name(), "open");
+        breaker(&m, 0, BreakerState::HalfOpen);
+        assert_eq!(m.breaker_state().name(), "half_open");
+        breaker(&m, 0, BreakerState::Closed);
+        assert_eq!(m.breaker_state().name(), "closed");
         // No samples yet: the burn rate reads zero, not NaN.
         assert_eq!(m.slo_burn(), 0.0);
     }
@@ -812,23 +793,35 @@ mod tests {
     #[test]
     fn shard_breakers_aggregate_for_health() {
         let m = Metrics::new(Registry::new(), SloConfig::default(), 3);
-        assert_eq!(m.breaker_state(), "closed");
+        assert_eq!(m.breaker_state().name(), "closed");
         // One shard down: the fleet is degraded, not dead.
-        m.on_breaker(1, "open");
-        assert_eq!(m.breaker_state(), "half_open");
-        m.on_breaker(0, "open");
-        m.on_breaker(2, "open");
-        assert_eq!(m.breaker_state(), "open");
-        m.on_breaker(1, "half_open");
-        assert_eq!(m.breaker_state(), "half_open");
+        breaker(&m, 1, BreakerState::Open);
+        assert_eq!(m.breaker_state().name(), "half_open");
+        breaker(&m, 0, BreakerState::Open);
+        breaker(&m, 2, BreakerState::Open);
+        assert_eq!(m.breaker_state().name(), "open");
+        breaker(&m, 1, BreakerState::HalfOpen);
+        assert_eq!(m.breaker_state().name(), "half_open");
         for s in 0..3 {
-            m.on_breaker(s, "closed");
+            breaker(&m, s, BreakerState::Closed);
         }
-        assert_eq!(m.breaker_state(), "closed");
-        m.on_attempt(true);
-        m.on_attempt(false);
-        m.on_shard_failover();
-        m.on_shard_lost();
+        assert_eq!(m.breaker_state().name(), "closed");
+        m.on_attempt_ok();
+        m.on_event(&Event::AttemptFailed {
+            request: 1,
+            shard: 2,
+            streak: 1,
+        });
+        m.on_event(&Event::ShardFailover {
+            request: 1,
+            shard: 2,
+            queued_tasks: 1,
+        });
+        m.on_event(&Event::DeviceLost {
+            request: 1,
+            shard: 2,
+            fault_epoch: 3,
+        });
         m.on_shard_launches(2, 7);
         let s = m.snapshot();
         assert_eq!(s.shards, 3);

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use gpu_exec::Device;
 use hmm_model::cost::SatAlgorithm;
+use obs::BreakerState;
 use sat_core::{compute_sat, Matrix};
 
 /// When the executor verifies device results against the input.
@@ -119,14 +120,14 @@ impl CircuitBreaker {
 
     /// Advance time-driven transitions and return the current disposition
     /// plus the transition that just happened, if any (for metrics).
-    pub(crate) fn poll(&mut self, now: Instant) -> (Disposition, Option<&'static str>) {
+    pub(crate) fn poll(&mut self, now: Instant) -> (Disposition, Option<BreakerState>) {
         match self.state {
             State::Closed { .. } => (Disposition::Use, None),
             State::HalfOpen => (Disposition::Probe, None),
             State::Open { since } => {
                 if now.duration_since(since) >= self.cooldown {
                     self.state = State::HalfOpen;
-                    (Disposition::Probe, Some("half_open"))
+                    (Disposition::Probe, Some(BreakerState::HalfOpen))
                 } else {
                     (Disposition::Degrade, None)
                 }
@@ -135,7 +136,7 @@ impl CircuitBreaker {
     }
 
     /// A launch (or canary) succeeded.
-    pub(crate) fn on_success(&mut self) -> Option<&'static str> {
+    pub(crate) fn on_success(&mut self) -> Option<BreakerState> {
         match self.state {
             State::Closed { failures: 0 } => None,
             State::Closed { .. } => {
@@ -144,19 +145,19 @@ impl CircuitBreaker {
             }
             State::HalfOpen | State::Open { .. } => {
                 self.state = State::Closed { failures: 0 };
-                Some("closed")
+                Some(BreakerState::Closed)
             }
         }
     }
 
     /// A launch (or canary) failed.
-    pub(crate) fn on_failure(&mut self, now: Instant) -> Option<&'static str> {
+    pub(crate) fn on_failure(&mut self, now: Instant) -> Option<BreakerState> {
         match self.state {
             State::Closed { failures } => {
                 let failures = failures + 1;
                 if failures >= self.threshold {
                     self.state = State::Open { since: now };
-                    Some("open")
+                    Some(BreakerState::Open)
                 } else {
                     self.state = State::Closed { failures };
                     None
@@ -164,7 +165,7 @@ impl CircuitBreaker {
             }
             State::HalfOpen => {
                 self.state = State::Open { since: now };
-                Some("open")
+                Some(BreakerState::Open)
             }
             State::Open { .. } => None,
         }
@@ -302,18 +303,21 @@ mod tests {
         assert_eq!(b.poll(t0).0, Disposition::Use);
         assert_eq!(b.on_failure(t0), None);
         assert_eq!(b.on_failure(t0), None);
-        assert_eq!(b.on_failure(t0), Some("open"));
+        assert_eq!(b.on_failure(t0), Some(BreakerState::Open));
         assert!(b.is_open());
         assert_eq!(b.poll(t0).0, Disposition::Degrade);
         // Cooldown elapsed: half-open probe.
         let later = t0 + Duration::from_millis(6);
-        assert_eq!(b.poll(later), (Disposition::Probe, Some("half_open")));
+        assert_eq!(
+            b.poll(later),
+            (Disposition::Probe, Some(BreakerState::HalfOpen))
+        );
         assert_eq!(b.poll(later), (Disposition::Probe, None));
         // Failed canary re-opens; a later successful one closes.
-        assert_eq!(b.on_failure(later), Some("open"));
+        assert_eq!(b.on_failure(later), Some(BreakerState::Open));
         let again = later + Duration::from_millis(6);
         assert_eq!(b.poll(again).0, Disposition::Probe);
-        assert_eq!(b.on_success(), Some("closed"));
+        assert_eq!(b.on_success(), Some(BreakerState::Closed));
         assert_eq!(b.poll(again).0, Disposition::Use);
     }
 
@@ -328,7 +332,7 @@ mod tests {
         b.on_failure(t);
         b.on_failure(t);
         assert!(!b.is_open());
-        assert_eq!(b.on_failure(t), Some("open"));
+        assert_eq!(b.on_failure(t), Some(BreakerState::Open));
     }
 
     #[test]

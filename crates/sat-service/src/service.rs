@@ -14,7 +14,7 @@ use gpu_exec::{
 use hmm_model::cost::{ExactCounts, GlobalCost, SatAlgorithm};
 use obs::conformance::cell_label;
 use obs::flight::Trigger;
-use obs::{ArgValue, Conformance, FlightKind, FlowPhase, Obs, Track};
+use obs::{ArgValue, BreakerState, Conformance, Event, FlowPhase, Obs, RejectReason, Track};
 use parking_lot::{Condvar, Mutex};
 use sat_core::par::{band_colsum, band_wavefront, margin_exchange, BandPlan};
 use sat_core::{compute_sat, compute_sat_batch_with, Matrix, SumTable};
@@ -71,6 +71,15 @@ pub(crate) struct Shared {
     /// Drift alerts already turned into post-mortem triggers — a cursor
     /// over [`Conformance::alert_count`], advanced at dispatch boundaries.
     drift_alerts_seen: AtomicU64,
+}
+
+impl Shared {
+    /// Emit one fact, once: its registry counter ([`Metrics::on_event`])
+    /// and its observer event (a flight-ring slot and a trace instant).
+    fn emit(&self, event: Event) {
+        self.metrics.on_event(&event);
+        self.cfg.observer.emit(event);
+    }
 }
 
 /// A running SAT service. Created by [`Service::start`]; hand out
@@ -257,12 +266,12 @@ impl Client {
         algorithm: SatAlgorithm,
         deadline: Option<Duration>,
     ) -> Result<SumTable<f64>, ServiceError> {
-        let obs = &self.shared.cfg.observer;
+        let reject = |reason| {
+            self.shared.emit(Event::Reject { request: 0, reason });
+        };
         if image.rows() == 0 || image.cols() == 0 {
-            let err = ServiceError::InvalidRequest("empty matrix".to_string());
-            self.shared.metrics.on_reject(&err);
-            obs.flight_event(FlightKind::Reject, 0, REJECT_INVALID, 0);
-            return Err(err);
+            reject(RejectReason::Invalid);
+            return Err(ServiceError::InvalidRequest("empty matrix".to_string()));
         }
         let enqueued = Instant::now();
         let deadline_at = enqueued + deadline.unwrap_or(self.shared.cfg.default_deadline);
@@ -274,10 +283,8 @@ impl Client {
             loop {
                 if st.shutdown {
                     drop(st);
-                    let err = ServiceError::ShuttingDown;
-                    self.shared.metrics.on_reject(&err);
-                    obs.flight_event(FlightKind::Reject, 0, REJECT_SHUTTING_DOWN, 0);
-                    return Err(err);
+                    reject(RejectReason::Shutdown);
+                    return Err(ServiceError::ShuttingDown);
                 }
                 if st.queue.len() < self.shared.cfg.queue_capacity {
                     break;
@@ -285,10 +292,8 @@ impl Client {
                 let timeout = deadline_at.saturating_duration_since(Instant::now());
                 if timeout.is_zero() {
                     drop(st);
-                    let err = ServiceError::QueueFull;
-                    self.shared.metrics.on_reject(&err);
-                    obs.flight_event(FlightKind::Reject, 0, REJECT_QUEUE_FULL, 0);
-                    return Err(err);
+                    reject(RejectReason::QueueFull);
+                    return Err(ServiceError::QueueFull);
                 }
                 self.shared.space_cv.wait_for(&mut st, timeout);
             }
@@ -304,18 +309,11 @@ impl Client {
                 reply: tx,
             });
         }
-        self.shared.metrics.on_submit();
-        obs.instant(
-            Track::wall(0),
-            "admit",
-            vec![
-                ("request", ArgValue::from(id)),
-                ("rows", ArgValue::from(rows)),
-                ("cols", ArgValue::from(cols)),
-                ("algo", ArgValue::from(algorithm.name())),
-            ],
-        );
-        obs.flight_event(FlightKind::Admit, id, rows as u64, cols as u64);
+        self.shared.emit(Event::Admit {
+            request: id,
+            rows: rows as u64,
+            cols: cols as u64,
+        });
         self.shared.work_cv.notify_all();
         match rx.recv() {
             Ok(result) => result,
@@ -335,13 +333,6 @@ impl Client {
         self.shared.metrics.expose_text()
     }
 }
-
-/// Reason codes carried in the `a` word of [`FlightKind::Reject`] events.
-const REJECT_QUEUE_FULL: u64 = 1;
-const REJECT_SHUTTING_DOWN: u64 = 2;
-const REJECT_INVALID: u64 = 3;
-const REJECT_DEADLINE: u64 = 4;
-const REJECT_SHUTDOWN_DRAIN: u64 = 5;
 
 /// Base `tid` of the wall-clock tracks request-lifecycle spans land on
 /// (`queue` spans use 1..=16; `request` spans get their own lane group so
@@ -552,21 +543,10 @@ fn batcher_loop(shared: &Shared, fleet: &DeviceFleet) {
         }
 
         for r in expired {
-            let err = ServiceError::DeadlineExceeded;
-            shared.metrics.on_reject(&err);
-            shared.cfg.observer.instant(
-                Track::wall(0),
-                "deadline_expired",
-                vec![
-                    ("request", ArgValue::from(r.id)),
-                    ("rows", ArgValue::from(r.image.rows())),
-                    ("cols", ArgValue::from(r.image.cols())),
-                ],
-            );
-            shared
-                .cfg
-                .observer
-                .flight_event(FlightKind::Reject, r.id, REJECT_DEADLINE, 0);
+            shared.emit(Event::Reject {
+                request: r.id,
+                reason: RejectReason::Deadline,
+            });
             close_request_span(
                 &shared.cfg.observer,
                 r.id,
@@ -574,33 +554,22 @@ fn batcher_loop(shared: &Shared, fleet: &DeviceFleet) {
                 Instant::now(),
                 "deadline_expired",
             );
-            let _ = r.reply.send(Err(err));
+            let _ = r.reply.send(Err(ServiceError::DeadlineExceeded));
         }
-        if !drained.is_empty() {
-            shared.cfg.observer.instant(
-                Track::wall(0),
+        let now = Instant::now();
+        for r in drained {
+            shared.emit(Event::Reject {
+                request: r.id,
+                reason: RejectReason::ShutdownDrain,
+            });
+            close_request_span(
+                &shared.cfg.observer,
+                r.id,
+                r.enqueued,
+                now,
                 "shutdown_drain",
-                vec![("count", ArgValue::from(drained.len()))],
             );
-            let now = Instant::now();
-            for r in drained {
-                let err = ServiceError::Shutdown;
-                shared.metrics.on_reject(&err);
-                shared.cfg.observer.flight_event(
-                    FlightKind::Reject,
-                    r.id,
-                    REJECT_SHUTDOWN_DRAIN,
-                    0,
-                );
-                close_request_span(
-                    &shared.cfg.observer,
-                    r.id,
-                    r.enqueued,
-                    now,
-                    "shutdown_drain",
-                );
-                let _ = r.reply.send(Err(err));
-            }
+            let _ = r.reply.send(Err(ServiceError::Shutdown));
         }
         for d in ready {
             router.dispatch(d);
@@ -609,32 +578,6 @@ fn batcher_loop(shared: &Shared, fleet: &DeviceFleet) {
             return;
         }
     }
-}
-
-/// Complete every still-pending request on the sequential CPU path
-/// ([`sat_core::seq::sat_4r1w_cpu`]): slower, but immune to device faults.
-/// Marks each completed index in `degraded` so its terminal span status
-/// reads `degraded` rather than `ok`.
-fn degrade_pending(
-    shared: &Shared,
-    images: &[Matrix<f64>],
-    pending: &mut Vec<usize>,
-    results: &mut [Option<Matrix<f64>>],
-    degraded: &mut [bool],
-) {
-    shared.cfg.observer.instant(
-        Track::wall(0),
-        "degraded",
-        vec![("count", ArgValue::from(pending.len()))],
-    );
-    for &i in pending.iter() {
-        let mut m = images[i].clone();
-        sat_core::seq::sat_4r1w_cpu(&mut m);
-        results[i] = Some(m);
-        degraded[i] = true;
-        shared.metrics.on_degraded();
-    }
-    pending.clear();
 }
 
 /// Dump one queued post-mortem bundle, respecting the lifetime cap. Only
@@ -658,14 +601,10 @@ fn maybe_dump(shared: &Shared, trigger: &Trigger) {
         &shared.cfg.postmortem.prefix,
         trigger,
     ) {
-        Ok(path) => shared.cfg.observer.instant(
-            Track::wall(0),
-            "postmortem",
-            vec![
-                ("request", ArgValue::from(trigger.request)),
-                ("path", ArgValue::from(path.display().to_string())),
-            ],
-        ),
+        Ok(_) => shared.emit(Event::Postmortem {
+            request: trigger.request,
+            bundles: shared.postmortems.load(Ordering::Relaxed),
+        }),
         Err(e) => eprintln!("sat-service: post-mortem dump failed: {e}"),
     }
 }
@@ -738,10 +677,11 @@ impl Router<'_> {
         }
         self.batch_no += 1;
         let batch_no = self.batch_no;
-        shared
-            .cfg
-            .observer
-            .flight_event(FlightKind::BatchFormed, ids[0], batch_no, width as u64);
+        shared.emit(Event::BatchFormed {
+            request: ids[0],
+            batch: batch_no,
+            width: width as u64,
+        });
 
         let plan = match (d.algorithm, fleet.len()) {
             (SatAlgorithm::OneR1W, 1) => Plan::Fused,
@@ -766,9 +706,17 @@ impl Router<'_> {
         let mut attempts = 0u32;
         while !pending.is_empty() {
             // Attempt budget spent, or no shard healthy even after probing
-            // the cooled-down ones: stop fighting the fleet.
+            // the cooled-down ones: stop fighting the fleet and finish on
+            // the sequential CPU path, slower but immune to device faults
+            // (the terminal span status reads `degraded`).
             if attempts >= rcfg.max_attempts || self.poll_breakers(ids[pending[0]]) == 0 {
-                degrade_pending(shared, &images, &mut pending, &mut results, &mut degraded);
+                for i in pending.drain(..) {
+                    let mut m = images[i].clone();
+                    sat_core::seq::sat_4r1w_cpu(&mut m);
+                    results[i] = Some(m);
+                    degraded[i] = true;
+                    shared.emit(Event::Degraded { request: ids[i] });
+                }
                 break;
             }
             if attempts > 0 {
@@ -800,29 +748,21 @@ impl Router<'_> {
                     still.push(i);
                     continue;
                 };
-                let ok = !self.verify_on || verify_sat(&images[i], &sat);
-                if self.verify_on {
-                    shared.metrics.on_verify(ok);
-                }
-                if ok {
+                if !self.verify_on || verify_sat(&images[i], &sat) {
+                    if self.verify_on {
+                        shared.metrics.on_verify_pass();
+                    }
                     results[i] = Some(sat);
                 } else {
                     unverified.push(i);
                     still.push(i);
-                    shared.cfg.observer.flight_event(
-                        FlightKind::VerifyFailure,
-                        ids[i],
-                        attempts as u64,
-                        0,
-                    );
+                    shared.emit(Event::VerifyFailure {
+                        request: ids[i],
+                        attempt: attempts as u64,
+                    });
                 }
             }
             if let Some(&first) = unverified.first() {
-                shared.cfg.observer.instant(
-                    Track::wall(0),
-                    "verify_failed",
-                    vec![("count", ArgValue::from(unverified.len()))],
-                );
                 self.dumps.get_mut().push(Trigger {
                     reason: "verify_failure".to_string(),
                     request: ids[first],
@@ -854,6 +794,11 @@ impl Router<'_> {
             Plan::Fused | Plan::Banded => per_single * width as u64,
         };
         let runs = if plan == Plan::Fused { 1 } else { width as u64 };
+        shared.emit(Event::Complete {
+            request: ids[0],
+            batch: batch_no,
+            width: width as u64,
+        });
         shared.metrics.on_batch(&crate::metrics::BatchRecord {
             width,
             launches: issued,
@@ -871,12 +816,11 @@ impl Router<'_> {
         if let Some(threshold) = shared.cfg.postmortem.burn_threshold {
             let burn = shared.metrics.slo_burn();
             if burn >= threshold {
-                shared.cfg.observer.flight_event(
-                    FlightKind::SloBurn,
-                    ids[0],
-                    (burn * 1000.0) as u64,
-                    (threshold * 1000.0) as u64,
-                );
+                shared.emit(Event::SloBurn {
+                    request: ids[0],
+                    burn_ppm: (burn * 1e6) as u64,
+                    threshold_ppm: (threshold * 1e6) as u64,
+                });
                 self.dumps.get_mut().push(Trigger {
                     reason: "slo_burn".to_string(),
                     request: ids[0],
@@ -930,11 +874,6 @@ impl Router<'_> {
                 let status = if degraded[i] { "degraded" } else { "ok" };
                 close_request_span(obs, ids[i], enq, done, status);
             }
-            obs.instant(
-                Track::wall(0),
-                "complete",
-                vec![("width", ArgValue::from(width))],
-            );
         }
         // Dump queued post-mortems only now, so a bundle triggered
         // mid-attempt still captures the triggering request's complete
@@ -1012,14 +951,13 @@ impl Router<'_> {
             .map(|e| e.fused(batch.len() as u64))
     }
 
-    /// Report shard `shard`'s circuit-breaker transition, if one happened:
-    /// counters, an instant on the trace and a flight-recorder event (the
-    /// shard in its `b` word). A transition into `open` also queues a
-    /// post-mortem trigger: `shard_failover` when `survivors` other shards
-    /// take the work over, `breaker_open` when none is left to.
+    /// Report shard `shard`'s circuit-breaker transition, if one happened,
+    /// as one [`Event::BreakerTransition`]. A transition into `open` also
+    /// queues a post-mortem trigger: `shard_failover` when `survivors`
+    /// other shards take the work over, `breaker_open` when none is left to.
     fn report_breaker(
         &self,
-        transition: Option<&'static str>,
+        transition: Option<BreakerState>,
         shard: usize,
         survivors: usize,
         request: u64,
@@ -1027,20 +965,12 @@ impl Router<'_> {
         let Some(to) = transition else {
             return;
         };
-        let obs = &self.shared.cfg.observer;
-        self.shared.metrics.on_breaker(shard, to);
-        obs.instant(
-            Track::wall(0),
-            "breaker",
-            vec![("shard", ArgValue::from(shard)), ("to", ArgValue::from(to))],
-        );
-        let code = match to {
-            "open" => 1,
-            "half_open" => 2,
-            _ => 3,
-        };
-        obs.flight_event(FlightKind::BreakerTransition, request, code, shard as u64);
-        if to != "open" {
+        self.shared.emit(Event::BreakerTransition {
+            request,
+            shard: shard as u64,
+            to,
+        });
+        if to != BreakerState::Open {
             return;
         }
         self.dumps.lock().push(if survivors > 0 {
@@ -1082,16 +1012,11 @@ impl Router<'_> {
             match disposition {
                 Disposition::Use => healthy += 1,
                 Disposition::Probe => {
-                    self.shared.metrics.on_canary();
                     let ok = canary_ok(self.fleet.device(shard));
-                    self.shared.cfg.observer.instant(
-                        Track::wall(0),
-                        "canary",
-                        vec![
-                            ("shard", ArgValue::from(shard)),
-                            ("ok", ArgValue::from(usize::from(ok))),
-                        ],
-                    );
+                    self.shared.emit(Event::Canary {
+                        shard: shard as u64,
+                        ok,
+                    });
                     let transition = if ok {
                         breaker.lock().on_success()
                     } else {
@@ -1155,9 +1080,9 @@ impl Router<'_> {
     /// on a closed-form count mismatch — stays with this shard (feeding its
     /// breaker) across backoff retries until either a retry succeeds or the
     /// breaker opens. On open the worker puts the task back at the front of
-    /// the queue, emits [`FlightKind::DeviceLost`] and, when some shard
-    /// survives, [`FlightKind::ShardFailover`], and exits: the survivors
-    /// drain the queue.
+    /// the queue, emits [`Event::DeviceLost`] and, when some shard
+    /// survives, [`Event::ShardFailover`], and exits: the survivors drain
+    /// the queue.
     fn shard_worker(
         &self,
         shard: usize,
@@ -1182,9 +1107,8 @@ impl Router<'_> {
             };
             let epoch_before = dev.fault_epoch();
             let counts_ok = run_task(dev, task);
-            let failed = dev.fault_epoch() != epoch_before || !counts_ok;
-            shared.metrics.on_attempt(!failed);
-            if !failed {
+            if dev.fault_epoch() == epoch_before && counts_ok {
+                shared.metrics.on_attempt_ok();
                 streak = 0;
                 let transition = breaker.lock().on_success();
                 self.report_breaker(transition, shard, 0, request);
@@ -1192,16 +1116,13 @@ impl Router<'_> {
                 continue;
             }
             streak += 1;
-            shared.cfg.observer.instant(
-                Track::wall(0),
-                "attempt_failed",
-                vec![
-                    ("shard", ArgValue::from(shard)),
-                    ("attempt", ArgValue::from(streak as usize)),
-                ],
-            );
+            shared.emit(Event::AttemptFailed {
+                request,
+                shard: shard as u64,
+                streak: u64::from(streak),
+            });
             let transition = breaker.lock().on_failure(Instant::now());
-            if transition != Some("open") {
+            if transition != Some(BreakerState::Open) {
                 held = Some(task);
                 shared.metrics.on_retry();
                 let salt = self.salt ^ ((shard as u64) << 8);
@@ -1211,25 +1132,24 @@ impl Router<'_> {
             // This fault domain is gone until a canary re-closes it: hand
             // the task back, record the loss, and leave the remaining work
             // to whoever survives.
-            queue.lock().push_front(task);
+            let queued_tasks = {
+                let mut queue = queue.lock();
+                queue.push_front(task);
+                queue.len() as u64
+            };
             let survivors = alive.fetch_sub(1, Ordering::AcqRel) - 1;
             self.report_breaker(transition, shard, survivors, request);
-            shared.metrics.on_shard_lost();
-            shared.cfg.observer.flight_event(
-                FlightKind::DeviceLost,
+            shared.emit(Event::DeviceLost {
                 request,
-                shard as u64,
-                dev.fault_epoch(),
-            );
+                shard: shard as u64,
+                fault_epoch: dev.fault_epoch(),
+            });
             if survivors > 0 {
-                shared.metrics.on_shard_failover();
-                let left = queue.lock().len() as u64;
-                shared.cfg.observer.flight_event(
-                    FlightKind::ShardFailover,
+                shared.emit(Event::ShardFailover {
                     request,
-                    shard as u64,
-                    left,
-                );
+                    shard: shard as u64,
+                    queued_tasks,
+                });
             }
             return completed;
         }

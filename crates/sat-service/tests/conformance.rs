@@ -174,13 +174,15 @@ fn chronically_slow_shard_raises_a_localized_drift_alert() {
         "{report}"
     );
 
-    // The alert reached the flight recorder as a v3 DriftAlert event…
+    // The alert reached the flight recorder as a v4 drift_alert event
+    // naming the cell and the shard…
     let flight = http_get(addr, "/debug/flight");
     assert!(
-        flight.contains("\"schema\":\"sat-hmm/flight/v3\""),
+        flight.contains("\"schema\":\"sat-hmm/flight/v4\""),
         "{flight}"
     );
     assert!(flight.contains("\"kind\":\"drift_alert\""), "{flight}");
+    assert!(flight.contains("@s2\",\"shard\":2,"), "{flight}");
 
     service.shutdown();
 

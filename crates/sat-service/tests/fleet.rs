@@ -160,19 +160,30 @@ fn fleet_flight_events_record_loss_and_failover() {
     submit_and_check(&service, 6, SatAlgorithm::OneR1W);
     service.shutdown();
     let flight = obs.flight_recent();
-    let lost: Vec<_> = flight
+    let lost: Vec<u64> = flight
         .iter()
-        .filter(|e| e.kind == obs::FlightKind::DeviceLost)
+        .filter_map(|e| match e.event {
+            obs::Event::DeviceLost { shard, .. } => Some(shard),
+            _ => None,
+        })
         .collect();
     assert!(!lost.is_empty(), "device loss reaches the flight recorder");
     assert!(
-        lost.iter().all(|e| e.a == 2),
+        lost.iter().all(|&shard| shard == 2),
         "the lost shard is shard 2: {lost:?}"
     );
     assert!(
         flight
             .iter()
-            .any(|e| e.kind == obs::FlightKind::ShardFailover && e.a == 2),
+            .any(|e| matches!(e.event, obs::Event::ShardFailover { shard: 2, .. })),
         "failover event names the shard that died"
     );
+    // The count includes the handed-back task.
+    assert!(flight.iter().all(|e| !matches!(
+        e.event,
+        obs::Event::ShardFailover {
+            queued_tasks: 0,
+            ..
+        }
+    )));
 }

@@ -11,7 +11,8 @@ use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use sat_core::Matrix;
 use sat_service::{
-    PostmortemConfig, ResilienceConfig, Service, ServiceConfig, ServiceError, TelemetryConfig,
+    PostmortemConfig, ResilienceConfig, Service, ServiceConfig, ServiceError, SloConfig,
+    TelemetryConfig,
 };
 
 fn image(seed: usize) -> Matrix<f64> {
@@ -96,10 +97,10 @@ fn deadline_expiry_closes_the_request_span_with_terminal_status() {
     let flight = obs.flight_recent();
     assert!(flight
         .iter()
-        .any(|e| e.kind == obs::FlightKind::Admit && e.request == *id));
+        .any(|e| matches!(e.event, obs::Event::Admit { request, .. } if request == *id)));
     assert!(flight
         .iter()
-        .any(|e| e.kind == obs::FlightKind::Reject && e.request == *id));
+        .any(|e| matches!(e.event, obs::Event::Reject { request, .. } if request == *id)));
 }
 
 #[test]
@@ -358,4 +359,77 @@ fn breaker_open_dumps_exactly_one_validating_postmortem_bundle() {
         "bundle holds the triggering request's event chain"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The typed fields say what they hold: one dispatch of three requests
+/// forms batch 1 of width 3, completes it, and its `slo_burn` event reads
+/// the burn rate the SLO gauge exposes, in parts per million.
+#[test]
+fn batch_and_burn_events_carry_what_their_fields_name() {
+    let obs = obs::Obs::new();
+    let cfg = ServiceConfig {
+        machine: MachineConfig::with_width(4),
+        device_workers: Some(0),
+        max_batch: 3,
+        max_linger: Duration::from_secs(5),
+        observer: obs.clone(),
+        // Every request misses a 1 ns target: burn = 1 / 0.5 = 2.
+        slo: SloConfig {
+            target: Duration::from_nanos(1),
+            error_budget: 0.5,
+        },
+        postmortem: PostmortemConfig {
+            burn_threshold: Some(1.5),
+            ..PostmortemConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(cfg);
+    std::thread::scope(|s| {
+        for k in 0..3usize {
+            let client = service.client();
+            s.spawn(move || client.submit(image(k), SatAlgorithm::OneR1W, None));
+        }
+    });
+    let text = service.metrics_text();
+    let gauge: f64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("sat_service_slo_error_budget_burn "))
+        .expect("burn gauge exposed")
+        .parse()
+        .unwrap();
+    let stats = service.shutdown();
+    assert_eq!(stats.batch_width_hist.get(3), Some(&1), "{stats:?}");
+
+    let flight = obs.flight_recent();
+    let formed: Vec<(u64, u64)> = flight
+        .iter()
+        .filter_map(|e| match e.event {
+            obs::Event::BatchFormed { batch, width, .. } => Some((batch, width)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(formed, vec![(1, 3)], "batch number, then dispatch width");
+    assert!(flight.iter().any(|e| matches!(
+        e.event,
+        obs::Event::Complete {
+            batch: 1,
+            width: 3,
+            ..
+        }
+    )));
+    let burns: Vec<(u64, u64)> = flight
+        .iter()
+        .filter_map(|e| match e.event {
+            obs::Event::SloBurn {
+                burn_ppm,
+                threshold_ppm,
+                ..
+            } => Some((burn_ppm, threshold_ppm)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(burns.len(), 1, "{burns:?}");
+    assert_eq!(burns[0].1, 1_500_000, "threshold 1.5 in ppm");
+    assert_eq!(burns[0].0, (gauge * 1e6) as u64, "burn {gauge} in ppm");
 }

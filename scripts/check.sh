@@ -156,7 +156,8 @@ cargo run --release -q -p sat-bench --bin benchdiff -- \
     --conformance-dir target/benchdiff_conformance
 
 echo "== benchdiff drift gate (an injected 8x slowdown on 1R1W must trip"
-echo "   exactly one cusum drift alert and dump one schema-valid bundle)"
+echo "   exactly one cusum drift alert and dump one schema-valid bundle whose"
+echo "   drift_alert event names the drifting cell and shard)"
 rm -rf target/benchdiff_drift
 if cargo run --release -q -p sat-bench --bin benchdiff -- \
     --sizes 128 --runs 1 --tolerance 0.9 --conformance \
@@ -169,6 +170,11 @@ fi
 grep -q 'drift bundle .* validates' target/benchdiff_drift_out.txt || {
     cat target/benchdiff_drift_out.txt
     echo "error: injected slowdown did not produce a validated drift bundle" >&2
+    exit 1
+}
+grep -q 'drift_alert names 1R1W/128x128 on shard 0' target/benchdiff_drift_out.txt || {
+    cat target/benchdiff_drift_out.txt
+    echo "error: the drift bundle's drift_alert does not name cell 1R1W/128x128, shard 0" >&2
     exit 1
 }
 [ "$(ls target/benchdiff_drift/postmortem-conformance-drift-*.json | wc -l)" -eq 1 ] || {
