@@ -72,7 +72,6 @@ use obs::Obs;
 use sat_bench::{
     bench_device, flag_value, parsed_flag, run_fleet_banded, run_persistent, run_real, Run,
 };
-use serde::Serialize;
 
 const PERF_SCHEMA: &str = "sat-hmm/bench-perf/v1";
 const HISTORY_SCHEMA: &str = "sat-hmm/bench-history/v1";
@@ -84,79 +83,77 @@ const PERSIST_NAME: &str = "1R1W-persist";
 const FLEET_NAME: &str = "1R1W-fleet4";
 const FLEET_SHARDS: usize = 4;
 
-/// The canonical perf snapshot (`BENCH_perf.json`).
-#[derive(Serialize)]
-struct PerfFile {
-    schema: String,
-    width: usize,
-    runs: usize,
-    /// Median seconds of the fixed calibration loop on the generating host.
-    calibration_seconds: f64,
-    host: Host,
-    entries: Vec<PerfEntry>,
-}
+obs::json::record! {
+    /// The canonical perf snapshot (`BENCH_perf.json`).
+    struct PerfFile {
+        schema: String,
+        width: usize,
+        runs: usize,
+        /// Median seconds of the fixed calibration loop on the generating host.
+        calibration_seconds: f64,
+        host: Host,
+        entries: Vec<PerfEntry>,
+    }
 
-#[derive(Serialize)]
-struct Host {
-    os: String,
-    arch: String,
-    cpus: usize,
-}
+    struct Host {
+        os: String,
+        arch: String,
+        cpus: usize,
+    }
 
-/// One (algorithm, n) cell of the benchmark matrix.
-#[derive(Serialize, Clone)]
-struct PerfEntry {
-    algorithm: String,
-    n: usize,
-    /// Deterministic transaction counters from the measured run.
-    coalesced_ops: u64,
-    stride_ops: u64,
-    barrier_steps: u64,
-    /// The paper's global access cost on those counters, in time units.
-    modeled_cost_units: f64,
-    /// Per-phase attribution totals reconstructed from the launch trace
-    /// (`obs::profile::attribution_from_trace`); `launches` is the row
-    /// count, `modeled_cost_units` the report's recomputed total.
-    attribution: Attribution,
-    wall: WallStats,
-}
+    /// One (algorithm, n) cell of the benchmark matrix.
+    #[derive(Clone)]
+    struct PerfEntry {
+        algorithm: String,
+        n: usize,
+        /// Deterministic transaction counters from the measured run.
+        coalesced_ops: u64,
+        stride_ops: u64,
+        barrier_steps: u64,
+        /// The paper's global access cost on those counters, in time units.
+        modeled_cost_units: f64,
+        /// Per-phase attribution totals reconstructed from the launch trace
+        /// (`obs::profile::attribution_from_trace`); `launches` is the row
+        /// count, `modeled_cost_units` the report's recomputed total.
+        attribution: Attribution,
+        wall: WallStats,
+    }
 
-#[derive(Serialize, Clone)]
-struct Attribution {
-    launches: usize,
-    modeled_cost_units: f64,
-}
+    #[derive(Clone)]
+    struct Attribution {
+        launches: usize,
+        modeled_cost_units: f64,
+    }
 
-#[derive(Serialize, Clone)]
-struct WallStats {
-    runs: usize,
-    median_seconds: f64,
-    min_seconds: f64,
-    max_seconds: f64,
-    /// `median_seconds` divided by the host's calibration median — the
-    /// only wall metric the gate compares.
-    normalized: f64,
-}
+    #[derive(Clone)]
+    struct WallStats {
+        runs: usize,
+        median_seconds: f64,
+        min_seconds: f64,
+        max_seconds: f64,
+        /// `median_seconds` divided by the host's calibration median — the
+        /// only wall metric the gate compares.
+        normalized: f64,
+    }
 
-/// One appended line of `BENCH_history.jsonl`.
-#[derive(Serialize)]
-struct HistoryRecord {
-    schema: String,
-    /// Strictly increasing per file; `--validate-history` enforces it.
-    seq: u64,
-    unix_ms: u64,
-    commit: String,
-    width: usize,
-    calibration_seconds: f64,
-    entries: Vec<HistoryEntry>,
-}
+    /// One appended line of `BENCH_history.jsonl`.
+    struct HistoryRecord {
+        schema: String,
+        /// Strictly increasing per file; `--validate-history` enforces it.
+        seq: u64,
+        unix_ms: u64,
+        commit: String,
+        width: usize,
+        calibration_seconds: f64,
+        entries: Vec<HistoryEntry>,
+    }
 
-#[derive(Serialize)]
-struct HistoryEntry {
-    algorithm: String,
-    n: usize,
-    normalized_wall: f64,
-    modeled_cost_units: f64,
+    struct HistoryEntry {
+        algorithm: String,
+        n: usize,
+        normalized_wall: f64,
+        modeled_cost_units: f64,
+    }
 }
 
 fn main() -> ExitCode {
@@ -797,7 +794,7 @@ fn measure_named_cell(
 }
 
 fn write_baseline(perf: &PerfFile, baseline_path: &str, history_path: &str) -> ExitCode {
-    let json = serde_json::to_string_pretty(perf).expect("serializable perf file");
+    let json = obs::json::to_string_pretty(perf);
     if let Err(e) = std::fs::write(baseline_path, json + "\n") {
         eprintln!("error: writing {baseline_path}: {e}");
         return ExitCode::FAILURE;
@@ -831,7 +828,7 @@ fn write_baseline(perf: &PerfFile, baseline_path: &str, history_path: &str) -> E
             })
             .collect(),
     };
-    let line = serde_json::to_string(&record).expect("serializable history record");
+    let line = obs::json::to_string(&record);
     let mut contents = std::fs::read_to_string(history_path).unwrap_or_default();
     if !contents.is_empty() && !contents.ends_with('\n') {
         contents.push('\n');
@@ -1024,10 +1021,10 @@ fn validate_history(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
         let (Some(seq), Some(ms)) = (
-            v.get("seq").and_then(|s| s.as_f64()).map(|s| s as u64),
-            v.get("unix_ms").and_then(|s| s.as_f64()).map(|s| s as u64),
+            v.get("seq").and_then(JsonValue::as_u64),
+            v.get("unix_ms").and_then(JsonValue::as_u64),
         ) else {
-            eprintln!("error: {path}:{lineno}: missing seq / unix_ms");
+            eprintln!("error: {path}:{lineno}: seq / unix_ms missing or not an unsigned integer");
             return ExitCode::FAILURE;
         };
         if v.get("commit").and_then(|c| c.as_str()).is_none() {

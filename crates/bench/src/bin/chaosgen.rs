@@ -59,54 +59,53 @@ use hmm_model::MachineConfig;
 use sat_bench::{flag_value, parsed_flag};
 use sat_core::{seq::sat_reference, Matrix};
 use sat_service::{PostmortemConfig, Service, ServiceConfig, ServiceStats};
-use serde::{Deserialize, Serialize};
 
-/// One scenario's outcome in `BENCH_chaos.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ScenarioRecord {
-    name: String,
-    wall_seconds: f64,
-    completed: u64,
-    rejected: u64,
-    mismatches: u64,
-    slo_attainment: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    attempts_ok: u64,
-    attempts_failed: u64,
-    retries: u64,
-    degraded: u64,
-    verify_pass: u64,
-    verify_fail: u64,
-    breaker_opened: u64,
-    breaker_half_open: u64,
-    breaker_closed: u64,
-    canary_probes: u64,
-    injected_aborts: u64,
-    injected_losses: u64,
-    injected_stragglers: u64,
-    injected_corruptions: u64,
-    /// Post-mortem bundles this scenario dumped (0 unless
-    /// `--postmortem-dir` was given; capped at 1 per scenario).
-    postmortem_bundles: u64,
-    /// Fleet shape and per-shard outcomes (shards = 1 for the
-    /// single-device scenarios; the shard counters then stay 0).
-    shards: u64,
-    shard_failovers: u64,
-    shards_lost: u64,
-}
+obs::json::record! {
+    /// One scenario's outcome in `BENCH_chaos.json`.
+    struct ScenarioRecord {
+        name: String,
+        wall_seconds: f64,
+        completed: u64,
+        rejected: u64,
+        mismatches: u64,
+        slo_attainment: f64,
+        p50_ms: f64,
+        p95_ms: f64,
+        p99_ms: f64,
+        attempts_ok: u64,
+        attempts_failed: u64,
+        retries: u64,
+        degraded: u64,
+        verify_pass: u64,
+        verify_fail: u64,
+        breaker_opened: u64,
+        breaker_half_open: u64,
+        breaker_closed: u64,
+        canary_probes: u64,
+        injected_aborts: u64,
+        injected_losses: u64,
+        injected_stragglers: u64,
+        injected_corruptions: u64,
+        /// Post-mortem bundles this scenario dumped (0 unless
+        /// `--postmortem-dir` was given; capped at 1 per scenario).
+        postmortem_bundles: u64,
+        /// Fleet shape and per-shard outcomes (shards = 1 for the
+        /// single-device scenarios; the shard counters then stay 0).
+        shards: u64,
+        shard_failovers: u64,
+        shards_lost: u64,
+    }
 
-/// The record `BENCH_chaos.json` holds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ChaosRecord {
-    threads: usize,
-    requests_per_thread: usize,
-    n: usize,
-    width: usize,
-    seed: u64,
-    slo_ms: f64,
-    scenarios: Vec<ScenarioRecord>,
+    /// The record `BENCH_chaos.json` holds.
+    struct ChaosRecord {
+        threads: usize,
+        requests_per_thread: usize,
+        n: usize,
+        width: usize,
+        seed: u64,
+        slo_ms: f64,
+        scenarios: Vec<ScenarioRecord>,
+    }
 }
 
 /// One scenario's shape: how many shards to serve over and which fault
@@ -503,7 +502,7 @@ fn main() -> ExitCode {
         slo_ms,
         scenarios: records,
     };
-    let json = serde_json::to_string_pretty(&record).expect("serializable record");
+    let json = obs::json::to_string_pretty(&record);
     if let Err(e) = std::fs::write(&json_path, json + "\n") {
         eprintln!("chaosgen: cannot write {json_path}: {e}");
         return ExitCode::FAILURE;

@@ -58,54 +58,54 @@ use hmm_model::MachineConfig;
 use sat_bench::{flag_value, parsed_flag, unknown_families};
 use sat_core::{compute_sat, Matrix};
 use sat_service::{LatencySummary, Service, ServiceConfig, ServiceStats};
-use serde::{Deserialize, Serialize};
 
-/// The record `BENCH_service.json` holds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ServingRecord {
-    threads: usize,
-    requests_per_thread: usize,
-    n: usize,
-    width: usize,
-    mixed_shapes: bool,
-    rate_per_thread: f64,
-    max_batch: usize,
-    linger_us: u64,
-    wall_seconds: f64,
-    throughput_rps: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    mean_latency_ms: f64,
-    queue_p99_ms: f64,
-    mean_batch_width: f64,
-    batch_width_hist: Vec<u64>,
-    launches_issued: u64,
-    launches_unbatched_equiv: u64,
-    launch_reduction: f64,
-    barrier_windows_saved: u64,
-    completed: u64,
-    rejected: u64,
-    mismatches: u64,
-    /// Fleet shape: 1 = single device (the shard fields below stay
-    /// empty/zero), D > 1 = banded fleet serving.
-    shards: usize,
-    /// Per-shard launch counters as issued by the fleet router.
-    shard_launches: Vec<u64>,
-    max_shard_launches: u64,
-    /// Closed-form critical-path launches for one `--n × --n` image:
-    /// single device vs. the D-band fleet decomposition.
-    model_single_launches: u64,
-    model_fleet_launches: u64,
-    /// Closed-form critical-path cost ratio (single / fleet) at `--n`.
-    model_speedup: f64,
-    /// Online model-conformance fit at the end of the run.
-    model_fit_converged: bool,
-    model_fitted_width: f64,
-    model_fitted_window_overhead: f64,
-    model_residual_rms: f64,
-    /// Drift alerts the observatory raised during the run.
-    model_drift_alerts: u64,
+obs::json::record! {
+    /// The record `BENCH_service.json` holds.
+    struct ServingRecord {
+        threads: usize,
+        requests_per_thread: usize,
+        n: usize,
+        width: usize,
+        mixed_shapes: bool,
+        rate_per_thread: f64,
+        max_batch: usize,
+        linger_us: u64,
+        wall_seconds: f64,
+        throughput_rps: f64,
+        p50_ms: f64,
+        p95_ms: f64,
+        p99_ms: f64,
+        mean_latency_ms: f64,
+        queue_p99_ms: f64,
+        mean_batch_width: f64,
+        batch_width_hist: Vec<u64>,
+        launches_issued: u64,
+        launches_unbatched_equiv: u64,
+        launch_reduction: f64,
+        barrier_windows_saved: u64,
+        completed: u64,
+        rejected: u64,
+        mismatches: u64,
+        /// Fleet shape: 1 = single device (the shard fields below stay
+        /// empty/zero), D > 1 = banded fleet serving.
+        shards: usize,
+        /// Per-shard launch counters as issued by the fleet router.
+        shard_launches: Vec<u64>,
+        max_shard_launches: u64,
+        /// Closed-form critical-path launches for one `--n × --n` image:
+        /// single device vs. the D-band fleet decomposition.
+        model_single_launches: u64,
+        model_fleet_launches: u64,
+        /// Closed-form critical-path cost ratio (single / fleet) at `--n`.
+        model_speedup: f64,
+        /// Online model-conformance fit at the end of the run.
+        model_fit_converged: bool,
+        model_fitted_width: f64,
+        model_fitted_window_overhead: f64,
+        model_residual_rms: f64,
+        /// Drift alerts the observatory raised during the run.
+        model_drift_alerts: u64,
+    }
 }
 
 fn main() -> ExitCode {
@@ -270,7 +270,7 @@ fn main() -> ExitCode {
 
     println!();
     print_summary(&record, &stats.total_latency);
-    let json = serde_json::to_string_pretty(&record).expect("serializable record");
+    let json = obs::json::to_string_pretty(&record);
     if let Err(e) = std::fs::write(&json_path, json + "\n") {
         eprintln!("loadgen: cannot write {json_path}: {e}");
         return ExitCode::FAILURE;

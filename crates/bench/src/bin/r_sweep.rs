@@ -12,14 +12,14 @@ use hmm_model::MachineConfig;
 use sat_bench::{
     bench_device, maybe_write_json, parsed_flag, run_real, size_label, table2_sizes, units_to_ms,
 };
-use serde::Serialize;
 
-#[derive(Serialize)]
-struct SweepRecord {
-    n: usize,
-    r: f64,
-    cost_units: f64,
-    measured: bool,
+obs::json::record! {
+    struct SweepRecord {
+        n: usize,
+        r: f64,
+        cost_units: f64,
+        measured: bool,
+    }
 }
 
 fn main() {

@@ -36,23 +36,23 @@ use hmm_model::MachineConfig;
 use sat_bench::{maybe_write_json, parsed_flag, run_persistent, run_real, workload};
 use sat_core::par::sat_1r1w_batch;
 use sat_core::Matrix;
-use serde::{Deserialize, Serialize};
 
-/// One analyzed (config, algorithm, size) cell, for `--json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SatlintRecord {
-    schema_version: u32,
-    config: String,
-    width: usize,
-    latency: u64,
-    n: usize,
-    algorithm: String,
-    clean: bool,
-    /// Block schedules explored by replay (1 = the recorded run only).
-    schedules: usize,
-    /// Explored schedules whose output diverged from the reference run.
-    divergent: usize,
-    analysis: RunAnalysis,
+obs::json::record! {
+    /// One analyzed (config, algorithm, size) cell, for `--json`.
+    struct SatlintRecord {
+        schema_version: u32,
+        config: String,
+        width: usize,
+        latency: u64,
+        n: usize,
+        algorithm: String,
+        clean: bool,
+        /// Block schedules explored by replay (1 = the recorded run only).
+        schedules: usize,
+        /// Explored schedules whose output diverged from the reference run.
+        divergent: usize,
+        analysis: RunAnalysis,
+    }
 }
 
 /// The machine grid: the paper's width, a narrower machine, and a

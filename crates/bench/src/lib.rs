@@ -25,7 +25,6 @@ use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
 use hmm_model::cost::{CostCounters, GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use sat_core::{par, seq, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Nanoseconds per HMM time unit (one coalesced 32-word transaction).
 ///
@@ -40,29 +39,31 @@ pub fn units_to_ms(units: f64) -> f64 {
     units * NS_PER_UNIT * 1e-6
 }
 
-/// One (algorithm, size) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AlgoRecord {
-    /// Algorithm name as in the paper.
-    pub algorithm: String,
-    /// Matrix side `n`.
-    pub n: usize,
-    /// Whether counters come from a real execution (vs the closed form).
-    pub measured: bool,
-    /// Global memory access cost in time units.
-    pub cost_units: f64,
-    /// The cost expressed in milliseconds ([`NS_PER_UNIT`]).
-    pub cost_ms: f64,
-    /// Reads per element.
-    pub reads_per_elt: f64,
-    /// Writes per element.
-    pub writes_per_elt: f64,
-    /// Barrier synchronisation steps.
-    pub barriers: f64,
-    /// Hybrid ratio used (0 for the other algorithms).
-    pub hybrid_r: f64,
-    /// Host wall-clock of the real execution, if any (seconds).
-    pub host_seconds: Option<f64>,
+obs::json::record! {
+    /// One (algorithm, size) measurement.
+    #[derive(Debug, Clone)]
+    pub struct AlgoRecord {
+        /// Algorithm name as in the paper.
+        pub algorithm: String,
+        /// Matrix side `n`.
+        pub n: usize,
+        /// Whether counters come from a real execution (vs the closed form).
+        pub measured: bool,
+        /// Global memory access cost in time units.
+        pub cost_units: f64,
+        /// The cost expressed in milliseconds ([`NS_PER_UNIT`]).
+        pub cost_ms: f64,
+        /// Reads per element.
+        pub reads_per_elt: f64,
+        /// Writes per element.
+        pub writes_per_elt: f64,
+        /// Barrier synchronisation steps.
+        pub barriers: f64,
+        /// Hybrid ratio used (0 for the other algorithms).
+        pub hybrid_r: f64,
+        /// Host wall-clock of the real execution, if any (seconds).
+        pub host_seconds: Option<f64>,
+    }
 }
 
 /// Deterministic workload: integer-valued `f64` image (exact arithmetic).
@@ -319,11 +320,11 @@ pub fn unknown_families(text: &str) -> Vec<String> {
 
 /// Write records as JSON lines if `--json PATH` was given; an unwritable
 /// path is reported on stderr and exits 2, like a bad flag value.
-pub fn maybe_write_json<T: Serialize>(args: &[String], records: &[T]) {
+pub fn maybe_write_json<T: obs::json::ToJson>(args: &[String], records: &[T]) {
     if let Some(path) = flag_value(args, "--json") {
         let mut out = String::new();
         for r in records {
-            out.push_str(&serde_json::to_string(r).expect("serializable record"));
+            out.push_str(&obs::json::to_string(r));
             out.push('\n');
         }
         if let Err(e) = std::fs::write(&path, out) {

@@ -62,18 +62,19 @@ use gpu_exec::RunTrace;
 use hmm_model::cost::CostCounters;
 use hmm_model::MachineConfig;
 use hmm_sim::{AsyncHmm, WindowTimeline};
-use serde::{Deserialize, Serialize};
 
-/// A lint report plus the simulated timeline of the same run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunAnalysis {
-    /// The analyzer's findings.
-    pub report: LintReport,
-    /// Per-launch barrier windows on the simulated machine — where in
-    /// simulated time each diagnostic's `launch` index lives.
-    pub windows: Vec<WindowTimeline>,
-    /// End-to-end simulated time of the run.
-    pub simulated_time: u64,
+obs::json::record! {
+    /// A lint report plus the simulated timeline of the same run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunAnalysis {
+        /// The analyzer's findings.
+        pub report: LintReport,
+        /// Per-launch barrier windows on the simulated machine — where in
+        /// simulated time each diagnostic's `launch` index lives.
+        pub windows: Vec<WindowTimeline>,
+        /// End-to-end simulated time of the run.
+        pub simulated_time: u64,
+    }
 }
 
 /// Analyze a recorded run and replay it on the machine simulator, so each

@@ -1,7 +1,5 @@
 //! Diagnostic types: rules, severities, and the lint report.
 
-use serde::{Deserialize, Serialize};
-
 /// Version of the serialized report shape (`LintReport`, `Diagnostic`,
 /// `ConflictSite`), surfaced as `schema_version` in `satlint --json`
 /// records. Bump on any field addition/removal/rename.
@@ -11,55 +9,57 @@ use serde::{Deserialize, Serialize};
 /// `schema_version` field itself.
 pub const SCHEMA_VERSION: u32 = 2;
 
-/// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Severity {
-    /// Suspicious but possibly intentional (e.g. reads of reset shared
-    /// state, which is well-defined — zeroed — but rarely meant).
-    Warning,
-    /// A contract violation: wrong on the asynchronous HMM or clearly
-    /// missing the kernel's performance budget.
-    Error,
-}
+obs::json::record! {
+    /// How bad a finding is.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Severity {
+        /// Suspicious but possibly intentional (e.g. reads of reset shared
+        /// state, which is well-defined — zeroed — but rarely meant).
+        Warning,
+        /// A contract violation: wrong on the asynchronous HMM or clearly
+        /// missing the kernel's performance budget.
+        Error,
+    }
 
-/// The analyses `hmm-lint` runs over a recorded [`gpu_exec::RunTrace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Rule {
-    /// A shared-memory transaction occupies more DMM pipeline stages than
-    /// the conflict-free minimum `⌈ops / w⌉` (Lemma 1 exists to avoid this).
-    BankConflict,
-    /// The kernel's global stride fraction exceeds its contract budget
-    /// (Table I's stride columns; e.g. 1R1W must be ~100 % coalesced while
-    /// 2R2W deliberately leaves its row-wise half stride).
-    Uncoalesced,
-    /// Two blocks of one launch touch the same global word with at least
-    /// one write — inter-block communication inside a barrier window, which
-    /// the asynchronous HMM forbids.
-    BarrierRace,
-    /// A block warp-reads a shared tile that is never warp-written in its
-    /// launch window: barriers reset shared memory, so the read observes
-    /// only zeroes.
-    SharedReset,
-    /// Measured `C`/`S`/`B` counters drift beyond tolerance from the
-    /// Table I closed-form predictions for the kernel's algorithm.
-    CostDivergence,
-    /// A launch marked lost by fault injection still shows global writes
-    /// in its trace. A lost device retains nothing: any observed write
-    /// breaks the no-write-after-loss recovery contract that retry and
-    /// degradation logic depend on.
-    WriteAfterLoss,
-    /// Two blocks of one launch make conflicting accesses to the same
-    /// global word with no happens-before path between them — a data race
-    /// under *some* legal HMM schedule, even if the recorded one got
-    /// lucky. Unlike [`Rule::BarrierRace`] this rule understands
-    /// release→acquire handoff edges, so properly acquired flagged
-    /// handoffs are exempt.
-    ScheduleRace,
-    /// A read of a flagged handoff slot's data region that is not ordered
-    /// after the corresponding flag write — the consumer may observe the
-    /// region before the producer published it. Persistent-block
-    /// execution relies on this rule.
-    HandoffBeforeReady,
+    /// The analyses `hmm-lint` runs over a recorded [`gpu_exec::RunTrace`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Rule {
+        /// A shared-memory transaction occupies more DMM pipeline stages than
+        /// the conflict-free minimum `⌈ops / w⌉` (Lemma 1 exists to avoid this).
+        BankConflict,
+        /// The kernel's global stride fraction exceeds its contract budget
+        /// (Table I's stride columns; e.g. 1R1W must be ~100 % coalesced while
+        /// 2R2W deliberately leaves its row-wise half stride).
+        Uncoalesced,
+        /// Two blocks of one launch touch the same global word with at least
+        /// one write — inter-block communication inside a barrier window, which
+        /// the asynchronous HMM forbids.
+        BarrierRace,
+        /// A block warp-reads a shared tile that is never warp-written in its
+        /// launch window: barriers reset shared memory, so the read observes
+        /// only zeroes.
+        SharedReset,
+        /// Measured `C`/`S`/`B` counters drift beyond tolerance from the
+        /// Table I closed-form predictions for the kernel's algorithm.
+        CostDivergence,
+        /// A launch marked lost by fault injection still shows global writes
+        /// in its trace. A lost device retains nothing: any observed write
+        /// breaks the no-write-after-loss recovery contract that retry and
+        /// degradation logic depend on.
+        WriteAfterLoss,
+        /// Two blocks of one launch make conflicting accesses to the same
+        /// global word with no happens-before path between them — a data race
+        /// under *some* legal HMM schedule, even if the recorded one got
+        /// lucky. Unlike [`Rule::BarrierRace`] this rule understands
+        /// release→acquire handoff edges, so properly acquired flagged
+        /// handoffs are exempt.
+        ScheduleRace,
+        /// A read of a flagged handoff slot's data region that is not ordered
+        /// after the corresponding flag write — the consumer may observe the
+        /// region before the producer published it. Persistent-block
+        /// execution relies on this rule.
+        HandoffBeforeReady,
+    }
 }
 
 impl Rule {
@@ -90,38 +90,40 @@ impl Rule {
     }
 }
 
-/// Structured provenance of a cross-block conflict: which word of which
-/// buffer, and which two blocks collide. Attached to race-family findings
-/// so JSON consumers need not parse messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConflictSite {
-    /// Identity of the buffer (or flag set) the conflict is on.
-    pub buf: u64,
-    /// Word address within the buffer.
-    pub word: usize,
-    /// One conflicting block (the earlier-indexed one).
-    pub first_block: usize,
-    /// The other conflicting block.
-    pub second_block: usize,
-}
+obs::json::record! {
+    /// Structured provenance of a cross-block conflict: which word of which
+    /// buffer, and which two blocks collide. Attached to race-family findings
+    /// so JSON consumers need not parse messages.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ConflictSite {
+        /// Identity of the buffer (or flag set) the conflict is on.
+        pub buf: u64,
+        /// Word address within the buffer.
+        pub word: usize,
+        /// One conflicting block (the earlier-indexed one).
+        pub first_block: usize,
+        /// The other conflicting block.
+        pub second_block: usize,
+    }
 
-/// One finding, pinpointed as far as the trace allows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Diagnostic {
-    /// Which analysis fired.
-    pub rule: Rule,
-    /// How bad it is.
-    pub severity: Severity,
-    /// Human-readable description with the measured numbers.
-    pub message: String,
-    /// Launch (barrier window) index, when the finding is localised.
-    pub launch: Option<usize>,
-    /// Block id within the launch, when localised.
-    pub block: Option<usize>,
-    /// Op index within the block's trace, when localised.
-    pub op: Option<usize>,
-    /// Cross-block conflict provenance (race-family rules only).
-    pub conflict: Option<ConflictSite>,
+    /// One finding, pinpointed as far as the trace allows.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Diagnostic {
+        /// Which analysis fired.
+        pub rule: Rule,
+        /// How bad it is.
+        pub severity: Severity,
+        /// Human-readable description with the measured numbers.
+        pub message: String,
+        /// Launch (barrier window) index, when the finding is localised.
+        pub launch: Option<usize>,
+        /// Block id within the launch, when localised.
+        pub block: Option<usize>,
+        /// Op index within the block's trace, when localised.
+        pub op: Option<usize>,
+        /// Cross-block conflict provenance (race-family rules only).
+        pub conflict: Option<ConflictSite>,
+    }
 }
 
 impl Diagnostic {
@@ -145,20 +147,22 @@ impl Diagnostic {
     }
 }
 
-/// Everything one analysis pass produced for one kernel run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LintReport {
-    /// Name of the analysed kernel (the contract's name).
-    pub kernel: String,
-    /// The findings, capped per rule (see `suppressed`).
-    pub diagnostics: Vec<Diagnostic>,
-    /// Findings dropped beyond the per-rule cap — a broken kernel can
-    /// violate a rule once per transaction.
-    pub suppressed: usize,
-    /// Launches (barrier windows) analysed.
-    pub launches: usize,
-    /// Warp transactions analysed.
-    pub ops: usize,
+obs::json::record! {
+    /// Everything one analysis pass produced for one kernel run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LintReport {
+        /// Name of the analysed kernel (the contract's name).
+        pub kernel: String,
+        /// The findings, capped per rule (see `suppressed`).
+        pub diagnostics: Vec<Diagnostic>,
+        /// Findings dropped beyond the per-rule cap — a broken kernel can
+        /// violate a rule once per transaction.
+        pub suppressed: usize,
+        /// Launches (barrier windows) analysed.
+        pub launches: usize,
+        /// Warp transactions analysed.
+        pub ops: usize,
+    }
 }
 
 impl LintReport {
@@ -242,7 +246,7 @@ mod tests {
             first_block: 0,
             second_block: 3,
         });
-        let json = serde_json::to_string(&d).unwrap();
+        let json = obs::json::to_string(&d);
         assert!(json.contains("\"conflict\""), "{json}");
         assert!(json.contains("\"word\":42"), "{json}");
         assert!(json.contains("\"second_block\":3"), "{json}");

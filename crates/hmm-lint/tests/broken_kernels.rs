@@ -251,7 +251,7 @@ fn reports_serialize_to_json() {
         g.write_strided(0, W, &vals, ctx.rec());
     });
     let report = lint(&dev, &KernelContract::fully_coalesced("strided-writer"));
-    let json = serde_json::to_string(&report).expect("reports are serializable");
+    let json = obs::json::to_string(&report);
     assert!(json.contains("\"kernel\""), "{json}");
     assert!(json.contains("Uncoalesced"), "{json}");
     assert!(json.contains("\"suppressed\""), "{json}");

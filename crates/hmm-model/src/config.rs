@@ -1,7 +1,5 @@
 //! Machine configuration shared by all model layers.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a (hierarchical) memory machine.
 ///
 /// The paper's models are parameterised by the *width* `w` (number of memory
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// terms), `d = 15` (streaming multiprocessors of a GeForce GTX 780 Ti), and
 /// shared capacity `6·w²` words (48 KB of 64-bit words = six `32 × 32`
 /// matrices, as computed in §II of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Width `w`: threads per warp = memory banks per DMM = words per
     /// address group of the UMM.

@@ -22,8 +22,6 @@
 //! [`GlobalCost`] evaluates the closed forms of Table I for each SAT
 //! algorithm, so experiments can compare *measured* against *predicted*.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::MachineConfig;
 use crate::warp::{AccessKind, MemSpace, WarpAccess};
 
@@ -32,7 +30,7 @@ use crate::warp::{AccessKind, MemSpace, WarpAccess};
 /// Operations are counted per *element access* (the paper's unit: "2R2W
 /// performs 2 read operations and 2 write operations per element"), and
 /// classified by the warp transaction that carried them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostCounters {
     /// Coalesced global read operations (element count).
     pub coalesced_reads: u64,
@@ -180,7 +178,7 @@ pub struct GlobalCost {
 }
 
 /// Identifier for the SAT algorithms analysed in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SatAlgorithm {
     /// Column-wise then row-wise prefix sums, in place.
     TwoR2W,
@@ -237,7 +235,7 @@ impl std::str::FromStr for SatAlgorithm {
 }
 
 /// One row of Table I: leading-term operation counts and barrier steps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableOneRow {
     /// Algorithm the row describes.
     pub algorithm: SatAlgorithm,
@@ -304,7 +302,7 @@ impl TableOneRow {
 /// Transaction-exact operation counts for an algorithm run, where a closed
 /// form exists (Table I keeps leading terms only; these keep every term, so
 /// a measured [`CostCounters`] can be compared for *equality*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactCounts {
     /// Coalesced global read operations.
     pub coalesced_reads: u64,
@@ -365,7 +363,7 @@ impl ExactCounts {
 ///
 /// Per-entry `barrier_steps` is the entry's launch count minus one
 /// (barriers *within* that band's phase work on its own device).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandedCounts {
     /// Number of row-bands `D` (after clamping to the block-row count).
     pub bands: usize,

@@ -23,10 +23,9 @@ use std::collections::BinaryHeap;
 
 use gpu_exec::{LaunchTrace, RunTrace};
 use hmm_model::{MachineConfig, MemSpace};
-use serde::{Deserialize, Serialize};
 
 /// Timing of one simulated kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchTiming {
     /// Time units from launch start until the last transaction completes.
     pub time: u64,
@@ -39,7 +38,7 @@ pub struct LaunchTiming {
 }
 
 /// Simulation result for a whole program (sequence of launches).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimReport {
     /// Per-launch timings, in launch order.
     pub per_launch: Vec<LaunchTiming>,
@@ -81,23 +80,25 @@ impl SimReport {
     }
 }
 
-/// One barrier-delimited window of a simulated program, placed on the clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowTimeline {
-    /// Launch index (window number) within the program.
-    pub index: usize,
-    /// Simulated time at which the window's first transaction may issue.
-    pub start: u64,
-    /// Simulated time at which the window's last transaction completes
-    /// (the barrier overhead is charged *after* this, before the next
-    /// window's `start`).
-    pub end: u64,
-    /// UMM pipeline stages issued inside this window.
-    pub global_stages: u64,
-    /// DMM pipeline stages issued inside this window (all DMMs).
-    pub shared_stages: u64,
-    /// Blocks resident in the window.
-    pub blocks: usize,
+obs::json::record! {
+    /// One barrier-delimited window of a simulated program, placed on the clock.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WindowTimeline {
+        /// Launch index (window number) within the program.
+        pub index: usize,
+        /// Simulated time at which the window's first transaction may issue.
+        pub start: u64,
+        /// Simulated time at which the window's last transaction completes
+        /// (the barrier overhead is charged *after* this, before the next
+        /// window's `start`).
+        pub end: u64,
+        /// UMM pipeline stages issued inside this window.
+        pub global_stages: u64,
+        /// DMM pipeline stages issued inside this window (all DMMs).
+        pub shared_stages: u64,
+        /// Blocks resident in the window.
+        pub blocks: usize,
+    }
 }
 
 /// The asynchronous HMM discrete-event simulator.

@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::JsonValue;
+use crate::json::{escape_into, finite, write_object, JsonValue};
 use crate::span::{ArgValue, FlowPhase, Record, RecordKind, Track};
 
 /// Tallies returned by [`validate`].
@@ -29,61 +29,6 @@ pub struct TraceStats {
     pub metadata: usize,
     /// Flow points (`"s"`, `"t"`, `"f"`).
     pub flows: usize,
-}
-
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// `v`, or 0 when it is not finite (JSON has no NaN or infinity).
-pub(crate) fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
-}
-
-pub(crate) fn write_arg_value(out: &mut String, v: &ArgValue) {
-    match v {
-        ArgValue::U64(u) => {
-            let _ = write!(out, "{u}");
-        }
-        ArgValue::F64(f) => {
-            let _ = write!(out, "{}", finite(*f));
-        }
-        ArgValue::Str(s) => escape_into(out, s),
-        ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
-/// Append `{"key":value,…}`, values rendered by [`write_arg_value`].
-pub(crate) fn write_object<'a>(
-    out: &mut String,
-    members: impl IntoIterator<Item = (&'a str, &'a ArgValue)>,
-) {
-    out.push('{');
-    for (i, (k, v)) in members.into_iter().enumerate() {
-        out.push_str(if i > 0 { "," } else { "" });
-        escape_into(out, k);
-        out.push(':');
-        write_arg_value(out, v);
-    }
-    out.push('}');
 }
 
 /// Span and instant args lead with the record's `id` and `parent`.

@@ -52,8 +52,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use crate::chrome::{self, finite};
 use crate::histogram::{BucketLayout, Histogram};
+use crate::json::{escape_into, finite};
 use crate::registry::{Counter, Gauge, Registry};
 
 /// Schema identifier stamped into every conformance report.
@@ -639,7 +639,7 @@ impl Conformance {
         let alerts = self.alerts();
         let mut out = String::with_capacity(1024);
         out.push_str("{\"schema\":");
-        chrome::escape_into(&mut out, REPORT_SCHEMA);
+        escape_into(&mut out, REPORT_SCHEMA);
         out.push_str(&format!(
             ",\"machine\":{{\"width\":{},\"window_overhead\":{}}}",
             cfg.width, cfg.window_overhead
@@ -670,7 +670,7 @@ impl Conformance {
                 out.push(',');
             }
             out.push_str("{\"cell\":");
-            chrome::escape_into(&mut out, &c.cell);
+            escape_into(&mut out, &c.cell);
             out.push_str(&format!(
                 ",\"samples\":{},\"baseline_tau_ns\":{},\"last_tau_ns\":{},\
                  \"ewma_tau_ns\":{},\"cusum\":{},\"drifted\":{},\
@@ -690,9 +690,9 @@ impl Conformance {
                 out.push(',');
             }
             out.push_str("{\"cell\":");
-            chrome::escape_into(&mut out, &a.cell);
+            escape_into(&mut out, &a.cell);
             out.push_str(",\"channel\":");
-            chrome::escape_into(&mut out, a.channel);
+            escape_into(&mut out, a.channel);
             out.push_str(&format!(
                 ",\"score\":{},\"baseline_tau_ns\":{},\"recent_tau_ns\":{},\
                  \"ratio\":{},\"samples\":{}}}",

@@ -36,7 +36,7 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::chrome;
 use crate::event::{Event, FIELD_WORDS};
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 use crate::span::{ArgValue, Obs, Record, RecordKind};
 
 /// Schema identifier stamped into (and required from) every bundle.
@@ -161,7 +161,7 @@ fn objects(rows: impl Iterator<Item = Vec<(&'static str, ArgValue)>>) -> String 
     let mut out = String::from("[");
     for (i, row) in rows.enumerate() {
         out.push_str(if i > 0 { "," } else { "" });
-        chrome::write_object(&mut out, row.iter().map(|(k, v)| (*k, v)));
+        json::write_object(&mut out, row.iter().map(|(k, v)| (*k, v)));
     }
     out.push(']');
     out
@@ -297,11 +297,11 @@ pub fn bundle(obs: &Obs, trigger: &Trigger) -> String {
         .unwrap_or_else(|| ("[]".to_string(), "[]".to_string()));
     let mut out = String::with_capacity(4096);
     out.push_str("{\"schema\":");
-    chrome::escape_into(&mut out, SCHEMA);
+    json::escape_into(&mut out, SCHEMA);
     out.push_str(",\"trigger\":{\"reason\":");
-    chrome::escape_into(&mut out, &trigger.reason);
+    json::escape_into(&mut out, &trigger.reason);
     out.push_str(&format!(",\"request\":{},\"detail\":", trigger.request));
-    chrome::escape_into(&mut out, &trigger.detail);
+    json::escape_into(&mut out, &trigger.detail);
     out.push_str("},\"events\":");
     out.push_str(&events_json(&events));
     out.push_str(",\"registry\":");

@@ -1,14 +1,293 @@
-//! A minimal JSON parser.
+//! The workspace's one JSON module: a writer and a strict reader.
 //!
-//! The workspace's vendored `serde_json` shim only *serializes* (see
-//! `vendor/README.md`); validating emitted traces therefore needs an
-//! in-tree reader. This is a strict recursive-descent parser for the full
-//! JSON grammar — objects, arrays, strings with escapes, numbers, literals
-//! — sized for trace files, not for adversarial input (nesting depth is
-//! bounded to keep recursion safe).
+//! **Writing.** [`ToJson`] appends a value's JSON text to a `String`; it is
+//! implemented for the scalars, `str`/`String`, `Option`, slices, `Vec`
+//! and [`ArgValue`]. [`record!`] wraps a named-field struct or a unit-enum
+//! definition and emits its impl: a struct writes its fields as an object
+//! in declaration order, a unit variant writes its name as a string.
+//! [`to_string`] and [`to_string_pretty`] are the entry points. There is
+//! one string escaper and one object writer ([`write_object`]), shared by
+//! records, Chrome traces, post-mortem bundles and conformance reports.
+//!
+//! JSON has no NaN or infinity, and two rules cover them. A record's float
+//! field writes `null`. An [`ArgValue`] (a trace, bundle or conformance
+//! value) writes 0 instead, because those validators require numbers.
+//!
+//! ```
+//! use obs::json::{self, JsonValue};
+//!
+//! json::record! {
+//!     /// One row.
+//!     pub struct Row {
+//!         /// The row's name.
+//!         pub name: String,
+//!         /// A measurement, absent when not taken.
+//!         pub seconds: Option<f64>,
+//!     }
+//! }
+//!
+//! let row = Row { name: "1R1W".into(), seconds: Some(0.5) };
+//! let text = json::to_string(&row);
+//! assert_eq!(text, r#"{"name":"1R1W","seconds":0.5}"#);
+//! assert_eq!(JsonValue::parse(&text).unwrap().get("seconds").unwrap().as_f64(), Some(0.5));
+//! ```
+//!
+//! **Reading.** [`JsonValue::parse`] is a strict recursive-descent parser
+//! for the full JSON grammar — objects, arrays, strings with escapes,
+//! numbers, literals — in time linear in the input. It is sized for trace
+//! files, not for adversarial input: nesting depth is bounded to keep
+//! recursion safe.
+
+use std::fmt::Write as _;
+
+use crate::span::ArgValue;
 
 /// Maximum nesting depth accepted (arrays/objects); trace files are ~3 deep.
 const MAX_DEPTH: usize = 128;
+
+/// A value that writes itself as JSON.
+pub trait ToJson {
+    /// Append this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// `value` as compact JSON.
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
+
+/// `value` as JSON indented by two spaces per level, one member or element
+/// per line; empty containers stay `[]` and `{}`.
+pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
+    let compact = to_string(value);
+    let mut out = String::with_capacity(compact.len() * 2);
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    let mut chars = compact.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_string {
+            out.push(c);
+            // A quote closes the string unless a backslash escapes it.
+            in_string = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+            continue;
+        }
+        match c {
+            '"' => {
+                in_string = true;
+                out.push(c);
+            }
+            '{' | '[' => {
+                out.push(c);
+                if let Some(close) = chars.next_if(|&n| n == '}' || n == ']') {
+                    out.push(close);
+                } else {
+                    depth += 1;
+                    newline(&mut out, depth);
+                }
+            }
+            '}' | ']' => {
+                depth = depth.saturating_sub(1);
+                newline(&mut out, depth);
+                out.push(c);
+            }
+            ',' => {
+                out.push(c);
+                newline(&mut out, depth);
+            }
+            ':' => out.push_str(": "),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Append `s` as a JSON string literal, quotes included.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Append `{"key":value,…}` in the order `members` yields them.
+pub fn write_object<'a, V: ToJson + ?Sized + 'a>(
+    out: &mut String,
+    members: impl IntoIterator<Item = (&'a str, &'a V)>,
+) {
+    out.push('{');
+    for (i, (k, v)) in members.into_iter().enumerate() {
+        out.push_str(if i > 0 { "," } else { "" });
+        escape_into(out, k);
+        out.push(':');
+        v.write_json(out);
+    }
+    out.push('}');
+}
+
+/// `v`, or 0 when it is not finite: the rule for trace, bundle and
+/// conformance values, whose validators require numbers.
+pub(crate) fn finite(v: f64) -> f64 {
+    if v.is_finite() {
+        v
+    } else {
+        0.0
+    }
+}
+
+macro_rules! display_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+display_to_json!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool);
+
+macro_rules! float_to_json {
+    ($($t:ty),*) => {$(
+        /// Non-finite values write `null`.
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                if self.is_finite() {
+                    let _ = write!(out, "{self}");
+                } else {
+                    out.push_str("null");
+                }
+            }
+        }
+    )*};
+}
+
+float_to_json!(f32, f64);
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        escape_into(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        escape_into(out, self);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            out.push_str(if i > 0 { "," } else { "" });
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// Non-finite floats write 0: trace, bundle and conformance validators
+/// require numbers.
+impl ToJson for ArgValue {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            ArgValue::U64(u) => u.write_json(out),
+            ArgValue::F64(f) => finite(*f).write_json(out),
+            ArgValue::Str(s) => s.write_json(out),
+            ArgValue::Bool(b) => b.write_json(out),
+        }
+    }
+}
+
+/// Define named-field structs and unit-only enums with their [`ToJson`]
+/// impls: a struct writes `{"field":value,…}` in declaration order, a
+/// variant writes `"Variant"`. Attributes and doc comments pass through;
+/// one invocation may hold several items.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty),* $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn write_json(&self, out: &mut String) {
+                $crate::json::write_object(
+                    out,
+                    [$((stringify!($field), &self.$field as &dyn $crate::json::ToJson)),*],
+                );
+            }
+        }
+
+        $crate::__json_record! { $($rest)* }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident),* $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn write_json(&self, out: &mut String) {
+                let name = match self {
+                    $($name::$variant => stringify!($variant),)*
+                };
+                $crate::json::ToJson::write_json(name, out);
+            }
+        }
+
+        $crate::__json_record! { $($rest)* }
+    };
+    () => {};
+}
+
+pub use crate::__json_record as record;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +296,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (JSON does not distinguish integer from float).
-    Number(f64),
+    /// A number as its literal text. JSON does not distinguish integer
+    /// from float; keeping the text lets [`JsonValue::as_u64`] read
+    /// integers above 2^53 exactly.
+    Number(String),
     /// A string.
     String(String),
     /// An array.
@@ -33,6 +314,7 @@ impl JsonValue {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -76,10 +358,19 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Number(n) => Some(*n),
+            JsonValue::Number(n) => n.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this is a number written as an integer that
+    /// fits a `u64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Number(n) => n.parse().ok(),
             _ => None,
         }
     }
@@ -110,6 +401,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -239,17 +531,19 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
+            // Copy the run up to the next quote, backslash or control byte
+            // in one step. All three are ASCII, so the run ends on a char
+            // boundary of the `&str` input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            match self.bytes[self.pos - 1] {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -280,25 +574,14 @@ impl Parser<'_> {
                             } else {
                                 char::from_u32(cp)
                             };
-                            out.push(c.ok_or_else(|| "invalid \\u escape".to_string())?);
+                            out.push(c.ok_or("invalid \\u escape")?);
                         }
                         other => {
                             return Err(format!("invalid escape \\{}", other as char));
                         }
                     }
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control byte {b:#x} in string"));
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                b => return Err(format!("raw control byte {b:#x} in string")),
             }
         }
     }
@@ -314,18 +597,35 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// Skip a run of ASCII digits; how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, stricter
+    /// than `f64::from_str`: no leading zeros, and an integer part, a
+    /// fraction and an exponent each need at least one digit.
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        let bad = |p: &Self| format!("invalid number {:?} at byte {start}", &p.text[start..p.pos]);
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad(self)),
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad(self));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -333,28 +633,34 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad(self));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+        Ok(JsonValue::Number(self.text[start..self.pos].to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn num(text: &str) -> JsonValue {
+        JsonValue::Number(text.to_string())
+    }
 
     #[test]
     fn parses_scalars() {
         assert_eq!(JsonValue::parse("null").unwrap(), JsonValue::Null);
         assert_eq!(JsonValue::parse(" true ").unwrap(), JsonValue::Bool(true));
+        let n = JsonValue::parse("-3.5e2").unwrap();
+        assert_eq!(n, num("-3.5e2"));
+        assert_eq!(n.as_f64(), Some(-350.0));
+        assert_eq!(n.as_u64(), None);
         assert_eq!(
-            JsonValue::parse("-3.5e2").unwrap(),
-            JsonValue::Number(-350.0)
+            JsonValue::parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
         );
         assert_eq!(
             JsonValue::parse("\"a\\nb\\u0041\"").unwrap(),
@@ -386,6 +692,15 @@ mod tests {
     }
 
     #[test]
+    fn accepts_every_number_form_of_the_grammar() {
+        for good in [
+            "0", "-0", "7", "-12", "0.5", "-0.25", "1e5", "1E+5", "2.5e-3", "0e0",
+        ] {
+            assert!(JsonValue::parse(good).is_ok(), "should accept {good:?}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         for bad in [
             "",
@@ -399,8 +714,21 @@ mod tests {
             "[1] garbage",
             "\"\\ud83d\"", // lone surrogate
             "\"\\q\"",
+            "\"raw\ttab\"",
             "nan",
             "- 1",
+            // Numbers `f64::from_str` accepts but JSON does not.
+            "01",
+            "00",
+            "-01.0",
+            "[01]",
+            "1.",
+            "-.5",
+            ".5",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "should reject {bad:?}");
         }
@@ -415,11 +743,163 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_vendored_serializer_output() {
-        // The vendored serde_json can serialize; our parser must read it.
-        let text = "{\"a\":1.5,\"b\":[true,null],\"c\":\"x\\\"y\"}";
-        let v = JsonValue::parse(text).unwrap();
-        assert_eq!(v.get("a").unwrap().as_f64(), Some(1.5));
-        assert_eq!(v.get("c").unwrap().as_str(), Some("x\"y"));
+    fn parses_a_multi_megabyte_string_in_linear_time() {
+        // 4 MiB of mixed ASCII, multi-byte and escaped text: quadratic
+        // string scanning takes minutes here, linear takes milliseconds.
+        let unit = "abc\"é😀\\\n";
+        let want = unit.repeat(1 << 19);
+        let doc = to_string(&vec![want.clone(), "tail".to_string()]);
+        assert!(doc.len() > 4 << 20);
+        let v = JsonValue::parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(want.as_str()));
+        assert_eq!(items[1].as_str(), Some("tail"));
+    }
+
+    #[test]
+    fn writes_scalars_and_escapes() {
+        assert_eq!(to_string(&42u64), "42");
+        assert_eq!(to_string(&-7i32), "-7");
+        assert_eq!(to_string(&1.5f64), "1.5");
+        assert_eq!(to_string(&true), "true");
+        assert_eq!(
+            to_string("a\"b\\c\n\r\t\u{1}é"),
+            "\"a\\\"b\\\\c\\n\\r\\t\\u0001é\""
+        );
+    }
+
+    #[test]
+    fn writes_containers() {
+        assert_eq!(to_string(&vec![1u32, 2, 3]), "[1,2,3]");
+        assert_eq!(to_string(&Vec::<u32>::new()), "[]");
+        assert_eq!(to_string(&Option::<u32>::None), "null");
+        assert_eq!(to_string(&Some("x".to_string())), "\"x\"");
+        let mut out = String::new();
+        let (a, b) = (ArgValue::U64(3), ArgValue::Str("s".into()));
+        write_object(&mut out, [("a", &a), ("b", &b)]);
+        assert_eq!(out, r#"{"a":3,"b":"s"}"#);
+    }
+
+    #[test]
+    fn non_finite_floats_write_null_but_trace_values_write_zero() {
+        assert_eq!(to_string(&f64::NAN), "null");
+        assert_eq!(to_string(&f64::INFINITY), "null");
+        assert_eq!(to_string(&Some(f32::NEG_INFINITY)), "null");
+        assert_eq!(to_string(&ArgValue::F64(f64::NAN)), "0");
+        assert_eq!(to_string(&ArgValue::F64(0.25)), "0.25");
+    }
+
+    record! {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Mode {
+            Fast,
+            /// Documented variants pass through.
+            Slow,
+        }
+
+        /// Field order here is the output order.
+        struct Inner {
+            z: u64,
+            mode: Mode,
+        }
+
+        pub(crate) struct Outer {
+            pub(crate) name: String,
+            /// A nested record.
+            inner: Inner,
+            maybe: Option<Inner>,
+            list: Vec<Inner>,
+            empty: Vec<u64>,
+            ratio: f64,
+        }
+    }
+
+    fn outer() -> Outer {
+        let inner = |z, mode| Inner { z, mode };
+        Outer {
+            name: "o".into(),
+            inner: inner(1, Mode::Fast),
+            maybe: None,
+            list: vec![inner(2, Mode::Slow)],
+            empty: Vec::new(),
+            ratio: f64::NAN,
+        }
+    }
+
+    #[test]
+    fn records_write_fields_in_declaration_order() {
+        assert_eq!(
+            to_string(&outer()),
+            r#"{"name":"o","inner":{"z":1,"mode":"Fast"},"maybe":null,"list":[{"z":2,"mode":"Slow"}],"empty":[],"ratio":null}"#
+        );
+        assert_eq!(
+            to_string(&[Mode::Slow, Mode::Fast][..]),
+            r#"["Slow","Fast"]"#
+        );
+    }
+
+    #[test]
+    fn pretty_output_indents_and_keeps_empty_containers_closed() {
+        assert_eq!(to_string_pretty(&vec![1u32, 2]), "[\n  1,\n  2\n]");
+        let pretty = to_string_pretty(&outer());
+        let want = "{\n  \"name\": \"o\",\n  \"inner\": {\n    \"z\": 1,\n    \"mode\": \"Fast\"\n  },\n  \
+                    \"maybe\": null,\n  \"list\": [\n    {\n      \"z\": 2,\n      \"mode\": \"Slow\"\n    }\n  ],\n  \
+                    \"empty\": [],\n  \"ratio\": null\n}";
+        assert_eq!(pretty, want);
+        // Nested empties, and brackets inside strings left alone.
+        struct Raw(&'static str);
+        impl ToJson for Raw {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(self.0);
+            }
+        }
+        assert_eq!(to_string_pretty(&Vec::<u8>::new()), "[]");
+        assert_eq!(to_string_pretty(&Raw("{}")), "{}");
+        assert_eq!(
+            to_string_pretty(&Raw(r#"{"a":{},"b":[[],{}]}"#)),
+            "{\n  \"a\": {},\n  \"b\": [\n    [],\n    {}\n  ]\n}"
+        );
+        assert_eq!(
+            to_string_pretty(&vec!["\\\"[{,:}]".to_string()]),
+            "[\n  \"\\\\\\\"[{,:}]\"\n]"
+        );
+        let parsed = JsonValue::parse(&pretty).unwrap();
+        assert_eq!(parsed, JsonValue::parse(&to_string(&outer())).unwrap());
+    }
+
+    /// One scalar value from a mix weighted toward the characters JSON
+    /// must escape or encode in several bytes.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            0u32..0x20,
+            Just('"' as u32),
+            Just('\\' as u32),
+            0x20u32..0x80,
+            0x80u32..0xD800,
+            0xE000u32..0x10000,
+            0x10000u32..0x110000,
+        ]
+        .prop_map(|c| char::from_u32(c).expect("ranges skip surrogates"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn written_values_parse_back_exactly(
+            chars in proptest::collection::vec(any_char(), 0..24),
+            int in 0u64..=u64::MAX,
+            bits in 0u64..=u64::MAX,
+        ) {
+            let s: String = chars.into_iter().collect();
+            let parsed = JsonValue::parse(&to_string(&s)).unwrap();
+            prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+            let parsed = JsonValue::parse(&to_string(&int)).unwrap();
+            prop_assert_eq!(parsed.as_u64(), Some(int));
+            let float = f64::from_bits(bits);
+            if float.is_finite() {
+                let parsed = JsonValue::parse(&to_string(&float)).unwrap();
+                prop_assert_eq!(parsed.as_f64().map(f64::to_bits), Some(bits));
+            }
+        }
     }
 }

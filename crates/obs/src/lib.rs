@@ -20,9 +20,11 @@
 //! * a **Chrome trace-event serializer** ([`Obs::trace_json`], the
 //!   [`chrome`] module) whose output loads directly in Perfetto or
 //!   `chrome://tracing` — including *flow events* that chain one request's
-//!   admit → batch → launch → complete across processes — plus a [`json`]
-//!   parser/validator used by tests and CI gates (the vendored `serde_json`
-//!   shim only serializes);
+//!   admit → batch → launch → complete across processes;
+//! * **the workspace's one JSON module** ([`json`]) — the [`json::ToJson`]
+//!   writer, the `json::record!` macro every serialized record is defined
+//!   with, and the strict reader the trace and bundle validators, tests
+//!   and CI gates parse with;
 //! * **one typed event per fact** ([`Event`]) — each variant carries its
 //!   payload as named fields, and [`Obs::emit`] is the one way to record
 //!   it: one flight-ring slot and one Chrome instant, both rendered from

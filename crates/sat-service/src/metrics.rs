@@ -17,7 +17,6 @@ use std::time::Duration;
 
 use obs::{BreakerState, Counter, Event, Histogram, HistogramSample, Registry, RejectReason};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// The latency objective the service reports against: a target for
 /// per-request latency and the fraction of requests allowed to miss it.
@@ -447,7 +446,7 @@ impl Metrics {
 }
 
 /// A point-in-time snapshot of the service's instrumentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Requests admitted to the queue.
     pub submitted: u64,
@@ -549,7 +548,7 @@ impl ServiceStats {
 }
 
 /// Summary of one latency distribution, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples summarised.
     pub count: u64,

@@ -333,16 +333,3 @@ fn observed_service_exposes_metrics_text_and_lifecycle_spans() {
         trace_stats.flows
     );
 }
-
-#[test]
-fn stats_serialize_to_json() {
-    let service = Service::start(small_config());
-    service
-        .client()
-        .submit(image(8, 8, 0), SatAlgorithm::OneR1W, None)
-        .expect("accepted");
-    let stats = service.shutdown();
-    let json = serde_json::to_string(&stats).expect("serializable");
-    assert!(json.contains("\"completed\":1"));
-    assert!(json.contains("p99_ms"));
-}
