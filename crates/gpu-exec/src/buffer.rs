@@ -136,6 +136,12 @@ impl<T: Copy> GlobalBuffer<T> {
     }
 
     pub(crate) fn make_view(&self, epoch: u64, block: u64, failed: bool) -> GlobalView<'_, T> {
+        if self.race.is_some() {
+            assert!(
+                block < BLOCK_MASK,
+                "race-checked buffers support launches of at most {BLOCK_MASK} blocks (block {block})"
+            );
+        }
         GlobalView {
             cells: &self.cells,
             race: self.race.as_ref(),
@@ -150,8 +156,11 @@ impl<T: Copy> GlobalBuffer<T> {
 
 /// A block's handle to a [`GlobalBuffer`] during a launch.
 ///
-/// All accessors are warp-shaped and report to the block's [`TxnRecorder`];
-/// when recording is disabled they compile down to bounds-checked copies.
+/// All accessors are warp-shaped and report to the block's [`TxnRecorder`].
+/// Each decides once per warp whether the race table, a failed launch or an
+/// armed corruption applies; a contiguous warp then moves as one
+/// bounds-checked slice copy, so without a race table the copy is the only
+/// per-word work.
 #[derive(Clone, Copy)]
 pub struct GlobalView<'a, T> {
     cells: &'a [UnsafeCell<T>],
@@ -183,26 +192,27 @@ impl<'a, T: Copy> GlobalView<'a, T> {
         self.cells.is_empty()
     }
 
+    /// Check lanes `base, base + stride, …` (`lanes` of them) against the
+    /// race table, if the buffer has one: the only per-word work of an
+    /// access.
     #[inline]
-    fn load(&self, i: usize) -> T {
-        if let Some(r) = self.race {
-            r.check_read(i, self.epoch, self.block);
+    fn check_race(&self, kind: AccessKind, base: usize, stride: usize, lanes: usize) {
+        let Some(r) = self.race else { return };
+        for t in 0..lanes {
+            match kind {
+                AccessKind::Read => r.check_read(base + t * stride, self.epoch, self.block),
+                AccessKind::Write => r.check_write(base + t * stride, self.epoch, self.block),
+            }
         }
-        // SAFETY: launch contract — no other block writes word `i` in this
-        // launch (dynamically verified when the race table is present).
-        unsafe { *self.cells[i].get() }
     }
 
+    /// A non-empty warp write through a failed launch's view leaves the
+    /// buffer's contents partial: mark it poisoned.
     #[inline]
-    fn store(&self, i: usize, v: T) {
-        if let Some(r) = self.race {
-            r.check_write(i, self.epoch, self.block);
-        }
-        if self.failed {
+    fn poison_if_failed(&self, lanes: usize) {
+        if self.failed && lanes > 0 {
             self.poison.store(true, Ordering::Release);
         }
-        // SAFETY: launch contract — this block exclusively writes word `i`.
-        unsafe { *self.cells[i].get() = v }
     }
 
     /// Release per-word race ownership of `[base, base + len)` for the rest
@@ -220,7 +230,10 @@ impl<'a, T: Copy> GlobalView<'a, T> {
     #[inline]
     pub fn read(&self, addr: usize, rec: &mut TxnRecorder) -> T {
         rec.record_single(AccessKind::Read, self.buf, addr);
-        self.load(addr)
+        self.check_race(AccessKind::Read, addr, 1, 1);
+        // SAFETY: launch contract — no other block writes word `addr` in this
+        // launch (dynamically verified when the race table is present).
+        unsafe { *self.cells[addr].get() }
     }
 
     /// Single-lane write of word `addr`.
@@ -230,15 +243,29 @@ impl<'a, T: Copy> GlobalView<'a, T> {
         if rec.corrupt_lane(1).is_some() {
             v = corrupt_value(v);
         }
-        self.store(addr, v);
+        self.check_race(AccessKind::Write, addr, 1, 1);
+        self.poison_if_failed(1);
+        // SAFETY: launch contract — this block exclusively writes word `addr`.
+        unsafe { *self.cells[addr].get() = v }
     }
 
     /// Warp read of `[base, base + out.len())` into `out` (coalesced when
     /// the range is group-aligned).
     pub fn read_contig(&self, base: usize, out: &mut [T], rec: &mut TxnRecorder) {
         rec.record_contig(AccessKind::Read, self.buf, base, out.len());
-        for (t, o) in out.iter_mut().enumerate() {
-            *o = self.load(base + t);
+        let cells = &self.cells[base..base + out.len()];
+        self.check_race(AccessKind::Read, base, 1, out.len());
+        // SAFETY: `cells` and `out` both hold `out.len()` words, and `out` is
+        // a unique borrow, so it cannot overlap the buffer. Launch contract:
+        // no other block writes these words in this launch (dynamically
+        // verified when the race table is present). `UnsafeCell<T>` has the
+        // layout of `T`.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                UnsafeCell::raw_get(cells.as_ptr()),
+                out.as_mut_ptr(),
+                out.len(),
+            );
         }
     }
 
@@ -246,13 +273,24 @@ impl<'a, T: Copy> GlobalView<'a, T> {
     pub fn write_contig(&self, base: usize, vals: &[T], rec: &mut TxnRecorder) {
         rec.record_contig(AccessKind::Write, self.buf, base, vals.len());
         let victim = rec.corrupt_lane(vals.len());
-        for (t, &v) in vals.iter().enumerate() {
-            let v = if victim == Some(t) {
-                corrupt_value(v)
-            } else {
-                v
-            };
-            self.store(base + t, v);
+        let cells = &self.cells[base..base + vals.len()];
+        self.check_race(AccessKind::Write, base, 1, vals.len());
+        self.poison_if_failed(vals.len());
+        // SAFETY: `cells` and `vals` both hold `vals.len()` words, and
+        // `vals` cannot borrow the buffer's cells, which are reachable only
+        // through views or `&mut GlobalBuffer`. Launch contract: this block
+        // exclusively writes these words. `UnsafeCell<T>` has the layout of
+        // `T`.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                vals.as_ptr(),
+                UnsafeCell::raw_get(cells.as_ptr()),
+                vals.len(),
+            );
+        }
+        if let Some(k) = victim {
+            // SAFETY: as above; lane `k` is one of the words just written.
+            unsafe { *cells[k].get() = corrupt_value(vals[k]) }
         }
     }
 
@@ -260,8 +298,10 @@ impl<'a, T: Copy> GlobalView<'a, T> {
     /// column access of a row-major matrix when `stride` is its width).
     pub fn read_strided(&self, base: usize, stride: usize, out: &mut [T], rec: &mut TxnRecorder) {
         rec.record_strided(AccessKind::Read, self.buf, base, stride, out.len());
+        self.check_race(AccessKind::Read, base, stride, out.len());
         for (t, o) in out.iter_mut().enumerate() {
-            *o = self.load(base + t * stride);
+            // SAFETY: launch contract, as in `read_contig`.
+            *o = unsafe { *self.cells[base + t * stride].get() };
         }
     }
 
@@ -269,13 +309,15 @@ impl<'a, T: Copy> GlobalView<'a, T> {
     pub fn write_strided(&self, base: usize, stride: usize, vals: &[T], rec: &mut TxnRecorder) {
         rec.record_strided(AccessKind::Write, self.buf, base, stride, vals.len());
         let victim = rec.corrupt_lane(vals.len());
+        self.check_race(AccessKind::Write, base, stride, vals.len());
+        self.poison_if_failed(vals.len());
         for (t, &v) in vals.iter().enumerate() {
-            let v = if victim == Some(t) {
-                corrupt_value(v)
-            } else {
-                v
-            };
-            self.store(base + t * stride, v);
+            // SAFETY: launch contract, as in `write_contig`.
+            unsafe { *self.cells[base + t * stride].get() = v }
+        }
+        if let Some(k) = victim {
+            // SAFETY: as above; lane `k` is one of the words just written.
+            unsafe { *self.cells[base + k * stride].get() = corrupt_value(vals[k]) }
         }
     }
 }
@@ -283,7 +325,8 @@ impl<'a, T: Copy> GlobalView<'a, T> {
 /// Epoch-tagged per-word ownership table for dynamic race detection.
 struct RaceTable {
     // Each entry packs (epoch << 20) | (block + 1); 0 means "never written".
-    // 20 bits of block id support launches of up to ~10⁶ blocks.
+    // 20 bits of block id support launches of up to 2²⁰ − 1 blocks, which
+    // `GlobalBuffer::make_view` asserts.
     entries: Vec<AtomicU64>,
 }
 
@@ -299,7 +342,6 @@ impl RaceTable {
 
     #[inline]
     fn check_write(&self, i: usize, epoch: u64, block: u64) {
-        debug_assert!(block < BLOCK_MASK);
         let tag = (epoch << BLOCK_BITS) | (block + 1);
         let prev = self.entries[i].swap(tag, Ordering::Relaxed);
         let (pe, pb) = (prev >> BLOCK_BITS, prev & BLOCK_MASK);
@@ -377,31 +419,164 @@ mod tests {
         assert_eq!(rec.counters().stride_reads, 4);
     }
 
+    /// The warp accessors, each driven over a warp that covers word 2 of an
+    /// 8-word buffer: single lane 2, contiguous `[1, 4)`, strided `{0, 2, 4}`.
+    #[derive(Debug, Clone, Copy)]
+    enum Acc {
+        Single,
+        Contig,
+        Strided,
+    }
+
+    const ACCESSORS: [Acc; 3] = [Acc::Single, Acc::Contig, Acc::Strided];
+
+    fn write_word_2(v: &GlobalView<'_, u64>, acc: Acc, x: u64, rec: &mut TxnRecorder) {
+        match acc {
+            Acc::Single => v.write(2, x, rec),
+            Acc::Contig => v.write_contig(1, &[x; 3], rec),
+            Acc::Strided => v.write_strided(0, 2, &[x; 3], rec),
+        }
+    }
+
+    fn read_word_2(v: &GlobalView<'_, u64>, acc: Acc, rec: &mut TxnRecorder) -> u64 {
+        let mut out = [0; 3];
+        match acc {
+            Acc::Single => return v.read(2, rec),
+            Acc::Contig => v.read_contig(1, &mut out, rec),
+            Acc::Strided => v.read_strided(0, 2, &mut out, rec),
+        }
+        out[1]
+    }
+
+    /// Run `f`, which must panic, and return its panic message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the access must panic");
+        match err.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(err) => err.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+        }
+    }
+
     #[test]
     fn race_detector_allows_same_block_rw() {
-        let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
-        let v = b.make_view(7, 3, false);
-        let mut rec = TxnRecorder::new(4, false);
-        v.write(2, 5, &mut rec);
-        assert_eq!(v.read(2, &mut rec), 5);
+        for w in ACCESSORS {
+            for r in ACCESSORS {
+                let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
+                let v = b.make_view(7, 3, false);
+                let mut rec = TxnRecorder::new(4, false);
+                write_word_2(&v, w, 5, &mut rec);
+                assert_eq!(read_word_2(&v, r, &mut rec), 5, "{w:?} then {r:?}");
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "data race")]
     fn race_detector_catches_write_write() {
-        let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
-        let mut rec = TxnRecorder::new(4, false);
-        b.make_view(7, 0, false).write(2, 5, &mut rec);
-        b.make_view(7, 1, false).write(2, 6, &mut rec);
+        for first in ACCESSORS {
+            for second in ACCESSORS {
+                let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
+                let mut rec = TxnRecorder::new(4, false);
+                write_word_2(&b.make_view(7, 0, false), first, 5, &mut rec);
+                let msg = panic_message(|| {
+                    write_word_2(&b.make_view(7, 1, false), second, 6, &mut rec);
+                });
+                assert!(
+                    msg.contains("data race"),
+                    "{first:?} then {second:?}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "read-after-write hazard")]
     fn race_detector_catches_cross_block_read() {
+        for w in ACCESSORS {
+            for r in ACCESSORS {
+                let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
+                let mut rec = TxnRecorder::new(4, false);
+                write_word_2(&b.make_view(7, 0, false), w, 5, &mut rec);
+                let msg = panic_message(|| {
+                    read_word_2(&b.make_view(7, 1, false), r, &mut rec);
+                });
+                assert!(
+                    msg.contains("read-after-write hazard"),
+                    "{w:?} then {r:?}: {msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "race-checked buffers support launches of at most")]
+    fn race_table_rejects_block_ids_beyond_its_tag_bits() {
         let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
+        b.make_view(7, BLOCK_MASK - 1, false); // the largest block id that fits
+        b.make_view(7, BLOCK_MASK, false);
+    }
+
+    #[test]
+    fn unchecked_buffers_accept_any_block_id() {
+        let b = GlobalBuffer::filled(0u64, 8);
         let mut rec = TxnRecorder::new(4, false);
-        b.make_view(7, 0, false).write(2, 5, &mut rec);
-        b.make_view(7, 1, false).read(2, &mut rec);
+        for block in [BLOCK_MASK, u64::MAX] {
+            let v = b.make_view(7, block, false);
+            v.write(2, block, &mut rec);
+            assert_eq!(v.read(2, &mut rec), block);
+        }
+    }
+
+    #[test]
+    fn failed_warp_writes_poison_and_empty_warps_do_not() {
+        let b = GlobalBuffer::filled(0u64, 8);
+        let mut rec = TxnRecorder::new(4, false);
+        let failed = b.make_view(1, 0, true);
+        failed.write_contig(3, &[], &mut rec);
+        failed.write_strided(0, 2, &[], &mut rec);
+        let mut out = [0u64; 3];
+        failed.read_contig(0, &mut out, &mut rec);
+        assert!(!b.poisoned(), "no word was written");
+        b.make_view(1, 0, false).write_contig(0, &[1, 2], &mut rec);
+        assert!(!b.poisoned(), "a healthy launch never poisons");
+        for acc in ACCESSORS {
+            let mut b = GlobalBuffer::filled(0u64, 8);
+            write_word_2(&b.make_view(1, 0, true), acc, 9, &mut rec);
+            assert!(b.poisoned(), "{acc:?}");
+            assert_eq!(b.as_slice()[2], 9, "{acc:?}: the words still land");
+        }
+    }
+
+    #[test]
+    fn armed_corruption_lands_on_exactly_one_lane_of_the_right_warp() {
+        let vals: Vec<u64> = (1..=4).collect();
+        // Three 4-lane warps over disjoint words: contiguous at 0, strided
+        // {5, 9, 13, 17}, contiguous at 20.
+        let written = |addr: usize| match addr {
+            0..=3 => Some(vals[addr]),
+            5 | 9 | 13 | 17 => Some(vals[(addr - 5) / 4]),
+            20..=23 => Some(vals[addr - 20]),
+            _ => None,
+        };
+        for nth in 0..12u64 {
+            let mut b = GlobalBuffer::filled(0u64, 24);
+            let v = b.make_view(1, 0, false);
+            let mut rec = TxnRecorder::new(4, false);
+            rec.arm_corruption(nth);
+            v.write_contig(0, &vals, &mut rec);
+            v.write_strided(5, 4, &vals, &mut rec);
+            v.write_contig(20, &vals, &mut rec);
+            assert!(rec.corruption_hit());
+            let k = (nth % 4) as usize;
+            let victim = [k, 5 + 4 * k, 20 + k][(nth / 4) as usize];
+            for (addr, &got) in b.as_slice().iter().enumerate() {
+                let want = match written(addr) {
+                    Some(x) if addr == victim => corrupt_value(x),
+                    Some(x) => x,
+                    None => 0,
+                };
+                assert_eq!(got, want, "nth {nth}: word {addr}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //!
 //! The warp-shaped accessors report their DMM stage counts to the block's
 //! [`TxnRecorder`], so executions expose shared-memory bank conflicts the
-//! same way they expose global-memory coalescing.
+//! same way they expose global-memory coalescing. They move a warp's words
+//! without computing any address per word: a diagonal row is the physical
+//! row rotated by `i`, copied as two slices, and a column walks the physical
+//! rows with a bank offset stepped by one (mod `w`). The scalar
+//! [`SharedTile::get`] and [`SharedTile::set`] keep the definitional offset
+//! ([`DiagonalLayout::addr`]), which the tests hold the accessors to.
 
 use hmm_model::{AccessKind, DiagonalLayout};
 
@@ -29,6 +34,29 @@ pub enum TileLayout {
     RowMajor,
     /// Diagonal arrangement: row *and* column access conflict-free.
     Diagonal,
+}
+
+impl TileLayout {
+    /// Logical row `i` starts `rotation(i)` words into physical row `i`:
+    /// the diagonal arrangement rotates row `i` by `i`, row-major by 0.
+    fn rotation(self, i: usize) -> usize {
+        match self {
+            TileLayout::RowMajor => 0,
+            TileLayout::Diagonal => i,
+        }
+    }
+
+    /// Physical offset of a logical column in the next physical row of a
+    /// `w`-wide tile, given its offset `k` in this one: `k + 1 mod w` on
+    /// the diagonal, `k` row-major. A column walk needs no division.
+    #[inline]
+    fn next_bank(self, k: usize, w: usize) -> usize {
+        match self {
+            TileLayout::RowMajor => k,
+            TileLayout::Diagonal if k + 1 == w => 0,
+            TileLayout::Diagonal => k + 1,
+        }
+    }
 }
 
 /// A `w × w` shared-memory tile owned by one block.
@@ -111,9 +139,10 @@ impl<T: Copy + Default> SharedTile<T> {
                 index: i as u32,
             }
         });
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = self.data[self.offset(i, j)];
-        }
+        let (w, r) = (self.w, self.layout.rotation(i));
+        let (head, tail) = self.data[i * w..(i + 1) * w].split_at(r);
+        out[..w - r].copy_from_slice(tail);
+        out[w - r..].copy_from_slice(head);
     }
 
     /// Warp write of `vals` (length `w`) to logical row `i`.
@@ -126,10 +155,10 @@ impl<T: Copy + Default> SharedTile<T> {
                 index: i as u32,
             }
         });
-        for (j, &v) in vals.iter().enumerate() {
-            let o = self.offset(i, j);
-            self.data[o] = v;
-        }
+        let (w, r) = (self.w, self.layout.rotation(i));
+        let (head, tail) = self.data[i * w..(i + 1) * w].split_at_mut(r);
+        tail.copy_from_slice(&vals[..w - r]);
+        head.copy_from_slice(&vals[w - r..]);
     }
 
     /// Warp read of logical column `j` into `out` (length `w`).
@@ -141,8 +170,10 @@ impl<T: Copy + Default> SharedTile<T> {
                 index: j as u32,
             }
         });
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.data[self.offset(i, j)];
+        let mut k = j;
+        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.w)) {
+            *o = row[k];
+            k = self.layout.next_bank(k, self.w);
         }
     }
 
@@ -156,9 +187,11 @@ impl<T: Copy + Default> SharedTile<T> {
                 index: j as u32,
             }
         });
-        for (i, &v) in vals.iter().enumerate() {
-            let o = self.offset(i, j);
-            self.data[o] = v;
+        let (w, layout) = (self.w, self.layout);
+        let mut k = j;
+        for (&v, row) in vals.iter().zip(self.data.chunks_exact_mut(w)) {
+            row[k] = v;
+            k = layout.next_bank(k, w);
         }
     }
 }
@@ -183,21 +216,58 @@ mod tests {
 
     #[test]
     fn logical_indexing_is_layout_independent() {
-        for layout in [TileLayout::RowMajor, TileLayout::Diagonal] {
-            let mut t: SharedTile<u32> = SharedTile::new(4, layout, 0);
-            let mut r = rec();
-            for i in 0..4 {
-                let vals: Vec<u32> = (0..4).map(|j| (10 * i + j) as u32).collect();
-                t.write_row(i, &vals, &mut r);
-            }
-            for i in 0..4 {
-                for j in 0..4 {
-                    assert_eq!(t.get(i, j), (10 * i + j) as u32, "{layout:?}");
+        let word = |i: usize, j: usize| (100 * i + j) as u32 + 1;
+        for w in [1, 2, 3, 4, 5, 8, 32, 33] {
+            for layout in [TileLayout::RowMajor, TileLayout::Diagonal] {
+                let col_stages = match layout {
+                    TileLayout::RowMajor => w as u64,
+                    TileLayout::Diagonal => 1,
+                };
+                let mut t: SharedTile<u32> = SharedTile::new(w, layout, 0);
+                let mut buf = vec![0u32; w];
+                // Warp writes land where the definitional offset says.
+                for i in 0..w {
+                    let vals: Vec<u32> = (0..w).map(|j| word(i, j)).collect();
+                    let mut r = rec();
+                    t.write_row(i, &vals, &mut r);
+                    assert_eq!(r.counters().shared_stages, 1, "{layout:?} w={w}");
+                }
+                for i in 0..w {
+                    for j in 0..w {
+                        assert_eq!(t.data[t.offset(i, j)], word(i, j), "{layout:?} w={w}");
+                        assert_eq!(t.get(i, j), word(i, j));
+                    }
+                }
+                for j in 0..w {
+                    let vals: Vec<u32> = (0..w).map(|i| !word(i, j)).collect();
+                    let mut r = rec();
+                    t.write_col(j, &vals, &mut r);
+                    assert_eq!(r.counters().shared_stages, col_stages, "{layout:?} w={w}");
+                    for i in 0..w {
+                        assert_eq!(t.get(i, j), !word(i, j), "{layout:?} w={w} ({i}, {j})");
+                    }
+                }
+                // Warp reads see what scalar writes put there.
+                for i in 0..w {
+                    for j in 0..w {
+                        t.set(i, j, word(i, j));
+                    }
+                }
+                for i in 0..w {
+                    let mut r = rec();
+                    t.read_row(i, &mut buf, &mut r);
+                    assert_eq!(r.counters().shared_stages, 1);
+                    let want: Vec<u32> = (0..w).map(|j| word(i, j)).collect();
+                    assert_eq!(buf, want, "{layout:?} w={w} row {i}");
+                }
+                for j in 0..w {
+                    let mut r = rec();
+                    t.read_col(j, &mut buf, &mut r);
+                    assert_eq!(r.counters().shared_stages, col_stages);
+                    let want: Vec<u32> = (0..w).map(|i| word(i, j)).collect();
+                    assert_eq!(buf, want, "{layout:?} w={w} column {j}");
                 }
             }
-            let mut col = [0u32; 4];
-            t.read_col(2, &mut col, &mut r);
-            assert_eq!(col, [2, 12, 22, 32]);
         }
     }
 

@@ -9,8 +9,10 @@
 # Then runs <pairs> pairs of `--trace 0` runs of <seconds> each (default
 # 10), the side that goes first switching every pair, and prints each
 # side's median and quartiles of <metric> (default throughput_mpix_s) and
-# how many pairs the working tree won. Every run's result line is kept in
-# target/bench_pairs/{base,head}.jsonl for the other metrics. `SEED`
+# how many pairs the working tree won, then the same for every other
+# end-to-end metric BENCHMARK.json declares, each judged by its own
+# `better` direction. Every run's result line is kept in
+# target/bench_pairs/{base,head}.jsonl. `SEED`
 # (default 7) is the perfbench seed of every run. perfbench is called only
 # through its command line; nothing under perfbench/ changes.
 set -euo pipefail
@@ -28,6 +30,9 @@ seed=${SEED:-7}
 better=$(grep -o "\"name\": \"$metric\"[^}]*\"better\": \"[a-z]*\"" BENCHMARK.json |
     grep -o '"better": "[a-z]*"' | cut -d'"' -f4) || true
 [ -n "$better" ] || { echo "error: unknown metric $metric" >&2; exit 1; }
+# Every end-to-end metric, one "<name> <better>" line each.
+end_to_end=$(sed -n '/"end_to_end"/,/\]/p' BENCHMARK.json |
+    sed -n 's/.*"name": "\([^"]*\)".*"better": "\([a-z]*\)".*/\1 \2/p')
 
 out=target/bench_pairs
 base_dir=$out/base
@@ -46,14 +51,20 @@ echo "== building perfbench at base and in the working tree" >&2
 perfbench "$base_dir" --workload "$workload" --seed "$seed" --seconds 1 --trace 0 >/dev/null
 perfbench . --workload "$workload" --seed "$seed" --seconds 1 --trace 0 >/dev/null
 
-value() { # <checkout dir> <side>: one run, keeps its result line, prints the metric
-    perfbench "$1" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
-        tail -n 1 | tee -a "$out/$2.jsonl" |
-        grep -o "\"$metric\": {\"value\": [-0-9.eE+]*" | awk '{ print $NF }'
+metric_of() { # <metric>: the metric's value in each result line on stdin
+    grep -o "\"$1\": {\"value\": [-0-9.eE+]*" | awk '{ print $NF }'
 }
 
-rm -f "$out"/{base,head}.{txt,jsonl}
-wins=0
+won() { # <better> <base> <head>: 1 if head beats base, else 0 (ties lose)
+    awk -v hi="$1" -v b="$2" -v h="$3" 'BEGIN { print ((hi == "higher") ? (h > b) : (h < b)) }'
+}
+
+value() { # <checkout dir> <side>: one run, keeps its result line, prints the metric
+    perfbench "$1" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
+        tail -n 1 | tee -a "$out/$2.jsonl" | metric_of "$metric"
+}
+
+rm -f "$out"/{base,head}.jsonl
 for ((p = 0; p < pairs; p++)); do
     if ((p % 2 == 0)); then
         b=$(value "$base_dir" base)
@@ -62,25 +73,32 @@ for ((p = 0; p < pairs; p++)); do
         h=$(value . head)
         b=$(value "$base_dir" base)
     fi
-    echo "$b" >>"$out/base.txt"
-    echo "$h" >>"$out/head.txt"
-    won=$(awk -v b="$b" -v h="$h" -v hi="$better" \
-        'BEGIN { print ((hi == "higher") ? (h > b) : (h < b)) }')
-    wins=$((wins + won))
-    echo "pair $((p + 1)): base $b  head $h  $([ "$won" = 1 ] && echo win || echo loss)" >&2
+    echo "pair $((p + 1)): base $b  head $h  $([ "$(won "$better" "$b" "$h")" = 1 ] && echo win || echo loss)" >&2
 done
 
-summary() { # <label> <file>: median and quartiles (nearest rank)
-    sort -g "$2" | awk -v label="$1" '
-        { v[NR] = $1 }
-        END {
-            q1 = v[int((NR + 3) / 4)]; med = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
-            q3 = v[NR + 1 - int((NR + 3) / 4)]
-            printf "%s median %.4g  q1 %.4g  q3 %.4g  iqr %.4g\n", label, med, q1, q3, q3 - q1
-        }'
+summary() { # <metric> <better>: each side's median and quartiles (nearest rank), head's wins
+    local m=$1 hi=$2 side wins=0 b h
+    for side in base head; do
+        metric_of "$m" <"$out/$side.jsonl" | sort -g | awk -v label="$side" '
+            { v[NR] = $1 }
+            END {
+                q1 = v[int((NR + 3) / 4)]; med = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+                q3 = v[NR + 1 - int((NR + 3) / 4)]
+                printf "  %s median %.4g  q1 %.4g  q3 %.4g  iqr %.4g\n", label, med, q1, q3, q3 - q1
+            }'
+    done
+    while read -r b h; do
+        wins=$((wins + $(won "$hi" "$b" "$h")))
+    done < <(paste <(metric_of "$m" <"$out/base.jsonl") <(metric_of "$m" <"$out/head.jsonl"))
+    echo "  head wins $wins/$pairs"
 }
 
-echo "$workload $metric ($better is better), $pairs pairs of ${seconds}s, seed $seed"
-summary "base" "$out/base.txt"
-summary "head" "$out/head.txt"
-echo "head wins $wins/$pairs"
+echo "$workload, $pairs pairs of ${seconds}s, seed $seed"
+echo "$metric ($better is better)"
+summary "$metric" "$better"
+echo "the other end-to-end metrics:"
+while read -r m hi; do
+    [ "$m" != "$metric" ] || continue
+    echo "$m ($hi is better)"
+    summary "$m" "$hi"
+done <<<"$end_to_end"
