@@ -67,7 +67,6 @@ use gpu_exec::{Device, DeviceFleet, DeviceOptions, FaultPlan, FleetOptions, Laun
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use obs::json::JsonValue;
-use obs::profile::CostModel;
 use obs::Obs;
 use sat_bench::{
     bench_device, flag_value, parsed_flag, run_fleet_banded, run_persistent, run_real, Run,
@@ -696,13 +695,7 @@ fn measure_fleet_cell(cfg: MachineConfig, n: usize, runs: usize, calibration: f6
         FLEET_SHARDS,
     ));
     run_fleet_banded(&traced, n);
-    let report = obs::profile::attribution_from_trace(
-        &obs,
-        CostModel {
-            width: cfg.width as u64,
-            window_overhead: cfg.window_overhead(),
-        },
-    );
+    let report = obs::profile::attribution_from_trace(&obs, &cfg);
     let total = report.total();
     assert_eq!(
         total.coalesced_ops,
@@ -758,13 +751,7 @@ fn measure_named_cell(
     let obs = Obs::new();
     let traced = Device::new(DeviceOptions::new(cfg).workers(0).observer(obs.clone()));
     run(&traced);
-    let report = obs::profile::attribution_from_trace(
-        &obs,
-        CostModel {
-            width: cfg.width as u64,
-            window_overhead: cfg.window_overhead(),
-        },
-    );
+    let report = obs::profile::attribution_from_trace(&obs, &cfg);
     let total = report.total();
     assert_eq!(
         total.coalesced_ops,

@@ -53,7 +53,7 @@ use gpu_exec::{Device, DeviceOptions, LaunchContext};
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use hmm_sim::{export_sim_timeline, trace_and_simulate};
-use obs::profile::{attribution_from_trace, CostModel, PhaseReport};
+use obs::profile::{attribution_from_trace, PhaseReport};
 use obs::{ArgValue, Obs, Registry, Track};
 use sat_bench::{flag_value, parsed_flag, run_persistent, run_real, workload};
 use sat_service::{Service, ServiceConfig};
@@ -234,10 +234,6 @@ fn profile_algorithm(
     } else {
         0.0
     };
-    let model = CostModel {
-        width: cfg.width as u64,
-        window_overhead: cfg.window_overhead(),
-    };
     let mut opts = DeviceOptions::new(cfg).workers(0).observer(obs.clone());
     if let Some(t) = tracker {
         opts = opts.conformance(t.clone());
@@ -250,7 +246,7 @@ fn profile_algorithm(
     let (coal_before, stride_before) = device_counter_totals(registry);
     // The trace is shared across algorithms; remember how many launch rows
     // it already holds so this algorithm's attribution covers only its own.
-    let rows_before = attribution_from_trace(obs, model).rows.len();
+    let rows_before = attribution_from_trace(obs, &cfg).rows.len();
     let mut guard = obs.span(Track::wall(0), alg.name());
     guard.arg("n", ArgValue::from(n));
     let stats = run_real(&dev, alg, r, n).counters;
@@ -276,8 +272,8 @@ fn profile_algorithm(
     // algorithm just appended to the trace. The counter tracks go back into
     // the same trace so Perfetto overlays modeled cost next to wall time.
     let attribution = PhaseReport {
-        model,
-        rows: attribution_from_trace(obs, model).rows[rows_before..].to_vec(),
+        model: cfg,
+        rows: attribution_from_trace(obs, &cfg).rows[rows_before..].to_vec(),
     };
     attribution.export_counter_tracks(obs);
     if phases {
@@ -370,10 +366,6 @@ fn profile_persistent(
     tracker: Option<&obs::Conformance>,
 ) -> bool {
     const NAME: &str = "1R1W-persist";
-    let model = CostModel {
-        width: cfg.width as u64,
-        window_overhead: cfg.window_overhead(),
-    };
     let mut opts = DeviceOptions::new(cfg).workers(0).observer(obs.clone());
     if let Some(t) = tracker {
         opts = opts.conformance(t.clone());
@@ -384,7 +376,7 @@ fn profile_persistent(
         ..LaunchContext::default()
     }));
     let (coal_before, stride_before) = device_counter_totals(registry);
-    let rows_before = attribution_from_trace(obs, model).rows.len();
+    let rows_before = attribution_from_trace(obs, &cfg).rows.len();
     let mut guard = obs.span(Track::wall(0), NAME);
     guard.arg("n", ArgValue::from(n));
     let stats = run_persistent(&dev, n).counters;
@@ -407,8 +399,8 @@ fn profile_persistent(
     // The persistent launch span is still named "launch" (with a
     // `mode: persistent` arg), so attribution reconstruction covers it.
     let attribution = PhaseReport {
-        model,
-        rows: attribution_from_trace(obs, model).rows[rows_before..].to_vec(),
+        model: cfg,
+        rows: attribution_from_trace(obs, &cfg).rows[rows_before..].to_vec(),
     };
     attribution.export_counter_tracks(obs);
     if phases {

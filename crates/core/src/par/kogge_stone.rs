@@ -1,4 +1,4 @@
-//! The log-step (Kogge–Stone) SAT — the paper's reference [13] baseline.
+//! The log-step (Kogge–Stone) SAT — the paper's reference \[13\] baseline.
 //!
 //! Before the block algorithms, Nakano's *"Optimal parallel algorithms for
 //! computing the sum, the prefix-sums, and the summed area table on the

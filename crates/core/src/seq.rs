@@ -7,7 +7,7 @@ use crate::matrix::Matrix;
 /// In-place column-wise prefix sums, computed in raster scan order
 /// (`a[i][j] += a[i−1][j]` row by row — the cache-friendly order used by
 /// the paper's 2R2W(CPU) baseline).
-pub fn column_prefix_inplace<T: SatElement>(a: &mut Matrix<T>) {
+fn column_prefix_inplace<T: SatElement>(a: &mut Matrix<T>) {
     let (rows, cols) = (a.rows(), a.cols());
     let data = a.as_mut_slice();
     for i in 1..rows {
@@ -21,7 +21,7 @@ pub fn column_prefix_inplace<T: SatElement>(a: &mut Matrix<T>) {
 
 /// In-place row-wise prefix sums in raster scan order
 /// (`a[i][j] += a[i][j−1]`).
-pub fn row_prefix_inplace<T: SatElement>(a: &mut Matrix<T>) {
+fn row_prefix_inplace<T: SatElement>(a: &mut Matrix<T>) {
     let (rows, cols) = (a.rows(), a.cols());
     let data = a.as_mut_slice();
     for i in 0..rows {

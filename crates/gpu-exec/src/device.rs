@@ -359,11 +359,6 @@ impl Device {
         self.conformance.as_ref()
     }
 
-    /// A device with default options for `config`.
-    pub fn with_config(config: MachineConfig) -> Self {
-        Self::new(DeviceOptions::new(config))
-    }
-
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg

@@ -10,17 +10,19 @@
 //! the non-atomic data cells (which must never be raced directly).
 //!
 //! Every publish and poll also records itself in the trace's address
-//! channel ([`AddrPattern::FlagWrite`] / [`AddrPattern::FlagRead`]), which
-//! is what lets `hmm-lint`'s schedule-generalizing race analysis
-//! reconstruct the release→acquire happens-before edges and check the
-//! `handoff-before-ready` rule: any read of a published region must be
-//! ordered after the corresponding flag write under *every* legal schedule.
+//! channel ([`FlagWrite`] / [`FlagRead`]), which is what lets `hmm-lint`'s
+//! schedule-generalizing race analysis reconstruct the release→acquire
+//! happens-before edges and check the `handoff-before-ready` rule: any read
+//! of a published region must be ordered after the corresponding flag write
+//! under *every* legal schedule.
+//!
+//! [`FlagWrite`]: crate::trace::AddrPattern::FlagWrite
+//! [`FlagRead`]: crate::trace::AddrPattern::FlagRead
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::buffer::{next_buffer_id, GlobalView};
 use crate::recorder::TxnRecorder;
-use crate::trace::AddrPattern;
 
 /// A set of atomic handoff flags, one per slot.
 ///
@@ -135,24 +137,6 @@ impl HandoffFlags {
         rec.record_flag_read(self.id, slot, ready);
         ready
     }
-
-    /// The [`AddrPattern`] a publish of (`slot`, region) records — exposed
-    /// so analyzers and tests can construct traces without a device.
-    pub fn write_pattern(
-        &self,
-        slot: usize,
-        data_buf: u64,
-        base: usize,
-        len: usize,
-    ) -> AddrPattern {
-        AddrPattern::FlagWrite {
-            flags: self.id,
-            slot,
-            data_buf,
-            base,
-            len,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,6 +144,7 @@ mod tests {
     use super::*;
     use crate::buffer::GlobalBuffer;
     use crate::device::{Device, DeviceOptions};
+    use crate::trace::AddrPattern;
     use hmm_model::{AccessKind, MachineConfig, MemSpace};
 
     #[test]

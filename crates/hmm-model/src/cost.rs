@@ -25,6 +25,15 @@
 use crate::config::MachineConfig;
 use crate::warp::{AccessKind, MemSpace, WarpAccess};
 
+/// The global memory access cost `C/w + S + Λ·windows` of `C` coalesced
+/// and `S` stride operations on a machine of width `w` with window
+/// overhead `Λ`, over `windows` barrier-delimited windows (`B + 1` for `B`
+/// barrier steps). The one definition of the formula: every modeled cost
+/// in the workspace is computed here.
+pub fn cost(width: usize, window_overhead: u64, coalesced: u64, stride: u64, windows: u64) -> f64 {
+    coalesced as f64 / width as f64 + stride as f64 + window_overhead as f64 * windows as f64
+}
+
 /// Measured access statistics of one execution on the (asynchronous) HMM.
 ///
 /// Operations are counted per *element access* (the paper's unit: "2R2W
@@ -151,9 +160,13 @@ impl CostCounters {
 
     /// The paper's global memory access cost `C/w + S + L·(B + 1)`.
     pub fn global_cost(&self, cfg: &MachineConfig) -> f64 {
-        self.coalesced_ops() as f64 / cfg.width as f64
-            + self.stride_ops() as f64
-            + cfg.window_overhead() as f64 * (self.barrier_steps + 1) as f64
+        cost(
+            cfg.width,
+            cfg.window_overhead(),
+            self.coalesced_ops(),
+            self.stride_ops(),
+            self.barrier_steps + 1,
+        )
     }
 
     /// Stage-accurate simulated time: exact UMM pipeline stages plus `L` per
@@ -436,12 +449,14 @@ impl BandedCounts {
     /// `C/w + S + Λ·launches`, summed over the three phases. At `bands == 1`
     /// this equals the single-device mirror-variant 1R1W cost.
     pub fn critical_path_cost(&self, cfg: &MachineConfig) -> f64 {
-        let w = cfg.width as f64;
-        let lam = cfg.window_overhead() as f64;
         let phase_cost = |e: &ExactCounts| {
-            e.coalesced_ops() as f64 / w
-                + e.stride_ops() as f64
-                + lam * (e.barrier_steps + 1) as f64
+            cost(
+                cfg.width,
+                cfg.window_overhead(),
+                e.coalesced_ops(),
+                e.stride_ops(),
+                e.barrier_steps + 1,
+            )
         };
         let max_of =
             |entries: &[ExactCounts]| entries.iter().map(phase_cost).fold(0.0f64, |a, b| a.max(b));

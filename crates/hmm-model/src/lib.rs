@@ -29,8 +29,9 @@
 //! * the *diagonal arrangement* of a `w × w` matrix that makes both row-wise
 //!   and column-wise warp access conflict-free (Lemma 1 of the paper;
 //!   [`diagonal`]),
-//! * the *global memory access cost* model and the closed forms of the paper's
-//!   Table I for every SAT algorithm ([`cost`]).
+//! * the *global memory access cost* `C/w + S + Λ(B + 1)` ([`cost()`], its
+//!   one definition) and the closed forms of the paper's Table I for every
+//!   SAT algorithm ([`mod@cost`]).
 //!
 //! Higher layers build on this crate: `hmm-sim` executes whole programs on the
 //! model with exact pipeline semantics, and `gpu-exec` runs CUDA-like kernels
@@ -49,6 +50,6 @@ pub mod warp;
 
 pub use address::{bank_of, group_of, strided_groups, Addr};
 pub use config::MachineConfig;
-pub use cost::{CostCounters, ExactCounts, GlobalCost};
+pub use cost::{cost, CostCounters, ExactCounts, GlobalCost};
 pub use diagonal::DiagonalLayout;
 pub use warp::{min_stages, AccessKind, MemSpace, WarpAccess};

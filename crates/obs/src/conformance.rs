@@ -381,7 +381,13 @@ impl Conformance {
             0.0
         };
         let y = units - s;
-        let pred = c / (cfg.width as f64).max(1.0) + s + lam;
+        let pred = hmm_model::cost(
+            cfg.width.max(1) as usize,
+            cfg.window_overhead,
+            sample.coalesced_ops,
+            sample.stride_ops,
+            1,
+        );
         let rel = if pred > 0.0 {
             (units - pred) / pred
         } else {

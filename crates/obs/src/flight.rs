@@ -1,6 +1,6 @@
 //! The black-box flight recorder and post-mortem bundles.
 //!
-//! A [`FlightRecorder`] is a fixed-capacity ring of typed [`Event`]s —
+//! A `FlightRecorder` is a fixed-capacity ring of typed [`Event`]s —
 //! admissions, rejections, batch formation, launch begin/end, injected
 //! faults, breaker transitions, verification failures, handoff stalls, SLO
 //! burn, shard loss and drift alerts — recorded from every layer through

@@ -6,18 +6,15 @@
 //! counters and spans into that ledger *per phase*: each phase (an explicit
 //! [`Profiler::phase`] closure, or one device launch when reconstructed
 //! from a trace by [`attribution_from_trace`]) gets its coalesced/stride op
-//! counts, barrier steps, modeled cost under a [`CostModel`], and measured
-//! wall time. The report renders as a text table ([`PhaseReport::to_table`])
-//! and as Chrome-trace counter tracks
-//! ([`PhaseReport::export_counter_tracks`]) so Perfetto shows
+//! counts, barrier steps, modeled cost ([`hmm_model::cost()`] on the
+//! report's [`MachineConfig`]), and measured wall time. The report renders
+//! as a text table ([`PhaseReport::to_table`]) and as Chrome-trace counter
+//! tracks ([`PhaseReport::export_counter_tracks`]) so Perfetto shows
 //! modeled-vs-measured side by side with the spans.
-//!
-//! `obs` is dependency-free, so the model parameters arrive as plain
-//! numbers; callers bridge from `hmm_model::MachineConfig` (width and
-//! window overhead) and the formula here mirrors
-//! `hmm_model::GlobalCost::cost` exactly.
 
 use std::time::Instant;
+
+use hmm_model::MachineConfig;
 
 use crate::span::RecordKind;
 use crate::{ArgValue, Obs, Registry, Track};
@@ -66,27 +63,15 @@ const PHASE_COUNTERS: [&str; 4] = [
     gpu::LAUNCHES,
 ];
 
-/// The paper's global-memory cost parameters: width `w` and per-window
-/// overhead `L` (Λ). Mirrors `hmm_model::GlobalCost` — kept as plain
-/// numbers because `obs` has no dependencies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Memory width `w` (words per coalesced transaction).
-    pub width: u64,
-    /// Overhead `L` charged once per kernel window (`B+1` windows for `B`
-    /// barrier steps).
-    pub window_overhead: u64,
-}
-
-impl CostModel {
-    /// Modeled cost of a phase: `C/w + S + L·windows`, where `windows` is
-    /// the number of kernel windows the phase spans (`B+1` for `B` barrier
-    /// steps — one window per launch).
-    pub fn cost(&self, coalesced_ops: u64, stride_ops: u64, windows: u64) -> f64 {
-        coalesced_ops as f64 / self.width as f64
-            + stride_ops as f64
-            + (self.window_overhead * windows) as f64
-    }
+/// Modeled cost of a phase under `model`: one window per launch.
+fn modeled_cost(model: &MachineConfig, coalesced: u64, stride: u64, launches: u64) -> f64 {
+    hmm_model::cost(
+        model.width,
+        model.window_overhead(),
+        coalesced,
+        stride,
+        launches,
+    )
 }
 
 /// One phase's ledger line.
@@ -109,15 +94,15 @@ pub struct PhaseRow {
     pub start_us: f64,
     /// Measured wall time, µs.
     pub wall_us: f64,
-    /// `C/w + S + L·launches` under the report's [`CostModel`].
+    /// `C/w + S + L·launches` under the report's machine.
     pub modeled_cost: f64,
 }
 
 /// A per-phase cost attribution report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
-    /// The model used for every row's `modeled_cost`.
-    pub model: CostModel,
+    /// The machine every row's `modeled_cost` is priced on.
+    pub model: MachineConfig,
     /// One row per phase, in execution order.
     pub rows: Vec<PhaseRow>,
 }
@@ -149,7 +134,7 @@ impl PhaseReport {
                     .fold(f64::INFINITY, f64::min)
             },
             wall_us: self.rows.iter().map(|r| r.wall_us).sum(),
-            modeled_cost: self.model.cost(coalesced, stride, launches),
+            modeled_cost: modeled_cost(&self.model, coalesced, stride, launches),
         }
     }
 
@@ -212,18 +197,18 @@ impl PhaseReport {
 pub struct Profiler {
     obs: Obs,
     registry: Registry,
-    model: CostModel,
+    model: MachineConfig,
     rows: Vec<PhaseRow>,
 }
 
 impl Profiler {
     /// A profiler over `obs`'s registry; `None` when the handle is
     /// disabled (profiling needs the counters).
-    pub fn new(obs: &Obs, model: CostModel) -> Option<Profiler> {
+    pub fn new(obs: &Obs, model: &MachineConfig) -> Option<Profiler> {
         Some(Profiler {
             registry: obs.registry()?,
             obs: obs.clone(),
-            model,
+            model: *model,
             rows: Vec::new(),
         })
     }
@@ -260,7 +245,7 @@ impl Profiler {
             barrier_steps: launches.saturating_sub(1),
             start_us: self.obs.wall_us_of(start).unwrap_or(0.0),
             wall_us,
-            modeled_cost: self.model.cost(coalesced, stride, launches),
+            modeled_cost: modeled_cost(&self.model, coalesced, stride, launches),
         });
         out
     }
@@ -290,7 +275,7 @@ fn u64_arg(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
 /// [`PhaseReport::total`] therefore matches the device's cumulative
 /// counters, with `barrier_steps = launches − 1` exactly as
 /// `GlobalCost::exact_counts` counts them.
-pub fn attribution_from_trace(obs: &Obs, model: CostModel) -> PhaseReport {
+pub fn attribution_from_trace(obs: &Obs, model: &MachineConfig) -> PhaseReport {
     let mut rows: Vec<PhaseRow> = obs
         .with_events(|events| {
             events
@@ -316,14 +301,17 @@ pub fn attribution_from_trace(obs: &Obs, model: CostModel) -> PhaseReport {
                         barrier_steps: 0,
                         start_us: e.ts,
                         wall_us: dur,
-                        modeled_cost: model.cost(coalesced, stride, 1),
+                        modeled_cost: modeled_cost(model, coalesced, stride, 1),
                     })
                 })
                 .collect()
         })
         .unwrap_or_default();
     rows.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-    PhaseReport { model, rows }
+    PhaseReport {
+        model: *model,
+        rows,
+    }
 }
 
 #[cfg(test)]
@@ -332,12 +320,9 @@ mod tests {
 
     #[test]
     fn cost_model_matches_the_paper_formula() {
-        let m = CostModel {
-            width: 32,
-            window_overhead: 5,
-        };
+        let m = MachineConfig::with_width(32).latency(5);
         // C/w + S + L·(B+1) with C=640, S=7, B=2 (3 windows).
-        assert_eq!(m.cost(640, 7, 3), 640.0 / 32.0 + 7.0 + 15.0);
+        assert_eq!(modeled_cost(&m, 640, 7, 3), 640.0 / 32.0 + 7.0 + 15.0);
     }
 
     #[test]
@@ -346,11 +331,8 @@ mod tests {
         let reg = obs.registry().unwrap();
         let coalesced = reg.counter("gpu_coalesced_ops");
         let launches = reg.counter("gpu_launches");
-        let model = CostModel {
-            width: 4,
-            window_overhead: 2,
-        };
-        let mut prof = Profiler::new(&obs, model).unwrap();
+        let model = MachineConfig::with_width(4).latency(2);
+        let mut prof = Profiler::new(&obs, &model).unwrap();
         prof.phase("rows", || {
             coalesced.add(100);
             launches.inc();
@@ -378,11 +360,8 @@ mod tests {
 
     #[test]
     fn profiler_on_disabled_handle_is_none() {
-        let model = CostModel {
-            width: 4,
-            window_overhead: 1,
-        };
-        assert!(Profiler::new(&Obs::disabled(), model).is_none());
+        let model = MachineConfig::with_width(4).latency(1);
+        assert!(Profiler::new(&Obs::disabled(), &model).is_none());
     }
 
     #[test]
@@ -407,11 +386,8 @@ mod tests {
         }
         // A non-launch span must not contribute.
         obs.wall_span_at(Track::wall(0), "block", t0, t0, None, Vec::new());
-        let model = CostModel {
-            width: 8,
-            window_overhead: 3,
-        };
-        let report = attribution_from_trace(&obs, model);
+        let model = MachineConfig::with_width(8).latency(3);
+        let report = attribution_from_trace(&obs, &model);
         assert_eq!(report.rows.len(), 3);
         assert_eq!(report.rows[0].name, "launch 0");
         let total = report.total();
@@ -424,10 +400,7 @@ mod tests {
     #[test]
     fn counter_tracks_are_schema_valid() {
         let obs = Obs::new();
-        let model = CostModel {
-            width: 4,
-            window_overhead: 1,
-        };
+        let model = MachineConfig::with_width(4).latency(1);
         let report = PhaseReport {
             model,
             rows: vec![PhaseRow {

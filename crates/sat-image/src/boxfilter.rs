@@ -13,8 +13,8 @@ pub fn clamped_window(rows: usize, cols: usize, i: usize, j: usize, r: usize) ->
     Rect::new(
         i.saturating_sub(r),
         j.saturating_sub(r),
-        (i + r).min(rows - 1),
-        (j + r).min(cols - 1),
+        i.saturating_add(r).min(rows - 1),
+        j.saturating_add(r).min(cols - 1),
     )
 }
 
@@ -34,11 +34,6 @@ pub fn mean_filter(table: &SumTable<f64>, r: usize) -> Matrix<f64> {
         let s: f64 = table.sum(rect);
         s / rect.area() as f64
     })
-}
-
-/// Convenience: SAT (sequentially) + box sum in one call, for images.
-pub fn box_sum_image<T: SatElement>(img: &Matrix<T>, r: usize) -> Matrix<T> {
-    box_filter(&SumTable::build(img), r)
 }
 
 #[cfg(test)]
@@ -64,14 +59,18 @@ mod tests {
     fn matches_brute_force() {
         let img = int_noise(17, 23, 100, 3);
         for r in [0usize, 1, 2, 5, 30] {
-            assert_eq!(box_sum_image(&img, r), brute_box(&img, r), "r={r}");
+            assert_eq!(
+                box_filter(&SumTable::build(&img), r),
+                brute_box(&img, r),
+                "r={r}"
+            );
         }
     }
 
     #[test]
     fn radius_zero_is_identity() {
         let img = int_noise(9, 9, 50, 1);
-        assert_eq!(box_sum_image(&img, 0), img);
+        assert_eq!(box_filter(&SumTable::build(&img), 0), img);
     }
 
     #[test]
@@ -97,6 +96,8 @@ mod tests {
                 assert!((b.get(i, j) - total).abs() < 1e-9);
             }
         }
+        // A radius past `usize::MAX − i` must clamp, not wrap the window.
+        assert_eq!(box_filter(&t, usize::MAX), box_filter(&t, 10));
     }
 
     #[test]

@@ -10,21 +10,9 @@
 //!   Gems 3 application cited by the paper), including the Chebyshev upper
 //!   bound used for soft shadows;
 //! * [`threshold`] — Bradley–Roth adaptive thresholding;
-//! * [`gaussian`] — Gaussian blur by repeated box filters (Wells' method)
-//!   and difference-of-Gaussians, σ-independent cost;
-//! * [`haar`] — Haar-like box features (Viola–Jones style) evaluated in
-//!   `O(1)` per feature;
-//! * [`template`] — window-sum candidate pruning for template matching;
-//! * [`ncc`] — fast normalized cross-correlation (Lewis): window energies
-//!   from sum tables, brightness/contrast-invariant matching;
-//! * [`pyramid`] — mean pyramids (one SAT per level) and coarse-to-fine
-//!   multi-scale template search;
 //! * [`pgm`] — dependency-free PGM image I/O (P2/P5, 8/16-bit) so real
 //!   grayscale images round-trip through the pipelines;
-//! * [`synth`] — synthetic image generators used by tests, examples and
-//!   benchmarks;
-//! * [`gpu`] — device-side consumers (box filter as a kernel reading the
-//!   SAT straight from global memory).
+//! * [`synth`] — synthetic image generators used by tests and examples.
 //!
 //! All consumers take a [`sat_core::SumTable`]; build it with any of the
 //! paper's algorithms via [`sat_core::compute_sat`].
@@ -32,17 +20,11 @@
 #![warn(missing_docs)]
 
 pub mod boxfilter;
-pub mod gaussian;
-pub mod gpu;
-pub mod haar;
-pub mod ncc;
 pub mod pgm;
-pub mod pyramid;
 pub mod synth;
-pub mod template;
 pub mod threshold;
 pub mod variance;
 
-pub use boxfilter::{box_filter, box_sum_image, mean_filter};
+pub use boxfilter::{box_filter, mean_filter};
 pub use threshold::adaptive_threshold;
 pub use variance::{local_variance, VarianceShadowMap};

@@ -6,7 +6,7 @@
 //! crate into the workspace.
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::Path;
 
 use sat_core::Matrix;
@@ -220,13 +220,6 @@ pub fn encode_p2(img: &Matrix<f64>, maxval: u32) -> Result<Vec<u8>, PgmError> {
 pub fn write_pgm(path: impl AsRef<Path>, img: &Matrix<f64>, maxval: u32) -> Result<(), PgmError> {
     std::fs::write(path, encode_p5(img, maxval)?)?;
     Ok(())
-}
-
-/// Convenience: read any `BufRead` into a [`Pgm`].
-pub fn read_from(mut r: impl BufRead) -> Result<Pgm, PgmError> {
-    let mut data = Vec::new();
-    r.read_to_end(&mut data)?;
-    decode(&data)
 }
 
 #[cfg(test)]

@@ -79,9 +79,10 @@
 //!   ([`TelemetryConfig`]) serves `/metrics`, `/healthz` and
 //!   `/debug/flight`.
 //!
-//! Only [`SatAlgorithm::OneR1W`] requests batch (that is the fused kernel
-//! the paper's analysis yields); other algorithms are served per-request on
-//! the same device and simply see no amortisation.
+//! Only [`OneR1W`](hmm_model::cost::SatAlgorithm::OneR1W) requests batch
+//! (that is the fused kernel the paper's analysis yields); other algorithms
+//! are served per-request on the same device and simply see no
+//! amortisation.
 
 #![warn(missing_docs)]
 

@@ -13,6 +13,11 @@ bash -n scripts/bench_pairs.sh
 echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (rustdoc warnings are errors, so a broken intra-doc link"
+echo "   fails; the vendored shims under vendor/ are left out)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude proptest --exclude rand --exclude parking_lot
+
 echo "== cargo test (root package: tier-1)"
 cargo test -q
 

@@ -12,7 +12,7 @@
 //! * [`sat_core`] — the six SAT algorithms (2R2W, 4R4W, 4R1W, 2R1W, 1R1W,
 //!   (1+r²)R1W), CPU baselines, block transpose and rectangle queries;
 //! * [`sat_image`] — image-processing applications (box filter, variance
-//!   shadow maps, adaptive threshold, Haar features, template matching).
+//!   shadow maps, adaptive threshold, PGM I/O).
 //!
 //! See the workspace `README.md` for a tour and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every table and figure.

@@ -7,7 +7,7 @@
 use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
-use obs::profile::{attribution_from_trace, CostModel};
+use obs::profile::attribution_from_trace;
 use obs::Obs;
 use sat_core::par;
 
@@ -29,13 +29,7 @@ fn one_r1w_attribution_matches_exact_counts() {
     for (w, n) in [(4usize, 32usize), (8, 64), (32, 128)] {
         let cfg = MachineConfig::with_width(w);
         let obs = run_1r1w_traced(cfg, n);
-        let report = attribution_from_trace(
-            &obs,
-            CostModel {
-                width: cfg.width as u64,
-                window_overhead: cfg.window_overhead(),
-            },
-        );
+        let report = attribution_from_trace(&obs, &cfg);
         let exact = GlobalCost::new(cfg)
             .exact_counts(SatAlgorithm::OneR1W, n, n)
             .expect("1R1W has closed forms");
@@ -73,13 +67,7 @@ fn one_r1w_attribution_matches_exact_counts() {
 #[test]
 fn attribution_of_untraced_run_is_empty() {
     let obs = Obs::disabled();
-    let report = attribution_from_trace(
-        &obs,
-        CostModel {
-            width: 32,
-            window_overhead: 512,
-        },
-    );
+    let report = attribution_from_trace(&obs, &MachineConfig::with_width(32).latency(512));
     assert!(report.rows.is_empty());
     assert_eq!(report.total().modeled_cost, 0.0);
 }
