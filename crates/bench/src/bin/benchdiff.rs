@@ -52,14 +52,13 @@
 //! fixed CPU calibration loop timed in the same process, and only that
 //! normalized ratio is compared, within `--tolerance`.
 //!
-//! Besides the `SatAlgorithm` cells, two named execution-mode cells run
-//! at every size: `1R1W-persist` (persistent blocks, one launch total)
-//! and `1R1W-fleet4` (the serving layer's banded decomposition on a real
+//! The cells are every [`Path`] at every size (the six `SatAlgorithm`s
+//! and `1R1W-persist`, persistent blocks with one launch total), plus
+//! `1R1W-fleet4`: the serving layer's banded decomposition on a real
 //! four-device fleet; its deterministic columns are checked against the
 //! closed-form banded model and its `modeled(u)` column is the fleet
-//! *critical-path* cost).
+//! *critical-path* cost.
 
-use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -68,15 +67,10 @@ use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use obs::json::JsonValue;
 use obs::Obs;
-use sat_bench::{
-    bench_device, flag_value, parsed_flag, run_fleet_banded, run_persistent, run_real, Run,
-};
+use sat_bench::{bench_device, flag_value, parsed_flag, run_fleet_banded, Path};
 
 const PERF_SCHEMA: &str = "sat-hmm/bench-perf/v1";
 const HISTORY_SCHEMA: &str = "sat-hmm/bench-history/v1";
-/// The persistent-block 1R1W cell name (a named execution mode of 1R1W,
-/// not a `SatAlgorithm` variant).
-const PERSIST_NAME: &str = "1R1W-persist";
 /// The banded-fleet 1R1W cell name: the same decomposition the serving
 /// layer shards, run on a real four-device fleet.
 const FLEET_NAME: &str = "1R1W-fleet4";
@@ -203,7 +197,7 @@ fn main() -> ExitCode {
     );
     let record = |mut e: PerfEntry, entries: &mut Vec<PerfEntry>| {
         if let Some((ref name, factor)) = inject {
-            if e.algorithm.eq_ignore_ascii_case(name) {
+            if e.algorithm == *name {
                 e.wall.median_seconds *= factor;
                 e.wall.min_seconds *= factor;
                 e.wall.max_seconds *= factor;
@@ -224,16 +218,12 @@ fn main() -> ExitCode {
         entries.push(e);
     };
     for &n in &sizes {
-        for alg in SatAlgorithm::ALL {
+        for path in Path::ALL.into_iter().filter(|p| p.runs_at(n)) {
             record(
-                measure_cell(cfg, alg, n, runs, calibration_seconds),
+                measure_cell(cfg, path, n, runs, calibration_seconds),
                 &mut entries,
             );
         }
-        record(
-            measure_persistent_cell(cfg, n, runs, calibration_seconds),
-            &mut entries,
-        );
         record(
             measure_fleet_cell(cfg, n, runs, calibration_seconds),
             &mut entries,
@@ -252,7 +242,7 @@ fn main() -> ExitCode {
             .expect("1R1W is always measured");
         let pers = entries
             .iter()
-            .find(|e| e.algorithm == PERSIST_NAME && e.n == n)
+            .find(|e| e.algorithm == Path::Persistent.name() && e.n == n)
             .expect("the persistent cell is always measured");
         let staged_term = lam * (staged.barrier_steps + 1) as f64;
         let pers_term = lam * (pers.barrier_steps + 1) as f64;
@@ -280,7 +270,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if conformance && !conformance_pass(cfg, &sizes, inject.as_ref(), Path::new(&conformance_dir)) {
+    let dir = std::path::Path::new(&conformance_dir);
+    if conformance && !conformance_pass(cfg, &sizes, inject.as_ref(), dir) {
         eprintln!("benchdiff: FAIL (model conformance)");
         return ExitCode::FAILURE;
     }
@@ -304,7 +295,8 @@ fn main() -> ExitCode {
     compare(&perf, &baseline_path, tolerance)
 }
 
-/// Parse `ALGO:FACTOR` (e.g. `1r1w:2.0`).
+/// Parse `ALGO:FACTOR` (e.g. `1r1w:2.0`) into the canonical cell name (a
+/// [`Path`] name, or the fleet cell's) and the factor.
 fn parse_injection(s: &str) -> Result<(String, f64), String> {
     let (name, factor) = s
         .split_once(':')
@@ -312,32 +304,16 @@ fn parse_injection(s: &str) -> Result<(String, f64), String> {
     let factor: f64 = factor
         .parse()
         .map_err(|_| format!("unparsable factor {factor:?}"))?;
-    if !name.eq_ignore_ascii_case(PERSIST_NAME)
-        && !name.eq_ignore_ascii_case(FLEET_NAME)
-        && SatAlgorithm::ALL
-            .iter()
-            .all(|a| !a.name().eq_ignore_ascii_case(name))
-    {
-        return Err(format!("unknown algorithm {name:?}"));
-    }
+    let name = match name.parse::<Path>() {
+        Ok(path) => path.name(),
+        Err(_) if name.eq_ignore_ascii_case(FLEET_NAME) => FLEET_NAME,
+        Err(_) => return Err(format!("unknown algorithm {name:?}")),
+    };
     Ok((name.to_string(), factor))
 }
 
-/// The canonical cell name `--inject-slowdown`'s (case-insensitive)
-/// algorithm refers to, so the injected run lands in the same conformance
-/// cell phase A baselined.
-fn canonical_name(name: &str) -> Option<String> {
-    if name.eq_ignore_ascii_case(PERSIST_NAME) {
-        return Some(PERSIST_NAME.to_string());
-    }
-    SatAlgorithm::ALL
-        .iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
-        .map(|a| a.name().to_string())
-}
-
-/// The `--conformance` pass. Phase A replays every (algorithm, n) cell —
-/// plus the persistent mode — on tracker-attached devices until each cell
+/// The `--conformance` pass. Phase A replays every (path, n) cell on
+/// tracker-attached devices until each cell
 /// has a frozen τ baseline and a healthy post-baseline EWMA, which also
 /// feeds the online (w, Λ) fit. Phase B (only with `--inject-slowdown`)
 /// reruns the injected algorithm's cell behind a real per-launch straggler
@@ -349,12 +325,12 @@ fn conformance_pass(
     cfg: MachineConfig,
     sizes: &[usize],
     inject: Option<&(String, f64)>,
-    dir: &Path,
+    dir: &std::path::Path,
 ) -> bool {
-    let injected_cell_name = match inject {
-        Some((name, _)) => match canonical_name(name) {
-            Some(c) => Some(c),
-            None => {
+    let injected = match inject {
+        Some((name, _)) => match name.parse::<Path>() {
+            Ok(path) => Some(path),
+            Err(_) => {
                 eprintln!(
                     "conformance: --inject-slowdown {name:?} is not a conformance cell \
                      (fleet cells are not covered)"
@@ -375,43 +351,14 @@ fn conformance_pass(
     ccfg.baseline_samples = 8;
     ccfg.drift_slack = 4.0;
     let tracker = obs::Conformance::with_registry(ccfg, &registry, "sat_service_");
-    let gc = GlobalCost::new(cfg);
-
-    type Runner<'a> = Box<dyn Fn(&Device) + 'a>;
-    let cells_for = |n: usize| -> Vec<(String, Runner)> {
-        let mut cells: Vec<(String, Runner)> = Vec::new();
-        for alg in SatAlgorithm::ALL {
-            if alg == SatAlgorithm::FourR1W && n > 1024 {
-                continue;
-            }
-            let r = if alg == SatAlgorithm::HybridR1W {
-                gc.optimal_r(n)
-            } else {
-                0.0
-            };
-            cells.push((
-                alg.name().to_string(),
-                Box::new(move |d: &Device| {
-                    run_real(d, alg, r, n);
-                }),
-            ));
-        }
-        cells.push((
-            PERSIST_NAME.to_string(),
-            Box::new(move |d: &Device| {
-                run_persistent(d, n);
-            }),
-        ));
-        cells
-    };
 
     // Phase A: healthy replays until every cell's baseline froze and a
     // post-baseline EWMA exists. Also measures the injected cell's healthy
     // per-launch wall, to size the phase-B straggler.
     let mut injected_launch_secs = f64::INFINITY;
     for &n in sizes {
-        for (name, run) in cells_for(n) {
-            let label = obs::conformance::cell_label(&name, n, n);
+        for path in Path::ALL.into_iter().filter(|p| p.runs_at(n)) {
+            let label = obs::conformance::cell_label(path.name(), n, n);
             let dev = Device::new(
                 DeviceOptions::new(cfg)
                     .workers(0)
@@ -425,10 +372,10 @@ fn conformance_pass(
             for _ in 0..20 {
                 let launches_before = dev.launches();
                 let tick = Instant::now();
-                run(&dev);
+                path.run(&dev, n);
                 let secs = tick.elapsed().as_secs_f64();
                 let launches = dev.launches() - launches_before;
-                if injected_cell_name.as_deref() == Some(name.as_str()) && launches > 0 {
+                if injected == Some(path) && launches > 0 {
                     injected_launch_secs = injected_launch_secs.min(secs / launches as f64);
                 }
                 let samples = tracker
@@ -444,10 +391,9 @@ fn conformance_pass(
     }
 
     // Phase B: the injected slowdown, as a real straggler on every launch.
-    if let Some((_, factor)) = inject {
-        let name = injected_cell_name.as_deref().expect("resolved above");
+    if let (Some(path), Some((_, factor))) = (injected, inject) {
         let n = sizes[0];
-        let label = obs::conformance::cell_label(name, n, n);
+        let label = obs::conformance::cell_label(path.name(), n, n);
         let extra = (injected_launch_secs * (factor - 1.0)).max(50e-6);
         let plan = FaultPlan::new(7).straggler(1.0, Duration::from_secs_f64(extra));
         let dev = Device::new(
@@ -461,12 +407,8 @@ fn conformance_pass(
             cell: Some(label.clone()),
             ..LaunchContext::default()
         }));
-        let (_, run) = cells_for(n)
-            .into_iter()
-            .find(|(c, _)| c == name)
-            .expect("the injected cell is always replayed");
         for _ in 0..10 {
-            run(&dev);
+            path.run(&dev, n);
             if tracker.alert_count() > 0 {
                 break;
             }
@@ -481,7 +423,7 @@ fn conformance_pass(
 
     // The report, fit cross-check, and the drift-alert contract.
     let fit = tracker.fit();
-    let tol = tracker.config().fit_tolerance;
+    let tol = obs::conformance::FIT_TOLERANCE;
     println!(
         "conformance: fitted w {:.3} / Λ {:.2} vs configured {} / {} \
          (rms {:.4}, {} samples, converged {})",
@@ -515,7 +457,7 @@ fn conformance_pass(
         );
         ok = false;
     }
-    match inject {
+    match injected {
         None => {
             if !alerts.is_empty() {
                 eprintln!(
@@ -525,9 +467,8 @@ fn conformance_pass(
                 ok = false;
             }
         }
-        Some(_) => {
-            let name = injected_cell_name.as_deref().expect("resolved above");
-            let expected = obs::conformance::cell_label(name, sizes[0], sizes[0]);
+        Some(path) => {
+            let expected = obs::conformance::cell_label(path.name(), sizes[0], sizes[0]);
             if alerts.len() != 1 || alerts[0].channel != "cusum" || alerts[0].cell != expected {
                 eprintln!(
                     "conformance: injected slowdown must trip exactly one cusum alert \
@@ -606,38 +547,6 @@ fn calibrate() -> f64 {
     let mut t: Vec<f64> = (0..5).map(|_| spin()).collect();
     t.sort_by(f64::total_cmp);
     t[t.len() / 2]
-}
-
-/// Measure one cell: `runs` timed executions on a bare sequential device
-/// (median wall), one traced execution for the attribution totals.
-fn measure_cell(
-    cfg: MachineConfig,
-    alg: SatAlgorithm,
-    n: usize,
-    runs: usize,
-    calibration: f64,
-) -> PerfEntry {
-    let gc = GlobalCost::new(cfg);
-    let r = if alg == SatAlgorithm::HybridR1W {
-        gc.optimal_r(n)
-    } else {
-        0.0
-    };
-    measure_named_cell(cfg, alg.name(), n, runs, calibration, &|dev| {
-        run_real(dev, alg, r, n)
-    })
-}
-
-/// Measure the persistent-block 1R1W cell — same harness, different driver.
-fn measure_persistent_cell(
-    cfg: MachineConfig,
-    n: usize,
-    runs: usize,
-    calibration: f64,
-) -> PerfEntry {
-    measure_named_cell(cfg, PERSIST_NAME, n, runs, calibration, &|dev| {
-        run_persistent(dev, n)
-    })
 }
 
 /// Measure the banded-fleet 1R1W cell: the serving layer's shard
@@ -724,23 +633,23 @@ fn measure_fleet_cell(cfg: MachineConfig, n: usize, runs: usize, calibration: f6
     }
 }
 
-/// The shared cell harness behind [`measure_cell`] /
-/// [`measure_persistent_cell`]: `runs` timed executions (median wall), one
-/// traced execution for the attribution totals, which must agree with the
-/// device's own counters (two independent observation paths).
-fn measure_named_cell(
+/// Measure one path's cell: `runs` timed executions on a bare sequential
+/// device (median wall), one traced execution for the attribution totals,
+/// which must agree with the device's own counters (two independent
+/// observation paths).
+fn measure_cell(
     cfg: MachineConfig,
-    name: &str,
+    path: Path,
     n: usize,
     runs: usize,
     calibration: f64,
-    run: &dyn Fn(&Device) -> Run,
 ) -> PerfEntry {
+    let name = path.name();
     let dev = bench_device(cfg);
     let mut walls = Vec::with_capacity(runs);
     let mut stats = None;
     for _ in 0..runs {
-        let r = run(&dev);
+        let r = path.run(&dev, n);
         walls.push(r.seconds);
         stats = Some(r.counters);
     }
@@ -750,7 +659,7 @@ fn measure_named_cell(
 
     let obs = Obs::new();
     let traced = Device::new(DeviceOptions::new(cfg).workers(0).observer(obs.clone()));
-    run(&traced);
+    path.run(&traced, n);
     let report = obs::profile::attribution_from_trace(&obs, &cfg);
     let total = report.total();
     assert_eq!(

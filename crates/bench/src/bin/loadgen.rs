@@ -319,9 +319,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if check_conformance {
-        let tol =
-            obs::ConformanceConfig::for_machine(machine.width as u64, machine.window_overhead())
-                .fit_tolerance;
+        let tol = obs::conformance::FIT_TOLERANCE;
         println!(
             "conformance: fitted w {:.3} / Λ {:.2} vs configured {} / {} \
              (rms {:.4}, {} samples, converged {}), {} drift alert(s)",

@@ -1,10 +1,12 @@
 //! `satlint` — run the hmm-lint analyzer over every paper algorithm.
 //!
-//! Executes all six SAT kernels (2R2W, 4R4W, 4R1W, 2R1W, 1R1W, hybrid) on a
-//! tracing device across a grid of machine configurations, holds each run
-//! to its Table I contract, and prints a compiler-style report. Exits
-//! nonzero when any kernel violates its contract, so the suite can serve as
-//! a regression gate.
+//! Executes all six SAT kernels (2R2W, 4R4W, 4R1W, 2R1W, 1R1W, hybrid) and
+//! persistent-block 1R1W on a tracing device across a grid of machine
+//! configurations, holds each run to its contract (Table I; for the
+//! persistent path, 1R1W's data movement plus flag words and no barrier
+//! steps), and prints a compiler-style report. Exits nonzero when any
+//! kernel violates its contract, so the suite can serve as a regression
+//! gate.
 //!
 //! ```text
 //! cargo run --release -p sat-bench --bin satlint -- [--n 256] [--json PATH]
@@ -31,9 +33,9 @@ use gpu_exec::replay::{fingerprint_f64, replay_schedules};
 use gpu_exec::{Device, DeviceOptions};
 use hmm_lint::fixtures::{run_fixture, Fixture};
 use hmm_lint::{analyze_run, KernelContract, Rule, RunAnalysis, SCHEMA_VERSION};
-use hmm_model::cost::{GlobalCost, SatAlgorithm};
+use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
-use sat_bench::{maybe_write_json, parsed_flag, run_persistent, run_real, workload};
+use sat_bench::{maybe_write_json, parsed_flag, workload, Path};
 use sat_core::par::sat_1r1w_batch;
 use sat_core::Matrix;
 
@@ -69,6 +71,16 @@ fn machine_grid() -> Vec<(String, MachineConfig)> {
             MachineConfig::with_width(16).latency(8).num_dmms(4),
         ),
     ]
+}
+
+/// Extra workers on a `--schedules` replay device. Staged paths replay
+/// sequentially; persistent 1R1W's residents must run concurrently for
+/// reverse / adversarial / shuffled resident interleavings to happen.
+fn replay_workers(path: Path) -> usize {
+    match path {
+        Path::Persistent => 3,
+        Path::Alg(_) => 0,
+    }
 }
 
 /// Race-family findings in one analysis, for the `--races` summary.
@@ -110,22 +122,18 @@ fn main() -> ExitCode {
     let mut dirty = 0usize;
     let mut race_findings = (0usize, 0usize);
     println!(
-        "satlint: {} algorithms × {} machines, n = {n}",
-        SatAlgorithm::ALL.len(),
+        "satlint: {} paths × {} machines, n = {n}",
+        Path::ALL.len(),
         machine_grid().len()
     );
     println!();
     for (label, cfg) in machine_grid() {
         println!("== machine {label} ==");
         let dev = Device::new(DeviceOptions::new(cfg).workers(0).record_trace(true));
-        for alg in SatAlgorithm::ALL {
-            let r = match alg {
-                SatAlgorithm::HybridR1W => GlobalCost::new(cfg).optimal_r(n),
-                _ => 0.0,
-            };
-            let counters = run_real(&dev, alg, r, n).counters;
+        for path in Path::ALL {
+            let counters = path.run(&dev, n).counters;
             let trace = dev.take_trace();
-            let contract = KernelContract::for_algorithm(alg, n, cfg);
+            let contract = path.contract(n, cfg);
             let analysis = analyze_run(&trace, &counters, &cfg, &contract);
             if !analysis.report.is_clean() {
                 dirty += 1;
@@ -146,8 +154,8 @@ fn main() -> ExitCode {
             let mut divergent = 0;
             if schedules > 0 {
                 let replay = replay_schedules(schedules, seed, |order| {
-                    let rdev = Device::new(DeviceOptions::new(cfg).workers(0).order(order));
-                    fingerprint_f64(&run_real(&rdev, alg, r, n).output)
+                    let opts = DeviceOptions::new(cfg).workers(replay_workers(path));
+                    fingerprint_f64(&path.run(&Device::new(opts.order(order)), n).output)
                 });
                 explored = replay.schedules();
                 divergent = replay.divergent.len();
@@ -167,66 +175,13 @@ fn main() -> ExitCode {
                 width: cfg.width,
                 latency: cfg.latency,
                 n,
-                algorithm: alg.name().to_string(),
+                algorithm: path.name().to_string(),
                 clean: analysis.report.is_clean() && divergent == 0,
                 schedules: explored,
                 divergent,
                 analysis,
             });
         }
-        println!();
-    }
-    // The persistent-block 1R1W cell: one launch, handoff flags instead of
-    // launch barriers. Always analyzed (it is a first-class execution mode,
-    // not an opt-in extra): held to `KernelContract::for_persistent_1r1w`
-    // — identical data movement plus flag words, zero barrier steps — and,
-    // under `--schedules`, replayed on a multi-worker device so reverse /
-    // adversarial / shuffled resident interleavings actually happen.
-    for (label, cfg) in machine_grid() {
-        println!("== machine {label}, persistent-block 1R1W ==");
-        let dev = Device::new(DeviceOptions::new(cfg).workers(0).record_trace(true));
-        let counters = run_persistent(&dev, n).counters;
-        let trace = dev.take_trace();
-        let contract = KernelContract::for_persistent_1r1w(n, cfg);
-        let analysis = analyze_run(&trace, &counters, &cfg, &contract);
-        if !analysis.report.is_clean() {
-            dirty += 1;
-        }
-        let (sr, hbr) = race_counts(&analysis);
-        race_findings.0 += sr;
-        race_findings.1 += hbr;
-        print!("{}", analysis.report.render());
-        let mut explored = 1;
-        let mut divergent = 0;
-        if schedules > 0 {
-            let replay = replay_schedules(schedules, seed, |order| {
-                let rdev = Device::new(DeviceOptions::new(cfg).workers(3).order(order));
-                fingerprint_f64(&run_persistent(&rdev, n).output)
-            });
-            explored = replay.schedules();
-            divergent = replay.divergent.len();
-            if divergent > 0 {
-                dirty += 1;
-                println!(
-                    "  replay: {divergent} of {explored} schedules diverge \
-                     bit-exactly from the forward run"
-                );
-            } else {
-                println!("  replay: {explored} schedules bit-exact");
-            }
-        }
-        records.push(SatlintRecord {
-            schema_version: SCHEMA_VERSION,
-            config: label.clone(),
-            width: cfg.width,
-            latency: cfg.latency,
-            n,
-            algorithm: contract.name.clone(),
-            clean: analysis.report.is_clean() && divergent == 0,
-            schedules: explored,
-            divergent,
-            analysis,
-        });
         println!();
     }
     // `--batch B`: additionally lint the fused batched 1R1W launch sequence

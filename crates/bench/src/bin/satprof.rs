@@ -9,7 +9,9 @@
 //!
 //! Flags:
 //!
-//! * `--algo NAME|all` — which algorithm(s) to profile (default `1r1w`);
+//! * `--algo NAME|all` — which algorithm(s) to profile (default `1r1w`):
+//!   a paper algorithm, `1r1w-persist` (persistent-block 1R1W), or `all`
+//!   (the six algorithms, then persistent 1R1W);
 //! * `--n SIZE` — square matrix side (default 1024);
 //! * `--width W` — machine width (default 32);
 //! * `--trace PATH` — where to write the Chrome trace (default
@@ -27,10 +29,10 @@
 //!   table (`obs::profile`); the attribution counter tracks land in the
 //!   trace regardless, so Perfetto overlays modeled-vs-measured cost;
 //! * `--check` — verify measured C/S/B counters against `hmm_model`'s
-//!   closed forms (exact equality for 1R1W on block-aligned sizes, the
-//!   Table I leading terms within 25% otherwise) **and** that the
-//!   trace-reconstructed attribution totals agree with the device's own
-//!   counters, exiting nonzero on any mismatch;
+//!   closed forms (exact equality for 1R1W and persistent 1R1W on
+//!   block-aligned sizes, the Table I leading terms within 25% otherwise)
+//!   **and** that the trace-reconstructed attribution totals agree with
+//!   the device's own counters, exiting nonzero on any mismatch;
 //! * `--conformance` — attach a live [`obs::Conformance`] tracker to every
 //!   profiled device and print its report afterwards: the online (w, Λ)
 //!   estimate recovered from the profiled launches cross-checked against
@@ -55,7 +57,7 @@ use hmm_model::MachineConfig;
 use hmm_sim::{export_sim_timeline, trace_and_simulate};
 use obs::profile::{attribution_from_trace, PhaseReport};
 use obs::{ArgValue, Obs, Registry, Track};
-use sat_bench::{flag_value, parsed_flag, run_persistent, run_real, workload};
+use sat_bench::{flag_value, parsed_flag, workload, Path};
 use sat_service::{Service, ServiceConfig};
 
 /// Sum of the device's registry counters relevant to the C/S/B check.
@@ -77,18 +79,11 @@ fn main() -> ExitCode {
     let phases = args.iter().any(|a| a == "--phases");
     let conformance = args.iter().any(|a| a == "--conformance");
 
-    // `1r1w-persist` is the persistent-block execution mode of 1R1W — a
-    // named cell, not a `SatAlgorithm` variant. `--algo all` includes it.
-    let all = algo_flag.eq_ignore_ascii_case("all");
-    let persist_only = algo_flag.eq_ignore_ascii_case("1r1w-persist");
-    let with_persistent = all || persist_only;
-    let algorithms: Vec<SatAlgorithm> = if all {
-        SatAlgorithm::ALL.to_vec()
-    } else if persist_only {
-        Vec::new()
+    let paths: Vec<Path> = if algo_flag.eq_ignore_ascii_case("all") {
+        Path::ALL.to_vec()
     } else {
         match algo_flag.parse() {
-            Ok(a) => vec![a],
+            Ok(p) => vec![p],
             Err(_) => {
                 eprintln!(
                     "error: --algo got unknown algorithm {algo_flag:?} \
@@ -110,15 +105,15 @@ fn main() -> ExitCode {
 
     // 2R1W recurses on its block-sum matrix, which only shrinks for w ≥ 2;
     // the hybrid's cost model prices that recursion too.
-    let recursing = algorithms
+    let recursing = paths
         .iter()
-        .find(|a| matches!(a, SatAlgorithm::TwoR1W | SatAlgorithm::HybridR1W));
-    if let Some(alg) = recursing {
+        .find(|p| matches!(p, Path::Alg(SatAlgorithm::TwoR1W | SatAlgorithm::HybridR1W)));
+    if let Some(path) = recursing {
         if width < 2 && n > 1 {
             eprintln!(
                 "error: {} needs --width 2 or more, got {width} \
                  (2R1W's recursion needs w ≥ 2)",
-                alg.name()
+                path.name()
             );
             return ExitCode::from(2);
         }
@@ -154,32 +149,20 @@ fn main() -> ExitCode {
             "barr meas",
             "barr pred"
         );
-        for alg in algorithms {
-            if alg == SatAlgorithm::FourR1W && n > 1024 {
-                println!("{:<11} | skipped (2n-1 launches prohibitive)", alg.name());
+        for path in paths {
+            if !path.runs_at(n) {
+                println!("{:<11} | skipped (2n-1 launches prohibitive)", path.name());
                 continue;
             }
-            failed |= !profile_algorithm(
+            failed |= !profile_path(
                 &obs,
                 &registry,
                 &gc,
                 cfg,
-                alg,
+                path,
                 n,
                 check,
                 sim,
-                phases,
-                tracker.as_ref(),
-            );
-        }
-        if with_persistent {
-            failed |= !profile_persistent(
-                &obs,
-                &registry,
-                &gc,
-                cfg,
-                n,
-                check,
                 phases,
                 tracker.as_ref(),
             );
@@ -214,42 +197,38 @@ fn main() -> ExitCode {
     }
 }
 
-/// Profile one algorithm on a fresh observed device; returns `false` when
+/// Profile one path on a fresh observed device; returns `false` when
 /// `check` was requested and the counters diverge from the closed forms.
 #[allow(clippy::too_many_arguments)]
-fn profile_algorithm(
+fn profile_path(
     obs: &Obs,
     registry: &Registry,
     gc: &GlobalCost,
     cfg: MachineConfig,
-    alg: SatAlgorithm,
+    path: Path,
     n: usize,
     check: bool,
     sim: bool,
     phases: bool,
     tracker: Option<&obs::Conformance>,
 ) -> bool {
-    let r = if alg == SatAlgorithm::HybridR1W {
-        gc.optimal_r(n)
-    } else {
-        0.0
-    };
+    let name = path.name();
     let mut opts = DeviceOptions::new(cfg).workers(0).observer(obs.clone());
     if let Some(t) = tracker {
         opts = opts.conformance(t.clone());
     }
     let dev = Device::new(opts);
     dev.set_launch_context(Some(LaunchContext {
-        cell: Some(obs::conformance::cell_label(alg.name(), n, n)),
+        cell: Some(obs::conformance::cell_label(name, n, n)),
         ..LaunchContext::default()
     }));
     let (coal_before, stride_before) = device_counter_totals(registry);
     // The trace is shared across algorithms; remember how many launch rows
     // it already holds so this algorithm's attribution covers only its own.
     let rows_before = attribution_from_trace(obs, &cfg).rows.len();
-    let mut guard = obs.span(Track::wall(0), alg.name());
+    let mut guard = obs.span(Track::wall(0), name);
     guard.arg("n", ArgValue::from(n));
-    let stats = run_real(&dev, alg, r, n).counters;
+    let stats = path.run(&dev, n).counters;
     drop(guard);
 
     // The registry's cumulative device counters must agree with the
@@ -269,8 +248,9 @@ fn profile_algorithm(
     );
 
     // Per-launch cost attribution, reconstructed from the launch spans this
-    // algorithm just appended to the trace. The counter tracks go back into
-    // the same trace so Perfetto overlays modeled cost next to wall time.
+    // path just appended to the trace (the persistent launch's span is
+    // named "launch" too). The counter tracks go back into the same trace
+    // so Perfetto overlays modeled cost next to wall time.
     let attribution = PhaseReport {
         model: cfg,
         rows: attribution_from_trace(obs, &cfg).rows[rows_before..].to_vec(),
@@ -278,8 +258,7 @@ fn profile_algorithm(
     attribution.export_counter_tracks(obs);
     if phases {
         println!(
-            "\nper-launch attribution — {}:\n{}",
-            alg.name(),
+            "\nper-launch attribution — {name}:\n{}",
             attribution.to_table()
         );
     }
@@ -289,9 +268,8 @@ fn profile_algorithm(
         && at.barrier_steps == stats.barrier_steps;
     if !attr_ok {
         eprintln!(
-            "{}: attribution totals diverge from device counters \
+            "{name}: attribution totals diverge from device counters \
              (C {} vs {}, S {} vs {}, B {} vs {})",
-            alg.name(),
             at.coalesced_ops,
             coal_meas,
             at.stride_ops,
@@ -303,17 +281,19 @@ fn profile_algorithm(
 
     if sim {
         let run = trace_and_simulate(cfg, |d| {
-            run_real(d, alg, r, n);
+            path.run(d, n);
         });
-        export_sim_timeline(obs, &run.sim, alg.name());
+        export_sim_timeline(obs, &run.sim, name);
     }
 
-    // Closed forms: exact for 1R1W on block-aligned squares, Table I
-    // leading terms otherwise.
-    let ok = if let Some(exact) = gc.exact_counts(alg, n, n) {
+    // Closed forms: exact where one is known (1R1W and persistent 1R1W on
+    // block-aligned squares; `matches` also pins B = launches − 1, so the
+    // persistent path must have been one launch), Table I leading terms
+    // otherwise.
+    let ok = if let Some(exact) = path.exact_counts(gc, n) {
         let ok = exact.matches(&stats);
         print_row(
-            alg.name(),
+            name,
             coal_meas,
             exact.coalesced_ops(),
             stride_meas,
@@ -324,6 +304,9 @@ fn profile_algorithm(
         );
         ok
     } else {
+        let Path::Alg(alg) = path else {
+            unreachable!("persistent 1R1W has a closed form on every size satprof accepts")
+        };
         let row = gc.table_one_row(alg, n);
         let coal_pred = row.coalesced_reads + row.coalesced_writes;
         let stride_pred = row.stride_reads + row.stride_writes;
@@ -335,7 +318,7 @@ fn profile_algorithm(
             && within(stride_meas, stride_pred)
             && within(stats.barrier_steps, row.barrier_steps);
         print_row(
-            alg.name(),
+            name,
             coal_meas,
             coal_pred.round() as u64,
             stride_meas,
@@ -349,107 +332,6 @@ fn profile_algorithm(
     !check || (ok && attr_ok)
 }
 
-/// Profile the **persistent-block** 1R1W driver: the whole wavefront in a
-/// single launch with flagged handoffs instead of launch barriers. Checked
-/// against [`GlobalCost::persistent_1r1w_exact_counts`] — 1R1W's exact data
-/// movement plus one coalesced word per flag operation, and zero barrier
-/// steps — and the run must really have been one launch.
-#[allow(clippy::too_many_arguments)]
-fn profile_persistent(
-    obs: &Obs,
-    registry: &Registry,
-    gc: &GlobalCost,
-    cfg: MachineConfig,
-    n: usize,
-    check: bool,
-    phases: bool,
-    tracker: Option<&obs::Conformance>,
-) -> bool {
-    const NAME: &str = "1R1W-persist";
-    let mut opts = DeviceOptions::new(cfg).workers(0).observer(obs.clone());
-    if let Some(t) = tracker {
-        opts = opts.conformance(t.clone());
-    }
-    let dev = Device::new(opts);
-    dev.set_launch_context(Some(LaunchContext {
-        cell: Some(obs::conformance::cell_label(NAME, n, n)),
-        ..LaunchContext::default()
-    }));
-    let (coal_before, stride_before) = device_counter_totals(registry);
-    let rows_before = attribution_from_trace(obs, &cfg).rows.len();
-    let mut guard = obs.span(Track::wall(0), NAME);
-    guard.arg("n", ArgValue::from(n));
-    let stats = run_persistent(&dev, n).counters;
-    drop(guard);
-
-    let (coal_after, stride_after) = device_counter_totals(registry);
-    let coal_meas = coal_after - coal_before;
-    let stride_meas = stride_after - stride_before;
-    assert_eq!(
-        coal_meas,
-        stats.coalesced_reads + stats.coalesced_writes,
-        "registry and device stats diverged (coalesced)"
-    );
-    assert_eq!(
-        stride_meas,
-        stats.stride_reads + stats.stride_writes,
-        "registry and device stats diverged (stride)"
-    );
-
-    // The persistent launch span is still named "launch" (with a
-    // `mode: persistent` arg), so attribution reconstruction covers it.
-    let attribution = PhaseReport {
-        model: cfg,
-        rows: attribution_from_trace(obs, &cfg).rows[rows_before..].to_vec(),
-    };
-    attribution.export_counter_tracks(obs);
-    if phases {
-        println!(
-            "\nper-launch attribution — {NAME}:\n{}",
-            attribution.to_table()
-        );
-    }
-    let at = attribution.total();
-    let attr_ok = at.coalesced_ops == coal_meas
-        && at.stride_ops == stride_meas
-        && at.barrier_steps == stats.barrier_steps;
-    if !attr_ok {
-        eprintln!(
-            "{NAME}: attribution totals diverge from device counters \
-             (C {} vs {}, S {} vs {}, B {} vs {})",
-            at.coalesced_ops,
-            coal_meas,
-            at.stride_ops,
-            stride_meas,
-            at.barrier_steps,
-            stats.barrier_steps
-        );
-    }
-
-    let exact = gc
-        .persistent_1r1w_exact_counts(n)
-        .expect("satprof already rejected non-block-aligned sizes");
-    let single_launch = dev.launches() == 1;
-    let ok = exact.matches(&stats) && single_launch;
-    print_row(
-        NAME,
-        coal_meas,
-        exact.coalesced_ops(),
-        stride_meas,
-        exact.stride_ops(),
-        stats.barrier_steps,
-        exact.barrier_steps,
-        if ok {
-            "exact"
-        } else if single_launch {
-            "MISMATCH"
-        } else {
-            "MISMATCH (not one launch)"
-        },
-    );
-    !check || (ok && attr_ok)
-}
-
 /// Print the online estimator's view of the profiled launches and
 /// cross-check it against the configured machine. With `check`, the fit
 /// must converge and recover (w, Λ) within the tracker's tolerance — a
@@ -458,7 +340,7 @@ fn profile_persistent(
 /// loaded profiling host legitimately wobbles τ.
 fn report_conformance(tracker: &obs::Conformance, cfg: MachineConfig, check: bool) -> bool {
     let fit = tracker.fit();
-    let tol = tracker.config().fit_tolerance;
+    let tol = obs::conformance::FIT_TOLERANCE;
     println!(
         "\nmodel conformance — online fit over {} profiled launches:",
         fit.samples

@@ -9,7 +9,7 @@
 
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
-use sat_bench::{bench_device, maybe_write_json, parsed_flag, run_real, units_to_ms, AlgoRecord};
+use sat_bench::{bench_device, maybe_write_json, parsed_flag, AlgoRecord, Path};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,14 +38,11 @@ fn main() {
     println!("{}", "-".repeat(126));
 
     let mut records: Vec<AlgoRecord> = Vec::new();
+    let mut measured = Vec::new();
     for alg in SatAlgorithm::ALL {
-        let r = if alg == SatAlgorithm::HybridR1W {
-            gc.optimal_r(n)
-        } else {
-            0.0
-        };
         let row = gc.table_one_row(alg, n);
-        if alg == SatAlgorithm::FourR1W && n > 1024 {
+        let path = Path::Alg(alg);
+        if !path.runs_at(n) {
             println!(
                 "{:<11} | {:>13} {:>13.0} | {:>13} {:>13.0} | {:>10.0} | {:>14} {:>14.0}",
                 alg.name(),
@@ -59,9 +56,8 @@ fn main() {
             );
             continue;
         }
-        let run = run_real(&dev, alg, r, n);
+        let run = path.run(&dev, n);
         let s = run.counters;
-        let cost = s.global_cost(&cfg);
         println!(
             "{:<11} | {:>13} {:>13.0} | {:>13} {:>13.0} | {:>10} | {:>14.0} {:>14.0}",
             alg.name(),
@@ -70,21 +66,11 @@ fn main() {
             s.stride_reads,
             row.stride_reads,
             s.barrier_steps,
-            cost,
+            s.global_cost(&cfg),
             row.cost
         );
-        records.push(AlgoRecord {
-            algorithm: alg.name().to_string(),
-            n,
-            measured: true,
-            cost_units: cost,
-            cost_ms: units_to_ms(cost),
-            reads_per_elt: s.reads_per_element(n),
-            writes_per_elt: s.writes_per_element(n),
-            barriers: s.barrier_steps as f64,
-            hybrid_r: r,
-            host_seconds: Some(run.seconds),
-        });
+        records.push(AlgoRecord::measured(&dev, alg, n, &run));
+        measured.push((alg, s));
     }
 
     println!("\nper-element traffic (measured):");
@@ -92,16 +78,7 @@ fn main() {
         "{:<11} {:>8} {:>8} {:>12} {:>12}",
         "algorithm", "R/elt", "W/elt", "shared R/elt", "shared W/elt"
     );
-    for alg in SatAlgorithm::ALL {
-        if alg == SatAlgorithm::FourR1W && n > 1024 {
-            continue;
-        }
-        let r = if alg == SatAlgorithm::HybridR1W {
-            gc.optimal_r(n)
-        } else {
-            0.0
-        };
-        let s = run_real(&dev, alg, r, n).counters;
+    for (alg, s) in measured {
         let n2 = (n * n) as f64;
         println!(
             "{:<11} {:>8.3} {:>8.3} {:>12.3} {:>12.3}",

@@ -56,7 +56,7 @@ fn main() {
     for alg in SatAlgorithm::ALL {
         print!("{:<12}", alg.name());
         for (k, &n) in sizes.iter().enumerate() {
-            let rec = record_for(cfg, &dev, alg, n, measured_max);
+            let rec = record_for(&dev, alg, n, measured_max);
             let marker = if rec.measured { "" } else { "*" };
             print!("{:>8.2}{marker}", rec.cost_ms);
             if rec.cost_ms < best[k].0 {

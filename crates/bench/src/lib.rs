@@ -18,11 +18,17 @@
 //!
 //! All binaries print human-readable tables and (with `--json PATH`) write
 //! machine-readable records used to regenerate `EXPERIMENTS.md`.
+//!
+//! The measurement tools (`satprof`, `satlint`, `benchdiff`, `table1`)
+//! enumerate what they measure through [`Path`], which holds every
+//! per-path fact: name, size cap, driver call, closed form and lint
+//! contract.
 
 use std::time::Instant;
 
 use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
-use hmm_model::cost::{CostCounters, GlobalCost, SatAlgorithm};
+use hmm_lint::KernelContract;
+use hmm_model::cost::{CostCounters, ExactCounts, GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use sat_core::{par, seq, Matrix};
 
@@ -85,37 +91,145 @@ pub struct Run {
     pub output: Vec<f64>,
 }
 
-/// Run one algorithm for real on a device through [`par::sat`]. The caller
-/// supplies fresh input each call.
+/// Run one algorithm for real on a device through [`par::sat`] with hybrid
+/// ratio `r` (ignored by the other algorithms). The caller supplies fresh
+/// input each call.
 pub fn run_real(dev: &Device, alg: SatAlgorithm, r: f64, n: usize) -> Run {
+    timed(dev, n, |buf| {
+        par::sat(dev, &BufferPool::new(), alg, r, buf, n, n)
+    })
+}
+
+/// Reset `dev`'s stats, then time building the input buffer and `driver`,
+/// which returns the SAT buffer.
+fn timed(
+    dev: &Device,
+    n: usize,
+    driver: impl FnOnce(GlobalBuffer<f64>) -> GlobalBuffer<f64>,
+) -> Run {
     let a = workload(n);
     dev.reset_stats();
     let start = Instant::now();
-    let buf = GlobalBuffer::from_vec(a.into_vec());
-    let s = par::sat(dev, &BufferPool::new(), alg, r, buf, n, n);
-    finish(dev, start, s)
-}
-
-/// Run the **persistent-block** 1R1W driver for real. Same data movement
-/// as [`SatAlgorithm::OneR1W`] via [`run_real`], but the whole wavefront
-/// runs in a single launch with flagged handoffs instead of launch
-/// barriers.
-pub fn run_persistent(dev: &Device, n: usize) -> Run {
-    let a = workload(n);
-    dev.reset_stats();
-    let start = Instant::now();
-    let buf = GlobalBuffer::from_vec(a.into_vec());
-    let s = GlobalBuffer::filled(0.0f64, n * n);
-    par::sat_1r1w_persistent(dev, &buf, &s, n, n);
-    finish(dev, start, s)
-}
-
-fn finish(dev: &Device, start: Instant, s: GlobalBuffer<f64>) -> Run {
+    let s = driver(GlobalBuffer::from_vec(a.into_vec()));
     let seconds = start.elapsed().as_secs_f64();
     Run {
         counters: dev.stats(),
         seconds,
         output: s.into_vec(),
+    }
+}
+
+/// Largest side at which the tools run 4R1W: its `2n − 1` launches are
+/// prohibitive beyond.
+const FOUR_R1W_MAX_N: usize = 1024;
+
+/// One measured execution path: a paper algorithm, or the persistent-block
+/// 1R1W driver, which moves 1R1W's data in a single launch with flagged
+/// handoffs instead of launch barriers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Path {
+    /// A paper algorithm through [`par::sat`].
+    Alg(SatAlgorithm),
+    /// Persistent-block 1R1W (`par::sat_1r1w_persistent`).
+    Persistent,
+}
+
+impl Path {
+    /// The six algorithms of Table I, then persistent 1R1W.
+    pub const ALL: [Path; 7] = [
+        Path::Alg(SatAlgorithm::TwoR2W),
+        Path::Alg(SatAlgorithm::FourR4W),
+        Path::Alg(SatAlgorithm::FourR1W),
+        Path::Alg(SatAlgorithm::TwoR1W),
+        Path::Alg(SatAlgorithm::OneR1W),
+        Path::Alg(SatAlgorithm::HybridR1W),
+        Path::Persistent,
+    ];
+
+    /// The cell name: the paper's name, or `1R1W-persist`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Path::Alg(alg) => alg.name(),
+            Path::Persistent => "1R1W-persist",
+        }
+    }
+
+    /// Whether the tools run this path at side `n` (4R1W is capped at
+    /// n = 1024).
+    pub fn runs_at(self, n: usize) -> bool {
+        self != Path::Alg(SatAlgorithm::FourR1W) || n <= FOUR_R1W_MAX_N
+    }
+
+    /// The hybrid ratio the path runs with on `cfg` at side `n`: the
+    /// model-optimal `r` for the hybrid, 0 otherwise.
+    pub fn hybrid_r(self, cfg: MachineConfig, n: usize) -> f64 {
+        match self {
+            Path::Alg(SatAlgorithm::HybridR1W) => GlobalCost::new(cfg).optimal_r(n),
+            _ => 0.0,
+        }
+    }
+
+    /// Run the path for real on `dev` at side `n`.
+    pub fn run(self, dev: &Device, n: usize) -> Run {
+        match self {
+            Path::Alg(alg) => run_real(dev, alg, self.hybrid_r(*dev.config(), n), n),
+            Path::Persistent => timed(dev, n, |buf| {
+                let s = GlobalBuffer::filled(0.0f64, n * n);
+                par::sat_1r1w_persistent(dev, &buf, &s, n, n);
+                s
+            }),
+        }
+    }
+
+    /// The transaction-exact closed form at side `n`, where one is known.
+    pub fn exact_counts(self, gc: &GlobalCost, n: usize) -> Option<ExactCounts> {
+        match self {
+            Path::Alg(alg) => gc.exact_counts(alg, n, n),
+            Path::Persistent => gc.persistent_1r1w_exact_counts(n),
+        }
+    }
+
+    /// The hmm-lint contract a run at side `n` on `cfg` is held to.
+    pub fn contract(self, n: usize, cfg: MachineConfig) -> KernelContract {
+        match self {
+            Path::Alg(alg) => KernelContract::for_algorithm(alg, n, cfg),
+            Path::Persistent => KernelContract::for_persistent_1r1w(n, cfg),
+        }
+    }
+}
+
+impl std::str::FromStr for Path {
+    type Err = String;
+
+    /// `1r1w-persist` in any case, else a [`SatAlgorithm`] name.
+    fn from_str(s: &str) -> Result<Self, String> {
+        if s.eq_ignore_ascii_case(Path::Persistent.name()) {
+            return Ok(Path::Persistent);
+        }
+        s.parse().map(Path::Alg)
+    }
+}
+
+impl AlgoRecord {
+    /// The record of `run`, a measured run of `alg` at side `n` on `dev`,
+    /// priced on the device's machine; its `hybrid_r` is the one
+    /// [`Path::run`] chose there.
+    pub fn measured(dev: &Device, alg: SatAlgorithm, n: usize, run: &Run) -> AlgoRecord {
+        let cfg = *dev.config();
+        let s = &run.counters;
+        let cost = s.global_cost(&cfg);
+        AlgoRecord {
+            algorithm: alg.name().to_string(),
+            n,
+            measured: true,
+            cost_units: cost,
+            cost_ms: units_to_ms(cost),
+            reads_per_elt: s.reads_per_element(n),
+            writes_per_elt: s.writes_per_element(n),
+            barriers: s.barrier_steps as f64,
+            hybrid_r: Path::Alg(alg).hybrid_r(cfg, n),
+            host_seconds: Some(run.seconds),
+        }
     }
 }
 
@@ -139,41 +253,16 @@ pub fn run_fleet_banded(fleet: &gpu_exec::DeviceFleet, n: usize) -> (CostCounter
     (fleet.stats(), secs, launches)
 }
 
-/// Produce the record for `(alg, n)`: measured when `n ≤ measured_max`
-/// (4R1W is additionally capped — its `2n − 1` launches are prohibitive),
-/// closed-form otherwise.
-pub fn record_for(
-    cfg: MachineConfig,
-    dev: &Device,
-    alg: SatAlgorithm,
-    n: usize,
-    measured_max: usize,
-) -> AlgoRecord {
-    let gc = GlobalCost::new(cfg);
-    let r = match alg {
-        SatAlgorithm::HybridR1W => gc.optimal_r(n),
-        _ => 0.0,
-    };
-    let four_r1w_cap = 1024;
-    let measurable = n <= measured_max && (alg != SatAlgorithm::FourR1W || n <= four_r1w_cap);
-    if measurable {
-        let run = run_real(dev, alg, r, n);
-        let s = run.counters;
-        let cost = s.global_cost(&cfg);
-        AlgoRecord {
-            algorithm: alg.name().to_string(),
-            n,
-            measured: true,
-            cost_units: cost,
-            cost_ms: units_to_ms(cost),
-            reads_per_elt: s.reads_per_element(n),
-            writes_per_elt: s.writes_per_element(n),
-            barriers: s.barrier_steps as f64,
-            hybrid_r: r,
-            host_seconds: Some(run.seconds),
-        }
+/// Produce the record for `(alg, n)` on `dev`'s machine: measured when
+/// `n ≤ measured_max` and [`Path::runs_at`] allows it, closed-form
+/// otherwise.
+pub fn record_for(dev: &Device, alg: SatAlgorithm, n: usize, measured_max: usize) -> AlgoRecord {
+    let path = Path::Alg(alg);
+    if n <= measured_max && path.runs_at(n) {
+        AlgoRecord::measured(dev, alg, n, &path.run(dev, n))
     } else {
-        let row = gc.table_one_row(alg, n);
+        let cfg = *dev.config();
+        let row = GlobalCost::new(cfg).table_one_row(alg, n);
         let n2 = (n * n) as f64;
         AlgoRecord {
             algorithm: alg.name().to_string(),
@@ -184,7 +273,7 @@ pub fn record_for(
             reads_per_elt: (row.coalesced_reads + row.stride_reads) / n2,
             writes_per_elt: (row.coalesced_writes + row.stride_writes) / n2,
             barriers: row.barrier_steps,
-            hybrid_r: r,
+            hybrid_r: path.hybrid_r(cfg, n),
             host_seconds: None,
         }
     }
@@ -355,13 +444,26 @@ mod tests {
         let dev = bench_device(cfg);
         let n = 256;
         for alg in [SatAlgorithm::TwoR1W, SatAlgorithm::OneR1W] {
-            let m = record_for(cfg, &dev, alg, n, usize::MAX);
-            let a = record_for(cfg, &dev, alg, n, 0);
+            let m = record_for(&dev, alg, n, usize::MAX);
+            let a = record_for(&dev, alg, n, 0);
             assert!(m.measured);
             assert!(!a.measured);
             let ratio = m.cost_units / a.cost_units;
             assert!((0.8..1.25).contains(&ratio), "{alg:?}: {ratio}");
         }
+    }
+
+    #[test]
+    fn paths_parse_from_their_names() {
+        for path in Path::ALL {
+            assert_eq!(path.name().to_lowercase().parse::<Path>(), Ok(path));
+        }
+        assert_eq!(
+            "hybrid".parse::<Path>(),
+            Ok(Path::Alg(SatAlgorithm::HybridR1W))
+        );
+        assert!("9r9w".parse::<Path>().is_err());
+        assert!("1R1W-fleet4".parse::<Path>().is_err());
     }
 
     #[test]

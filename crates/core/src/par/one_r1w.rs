@@ -216,8 +216,8 @@ pub(super) fn stage_block<T: SatElement>(
     }
 }
 
-/// Polls per [`HandoffFlags::acquire`] call before the resident re-checks
-/// whether its launch failed and yields the core.
+/// Unrecorded [`HandoffFlags::is_published`] polls per burst before the
+/// resident re-checks whether its launch failed and yields the core.
 const SPIN_POLLS: usize = 1 << 12;
 /// Yield rounds before a resident declares the handoff starved. A healthy
 /// persistent schedule publishes within a few rounds; exhausting this means
@@ -367,16 +367,20 @@ pub fn one_r1w_persistent<T: SatElement>(
     }
 }
 
-/// Acquire `slot` or report that it never will be published: spins in
-/// bounded bursts, re-checking [`BlockCtx::launch_failed`] and yielding
-/// between bursts so a skipped producer cannot wedge the pool.
+/// Acquire `slot` or report that it never will be published: spins on the
+/// unrecorded [`HandoffFlags::is_published`] in bounded bursts, re-checking
+/// [`BlockCtx::launch_failed`] and yielding between bursts so a skipped
+/// producer cannot wedge the pool. The handoff then records exactly one
+/// [`HandoffFlags::poll`] with its outcome, however long the wait was, so
+/// the counts do not depend on the schedule.
 fn acquire_ready(flags: &HandoffFlags, slot: usize, ctx: &mut BlockCtx<'_>) -> bool {
     for _ in 0..STARVE_ROUNDS {
-        if flags.acquire(slot, SPIN_POLLS, ctx.rec()) {
-            return true;
-        }
-        if ctx.launch_failed() {
-            return false;
+        let published = (0..SPIN_POLLS).any(|_| {
+            std::hint::spin_loop();
+            flags.is_published(slot)
+        });
+        if published || ctx.launch_failed() {
+            return flags.poll(slot, ctx.rec());
         }
         std::thread::yield_now();
     }
@@ -415,6 +419,8 @@ pub fn sat_1r1w_mirror<T: SatElement>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
     use gpu_exec::{BlockOrder, Device, DeviceOptions};
     use hmm_model::MachineConfig;
     use hmm_sim::AsyncHmm;
@@ -610,6 +616,42 @@ mod tests {
         assert_eq!(st.coalesced_reads, st_staged.coalesced_reads + fl);
         assert_eq!(st.stride_reads, st_staged.stride_reads);
         assert_eq!(s2.into_vec(), s1.into_vec());
+    }
+
+    #[test]
+    fn persistent_counts_one_acquire_per_handoff_however_long_the_wait() {
+        // Two residents; under seed 1 the straggler draw puts resident 0
+        // (producer of block-row 0) to sleep for 20 ms and not resident 1,
+        // whose first acquire then waits through many poll bursts. The
+        // counts must still be the closed form.
+        use gpu_exec::{FaultEvent, FaultPlan};
+        use hmm_model::cost::GlobalCost;
+        let (w, n) = (4usize, 16usize);
+        let cfg = MachineConfig::with_width(w);
+        let a = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 3) % 7) as i64 - 3);
+        let dev = Device::new(
+            DeviceOptions::new(cfg)
+                .workers(1)
+                .fault_plan(FaultPlan::new(1).straggler(0.5, Duration::from_millis(20))),
+        );
+        let ab = GlobalBuffer::from_vec(a.as_slice().to_vec());
+        let sb = GlobalBuffer::filled(0i64, n * n);
+        let start = Instant::now();
+        sat_1r1w_persistent(&dev, &ab, &sb, n, n);
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        assert_eq!(
+            dev.take_fault_events(),
+            [FaultEvent::Straggler {
+                launch: 0,
+                block: 0
+            }],
+            "only the producer straggles, so the consumer waits"
+        );
+        assert_eq!(sb.into_vec(), sat_reference(&a).into_vec());
+        let exact = GlobalCost::new(cfg)
+            .persistent_1r1w_exact_counts(n)
+            .unwrap();
+        assert!(exact.matches(&dev.stats()), "{:?}", dev.stats());
     }
 
     #[test]

@@ -481,9 +481,6 @@ impl Device {
         static NEXT_LAUNCH_EPOCH: AtomicU64 = AtomicU64::new(1);
         let epoch = NEXT_LAUNCH_EPOCH.fetch_add(1, Ordering::Relaxed);
 
-        if let Some(reg) = obs.registry() {
-            reg.reset_scope();
-        }
         let mut span = obs.span(Track::wall(0), "launch");
         span.arg("launch", ArgValue::from(seq));
         span.arg("grid", ArgValue::from(grid));
@@ -664,8 +661,8 @@ impl Device {
     /// (`gpu_coalesced_ops`, `gpu_stride_ops`, `gpu_global_stages`,
     /// `gpu_launches`, `gpu_barrier_steps`, plus the
     /// `gpu_launch_duration_seconds` histogram) are cumulative since
-    /// construction and are *not* zeroed by [`Device::reset_stats`]; the
-    /// per-launch scope is zeroed at each launch start.
+    /// construction and are *not* zeroed by [`Device::reset_stats`]; one
+    /// launch's own counts ride on its `launch` span's args.
     pub fn observer(&self) -> &Obs {
         &self.obs
     }
@@ -963,10 +960,8 @@ mod tests {
         }
         let reg = obs.registry().unwrap();
         let snap = reg.snapshot();
-        // Cumulative totals match device stats; the per-launch scope holds
-        // only the last launch's contribution.
+        // Cumulative totals match device stats.
         assert_eq!(snap.counter("gpu_coalesced_ops").unwrap().total, 3 * 64);
-        assert_eq!(snap.counter("gpu_coalesced_ops").unwrap().scoped, 64);
         assert_eq!(snap.counter("gpu_stride_ops").unwrap().total, 0);
         assert_eq!(snap.counter("gpu_launches").unwrap().total, 3);
         assert_eq!(snap.counter("gpu_barrier_steps").unwrap().total, 2);

@@ -70,8 +70,10 @@ impl HandoffFlags {
         }
     }
 
-    /// Whether `slot` has been published, without recording a trace op
-    /// (owner-side inspection between launches).
+    /// Whether `slot` has been published, without recording a trace op:
+    /// owner-side inspection between launches, and the in-launch spin of a
+    /// waiting consumer, which then records its outcome once with
+    /// [`HandoffFlags::poll`].
     pub fn is_published(&self, slot: usize) -> bool {
         self.cells[slot].load(Ordering::Acquire) != 0
     }

@@ -29,7 +29,7 @@
 //!   baseline `τ̄` is frozen over the first [`baseline_samples`] launches
 //!   (units-weighted, so tiny launches do not skew it), then each sample
 //!   adds `min(1, u/ū) · clamp(τ/τ̄ − 1 − slack, −1, rise_cap)` to a
-//!   one-sided CUSUM score; crossing [`drift_threshold`] latches a
+//!   one-sided CUSUM score; crossing [`DRIFT_THRESHOLD`] latches a
 //!   structured [`DriftAlert`] (one per cell, ever). A second,
 //!   *shard-relative* channel compares a sharded cell's baseline `τ̄`
 //!   against the median of its sibling shards' baselines and alerts when
@@ -37,8 +37,11 @@
 //!   device that was sick from its very first launch, which its own
 //!   baseline can never reveal.
 //!
+//!   Each cell also keeps an EWMA of `τ`, seeded by its first sample and
+//!   updated on every one, so a cell reports a measured τ from its first
+//!   launch on; the detector does not read it.
+//!
 //! [`baseline_samples`]: ConformanceConfig::baseline_samples
-//! [`drift_threshold`]: ConformanceConfig::drift_threshold
 //!
 //! The tracker is cheap (one mutex-guarded accumulation per *launch* — and
 //! launches are milliseconds), clone-shared (`Arc` inside), and optionally
@@ -59,6 +62,34 @@ use crate::registry::{Counter, Gauge, Registry};
 /// Schema identifier stamped into every conformance report.
 pub const REPORT_SCHEMA: &str = "sat-hmm/conformance/v1";
 
+/// Convergence tolerance: fitted `w` and `Λ` conform within this relative
+/// band of the configured machine (CI gates assert it through
+/// [`FitReport::matches`]).
+pub const FIT_TOLERANCE: f64 = 0.1;
+
+/// CUSUM score at which a [`DriftAlert`] is raised (and latched) for a
+/// cell.
+pub const DRIFT_THRESHOLD: f64 = 6.0;
+
+/// Cap on one sample's positive CUSUM contribution, so a single scheduler
+/// hiccup cannot trip the detector alone.
+const DRIFT_RISE_CAP: f64 = 2.0;
+
+/// Per-sample exponential forgetting factor on the estimator's sums: an
+/// effective window of ~1000 launches, so a re-parameterized machine is
+/// re-learned.
+const FORGETTING: f64 = 0.999;
+
+/// Relative ridge term added to the normal equations' diagonal, for
+/// numerical safety on poorly conditioned streams.
+const RIDGE: f64 = 1e-9;
+
+/// Samples required before the fit may report `converged`.
+const MIN_SAMPLES: u64 = 24;
+
+/// Weight of the newest sample in a cell's `τ` EWMA.
+const EWMA_WEIGHT: f64 = 0.2;
+
 /// Tuning knobs for a [`Conformance`] tracker. Start from
 /// [`ConformanceConfig::for_machine`] and override selectively.
 #[derive(Debug, Clone)]
@@ -68,30 +99,11 @@ pub struct ConformanceConfig {
     /// Configured window overhead `Λ` (latency + barrier overhead, in time
     /// units) charged once per launch.
     pub window_overhead: u64,
-    /// Per-sample exponential forgetting factor on the estimator's sums
-    /// (1.0 = never forget; the default keeps an effective window of ~1000
-    /// launches so a re-parameterized machine is re-learned).
-    pub forgetting: f64,
-    /// Relative ridge term added to the normal equations' diagonal, for
-    /// numerical safety on poorly conditioned streams.
-    pub ridge: f64,
-    /// Samples required before the fit may report `converged`.
-    pub min_samples: u64,
-    /// Documented convergence tolerance: fitted `w` and `Λ` are considered
-    /// conforming within this relative band of the configured machine
-    /// (CI gates assert it through [`FitReport::matches`]).
-    pub fit_tolerance: f64,
     /// Per-cell launches over which the drift baseline `τ̄` is frozen.
     pub baseline_samples: u64,
     /// Relative slack before a slow sample contributes to the CUSUM score:
     /// `τ` must exceed `(1 + slack) · τ̄`. Absorbs host jitter.
     pub drift_slack: f64,
-    /// Cap on one sample's positive CUSUM contribution, so a single
-    /// scheduler hiccup cannot trip the detector alone.
-    pub drift_rise_cap: f64,
-    /// CUSUM score at which a [`DriftAlert`] is raised (and latched) for
-    /// the cell.
-    pub drift_threshold: f64,
     /// Shard-relative channel: a sharded cell alerts when its baseline
     /// `τ̄` exceeds `(1 + band) ×` the median of its sibling shards'.
     pub shard_relative_band: f64,
@@ -103,14 +115,8 @@ impl ConformanceConfig {
         ConformanceConfig {
             width,
             window_overhead,
-            forgetting: 0.999,
-            ridge: 1e-9,
-            min_samples: 24,
-            fit_tolerance: 0.1,
             baseline_samples: 16,
             drift_slack: 1.0,
-            drift_rise_cap: 2.0,
-            drift_threshold: 6.0,
             shard_relative_band: 1.0,
         }
     }
@@ -198,7 +204,8 @@ pub struct CellReport {
     pub baseline_tau: f64,
     /// Most recent `τ` in seconds per unit.
     pub last_tau: f64,
-    /// EWMA of `τ` since the baseline completed.
+    /// EWMA of `τ` in seconds per unit, seeded by the cell's first sample
+    /// and updated on every sample.
     pub ewma_tau: f64,
     /// Current CUSUM score.
     pub cusum: f64,
@@ -399,7 +406,7 @@ impl Conformance {
         let mut tau_ratio: Option<f64> = None;
         {
             let mut st = self.inner.state.lock().expect("conformance lock");
-            let f = cfg.forgetting;
+            let f = FORGETTING;
             let fit = &mut st.fit;
             fit.sn = fit.sn * f + 1.0;
             fit.sc = fit.sc * f + c;
@@ -415,13 +422,15 @@ impl Conformance {
                 let cell = st.cells.entry(sample.cell.clone()).or_default();
                 cell.samples += 1;
                 cell.last_tau = tau;
+                cell.ewma_tau = if cell.samples == 1 {
+                    tau
+                } else {
+                    (1.0 - EWMA_WEIGHT) * cell.ewma_tau + EWMA_WEIGHT * tau
+                };
                 cell.resid_sum += rel.abs();
                 if cell.samples <= cfg.baseline_samples {
                     cell.base_wall += wall;
                     cell.base_units += units;
-                    if cell.samples == cfg.baseline_samples {
-                        cell.ewma_tau = cell.baseline_tau();
-                    }
                 } else {
                     let tau_base = cell.baseline_tau();
                     let mean_units = cell.base_units / cfg.baseline_samples as f64;
@@ -432,11 +441,9 @@ impl Conformance {
                     };
                     let ratio = if tau_base > 0.0 { tau / tau_base } else { 1.0 };
                     tau_ratio = Some(ratio);
-                    cell.ewma_tau = 0.8 * cell.ewma_tau + 0.2 * tau;
-                    let inc =
-                        weight * (ratio - 1.0 - cfg.drift_slack).clamp(-1.0, cfg.drift_rise_cap);
+                    let inc = weight * (ratio - 1.0 - cfg.drift_slack).clamp(-1.0, DRIFT_RISE_CAP);
                     cell.cusum = (cell.cusum + inc).max(0.0);
-                    if !cell.drifted && cell.cusum >= cfg.drift_threshold {
+                    if !cell.drifted && cell.cusum >= DRIFT_THRESHOLD {
                         cell.drifted = true;
                         alert = Some(DriftAlert {
                             cell: sample.cell.clone(),
@@ -515,7 +522,6 @@ impl Conformance {
 
     /// Solve the normal equations for the current fit.
     pub fn fit(&self) -> FitReport {
-        let cfg = &self.inner.cfg;
         let st = self.inner.state.lock().expect("conformance lock");
         let fs = &st.fit;
         let mut rep = FitReport {
@@ -528,8 +534,8 @@ impl Conformance {
         if fs.samples == 0 || fs.sn <= 0.0 {
             return rep;
         }
-        let a11 = fs.sc2 + cfg.ridge * fs.sc2.max(1.0);
-        let a22 = fs.sn + cfg.ridge * fs.sn.max(1.0);
+        let a11 = fs.sc2 + RIDGE * fs.sc2.max(1.0);
+        let a22 = fs.sn + RIDGE * fs.sn.max(1.0);
         let det = a11 * a22 - fs.sc * fs.sc;
         let scale = a11 * a22;
         // Degenerate stream (e.g. every launch with identical C): width and
@@ -552,7 +558,7 @@ impl Conformance {
         if a > 0.0 && a.is_finite() && c.is_finite() {
             rep.width = 1.0 / a;
             rep.window_overhead = c;
-            rep.converged = fs.samples >= cfg.min_samples && c > 0.0 && rms <= 0.25;
+            rep.converged = fs.samples >= MIN_SAMPLES && c > 0.0 && rms <= 0.25;
         }
         rep
     }
@@ -658,7 +664,7 @@ impl Conformance {
             finite(fit.width),
             finite(fit.window_overhead),
             finite(fit.residual_rms),
-            finite(cfg.fit_tolerance),
+            finite(FIT_TOLERANCE),
         ));
         out.push_str(&format!(",\"tau_ns\":{}", finite(tau_ns)));
         out.push_str(&format!(
@@ -667,7 +673,7 @@ impl Conformance {
             alerts.len(),
             cfg.baseline_samples,
             finite(cfg.drift_slack),
-            finite(cfg.drift_threshold),
+            finite(DRIFT_THRESHOLD),
             finite(cfg.shard_relative_band),
         ));
         out.push_str(",\"cells\":[");
@@ -809,7 +815,7 @@ mod tests {
         // The cell is marked drifted in the report.
         let cell = &t.cells()[0];
         assert!(cell.drifted);
-        assert!(cell.cusum >= cfg.drift_threshold);
+        assert!(cell.cusum >= DRIFT_THRESHOLD);
     }
 
     #[test]
@@ -861,6 +867,11 @@ mod tests {
             let c = (i % 11 + 1) * cfg.width * 2;
             t.ingest(exact_sample("2r1w/64x64", c, i % 4, 2e-9, &cfg));
         }
+        // A cell still short of `baseline_samples` launches has no frozen
+        // baseline yet, but its measured τ is already reported.
+        for i in 0..3u64 {
+            t.ingest(exact_sample("4r4w/64x64", (i + 1) * 64, 0, 2e-9, &cfg));
+        }
         let text = t.report_json();
         let v = JsonValue::parse(&text).expect("report is valid JSON");
         assert_eq!(
@@ -880,7 +891,7 @@ mod tests {
             assert!(fit.get(key).unwrap().as_f64().is_some(), "fit.{key}");
         }
         let cells = v.get("cells").unwrap().as_array().unwrap();
-        assert_eq!(cells.len(), 1);
+        assert_eq!(cells.len(), 2);
         for key in [
             "samples",
             "baseline_tau_ns",
@@ -892,6 +903,14 @@ mod tests {
             assert!(cells[0].get(key).unwrap().as_f64().is_some(), "cell.{key}");
         }
         assert_eq!(cells[0].get("cell").unwrap().as_str(), Some("2r1w/64x64"));
+        let young = &cells[1];
+        assert_eq!(young.get("cell").unwrap().as_str(), Some("4r4w/64x64"));
+        assert_eq!(young.get("baseline_tau_ns").unwrap().as_f64(), Some(0.0));
+        let tau_ns = young.get("ewma_tau_ns").unwrap().as_f64().unwrap();
+        assert!(
+            (tau_ns - 2.0).abs() < 1e-9,
+            "young cell τ = {tau_ns} ns/unit"
+        );
         assert!(v.get("alerts").unwrap().as_array().unwrap().is_empty());
     }
 

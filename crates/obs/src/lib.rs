@@ -6,13 +6,13 @@
 //! shared vocabulary for that accounting:
 //!
 //! * a **counter/gauge/histogram [`Registry`]** — lock-cheap atomic cells
-//!   behind typed handles, with *cumulative* and *per-launch* scopes,
-//!   log-bucketed mergeable [`Histogram`]s with bucket-derived quantiles,
+//!   behind typed handles, cumulative counters (one launch's own counts
+//!   ride on its span's args), log-bucketed mergeable [`Histogram`]s with bucket-derived quantiles,
 //!   and Prometheus-style text exposition ([`Registry::expose_text`],
 //!   including the `_bucket`/`_sum`/`_count` histogram series);
-//! * a **per-phase cost attribution profiler** ([`profile`]) — counter
-//!   deltas and spans rendered as a `C/w + S + L·(B+1)` ledger per phase,
-//!   as a table and as Perfetto counter tracks (modeled vs measured);
+//! * **per-launch cost attribution** ([`profile`]) — launch spans rendered
+//!   as a `C/w + S + L·(B+1)` ledger per launch, as a table and as
+//!   Perfetto counter tracks (modeled vs measured);
 //! * a **structured span API** ([`Obs`]) — begin/end events with parent ids
 //!   and thread/block attribution, on **two clocks**: the wall clock
 //!   (`pid 1`) and the simulated HMM clock (`pid 2`), so a real execution

@@ -1,27 +1,24 @@
-//! Per-phase cost attribution: counter deltas + spans → a cost ledger.
+//! Per-launch cost attribution: launch spans → a cost ledger.
 //!
 //! The paper prices an algorithm by its global-memory ledger,
 //! `C/w + S + L·(B+1)` — coalesced ops `C`, stride ops `S`, barrier steps
 //! `B`, width `w`, window overhead `L`. This module turns a run's recorded
-//! counters and spans into that ledger *per phase*: each phase (an explicit
-//! [`Profiler::phase`] closure, or one device launch when reconstructed
-//! from a trace by [`attribution_from_trace`]) gets its coalesced/stride op
-//! counts, barrier steps, modeled cost ([`hmm_model::cost()`] on the
-//! report's [`MachineConfig`]), and measured wall time. The report renders
+//! launch spans into that ledger *per launch*: [`attribution_from_trace`]
+//! gives each device launch its coalesced/stride op counts, modeled cost
+//! ([`hmm_model::cost()`] on the report's [`MachineConfig`]), and measured
+//! wall time. The report renders
 //! as a text table ([`PhaseReport::to_table`]) and as Chrome-trace counter
 //! tracks ([`PhaseReport::export_counter_tracks`]) so Perfetto shows
 //! modeled-vs-measured side by side with the spans.
 
-use std::time::Instant;
-
 use hmm_model::MachineConfig;
 
 use crate::span::RecordKind;
-use crate::{ArgValue, Obs, Registry, Track};
+use crate::{ArgValue, Obs, Track};
 
 /// Metric families the `gpu-exec` device registers. Declared here, not in
-/// `gpu-exec`, because `gpu-exec` depends on `obs` and the profiler reads
-/// them back.
+/// `gpu-exec`, because `gpu-exec` depends on `obs` and the serving layer's
+/// metric schema lists them.
 pub mod gpu {
     /// Coalesced global-memory operations.
     pub const COALESCED_OPS: &str = "gpu_coalesced_ops";
@@ -55,15 +52,7 @@ pub mod gpu {
     ];
 }
 
-/// The gpu-exec registry counters a phase is attributed from.
-const PHASE_COUNTERS: [&str; 4] = [
-    gpu::COALESCED_OPS,
-    gpu::STRIDE_OPS,
-    gpu::GLOBAL_STAGES,
-    gpu::LAUNCHES,
-];
-
-/// Modeled cost of a phase under `model`: one window per launch.
+/// Modeled cost of `launches` launches under `model`: one window each.
 fn modeled_cost(model: &MachineConfig, coalesced: u64, stride: u64, launches: u64) -> f64 {
     hmm_model::cost(
         model.width,
@@ -74,12 +63,13 @@ fn modeled_cost(model: &MachineConfig, coalesced: u64, stride: u64, launches: u6
     )
 }
 
-/// One phase's ledger line.
+/// One launch's ledger line (or, from [`PhaseReport::total`], the run's).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRow {
-    /// Phase label.
+    /// Row label (`launch k`, or `total`).
     pub name: String,
-    /// Device launches inside the phase.
+    /// Device launches in the row: 1 per launch row, the run's count in
+    /// the total.
     pub launches: u64,
     /// Coalesced global-memory operations (`C`).
     pub coalesced_ops: u64,
@@ -87,10 +77,9 @@ pub struct PhaseRow {
     pub stride_ops: u64,
     /// Global pipeline stages executed.
     pub global_stages: u64,
-    /// Barrier steps *inside* the phase (`launches − 1`; boundaries between
-    /// phases are counted once, in [`PhaseReport::total`]).
+    /// Barrier steps: 0 on a launch row, `launches − 1` in the total.
     pub barrier_steps: u64,
-    /// Phase start, µs on the observer's wall clock.
+    /// Row start, µs on the observer's wall clock.
     pub start_us: f64,
     /// Measured wall time, µs.
     pub wall_us: f64,
@@ -98,12 +87,12 @@ pub struct PhaseRow {
     pub modeled_cost: f64,
 }
 
-/// A per-phase cost attribution report.
+/// A per-launch cost attribution report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
     /// The machine every row's `modeled_cost` is priced on.
     pub model: MachineConfig,
-    /// One row per phase, in execution order.
+    /// One row per device launch, in execution order.
     pub rows: Vec<PhaseRow>,
 }
 
@@ -165,10 +154,10 @@ impl PhaseReport {
     }
 
     /// Emit the report as Chrome-trace counter tracks on the wall-clock
-    /// process: one `"C"` event per phase carrying the modeled cost (model
-    /// units) and measured wall time (µs) as two series, plus a closing
-    /// zero sample, so Perfetto draws modeled-vs-measured step functions
-    /// aligned with the phase spans.
+    /// process: one `"C"` event per launch row carrying the modeled cost
+    /// (model units) and measured wall time (µs) as two series, plus a
+    /// closing zero sample, so Perfetto draws modeled-vs-measured step
+    /// functions aligned with the launch spans.
     pub fn export_counter_tracks(&self, obs: &Obs) {
         let mut end = 0.0f64;
         for r in &self.rows {
@@ -187,74 +176,6 @@ impl PhaseReport {
                 end,
                 &[("modeled_units", 0.0), ("wall_us", 0.0)],
             );
-        }
-    }
-}
-
-/// Attribute work to named phases by snapshotting the gpu-exec registry
-/// counters around closures. Phases observe whatever ran inside them —
-/// launches on any device sharing the observer's registry.
-pub struct Profiler {
-    obs: Obs,
-    registry: Registry,
-    model: MachineConfig,
-    rows: Vec<PhaseRow>,
-}
-
-impl Profiler {
-    /// A profiler over `obs`'s registry; `None` when the handle is
-    /// disabled (profiling needs the counters).
-    pub fn new(obs: &Obs, model: &MachineConfig) -> Option<Profiler> {
-        Some(Profiler {
-            registry: obs.registry()?,
-            obs: obs.clone(),
-            model: *model,
-            rows: Vec::new(),
-        })
-    }
-
-    fn totals(&self) -> [u64; PHASE_COUNTERS.len()] {
-        let snap = self.registry.snapshot();
-        PHASE_COUNTERS.map(|n| snap.counter(n).map(|c| c.total).unwrap_or(0))
-    }
-
-    /// Run `f` as the phase `name`: records a span and a ledger row from
-    /// the counter deltas across the call.
-    pub fn phase<T>(&mut self, name: impl Into<String>, f: impl FnOnce() -> T) -> T {
-        let name = name.into();
-        let before = self.totals();
-        let start = Instant::now();
-        let out = {
-            let _span = self.obs.span(Track::wall(0), name.clone());
-            f()
-        };
-        let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        let after = self.totals();
-        let d: Vec<u64> = before
-            .iter()
-            .zip(after)
-            .map(|(b, a)| a.saturating_sub(*b))
-            .collect();
-        let (coalesced, stride, stages, launches) = (d[0], d[1], d[2], d[3]);
-        self.rows.push(PhaseRow {
-            name,
-            launches,
-            coalesced_ops: coalesced,
-            stride_ops: stride,
-            global_stages: stages,
-            barrier_steps: launches.saturating_sub(1),
-            start_us: self.obs.wall_us_of(start).unwrap_or(0.0),
-            wall_us,
-            modeled_cost: modeled_cost(&self.model, coalesced, stride, launches),
-        });
-        out
-    }
-
-    /// Finish and return the report.
-    pub fn finish(self) -> PhaseReport {
-        PhaseReport {
-            model: self.model,
-            rows: self.rows,
         }
     }
 }
@@ -316,6 +237,8 @@ pub fn attribution_from_trace(obs: &Obs, model: &MachineConfig) -> PhaseReport {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
 
     #[test]
@@ -323,45 +246,6 @@ mod tests {
         let m = MachineConfig::with_width(32).latency(5);
         // C/w + S + L·(B+1) with C=640, S=7, B=2 (3 windows).
         assert_eq!(modeled_cost(&m, 640, 7, 3), 640.0 / 32.0 + 7.0 + 15.0);
-    }
-
-    #[test]
-    fn profiler_attributes_counter_deltas_to_phases() {
-        let obs = Obs::new();
-        let reg = obs.registry().unwrap();
-        let coalesced = reg.counter("gpu_coalesced_ops");
-        let launches = reg.counter("gpu_launches");
-        let model = MachineConfig::with_width(4).latency(2);
-        let mut prof = Profiler::new(&obs, &model).unwrap();
-        prof.phase("rows", || {
-            coalesced.add(100);
-            launches.inc();
-        });
-        prof.phase("cols", || {
-            coalesced.add(40);
-            launches.add(2);
-        });
-        let report = prof.finish();
-        assert_eq!(report.rows.len(), 2);
-        assert_eq!(report.rows[0].coalesced_ops, 100);
-        assert_eq!(report.rows[0].launches, 1);
-        assert_eq!(report.rows[0].barrier_steps, 0);
-        assert_eq!(report.rows[0].modeled_cost, 100.0 / 4.0 + 2.0);
-        assert_eq!(report.rows[1].barrier_steps, 1);
-        let total = report.total();
-        assert_eq!(total.coalesced_ops, 140);
-        assert_eq!(total.launches, 3);
-        assert_eq!(total.barrier_steps, 2);
-        assert_eq!(total.modeled_cost, 140.0 / 4.0 + 2.0 * 3.0);
-        let table = report.to_table();
-        assert!(table.contains("rows"));
-        assert!(table.contains("total"));
-    }
-
-    #[test]
-    fn profiler_on_disabled_handle_is_none() {
-        let model = MachineConfig::with_width(4).latency(1);
-        assert!(Profiler::new(&Obs::disabled(), &model).is_none());
     }
 
     #[test]
@@ -395,6 +279,9 @@ mod tests {
         assert_eq!(total.stride_ops, 3);
         assert_eq!(total.barrier_steps, 2);
         assert_eq!(total.modeled_cost, 192.0 / 8.0 + 3.0 + 9.0);
+        let table = report.to_table();
+        assert!(table.contains("launch 0"));
+        assert!(table.contains("total"));
     }
 
     #[test]

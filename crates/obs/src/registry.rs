@@ -4,10 +4,9 @@
 //! single atomic add — the registry's map lock is only taken at
 //! registration and snapshot time, never on the hot path.
 //!
-//! Counters carry two scopes: a **cumulative** total (never reset — the
-//! Prometheus counter contract) and a **per-launch** scope that an executor
-//! zeroes at the start of each unit of work ([`Registry::reset_scope`]), so
-//! "what did *this* launch cost" is answerable without diffing snapshots.
+//! Counters are cumulative and never reset (the Prometheus counter
+//! contract). What one launch cost rides on that launch's span args, not
+//! on the registry.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -48,7 +47,6 @@ impl Metric {
 #[derive(Default)]
 struct CounterCell {
     total: AtomicU64,
-    scope: AtomicU64,
 }
 
 #[derive(Default)]
@@ -57,8 +55,8 @@ struct GaugeCell {
     bits: AtomicU64,
 }
 
-/// A monotonically increasing counter. Cheap to clone; updates are one
-/// relaxed atomic add per scope.
+/// A monotonically increasing counter. Cheap to clone; an update is one
+/// relaxed atomic add.
 #[derive(Clone)]
 pub struct Counter {
     cell: Arc<CounterCell>,
@@ -78,8 +76,6 @@ pub struct CounterSample {
     pub name: String,
     /// Cumulative value since registration.
     pub total: u64,
-    /// Value accumulated since the last [`Registry::reset_scope`].
-    pub scoped: u64,
 }
 
 /// One gauge's value at snapshot time.
@@ -120,11 +116,10 @@ impl Snapshot {
 }
 
 impl Counter {
-    /// Add `n` to both the cumulative total and the per-launch scope.
+    /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
         self.cell.total.fetch_add(n, Ordering::Relaxed);
-        self.cell.scope.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add 1.
@@ -136,11 +131,6 @@ impl Counter {
     /// Cumulative value since registration.
     pub fn total(&self) -> u64 {
         self.cell.total.load(Ordering::Relaxed)
-    }
-
-    /// Value accumulated since the last [`Registry::reset_scope`].
-    pub fn scoped(&self) -> u64 {
-        self.cell.scope.load(Ordering::Relaxed)
     }
 }
 
@@ -277,17 +267,6 @@ impl Registry {
         out
     }
 
-    /// Zero every counter's per-launch scope (cumulative totals are
-    /// untouched). Executors call this at the start of each launch.
-    pub fn reset_scope(&self) {
-        let m = self.inner.metrics.lock().expect("registry lock");
-        for metric in m.values() {
-            if let Metric::Counter(c) = metric {
-                c.scope.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Snapshot every metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         let m = self.inner.metrics.lock().expect("registry lock");
@@ -297,7 +276,6 @@ impl Registry {
                 Metric::Counter(c) => snap.counters.push(CounterSample {
                     name: name.clone(),
                     total: c.total.load(Ordering::Relaxed),
-                    scoped: c.scope.load(Ordering::Relaxed),
                 }),
                 Metric::Gauge(g) => snap.gauges.push(GaugeSample {
                     name: name.clone(),
@@ -480,7 +458,6 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.counters.len(), 1);
         assert_eq!(s.counter("ops_total").unwrap().total, 1);
-        assert_eq!(s.counter("ops_total").unwrap().scoped, 1);
         assert!(s.counter("missing").is_none());
     }
 
@@ -493,19 +470,6 @@ mod tests {
         b.add(3);
         assert_eq!(a.total(), 5);
         assert_eq!(r.snapshot().counter("x").unwrap().total, 5);
-    }
-
-    #[test]
-    fn scope_resets_but_total_accumulates() {
-        let r = Registry::new();
-        let c = r.counter("launch_ops");
-        c.add(10);
-        r.reset_scope();
-        c.add(4);
-        assert_eq!(c.total(), 14);
-        assert_eq!(c.scoped(), 4);
-        let s = r.snapshot();
-        assert_eq!(s.counter("launch_ops").unwrap().scoped, 4);
     }
 
     #[test]

@@ -357,12 +357,6 @@ impl Obs {
             .map(|inner| f(&inner.events.lock().expect("obs event lock")))
     }
 
-    /// Translate an `Instant` into this handle's wall-clock microseconds
-    /// (`None` when disabled).
-    pub(crate) fn wall_us_of(&self, at: Instant) -> Option<f64> {
-        self.inner.as_ref().map(|inner| Self::wall_us(inner, at))
-    }
-
     /// Record a completed wall-clock span from explicit instants (layers
     /// that already hold timestamps — e.g. a batcher attributing queue time
     /// per request — emit retroactively). Returns the span's id.

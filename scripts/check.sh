@@ -18,10 +18,8 @@ echo "   fails; the vendored shims under vendor/ are left out)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
     --exclude proptest --exclude rand --exclude parking_lot
 
-echo "== cargo test (root package: tier-1)"
-cargo test -q
-
-echo "== cargo test (workspace)"
+echo "== cargo test (workspace, including the root package's tier-1 tests;"
+echo "   one run, so every test binary builds and runs once)"
 cargo test -q --workspace
 
 echo "== perfbench smoke (the benchmark package lives outside the workspace,"
