@@ -14,7 +14,7 @@
 //! launch: wide launches run at ≈ 1 stage/time-unit, while the wavefront's
 //! one-block corner stages crawl at 1/L.
 
-use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
+use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
 use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use hmm_sim::AsyncHmm;
@@ -36,7 +36,7 @@ fn main() {
         "1r1w-mirror" => par::sat_1r1w_mirror(&dev, &a, &scratch(), n, n),
         "kogge-stone" => par::sat_kogge_stone(&dev, &a, &scratch(), n, n),
         name => match name.parse::<SatAlgorithm>() {
-            Ok(paper) => drop(par::sat(&dev, &BufferPool::new(), paper, 0.5, a, n, n)),
+            Ok(paper) => par::sat(&dev, paper, 0.5, &a, n, n),
             Err(e) => {
                 eprintln!("inspect: --alg: {e}");
                 std::process::exit(1);

@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
+use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
 use hmm_lint::KernelContract;
 use hmm_model::cost::{CostCounters, ExactCounts, GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
@@ -96,7 +96,8 @@ pub struct Run {
 /// input each call.
 pub fn run_real(dev: &Device, alg: SatAlgorithm, r: f64, n: usize) -> Run {
     timed(dev, n, |buf| {
-        par::sat(dev, &BufferPool::new(), alg, r, buf, n, n)
+        par::sat(dev, alg, r, &buf, n, n);
+        buf
     })
 }
 

@@ -65,7 +65,8 @@ use hmm_model::cost::SatAlgorithm;
 ///
 /// The input is zero-padded so each side is a multiple of the device width
 /// (the paper's algorithms assume that shape; padding does not disturb the
-/// SAT of the original region), computed on the device, and cropped back.
+/// SAT of the original region) into one device buffer, whose SAT is
+/// computed in place and then cropped back into the returned matrix.
 /// [`SatAlgorithm::HybridR1W`] uses the cost model's optimal ratio for the
 /// padded size; use [`compute_sat_hybrid`] to pick `r` yourself.
 pub fn compute_sat<T: SatElement>(
@@ -153,36 +154,30 @@ fn padded_dims<T: SatElement>(dev: &Device, a: &Matrix<T>) -> (usize, usize) {
     )
 }
 
-/// One image through [`par::sat`] on call-local pools: nothing outlives
-/// the call.
+/// One image through [`par::sat`] in one padded buffer: pad `a` into it,
+/// compute `S` over it in place, and compact its rows into the returned
+/// matrix, which keeps the buffer's allocation. Only 4R4W's transpose
+/// scratch is a second matrix-sized buffer; nothing outlives the call.
 fn compute_sat_inner<T: SatElement>(
     dev: &Device,
     algorithm: SatAlgorithm,
     a: &Matrix<T>,
     r: f64,
 ) -> Matrix<T> {
-    let mut sats = marshal(
-        dev,
-        &BufferPool::new(),
-        std::slice::from_ref(a),
-        |ins, rows, cols| {
-            // The spare buffer `par::sat` recycles is freed here, before
-            // the crop allocates the output, so at most two padded buffers
-            // are live at once.
-            let spares = BufferPool::new();
-            ins.into_iter()
-                .map(|buf| par::sat(dev, &spares, algorithm, r, buf, rows, cols))
-                .collect()
-        },
-    );
-    sats.pop().expect("one SAT per image")
+    if a.rows() == 0 || a.cols() == 0 {
+        return a.clone();
+    }
+    let (rows, cols) = padded_dims(dev, a);
+    let buf = GlobalBuffer::from_vec(a.zero_padded_to(rows, cols).into_vec());
+    par::sat(dev, algorithm, r, &buf, rows, cols);
+    Matrix::crop_in_place(buf.into_vec(), cols, a.rows(), a.cols())
 }
 
-/// The one pad-in/crop-out around every device SAT: pad each image straight
-/// into a pooled buffer, let `solve` turn the padded inputs into one result
-/// buffer each, then crop each result straight out of its buffer and
-/// recycle it. `solve` owns the inputs and recycles the ones it does not
-/// return.
+/// The pooled pad-in/crop-out around a batched SAT: pad each image
+/// straight into a pooled buffer, let `solve` turn the padded inputs into
+/// one result buffer each, then crop each result straight out of its buffer
+/// and recycle it. `solve` owns the inputs and recycles the ones it does
+/// not return.
 ///
 /// `checkout_uninit` hands back stale words from earlier calls, so the pad
 /// region is zeroed explicitly rather than assumed.

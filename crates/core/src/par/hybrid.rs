@@ -40,6 +40,9 @@ pub fn triangle_diagonals(m: usize, r: f64) -> usize {
 /// `a`, splitting the work between 2R1W corner triangles and a 1R1W middle
 /// according to `r ∈ [0, 1]` (triangles span `r·min(mr, mc)` block
 /// anti-diagonals).
+///
+/// `s` may be `a`: each part reads `a` only in blocks it has not written
+/// yet, and `s` only in blocks an earlier part or stage finished.
 pub fn sat_hybrid<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,

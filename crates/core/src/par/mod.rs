@@ -28,60 +28,42 @@ pub use region::{sat_2r1w_region, Region};
 pub use two_r1w::sat_2r1w;
 pub use two_r2w::{column_prefix_kernel, row_prefix_kernel, sat_2r2w};
 
-use gpu_exec::{BufferPool, Device, GlobalBuffer};
+use gpu_exec::{Device, GlobalBuffer};
 use hmm_model::cost::SatAlgorithm;
 
 use crate::element::SatElement;
 
 /// Run one of the paper's six algorithms on the padded `rows × cols`
-/// input `a` and return the buffer that holds its SAT.
+/// input `a`, leaving its SAT in `a`.
 ///
-/// The drivers differ only in which buffers they touch: 2R2W and 4R1W work
-/// in place on `a`; 4R4W also needs a scratch buffer and leaves `S` in `a`;
-/// 2R1W, 1R1W and the hybrid write `S` into a second buffer. That second
-/// buffer is checked out of `pool` zeroed, and whichever buffer does not
-/// hold `S` goes back to `pool`. `r` is the hybrid's ratio; the other
-/// algorithms ignore it.
+/// Every algorithm but 4R4W computes `S` over `A` without a second
+/// matrix-sized buffer. 2R2W and 4R1W are in place by construction. 1R1W,
+/// 2R1W and the hybrid get `a` as both input and output: each block reads
+/// its own input words before it writes them, and every other word it reads
+/// is either an `S` word finished by an earlier launch or one of 2R1W's
+/// fringe buffers (DESIGN.md §20). 4R4W stages its transposes through a
+/// zeroed scratch buffer that lives only for this call. `r` is the
+/// hybrid's ratio; the other algorithms ignore it.
 pub fn sat<T: SatElement>(
     dev: &Device,
-    pool: &BufferPool<T>,
     alg: SatAlgorithm,
     r: f64,
-    a: GlobalBuffer<T>,
+    a: &GlobalBuffer<T>,
     rows: usize,
     cols: usize,
-) -> GlobalBuffer<T> {
-    let second = || pool.checkout_zeroed(rows * cols);
-    let (s, spare) = match alg {
-        SatAlgorithm::TwoR2W => {
-            sat_2r2w(dev, &a, rows, cols);
-            return a;
-        }
-        SatAlgorithm::FourR1W => {
-            sat_4r1w(dev, &a, rows, cols);
-            return a;
-        }
-        SatAlgorithm::FourR4W => {
-            let tmp = second();
-            sat_4r4w(dev, &a, &tmp, rows, cols);
-            (a, tmp)
-        }
-        SatAlgorithm::TwoR1W => {
-            let s = second();
-            sat_2r1w(dev, &a, &s, rows, cols);
-            (s, a)
-        }
-        SatAlgorithm::OneR1W => {
-            let s = second();
-            sat_1r1w(dev, &a, &s, rows, cols);
-            (s, a)
-        }
-        SatAlgorithm::HybridR1W => {
-            let s = second();
-            sat_hybrid(dev, &a, &s, rows, cols, r);
-            (s, a)
-        }
-    };
-    pool.recycle(spare, true);
-    s
+) {
+    match alg {
+        SatAlgorithm::TwoR2W => sat_2r2w(dev, a, rows, cols),
+        SatAlgorithm::FourR1W => sat_4r1w(dev, a, rows, cols),
+        SatAlgorithm::FourR4W => sat_4r4w(
+            dev,
+            a,
+            &GlobalBuffer::filled(T::ZERO, rows * cols),
+            rows,
+            cols,
+        ),
+        SatAlgorithm::TwoR1W => sat_2r1w(dev, a, a, rows, cols),
+        SatAlgorithm::OneR1W => sat_1r1w(dev, a, a, rows, cols),
+        SatAlgorithm::HybridR1W => sat_hybrid(dev, a, a, rows, cols, r),
+    }
 }

@@ -40,6 +40,9 @@ use crate::par::common::{default_tile, load_block, tile_sat, Grid};
 
 /// **1R1W**: compute into `s` the SAT of the `rows × cols` matrix in `a`,
 /// by `rows/w + cols/w − 1` block-wavefront launches.
+///
+/// `s` may be `a`: a block reads its own input words before it writes them,
+/// and its fringes are `S` words that earlier stages finished.
 pub fn sat_1r1w<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,

@@ -21,8 +21,8 @@
 //! Per element: 2 coalesced reads + 1 coalesced write (+ `O(1/w)` fringe
 //! traffic). Lemma 4 counts `2k + 2` barriers; this driver issues
 //! `3k + 2` (3, 6 and 9 launches at `k` = 0, 1 and 2): every recursion
-//! level runs its own three phases on a zero-padded copy of `Q`, one launch
-//! more per level than the paper's count.
+//! level runs its own three phases, in place, on a zero-padded copy of
+//! `Q`, one launch more per level than the paper's count.
 //!
 //! The hybrid's staircase triangles ([`crate::par::region`]) run the same
 //! block-sum, fringe-prefix and fix-up kernels; only their phase 2 differs.
@@ -33,6 +33,11 @@ use crate::element::SatElement;
 use crate::par::common::{default_tile, load_block, prefix_down, store_block, tile_sat, Grid};
 
 /// **2R1W**: compute into `s` the SAT of the `rows × cols` matrix in `a`.
+///
+/// `s` may be `a`: phase 1 only reads `a`, and each fix-up block reads its
+/// own block of `a` before it writes that block of `s`; the fringes it adds
+/// come from `R`, `Cᵗ` and `Q`, never from `s`. The recursion on `Q` runs
+/// in place this way.
 ///
 /// # Panics
 /// Panics at `w = 1` on anything larger than `1 × 1`: the recursion on `Q`
@@ -80,9 +85,8 @@ pub fn sat_2r1w<T: SatElement>(
             gq.read_contig(bi * mc, &mut row, &mut ctx.rec);
             gqa.write_contig(bi * mcp, &row, &mut ctx.rec);
         });
-        let qs = GlobalBuffer::filled(T::ZERO, mrp * mcp);
-        sat_2r1w(dev, &qa, &qs, mrp, mcp);
-        fixup(dev, a, s, &fringes, (&qs, mcp), grid, &blocks);
+        sat_2r1w(dev, &qa, &qa, mrp, mcp);
+        fixup(dev, a, s, &fringes, (&qa, mcp), grid, &blocks);
     }
 }
 

@@ -3,7 +3,7 @@
 //! races, no reads of reset shared state) on *arbitrary* shapes and
 //! widths, and against its full Table I budget on aligned sizes.
 
-use gpu_exec::{BufferPool, Device, DeviceOptions, GlobalBuffer};
+use gpu_exec::{Device, DeviceOptions, GlobalBuffer};
 use hmm_lint::{analyze, analyze_run, KernelContract, LintReport};
 use hmm_model::cost::{GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
@@ -24,7 +24,7 @@ fn lint_algorithm(cfg: MachineConfig, alg: SatAlgorithm, n: usize) -> LintReport
     let dev = tracing_device(cfg);
     let a = GlobalBuffer::from_vec(workload(n).into_vec());
     let r = GlobalCost::new(cfg).optimal_r(n);
-    par::sat(&dev, &BufferPool::new(), alg, r, a, n, n);
+    par::sat(&dev, alg, r, &a, n, n);
     let counters = dev.stats();
     let trace = dev.take_trace();
     analyze(

@@ -207,28 +207,47 @@ fn splitmix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Relative tolerance of the verification sweeps. Injected corruption flips
-/// an exponent bit — a relative deviation near 1 — while honest float
-/// reassociation across GPU/batch/CPU paths stays many orders below this.
+/// Relative tolerance of the margin checks, against the running `Σ|a|` of
+/// the sum each one compares: two honest summation orders of `N` terms
+/// differ by at most about `2N·ε` of it, under `1e-9` for `N` below four
+/// million.
 const VERIFY_REL_TOL: f64 = 1e-9;
 
+/// Slack of the recurrence check at cell `(i, j)`, in ulps of
+/// `M(i,j) = Σ|a(u,v)|` over `u ≤ i, v ≤ j`. Every partial sum an honest
+/// path forms on the way to `s(i,j)` and its three neighbours covers a
+/// sub-rectangle of that cell's rectangle, so `M(i,j)` bounds each of them,
+/// and with them the four SAT operands. Probed on fractional images of
+/// either sign up to 1080 × 1920 at w ∈ {4, 8, 32}, no device algorithm
+/// came within a quarter of this bound (the worst read 15 ulps).
+const VERIFY_ULPS: f64 = 64.0;
+
+/// `got` equals `want` up to `tol`. A corrupted exponent can land on
+/// ±inf/NaN, where `inf ≤ tol` comparisons mislead; only exact equality
+/// counts there.
 #[inline]
-fn close(a: f64, b: f64) -> bool {
-    // A corrupted exponent can land on ±inf/NaN, where `inf ≤ tol·inf`
-    // would pass the relative test; only exact equality counts there.
-    if !a.is_finite() || !b.is_finite() {
-        return a == b;
+fn close(got: f64, want: f64, tol: f64) -> bool {
+    if !got.is_finite() || !want.is_finite() {
+        return got == want;
     }
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= VERIFY_REL_TOL * scale
+    (got - want).abs() <= tol
 }
 
 /// Cheap validity check of a SAT against its input, without recomputing the
 /// SAT: the margins checksum (the last row and column of a valid SAT are
 /// prefix sums of the input's column and row margins) catches global drift,
 /// and the defining recurrence `s(i,j) − s(i−1,j) − s(i,j−1) + s(i−1,j−1) =
-/// a(i,j)` — four reads per cell, no allocation — catches any corrupted
-/// interior word. Returns `true` when the SAT is consistent with `image`.
+/// a(i,j)` — four reads per cell — catches any corrupted interior word.
+/// Returns `true` when the SAT is consistent with `image`.
+///
+/// Each check is bounded by the rounding of what it sums: a margin check by
+/// [`VERIFY_REL_TOL`] of its running `Σ|a|`, the recurrence by
+/// [`VERIFY_ULPS`] ulps of the cell rectangle's `Σ|a|`, which bounds
+/// `|s| + |up| + |left| + |diag|` and every partial sum behind them. So
+/// honest reassociation passes at any size and sign, while a flipped
+/// exponent bit, which changes a word by a relative amount of ½ or more,
+/// clears the bound by about thirteen orders of magnitude unless the word
+/// is itself below the rounding noise of its rectangle.
 pub(crate) fn verify_sat(image: &Matrix<f64>, sat: &Matrix<f64>) -> bool {
     let (rows, cols) = (image.rows(), image.cols());
     if sat.rows() != rows || sat.cols() != cols {
@@ -238,26 +257,37 @@ pub(crate) fn verify_sat(image: &Matrix<f64>, sat: &Matrix<f64>) -> bool {
         return true;
     }
     // Margins: last row = prefix sums of the column margins.
-    let mut acc = 0.0f64;
+    let (mut acc, mut mag) = (0.0f64, 0.0f64);
     for j in 0..cols {
-        let col_margin: f64 = (0..rows).map(|i| image.get(i, j)).sum();
-        acc += col_margin;
-        if !close(sat.get(rows - 1, j), acc) {
+        for i in 0..rows {
+            let v = image.get(i, j);
+            acc += v;
+            mag += v.abs();
+        }
+        if !close(sat.get(rows - 1, j), acc, VERIFY_REL_TOL * mag) {
             return false;
         }
     }
     // Margins: last column = prefix sums of the row margins.
-    let mut acc = 0.0f64;
+    let (mut acc, mut mag) = (0.0f64, 0.0f64);
     for i in 0..rows {
-        let row_margin: f64 = (0..cols).map(|j| image.get(i, j)).sum();
-        acc += row_margin;
-        if !close(sat.get(i, cols - 1), acc) {
+        for &v in image.row(i) {
+            acc += v;
+            mag += v.abs();
+        }
+        if !close(sat.get(i, cols - 1), acc, VERIFY_REL_TOL * mag) {
             return false;
         }
     }
-    // Recurrence sweep with zero boundary.
+    // Recurrence sweep with zero boundary; `col_mag[j]` is `Σ|a(u,j)|` over
+    // `u ≤ i`, and `mag` runs along row `i` to `M(i,j)`.
+    let mut col_mag = vec![0.0f64; cols];
     for i in 0..rows {
-        for j in 0..cols {
+        let mut mag = 0.0f64;
+        for (j, col) in col_mag.iter_mut().enumerate() {
+            let a = image.get(i, j);
+            *col += a.abs();
+            mag += *col;
             let up = if i > 0 { sat.get(i - 1, j) } else { 0.0 };
             let left = if j > 0 { sat.get(i, j - 1) } else { 0.0 };
             let diag = if i > 0 && j > 0 {
@@ -265,7 +295,8 @@ pub(crate) fn verify_sat(image: &Matrix<f64>, sat: &Matrix<f64>) -> bool {
             } else {
                 0.0
             };
-            if !close(sat.get(i, j) - up - left + diag, image.get(i, j)) {
+            let tol = VERIFY_ULPS * f64::EPSILON * mag;
+            if !close(sat.get(i, j) - up - left + diag, a, tol) {
                 return false;
             }
         }
@@ -422,9 +453,48 @@ mod tests {
     }
 
     #[test]
+    fn verify_accepts_reference_sats_of_fractional_images() {
+        // Pixels uniform in [0, 255): at 512² and above the SAT words reach
+        // 10⁷–10⁸, where honest rounding is far above 1e-9 of a pixel.
+        for (rows, cols) in [
+            (512, 512),
+            (1024, 1024),
+            (1080, 1920),
+            (1079, 1917),
+            (333, 2048),
+            (1, 1920),
+            (1080, 1),
+        ] {
+            let image = Matrix::from_fn(rows, cols, |i, j| {
+                let h = (i * 1920 + j).wrapping_mul(2_654_435_761) % 1_000_003;
+                h as f64 * (255.0 / 1_000_003.0)
+            });
+            assert!(verify_sat(&image, &sat_reference(&image)), "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    fn verify_accepts_device_sats_of_signed_fractional_images() {
+        // Zero-mean pixels: the fringes 1R1W and 2R1W add are much larger
+        // than the SAT words they produce, and so is their rounding. At
+        // this size it reaches 19–23 ulps of `|s| + |up| + |left| + |diag|`.
+        use gpu_exec::DeviceOptions;
+        use hmm_model::MachineConfig;
+        let dev = Device::new(DeviceOptions::new(MachineConfig::with_width(32)).workers(2));
+        let image = Matrix::from_fn(512, 512, |i, j| {
+            let h = (i * 1920 + j).wrapping_mul(2_654_435_761) % 1_000_003;
+            h as f64 * (255.0 / 1_000_003.0) - 127.5
+        });
+        for alg in SatAlgorithm::ALL {
+            let sat = compute_sat(&dev, alg, &image);
+            assert!(verify_sat(&image, &sat), "{alg:?}");
+        }
+    }
+
+    #[test]
     fn verify_tolerates_float_reassociation() {
-        // Sums accumulated in a different association order drift by ulps,
-        // not by the 1e-9 relative tolerance.
+        // Sums accumulated in a different association order drift by ulps
+        // of the words they produce.
         let image = Matrix::from_fn(16, 16, |i, j| ((i * 7 + j) % 5) as f64 * 0.1 + 0.01);
         let sat = sat_reference(&image);
         let mut nudged = sat.clone();

@@ -155,6 +155,46 @@ fn always_mode_verifies_clean_traffic_and_passes() {
 }
 
 #[test]
+fn always_mode_accepts_honest_fractional_results() {
+    // Fractional pixels make every path round: the verification bound must
+    // follow the magnitude of the SAT words it checks, not of the pixel.
+    let cfg = ServiceConfig {
+        default_deadline: Duration::from_secs(60),
+        observer: obs::Obs::disabled(),
+        resilience: ResilienceConfig {
+            verify: sat_service::VerifyMode::Always,
+            ..ResilienceConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(cfg);
+    let client = service.client();
+    let n = 512;
+    for (k, alg) in [
+        SatAlgorithm::OneR1W,
+        SatAlgorithm::TwoR1W,
+        SatAlgorithm::OneR1W,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let img = Matrix::from_fn(n, n, |i, j| {
+            ((i * 7919 + j * 104_729 + k * 31) % 25_500) as f64 / 100.0 + 0.003
+        });
+        let got = client.submit(img.clone(), alg, None).expect("served");
+        assert!(
+            got.sat().max_abs_diff(&sat_reference(&img)) < 1e-3,
+            "{alg:?} request {k}"
+        );
+    }
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.verify_fail, 0, "{stats:?}");
+    assert_eq!(stats.degraded, 0, "{stats:?}");
+    assert_eq!(stats.verify_pass, 3, "{stats:?}");
+}
+
+#[test]
 fn combined_fault_schedule_stays_bit_exact() {
     // Every class at once — the acceptance-gate shape.
     let plan = FaultPlan::new(1)

@@ -24,9 +24,13 @@ cargo test -q --workspace
 
 echo "== perfbench smoke (the benchmark package lives outside the workspace,"
 echo "   so neither clippy nor the workspace tests compile it: build and run"
-echo "   two short workloads against the current crates)"
+echo "   three short workloads against the current crates; sat-hd-frame is the"
+echo "   ragged one, 1080 rows padded to 1088, so it checks the in-place crop"
+echo "   of compute_sat bit for bit)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload serve-mixed --seed 1 --seconds 2 --trace 0
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload sat-hd-frame --seed 1 --seconds 2 --trace 0
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload paper-mix-256 --seed 1 --seconds 2 --trace 1
 
