@@ -36,7 +36,7 @@
 //!   algorithm's cell, emit the matching flight-recorder event, and dump
 //!   one post-mortem bundle (into `--conformance-dir`) that passes
 //!   [`obs::flight::validate`] and whose `drift_alert` event names the
-//!   injected cell and shard 0 — exiting nonzero on any other outcome;
+//!   injected cell — exiting nonzero on any other outcome;
 //! * `--conformance-dir DIR` — where the injected-drift bundle goes
 //!   (default `.`);
 //! * `--validate-history PATH` — parse a history file and check its
@@ -52,29 +52,21 @@
 //! fixed CPU calibration loop timed in the same process, and only that
 //! normalized ratio is compared, within `--tolerance`.
 //!
-//! The cells are every [`Path`] at every size (the six `SatAlgorithm`s
-//! and `1R1W-persist`, persistent blocks with one launch total), plus
-//! `1R1W-fleet4`: the serving layer's banded decomposition on a real
-//! four-device fleet; its deterministic columns are checked against the
-//! closed-form banded model and its `modeled(u)` column is the fleet
-//! *critical-path* cost.
+//! The cells are every [`Path`] at every size: the six `SatAlgorithm`s
+//! and `1R1W-persist`, persistent blocks with one launch total.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use gpu_exec::{Device, DeviceFleet, DeviceOptions, FaultPlan, FleetOptions, LaunchContext};
-use hmm_model::cost::{GlobalCost, SatAlgorithm};
+use gpu_exec::{Device, DeviceOptions, FaultPlan, LaunchContext};
+use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use obs::json::JsonValue;
 use obs::Obs;
-use sat_bench::{bench_device, flag_value, parsed_flag, run_fleet_banded, Path};
+use sat_bench::{bench_device, flag_value, parsed_flag, Path};
 
 const PERF_SCHEMA: &str = "sat-hmm/bench-perf/v1";
 const HISTORY_SCHEMA: &str = "sat-hmm/bench-history/v1";
-/// The banded-fleet 1R1W cell name: the same decomposition the serving
-/// layer shards, run on a real four-device fleet.
-const FLEET_NAME: &str = "1R1W-fleet4";
-const FLEET_SHARDS: usize = 4;
 
 obs::json::record! {
     /// The canonical perf snapshot (`BENCH_perf.json`).
@@ -196,8 +188,8 @@ fn main() -> ExitCode {
         "algorithm", "n", "coalesced", "stride", "barriers", "modeled(u)", "wall med(s)", "norm"
     );
     let record = |mut e: PerfEntry, entries: &mut Vec<PerfEntry>| {
-        if let Some((ref name, factor)) = inject {
-            if e.algorithm == *name {
+        if let Some((path, factor)) = inject {
+            if e.algorithm == path.name() {
                 e.wall.median_seconds *= factor;
                 e.wall.min_seconds *= factor;
                 e.wall.max_seconds *= factor;
@@ -224,10 +216,6 @@ fn main() -> ExitCode {
                 &mut entries,
             );
         }
-        record(
-            measure_fleet_cell(cfg, n, runs, calibration_seconds),
-            &mut entries,
-        );
     }
 
     // The persistent gate: at every benchmarked size, the persistent cell's
@@ -271,7 +259,7 @@ fn main() -> ExitCode {
     }
 
     let dir = std::path::Path::new(&conformance_dir);
-    if conformance && !conformance_pass(cfg, &sizes, inject.as_ref(), dir) {
+    if conformance && !conformance_pass(cfg, &sizes, inject, dir) {
         eprintln!("benchdiff: FAIL (model conformance)");
         return ExitCode::FAILURE;
     }
@@ -295,21 +283,18 @@ fn main() -> ExitCode {
     compare(&perf, &baseline_path, tolerance)
 }
 
-/// Parse `ALGO:FACTOR` (e.g. `1r1w:2.0`) into the canonical cell name (a
-/// [`Path`] name, or the fleet cell's) and the factor.
-fn parse_injection(s: &str) -> Result<(String, f64), String> {
+/// Parse `ALGO:FACTOR` (e.g. `1r1w:2.0`) into the [`Path`] and the factor.
+fn parse_injection(s: &str) -> Result<(Path, f64), String> {
     let (name, factor) = s
         .split_once(':')
         .ok_or_else(|| format!("expected ALGO:FACTOR, got {s:?}"))?;
     let factor: f64 = factor
         .parse()
         .map_err(|_| format!("unparsable factor {factor:?}"))?;
-    let name = match name.parse::<Path>() {
-        Ok(path) => path.name(),
-        Err(_) if name.eq_ignore_ascii_case(FLEET_NAME) => FLEET_NAME,
-        Err(_) => return Err(format!("unknown algorithm {name:?}")),
-    };
-    Ok((name.to_string(), factor))
+    let path = name
+        .parse::<Path>()
+        .map_err(|_| format!("unknown algorithm {name:?}"))?;
+    Ok((path, factor))
 }
 
 /// The `--conformance` pass. Phase A replays every (path, n) cell on
@@ -324,22 +309,10 @@ fn parse_injection(s: &str) -> Result<(String, f64), String> {
 fn conformance_pass(
     cfg: MachineConfig,
     sizes: &[usize],
-    inject: Option<&(String, f64)>,
+    inject: Option<(Path, f64)>,
     dir: &std::path::Path,
 ) -> bool {
-    let injected = match inject {
-        Some((name, _)) => match name.parse::<Path>() {
-            Ok(path) => Some(path),
-            Err(_) => {
-                eprintln!(
-                    "conformance: --inject-slowdown {name:?} is not a conformance cell \
-                     (fleet cells are not covered)"
-                );
-                return false;
-            }
-        },
-        None => None,
-    };
+    let injected = inject.map(|(path, _)| path);
 
     let obs = Obs::new();
     let registry = obs.registry().expect("enabled observer has a registry");
@@ -438,8 +411,8 @@ fn conformance_pass(
     let alerts = tracker.alerts();
     for a in &alerts {
         println!(
-            "conformance: drift alert — {} via {} (τ ratio {:.2} over {} samples)",
-            a.cell, a.channel, a.ratio, a.samples
+            "conformance: drift alert — {} (τ ratio {:.2} over {} samples)",
+            a.cell, a.ratio, a.samples
         );
     }
     let mut ok = true;
@@ -469,22 +442,22 @@ fn conformance_pass(
         }
         Some(path) => {
             let expected = obs::conformance::cell_label(path.name(), sizes[0], sizes[0]);
-            if alerts.len() != 1 || alerts[0].channel != "cusum" || alerts[0].cell != expected {
+            if alerts.len() != 1 || alerts[0].cell != expected {
                 eprintln!(
-                    "conformance: injected slowdown must trip exactly one cusum alert \
+                    "conformance: injected slowdown must trip exactly one drift alert \
                      on {expected} (got {alerts:?})"
                 );
                 return false;
             }
             // The alert's flight event rides a dumped bundle, which must
             // round-trip the validator and, alone, name the drifting cell
-            // (the label `/debug/conformance` shows) and its shard.
+            // (the label `/debug/conformance` shows).
             let trigger = obs::flight::Trigger {
                 reason: "drift".to_string(),
                 request: 0,
                 detail: format!(
-                    "injected drift: {} via {} (τ ratio {:.2})",
-                    alerts[0].cell, alerts[0].channel, alerts[0].ratio
+                    "injected drift: {} (τ ratio {:.2})",
+                    alerts[0].cell, alerts[0].ratio
                 ),
             };
             match obs::flight::dump(&obs, dir, "conformance-drift", &trigger) {
@@ -497,7 +470,6 @@ fn conformance_pass(
                                 let field = |k| e.get(k).and_then(JsonValue::as_str);
                                 field("kind") == Some("drift_alert")
                                     && field("cell") == Some(expected.as_str())
-                                    && e.get("shard").and_then(JsonValue::as_f64) == Some(0.0)
                             };
                             let events = JsonValue::parse(&text)?;
                             let events = events.get("events").and_then(JsonValue::as_array);
@@ -509,7 +481,7 @@ fn conformance_pass(
                     match checked {
                         Ok(stats) => println!(
                             "conformance: drift bundle {} validates ({} events); \
-                             drift_alert names {expected} on shard 0",
+                             drift_alert names {expected}",
                             path.display(),
                             stats.events
                         ),
@@ -547,90 +519,6 @@ fn calibrate() -> f64 {
     let mut t: Vec<f64> = (0..5).map(|_| spin()).collect();
     t.sort_by(f64::total_cmp);
     t[t.len() / 2]
-}
-
-/// Measure the banded-fleet 1R1W cell: the serving layer's shard
-/// decomposition on a real four-device fleet. The deterministic columns
-/// come from the closed-form banded model — merged device counters must
-/// reproduce its coalesced/stride totals exactly, and the fleet must
-/// issue exactly `total_launches()` kernel launches. `barrier_steps`
-/// stores the launch-normalized total (launches − 1): per-device barrier
-/// counters partition the work differently than a single device would,
-/// so launch counts are the comparable quantity. `modeled_cost_units` is
-/// the *critical-path* cost — the quantity the fleet actually buys down.
-fn measure_fleet_cell(cfg: MachineConfig, n: usize, runs: usize, calibration: f64) -> PerfEntry {
-    let model = GlobalCost::new(cfg)
-        .banded_1r1w_exact_counts(n, n, FLEET_SHARDS)
-        .expect("benchmarked sizes are width-aligned");
-    let expect = model.total();
-
-    let fleet = DeviceFleet::new(FleetOptions::new(
-        DeviceOptions::new(cfg).workers(0),
-        FLEET_SHARDS,
-    ));
-    let mut walls = Vec::with_capacity(runs);
-    let mut measured = None;
-    for _ in 0..runs {
-        let (stats, secs, launches) = run_fleet_banded(&fleet, n);
-        walls.push(secs);
-        measured = Some((stats, launches));
-    }
-    let (stats, launches) = measured.expect("runs >= 1");
-    walls.sort_by(f64::total_cmp);
-    let median = walls[walls.len() / 2];
-
-    assert_eq!(
-        stats.coalesced_reads + stats.coalesced_writes,
-        expect.coalesced_reads + expect.coalesced_writes,
-        "{FLEET_NAME} n={n}: merged coalesced ops diverge from the banded model"
-    );
-    assert_eq!(
-        stats.stride_reads + stats.stride_writes,
-        expect.stride_reads + expect.stride_writes,
-        "{FLEET_NAME} n={n}: merged stride ops diverge from the banded model"
-    );
-    assert_eq!(
-        launches,
-        model.total_launches(),
-        "{FLEET_NAME} n={n}: fleet launch count diverges from the banded model"
-    );
-
-    // One traced execution with every device reporting into a single
-    // recorder; the trace-side attribution must agree with the devices'
-    // own counters (two independent observation paths).
-    let obs = Obs::new();
-    let traced = DeviceFleet::new(FleetOptions::new(
-        DeviceOptions::new(cfg).workers(0).observer(obs.clone()),
-        FLEET_SHARDS,
-    ));
-    run_fleet_banded(&traced, n);
-    let report = obs::profile::attribution_from_trace(&obs, &cfg);
-    let total = report.total();
-    assert_eq!(
-        total.coalesced_ops,
-        stats.coalesced_reads + stats.coalesced_writes,
-        "{FLEET_NAME} n={n}: attribution and device counters diverged"
-    );
-
-    PerfEntry {
-        algorithm: FLEET_NAME.to_string(),
-        n,
-        coalesced_ops: stats.coalesced_reads + stats.coalesced_writes,
-        stride_ops: stats.stride_reads + stats.stride_writes,
-        barrier_steps: expect.barrier_steps,
-        modeled_cost_units: model.critical_path_cost(&cfg),
-        attribution: Attribution {
-            launches: report.rows.len(),
-            modeled_cost_units: total.modeled_cost,
-        },
-        wall: WallStats {
-            runs,
-            median_seconds: median,
-            min_seconds: walls[0],
-            max_seconds: *walls.last().unwrap(),
-            normalized: median / calibration,
-        },
-    }
 }
 
 /// Measure one path's cell: `runs` timed executions on a bare sequential

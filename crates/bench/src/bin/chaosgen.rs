@@ -23,18 +23,6 @@
 //! launch-indexed (`LossWindow::Launches`), so every scenario injects the
 //! same schedule regardless of host speed.
 //!
-//! Three scenarios exercise the device fleet (`--shards`-style serving
-//! with per-shard fault domains):
-//!
-//! * `shard-loss` — four shards, one permanently dead from its first
-//!   launch; its bands must fail over to the three survivors with **zero**
-//!   CPU degradation and exactly one `shard_failover` post-mortem bundle;
-//! * `rolling-loss` — four shards, each with its own transient
-//!   launch-indexed loss window, staggered so the fleet is never fully
-//!   down;
-//! * `straggler-shard` — four shards, one consistently slow; the
-//!   work-stealing queue must route around it without degrading anything.
-//!
 //! With `--postmortem-dir DIR` each scenario's service is armed to dump at
 //! most one flight-recorder post-mortem bundle into DIR (named
 //! `postmortem-<scenario>-…`); a breaker-opening scenario must then emit
@@ -89,11 +77,6 @@ obs::json::record! {
         /// Post-mortem bundles this scenario dumped (0 unless
         /// `--postmortem-dir` was given; capped at 1 per scenario).
         postmortem_bundles: u64,
-        /// Fleet shape and per-shard outcomes (shards = 1 for the
-        /// single-device scenarios; the shard counters then stay 0).
-        shards: u64,
-        shard_failovers: u64,
-        shards_lost: u64,
     }
 
     /// The record `BENCH_chaos.json` holds.
@@ -108,88 +91,34 @@ obs::json::record! {
     }
 }
 
-/// One scenario's shape: how many shards to serve over and which fault
-/// plan each fault domain carries.
-struct ScenarioSpec {
-    shards: usize,
-    /// Plan for the single-device scenarios (`shards == 1`).
-    fault_plan: Option<FaultPlan>,
-    /// Per-shard plans for the fleet scenarios (`shards > 1`).
-    shard_plans: Vec<Option<FaultPlan>>,
-}
-
-/// The default schedule from the acceptance gate: abort p=0.05,
-/// corruption p=0.02, a launch-indexed device-loss window (launches
-/// 5..35, identical on every host); `combined` arms all of them plus a
-/// mild straggler. The fleet scenarios run four shards. `shard-loss`
-/// straggles the healthy shards so the dead one deterministically samples
-/// tasks even on a single-core host where one fast worker would otherwise
-/// drain the whole queue.
-fn spec_for(name: &str, seed: u64) -> Option<ScenarioSpec> {
+/// The fault plan of scenario `name`: the default schedule from the
+/// acceptance gate is abort p=0.05, corruption p=0.02, a launch-indexed
+/// device-loss window (launches 5..35, identical on every host);
+/// `combined` arms all of them plus a mild straggler.
+fn plan_for(name: &str, seed: u64) -> Option<FaultPlan> {
     let loss = LossWindow::Launches {
         start: 5,
         count: 30,
     };
-    let single = |plan: FaultPlan| {
-        Some(ScenarioSpec {
-            shards: 1,
-            fault_plan: Some(plan),
-            shard_plans: Vec::new(),
-        })
-    };
-    let fleet = |plans: Vec<Option<FaultPlan>>| {
-        Some(ScenarioSpec {
-            shards: plans.len(),
-            fault_plan: None,
-            shard_plans: plans,
-        })
-    };
-    let slow = || Some(FaultPlan::new(seed).straggler(1.0, Duration::from_micros(200)));
     match name {
-        "abort" => single(FaultPlan::new(seed).launch_abort_p(0.05)),
-        "corrupt" => single(FaultPlan::new(seed).corrupt_p(0.02)),
-        "loss" => single(FaultPlan::new(seed).loss(loss)),
-        "combined" => single(
+        "abort" => Some(FaultPlan::new(seed).launch_abort_p(0.05)),
+        "corrupt" => Some(FaultPlan::new(seed).corrupt_p(0.02)),
+        "loss" => Some(FaultPlan::new(seed).loss(loss)),
+        "combined" => Some(
             FaultPlan::new(seed)
                 .launch_abort_p(0.05)
                 .corrupt_p(0.02)
                 .straggler(0.01, Duration::from_micros(5))
                 .loss(loss),
         ),
-        "shard-loss" => fleet(vec![
-            slow(),
-            slow(),
-            Some(FaultPlan::new(seed).loss(LossWindow::Launches {
-                start: 0,
-                count: u64::MAX,
-            })),
-            slow(),
-        ]),
-        "rolling-loss" => fleet(
-            (0..4u64)
-                .map(|i| {
-                    Some(FaultPlan::new(seed + i).loss(LossWindow::Launches {
-                        start: 10 + i * 30,
-                        count: 12,
-                    }))
-                })
-                .collect(),
-        ),
-        "straggler-shard" => fleet(vec![None, slow(), None, None]),
         _ => None,
     }
 }
 
-/// Whether the scenario injects a single-device loss window, i.e. must
-/// show breaker + degradation activity.
+/// Whether the scenario injects a loss window, i.e. must show breaker +
+/// degradation activity.
 fn has_loss(name: &str) -> bool {
     matches!(name, "loss" | "combined")
-}
-
-/// Whether the scenario kills a whole fault domain for good, i.e. must
-/// show shard loss + failover with zero degradation.
-fn has_shard_loss(name: &str) -> bool {
-    name == "shard-loss"
 }
 
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
@@ -203,7 +132,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 #[allow(clippy::too_many_arguments)]
 fn run_scenario(
     name: &str,
-    spec: ScenarioSpec,
+    fault_plan: FaultPlan,
     threads: usize,
     requests: usize,
     machine: MachineConfig,
@@ -230,9 +159,7 @@ fn run_scenario(
         max_linger: Duration::from_micros(200),
         default_deadline: Duration::from_secs(60),
         observer,
-        fault_plan: spec.fault_plan,
-        shards: spec.shards,
-        shard_fault_plans: spec.shard_plans,
+        fault_plan: Some(fault_plan),
         postmortem,
         ..ServiceConfig::default()
     });
@@ -309,9 +236,6 @@ fn run_scenario(
         injected_stragglers: injected("straggler"),
         injected_corruptions: injected("corruption"),
         postmortem_bundles,
-        shards: stats.shards,
-        shard_failovers: stats.shard_failovers,
-        shards_lost: stats.shards_lost,
     };
     (record, metrics_text)
 }
@@ -339,9 +263,8 @@ fn main() -> ExitCode {
     let width: usize = parsed_flag(&args, "--width", 4);
     let seed: u64 = parsed_flag(&args, "--seed", 7);
     let slo_ms: f64 = parsed_flag(&args, "--slo-ms", 250.0);
-    let scenarios = flag_value(&args, "--scenarios").unwrap_or_else(|| {
-        "abort,corrupt,loss,combined,shard-loss,rolling-loss,straggler-shard".into()
-    });
+    let scenarios =
+        flag_value(&args, "--scenarios").unwrap_or_else(|| "abort,corrupt,loss,combined".into());
     let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_chaos.json".into());
     let postmortem_dir = flag_value(&args, "--postmortem-dir").map(std::path::PathBuf::from);
     let snapshot_path = flag_value(&args, "--metrics-snapshot");
@@ -369,16 +292,13 @@ fn main() -> ExitCode {
         .map(str::trim)
         .filter(|s| !s.is_empty())
     {
-        let Some(spec) = spec_for(name, seed) else {
-            eprintln!(
-                "chaosgen: unknown scenario '{name}' (abort, corrupt, loss, combined, \
-                 shard-loss, rolling-loss, straggler-shard)"
-            );
+        let Some(plan) = plan_for(name, seed) else {
+            eprintln!("chaosgen: unknown scenario '{name}' (abort, corrupt, loss, combined)");
             return ExitCode::FAILURE;
         };
         let (rec, metrics_text) = run_scenario(
             name,
-            spec,
+            plan,
             threads,
             requests,
             machine,
@@ -391,8 +311,7 @@ fn main() -> ExitCode {
         println!(
             "  {name}: {}/{expected} bit-exact, slo {:.1}% at {slo_ms} ms, \
              attempts {}+{} failed, retries {}, degraded {}, verify {}p/{}f, \
-             breaker o{}/h{}/c{}, injected a{} l{} s{} c{}, postmortems {}, \
-             shards {} (lost {}, failovers {})",
+             breaker o{}/h{}/c{}, injected a{} l{} s{} c{}, postmortems {}",
             rec.completed - rec.mismatches,
             rec.slo_attainment * 100.0,
             rec.attempts_ok,
@@ -409,9 +328,6 @@ fn main() -> ExitCode {
             rec.injected_stragglers,
             rec.injected_corruptions,
             rec.postmortem_bundles,
-            rec.shards,
-            rec.shards_lost,
-            rec.shard_failovers,
         );
         if rec.rejected > 0 || rec.mismatches > 0 || rec.completed != expected {
             eprintln!(
@@ -428,33 +344,11 @@ fn main() -> ExitCode {
             );
             failed = true;
         }
-        // Losing one of four fault domains must never reach the CPU path:
-        // the dead shard's bands fail over to the survivors.
-        if has_shard_loss(name)
-            && (rec.degraded > 0 || rec.shards_lost == 0 || rec.shard_failovers == 0)
-        {
-            eprintln!(
-                "  {name}: FAILED — one dead shard of four must fail over \
-                 (lost {}, failovers {}) with zero degradation (degraded {})",
-                rec.shards_lost, rec.shard_failovers, rec.degraded
-            );
-            failed = true;
-        }
-        // A straggling shard is latency, not loss: nothing may open or
-        // degrade because of it.
-        if name == "straggler-shard" && (rec.degraded > 0 || rec.shards_lost > 0) {
-            eprintln!(
-                "  {name}: FAILED — a straggler shard must not be treated as lost \
-                 (lost {}, degraded {})",
-                rec.shards_lost, rec.degraded
-            );
-            failed = true;
-        }
         // A breaker-opening scenario armed for dumping must emit exactly one
         // bundle, and that bundle must be schema-valid with the triggering
         // request's event chain inside.
         if let Some(dir) = &postmortem_dir {
-            if has_loss(name) || has_shard_loss(name) {
+            if has_loss(name) {
                 let bundles = bundles_for(dir, name);
                 if bundles.len() != 1 {
                     eprintln!(

@@ -4,9 +4,9 @@
 //! ```sh
 //! cargo run --release -p sat-bench --bin loadgen -- \
 //!     [--threads 16] [--requests 64] [--n 64] [--width 32] [--rate 0] \
-//!     [--max-batch 16] [--linger-us 500] [--mixed] [--shards 1] \
-//!     [--min-model-speedup 0] [--json BENCH_service.json] \
-//!     [--trace trace.json] [--metrics-snapshot metrics.prom]
+//!     [--max-batch 16] [--linger-us 500] [--mixed] [--check-conformance] \
+//!     [--json BENCH_service.json] [--trace trace.json] \
+//!     [--metrics-snapshot metrics.prom]
 //! ```
 //!
 //! Each of `--threads` client threads submits `--requests` SAT requests of
@@ -31,29 +31,16 @@
 //! machine within its tolerance and the run must raise zero drift alerts
 //! — the fault-free conformance gate in `scripts/check.sh`.
 //!
-//! With `--shards D` (D > 1) the service serves over a [`DeviceFleet`]:
-//! each 1R1W request is decomposed into row bands work-stolen by D
-//! independent fault domains. The record then carries the per-shard launch
-//! counters plus the closed-form fleet model at the nominal `--n`: the
-//! D-band critical-path launch count and cost versus single-device
-//! (`hmm_model::cost::BandedCounts`), whose ratio is `model_speedup`. The
-//! fleet gate requires the critical-path launch count to genuinely scale
-//! (fewer launches per shard than one device pays alone), and
-//! `--min-model-speedup X` additionally requires `model_speedup >= X` —
-//! `scripts/check.sh` pins `>= 3` at `n = 512, w = 4, D = 4`.
-//!
 //! Exits nonzero on any result mismatch, rejected request, trace
-//! validation failure, or fleet-gate failure, so it doubles as the
+//! validation failure, or conformance-gate failure, so it doubles as the
 //! serving-layer smoke gate in `scripts/check.sh`.
-//!
-//! [`DeviceFleet`]: gpu_exec::DeviceFleet
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use gpu_exec::{Device, DeviceOptions};
-use hmm_model::cost::{GlobalCost, SatAlgorithm};
+use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use sat_bench::{flag_value, parsed_flag, unknown_families};
 use sat_core::{compute_sat, Matrix};
@@ -86,18 +73,6 @@ obs::json::record! {
         completed: u64,
         rejected: u64,
         mismatches: u64,
-        /// Fleet shape: 1 = single device (the shard fields below stay
-        /// empty/zero), D > 1 = banded fleet serving.
-        shards: usize,
-        /// Per-shard launch counters as issued by the fleet router.
-        shard_launches: Vec<u64>,
-        max_shard_launches: u64,
-        /// Closed-form critical-path launches for one `--n × --n` image:
-        /// single device vs. the D-band fleet decomposition.
-        model_single_launches: u64,
-        model_fleet_launches: u64,
-        /// Closed-form critical-path cost ratio (single / fleet) at `--n`.
-        model_speedup: f64,
         /// Online model-conformance fit at the end of the run.
         model_fit_converged: bool,
         model_fitted_width: f64,
@@ -118,9 +93,7 @@ fn main() -> ExitCode {
     let max_batch: usize = parsed_flag(&args, "--max-batch", 16);
     let linger_us: u64 = parsed_flag(&args, "--linger-us", 500);
     let mixed = args.iter().any(|a| a == "--mixed");
-    let shards: usize = parsed_flag(&args, "--shards", 1);
     let check_conformance = args.iter().any(|a| a == "--check-conformance");
-    let min_model_speedup: f64 = parsed_flag(&args, "--min-model-speedup", 0.0);
     let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_service.json".into());
     let trace_path = flag_value(&args, "--trace");
     let snapshot_path = flag_value(&args, "--metrics-snapshot");
@@ -160,13 +133,12 @@ fn main() -> ExitCode {
         max_linger: Duration::from_micros(linger_us),
         default_deadline: Duration::from_secs(60),
         observer: observer.clone(),
-        shards,
         ..ServiceConfig::default()
     });
 
     println!(
         "loadgen: {threads} threads x {requests} requests, {n}x{n} (mixed: {mixed}), \
-         w = {width}, max batch {max_batch}, linger {linger_us} us, shards {shards}"
+         w = {width}, max batch {max_batch}, linger {linger_us} us"
     );
     let mismatches = AtomicU64::new(0);
     let rejected = AtomicU64::new(0);
@@ -212,24 +184,6 @@ fn main() -> ExitCode {
     let drift_alerts = service.conformance().alerts();
     let stats: ServiceStats = service.shutdown();
 
-    // Closed-form fleet model at the nominal image size: the D-band
-    // decomposition's critical-path launches and cost versus what a
-    // single-device service actually runs per image — the paper's 1R1W
-    // wavefront (`GlobalCost::one_r1w`), not the fleet's mirror variant.
-    let gc = GlobalCost::new(machine);
-    let pn = n.max(1).next_multiple_of(width);
-    let (model_speedup, model_single_launches, model_fleet_launches) = match (
-        gc.exact_counts(SatAlgorithm::OneR1W, pn, pn),
-        gc.banded_1r1w_exact_counts(pn, pn, shards),
-    ) {
-        (Some(single), Some(fleet)) => (
-            gc.cost(SatAlgorithm::OneR1W, pn) / fleet.critical_path_cost(&machine),
-            single.barrier_steps + 1,
-            fleet.critical_path_launches(),
-        ),
-        _ => (1.0, 0, 0),
-    };
-
     let record = ServingRecord {
         threads,
         requests_per_thread: requests,
@@ -255,12 +209,6 @@ fn main() -> ExitCode {
         completed: stats.completed,
         rejected: rejected.load(Ordering::Relaxed),
         mismatches: mismatches.load(Ordering::Relaxed),
-        shards,
-        max_shard_launches: stats.shard_launches.iter().copied().max().unwrap_or(0),
-        shard_launches: stats.shard_launches.clone(),
-        model_single_launches,
-        model_fleet_launches,
-        model_speedup,
         model_fit_converged: fit.converged,
         model_fitted_width: fit.width,
         model_fitted_window_overhead: fit.window_overhead,
@@ -344,26 +292,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if shards > 1 {
-        // Launch-count scaling: the fleet's critical path must be strictly
-        // shorter than what one device pays for the same image.
-        if record.model_fleet_launches >= record.model_single_launches {
-            eprintln!(
-                "loadgen: FAILED — {} critical-path launches across {} shards \
-                 does not beat {} on one device",
-                record.model_fleet_launches, shards, record.model_single_launches
-            );
-            return ExitCode::FAILURE;
-        }
-        if min_model_speedup > 0.0 && record.model_speedup < min_model_speedup {
-            eprintln!(
-                "loadgen: FAILED — closed-form fleet speedup {:.2}x below the \
-                 required {min_model_speedup:.2}x",
-                record.model_speedup
-            );
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -425,17 +353,4 @@ fn print_summary(r: &ServingRecord, total: &LatencySummary) {
          ({} barrier windows saved)",
         r.launches_issued, r.launches_unbatched_equiv, r.launch_reduction, r.barrier_windows_saved
     );
-    if r.shards > 1 {
-        println!(
-            "fleet: {} shards, launches per shard {:?} (max {}), \
-             model critical path {} vs {} single-device launches, \
-             model speedup {:.2}x",
-            r.shards,
-            r.shard_launches,
-            r.max_shard_launches,
-            r.model_fleet_launches,
-            r.model_single_launches,
-            r.model_speedup
-        );
-    }
 }

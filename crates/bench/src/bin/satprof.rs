@@ -370,8 +370,8 @@ fn report_conformance(tracker: &obs::Conformance, cfg: MachineConfig, check: boo
     }
     for alert in tracker.alerts() {
         println!(
-            "  drift alert: {} via {} (τ ratio {:.2} over {} samples)",
-            alert.cell, alert.channel, alert.ratio, alert.samples
+            "  drift alert: {} (τ ratio {:.2} over {} samples)",
+            alert.cell, alert.ratio, alert.samples
         );
     }
     let ok = fit.matches(cfg.width as u64, cfg.window_overhead(), tol);

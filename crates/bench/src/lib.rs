@@ -234,26 +234,6 @@ impl AlgoRecord {
     }
 }
 
-/// Run the **banded** 1R1W decomposition for real across a device fleet
-/// (band `k` on device `k % D`), returning the fleet's merged counters,
-/// the host wall-clock, and the total launches the run issued. The merged
-/// counters are schedule-independent — every band kernel's traffic is
-/// fixed — so they compare exactly against
-/// [`hmm_model::cost::BandedCounts::total`].
-pub fn run_fleet_banded(fleet: &gpu_exec::DeviceFleet, n: usize) -> (CostCounters, f64, u64) {
-    let a = workload(n);
-    fleet.reset_stats();
-    let before: u64 = fleet.launches().iter().sum();
-    let start = Instant::now();
-    let buf = GlobalBuffer::from_vec(a.into_vec());
-    let s = GlobalBuffer::filled(0.0f64, n * n);
-    let refs: Vec<&Device> = fleet.iter().collect();
-    par::sat_1r1w_banded(&refs, &buf, &s, n, n, fleet.len());
-    let secs = start.elapsed().as_secs_f64();
-    let launches = fleet.launches().iter().sum::<u64>() - before;
-    (fleet.stats(), secs, launches)
-}
-
 /// Produce the record for `(alg, n)` on `dev`'s machine: measured when
 /// `n ≤ measured_max` and [`Path::runs_at`] allows it, closed-form
 /// otherwise.
@@ -464,7 +444,6 @@ mod tests {
             Ok(Path::Alg(SatAlgorithm::HybridR1W))
         );
         assert!("9r9w".parse::<Path>().is_err());
-        assert!("1R1W-fleet4".parse::<Path>().is_err());
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Parallel SAT algorithms for the asynchronous HMM, as `gpu-exec` kernels.
 
-pub mod band;
 pub mod common;
 pub mod four_r1w;
 pub mod four_r4w;
@@ -11,10 +10,6 @@ pub mod region;
 pub mod two_r1w;
 pub mod two_r2w;
 
-pub use band::{
-    band_colsum, band_wavefront, band_wavefront_stage, margin_exchange, sat_1r1w_banded, Band,
-    BandPlan,
-};
 pub use common::Grid;
 pub use four_r1w::sat_4r1w;
 pub use four_r4w::sat_4r4w;

@@ -28,14 +28,13 @@
 //! stages, whose latency dominates for small matrices — hence the hybrid
 //! `(1+r²)R1W`.
 //!
-//! Every 1R1W variant — staged, batched, banded (and so mirror), and
-//! persistent — emits its blocks through one body; they differ only in
-//! where the fringes come from.
+//! Every 1R1W variant — staged, batched, mirror and persistent — emits its
+//! blocks through one body; they differ only in where the fringes come
+//! from.
 
 use gpu_exec::{BlockCtx, Device, GlobalBuffer, GlobalView, HandoffFlags, SharedTile};
 
 use crate::element::SatElement;
-use crate::par::band::{band_wavefront, BandPlan};
 use crate::par::common::{default_tile, load_block, tile_sat, Grid};
 
 /// **1R1W**: compute into `s` the SAT of the `rows × cols` matrix in `a`,
@@ -177,15 +176,15 @@ impl<T: SatElement> Fringes<T> {
 /// scan it in shared memory, read its fringes, and emit it.
 ///
 /// * `above` is the row above the block, `S(r0 − 1, c)` at word `base + c`
-///   of the view — the finished block-row in `s`, or a band's carry row —
-///   or `None` in the first block-row. The top fringe is one coalesced read
-///   of it, the corner one single-word read.
+///   of the view — the finished block-row in `s` — or `None` in the first
+///   block-row. The top fringe is one coalesced read of it, the corner one
+///   single-word read.
 /// * The left fringe is the right column of the block to the left: a
 ///   stride read of `s` (the `O(n²/w)` lower-order term of Theorem 6), or,
 ///   with a `mirror`, one coalesced read of that column mirrored
 ///   transposed — in which case the block mirrors its own right column
 ///   too.
-pub(super) fn stage_block<T: SatElement>(
+fn stage_block<T: SatElement>(
     ctx: &mut BlockCtx<'_>,
     ga: &GlobalView<'_, T>,
     gs: &GlobalView<'_, T>,
@@ -400,7 +399,7 @@ fn acquire_ready(flags: &HandoffFlags, slot: usize, ctx: &mut BlockCtx<'_>) -> b
 /// reads its left fringe from `M` with one coalesced read. Total: `+rows·mc`
 /// coalesced writes, `−rows·mc` stride reads; every access of the whole
 /// algorithm is now coalesced. The `ablation` benchmark quantifies the
-/// trade. It is the banded wavefront ([`band_wavefront`]) over one band.
+/// trade.
 pub fn sat_1r1w_mirror<T: SatElement>(
     dev: &Device,
     a: &GlobalBuffer<T>,
@@ -408,15 +407,23 @@ pub fn sat_1r1w_mirror<T: SatElement>(
     rows: usize,
     cols: usize,
 ) {
-    let plan = BandPlan::new(rows, cols, dev.width(), 1);
+    let grid = Grid::new(rows, cols, dev.width());
     assert!(
         a.len() >= rows * cols && s.len() >= rows * cols,
         "buffers too small"
     );
-    // One band has no carry row; the buffer is never read.
-    let carries = GlobalBuffer::filled(T::ZERO, plan.boundary_len());
-    let mirror = GlobalBuffer::filled(T::ZERO, plan.mirror_len());
-    band_wavefront(dev, a, s, &carries, &mirror, &plan, 0);
+    let mirror = GlobalBuffer::filled(T::ZERO, grid.mc * grid.rows);
+    for d in 0..grid.diagonals() {
+        let blocks: Vec<(usize, usize)> = grid.diagonal_blocks(d).collect();
+        dev.launch(blocks.len(), |ctx| {
+            let ga = ctx.view(a);
+            let gs = ctx.view(s);
+            let gm = ctx.view(&mirror);
+            let (bi, bj) = blocks[ctx.block_id()];
+            let above = (bi > 0).then(|| (gs, grid.addr(bi * grid.w - 1, 0)));
+            stage_block(ctx, &ga, &gs, Some(&gm), grid, (bi, bj), above);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! Parity of the 1R1W family: the staged, batched, mirror, banded and
-//! persistent drivers must agree with each other, with the closed-form
-//! counts, and with `sat_reference` bit for bit, on padded shapes including
-//! a single block, 1×n and n×1.
+//! Parity of the 1R1W family: the staged, batched, mirror and persistent
+//! drivers must agree with each other, with the closed-form counts, and
+//! with `sat_reference` bit for bit, on padded shapes including a single
+//! block, 1×n and n×1.
 
 use gpu_exec::{Device, DeviceOptions, GlobalBuffer, RunTrace};
-use hmm_model::cost::{GlobalCost, SatAlgorithm};
+use hmm_model::cost::{ExactCounts, GlobalCost, SatAlgorithm};
 use hmm_model::MachineConfig;
 use sat_core::par;
 use sat_core::seq::sat_reference;
@@ -85,26 +85,37 @@ fn staged_equals_a_batch_of_one_launch_by_launch() {
 }
 
 #[test]
-fn mirror_equals_one_band() {
+fn mirror_matches_its_closed_form() {
     for w in WIDTHS {
         for (rows, cols) in shapes(w) {
             let a = input(w, rows, cols, 1);
             let (pr, pc) = (a.rows(), a.cols());
-            let want = sat_reference(&a);
-
-            let mirror = device(w, false);
+            let dev = device(w, false);
             let (ab, sb) = (buffer(&a), GlobalBuffer::filled(0i64, pr * pc));
-            par::sat_1r1w_mirror(&mirror, &ab, &sb, pr, pc);
-            assert_eq!(sb.into_vec(), want.as_slice(), "mirror w={w} {rows}x{cols}");
+            par::sat_1r1w_mirror(&dev, &ab, &sb, pr, pc);
+            assert_eq!(
+                sb.into_vec(),
+                sat_reference(&a).as_slice(),
+                "mirror w={w} {rows}x{cols}"
+            );
 
-            let banded = device(w, false);
-            let (ab, sb) = (buffer(&a), GlobalBuffer::filled(0i64, pr * pc));
-            par::sat_1r1w_banded(&[&banded], &ab, &sb, pr, pc, 1);
-            assert_eq!(sb.into_vec(), want.as_slice(), "banded w={w} {rows}x{cols}");
-
-            assert_eq!(mirror.stats(), banded.stats(), "w={w} {rows}x{cols}");
-            assert_eq!(mirror.launches(), banded.launches(), "w={w} {rows}x{cols}");
-            assert_eq!(mirror.stats().stride_ops(), 0);
+            // Every block reads its tile, its top fringe (but block-row 0),
+            // its left fringe from the mirror (but block-column 0) and its
+            // corner (but either edge); it writes its tile and mirrors its
+            // right column. No stride access; one launch per anti-diagonal.
+            let (n, mr, mc, w) = ((pr * pc) as u64, (pr / w) as u64, (pc / w) as u64, w as u64);
+            let exact = ExactCounts {
+                coalesced_reads: n + (mr - 1) * mc * w + mr * (mc - 1) * w + (mr - 1) * (mc - 1),
+                coalesced_writes: n + mr * mc * w,
+                stride_reads: 0,
+                stride_writes: 0,
+                barrier_steps: mr + mc - 2,
+            };
+            let st = dev.stats();
+            assert!(
+                exact.matches(&st),
+                "w={w} {rows}x{cols}: measured {st:?} vs closed form {exact:?}"
+            );
         }
     }
 }

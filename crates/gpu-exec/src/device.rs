@@ -1,6 +1,5 @@
 //! The virtual GPU device: launch machinery, block contexts and statistics.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -79,14 +78,8 @@ pub struct DeviceOptions {
     pub fault_plan: Option<FaultPlan>,
     /// Model-conformance tracker: when attached, every launch's exact
     /// counter deltas and wall time are fed as one
-    /// [`LaunchSample`] (implies statistics). Trackers are
-    /// `Arc`-shared, so one tracker can ingest from a whole fleet.
+    /// [`LaunchSample`] (implies statistics).
     pub conformance: Option<Conformance>,
-    /// Fleet shard index: when set, conformance cell labels gain an
-    /// `@s<shard>` suffix so shard-relative drift localizes a sick device.
-    /// Set by [`DeviceFleet`](crate::DeviceFleet); `None` for standalone
-    /// devices.
-    pub shard: Option<u64>,
 }
 
 impl DeviceOptions {
@@ -103,7 +96,6 @@ impl DeviceOptions {
             observer: Obs::disabled(),
             fault_plan: None,
             conformance: None,
-            shard: None,
         }
     }
 
@@ -159,12 +151,6 @@ impl DeviceOptions {
     /// tracker needs the per-launch counter deltas.
     pub fn conformance(mut self, tracker: Conformance) -> Self {
         self.conformance = Some(tracker);
-        self
-    }
-
-    /// Set the fleet shard index (see [`DeviceOptions::shard`]).
-    pub fn shard(mut self, shard: u64) -> Self {
-        self.shard = Some(shard);
         self
     }
 }
@@ -271,13 +257,8 @@ pub struct Device {
     fault: Option<FaultState>,
     /// Request-scoped metadata for the next launches (serving layer hook).
     launch_ctx: Mutex<Option<LaunchContext>>,
-    /// Model-conformance tracker fed once per launch (shared across a
-    /// fleet's devices via its inner `Arc`).
+    /// Model-conformance tracker fed once per launch.
     conformance: Option<Conformance>,
-    /// Fleet shard index: suffixes every conformance cell label
-    /// `@s<shard>` and names the shard in drift alerts (a standalone
-    /// device's alerts name shard 0).
-    shard: Option<u64>,
 }
 
 impl Device {
@@ -338,7 +319,6 @@ impl Device {
             fault,
             launch_ctx: Mutex::new(None),
             conformance: opts.conformance,
-            shard: opts.shard,
         }
     }
 
@@ -475,9 +455,9 @@ impl Device {
             ),
         };
         // Race-table entries are tagged `(epoch, block)`; the epoch is
-        // *process-global* (not per-device) so that concurrent launches on
-        // different devices of a fleet touching one checked buffer can
-        // never alias each other's tags and report false races.
+        // *process-global* (not per-device) so that launches on different
+        // devices touching one checked buffer can never alias each other's
+        // tags and report false races.
         static NEXT_LAUNCH_EPOCH: AtomicU64 = AtomicU64::new(1);
         let epoch = NEXT_LAUNCH_EPOCH.fetch_add(1, Ordering::Relaxed);
 
@@ -594,10 +574,7 @@ impl Device {
             // Unlabeled launches still get a stable mode/grid bucket.
             let mode = if persistent { "persistent" } else { "launch" };
             let bucket = grid.max(1).next_power_of_two();
-            let mut cell = lc.cell.unwrap_or_else(|| format!("{mode}/g{bucket}"));
-            if let Some(s) = self.shard {
-                let _ = write!(cell, "@s{s}");
-            }
+            let cell = lc.cell.unwrap_or_else(|| format!("{mode}/g{bucket}"));
             conf.ingest(LaunchSample {
                 cell,
                 coalesced_ops: delta.coalesced_ops(),
@@ -608,7 +585,6 @@ impl Device {
             for alert in conf.take_new_alerts() {
                 obs.emit(Event::DriftAlert {
                     cell: Label::new(&alert.cell),
-                    shard: self.shard.unwrap_or(0),
                     ratio_ppm: (alert.ratio * 1e6) as u64,
                     samples: alert.samples,
                 });
@@ -1024,32 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_devices_tag_conformance_cells_with_their_shard() {
-        use crate::fleet::{DeviceFleet, FleetOptions};
-        use obs::conformance::ConformanceConfig;
-        let cfg = MachineConfig::with_width(4);
-        let tracker = Conformance::new(ConformanceConfig::for_machine(
-            cfg.width as u64,
-            cfg.window_overhead(),
-        ));
-        let base = DeviceOptions::new(cfg)
-            .workers(0)
-            .conformance(tracker.clone());
-        let fleet = DeviceFleet::new(FleetOptions::new(base, 2));
-        let buf = GlobalBuffer::filled(1.0f64, 32);
-        for d in 0..2 {
-            fleet.device(d).launch(4, |ctx| {
-                let g = ctx.view(&buf);
-                let mut v = [0.0; 4];
-                g.read_contig(ctx.block_id() * 4, &mut v, ctx.rec());
-            });
-        }
-        let cells = tracker.cells();
-        let names: Vec<&str> = cells.iter().map(|c| c.cell.as_str()).collect();
-        assert_eq!(names, vec!["launch/g4@s0", "launch/g4@s1"], "{cells:?}");
-    }
-
-    #[test]
     fn sustained_drift_emits_one_flight_event() {
         use obs::conformance::ConformanceConfig;
         let obs = Obs::new();
@@ -1099,18 +1049,15 @@ mod tests {
             .into_iter()
             .filter_map(|e| match e.event {
                 Event::DriftAlert {
-                    cell,
-                    shard,
-                    ratio_ppm,
-                    ..
-                } => Some((cell, shard, ratio_ppm)),
+                    cell, ratio_ppm, ..
+                } => Some((cell, ratio_ppm)),
                 _ => None,
             })
             .collect();
         assert_eq!(drifts.len(), 1, "{drifts:?}");
-        assert!(drifts[0].2 > 1_000_000, "ratio ppm: {:?}", drifts[0]);
-        // The event alone names the drifting cell and the device's shard.
-        assert_eq!((drifts[0].0.as_str(), drifts[0].1), (cell, 0));
+        assert!(drifts[0].1 > 1_000_000, "ratio ppm: {:?}", drifts[0]);
+        // The event alone names the drifting cell.
+        assert_eq!(drifts[0].0.as_str(), cell);
         // Latched: further launches emit nothing new.
         run(&dev);
         let again = obs

@@ -56,7 +56,6 @@
 mod buffer;
 mod device;
 mod fault;
-pub mod fleet;
 mod handoff;
 mod pool;
 mod recorder;
@@ -67,7 +66,6 @@ mod trace;
 pub use buffer::{GlobalBuffer, GlobalView};
 pub use device::{BlockCtx, BlockOrder, Device, DeviceOptions, LaunchContext};
 pub use fault::{FaultEvent, FaultPlan, LossWindow};
-pub use fleet::{DeviceFleet, FleetOptions};
 pub use handoff::HandoffFlags;
 pub use pool::BufferPool;
 pub use recorder::TxnRecorder;

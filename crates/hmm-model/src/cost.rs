@@ -363,112 +363,6 @@ impl ExactCounts {
     }
 }
 
-/// Transaction-exact counts of the banded (multi-device) 1R1W pipeline,
-/// phase by phase, from
-/// [`GlobalCost::banded_1r1w_exact_counts`].
-///
-/// The pipeline has three fleet-wide phases separated by full barriers:
-/// per-band **column sums**, one **margin exchange** launch turning column
-/// sums into carry rows, and the per-band carry-seeded **wavefronts**.
-/// Bands run concurrently on independent devices *within* a phase, so the
-/// fleet's critical path sums the slowest band of each phase, while
-/// [`total`](Self::total) sums all work for traffic accounting.
-///
-/// Per-entry `barrier_steps` is the entry's launch count minus one
-/// (barriers *within* that band's phase work on its own device).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BandedCounts {
-    /// Number of row-bands `D` (after clamping to the block-row count).
-    pub bands: usize,
-    /// Column-sum pass of each band; `colsum[bands − 1]` is all-zero
-    /// because the last band's column sums are never consumed.
-    pub colsum: Vec<ExactCounts>,
-    /// The single margin-exchange launch (all-zero when `bands == 1`).
-    pub exchange: ExactCounts,
-    /// The carry-seeded wavefront of each band (mirror fringe variant).
-    pub wavefront: Vec<ExactCounts>,
-}
-
-impl BandedCounts {
-    /// Total data movement across all bands and phases. `barrier_steps` is
-    /// normalised to [`total_launches`](Self::total_launches)` − 1`, i.e.
-    /// the steps of an equivalent back-to-back single-device execution —
-    /// per-device measurements partition launches differently, so compare
-    /// launch counts, not merged barrier counters.
-    pub fn total(&self) -> ExactCounts {
-        let mut t = ExactCounts {
-            coalesced_reads: 0,
-            coalesced_writes: 0,
-            stride_reads: 0,
-            stride_writes: 0,
-            barrier_steps: self.total_launches().saturating_sub(1),
-        };
-        for e in self.phase_entries() {
-            t.coalesced_reads += e.coalesced_reads;
-            t.coalesced_writes += e.coalesced_writes;
-            t.stride_reads += e.stride_reads;
-            t.stride_writes += e.stride_writes;
-        }
-        t
-    }
-
-    /// Every non-empty phase entry, colsum → exchange → wavefront.
-    fn phase_entries(&self) -> impl Iterator<Item = &ExactCounts> {
-        let exchange = if self.bands > 1 {
-            Some(&self.exchange)
-        } else {
-            None
-        };
-        self.colsum
-            .iter()
-            .take(self.bands.saturating_sub(1))
-            .chain(exchange)
-            .chain(self.wavefront.iter())
-    }
-
-    /// Kernel launches summed over every band and phase.
-    pub fn total_launches(&self) -> u64 {
-        self.phase_entries().map(|e| e.barrier_steps + 1).sum()
-    }
-
-    /// Launches on the fleet's critical path: the slowest band of each
-    /// phase (bands run concurrently inside a phase).
-    pub fn critical_path_launches(&self) -> u64 {
-        let col = if self.bands > 1 { 1 } else { 0 };
-        let ex = if self.bands > 1 { 1 } else { 0 };
-        let wave = self
-            .wavefront
-            .iter()
-            .map(|e| e.barrier_steps + 1)
-            .max()
-            .unwrap_or(0);
-        col + ex + wave
-    }
-
-    /// The fleet's modeled completion time: per phase, the slowest band's
-    /// `C/w + S + Λ·launches`, summed over the three phases. At `bands == 1`
-    /// this equals the single-device mirror-variant 1R1W cost.
-    pub fn critical_path_cost(&self, cfg: &MachineConfig) -> f64 {
-        let phase_cost = |e: &ExactCounts| {
-            cost(
-                cfg.width,
-                cfg.window_overhead(),
-                e.coalesced_ops(),
-                e.stride_ops(),
-                e.barrier_steps + 1,
-            )
-        };
-        let max_of =
-            |entries: &[ExactCounts]| entries.iter().map(phase_cost).fold(0.0f64, |a, b| a.max(b));
-        let mut cost = max_of(&self.wavefront);
-        if self.bands > 1 {
-            cost += max_of(&self.colsum[..self.bands - 1]);
-            cost += phase_cost(&self.exchange);
-        }
-        cost
-    }
-}
-
 impl GlobalCost {
     /// Cost evaluator for a machine configuration.
     pub fn new(cfg: MachineConfig) -> Self {
@@ -711,109 +605,6 @@ impl GlobalCost {
             }),
             _ => None,
         }
-    }
-
-    /// Transaction-exact per-phase counts of the **banded** (multi-device)
-    /// 1R1W decomposition on a `rows × cols` input split into `bands`
-    /// row-bands, one band per device. See
-    /// [`BandedCounts`] for the phase structure; `bands` is clamped to the
-    /// number of block-rows, and `None` is returned unless both dimensions
-    /// are positive multiples of `w` (pad first, as the drivers do).
-    ///
-    /// Phase counts, with `m_k` block-rows in band `k`, `mc = cols / w`
-    /// block-columns, and `D` bands:
-    ///
-    /// * **Column sums** (bands `0..D−1`; the last band's sums are never
-    ///   consumed): read the band (`rows_k · cols` coalesced), write one
-    ///   partial-sum row (`cols` coalesced), one launch.
-    /// * **Margin exchange** (one launch): carry row `r` (seeding band
-    ///   `r + 1`) reads partial-sum rows `0..=r` — `D(D−1)/2 · cols`
-    ///   coalesced reads in total — and writes `D−1` carry rows.
-    /// * **Band wavefront** (mirror fringe variant, so *zero* stride): the
-    ///   band is read and written once (`2 · rows_k · cols` coalesced);
-    ///   every block with a block-row above it (all of them when the band
-    ///   is carry-seeded, `m_k − 1` rows' worth in band 0) reads a `w`-wide
-    ///   top fringe; blocks right of the first block-column read their left
-    ///   fringe from the mirror buffer (`m_k (mc−1) w` coalesced) plus one
-    ///   corner scalar; every block publishes its right column to the
-    ///   mirror (`m_k · mc · w` coalesced writes). `m_k + mc − 1` launches.
-    pub fn banded_1r1w_exact_counts(
-        &self,
-        rows: usize,
-        cols: usize,
-        bands: usize,
-    ) -> Option<BandedCounts> {
-        let w = self.cfg.width;
-        if rows == 0 || cols == 0 || rows % w != 0 || cols % w != 0 {
-            return None;
-        }
-        let mr = rows / w;
-        let mc = (cols / w) as u64;
-        let d = bands.clamp(1, mr);
-        let base = mr / d;
-        let extra = mr % d;
-        let band_rows = |k: usize| (base + usize::from(k >= d - extra)) as u64;
-
-        let wu = w as u64;
-        let colsu = cols as u64;
-        let zero = ExactCounts {
-            coalesced_reads: 0,
-            coalesced_writes: 0,
-            stride_reads: 0,
-            stride_writes: 0,
-            barrier_steps: 0,
-        };
-
-        let colsum = (0..d)
-            .map(|k| {
-                if k + 1 == d {
-                    zero
-                } else {
-                    ExactCounts {
-                        coalesced_reads: band_rows(k) * wu * colsu,
-                        coalesced_writes: colsu,
-                        ..zero
-                    }
-                }
-            })
-            .collect();
-
-        let du = d as u64;
-        let exchange = if d > 1 {
-            ExactCounts {
-                coalesced_reads: du * (du - 1) / 2 * colsu,
-                coalesced_writes: (du - 1) * colsu,
-                ..zero
-            }
-        } else {
-            zero
-        };
-
-        let wavefront = (0..d)
-            .map(|k| {
-                let mk = band_rows(k);
-                // Band 0 has no carry row: its first block-row reads no top
-                // fringe and no corner scalar.
-                let top_rows = if k == 0 { mk - 1 } else { mk };
-                ExactCounts {
-                    coalesced_reads: mk * wu * colsu
-                        + top_rows * mc * wu
-                        + mk * (mc - 1) * wu
-                        + top_rows * (mc - 1),
-                    coalesced_writes: mk * wu * colsu + mk * mc * wu,
-                    stride_reads: 0,
-                    stride_writes: 0,
-                    barrier_steps: mk + mc - 2,
-                }
-            })
-            .collect();
-
-        Some(BandedCounts {
-            bands: d,
-            colsum,
-            exchange,
-            wavefront,
-        })
     }
 
     /// Exact operation counts of the **persistent-block** 1R1W driver
@@ -1203,125 +994,6 @@ mod tests {
         assert!(e.matches(&measured));
         measured.stride_reads += 1;
         assert!(!e.matches(&measured));
-    }
-
-    #[test]
-    fn banded_counts_at_one_band_are_the_mirror_closed_form() {
-        // D = 1 degenerates to the single-device mirror-variant 1R1W: no
-        // column-sum pass, no exchange, and the wavefront entry carries the
-        // full-matrix mirror counts (fully coalesced; writes n² + n·m).
-        let g = GlobalCost::new(MachineConfig::with_width(8));
-        let n = 64usize;
-        let m = (n / 8) as u64;
-        let b = g.banded_1r1w_exact_counts(n, n, 1).unwrap();
-        assert_eq!(b.bands, 1);
-        assert_eq!(b.colsum, vec![b.exchange]); // both all-zero
-        assert_eq!(b.exchange.coalesced_ops(), 0);
-        let wf = &b.wavefront[0];
-        let n2 = (n * n) as u64;
-        assert_eq!(
-            wf.coalesced_reads,
-            n2 + (m - 1) * m * 8 + m * (m - 1) * 8 + (m - 1) * (m - 1)
-        );
-        assert_eq!(wf.coalesced_writes, n2 + m * m * 8);
-        assert_eq!(wf.stride_ops(), 0);
-        assert_eq!(wf.barrier_steps, 2 * m - 2);
-        assert_eq!(b.total_launches(), 2 * m - 1);
-        assert_eq!(b.critical_path_launches(), 2 * m - 1);
-        // Critical path cost is exactly that single entry's windowed cost.
-        let cfg = MachineConfig::with_width(8);
-        let expect =
-            wf.coalesced_ops() as f64 / 8.0 + cfg.window_overhead() as f64 * (2 * m - 1) as f64;
-        assert_eq!(b.critical_path_cost(&cfg), expect);
-    }
-
-    #[test]
-    fn banded_counts_conserve_band_traffic() {
-        // Across any number of bands, the wavefront phase reads and writes
-        // each element exactly once (loads + stores = 2·rows·cols) and the
-        // column-sum pass reads every non-final band once.
-        let g = GlobalCost::new(MachineConfig::with_width(8));
-        let (rows, cols) = (96usize, 64usize);
-        for d in 1..=7 {
-            let b = g.banded_1r1w_exact_counts(rows, cols, d).unwrap();
-            let loads_stores: u64 = b
-                .wavefront
-                .iter()
-                .map(|e| {
-                    // Strip the fringe terms: loads are rows_k·cols of the
-                    // reads, stores rows_k·cols of the writes; fringe and
-                    // mirror terms are per-block multiples of w.
-                    e.coalesced_reads + e.coalesced_writes
-                })
-                .sum();
-            assert!(loads_stores >= 2 * (rows * cols) as u64, "d={d}");
-            // Band partition covers all block-rows exactly once.
-            let mr = rows / 8;
-            let d_eff = d.min(mr);
-            assert_eq!(b.bands, d_eff);
-            let total_band_rows: u64 = b
-                .wavefront
-                .iter()
-                .map(|e| (e.barrier_steps + 1) - (cols as u64 / 8) + 1)
-                .sum();
-            assert_eq!(total_band_rows, mr as u64);
-        }
-    }
-
-    #[test]
-    fn banded_counts_partition_puts_extras_on_later_bands() {
-        let g = GlobalCost::new(MachineConfig::with_width(8));
-        // 88 rows → 11 block-rows over 4 bands: 2, 3, 3, 3.
-        let b = g.banded_1r1w_exact_counts(88, 64, 4).unwrap();
-        let mc = 64u64 / 8;
-        let band_rows: Vec<u64> = b
-            .wavefront
-            .iter()
-            .map(|e| (e.barrier_steps + 1) - mc + 1)
-            .collect();
-        assert_eq!(band_rows, vec![2, 3, 3, 3]);
-    }
-
-    #[test]
-    fn banded_counts_require_block_aligned_dims_and_clamp_bands() {
-        let g = GlobalCost::new(MachineConfig::with_width(8));
-        assert!(g.banded_1r1w_exact_counts(0, 64, 2).is_none());
-        assert!(g.banded_1r1w_exact_counts(64, 0, 2).is_none());
-        assert!(g.banded_1r1w_exact_counts(60, 64, 2).is_none());
-        assert!(g.banded_1r1w_exact_counts(64, 60, 2).is_none());
-        // More bands than block-rows clamps; 16 rows = 2 block-rows.
-        let b = g.banded_1r1w_exact_counts(16, 64, 8).unwrap();
-        assert_eq!(b.bands, 2);
-        // Zero requested bands clamps up to one.
-        assert_eq!(g.banded_1r1w_exact_counts(64, 64, 0).unwrap().bands, 1);
-    }
-
-    #[test]
-    fn banded_critical_path_shows_fleet_speedup() {
-        // The acceptance gate's model metric: at n = 512, w = 8, four bands
-        // cut the modeled completion time of plain single-device 1R1W by
-        // more than 3× (the margin-exchange traffic is priced in).
-        let cfg = MachineConfig::with_width(8);
-        let g = GlobalCost::new(cfg);
-        let n = 512;
-        let single = g.exact_counts(SatAlgorithm::OneR1W, n, n).unwrap();
-        let single_cost = single.coalesced_ops() as f64 / 8.0
-            + single.stride_ops() as f64
-            + cfg.window_overhead() as f64 * (single.barrier_steps + 1) as f64;
-        let fleet = g.banded_1r1w_exact_counts(n, n, 4).unwrap();
-        let fleet_cost = fleet.critical_path_cost(&cfg);
-        let speedup = single_cost / fleet_cost;
-        assert!(
-            speedup >= 3.0,
-            "modeled D=4 speedup {speedup:.2} (single {single_cost:.0} vs fleet {fleet_cost:.0})"
-        );
-        // And fewer launches sit on the critical path than a single device
-        // issues in total.
-        assert!(fleet.critical_path_launches() < single.barrier_steps + 1);
-        // Total traffic exceeds single-device (the exchange is not free) but
-        // by less than the column-sum pass' one extra read per element.
-        let total = fleet.total();
-        assert!(total.coalesced_ops() > single.coalesced_ops());
     }
 
     #[test]

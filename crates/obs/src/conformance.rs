@@ -22,20 +22,13 @@
 //!   fitted: it is 1 by definition (a stride stage *is* the time unit);
 //!   the machine's free parameters are `w`, `Λ` and `τ`.
 //! * **per-cell rolling residual statistics**, where a *cell* is an
-//!   (algorithm × shape-bucket) label ([`cell_label`]) optionally suffixed
-//!   `@s<shard>` for fleet devices, so shard-relative drift localizes a
-//!   sick device.
+//!   (algorithm × shape-bucket) label ([`cell_label`]).
 //! * an **EWMA/CUSUM change-point detector** on `τ = wall / u` per cell: a
 //!   baseline `τ̄` is frozen over the first [`baseline_samples`] launches
 //!   (units-weighted, so tiny launches do not skew it), then each sample
 //!   adds `min(1, u/ū) · clamp(τ/τ̄ − 1 − slack, −1, rise_cap)` to a
 //!   one-sided CUSUM score; crossing [`DRIFT_THRESHOLD`] latches a
-//!   structured [`DriftAlert`] (one per cell, ever). A second,
-//!   *shard-relative* channel compares a sharded cell's baseline `τ̄`
-//!   against the median of its sibling shards' baselines and alerts when
-//!   it exceeds `1 + shard_relative_band` times the median — catching a
-//!   device that was sick from its very first launch, which its own
-//!   baseline can never reveal.
+//!   structured [`DriftAlert`] (one per cell, ever).
 //!
 //!   Each cell also keeps an EWMA of `τ`, seeded by its first sample and
 //!   updated on every one, so a cell reports a measured τ from its first
@@ -60,7 +53,7 @@ use crate::json::{escape_into, finite};
 use crate::registry::{Counter, Gauge, Registry};
 
 /// Schema identifier stamped into every conformance report.
-pub const REPORT_SCHEMA: &str = "sat-hmm/conformance/v1";
+pub const REPORT_SCHEMA: &str = "sat-hmm/conformance/v2";
 
 /// Convergence tolerance: fitted `w` and `Λ` conform within this relative
 /// band of the configured machine (CI gates assert it through
@@ -104,9 +97,6 @@ pub struct ConformanceConfig {
     /// Relative slack before a slow sample contributes to the CUSUM score:
     /// `τ` must exceed `(1 + slack) · τ̄`. Absorbs host jitter.
     pub drift_slack: f64,
-    /// Shard-relative channel: a sharded cell alerts when its baseline
-    /// `τ̄` exceeds `(1 + band) ×` the median of its sibling shards'.
-    pub shard_relative_band: f64,
 }
 
 impl ConformanceConfig {
@@ -117,7 +107,6 @@ impl ConformanceConfig {
             window_overhead,
             baseline_samples: 16,
             drift_slack: 1.0,
-            shard_relative_band: 1.0,
         }
     }
 }
@@ -126,7 +115,7 @@ impl ConformanceConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchSample {
     /// The (algorithm × shape-bucket) cell label, e.g. `1r1w/64x64` (see
-    /// [`cell_label`]), optionally suffixed `@s<shard>` on fleet devices.
+    /// [`cell_label`]).
     pub cell: String,
     /// Coalesced global operations `C` (words) of the launch.
     pub coalesced_ops: u64,
@@ -139,20 +128,14 @@ pub struct LaunchSample {
 }
 
 /// A latched drift alert: the cell's measured `τ` diverged from its
-/// baseline (channel `cusum`) or from its sibling shards (channel
-/// `shard_relative`). At most one alert is ever raised per cell.
+/// frozen baseline. At most one alert is ever raised per cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftAlert {
     /// The offending cell.
     pub cell: String,
-    /// `"cusum"` (onset drift against the cell's own baseline) or
-    /// `"shard_relative"` (chronic drift against sibling shards).
-    pub channel: &'static str,
-    /// The detector score at alert time (CUSUM score, or the shard-relative
-    /// ratio).
+    /// The CUSUM score at alert time.
     pub score: f64,
-    /// The reference `τ̄` in seconds per unit (own baseline, or the sibling
-    /// median).
+    /// The cell's frozen baseline `τ̄` in seconds per unit.
     pub baseline_tau: f64,
     /// The `τ` that tripped the detector, in seconds per unit.
     pub recent_tau: f64,
@@ -447,7 +430,6 @@ impl Conformance {
                         cell.drifted = true;
                         alert = Some(DriftAlert {
                             cell: sample.cell.clone(),
-                            channel: "cusum",
                             score: cell.cusum,
                             baseline_tau: tau_base,
                             recent_tau: tau,
@@ -455,46 +437,6 @@ impl Conformance {
                             samples: cell.samples,
                         });
                     }
-                }
-            }
-
-            // Shard-relative channel: once a sharded cell's baseline is
-            // frozen, compare it against the median of its siblings'.
-            if alert.is_none() {
-                if let Some((base_name, _)) = sample.cell.rsplit_once("@s") {
-                    let own = &st.cells[&sample.cell];
-                    if own.baseline_complete(cfg) && !own.drifted {
-                        let own_tau = own.baseline_tau();
-                        let mut siblings: Vec<f64> = st
-                            .cells
-                            .iter()
-                            .filter(|(name, state)| {
-                                name.as_str() != sample.cell
-                                    && state.baseline_complete(cfg)
-                                    && name.rsplit_once("@s").map(|(b, _)| b) == Some(base_name)
-                            })
-                            .map(|(_, state)| state.baseline_tau())
-                            .collect();
-                        if !siblings.is_empty() {
-                            siblings.sort_by(f64::total_cmp);
-                            let median = siblings[siblings.len() / 2];
-                            let ratio = if median > 0.0 { own_tau / median } else { 1.0 };
-                            if ratio > 1.0 + cfg.shard_relative_band {
-                                alert = Some(DriftAlert {
-                                    cell: sample.cell.clone(),
-                                    channel: "shard_relative",
-                                    score: ratio,
-                                    baseline_tau: median,
-                                    recent_tau: own_tau,
-                                    ratio,
-                                    samples: own.samples,
-                                });
-                            }
-                        }
-                    }
-                }
-                if let Some(a) = &alert {
-                    st.cells.get_mut(&a.cell).expect("cell exists").drifted = true;
                 }
             }
 
@@ -669,12 +611,11 @@ impl Conformance {
         out.push_str(&format!(",\"tau_ns\":{}", finite(tau_ns)));
         out.push_str(&format!(
             ",\"drift\":{{\"alerts\":{},\"baseline_samples\":{},\"slack\":{},\
-             \"threshold\":{},\"shard_relative_band\":{}}}",
+             \"threshold\":{}}}",
             alerts.len(),
             cfg.baseline_samples,
             finite(cfg.drift_slack),
             finite(DRIFT_THRESHOLD),
-            finite(cfg.shard_relative_band),
         ));
         out.push_str(",\"cells\":[");
         for (i, c) in cells.iter().enumerate() {
@@ -703,8 +644,6 @@ impl Conformance {
             }
             out.push_str("{\"cell\":");
             escape_into(&mut out, &a.cell);
-            out.push_str(",\"channel\":");
-            escape_into(&mut out, a.channel);
             out.push_str(&format!(
                 ",\"score\":{},\"baseline_tau_ns\":{},\"recent_tau_ns\":{},\
                  \"ratio\":{},\"samples\":{}}}",
@@ -807,7 +746,6 @@ mod tests {
         let alerts = t.alerts();
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].cell, "1r1w/64x64");
-        assert_eq!(alerts[0].channel, "cusum");
         assert!(alerts[0].ratio > 2.0, "{:?}", alerts[0]);
         // The drain-once API yields it exactly once.
         assert_eq!(t.take_new_alerts().len(), 1);
@@ -830,33 +768,6 @@ mod tests {
             t.ingest(exact_sample("1r1w/128x128", c, i % 4, 3e-9 * jitter, &cfg));
         }
         assert_eq!(t.alert_count(), 0);
-    }
-
-    #[test]
-    fn chronically_slow_shard_is_caught_by_the_relative_channel() {
-        let mut cfg = cfg();
-        cfg.baseline_samples = 6;
-        let t = Conformance::new(cfg.clone());
-        // Shards 0..2 healthy; shard 3 slow from its very first launch, so
-        // its own baseline can never reveal the drift.
-        for i in 0..8u64 {
-            let c = (i % 5 + 1) * cfg.width * 2;
-            for shard in 0..4u64 {
-                let tau = if shard == 3 { 12e-9 } else { 3e-9 };
-                t.ingest(exact_sample(
-                    &format!("1r1w/64x64@s{shard}"),
-                    c,
-                    i % 3,
-                    tau,
-                    &cfg,
-                ));
-            }
-        }
-        let alerts = t.alerts();
-        assert_eq!(alerts.len(), 1, "{alerts:?}");
-        assert_eq!(alerts[0].cell, "1r1w/64x64@s3");
-        assert_eq!(alerts[0].channel, "shard_relative");
-        assert!(alerts[0].ratio > 3.0, "{:?}", alerts[0]);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::json::JsonValue;
 use crate::span::ArgValue;
 
 /// Payload words one packed event may use: the widest kind,
-/// `drift_alert`, takes four label words plus three numbers.
-pub(crate) const FIELD_WORDS: usize = 7;
+/// `drift_alert`, takes four label words plus two numbers.
+pub(crate) const FIELD_WORDS: usize = 6;
 
 /// A field type: how it packs into ring words, renders and validates.
 trait Field: Sized {
@@ -150,7 +150,7 @@ names! {
     }
 }
 
-/// A short inline label (a conformance cell such as `1R1W/64x64@s2`),
+/// A short inline label (a conformance cell such as `1R1W/64x64`),
 /// stored in four ring words so an event carrying it stays fixed-size and
 /// allocation-free. [`Label::new`] keeps the longest prefix of at most
 /// [`Label::CAPACITY`] bytes that ends on a character boundary and
@@ -292,9 +292,9 @@ events! {
     LaunchEnd = 5 "launch_end" { request: u64, launch: u64, failed: bool }
     /// A device fault of `class` was injected into launch `launch`.
     FaultInjected = 6 "fault_injected" { launch: u64, class: FaultClass }
-    /// Shard `shard`'s circuit breaker moved `to` a new state during
+    /// The device's circuit breaker moved `to` a new state during
     /// `request`'s dispatch.
-    BreakerTransition = 7 "breaker_transition" { request: u64, shard: u64, to: BreakerState }
+    BreakerTransition = 7 "breaker_transition" { request: u64, to: BreakerState }
     /// `request`'s result from dispatch attempt `attempt` (1-based) failed
     /// SAT verification.
     VerifyFailure = 8 "verify_failure" { request: u64, attempt: u64 }
@@ -306,31 +306,26 @@ events! {
     /// batch led by `request`; both rates in parts per million
     /// (1 000 000 = spending the budget exactly).
     SloBurn = 10 "slo_burn" { request: u64, burn_ppm: u64, threshold_ppm: u64 }
-    /// Shard `shard`'s breaker opened mid-dispatch of `request`: its device
-    /// is lost (at fault epoch `fault_epoch`) until a canary re-closes it.
-    DeviceLost = 11 "device_lost" { request: u64, shard: u64, fault_epoch: u64 }
-    /// Lost shard `shard` handed its work back: the shared queue held
-    /// `queued_tasks` tasks for the survivors once the returned one was
-    /// back on it.
-    ShardFailover = 12 "shard_failover" { request: u64, shard: u64, queued_tasks: u64 }
+    /// The device's breaker opened mid-dispatch of `request`: the device is
+    /// lost (at fault epoch `fault_epoch`) until a canary re-closes it.
+    DeviceLost = 11 "device_lost" { request: u64, fault_epoch: u64 }
     /// The conformance observatory latched a drift alert on `cell` (the
-    /// `/debug/conformance` label) of fleet shard `shard` (0 for a
-    /// standalone device): measured over baseline τ is `ratio_ppm` parts
-    /// per million after `samples` cell samples.
-    DriftAlert = 13 "drift_alert" { cell: Label, shard: u64, ratio_ppm: u64, samples: u64 }
-    /// A fleet task of `request`'s dispatch failed on shard `shard`, its
-    /// `streak`-th consecutive failure there.
-    AttemptFailed = 14 "attempt_failed" { request: u64, shard: u64, streak: u64 }
-    /// A half-open breaker's canary probe of shard `shard` ran; `ok` when
-    /// it passed.
-    Canary = 15 "canary" { shard: u64, ok: bool }
+    /// `/debug/conformance` label): measured over baseline τ is `ratio_ppm`
+    /// parts per million after `samples` cell samples.
+    DriftAlert = 12 "drift_alert" { cell: Label, ratio_ppm: u64, samples: u64 }
+    /// An attempt at `request`'s dispatch failed on the device, its
+    /// `streak`-th consecutive failure.
+    AttemptFailed = 13 "attempt_failed" { request: u64, streak: u64 }
+    /// A half-open breaker's canary probe of the device ran; `ok` when it
+    /// passed.
+    Canary = 14 "canary" { ok: bool }
     /// `request` completed on the sequential CPU path instead of a device.
-    Degraded = 16 "degraded" { request: u64 }
+    Degraded = 15 "degraded" { request: u64 }
     /// Dispatch number `batch` answered all `width` of its requests,
     /// `request` the first.
-    Complete = 17 "complete" { request: u64, batch: u64, width: u64 }
+    Complete = 16 "complete" { request: u64, batch: u64, width: u64 }
     /// A post-mortem bundle was dumped for a trigger naming `request` (0
     /// when not request-scoped); `bundles` counts the bundles dumped so
     /// far, as `/healthz` reports them.
-    Postmortem = 18 "postmortem" { request: u64, bundles: u64 }
+    Postmortem = 17 "postmortem" { request: u64, bundles: u64 }
 }

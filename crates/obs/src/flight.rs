@@ -3,7 +3,7 @@
 //! A `FlightRecorder` is a fixed-capacity ring of typed [`Event`]s —
 //! admissions, rejections, batch formation, launch begin/end, injected
 //! faults, breaker transitions, verification failures, handoff stalls, SLO
-//! burn, shard loss and drift alerts — recorded from every layer through
+//! burn, device loss and drift alerts — recorded from every layer through
 //! [`crate::Obs::emit`]. Recording is lock-free and allocation-free (one
 //! atomic ticket plus a fixed number of atomic word stores), so it is safe
 //! on hot paths and inside panic handling; once the ring is full, new
@@ -40,9 +40,11 @@ use crate::json::{self, JsonValue};
 use crate::span::{ArgValue, Obs, Record, RecordKind};
 
 /// Schema identifier stamped into (and required from) every bundle.
-/// v4 renders each event's payload as named, typed fields (v3 carried two
-/// untyped words `a`/`b`).
-pub const SCHEMA: &str = "sat-hmm/flight/v4";
+/// v4 rendered each event's payload as named, typed fields (v3 carried two
+/// untyped words `a`/`b`); v5 serves one device, so it drops the
+/// multi-device failover kind and the device-index field of the breaker,
+/// loss, drift, attempt and canary kinds.
+pub const SCHEMA: &str = "sat-hmm/flight/v5";
 
 /// Default ring capacity: enough for the last few hundred requests' worth
 /// of lifecycle events while keeping the recorder under 96 KiB.
@@ -514,7 +516,7 @@ mod tests {
     fn every_kind(big: bool) -> Vec<Event> {
         let n = if big { u64::MAX } else { 0 };
         let cell = Label::new(if big {
-            "(1+r^2)R1W/65536x65536@s123456789"
+            "(1+r^2)R1W/65536x65536-persistent"
         } else {
             ""
         });
@@ -551,11 +553,7 @@ mod tests {
                 failed: big,
             },
             Event::FaultInjected { launch: n, class },
-            Event::BreakerTransition {
-                request: n,
-                shard: n,
-                to,
-            },
+            Event::BreakerTransition { request: n, to },
             Event::VerifyFailure {
                 request: n,
                 attempt: n,
@@ -571,26 +569,18 @@ mod tests {
             },
             Event::DeviceLost {
                 request: n,
-                shard: n,
                 fault_epoch: n,
-            },
-            Event::ShardFailover {
-                request: n,
-                shard: n,
-                queued_tasks: n,
             },
             Event::DriftAlert {
                 cell,
-                shard: n,
                 ratio_ppm: n,
                 samples: n,
             },
             Event::AttemptFailed {
                 request: n,
-                shard: n,
                 streak: n,
             },
-            Event::Canary { shard: n, ok: big },
+            Event::Canary { ok: big },
             Event::Degraded { request: n },
             Event::Complete {
                 request: n,
@@ -610,10 +600,9 @@ mod tests {
         let table: Vec<&str> = Event::KINDS.iter().map(|(name, _)| *name).collect();
         assert_eq!(names, table, "the test covers every kind, in code order");
         assert_eq!(
-            every_kind(true)[12],
+            every_kind(true)[11],
             Event::DriftAlert {
-                cell: Label::new("(1+r^2)R1W/65536x65536@s12345678"),
-                shard: u64::MAX,
+                cell: Label::new("(1+r^2)R1W/65536x65536-persisten"),
                 ratio_ppm: u64::MAX,
                 samples: u64::MAX,
             },
@@ -636,13 +625,13 @@ mod tests {
                 detail: String::new(),
             };
             let text = bundle(&obs, &trigger);
-            assert!(text.contains("sat-hmm/flight/v4"), "{text}");
+            assert!(text.contains("sat-hmm/flight/v5"), "{text}");
             let stats = validate(&text).unwrap_or_else(|e| panic!("invalid bundle: {e}\n{text}"));
             assert_eq!(stats.events, sent.len());
             let v = JsonValue::parse(&text).unwrap();
-            let drift = &v.get("events").unwrap().as_array().unwrap()[12];
-            let Event::DriftAlert { cell, .. } = sent[12] else {
-                unreachable!("kind 13 is drift_alert")
+            let drift = &v.get("events").unwrap().as_array().unwrap()[11];
+            let Event::DriftAlert { cell, .. } = sent[11] else {
+                unreachable!("kind 12 is drift_alert")
             };
             assert_eq!(drift.get("cell").unwrap().as_str(), Some(cell.as_str()));
         }
@@ -689,7 +678,6 @@ mod tests {
         obs.emit(admit(7, 4, 4));
         obs.emit(Event::BreakerTransition {
             request: 7,
-            shard: 0,
             to: BreakerState::Open,
         });
 
@@ -706,45 +694,17 @@ mod tests {
             stats.request_flow, 3,
             "the emitted admit and breaker instants + the flow point"
         );
-        assert!(text
-            .contains("\"kind\":\"breaker_transition\",\"request\":7,\"shard\":0,\"to\":\"open\""));
-    }
-
-    #[test]
-    fn fleet_kinds_round_trip_through_bundle() {
-        let obs = Obs::new();
-        obs.emit(Event::DeviceLost {
-            request: 9,
-            shard: 2,
-            fault_epoch: 41,
-        });
-        obs.emit(Event::ShardFailover {
-            request: 9,
-            shard: 2,
-            queued_tasks: 3,
-        });
-        let trigger = Trigger {
-            reason: "shard_failover".to_string(),
-            request: 9,
-            detail: "shard 2 lost; 3 tasks left for the survivors".to_string(),
-        };
-        let text = bundle(&obs, &trigger);
-        assert!(text.contains("\"device_lost\""), "{text}");
-        assert!(text.contains("\"shard_failover\""), "{text}");
-        assert!(text.contains("sat-hmm/flight/v4"), "{text}");
-        let stats = validate(&text).unwrap_or_else(|e| panic!("invalid bundle: {e}\n{text}"));
-        assert_eq!(stats.events, 2);
+        assert!(text.contains("\"kind\":\"breaker_transition\",\"request\":7,\"to\":\"open\""));
     }
 
     #[test]
     fn ring_wrap_preserves_drift_alert_events() {
         // A DriftAlert recorded before a flood of lifecycle events must
         // survive as long as it is within the last ring-capacity tickets,
-        // and its fields (cell, shard, τ ratio ppm, cell samples) must
+        // and its fields (cell, τ ratio ppm, cell samples) must
         // round-trip through the bundle.
         let drift_alert = Event::DriftAlert {
-            cell: Label::new("1R1W/64x64@s1"),
-            shard: 1,
+            cell: Label::new("1R1W/64x64"),
             ratio_ppm: 4_200_000,
             samples: 37,
         };
@@ -798,7 +758,7 @@ mod tests {
             },
         );
         assert!(
-            text.contains("\"kind\":\"drift_alert\",\"cell\":\"1R1W/64x64@s1\",\"shard\":1"),
+            text.contains("\"kind\":\"drift_alert\",\"cell\":\"1R1W/64x64\",\"ratio_ppm\""),
             "{text}"
         );
         let stats = validate(&text).unwrap_or_else(|e| panic!("invalid bundle: {e}\n{text}"));

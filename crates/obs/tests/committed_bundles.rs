@@ -14,7 +14,7 @@ fn committed_postmortem_bundles_validate() {
         })
         .collect();
     bundles.sort();
-    assert!(bundles.len() >= 2, "committed bundles: {bundles:?}");
+    assert!(!bundles.is_empty(), "no committed bundles under results/");
     for path in &bundles {
         let text = std::fs::read_to_string(path).unwrap();
         let stats = obs::flight::validate(&text)

@@ -6,10 +6,10 @@
 //! * `GET /metrics` — the exact bytes of
 //!   [`Service::metrics_text`](crate::Service::metrics_text), as
 //!   Prometheus text exposition (OpenMetrics exemplars included);
-//! * `GET /healthz` — a small JSON document: overall status, the circuit
-//!   breaker's current state (the per-shard aggregate in fleet mode),
-//!   the shard count, submission-queue depth/capacity, whether a drain is
-//!   in progress, and how many post-mortem bundles have been dumped;
+//! * `GET /healthz` — a small JSON document: overall status, the device
+//!   circuit breaker's current state, submission-queue depth/capacity,
+//!   whether a drain is in progress, and how many post-mortem bundles have
+//!   been dumped;
 //! * `GET /debug/flight` — the flight recorder's surviving recent events
 //!   ([`obs::flight::events_json`]), oldest first, each with its kind's
 //!   named fields under the bundle schema ([`obs::flight::SCHEMA`]);
@@ -174,12 +174,10 @@ fn health_json(shared: &Shared) -> String {
         "ok"
     };
     format!(
-        "{{\"status\":\"{status}\",\"breaker\":\"{breaker}\",\"shards\":{shards},\
-         \"queue_depth\":{depth},\
+        "{{\"status\":\"{status}\",\"breaker\":\"{breaker}\",\"queue_depth\":{depth},\
          \"queue_capacity\":{cap},\"shutting_down\":{shutting_down},\
          \"postmortem_bundles\":{bundles}}}",
         breaker = breaker.name(),
-        shards = shared.metrics.shards(),
         cap = shared.cfg.queue_capacity,
         bundles = shared.postmortems.load(Ordering::Relaxed),
     )

@@ -47,24 +47,17 @@
 //!   (counted under `reason="shutdown_drain"`) instead of being left to
 //!   hit their deadlines; then the batch-former is joined. A request
 //!   already dispatched to the device still completes.
-//! * Every dispatch goes through one **fleet router** over
-//!   [`ServiceConfig::shards`] devices, each its own fault domain with its
-//!   own circuit breaker; a single device is a fleet of one. On one
-//!   device a batched `OneR1W` dispatch is one fused wavefront; on `D > 1`
-//!   devices `OneR1W` requests shard into `D` row-bands (the banded
-//!   decomposition with an explicit margin exchange) whose kernels are
-//!   pulled from a shared queue by whichever shards are healthy; other
-//!   algorithms run one whole-image task per request.
-//! * The router **self-heals** ([`ResilienceConfig`]): failed or corrupted
-//!   device attempts (detected via the device's fault epoch, the paper's
-//!   Table-I closed-form operation counts, and a SAT checksum /
+//! * Every dispatch runs on the one device, guarded by its circuit
+//!   breaker: a batched `OneR1W` dispatch is one fused wavefront, and
+//!   other algorithms run one whole-image attempt per request.
+//! * The batch-former **self-heals** ([`ResilienceConfig`]): failed or
+//!   corrupted device attempts (detected via the device's fault epoch, the
+//!   paper's Table-I closed-form operation counts, and a SAT checksum /
 //!   recurrence sweep) are retried with exponential backoff; consecutive
-//!   launch failures open a shard's breaker, and the shard hands its
-//!   remaining work to the survivors (`ShardFailover` in the flight
-//!   recorder) — results stay bit-exact. Only when *every* shard is open
-//!   do dispatches degrade to the sequential CPU path — requests complete
-//!   slower instead of erroring — until a half-open canary probe re-closes
-//!   a breaker.
+//!   launch failures open the breaker (`device_lost` in the flight
+//!   recorder), and while it is open dispatches degrade to the sequential
+//!   CPU path — requests complete slower instead of erroring — until a
+//!   half-open canary probe re-closes it.
 //! * Everything is instrumented ([`ServiceStats`]): per-request queue /
 //!   execute / total latency, a batch-width histogram, and the launches and
 //!   barrier windows actually issued vs. what per-request execution would
@@ -204,27 +197,8 @@ pub struct ServiceConfig {
     /// the default ([`obs::Obs::disabled`]) records nothing.
     pub observer: obs::Obs,
     /// Deterministic fault schedule injected into the owned device —
-    /// chaos-testing hook; `None` (the default) injects nothing. With
-    /// `shards > 1` this is the per-shard default, overridden entirely by
-    /// [`shard_fault_plans`](Self::shard_fault_plans) when that is
-    /// non-empty.
+    /// chaos-testing hook; `None` (the default) injects nothing.
     pub fault_plan: Option<gpu_exec::FaultPlan>,
-    /// Number of device shards (fault domains) in the
-    /// [`gpu_exec::DeviceFleet`] every dispatch is routed through, each
-    /// guarded by its own circuit breaker. `1` — the default — is a fleet
-    /// of one: batched `OneR1W` dispatches run as one fused wavefront.
-    /// `D > 1` serves `OneR1W` requests through the banded decomposition
-    /// ([`sat_core::par::sat_1r1w_banded`]'s kernels): each request's
-    /// matrix splits into `D` row-bands whose phase kernels are work-stolen
-    /// by the healthy shards — losing a device reshards its bands onto the
-    /// survivors instead of degrading the whole service.
-    pub shards: usize,
-    /// Per-shard fault schedules, chaos-testing hook for asymmetric fleet
-    /// faults (one device lost, rolling loss, a straggler shard). Empty
-    /// (the default): every shard inherits [`fault_plan`](Self::fault_plan).
-    /// Non-empty: must have exactly [`shards`](Self::shards) entries and
-    /// fully specifies each shard's plan (`None` = no injection).
-    pub shard_fault_plans: Vec<Option<gpu_exec::FaultPlan>>,
     /// Retry / circuit-breaker / verification tuning.
     pub resilience: ResilienceConfig,
     /// Latency objective the service reports against (target gauge,
@@ -260,8 +234,6 @@ impl Default for ServiceConfig {
             default_deadline: Duration::from_secs(5),
             observer: obs::Obs::disabled(),
             fault_plan: None,
-            shards: 1,
-            shard_fault_plans: Vec::new(),
             resilience: ResilienceConfig::default(),
             slo: SloConfig::default(),
             conformance: None,

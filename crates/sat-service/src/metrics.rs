@@ -51,9 +51,7 @@ const DEGRADED: &str = "sat_service_degraded_total";
 const VERIFICATIONS: &str = "sat_service_verifications_total";
 const BREAKER_TRANSITIONS: &str = "sat_service_breaker_transitions_total";
 const CANARY_PROBES: &str = "sat_service_canary_probes_total";
-const SHARD_FAILOVERS: &str = "sat_service_shard_failovers_total";
-const SHARDS_LOST: &str = "sat_service_shards_lost_total";
-const SHARD_LAUNCHES: &str = "sat_service_shard_launches_total";
+const DEVICES_LOST: &str = "sat_service_devices_lost_total";
 const REQUEST_LATENCY: &str = "sat_service_request_latency_seconds";
 const STAGE_LATENCY: &str = "sat_service_stage_latency_seconds";
 const SLO_TARGET: &str = "sat_service_slo_target_seconds";
@@ -61,7 +59,7 @@ const SLO_ATTAINMENT: &str = "sat_service_slo_attainment_ratio";
 const SLO_BURN: &str = "sat_service_slo_error_budget_burn";
 
 /// Every family registered above.
-pub(crate) const FAMILIES: [&str; 20] = [
+pub(crate) const FAMILIES: [&str; 18] = [
     SUBMITTED,
     COMPLETED,
     REJECTED,
@@ -74,9 +72,7 @@ pub(crate) const FAMILIES: [&str; 20] = [
     VERIFICATIONS,
     BREAKER_TRANSITIONS,
     CANARY_PROBES,
-    SHARD_FAILOVERS,
-    SHARDS_LOST,
-    SHARD_LAUNCHES,
+    DEVICES_LOST,
     REQUEST_LATENCY,
     STAGE_LATENCY,
     SLO_TARGET,
@@ -96,12 +92,9 @@ pub(crate) struct Metrics {
     c: Counters,
     h: Hists,
     slo: SloConfig,
-    /// Per-shard launch counters (`sat_service_shard_launches_total{shard=…}`),
-    /// parallel to the shard indices.
-    shard_launches: Vec<Counter>,
-    /// Per-shard circuit-breaker states, aggregated for the `/healthz`
-    /// endpoint by [`breaker_state`](Self::breaker_state).
-    shard_breakers: Mutex<Vec<BreakerState>>,
+    /// The device's circuit-breaker state, for the `/healthz` endpoint
+    /// ([`breaker_state`](Self::breaker_state)).
+    breaker: Mutex<BreakerState>,
 }
 
 /// Registry-backed latency histograms (per-request plus per-stage).
@@ -136,8 +129,7 @@ struct Counters {
     /// `breaker_transitions_total{to=…}`, indexed by [`BreakerState`].
     breaker_to: Vec<Counter>,
     canaries: Counter,
-    shard_failovers: Counter,
-    shards_lost: Counter,
+    devices_lost: Counter,
 }
 
 struct Inner {
@@ -165,9 +157,8 @@ pub(crate) struct BatchRecord<'a> {
 impl Metrics {
     /// Register the service's counters and histograms on `registry`
     /// (typically the one behind the service's [`obs::Obs`], falling back
-    /// to a private one), with one launch counter and one tracked breaker
-    /// state per device shard.
-    pub(crate) fn new(registry: Registry, slo: SloConfig, shards: usize) -> Metrics {
+    /// to a private one).
+    pub(crate) fn new(registry: Registry, slo: SloConfig) -> Metrics {
         let counter = |family: &str, key: &str, value: &str| {
             registry.counter(&Registry::labeled(family, &[(key, value)]))
         };
@@ -194,8 +185,7 @@ impl Metrics {
                 .map(|b| counter(BREAKER_TRANSITIONS, "to", b.name()))
                 .collect(),
             canaries: registry.counter(CANARY_PROBES),
-            shard_failovers: registry.counter(SHARD_FAILOVERS),
-            shards_lost: registry.counter(SHARDS_LOST),
+            devices_lost: registry.counter(DEVICES_LOST),
         };
         let stage =
             |name| registry.histogram(&Registry::labeled(STAGE_LATENCY, &[("stage", name)]));
@@ -206,10 +196,6 @@ impl Metrics {
             exec: stage("execute"),
         };
         registry.gauge(SLO_TARGET).set(slo.target.as_secs_f64());
-        let shards = shards.max(1);
-        let shard_launches = (0..shards)
-            .map(|s| counter(SHARD_LAUNCHES, "shard", &s.to_string()))
-            .collect();
         Metrics {
             inner: Mutex::new(Inner {
                 batch_width_hist: Vec::new(),
@@ -218,14 +204,8 @@ impl Metrics {
             c,
             h,
             slo,
-            shard_launches,
-            shard_breakers: Mutex::new(vec![BreakerState::Closed; shards]),
+            breaker: Mutex::new(BreakerState::Closed),
         }
-    }
-
-    /// Number of configured device shards, for the health endpoint.
-    pub(crate) fn shards(&self) -> usize {
-        self.shard_launches.len()
     }
 
     /// Count the registry side of one emitted fact: the one match from
@@ -234,14 +214,11 @@ impl Metrics {
         match *event {
             Event::Admit { .. } => self.c.submitted.inc(),
             Event::Reject { reason, .. } => self.c.rejected[reason as usize].inc(),
-            Event::BreakerTransition { shard, to, .. } => {
+            Event::BreakerTransition { to, .. } => {
                 self.c.breaker_to[to as usize].inc();
-                if let Some(s) = self.shard_breakers.lock().get_mut(shard as usize) {
-                    *s = to;
-                }
+                *self.breaker.lock() = to;
             }
-            Event::DeviceLost { .. } => self.c.shards_lost.inc(),
-            Event::ShardFailover { .. } => self.c.shard_failovers.inc(),
+            Event::DeviceLost { .. } => self.c.devices_lost.inc(),
             Event::VerifyFailure { .. } => self.c.verify_fail.inc(),
             Event::AttemptFailed { .. } => self.c.attempts_failed.inc(),
             Event::Canary { .. } => self.c.canaries.inc(),
@@ -254,8 +231,8 @@ impl Metrics {
         }
     }
 
-    /// One device attempt (one fleet task run on some shard) passed every
-    /// check; failures arrive as [`Event::AttemptFailed`].
+    /// One device attempt passed every check; failures arrive as
+    /// [`Event::AttemptFailed`].
     pub(crate) fn on_attempt_ok(&self) {
         self.c.attempts_ok.inc();
     }
@@ -271,26 +248,9 @@ impl Metrics {
         self.c.verify_pass.inc();
     }
 
-    /// Shard `shard` issued `n` more kernel launches.
-    pub(crate) fn on_shard_launches(&self, shard: usize, n: u64) {
-        if let Some(c) = self.shard_launches.get(shard) {
-            c.add(n);
-        }
-    }
-
-    /// Aggregate circuit-breaker state, for the health endpoint: "closed"
-    /// when every shard is closed, "open" when every shard is open, and
-    /// "half_open" for any mix (some capacity lost, some remaining). With
-    /// one shard this is that shard's state.
+    /// The device's circuit-breaker state, for the health endpoint.
     pub(crate) fn breaker_state(&self) -> BreakerState {
-        let shards = self.shard_breakers.lock();
-        if shards.iter().all(|&s| s == BreakerState::Closed) {
-            BreakerState::Closed
-        } else if shards.iter().all(|&s| s == BreakerState::Open) {
-            BreakerState::Open
-        } else {
-            BreakerState::HalfOpen
-        }
+        *self.breaker.lock()
     }
 
     /// SLO attainment and error-budget burn derived from one request
@@ -415,10 +375,7 @@ impl Metrics {
             breaker_half_open: breaker_to(BreakerState::HalfOpen),
             breaker_closed: breaker_to(BreakerState::Closed),
             canary_probes: self.c.canaries.total(),
-            shards: self.shards() as u64,
-            shard_failovers: self.c.shard_failovers.total(),
-            shards_lost: self.c.shards_lost.total(),
-            shard_launches: self.shard_launches.iter().map(Counter::total).collect(),
+            devices_lost: self.c.devices_lost.total(),
             queue_latency: LatencySummary::from_histogram(&queue),
             exec_latency: LatencySummary::from_histogram(&exec),
             total_latency: LatencySummary::from_histogram(&request),
@@ -476,7 +433,7 @@ pub struct ServiceStats {
     /// Requests failed with [`crate::ServiceError::Shutdown`] because the
     /// service shut down while they were still queued.
     pub rejected_shutdown_drain: u64,
-    /// Device attempts (one per fleet task run) that passed every check.
+    /// Device attempts that passed every check.
     pub attempts_ok: u64,
     /// Device attempts that failed a launch or a verification.
     pub attempts_failed: u64,
@@ -496,17 +453,9 @@ pub struct ServiceStats {
     pub breaker_closed: u64,
     /// Half-open canary launches issued to probe the device.
     pub canary_probes: u64,
-    /// Device shards the service was configured with (1 = single device).
-    pub shards: u64,
-    /// Times an open shard's remaining tasks were resharded onto the
-    /// surviving shards.
-    pub shard_failovers: u64,
-    /// Shard breakers opened mid-dispatch (the shard's fault domain lost
+    /// Times the device's breaker opened mid-dispatch (the device lost
     /// until a canary re-closes it).
-    pub shards_lost: u64,
-    /// Kernel launches issued per shard, in shard order (one entry for a
-    /// single-device service).
-    pub shard_launches: Vec<u64>,
+    pub devices_lost: u64,
     /// Time from admission to batch dispatch, per request
     /// (bucket-estimated; see [`LatencySummary::from_histogram`]).
     pub queue_latency: LatencySummary,
@@ -612,7 +561,7 @@ impl LatencySummary {
 
 impl Default for Metrics {
     fn default() -> Metrics {
-        Metrics::new(Registry::new(), SloConfig::default(), 1)
+        Metrics::new(Registry::new(), SloConfig::default())
     }
 }
 
@@ -628,13 +577,9 @@ mod tests {
         }
     }
 
-    /// Shard `shard`'s breaker moved to `to`.
-    fn breaker(m: &Metrics, shard: u64, to: BreakerState) {
-        m.on_event(&Event::BreakerTransition {
-            request: 0,
-            shard,
-            to,
-        });
+    /// The breaker moved to `to`.
+    fn breaker(m: &Metrics, to: BreakerState) {
+        m.on_event(&Event::BreakerTransition { request: 0, to });
     }
 
     #[test]
@@ -779,57 +724,35 @@ mod tests {
     fn breaker_state_tracks_transitions_for_health() {
         let m = Metrics::default();
         assert_eq!(m.breaker_state().name(), "closed");
-        breaker(&m, 0, BreakerState::Open);
+        breaker(&m, BreakerState::Open);
         assert_eq!(m.breaker_state().name(), "open");
-        breaker(&m, 0, BreakerState::HalfOpen);
+        breaker(&m, BreakerState::HalfOpen);
         assert_eq!(m.breaker_state().name(), "half_open");
-        breaker(&m, 0, BreakerState::Closed);
+        breaker(&m, BreakerState::Closed);
         assert_eq!(m.breaker_state().name(), "closed");
         // No samples yet: the burn rate reads zero, not NaN.
         assert_eq!(m.slo_burn(), 0.0);
     }
 
     #[test]
-    fn shard_breakers_aggregate_for_health() {
-        let m = Metrics::new(Registry::new(), SloConfig::default(), 3);
-        assert_eq!(m.breaker_state().name(), "closed");
-        // One shard down: the fleet is degraded, not dead.
-        breaker(&m, 1, BreakerState::Open);
-        assert_eq!(m.breaker_state().name(), "half_open");
-        breaker(&m, 0, BreakerState::Open);
-        breaker(&m, 2, BreakerState::Open);
-        assert_eq!(m.breaker_state().name(), "open");
-        breaker(&m, 1, BreakerState::HalfOpen);
-        assert_eq!(m.breaker_state().name(), "half_open");
-        for s in 0..3 {
-            breaker(&m, s, BreakerState::Closed);
-        }
-        assert_eq!(m.breaker_state().name(), "closed");
+    fn attempt_and_loss_events_feed_their_counters() {
+        let m = Metrics::default();
         m.on_attempt_ok();
         m.on_event(&Event::AttemptFailed {
             request: 1,
-            shard: 2,
             streak: 1,
         });
-        m.on_event(&Event::ShardFailover {
-            request: 1,
-            shard: 2,
-            queued_tasks: 1,
-        });
+        breaker(&m, BreakerState::Open);
         m.on_event(&Event::DeviceLost {
             request: 1,
-            shard: 2,
             fault_epoch: 3,
         });
-        m.on_shard_launches(2, 7);
         let s = m.snapshot();
-        assert_eq!(s.shards, 3);
-        assert_eq!(s.breaker_opened, 3);
+        assert_eq!(s.breaker_opened, 1);
         assert_eq!(s.attempts_ok, 1);
         assert_eq!(s.attempts_failed, 1);
-        assert_eq!(s.shard_failovers, 1);
-        assert_eq!(s.shards_lost, 1);
-        assert_eq!(s.shard_launches, vec![0, 0, 7]);
+        assert_eq!(s.devices_lost, 1);
+        assert_eq!(m.breaker_state().name(), "open");
     }
 
     #[test]
@@ -840,7 +763,6 @@ mod tests {
                 target: Duration::from_millis(10),
                 error_budget: 0.1,
             },
-            1,
         );
         // Before any traffic the SLO is vacuously met: the shared burn
         // computation special-cases the empty histogram (whose raw
@@ -872,7 +794,6 @@ mod tests {
                 target: Duration::from_millis(10),
                 error_budget: 0.1,
             },
-            1,
         );
         for exec_ns in [1_000_000, 1_000_000, 1_000_000, 1_000_000_000] {
             m.on_batch(&BatchRecord {

@@ -171,10 +171,10 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether the breaker is closed right now. The fleet router uses this
-    /// as its "healthy shard" test between the phases of one dispatch —
-    /// half-open probing happens only at dispatch boundaries, so a shard
-    /// lost mid-image stays out until the next [`poll`](Self::poll).
+    /// Whether the breaker is closed right now: the router runs an
+    /// attempt only then. Half-open probing happens only at attempt
+    /// boundaries, so a device lost mid-dispatch stays out until the next
+    /// [`poll`](Self::poll).
     pub(crate) fn is_closed(&self) -> bool {
         matches!(self.state, State::Closed { .. })
     }

@@ -2,21 +2,18 @@
 //! batch-former thread that owns the device.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gpu_exec::{
-    BufferPool, Device, DeviceFleet, DeviceOptions, FleetOptions, GlobalBuffer, LaunchContext,
-};
+use gpu_exec::{BufferPool, Device, DeviceOptions, LaunchContext};
 use hmm_model::cost::{ExactCounts, GlobalCost, SatAlgorithm};
 use obs::conformance::cell_label;
 use obs::flight::Trigger;
 use obs::{ArgValue, BreakerState, Conformance, Event, FlowPhase, Obs, RejectReason, Track};
 use parking_lot::{Condvar, Mutex};
-use sat_core::par::{band_colsum, band_wavefront, margin_exchange, BandPlan};
 use sat_core::{compute_sat, compute_sat_batch_with, Matrix, SumTable};
 
 use crate::http::Telemetry;
@@ -66,7 +63,7 @@ pub(crate) struct Shared {
     pub(crate) postmortems: AtomicU64,
     /// The live model-conformance observatory: every device launch feeds
     /// it a (counters, wall-time) sample; it fits (w, Λ) online and
-    /// raises drift alerts. Shared with the fleet's devices.
+    /// raises drift alerts. Shared with the device.
     pub(crate) conformance: Conformance,
     /// Drift alerts already turned into post-mortem triggers — a cursor
     /// over [`Conformance::alert_count`], advanced at dispatch boundaries.
@@ -98,12 +95,11 @@ pub struct Client {
 }
 
 impl Service {
-    /// Start the service: build the device fleet of
-    /// [`ServiceConfig::shards`] devices and spawn the batch-former.
+    /// Start the service: build the device and spawn the batch-former
+    /// that owns it.
     pub fn start(cfg: ServiceConfig) -> Service {
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         assert!(cfg.max_batch > 0, "max batch must be positive");
-        assert!(cfg.shards > 0, "shard count must be positive");
         // Share one registry between serving-layer, device and conformance
         // metrics so a single scrape covers all three; fall back to a
         // private registry when observability is off (ServiceStats and the
@@ -129,18 +125,8 @@ impl Service {
         if let Some(plan) = cfg.fault_plan.clone() {
             opts = opts.fault_plan(plan);
         }
-        let mut fleet_opts = FleetOptions::new(opts, cfg.shards);
-        if !cfg.shard_fault_plans.is_empty() {
-            assert!(
-                cfg.shard_fault_plans.len() == cfg.shards,
-                "shard_fault_plans must be empty or have one entry per shard ({} vs {})",
-                cfg.shard_fault_plans.len(),
-                cfg.shards
-            );
-            fleet_opts = fleet_opts.fault_plans(cfg.shard_fault_plans.clone());
-        }
-        let fleet = DeviceFleet::new(fleet_opts);
-        let metrics = Metrics::new(registry, cfg.slo, cfg.shards);
+        let dev = Device::new(opts);
+        let metrics = Metrics::new(registry, cfg.slo);
         let shared = Arc::new(Shared {
             cfg,
             state: Mutex::new(QueueState::default()),
@@ -171,7 +157,7 @@ impl Service {
         let for_batcher = Arc::clone(&shared);
         let batcher = std::thread::Builder::new()
             .name("sat-service-batcher".to_string())
-            .spawn(move || batcher_loop(&for_batcher, &fleet))
+            .spawn(move || batcher_loop(&for_batcher, dev))
             .expect("spawning the batch-former thread");
         Service {
             shared,
@@ -381,29 +367,12 @@ struct GroupView {
     oldest: Instant,
 }
 
-/// How one dispatch maps its pending images onto fleet tasks. The only
-/// inputs are the algorithm and the fleet size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Plan {
-    /// 1R1W on a one-device fleet: every pending image in one fused
-    /// wavefront ([`compute_sat_batch_with`]) — a single task paying
-    /// `m_r + m_c − 1` launches for the whole batch.
-    Fused,
-    /// 1R1W on a fleet of several devices: each image through the banded
-    /// three-phase pipeline, its band kernels spread over the shards.
-    Banded,
-    /// Every other algorithm: one whole-image task per request.
-    Whole(SatAlgorithm),
-}
-
-/// The batch-former's execution state: the fleet, one circuit breaker per
-/// shard and the buffer pool, owned by this one thread between
-/// dispatches. During a dispatch each shard worker locks only its own
-/// breaker, so those locks are never contended.
+/// The batch-former's execution state: the device, its circuit breaker
+/// and the buffer pool, owned by this one thread.
 struct Router<'a> {
     shared: &'a Shared,
-    fleet: &'a DeviceFleet,
-    breakers: Vec<Mutex<CircuitBreaker>>,
+    dev: Device,
+    breaker: CircuitBreaker,
     pool: BufferPool<f64>,
     /// Whether result verification and the closed-form launch check run
     /// (resolved from [`VerifyMode`]).
@@ -414,26 +383,24 @@ struct Router<'a> {
     batch_no: u64,
     /// Post-mortem triggers queued during the current dispatch; dumped at
     /// its end, once the lifecycle records they point at are emitted.
-    dumps: Mutex<Vec<Trigger>>,
+    dumps: Vec<Trigger>,
 }
 
-fn batcher_loop(shared: &Shared, fleet: &DeviceFleet) {
+fn batcher_loop(shared: &Shared, dev: Device) {
     let verify_on = match shared.cfg.resilience.verify {
         VerifyMode::Always => true,
         VerifyMode::Never => false,
-        VerifyMode::Auto => fleet.iter().any(|d| d.fault_plan().is_some()),
+        VerifyMode::Auto => dev.fault_plan().is_some(),
     };
     let mut router = Router {
         shared,
-        fleet,
-        breakers: (0..fleet.len())
-            .map(|_| Mutex::new(CircuitBreaker::new(&shared.cfg.resilience)))
-            .collect(),
+        dev,
+        breaker: CircuitBreaker::new(&shared.cfg.resilience),
         pool: BufferPool::new(),
         verify_on,
         salt: 0,
         batch_no: 0,
-        dumps: Mutex::new(Vec::new()),
+        dumps: Vec::new(),
     };
     loop {
         let mut expired: Vec<Request> = Vec::new();
@@ -630,33 +597,37 @@ fn check_drift(shared: &Shared, dumps: &mut Vec<Trigger>) {
 }
 
 /// Run `work` on `dev` and compare the device's measured deltas with the
-/// closed form `expect` ([`GlobalCost::exact_counts`], fused or banded):
-/// blocks silently skipped by a fault show up as missing transactions, a
-/// lost launch as a short launch count. Without a closed form (`None`:
+/// closed form `expect` ([`GlobalCost::exact_counts`], fused): blocks
+/// silently skipped by a fault show up as missing transactions, a lost
+/// launch as a short launch count. Without a closed form (`None`:
 /// verification off, or an algorithm without one) there is no evidence of
 /// failure and the check passes.
-fn counts_match(dev: &Device, expect: Option<&ExactCounts>, work: impl FnOnce()) -> bool {
+fn counts_match<R>(
+    dev: &Device,
+    expect: Option<&ExactCounts>,
+    work: impl FnOnce() -> R,
+) -> (R, bool) {
     let Some(e) = expect else {
-        work();
-        return true;
+        return (work(), true);
     };
     let (before, launches) = (dev.stats(), dev.launches());
-    work();
+    let out = work();
     let after = dev.stats();
-    after.coalesced_reads.wrapping_sub(before.coalesced_reads) == e.coalesced_reads
+    let ok = after.coalesced_reads.wrapping_sub(before.coalesced_reads) == e.coalesced_reads
         && after.coalesced_writes.wrapping_sub(before.coalesced_writes) == e.coalesced_writes
         && after.stride_reads.wrapping_sub(before.stride_reads) == e.stride_reads
         && after.stride_writes.wrapping_sub(before.stride_writes) == e.stride_writes
-        && dev.launches().wrapping_sub(launches) == e.barrier_steps + 1
+        && dev.launches().wrapping_sub(launches) == e.barrier_steps + 1;
+    (out, ok)
 }
 
 impl Router<'_> {
     /// Run one dispatch through the self-healing attempt loop and answer
-    /// its requests. Every request is answered `Ok`: work lost with a shard
-    /// moves to the survivors, and only when no shard is healthy — or the
-    /// attempt budget is spent — does a request degrade to the CPU path.
+    /// its requests. Every request is answered `Ok`: only when the device's
+    /// breaker is open — or the attempt budget is spent — does a request
+    /// degrade to the CPU path.
     fn dispatch(&mut self, d: Dispatch) {
-        let (shared, fleet) = (self.shared, self.fleet);
+        let shared = self.shared;
         let width = d.requests.len();
         if width == 0 {
             return;
@@ -683,33 +654,29 @@ impl Router<'_> {
             width: width as u64,
         });
 
-        let plan = match (d.algorithm, fleet.len()) {
-            (SatAlgorithm::OneR1W, 1) => Plan::Fused,
-            (SatAlgorithm::OneR1W, _) => Plan::Banded,
-            (algorithm, _) => Plan::Whole(algorithm),
-        };
+        // 1R1W batches fuse every pending image into one wavefront
+        // ([`compute_sat_batch_with`]); every other algorithm runs one
+        // whole-image attempt per request.
+        let fused = d.algorithm == SatAlgorithm::OneR1W;
         // Launches one per-request 1R1W run of this shape would cost: the
         // padded grid has `m_r × m_c` blocks and `m_r + m_c − 1` diagonals.
-        let w = fleet.device(0).width();
+        let w = self.dev.width();
         let (rows, cols) = (images[0].rows(), images[0].cols());
         let per_single = (rows.div_ceil(w) + cols.div_ceil(w) - 1) as u64;
 
         let rcfg = &shared.cfg.resilience;
-        let launches_before = fleet.launches();
-        // One cell label per dispatch; each shard device appends its own
-        // `@s<i>` suffix, which is what lets the shard-relative drift
-        // channel localize a sick device.
+        let launches_before = self.dev.launches();
         let cell = cell_label(d.algorithm.name(), rows, cols);
         let mut results: Vec<Option<Matrix<f64>>> = (0..width).map(|_| None).collect();
         let mut degraded: Vec<bool> = vec![false; width];
         let mut pending: Vec<usize> = (0..width).collect();
         let mut attempts = 0u32;
         while !pending.is_empty() {
-            // Attempt budget spent, or no shard healthy even after probing
-            // the cooled-down ones: stop fighting the fleet and finish on
-            // the sequential CPU path, slower but immune to device faults
-            // (the terminal span status reads `degraded`).
-            if attempts >= rcfg.max_attempts || self.poll_breakers(ids[pending[0]]) == 0 {
+            // Attempt budget spent, or the device's breaker still open after
+            // probing a cooled-down one: finish on the sequential CPU path,
+            // slower but immune to device faults (the terminal span status
+            // reads `degraded`).
+            if attempts >= rcfg.max_attempts || !self.poll_breaker(ids[pending[0]]) {
                 for i in pending.drain(..) {
                     let mut m = images[i].clone();
                     sat_core::seq::sat_4r1w_cpu(&mut m);
@@ -725,22 +692,20 @@ impl Router<'_> {
                 std::thread::sleep(backoff_delay(rcfg, attempts, self.salt));
             }
             attempts += 1;
-            // Launch metadata: the devices stamp these ids onto their
-            // launch spans and emit one flow step per id inside them, which
-            // links each request's admit-side chain to the kernel level.
-            for dev in fleet {
-                dev.set_launch_context(Some(LaunchContext {
-                    batch: batch_no,
-                    requests: pending.iter().map(|&i| ids[i]).collect(),
-                    cell: Some(cell.clone()),
-                }));
-            }
-            let out = self.attempt(plan, &images, &pending, &ids);
+            // Launch metadata: the device stamps these ids onto its launch
+            // spans and emits one flow step per id inside them, which links
+            // each request's admit-side chain to the kernel level.
+            self.dev.set_launch_context(Some(LaunchContext {
+                batch: batch_no,
+                requests: pending.iter().map(|&i| ids[i]).collect(),
+                cell: Some(cell.clone()),
+            }));
+            let out = self.attempt(d.algorithm, &images, &pending, &ids);
 
             // Verify each result; failures stay pending for the next
-            // attempt (they do not feed the breakers — the launches
-            // themselves were healthy), as do images whose tasks ran out
-            // of shards.
+            // attempt (they do not feed the breaker — the launches
+            // themselves were healthy), as do images the device could not
+            // finish before its breaker opened.
             let mut unverified: Vec<usize> = Vec::new();
             let mut still: Vec<usize> = Vec::new();
             for (i, sat) in pending.iter().copied().zip(out) {
@@ -763,7 +728,7 @@ impl Router<'_> {
                 }
             }
             if let Some(&first) = unverified.first() {
-                self.dumps.get_mut().push(Trigger {
+                self.dumps.push(Trigger {
                     reason: "verify_failure".to_string(),
                     request: ids[first],
                     detail: format!("{} result(s) failed SAT verification", unverified.len()),
@@ -771,29 +736,20 @@ impl Router<'_> {
             }
             pending = still;
         }
-        for dev in fleet {
-            dev.set_launch_context(None);
-        }
+        self.dev.set_launch_context(None);
 
-        let mut issued = 0u64;
-        for (shard, (after, before)) in fleet.launches().iter().zip(&launches_before).enumerate() {
-            let delta = after.wrapping_sub(*before);
-            shared.metrics.on_shard_launches(shard, delta);
-            issued += delta;
-        }
+        let issued = self.dev.launches().wrapping_sub(launches_before);
         let exec_ns = dispatched_at.elapsed().as_nanos() as u64;
 
-        // What per-request single-device execution would have cost: 1R1W
-        // re-pays the full wavefront per image, so the fused batch saves
-        // all but one and the fleet spreads the banded pipeline's launches
-        // over `D` devices (the loadgen fleet gate asserts
-        // `max(shard launches) × D < equiv`); the other algorithms see no
-        // amortisation (equiv = issued).
-        let launches_equiv = match plan {
-            Plan::Whole(_) => issued,
-            Plan::Fused | Plan::Banded => per_single * width as u64,
+        // What per-request execution would have cost: 1R1W re-pays the
+        // full wavefront per image, so the fused batch saves all but one;
+        // the other algorithms see no amortisation (equiv = issued).
+        let launches_equiv = if fused {
+            per_single * width as u64
+        } else {
+            issued
         };
-        let runs = if plan == Plan::Fused { 1 } else { width as u64 };
+        let runs = if fused { 1 } else { width as u64 };
         shared.emit(Event::Complete {
             request: ids[0],
             batch: batch_no,
@@ -821,17 +777,17 @@ impl Router<'_> {
                     burn_ppm: (burn * 1e6) as u64,
                     threshold_ppm: (threshold * 1e6) as u64,
                 });
-                self.dumps.get_mut().push(Trigger {
+                self.dumps.push(Trigger {
                     reason: "slo_burn".to_string(),
                     request: ids[0],
                     detail: format!("error-budget burn {burn:.3} reached threshold {threshold:.3}"),
                 });
             }
         }
-        check_drift(shared, self.dumps.get_mut());
+        check_drift(shared, &mut self.dumps);
 
         // Retro-emit the lifecycle spans now that the batch's end is known:
-        // a `batch` span covering device execution on lane 0 (the devices'
+        // a `batch` span covering device execution on lane 0 (the device's
         // own per-launch spans nest inside it by containment), one `queue`
         // span per request from admission to dispatch parented to the
         // batch, and one `request` span per request carrying its terminal
@@ -852,7 +808,6 @@ impl Router<'_> {
                     ("width", ArgValue::from(width)),
                     ("algo", ArgValue::from(d.algorithm.name())),
                     ("launches", ArgValue::from(issued)),
-                    ("shards", ArgValue::from(fleet.len())),
                 ],
             );
             for (i, &enq) in enqueued_at.iter().enumerate() {
@@ -878,7 +833,7 @@ impl Router<'_> {
         // Dump queued post-mortems only now, so a bundle triggered
         // mid-attempt still captures the triggering request's complete
         // event chain.
-        for trigger in std::mem::take(self.dumps.get_mut()) {
+        for trigger in std::mem::take(&mut self.dumps) {
             maybe_dump(shared, &trigger);
         }
         for (reply, sat) in replies.into_iter().zip(results) {
@@ -887,62 +842,48 @@ impl Router<'_> {
         }
     }
 
-    /// One attempt at every pending image under `plan`; `None` marks an
-    /// image whose tasks could not complete because every shard they could
-    /// run on opened.
+    /// One attempt at every pending image: one fused 1R1W run of the whole
+    /// batch, or one run per image for every other algorithm. `None` marks
+    /// an image the device could not finish because its breaker opened.
     fn attempt(
-        &self,
-        plan: Plan,
+        &mut self,
+        algorithm: SatAlgorithm,
         images: &[Matrix<f64>],
         pending: &[usize],
         ids: &[u64],
     ) -> Vec<Option<Matrix<f64>>> {
-        match plan {
-            Plan::Fused => {
-                let retry: Vec<Matrix<f64>>;
-                let batch = if pending.len() == images.len() {
-                    images
-                } else {
-                    retry = pending.iter().map(|&i| images[i].clone()).collect();
-                    &retry
-                };
-                let expect = self.verify_on.then(|| self.fused_counts(batch)).flatten();
-                let slot = Mutex::new(None);
-                let complete = self.run_tasks(ids[pending[0]], vec![0], &|dev, _| {
-                    counts_match(dev, expect.as_ref(), || {
-                        *slot.lock() = Some(compute_sat_batch_with(dev, &self.pool, batch));
-                    })
-                });
-                match slot.into_inner() {
-                    Some(out) if complete => out.into_iter().map(Some).collect(),
-                    _ => pending.iter().map(|_| None).collect(),
-                }
-            }
-            Plan::Banded => pending
-                .iter()
-                .map(|&i| self.banded_sat(ids[i], &images[i]))
-                .collect(),
-            Plan::Whole(algorithm) => pending
+        if algorithm != SatAlgorithm::OneR1W {
+            return pending
                 .iter()
                 .map(|&i| {
-                    let slot = Mutex::new(None);
-                    let complete = self.run_tasks(ids[i], vec![0], &|dev, _| {
-                        *slot.lock() = Some(compute_sat(dev, algorithm, &images[i]));
-                        true
-                    });
-                    slot.into_inner().filter(|_| complete)
+                    self.run(ids[i], None, |dev, _| {
+                        compute_sat(dev, algorithm, &images[i])
+                    })
                 })
-                .collect(),
+                .collect();
+        }
+        let retry: Vec<Matrix<f64>>;
+        let batch = if pending.len() == images.len() {
+            images
+        } else {
+            retry = pending.iter().map(|&i| images[i].clone()).collect();
+            &retry
+        };
+        let expect = self.verify_on.then(|| self.fused_counts(batch)).flatten();
+        match self.run(ids[pending[0]], expect, |dev, pool| {
+            compute_sat_batch_with(dev, pool, batch)
+        }) {
+            Some(out) => out.into_iter().map(Some).collect(),
+            None => pending.iter().map(|_| None).collect(),
         }
     }
 
     /// Closed form of one fused 1R1W wavefront over `batch`: the single-run
     /// counts of the padded shape, paid per image, barriers paid once.
     fn fused_counts(&self, batch: &[Matrix<f64>]) -> Option<ExactCounts> {
-        let dev = self.fleet.device(0);
-        let w = dev.width();
+        let w = self.dev.width();
         let (rows, cols) = (batch[0].rows(), batch[0].cols());
-        GlobalCost::new(*dev.config())
+        GlobalCost::new(*self.dev.config())
             .exact_counts(
                 SatAlgorithm::OneR1W,
                 rows.next_multiple_of(w),
@@ -951,261 +892,96 @@ impl Router<'_> {
             .map(|e| e.fused(batch.len() as u64))
     }
 
-    /// Report shard `shard`'s circuit-breaker transition, if one happened,
-    /// as one [`Event::BreakerTransition`]. A transition into `open` also
-    /// queues a post-mortem trigger: `shard_failover` when `survivors`
-    /// other shards take the work over, `breaker_open` when none is left to.
-    fn report_breaker(
-        &self,
-        transition: Option<BreakerState>,
-        shard: usize,
-        survivors: usize,
+    /// Run `work` on the device until it succeeds or the breaker opens.
+    ///
+    /// A failed run — a fault-epoch bump, or measured counts that miss the
+    /// closed form `expect` ([`counts_match`]) — feeds the breaker and is
+    /// retried after backoff. When the breaker opens the device is lost:
+    /// [`Event::DeviceLost`] is emitted and the run returns `None`, as it
+    /// does at once when the breaker is not closed.
+    fn run<R>(
+        &mut self,
         request: u64,
-    ) {
+        expect: Option<ExactCounts>,
+        work: impl Fn(&Device, &BufferPool<f64>) -> R,
+    ) -> Option<R> {
+        if !self.breaker.is_closed() {
+            return None;
+        }
+        let mut streak = 0u32;
+        loop {
+            let epoch_before = self.dev.fault_epoch();
+            let (out, counts_ok) =
+                counts_match(&self.dev, expect.as_ref(), || work(&self.dev, &self.pool));
+            if self.dev.fault_epoch() == epoch_before && counts_ok {
+                self.shared.metrics.on_attempt_ok();
+                let transition = self.breaker.on_success();
+                self.report_breaker(transition, request);
+                return Some(out);
+            }
+            streak += 1;
+            self.shared.emit(Event::AttemptFailed {
+                request,
+                streak: u64::from(streak),
+            });
+            let transition = self.breaker.on_failure(Instant::now());
+            if transition == Some(BreakerState::Open) {
+                self.report_breaker(transition, request);
+                self.shared.emit(Event::DeviceLost {
+                    request,
+                    fault_epoch: self.dev.fault_epoch(),
+                });
+                return None;
+            }
+            self.shared.metrics.on_retry();
+            std::thread::sleep(backoff_delay(
+                &self.shared.cfg.resilience,
+                streak,
+                self.salt,
+            ));
+        }
+    }
+
+    /// Report the breaker's transition, if one happened, as one
+    /// [`Event::BreakerTransition`]. A transition into `open` also queues a
+    /// `breaker_open` post-mortem trigger.
+    fn report_breaker(&mut self, transition: Option<BreakerState>, request: u64) {
         let Some(to) = transition else {
             return;
         };
-        self.shared.emit(Event::BreakerTransition {
-            request,
-            shard: shard as u64,
-            to,
-        });
-        if to != BreakerState::Open {
-            return;
-        }
-        self.dumps.lock().push(if survivors > 0 {
-            Trigger {
-                reason: "shard_failover".to_string(),
-                request,
-                detail: format!(
-                    "shard {shard}'s breaker opened; {survivors} healthy shard(s) take its work"
-                ),
-            }
-        } else {
-            Trigger {
+        self.shared.emit(Event::BreakerTransition { request, to });
+        if to == BreakerState::Open {
+            self.dumps.push(Trigger {
                 reason: "breaker_open".to_string(),
                 request,
-                detail: "consecutive launch failures opened the last healthy shard's \
-                         circuit breaker"
+                detail: "consecutive launch failures opened the device's circuit breaker"
                     .to_string(),
-            }
-        });
-    }
-
-    /// Shards whose breaker is closed right now.
-    fn closed_shards(&self) -> Vec<usize> {
-        (0..self.breakers.len())
-            .filter(|&s| self.breakers[s].lock().is_closed())
-            .collect()
-    }
-
-    /// Advance every shard breaker at a dispatch boundary: closed shards
-    /// count as healthy, open shards whose cooldown elapsed get a canary
-    /// probe on *their own* device (a recovered device rejoins the fleet
-    /// here), and still-open shards sit the attempt out. Returns the number
-    /// of healthy shards.
-    fn poll_breakers(&self, request: u64) -> usize {
-        let mut healthy = 0usize;
-        for (shard, breaker) in self.breakers.iter().enumerate() {
-            let (disposition, transition) = breaker.lock().poll(Instant::now());
-            self.report_breaker(transition, shard, 0, request);
-            match disposition {
-                Disposition::Use => healthy += 1,
-                Disposition::Probe => {
-                    let ok = canary_ok(self.fleet.device(shard));
-                    self.shared.emit(Event::Canary {
-                        shard: shard as u64,
-                        ok,
-                    });
-                    let transition = if ok {
-                        breaker.lock().on_success()
-                    } else {
-                        breaker.lock().on_failure(Instant::now())
-                    };
-                    let survivors = self.closed_shards().len();
-                    self.report_breaker(transition, shard, survivors, request);
-                    healthy += usize::from(ok);
-                }
-                Disposition::Degrade => {}
-            }
-        }
-        healthy
-    }
-
-    /// Run one phase's tasks to completion across the healthy shards.
-    ///
-    /// Every shard whose breaker is closed runs a worker that pulls task
-    /// indices from a shared queue (work stealing: a fast shard simply
-    /// pulls more). The first healthy shard's worker runs on the calling
-    /// thread and only the others get scoped threads, so a one-device
-    /// fleet spawns nothing. Returns `true` when every task completed on
-    /// some shard; see [`shard_worker`](Self::shard_worker) for failures.
-    fn run_tasks(
-        &self,
-        request: u64,
-        tasks: Vec<usize>,
-        run_task: &(dyn Fn(&Device, usize) -> bool + Sync),
-    ) -> bool {
-        if tasks.is_empty() {
-            return true;
-        }
-        let healthy = self.closed_shards();
-        let Some((&first, rest)) = healthy.split_first() else {
-            return false;
-        };
-        let total = tasks.len();
-        let queue = Mutex::new(VecDeque::from(tasks));
-        let done = AtomicUsize::new(0);
-        // Fault domains still standing this phase: decremented only when a
-        // breaker opens, never on normal worker exit — a worker that
-        // drained the queue and left is still a healthy shard.
-        let alive = AtomicUsize::new(healthy.len());
-        let worker = |shard| {
-            let completed = self.shard_worker(shard, request, &queue, &alive, run_task);
-            done.fetch_add(completed, Ordering::Relaxed);
-        };
-        std::thread::scope(|sc| {
-            for &shard in rest {
-                sc.spawn(move || worker(shard));
-            }
-            worker(first);
-        });
-        done.load(Ordering::Relaxed) == total
-    }
-
-    /// One shard's worker: pull tasks until the queue drains or the shard's
-    /// breaker opens; returns the number of tasks it completed.
-    ///
-    /// A failed attempt — fault-epoch bump, or `run_task` returning `false`
-    /// on a closed-form count mismatch — stays with this shard (feeding its
-    /// breaker) across backoff retries until either a retry succeeds or the
-    /// breaker opens. On open the worker puts the task back at the front of
-    /// the queue, emits [`Event::DeviceLost`] and, when some shard
-    /// survives, [`Event::ShardFailover`], and exits: the survivors drain
-    /// the queue.
-    fn shard_worker(
-        &self,
-        shard: usize,
-        request: u64,
-        queue: &Mutex<VecDeque<usize>>,
-        alive: &AtomicUsize,
-        run_task: &(dyn Fn(&Device, usize) -> bool + Sync),
-    ) -> usize {
-        let (shared, dev) = (self.shared, self.fleet.device(shard));
-        let breaker = &self.breakers[shard];
-        let mut completed = 0usize;
-        let mut streak = 0u32;
-        // A failed task is retained by this worker across its own retries
-        // rather than requeued immediately: if it went back on the queue a
-        // fast healthy shard would steal it, the failure streak would never
-        // reach the breaker threshold, and a permanently dead shard would
-        // keep sampling (and stalling) fresh tasks forever.
-        let mut held: Option<usize> = None;
-        loop {
-            let Some(task) = held.take().or_else(|| queue.lock().pop_front()) else {
-                return completed;
-            };
-            let epoch_before = dev.fault_epoch();
-            let counts_ok = run_task(dev, task);
-            if dev.fault_epoch() == epoch_before && counts_ok {
-                shared.metrics.on_attempt_ok();
-                streak = 0;
-                let transition = breaker.lock().on_success();
-                self.report_breaker(transition, shard, 0, request);
-                completed += 1;
-                continue;
-            }
-            streak += 1;
-            shared.emit(Event::AttemptFailed {
-                request,
-                shard: shard as u64,
-                streak: u64::from(streak),
             });
-            let transition = breaker.lock().on_failure(Instant::now());
-            if transition != Some(BreakerState::Open) {
-                held = Some(task);
-                shared.metrics.on_retry();
-                let salt = self.salt ^ ((shard as u64) << 8);
-                std::thread::sleep(backoff_delay(&shared.cfg.resilience, streak, salt));
-                continue;
-            }
-            // This fault domain is gone until a canary re-closes it: hand
-            // the task back, record the loss, and leave the remaining work
-            // to whoever survives.
-            let queued_tasks = {
-                let mut queue = queue.lock();
-                queue.push_front(task);
-                queue.len() as u64
-            };
-            let survivors = alive.fetch_sub(1, Ordering::AcqRel) - 1;
-            self.report_breaker(transition, shard, survivors, request);
-            shared.emit(Event::DeviceLost {
-                request,
-                shard: shard as u64,
-                fault_epoch: dev.fault_epoch(),
-            });
-            if survivors > 0 {
-                shared.emit(Event::ShardFailover {
-                    request,
-                    shard: shard as u64,
-                    queued_tasks,
-                });
-            }
-            return completed;
         }
     }
 
-    /// One image through the banded three-phase pipeline (column sums →
-    /// margin exchange → carry-seeded band wavefronts), its phase kernels
-    /// spread over the healthy shards with failover. Returns `None` when
-    /// some phase could not complete — every remaining shard opened.
-    ///
-    /// Bit-exactness: the banded kernels sum in exactly the association
-    /// order of the single-device 1R1W wavefront within each band, and band
-    /// boundaries only ever consume finished carry rows, so re-running a
-    /// band on a different shard cannot change a single bit of the result
-    /// (pinned by `sat_core::par::band` tests).
-    fn banded_sat(&self, request: u64, image: &Matrix<f64>) -> Option<Matrix<f64>> {
-        let dev0 = self.fleet.device(0);
-        let w = dev0.width();
-        let (rows, cols) = (image.rows(), image.cols());
-        let prows = rows.next_multiple_of(w);
-        let pcols = cols.next_multiple_of(w);
-        let plan = BandPlan::new(prows, pcols, w, self.fleet.len());
-        let d = plan.len();
-        let a = GlobalBuffer::from_vec(image.zero_padded_to(prows, pcols).into_vec());
-        let s = GlobalBuffer::filled(0.0f64, prows * pcols);
-        let colsums = GlobalBuffer::filled(0.0f64, plan.boundary_len());
-        let carries = GlobalBuffer::filled(0.0f64, plan.boundary_len());
-        let mirror = GlobalBuffer::filled(0.0f64, plan.mirror_len());
-        // Closed-form phase entries for the per-task launch check (always
-        // available: the dims are padded to multiples of `w`).
-        let model = if self.verify_on {
-            GlobalCost::new(*dev0.config()).banded_1r1w_exact_counts(prows, pcols, d)
-        } else {
-            None
-        };
-        let model = model.as_ref();
-
-        if d > 1 {
-            let complete = self.run_tasks(request, (0..d - 1).collect(), &|dev, k| {
-                counts_match(dev, model.map(|m| &m.colsum[k]), || {
-                    band_colsum(dev, &a, &colsums, &plan, k)
-                })
-            }) && self.run_tasks(request, vec![0], &|dev, _| {
-                counts_match(dev, model.map(|m| &m.exchange), || {
-                    margin_exchange(dev, &colsums, &carries, &plan)
-                })
-            });
-            if !complete {
-                return None;
+    /// Advance the breaker at an attempt boundary: a closed breaker lets
+    /// the attempt run, an open one whose cooldown elapsed gets a canary
+    /// probe on the device (a recovered device closes it here), and a
+    /// still-open one sits the attempt out. Returns whether the device may
+    /// take the attempt.
+    fn poll_breaker(&mut self, request: u64) -> bool {
+        let (disposition, transition) = self.breaker.poll(Instant::now());
+        self.report_breaker(transition, request);
+        match disposition {
+            Disposition::Use => true,
+            Disposition::Probe => {
+                let ok = canary_ok(&self.dev);
+                self.shared.emit(Event::Canary { ok });
+                let transition = if ok {
+                    self.breaker.on_success()
+                } else {
+                    self.breaker.on_failure(Instant::now())
+                };
+                self.report_breaker(transition, request);
+                ok
             }
+            Disposition::Degrade => false,
         }
-        let complete = self.run_tasks(request, (0..d).collect(), &|dev, k| {
-            counts_match(dev, model.map(|m| &m.wavefront[k]), || {
-                band_wavefront(dev, &a, &s, &carries, &mirror, &plan, k)
-            })
-        });
-        complete.then(|| Matrix::from_vec(prows, pcols, s.into_vec()).cropped(rows, cols))
     }
 }

@@ -1,8 +1,6 @@
-//! One execution path for every fleet size: the same seeded request mix
-//! through a one-device service and a two-shard fleet answers every
-//! request bit-exactly, fault-free and under launch aborts, and the
-//! one-device fleet still fuses each batched 1R1W dispatch into a single
-//! `m_r + m_c − 1`-launch wavefront.
+//! One execution path: a seeded request mix answers every request
+//! bit-exactly, fault-free and under launch aborts, and every batched 1R1W
+//! dispatch is fused into a single `m_r + m_c − 1`-launch wavefront.
 
 use std::time::Duration;
 
@@ -27,7 +25,7 @@ const CLIENTS: usize = 3;
 const REQUESTS: usize = 8;
 
 fn image(rows: usize, cols: usize, seed: usize) -> Matrix<f64> {
-    // Integer-valued so fused, banded, whole-image and CPU paths all sum
+    // Integer-valued so fused, whole-image and CPU paths all sum
     // exactly and results are bit-comparable across paths.
     Matrix::from_fn(rows, cols, |i, j| {
         ((i * 31 + j * 7 + seed * 13) % 29) as f64 - 14.0
@@ -46,9 +44,9 @@ fn request(c: usize, k: usize) -> (Matrix<f64>, SatAlgorithm) {
     (image(rows, cols, seed), algorithm)
 }
 
-/// Run the mix through a `shards`-device service and check every reply
-/// against the reference.
-fn run_mix(shards: usize, fault_plan: Option<FaultPlan>, observer: obs::Obs) -> ServiceStats {
+/// Run the mix through a service and check every reply against the
+/// reference.
+fn run_mix(fault_plan: Option<FaultPlan>, observer: obs::Obs) -> ServiceStats {
     let service = Service::start(ServiceConfig {
         machine: MachineConfig::with_width(W),
         device_workers: Some(2),
@@ -56,7 +54,6 @@ fn run_mix(shards: usize, fault_plan: Option<FaultPlan>, observer: obs::Obs) -> 
         max_batch: 4,
         max_linger: Duration::from_millis(2),
         default_deadline: Duration::from_secs(30),
-        shards,
         fault_plan,
         resilience: ResilienceConfig {
             breaker_cooldown: Duration::from_millis(10),
@@ -81,7 +78,7 @@ fn run_mix(shards: usize, fault_plan: Option<FaultPlan>, observer: obs::Obs) -> 
                     assert_eq!(
                         got.sat().as_slice(),
                         want.as_slice(),
-                        "shards={shards} client {c} request {k}"
+                        "client {c} request {k}"
                     );
                 }
             });
@@ -89,7 +86,6 @@ fn run_mix(shards: usize, fault_plan: Option<FaultPlan>, observer: obs::Obs) -> 
     });
     let stats = service.shutdown();
     assert_eq!(stats.completed, (CLIENTS * REQUESTS) as u64, "{stats:?}");
-    assert_eq!(stats.shards, shards as u64);
     stats
 }
 
@@ -111,19 +107,16 @@ fn batch_spans(json: &str) -> Vec<(String, u64)> {
 }
 
 #[test]
-fn one_device_and_two_shards_answer_the_same_mix_bit_exactly() {
+fn the_mix_is_answered_bit_exactly() {
     let obs = obs::Obs::new();
-    let single = run_mix(1, None, obs.clone());
-    let fleet = run_mix(2, None, obs::Obs::disabled());
-    // Verified fault-free traffic: no closed-form check may misfire, on
-    // the fused wavefront or on the banded phases.
-    for stats in [&single, &fleet] {
-        assert_eq!(stats.degraded, 0, "{stats:?}");
-        assert_eq!(stats.attempts_failed, 0, "{stats:?}");
-        assert_eq!(stats.verify_fail, 0, "{stats:?}");
-    }
-    // Fusion survived the merge: on one device every 1R1W dispatch, of any
-    // width, is one wavefront of `m_r + m_c − 1` launches.
+    let stats = run_mix(None, obs.clone());
+    // Verified fault-free traffic: no closed-form check may misfire on the
+    // fused wavefront.
+    assert_eq!(stats.degraded, 0, "{stats:?}");
+    assert_eq!(stats.attempts_failed, 0, "{stats:?}");
+    assert_eq!(stats.verify_fail, 0, "{stats:?}");
+    // Every 1R1W dispatch, of any width, is one wavefront of
+    // `m_r + m_c − 1` launches.
     let spans = batch_spans(&obs.trace_json());
     let fused: Vec<u64> = spans
         .iter()
@@ -135,21 +128,17 @@ fn one_device_and_two_shards_answer_the_same_mix_bit_exactly() {
         fused.iter().all(|&l| l == WAVEFRONT_LAUNCHES),
         "fused dispatch launches {fused:?}"
     );
-    assert_eq!(single.shard_launches, vec![single.launches_issued]);
 }
 
 #[test]
-fn one_device_and_two_shards_survive_launch_aborts_bit_exactly() {
-    for shards in [1, 2] {
-        let stats = run_mix(
-            shards,
-            Some(FaultPlan::new(42).launch_abort_p(0.02)),
-            obs::Obs::disabled(),
-        );
-        assert!(stats.attempts_failed > 0, "aborts must fire: {stats:?}");
-        assert!(
-            stats.retries > 0 || stats.degraded > 0,
-            "failed attempts were retried or degraded: {stats:?}"
-        );
-    }
+fn the_mix_survives_launch_aborts_bit_exactly() {
+    let stats = run_mix(
+        Some(FaultPlan::new(42).launch_abort_p(0.02)),
+        obs::Obs::disabled(),
+    );
+    assert!(stats.attempts_failed > 0, "aborts must fire: {stats:?}");
+    assert!(
+        stats.retries > 0 || stats.degraded > 0,
+        "failed attempts were retried or degraded: {stats:?}"
+    );
 }

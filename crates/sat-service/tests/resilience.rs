@@ -93,6 +93,8 @@ fn device_loss_opens_breaker_degrades_then_canary_recloses() {
         mid.breaker_opened >= 1,
         "loss must trip the breaker: {mid:?}"
     );
+    // The first open is always mid-dispatch, which loses the device.
+    assert!(mid.devices_lost >= 1, "{mid:?}");
     assert!(mid.degraded >= 1, "open breaker degrades to CPU: {mid:?}");
     assert_eq!(mid.completed, 4, "degraded requests still complete");
 
