@@ -36,8 +36,7 @@ use hmm_lint::{analyze_run, KernelContract, Rule, RunAnalysis, SCHEMA_VERSION};
 use hmm_model::cost::SatAlgorithm;
 use hmm_model::MachineConfig;
 use sat_bench::{maybe_write_json, parsed_flag, workload, Path};
-use sat_core::par::sat_1r1w_batch;
-use sat_core::Matrix;
+use sat_core::{compute_sat_batch, Matrix};
 
 obs::json::record! {
     /// One analyzed (config, algorithm, size) cell, for `--json`.
@@ -185,7 +184,8 @@ fn main() -> ExitCode {
         println!();
     }
     // `--batch B`: additionally lint the fused batched 1R1W launch sequence
-    // the serving layer issues (`sat-service` → `sat_1r1w_batch`), holding
+    // the serving layer issues (`sat-service` → `compute_sat_batch`, each
+    // image's SAT computed over its own padded buffer in place), holding
     // it to the single-image 1R1W structural rules and stride budget — the
     // batch fuses stages across images, so it must stay exactly as
     // coalesced, conflict-free and race-free as one image's wavefront.
@@ -196,21 +196,8 @@ fn main() -> ExitCode {
             let images: Vec<Matrix<f64>> = (0..batch)
                 .map(|k| workload(n).map(|v| v + k as f64))
                 .collect();
-            let ins: Vec<_> = images
-                .iter()
-                .map(|m| gpu_exec::GlobalBuffer::from_vec(m.as_slice().to_vec()))
-                .collect();
-            let outs: Vec<_> = (0..batch)
-                .map(|_| gpu_exec::GlobalBuffer::filled(0.0f64, n * n))
-                .collect();
             dev.reset_stats();
-            sat_1r1w_batch(
-                &dev,
-                &ins.iter().collect::<Vec<_>>(),
-                &outs.iter().collect::<Vec<_>>(),
-                n,
-                n,
-            );
+            compute_sat_batch(&dev, &images);
             let counters = dev.stats();
             let trace = dev.take_trace();
             // Structural rules plus 1R1W's stride budget; the Table I

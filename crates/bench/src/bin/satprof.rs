@@ -265,7 +265,7 @@ fn profile_path(
     let at = attribution.total();
     let attr_ok = at.coalesced_ops == coal_meas
         && at.stride_ops == stride_meas
-        && at.barrier_steps == stats.barrier_steps;
+        && attribution.barrier_steps() == stats.barrier_steps;
     if !attr_ok {
         eprintln!(
             "{name}: attribution totals diverge from device counters \
@@ -274,7 +274,7 @@ fn profile_path(
             coal_meas,
             at.stride_ops,
             stride_meas,
-            at.barrier_steps,
+            attribution.barrier_steps(),
             stats.barrier_steps
         );
     }

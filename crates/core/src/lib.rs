@@ -58,7 +58,7 @@ pub use element::SatElement;
 pub use matrix::Matrix;
 pub use rect::{Rect, SumTable};
 
-use gpu_exec::{BufferPool, Device, GlobalBuffer};
+use gpu_exec::{Device, GlobalBuffer};
 use hmm_model::cost::SatAlgorithm;
 
 /// Compute the SAT of an arbitrary-shaped matrix with the chosen algorithm.
@@ -92,57 +92,34 @@ pub fn compute_sat_hybrid<T: SatElement>(dev: &Device, a: &Matrix<T>, r: f64) ->
 /// Compute the SATs of a batch of same-shaped matrices with the block
 /// wavefront fused across the batch ([`par::sat_1r1w_batch`]).
 ///
-/// Every matrix must have the same dimensions. Like [`compute_sat`], inputs
-/// are zero-padded to square-block multiples of the device width and the
-/// results cropped back. The whole batch costs `2m − 1` kernel launches
-/// (`m = padded_rows / w` blocks per side) — the same as a *single*
-/// [`SatAlgorithm::OneR1W`] run — instead of `B × (2m − 1)`, which is what
-/// makes it the building block for batched serving (`sat-service`).
-/// Per-element arithmetic is identical to the unbatched 1R1W kernel, so
-/// each result is bit-equal to `compute_sat(dev, SatAlgorithm::OneR1W, a)`.
+/// Every matrix must have the same dimensions. Like [`compute_sat`], each
+/// input is zero-padded so each side is a multiple of the device width,
+/// into its own buffer, whose SAT is computed in place and cropped back.
+/// The whole batch costs `m_r + m_c − 1` kernel launches (`m_r × m_c`
+/// blocks of the padded shape) — the same as a *single*
+/// [`SatAlgorithm::OneR1W`] run — instead of `B × (m_r + m_c − 1)`, which
+/// is what makes it the building block for batched serving
+/// (`sat-service`). Per-element arithmetic is identical to the unbatched
+/// 1R1W kernel, so each result is bit-equal to
+/// `compute_sat(dev, SatAlgorithm::OneR1W, a)`. Nothing outlives the call,
+/// so a second call on the same images never sees a failed call's partial
+/// writes.
 ///
 /// # Panics
 /// Panics if the matrices do not all share one shape.
 pub fn compute_sat_batch<T: SatElement>(dev: &Device, images: &[Matrix<T>]) -> Vec<Matrix<T>> {
-    compute_sat_batch_with(dev, &BufferPool::new(), images)
-}
-
-/// [`compute_sat_batch`] drawing its device buffers from a recycling
-/// [`BufferPool`] instead of allocating per call — the steady-state path of
-/// a serving layer.
-///
-/// Fault hygiene is per *buffer*, not per batch: every write made under a
-/// failed launch sets the buffer's poison flag, and [`BufferPool::recycle`]
-/// scrubs poisoned buffers before they re-enter the free list. A buffer
-/// that merely lived through a fault-epoch bump without being written by
-/// the failing launch — the input images here, or any buffer held across a
-/// lost launch that never ran a block — recycles clean, so a retry can
-/// never observe partial writes yet untouched buffers aren't re-zeroed for
-/// nothing.
-///
-/// # Panics
-/// Panics if the matrices do not all share one shape.
-pub fn compute_sat_batch_with<T: SatElement>(
-    dev: &Device,
-    pool: &BufferPool<T>,
-    images: &[Matrix<T>],
-) -> Vec<Matrix<T>> {
-    marshal(dev, pool, images, |ins, rows, cols| {
-        let outs: Vec<GlobalBuffer<T>> = ins
+    let Some(first) = images.first() else {
+        return Vec::new();
+    };
+    assert!(
+        images
             .iter()
-            .map(|_| pool.checkout_zeroed(rows * cols))
-            .collect();
-        par::sat_1r1w_batch(
-            dev,
-            &ins.iter().collect::<Vec<_>>(),
-            &outs.iter().collect::<Vec<_>>(),
-            rows,
-            cols,
-        );
-        for buf in ins {
-            pool.recycle(buf, true);
-        }
-        outs
+            .all(|a| a.rows() == first.rows() && a.cols() == first.cols()),
+        "compute_sat_batch requires same-shaped matrices"
+    );
+    in_padded(dev, images, |bufs, rows, cols| {
+        let bufs: Vec<&GlobalBuffer<T>> = bufs.iter().collect();
+        par::sat_1r1w_batch(dev, &bufs, &bufs, rows, cols);
     })
 }
 
@@ -154,70 +131,42 @@ fn padded_dims<T: SatElement>(dev: &Device, a: &Matrix<T>) -> (usize, usize) {
     )
 }
 
-/// One image through [`par::sat`] in one padded buffer: pad `a` into it,
-/// compute `S` over it in place, and compact its rows into the returned
-/// matrix, which keeps the buffer's allocation. Only 4R4W's transpose
-/// scratch is a second matrix-sized buffer; nothing outlives the call.
 fn compute_sat_inner<T: SatElement>(
     dev: &Device,
     algorithm: SatAlgorithm,
     a: &Matrix<T>,
     r: f64,
 ) -> Matrix<T> {
-    if a.rows() == 0 || a.cols() == 0 {
-        return a.clone();
-    }
-    let (rows, cols) = padded_dims(dev, a);
-    let buf = GlobalBuffer::from_vec(a.zero_padded_to(rows, cols).into_vec());
-    par::sat(dev, algorithm, r, &buf, rows, cols);
-    Matrix::crop_in_place(buf.into_vec(), cols, a.rows(), a.cols())
+    let mut sats = in_padded(dev, std::slice::from_ref(a), |bufs, rows, cols| {
+        par::sat(dev, algorithm, r, &bufs[0], rows, cols);
+    });
+    sats.pop().expect("one image in, one SAT out")
 }
 
-/// The pooled pad-in/crop-out around a batched SAT: pad each image
-/// straight into a pooled buffer, let `solve` turn the padded inputs into
-/// one result buffer each, then crop each result straight out of its buffer
-/// and recycle it. `solve` owns the inputs and recycles the ones it does
-/// not return.
-///
-/// `checkout_uninit` hands back stale words from earlier calls, so the pad
-/// region is zeroed explicitly rather than assumed.
-fn marshal<T: SatElement>(
+/// The marshal around every SAT this crate computes: pad each of the
+/// same-shaped `images` into a fresh `Vec`, wrap it as a [`GlobalBuffer`],
+/// let `solve` compute `S` over the padded buffers in place, and compact
+/// each buffer into its result, which keeps the buffer's allocation. Only
+/// 4R4W's transpose scratch is a second matrix-sized buffer; nothing
+/// outlives the call. Empty images are returned as they are, with no launch.
+fn in_padded<T: SatElement>(
     dev: &Device,
-    pool: &BufferPool<T>,
     images: &[Matrix<T>],
-    solve: impl FnOnce(Vec<GlobalBuffer<T>>, usize, usize) -> Vec<GlobalBuffer<T>>,
+    solve: impl FnOnce(&[GlobalBuffer<T>], usize, usize),
 ) -> Vec<Matrix<T>> {
-    let Some(first) = images.first() else {
-        return Vec::new();
-    };
-    let (rows, cols) = (first.rows(), first.cols());
-    assert!(
-        images.iter().all(|a| a.rows() == rows && a.cols() == cols),
-        "compute_sat_batch requires same-shaped matrices"
-    );
+    let (rows, cols) = (images[0].rows(), images[0].cols());
     if rows == 0 || cols == 0 {
         return images.to_vec();
     }
-    let (prows, pcols) = padded_dims(dev, first);
-    let ins = images
+    let (prows, pcols) = padded_dims(dev, &images[0]);
+    let bufs: Vec<GlobalBuffer<T>> = images
         .iter()
-        .map(|a| {
-            let mut buf = pool.checkout_uninit(prows * pcols);
-            a.pad_into(buf.as_mut_slice(), pcols);
-            buf
-        })
+        .map(|a| GlobalBuffer::from_vec(a.zero_padded_to(prows, pcols).into_vec()))
         .collect();
-    let mut outs = solve(ins, prows, pcols);
-    let sats = outs
-        .iter_mut()
-        .map(|s| Matrix::crop_of(s.as_slice(), pcols, rows, cols))
-        .collect();
-    for buf in outs {
-        // `clean` from the caller's view — the per-buffer poison flag
-        // forces a scrub for exactly the buffers a failed launch wrote.
-        pool.recycle(buf, true);
-    }
-    sats
+    solve(&bufs, prows, pcols);
+    bufs.into_iter()
+        .map(|b| Matrix::crop_in_place(b.into_vec(), pcols, rows, cols))
+        .collect()
 }
 
 #[cfg(test)]
@@ -337,19 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_bit_equal_to_unbatched_floats() {
-        let dev = dev(4);
-        let imgs: Vec<Matrix<f64>> = (0..4)
-            .map(|k| Matrix::from_fn(9, 14, |i, j| ((i * 31 + j * 7 + k) % 97) as f64 * 0.1))
-            .collect();
-        let sats = compute_sat_batch(&dev, &imgs);
-        for (a, s) in imgs.iter().zip(&sats) {
-            let single = compute_sat(&dev, SatAlgorithm::OneR1W, a);
-            assert_eq!(s.as_slice(), single.as_slice(), "bit-equal to 1R1W");
-        }
-    }
-
-    #[test]
     fn batch_launch_count_is_batch_independent() {
         let dev = dev(4);
         let n = 16usize;
@@ -392,104 +328,64 @@ mod tests {
     }
 
     #[test]
-    fn pooled_batch_matches_and_reuses_buffers() {
-        let dev = dev(4);
-        let pool: BufferPool<f64> = BufferPool::new();
-        let imgs: Vec<Matrix<f64>> = (0..3)
-            .map(|k| Matrix::from_fn(9, 14, |i, j| ((i * 31 + j * 7 + k) % 97) as f64 * 0.1))
-            .collect();
-        let plain = compute_sat_batch(&dev, &imgs);
-        for round in 0..3 {
-            let pooled = compute_sat_batch_with(&dev, &pool, &imgs);
-            for (a, b) in plain.iter().zip(&pooled) {
-                assert_eq!(a.as_slice(), b.as_slice(), "round {round}");
+    fn batch_marshal_is_bit_equal_and_keeps_no_padding() {
+        // Ragged, 1×n and n×1 shapes; each result is its own padded buffer
+        // compacted in place, so its capacity must not keep the padding.
+        for w in [1usize, 2, 4, 32] {
+            let dev = dev(w);
+            for (rows, cols) in [(13usize, 22usize), (1, 37), (37, 1)] {
+                let imgs: Vec<Matrix<f64>> = (0..3)
+                    .map(|k| {
+                        Matrix::from_fn(rows, cols, |i, j| ((i * 31 + j * 7 + k) % 97) as f64 * 0.1)
+                    })
+                    .collect();
+                for (a, s) in imgs.iter().zip(compute_sat_batch(&dev, &imgs)) {
+                    let single = compute_sat(&dev, SatAlgorithm::OneR1W, a);
+                    let bits = |m: &Matrix<f64>| -> Vec<u64> {
+                        m.as_slice().iter().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&s), bits(&single), "w={w} {rows}x{cols}");
+                    let data = s.into_vec();
+                    assert!(
+                        data.capacity() < 2 * rows * cols,
+                        "w={w} {rows}x{cols}: capacity {} kept the padding",
+                        data.capacity()
+                    );
+                }
             }
-        }
-        let (allocated, reused, scrubbed) = pool.stats();
-        assert_eq!(
-            allocated, 6,
-            "only the first round allocates (3 in + 3 out)"
-        );
-        assert_eq!(scrubbed, 0, "no faults, no scrubs");
-        assert_eq!(reused, 12, "rounds 2 and 3 reuse round 1's buffers");
-
-        // 16×24 fills every word of its buffers; 13×22 pads to the same
-        // 16×24, so its inputs land in recycled buffers whose pad region
-        // still holds the previous SATs unless the marshal zeroes it.
-        let pool: BufferPool<f64> = BufferPool::new();
-        let mut imgs = Vec::new();
-        for (rows, cols) in [(16, 24), (13, 22)] {
-            imgs = (0..3)
-                .map(|k| Matrix::from_fn(rows, cols, |i, j| ((i * 5 + j * 3 + k) % 11) as f64))
-                .collect();
-            for (a, s) in imgs.iter().zip(compute_sat_batch_with(&dev, &pool, &imgs)) {
-                assert_eq!(s, sat_reference(a), "{rows}x{cols}");
-            }
-        }
-        assert_eq!(pool.stats().0, 6, "13x22 reuses the 16x24 buffers");
-        // A SAT cell depends only on cells above and to its left, so the
-        // cropped outputs cannot see the pad region. The batch only reads
-        // its inputs, though: each recycled input buffer must still hold
-        // its image zero-padded, pad region included.
-        let shelved: Vec<Vec<f64>> = (0..6)
-            .map(|_| pool.checkout_uninit(16 * 24).as_slice().to_vec())
-            .collect();
-        for a in &imgs {
-            let padded = a.zero_padded_to(16, 24);
-            assert!(
-                shelved.iter().any(|b| b.as_slice() == padded.as_slice()),
-                "an input buffer kept stale words in its pad region"
-            );
         }
     }
 
     #[test]
-    fn pooled_batch_stays_clean_across_lost_launches() {
-        // A fault plan that loses every launch: no block ever runs, so no
-        // buffer is written by a failed launch — nothing is poisoned and
-        // nothing needs scrubbing, even though the fault epoch moved. (The
-        // old per-batch epoch compare would have scrubbed both buffers.)
+    fn batch_retried_after_lost_launches_is_exact() {
+        // 16×16 at w = 4 is 7 launches a call. The first call loses
+        // launches 2–4, after launches 0 and 1 wrote their blocks; the
+        // second call runs clean and must be exact.
         let faulty = Device::new(
             DeviceOptions::new(MachineConfig::with_width(4))
-                .workers(0)
+                .workers(2)
                 .fault_plan(
-                    gpu_exec::FaultPlan::new(3).loss(gpu_exec::LossWindow::Launches {
-                        start: 0,
-                        count: u64::MAX,
-                    }),
+                    gpu_exec::FaultPlan::new(3)
+                        .loss(gpu_exec::LossWindow::Launches { start: 2, count: 3 }),
                 ),
         );
-        let pool: BufferPool<f64> = BufferPool::new();
-        let imgs = vec![Matrix::from_fn(8, 8, |i, j| (i + j) as f64)];
-        let _ = compute_sat_batch_with(&faulty, &pool, &imgs);
-        assert!(faulty.fault_epoch() > 0, "launches were lost");
-        let (_, _, scrubbed) = pool.stats();
-        assert_eq!(scrubbed, 0, "lost launches wrote nothing — no scrub");
-    }
-
-    #[test]
-    fn pooled_batch_scrubs_only_buffers_a_failed_launch_wrote() {
-        // Aborted launches skip about half their blocks; the surviving
-        // blocks still write the *output* buffer, poisoning it. The input
-        // buffers are only read, so they recycle clean.
-        let faulty = Device::new(
-            DeviceOptions::new(MachineConfig::with_width(4))
-                .workers(0)
-                .fault_plan(gpu_exec::FaultPlan::new(3).launch_abort_p(1.0)),
-        );
-        let pool: BufferPool<f64> = BufferPool::new();
-        let imgs = vec![Matrix::from_fn(8, 8, |i, j| (i + j) as f64)];
-        let _ = compute_sat_batch_with(&faulty, &pool, &imgs);
-        assert!(faulty.fault_epoch() > 0, "launches were aborted");
-        let (_, _, scrubbed) = pool.stats();
+        let imgs: Vec<Matrix<f64>> = (0..3)
+            .map(|k| Matrix::from_fn(16, 16, |i, j| ((i * 5 + j * 3 + k) % 11) as f64 + 1.0))
+            .collect();
+        let failed = compute_sat_batch(&faulty, &imgs);
         assert_eq!(
-            scrubbed, 1,
-            "exactly the poisoned output buffer is scrubbed"
+            faulty.fault_epoch(),
+            3,
+            "the first call lost three launches"
         );
-        // The next checkout must never observe the aborted attempt's
-        // partial writes.
-        let mut back = pool.checkout_uninit(8 * 8);
-        assert!(back.as_slice().iter().all(|&x| x == 0.0));
+        assert!(imgs
+            .iter()
+            .zip(&failed)
+            .all(|(a, s)| s != &sat_reference(a)));
+        for (a, s) in imgs.iter().zip(compute_sat_batch(&faulty, &imgs)) {
+            assert_eq!(s, sat_reference(a));
+        }
+        assert_eq!(faulty.fault_epoch(), 3, "the retry ran clean");
     }
 
     #[test]

@@ -114,38 +114,13 @@ impl<T: SatElement> Matrix<T> {
         Matrix { rows, cols, data }
     }
 
-    /// Write this matrix zero-padded into the row-major `dst`, `cols` wide:
-    /// one copy per row, and every pad word zeroed explicitly, so `dst` may
-    /// arrive with stale contents (a recycled pool buffer).
-    pub(crate) fn pad_into(&self, dst: &mut [T], cols: usize) {
-        assert!(
-            cols >= self.cols && dst.len() >= self.rows * cols,
-            "padding must grow"
-        );
-        for i in 0..self.rows {
-            let row = &mut dst[i * cols..(i + 1) * cols];
-            row[..self.cols].copy_from_slice(self.row(i));
-            row[self.cols..].fill(T::ZERO);
-        }
-        dst[self.rows * cols..].fill(T::ZERO);
-    }
-
-    /// Extract the top-left `rows × cols` corner.
+    /// Extract the top-left `rows × cols` corner, copied one row slice at
+    /// a time.
     pub fn cropped(&self, rows: usize, cols: usize) -> Matrix<T> {
-        assert!(rows <= self.rows, "crop must shrink");
-        Self::crop_of(&self.data, self.cols, rows, cols)
-    }
-
-    /// The top-left `rows × cols` corner of the row-major `src`, `src_cols`
-    /// wide, copied one row slice at a time.
-    pub(crate) fn crop_of(src: &[T], src_cols: usize, rows: usize, cols: usize) -> Matrix<T> {
-        assert!(
-            cols <= src_cols && rows * src_cols <= src.len(),
-            "crop must shrink"
-        );
+        assert!(rows <= self.rows && cols <= self.cols, "crop must shrink");
         let mut data = Vec::with_capacity(rows * cols);
         for i in 0..rows {
-            data.extend_from_slice(&src[i * src_cols..i * src_cols + cols]);
+            data.extend_from_slice(&self.row(i)[..cols]);
         }
         Matrix { rows, cols, data }
     }

@@ -16,7 +16,7 @@
 //! never needs clearing and cross-launch reuse is free.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hmm_model::AccessKind;
 
@@ -31,16 +31,15 @@ use crate::recorder::TxnRecorder;
 /// During a launch, blocks access the buffer through [`GlobalView`]s under
 /// the asynchronous-HMM contract: writes of distinct blocks are disjoint,
 /// and no block reads a word written by another block of the same launch.
+///
+/// A buffer carries no fault state. A failed launch (see
+/// [`Device::fault_epoch`](crate::Device::fault_epoch)) leaves whatever its
+/// surviving blocks wrote, so a caller that retries starts from a freshly
+/// filled buffer rather than reusing this one.
 pub struct GlobalBuffer<T> {
     cells: Box<[UnsafeCell<T>]>,
     race: Option<RaceTable>,
     id: u64,
-    /// Set when a *failed* launch (aborted or lost) wrote any word: the
-    /// contents may be partial. [`BufferPool`](crate::BufferPool) consults
-    /// this instead of comparing fault epochs, so a buffer that merely
-    /// lived *across* an epoch bump — e.g. through a persistent launch's
-    /// retry loop — is not condemned along with the genuinely dirty ones.
-    poisoned: AtomicBool,
 }
 
 /// Process-wide buffer identity source: addresses in the recorded
@@ -67,7 +66,6 @@ impl<T: Copy> GlobalBuffer<T> {
             cells: data.into_iter().map(UnsafeCell::new).collect(),
             race: None,
             id: next_buffer_id(),
-            poisoned: AtomicBool::new(false),
         }
     }
 
@@ -108,12 +106,6 @@ impl<T: Copy> GlobalBuffer<T> {
         unsafe { &*(std::ptr::from_ref(&*self.cells) as *const [T]) }
     }
 
-    /// Exclusive mutable view of the contents.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: `&mut self` excludes all concurrent views.
-        unsafe { &mut *(std::ptr::from_mut(&mut *self.cells) as *mut [T]) }
-    }
-
     /// Consume the buffer and return its contents.
     pub fn into_vec(self) -> Vec<T> {
         self.cells
@@ -123,19 +115,7 @@ impl<T: Copy> GlobalBuffer<T> {
             .collect()
     }
 
-    /// Whether a failed (aborted or lost) launch wrote into this buffer,
-    /// leaving possibly partial contents. Sticky until
-    /// [`clear_poison`](Self::clear_poison).
-    pub fn poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Reset the poison mark (owner-side, e.g. after scrubbing).
-    pub fn clear_poison(&mut self) {
-        self.poisoned.store(false, Ordering::Release);
-    }
-
-    pub(crate) fn make_view(&self, epoch: u64, block: u64, failed: bool) -> GlobalView<'_, T> {
+    pub(crate) fn make_view(&self, epoch: u64, block: u64) -> GlobalView<'_, T> {
         if self.race.is_some() {
             assert!(
                 block < BLOCK_MASK,
@@ -145,10 +125,8 @@ impl<T: Copy> GlobalBuffer<T> {
         GlobalView {
             cells: &self.cells,
             race: self.race.as_ref(),
-            poison: &self.poisoned,
             epoch,
             block,
-            failed,
             buf: self.id,
         }
     }
@@ -157,21 +135,16 @@ impl<T: Copy> GlobalBuffer<T> {
 /// A block's handle to a [`GlobalBuffer`] during a launch.
 ///
 /// All accessors are warp-shaped and report to the block's [`TxnRecorder`].
-/// Each decides once per warp whether the race table, a failed launch or an
-/// armed corruption applies; a contiguous warp then moves as one
+/// Each decides once per warp whether the race table or an armed corruption
+/// applies; a contiguous warp then moves as one
 /// bounds-checked slice copy, so without a race table the copy is the only
 /// per-word work.
 #[derive(Clone, Copy)]
 pub struct GlobalView<'a, T> {
     cells: &'a [UnsafeCell<T>],
     race: Option<&'a RaceTable>,
-    poison: &'a AtomicBool,
     epoch: u64,
     block: u64,
-    /// The owning launch failed (aborted or lost): every store through this
-    /// view marks the buffer poisoned, because sibling blocks were skipped
-    /// and the launch's writes are partial.
-    failed: bool,
     buf: u64,
 }
 
@@ -206,15 +179,6 @@ impl<'a, T: Copy> GlobalView<'a, T> {
         }
     }
 
-    /// A non-empty warp write through a failed launch's view leaves the
-    /// buffer's contents partial: mark it poisoned.
-    #[inline]
-    fn poison_if_failed(&self, lanes: usize) {
-        if self.failed && lanes > 0 {
-            self.poison.store(true, Ordering::Release);
-        }
-    }
-
     /// Release per-word race ownership of `[base, base + len)` for the rest
     /// of this launch epoch: called by a handoff publish, whose release
     /// store orders the publisher's preceding writes before any acquiring
@@ -244,7 +208,6 @@ impl<'a, T: Copy> GlobalView<'a, T> {
             v = corrupt_value(v);
         }
         self.check_race(AccessKind::Write, addr, 1, 1);
-        self.poison_if_failed(1);
         // SAFETY: launch contract — this block exclusively writes word `addr`.
         unsafe { *self.cells[addr].get() = v }
     }
@@ -275,7 +238,6 @@ impl<'a, T: Copy> GlobalView<'a, T> {
         let victim = rec.corrupt_lane(vals.len());
         let cells = &self.cells[base..base + vals.len()];
         self.check_race(AccessKind::Write, base, 1, vals.len());
-        self.poison_if_failed(vals.len());
         // SAFETY: `cells` and `vals` both hold `vals.len()` words, and
         // `vals` cannot borrow the buffer's cells, which are reachable only
         // through views or `&mut GlobalBuffer`. Launch contract: this block
@@ -310,7 +272,6 @@ impl<'a, T: Copy> GlobalView<'a, T> {
         rec.record_strided(AccessKind::Write, self.buf, base, stride, vals.len());
         let victim = rec.corrupt_lane(vals.len());
         self.check_race(AccessKind::Write, base, stride, vals.len());
-        self.poison_if_failed(vals.len());
         for (t, &v) in vals.iter().enumerate() {
             // SAFETY: launch contract, as in `write_contig`.
             unsafe { *self.cells[base + t * stride].get() = v }
@@ -390,15 +351,14 @@ mod tests {
     fn round_trip() {
         let mut b = GlobalBuffer::from_vec(vec![1u32, 2, 3]);
         assert_eq!(b.len(), 3);
-        b.as_mut_slice()[1] = 9;
-        assert_eq!(b.as_slice(), &[1, 9, 3]);
-        assert_eq!(b.into_vec(), vec![1, 9, 3]);
+        assert_eq!(b.as_slice(), &[1, 2, 3]);
+        assert_eq!(b.into_vec(), vec![1, 2, 3]);
     }
 
     #[test]
     fn view_reads_and_writes() {
         let b = GlobalBuffer::filled(0i64, 16);
-        let v = b.make_view(1, 0, false);
+        let v = b.make_view(1, 0);
         let mut rec = TxnRecorder::new(4, true);
         v.write_contig(4, &[1, 2, 3, 4], &mut rec);
         let mut out = [0i64; 4];
@@ -411,7 +371,7 @@ mod tests {
     #[test]
     fn strided_read() {
         let b = GlobalBuffer::from_vec((0..32i32).collect());
-        let v = b.make_view(1, 0, false);
+        let v = b.make_view(1, 0);
         let mut rec = TxnRecorder::new(4, true);
         let mut out = [0i32; 4];
         v.read_strided(1, 8, &mut out, &mut rec);
@@ -463,7 +423,7 @@ mod tests {
         for w in ACCESSORS {
             for r in ACCESSORS {
                 let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
-                let v = b.make_view(7, 3, false);
+                let v = b.make_view(7, 3);
                 let mut rec = TxnRecorder::new(4, false);
                 write_word_2(&v, w, 5, &mut rec);
                 assert_eq!(read_word_2(&v, r, &mut rec), 5, "{w:?} then {r:?}");
@@ -477,9 +437,9 @@ mod tests {
             for second in ACCESSORS {
                 let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
                 let mut rec = TxnRecorder::new(4, false);
-                write_word_2(&b.make_view(7, 0, false), first, 5, &mut rec);
+                write_word_2(&b.make_view(7, 0), first, 5, &mut rec);
                 let msg = panic_message(|| {
-                    write_word_2(&b.make_view(7, 1, false), second, 6, &mut rec);
+                    write_word_2(&b.make_view(7, 1), second, 6, &mut rec);
                 });
                 assert!(
                     msg.contains("data race"),
@@ -495,9 +455,9 @@ mod tests {
             for r in ACCESSORS {
                 let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
                 let mut rec = TxnRecorder::new(4, false);
-                write_word_2(&b.make_view(7, 0, false), w, 5, &mut rec);
+                write_word_2(&b.make_view(7, 0), w, 5, &mut rec);
                 let msg = panic_message(|| {
-                    read_word_2(&b.make_view(7, 1, false), r, &mut rec);
+                    read_word_2(&b.make_view(7, 1), r, &mut rec);
                 });
                 assert!(
                     msg.contains("read-after-write hazard"),
@@ -511,8 +471,8 @@ mod tests {
     #[should_panic(expected = "race-checked buffers support launches of at most")]
     fn race_table_rejects_block_ids_beyond_its_tag_bits() {
         let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
-        b.make_view(7, BLOCK_MASK - 1, false); // the largest block id that fits
-        b.make_view(7, BLOCK_MASK, false);
+        b.make_view(7, BLOCK_MASK - 1); // the largest block id that fits
+        b.make_view(7, BLOCK_MASK);
     }
 
     #[test]
@@ -520,29 +480,9 @@ mod tests {
         let b = GlobalBuffer::filled(0u64, 8);
         let mut rec = TxnRecorder::new(4, false);
         for block in [BLOCK_MASK, u64::MAX] {
-            let v = b.make_view(7, block, false);
+            let v = b.make_view(7, block);
             v.write(2, block, &mut rec);
             assert_eq!(v.read(2, &mut rec), block);
-        }
-    }
-
-    #[test]
-    fn failed_warp_writes_poison_and_empty_warps_do_not() {
-        let b = GlobalBuffer::filled(0u64, 8);
-        let mut rec = TxnRecorder::new(4, false);
-        let failed = b.make_view(1, 0, true);
-        failed.write_contig(3, &[], &mut rec);
-        failed.write_strided(0, 2, &[], &mut rec);
-        let mut out = [0u64; 3];
-        failed.read_contig(0, &mut out, &mut rec);
-        assert!(!b.poisoned(), "no word was written");
-        b.make_view(1, 0, false).write_contig(0, &[1, 2], &mut rec);
-        assert!(!b.poisoned(), "a healthy launch never poisons");
-        for acc in ACCESSORS {
-            let mut b = GlobalBuffer::filled(0u64, 8);
-            write_word_2(&b.make_view(1, 0, true), acc, 9, &mut rec);
-            assert!(b.poisoned(), "{acc:?}");
-            assert_eq!(b.as_slice()[2], 9, "{acc:?}: the words still land");
         }
     }
 
@@ -559,7 +499,7 @@ mod tests {
         };
         for nth in 0..12u64 {
             let mut b = GlobalBuffer::filled(0u64, 24);
-            let v = b.make_view(1, 0, false);
+            let v = b.make_view(1, 0);
             let mut rec = TxnRecorder::new(4, false);
             rec.arm_corruption(nth);
             v.write_contig(0, &vals, &mut rec);
@@ -583,9 +523,9 @@ mod tests {
     fn race_detector_resets_across_epochs() {
         let b = GlobalBuffer::from_vec_checked(vec![0u64; 8]);
         let mut rec = TxnRecorder::new(4, false);
-        b.make_view(7, 0, false).write(2, 5, &mut rec);
+        b.make_view(7, 0).write(2, 5, &mut rec);
         // New epoch = after a barrier: another block may now read and write.
-        assert_eq!(b.make_view(8, 1, false).read(2, &mut rec), 5);
-        b.make_view(8, 1, false).write(2, 6, &mut rec);
+        assert_eq!(b.make_view(8, 1).read(2, &mut rec), 5);
+        b.make_view(8, 1).write(2, 6, &mut rec);
     }
 }

@@ -436,8 +436,7 @@ impl Device {
             .filter(|_| !lost);
         // A block must be able to tell that its launch failed: a persistent
         // kernel spinning on a handoff whose producer was skipped would
-        // otherwise never return. Also gates buffer poisoning — only writes
-        // made under a failed launch taint a buffer.
+        // otherwise never return.
         let failed = lost || aborted;
         let skips = |b: u64| lost || (aborted && plan.is_some_and(|p| p.skips_block(launch, b)));
 
@@ -713,7 +712,7 @@ impl<'a> BlockCtx<'a> {
 
     /// Obtain this block's view of a global buffer.
     pub fn view<'b, T: Copy>(&self, buf: &'b GlobalBuffer<T>) -> GlobalView<'b, T> {
-        buf.make_view(self.epoch, self.block_id as u64, self.failed)
+        buf.make_view(self.epoch, self.block_id as u64)
     }
 
     /// Allocate a zeroed `w × w` shared-memory tile with the given bank

@@ -67,7 +67,6 @@ pub use buffer::{GlobalBuffer, GlobalView};
 pub use device::{BlockCtx, BlockOrder, Device, DeviceOptions, LaunchContext};
 pub use fault::{FaultEvent, FaultPlan, LossWindow};
 pub use handoff::HandoffFlags;
-pub use pool::BufferPool;
 pub use recorder::TxnRecorder;
 pub use replay::{replay_schedules, ReplayReport, ScheduleRun};
 pub use shared::{SharedTile, TileLayout};

@@ -1,5 +1,4 @@
-//! A persistent worker pool executing scoped block jobs, and a recycling
-//! [`BufferPool`] for the global buffers launches write into.
+//! A persistent worker pool executing scoped block jobs.
 //!
 //! The worker pool is created once per [`crate::Device`] and reused by every
 //! launch, so a wavefront algorithm issuing hundreds of small kernels does
@@ -10,15 +9,12 @@
 //! launching thread — so race-detector panics in tests surface cleanly
 //! instead of deadlocking the pool.
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
-
-use crate::buffer::GlobalBuffer;
 
 /// Type-erased pointer to the launch closure. The launcher keeps the closure
 /// alive (and waits for all workers to leave the job) for the pointer's whole
@@ -186,128 +182,6 @@ impl Drop for Pool {
     }
 }
 
-/// A recycling free list of [`GlobalBuffer`]s, keyed by length.
-///
-/// Serving layers allocate the same buffer shapes over and over; checking
-/// them out of a pool amortises the allocation. The safety problem a naive
-/// free list has is **stale contents after a failed launch**: a launch that
-/// aborted mid-way (fault injection, kernel panic) leaves its output buffer
-/// partially written, and returning it to the free list as-is would leak one
-/// request's partial results into the next request's "fresh" buffer. The
-/// pool therefore tracks a `pristine` bit per entry: a buffer recycled with
-/// `clean = false` — or one whose own poison flag says a failed launch wrote
-/// it (see [`GlobalBuffer::poisoned`]) — is scrubbed (every word reset to
-/// `T::default()`) immediately, *before* it re-enters the free list, so a
-/// poisoned buffer can never be observed by a later checkout. Buffers that
-/// merely *lived through* a fault epoch bump without being written by the
-/// failing launch are not poisoned and recycle clean.
-pub struct BufferPool<T> {
-    shelves: Mutex<HashMap<usize, Vec<PoolEntry<T>>>>,
-    allocated: AtomicU64,
-    reused: AtomicU64,
-    scrubbed: AtomicU64,
-}
-
-struct PoolEntry<T> {
-    buf: GlobalBuffer<T>,
-    /// Every word is `T::default()`.
-    pristine: bool,
-}
-
-impl<T: Copy + Default + Send + Sync> BufferPool<T> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        BufferPool {
-            shelves: Mutex::new(HashMap::new()),
-            allocated: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            scrubbed: AtomicU64::new(0),
-        }
-    }
-
-    /// Check out a buffer of `len` words, every word `T::default()`.
-    pub fn checkout_zeroed(&self, len: usize) -> GlobalBuffer<T> {
-        match self.pop(len) {
-            Some(e) => {
-                let mut buf = e.buf;
-                if !e.pristine {
-                    buf.as_mut_slice().fill(T::default());
-                }
-                buf
-            }
-            None => {
-                self.allocated.fetch_add(1, Ordering::Relaxed);
-                GlobalBuffer::filled(T::default(), len)
-            }
-        }
-    }
-
-    /// Check out a buffer of `len` words with **unspecified** (but never
-    /// fault-poisoned) contents, for callers that overwrite every word
-    /// anyway — e.g. kernel inputs filled from a request image.
-    pub fn checkout_uninit(&self, len: usize) -> GlobalBuffer<T> {
-        match self.pop(len) {
-            Some(e) => e.buf,
-            None => {
-                self.allocated.fetch_add(1, Ordering::Relaxed);
-                GlobalBuffer::filled(T::default(), len)
-            }
-        }
-    }
-
-    /// Return a buffer to the pool. The buffer is scrubbed to `T::default()`
-    /// before it re-enters the free list when either
-    ///
-    /// * the caller passes `clean = false` (it knows out-of-band that the
-    ///   contents are suspect — e.g. a kernel panicked while holding it), or
-    /// * the buffer's own [`poison`](GlobalBuffer::poisoned) flag is set,
-    ///   meaning a *failed* launch actually wrote into it.
-    ///
-    /// The poison flag is what makes long-lived buffers safe across fault
-    /// epochs: a persistent launch (or a batch) can span an epoch bump
-    /// caused by a *lost* launch that never wrote a word, and such a buffer
-    /// recycles clean. Only buffers a failed launch really touched are
-    /// scrubbed — callers should pass `clean = true` and let the flag
-    /// decide, rather than conservatively dirtying a whole batch off a
-    /// `fault_epoch` delta.
-    pub fn recycle(&self, mut buf: GlobalBuffer<T>, clean: bool) {
-        let dirty = !clean || buf.poisoned();
-        if dirty {
-            buf.as_mut_slice().fill(T::default());
-            buf.clear_poison();
-            self.scrubbed.fetch_add(1, Ordering::Relaxed);
-        }
-        let len = buf.len();
-        self.shelves.lock().entry(len).or_default().push(PoolEntry {
-            buf,
-            // Scrubbed buffers are pristine; clean returns hold kernel
-            // output and need zeroing on a `checkout_zeroed`.
-            pristine: dirty,
-        });
-    }
-
-    fn pop(&self, len: usize) -> Option<PoolEntry<T>> {
-        let e = self.shelves.lock().get_mut(&len)?.pop()?;
-        self.reused.fetch_add(1, Ordering::Relaxed);
-        Some(e)
-    }
-
-    /// `(fresh allocations, reuses, scrubs)` since construction.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.allocated.load(Ordering::Relaxed),
-            self.reused.load(Ordering::Relaxed),
-            self.scrubbed.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl<T: Copy + Default + Send + Sync> Default for BufferPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     let mut last_seq = 0u64;
     loop {
@@ -392,91 +266,6 @@ mod tests {
                 panic!("boom block {b}");
             }
         });
-    }
-
-    #[test]
-    fn buffer_pool_reuses_and_zeroes() {
-        let pool: BufferPool<f64> = BufferPool::new();
-        let mut a = pool.checkout_zeroed(16);
-        a.as_mut_slice().fill(3.5);
-        pool.recycle(a, true);
-        // Clean recycle: reused, but `checkout_zeroed` must still zero it.
-        let mut b = pool.checkout_zeroed(16);
-        assert!(b.as_slice().iter().all(|&x| x == 0.0));
-        pool.recycle(b, true);
-        let (allocated, reused, scrubbed) = pool.stats();
-        assert_eq!((allocated, reused, scrubbed), (1, 1, 0));
-    }
-
-    #[test]
-    fn buffer_pool_scrubs_dirty_recycles_before_reuse() {
-        // A buffer written by a failed launch must never re-surface with its
-        // partial contents — not even through `checkout_uninit`.
-        let pool: BufferPool<u64> = BufferPool::new();
-        let mut a = pool.checkout_zeroed(8);
-        a.as_mut_slice().fill(0xDEAD);
-        pool.recycle(a, false); // the launch that wrote it failed
-        let mut b = pool.checkout_uninit(8);
-        assert!(
-            b.as_slice().iter().all(|&x| x == 0),
-            "poisoned buffer leaked stale contents"
-        );
-        let (_, reused, scrubbed) = pool.stats();
-        assert_eq!((reused, scrubbed), (1, 1));
-    }
-
-    #[test]
-    fn buffer_pool_scrubs_poisoned_buffers_even_when_recycled_clean() {
-        // A failed launch's block wrote into the buffer (setting its poison
-        // flag); the caller recycles it `clean = true` because no *epoch*
-        // delta was visible to it. The flag must force the scrub anyway.
-        let pool: BufferPool<u64> = BufferPool::new();
-        let buf = pool.checkout_zeroed(4);
-        {
-            let view = buf.make_view(1, 0, true); // failed launch writes
-            let mut rec = crate::TxnRecorder::new(4, false);
-            view.write(0, 0xBEEF, &mut rec);
-        }
-        assert!(buf.poisoned());
-        pool.recycle(buf, true);
-        let mut back = pool.checkout_uninit(4);
-        assert!(
-            back.as_slice().iter().all(|&x| x == 0),
-            "poison flag did not force a scrub"
-        );
-        assert!(!back.poisoned(), "scrub must clear the poison flag");
-        let (_, _, scrubbed) = pool.stats();
-        assert_eq!(scrubbed, 1);
-    }
-
-    #[test]
-    fn buffer_pool_keeps_unpoisoned_buffers_clean_across_fault_writes_elsewhere() {
-        // Writes under a *successful* launch never poison; the recycle is a
-        // no-scrub fast path even if some other launch failed meanwhile.
-        let pool: BufferPool<u64> = BufferPool::new();
-        let buf = pool.checkout_zeroed(4);
-        {
-            let view = buf.make_view(1, 0, false);
-            let mut rec = crate::TxnRecorder::new(4, false);
-            view.write(0, 7, &mut rec);
-        }
-        assert!(!buf.poisoned());
-        pool.recycle(buf, true);
-        let (_, _, scrubbed) = pool.stats();
-        assert_eq!(scrubbed, 0);
-    }
-
-    #[test]
-    fn buffer_pool_shelves_by_length() {
-        let pool: BufferPool<u32> = BufferPool::new();
-        pool.recycle(GlobalBuffer::filled(0, 4), true);
-        // Different length: a fresh allocation, not the shelved buffer.
-        let b = pool.checkout_zeroed(8);
-        assert_eq!(b.len(), 8);
-        let c = pool.checkout_zeroed(4);
-        assert_eq!(c.len(), 4);
-        let (allocated, reused, _) = pool.stats();
-        assert_eq!((allocated, reused), (1, 1));
     }
 
     #[test]

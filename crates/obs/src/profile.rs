@@ -52,15 +52,9 @@ pub mod gpu {
     ];
 }
 
-/// Modeled cost of `launches` launches under `model`: one window each.
-fn modeled_cost(model: &MachineConfig, coalesced: u64, stride: u64, launches: u64) -> f64 {
-    hmm_model::cost(
-        model.width,
-        model.window_overhead(),
-        coalesced,
-        stride,
-        launches,
-    )
+/// Modeled cost of one launch under `model`: one window.
+fn modeled_cost(model: &MachineConfig, coalesced: u64, stride: u64) -> f64 {
+    hmm_model::cost(model.width, model.window_overhead(), coalesced, stride, 1)
 }
 
 /// One launch's ledger line (or, from [`PhaseReport::total`], the run's).
@@ -68,17 +62,12 @@ fn modeled_cost(model: &MachineConfig, coalesced: u64, stride: u64, launches: u6
 pub struct PhaseRow {
     /// Row label (`launch k`, or `total`).
     pub name: String,
-    /// Device launches in the row: 1 per launch row, the run's count in
-    /// the total.
-    pub launches: u64,
     /// Coalesced global-memory operations (`C`).
     pub coalesced_ops: u64,
     /// Stride (uncoalesced) global-memory operations (`S`).
     pub stride_ops: u64,
     /// Global pipeline stages executed.
     pub global_stages: u64,
-    /// Barrier steps: 0 on a launch row, `launches − 1` in the total.
-    pub barrier_steps: u64,
     /// Row start, µs on the observer's wall clock.
     pub start_us: f64,
     /// Measured wall time, µs.
@@ -97,23 +86,25 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
-    /// Sum the rows into one ledger line named `total`. Barrier steps
-    /// follow the paper's counting — boundaries *between* launches, so
-    /// `total launches − 1` — and the modeled cost is recomputed from the
-    /// summed counters (`C/w + S + L·(B+1)`), not summed per-row, so it
-    /// equals `GlobalCost::cost` for the whole run.
+    /// Barrier steps of the run, by the paper's counting: boundaries
+    /// *between* launches, so one fewer than the rows.
+    pub fn barrier_steps(&self) -> u64 {
+        self.rows.len().saturating_sub(1) as u64
+    }
+
+    /// Sum the rows into one ledger line named `total`. The modeled cost is
+    /// recomputed from the summed counters with one window per row
+    /// (`C/w + S + L·(B+1)`), not summed per-row, so it equals
+    /// `GlobalCost::cost` for the whole run.
     pub fn total(&self) -> PhaseRow {
-        let launches: u64 = self.rows.iter().map(|r| r.launches).sum();
         let coalesced: u64 = self.rows.iter().map(|r| r.coalesced_ops).sum();
         let stride: u64 = self.rows.iter().map(|r| r.stride_ops).sum();
         let stages: u64 = self.rows.iter().map(|r| r.global_stages).sum();
         PhaseRow {
             name: "total".to_string(),
-            launches,
             coalesced_ops: coalesced,
             stride_ops: stride,
             global_stages: stages,
-            barrier_steps: launches.saturating_sub(1),
             start_us: if self.rows.is_empty() {
                 0.0
             } else {
@@ -123,7 +114,13 @@ impl PhaseReport {
                     .fold(f64::INFINITY, f64::min)
             },
             wall_us: self.rows.iter().map(|r| r.wall_us).sum(),
-            modeled_cost: modeled_cost(&self.model, coalesced, stride, launches),
+            modeled_cost: hmm_model::cost(
+                self.model.width,
+                self.model.window_overhead(),
+                coalesced,
+                stride,
+                self.rows.len() as u64,
+            ),
         }
     }
 
@@ -134,22 +131,22 @@ impl PhaseReport {
             "{:<24} {:>8} {:>12} {:>10} {:>9} {:>12} {:>12}\n",
             "phase", "launches", "coalesced", "stride", "barriers", "modeled(u)", "wall(us)"
         ));
-        let mut line = |r: &PhaseRow| {
+        let mut line = |r: &PhaseRow, launches: usize, barriers: u64| {
             out.push_str(&format!(
                 "{:<24} {:>8} {:>12} {:>10} {:>9} {:>12.1} {:>12.1}\n",
                 r.name,
-                r.launches,
+                launches,
                 r.coalesced_ops,
                 r.stride_ops,
-                r.barrier_steps,
+                barriers,
                 r.modeled_cost,
                 r.wall_us
             ));
         };
         for r in &self.rows {
-            line(r);
+            line(r, 1, 0);
         }
-        line(&self.total());
+        line(&self.total(), self.rows.len(), self.barrier_steps());
         out
     }
 
@@ -194,8 +191,8 @@ fn u64_arg(args: &[(&'static str, ArgValue)], key: &str) -> Option<u64> {
 /// `gpu_exec::Device` records (their args carry each launch's counter
 /// deltas). One row per launch in timestamp order; the report's
 /// [`PhaseReport::total`] therefore matches the device's cumulative
-/// counters, with `barrier_steps = launches − 1` exactly as
-/// `GlobalCost::exact_counts` counts them.
+/// counters, and [`PhaseReport::barrier_steps`] is `launches − 1` exactly
+/// as `GlobalCost::exact_counts` counts them.
 pub fn attribution_from_trace(obs: &Obs, model: &MachineConfig) -> PhaseReport {
     let mut rows: Vec<PhaseRow> = obs
         .with_events(|events| {
@@ -215,14 +212,12 @@ pub fn attribution_from_trace(obs: &Obs, model: &MachineConfig) -> PhaseReport {
                     };
                     Some(PhaseRow {
                         name: label,
-                        launches: 1,
                         coalesced_ops: coalesced,
                         stride_ops: stride,
                         global_stages: stages,
-                        barrier_steps: 0,
                         start_us: e.ts,
                         wall_us: dur,
-                        modeled_cost: modeled_cost(model, coalesced, stride, 1),
+                        modeled_cost: modeled_cost(model, coalesced, stride),
                     })
                 })
                 .collect()
@@ -244,8 +239,8 @@ mod tests {
     #[test]
     fn cost_model_matches_the_paper_formula() {
         let m = MachineConfig::with_width(32).latency(5);
-        // C/w + S + L·(B+1) with C=640, S=7, B=2 (3 windows).
-        assert_eq!(modeled_cost(&m, 640, 7, 3), 640.0 / 32.0 + 7.0 + 15.0);
+        // C/w + S + L·(B+1) with C=640, S=7, B=0 (one window).
+        assert_eq!(modeled_cost(&m, 640, 7), 640.0 / 32.0 + 7.0 + 5.0);
     }
 
     #[test]
@@ -277,7 +272,7 @@ mod tests {
         let total = report.total();
         assert_eq!(total.coalesced_ops, 192);
         assert_eq!(total.stride_ops, 3);
-        assert_eq!(total.barrier_steps, 2);
+        assert_eq!(report.barrier_steps(), 2);
         assert_eq!(total.modeled_cost, 192.0 / 8.0 + 3.0 + 9.0);
         let table = report.to_table();
         assert!(table.contains("launch 0"));
@@ -292,11 +287,9 @@ mod tests {
             model,
             rows: vec![PhaseRow {
                 name: "p".into(),
-                launches: 1,
                 coalesced_ops: 8,
                 stride_ops: 0,
                 global_stages: 1,
-                barrier_steps: 0,
                 start_us: 5.0,
                 wall_us: 20.0,
                 modeled_cost: 3.0,

@@ -3,7 +3,8 @@
 //! The paper's §VII observation: 1R1W's `2n/w` barrier-separated stages
 //! have corner launches too narrow to hide memory latency, and fusing the
 //! wavefront **across a batch of matrices** repairs exactly that — the
-//! launch count stays `2m − 1` while every launch is `B×` wider
+//! launch count stays `m_r + m_c − 1` (the padded grid's block
+//! diagonals) while every launch is `B×` wider
 //! ([`sat_core::par::sat_1r1w_batch`]). This crate turns that kernel-level
 //! fact into a *serving* win: many independent client threads submit
 //! matrices, and a single **batch-former** thread coalesces queued

@@ -8,13 +8,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gpu_exec::{BufferPool, Device, DeviceOptions, LaunchContext};
+use gpu_exec::{Device, DeviceOptions, LaunchContext};
 use hmm_model::cost::{ExactCounts, GlobalCost, SatAlgorithm};
 use obs::conformance::cell_label;
 use obs::flight::Trigger;
 use obs::{ArgValue, BreakerState, Conformance, Event, FlowPhase, Obs, RejectReason, Track};
 use parking_lot::{Condvar, Mutex};
-use sat_core::{compute_sat, compute_sat_batch_with, Matrix, SumTable};
+use sat_core::{compute_sat, compute_sat_batch, Matrix, SumTable};
 
 use crate::http::Telemetry;
 use crate::metrics::{Metrics, MODEL_PREFIX};
@@ -367,13 +367,12 @@ struct GroupView {
     oldest: Instant,
 }
 
-/// The batch-former's execution state: the device, its circuit breaker
-/// and the buffer pool, owned by this one thread.
+/// The batch-former's execution state: the device and its circuit
+/// breaker, owned by this one thread.
 struct Router<'a> {
     shared: &'a Shared,
     dev: Device,
     breaker: CircuitBreaker,
-    pool: BufferPool<f64>,
     /// Whether result verification and the closed-form launch check run
     /// (resolved from [`VerifyMode`]).
     verify_on: bool,
@@ -396,7 +395,6 @@ fn batcher_loop(shared: &Shared, dev: Device) {
         shared,
         dev,
         breaker: CircuitBreaker::new(&shared.cfg.resilience),
-        pool: BufferPool::new(),
         verify_on,
         salt: 0,
         batch_no: 0,
@@ -655,14 +653,21 @@ impl Router<'_> {
         });
 
         // 1R1W batches fuse every pending image into one wavefront
-        // ([`compute_sat_batch_with`]); every other algorithm runs one
-        // whole-image attempt per request.
-        let fused = d.algorithm == SatAlgorithm::OneR1W;
-        // Launches one per-request 1R1W run of this shape would cost: the
-        // padded grid has `m_r × m_c` blocks and `m_r + m_c − 1` diagonals.
-        let w = self.dev.width();
+        // ([`compute_sat_batch`]); every other algorithm runs one
+        // whole-image attempt per request. `fused` holds the closed form of
+        // one 1R1W run of the padded shape, which `submit`'s rejection of
+        // empty images guarantees.
         let (rows, cols) = (images[0].rows(), images[0].cols());
-        let per_single = (rows.div_ceil(w) + cols.div_ceil(w) - 1) as u64;
+        let fused = (d.algorithm == SatAlgorithm::OneR1W).then(|| {
+            let w = self.dev.width();
+            GlobalCost::new(*self.dev.config())
+                .exact_counts(
+                    SatAlgorithm::OneR1W,
+                    rows.next_multiple_of(w),
+                    cols.next_multiple_of(w),
+                )
+                .expect("submit rejects empty images")
+        });
 
         let rcfg = &shared.cfg.resilience;
         let launches_before = self.dev.launches();
@@ -700,7 +705,7 @@ impl Router<'_> {
                 requests: pending.iter().map(|&i| ids[i]).collect(),
                 cell: Some(cell.clone()),
             }));
-            let out = self.attempt(d.algorithm, &images, &pending, &ids);
+            let out = self.attempt(d.algorithm, fused, &images, &pending, &ids);
 
             // Verify each result; failures stay pending for the next
             // attempt (they do not feed the breaker — the launches
@@ -744,12 +749,10 @@ impl Router<'_> {
         // What per-request execution would have cost: 1R1W re-pays the
         // full wavefront per image, so the fused batch saves all but one;
         // the other algorithms see no amortisation (equiv = issued).
-        let launches_equiv = if fused {
-            per_single * width as u64
-        } else {
-            issued
+        let (launches_equiv, runs) = match fused {
+            Some(single) => ((single.barrier_steps + 1) * width as u64, 1),
+            None => (issued, width as u64),
         };
-        let runs = if fused { 1 } else { width as u64 };
         shared.emit(Event::Complete {
             request: ids[0],
             batch: batch_no,
@@ -843,25 +846,24 @@ impl Router<'_> {
     }
 
     /// One attempt at every pending image: one fused 1R1W run of the whole
-    /// batch, or one run per image for every other algorithm. `None` marks
-    /// an image the device could not finish because its breaker opened.
+    /// batch when `fused` holds the single-run closed form, or one run per
+    /// image for every other algorithm. `None` marks an image the device
+    /// could not finish because its breaker opened. Each run pads the
+    /// untouched request images afresh, so no run sees another's writes.
     fn attempt(
         &mut self,
         algorithm: SatAlgorithm,
+        fused: Option<ExactCounts>,
         images: &[Matrix<f64>],
         pending: &[usize],
         ids: &[u64],
     ) -> Vec<Option<Matrix<f64>>> {
-        if algorithm != SatAlgorithm::OneR1W {
+        let Some(single) = fused else {
             return pending
                 .iter()
-                .map(|&i| {
-                    self.run(ids[i], None, |dev, _| {
-                        compute_sat(dev, algorithm, &images[i])
-                    })
-                })
+                .map(|&i| self.run(ids[i], None, |dev| compute_sat(dev, algorithm, &images[i])))
                 .collect();
-        }
+        };
         let retry: Vec<Matrix<f64>>;
         let batch = if pending.len() == images.len() {
             images
@@ -869,27 +871,11 @@ impl Router<'_> {
             retry = pending.iter().map(|&i| images[i].clone()).collect();
             &retry
         };
-        let expect = self.verify_on.then(|| self.fused_counts(batch)).flatten();
-        match self.run(ids[pending[0]], expect, |dev, pool| {
-            compute_sat_batch_with(dev, pool, batch)
-        }) {
+        let expect = self.verify_on.then(|| single.fused(batch.len() as u64));
+        match self.run(ids[pending[0]], expect, |dev| compute_sat_batch(dev, batch)) {
             Some(out) => out.into_iter().map(Some).collect(),
             None => pending.iter().map(|_| None).collect(),
         }
-    }
-
-    /// Closed form of one fused 1R1W wavefront over `batch`: the single-run
-    /// counts of the padded shape, paid per image, barriers paid once.
-    fn fused_counts(&self, batch: &[Matrix<f64>]) -> Option<ExactCounts> {
-        let w = self.dev.width();
-        let (rows, cols) = (batch[0].rows(), batch[0].cols());
-        GlobalCost::new(*self.dev.config())
-            .exact_counts(
-                SatAlgorithm::OneR1W,
-                rows.next_multiple_of(w),
-                cols.next_multiple_of(w),
-            )
-            .map(|e| e.fused(batch.len() as u64))
     }
 
     /// Run `work` on the device until it succeeds or the breaker opens.
@@ -903,7 +889,7 @@ impl Router<'_> {
         &mut self,
         request: u64,
         expect: Option<ExactCounts>,
-        work: impl Fn(&Device, &BufferPool<f64>) -> R,
+        work: impl Fn(&Device) -> R,
     ) -> Option<R> {
         if !self.breaker.is_closed() {
             return None;
@@ -911,8 +897,7 @@ impl Router<'_> {
         let mut streak = 0u32;
         loop {
             let epoch_before = self.dev.fault_epoch();
-            let (out, counts_ok) =
-                counts_match(&self.dev, expect.as_ref(), || work(&self.dev, &self.pool));
+            let (out, counts_ok) = counts_match(&self.dev, expect.as_ref(), || work(&self.dev));
             if self.dev.fault_epoch() == epoch_before && counts_ok {
                 self.shared.metrics.on_attempt_ok();
                 let transition = self.breaker.on_success();

@@ -41,7 +41,7 @@ fn one_r1w_attribution_matches_exact_counts() {
         assert_eq!(report.rows.len() as u64, 2 * m - 1, "w={w} n={n}");
         assert_eq!(total.coalesced_ops, exact.coalesced_ops(), "w={w} n={n}");
         assert_eq!(total.stride_ops, exact.stride_ops(), "w={w} n={n}");
-        assert_eq!(total.barrier_steps, exact.barrier_steps, "w={w} n={n}");
+        assert_eq!(report.barrier_steps(), exact.barrier_steps, "w={w} n={n}");
 
         // The report's recomputed modeled cost is the paper's
         // C/w + S + Λ(B+1) on the same counters.
@@ -54,11 +54,8 @@ fn one_r1w_attribution_matches_exact_counts() {
             total.modeled_cost
         );
 
-        // Every row is a single launch with its barriers counted at the
-        // report level, and carries a positive measured wall time.
+        // Every row carries a non-negative measured wall time.
         for row in &report.rows {
-            assert_eq!(row.launches, 1);
-            assert_eq!(row.barrier_steps, 0);
             assert!(row.wall_us >= 0.0);
         }
     }
