@@ -94,7 +94,8 @@ impl Grid {
 }
 
 /// Load block `(bi, bj)` of the global matrix into a shared tile, one
-/// coalesced row read per tile row.
+/// coalesced row read and one shared row write per tile row
+/// ([`SharedTile::load`]).
 pub fn load_block<T: SatElement>(
     ctx: &mut BlockCtx<'_>,
     g: &GlobalView<'_, T>,
@@ -103,17 +104,13 @@ pub fn load_block<T: SatElement>(
     bj: usize,
     tile: &mut SharedTile<T>,
 ) {
-    let w = grid.w;
     let (r0, c0) = grid.origin(bi, bj);
-    let mut row = vec![T::ZERO; w];
-    for i in 0..w {
-        g.read_contig(grid.addr(r0 + i, c0), &mut row, &mut ctx.rec);
-        tile.write_row(i, &row, &mut ctx.rec);
-    }
+    tile.load(g, grid.addr(r0, c0), grid.cols, &mut ctx.rec);
 }
 
 /// Store a shared tile to block `(bi, bj)` of the global matrix, one
-/// coalesced row write per tile row.
+/// shared row read and one coalesced row write per tile row
+/// ([`SharedTile::store`]).
 pub fn store_block<T: SatElement>(
     ctx: &mut BlockCtx<'_>,
     g: &GlobalView<'_, T>,
@@ -122,13 +119,8 @@ pub fn store_block<T: SatElement>(
     bj: usize,
     tile: &SharedTile<T>,
 ) {
-    let w = grid.w;
     let (r0, c0) = grid.origin(bi, bj);
-    let mut row = vec![T::ZERO; w];
-    for i in 0..w {
-        tile.read_row(i, &mut row, &mut ctx.rec);
-        g.write_contig(grid.addr(r0 + i, c0), &row, &mut ctx.rec);
-    }
+    tile.store(g, grid.addr(r0, c0), grid.cols, &mut ctx.rec);
 }
 
 /// Inclusive prefix sums down one `acc.len()`-wide column chunk, continuing
@@ -155,33 +147,16 @@ pub fn prefix_down<T: SatElement>(
     }
 }
 
-/// Compute the SAT of a `w × w` tile in shared memory: column-wise prefix
-/// sums by row operations, then row-wise prefix sums by column operations.
-/// With [`TileLayout::Diagonal`] every access is bank-conflict-free
-/// (Lemma 1); with [`TileLayout::RowMajor`] the second pass pays a `w`-way
-/// conflict per step — the ablation the diagonal arrangement exists for.
+/// Compute the SAT of a `w × w` tile in shared memory, in place
+/// ([`SharedTile::scan`]): column-wise prefix sums by `w − 1` row steps,
+/// then row-wise prefix sums by `w − 1` column steps, each step recorded as
+/// two reads and a write of a full warp. With [`TileLayout::Diagonal`]
+/// every access is bank-conflict-free (Lemma 1); with
+/// [`TileLayout::RowMajor`] each access of the second pass still records a
+/// `w`-way conflict (`w` stages) — the ablation the diagonal arrangement
+/// exists for.
 pub fn tile_sat<T: SatElement>(ctx: &mut BlockCtx<'_>, tile: &mut SharedTile<T>) {
-    let w = tile.width();
-    let mut prev = vec![T::ZERO; w];
-    let mut cur = vec![T::ZERO; w];
-    // Column-wise prefix sums: row i += row i−1.
-    for i in 1..w {
-        tile.read_row(i - 1, &mut prev, &mut ctx.rec);
-        tile.read_row(i, &mut cur, &mut ctx.rec);
-        for t in 0..w {
-            cur[t] = cur[t].add(prev[t]);
-        }
-        tile.write_row(i, &cur, &mut ctx.rec);
-    }
-    // Row-wise prefix sums: column j += column j−1.
-    for j in 1..w {
-        tile.read_col(j - 1, &mut prev, &mut ctx.rec);
-        tile.read_col(j, &mut cur, &mut ctx.rec);
-        for t in 0..w {
-            cur[t] = cur[t].add(prev[t]);
-        }
-        tile.write_col(j, &cur, &mut ctx.rec);
-    }
+    tile.scan(T::add, &mut ctx.rec);
 }
 
 /// Allocate the tile layout the algorithms use by default (diagonal, per
@@ -243,24 +218,27 @@ mod tests {
 
     #[test]
     fn tile_sat_matches_reference_both_layouts() {
-        let w = 8;
-        let cfg = MachineConfig::with_width(w);
-        let dev = Device::new(DeviceOptions::new(cfg).workers(0));
-        let a = Matrix::from_fn(w, w, |i, j| (i * 3 + j * 5) as i64 % 11 - 5);
-        let want = sat_reference(&a);
-        for layout in [TileLayout::Diagonal, TileLayout::RowMajor] {
-            let buf = GlobalBuffer::from_vec(a.as_slice().to_vec());
-            let out = GlobalBuffer::filled(0i64, w * w);
-            dev.launch(1, |ctx| {
-                let gin = ctx.view(&buf);
-                let gout = ctx.view(&out);
-                let grid = Grid::square(w, w);
-                let mut tile: SharedTile<i64> = ctx.shared_tile(layout);
-                load_block(ctx, &gin, grid, 0, 0, &mut tile);
-                tile_sat(ctx, &mut tile);
-                store_block(ctx, &gout, grid, 0, 0, &tile);
-            });
-            assert_eq!(out.into_vec(), want.as_slice(), "{layout:?}");
+        // Odd widths and w = 1 exercise the wrap lane of the diagonal's
+        // in-place column pass.
+        for w in [1, 2, 3, 5, 8, 32, 33] {
+            let cfg = MachineConfig::with_width(w);
+            let dev = Device::new(DeviceOptions::new(cfg).workers(0));
+            let a = Matrix::from_fn(w, w, |i, j| (i * 3 + j * 5) as i64 % 11 - 5);
+            let want = sat_reference(&a);
+            for layout in [TileLayout::Diagonal, TileLayout::RowMajor] {
+                let buf = GlobalBuffer::from_vec(a.as_slice().to_vec());
+                let out = GlobalBuffer::filled(0i64, w * w);
+                dev.launch(1, |ctx| {
+                    let gin = ctx.view(&buf);
+                    let gout = ctx.view(&out);
+                    let grid = Grid::square(w, w);
+                    let mut tile: SharedTile<i64> = ctx.shared_tile(layout);
+                    load_block(ctx, &gin, grid, 0, 0, &mut tile);
+                    tile_sat(ctx, &mut tile);
+                    store_block(ctx, &gout, grid, 0, 0, &tile);
+                });
+                assert_eq!(out.into_vec(), want.as_slice(), "w = {w}, {layout:?}");
+            }
         }
     }
 

@@ -13,7 +13,9 @@
 //!   `i·w + (i + j) mod w`; both row and column access are conflict-free
 //!   (Lemma 1 / Figure 6 of the paper).
 //!
-//! The warp-shaped accessors report their DMM stage counts to the block's
+//! The warp-shaped accessors ([`SharedTile::read_row`],
+//! [`SharedTile::write_row`], [`SharedTile::read_col`],
+//! [`SharedTile::write_col`]) report their DMM stage counts to the block's
 //! [`TxnRecorder`], so executions expose shared-memory bank conflicts the
 //! same way they expose global-memory coalescing. They move a warp's words
 //! without computing any address per word: a diagonal row is the physical
@@ -21,9 +23,16 @@
 //! rows with a bank offset stepped by one (mod `w`). The scalar
 //! [`SharedTile::get`] and [`SharedTile::set`] keep the definitional offset
 //! ([`DiagonalLayout::addr`]), which the tests hold the accessors to.
+//!
+//! The tile-level primitives do a whole step of a block at once and move
+//! each word once: [`SharedTile::load`] and [`SharedTile::store`] copy a
+//! `w × w` block between a [`GlobalView`] and the tile's rotated half-rows,
+//! and [`SharedTile::scan`] computes the tile SAT in place. Each records
+//! exactly the warps of the accessor loop it replaces, in the same order.
 
 use hmm_model::{AccessKind, DiagonalLayout};
 
+use crate::buffer::GlobalView;
 use crate::recorder::TxnRecorder;
 use crate::trace::AddrPattern;
 
@@ -127,6 +136,120 @@ impl<T: Copy + Default> SharedTile<T> {
         match self.layout {
             TileLayout::RowMajor => self.w as u64, // single-bank conflict
             TileLayout::Diagonal => 1,             // Lemma 1
+        }
+    }
+
+    /// The tile-level load: logical row `i` of the tile is read from the
+    /// `w` global words at `base + i·pitch`. Per row it records one
+    /// contiguous global read and one shared row write, in that order —
+    /// the warps of a [`GlobalView::read_contig`] then [`Self::write_row`]
+    /// loop — and copies the words straight into the row's two rotated
+    /// halves.
+    pub fn load(
+        &mut self,
+        g: &GlobalView<'_, T>,
+        base: usize,
+        pitch: usize,
+        rec: &mut TxnRecorder,
+    ) {
+        let (w, id, layout, stages) = (self.w, self.id, self.layout, self.row_stages());
+        for (i, row) in self.data.chunks_exact_mut(w).enumerate() {
+            // Logical columns [0, w − r) sit at physical [r, w).
+            let (wrapped, lead) = row.split_at_mut(layout.rotation(i));
+            g.read_contig_split(base + i * pitch, lead, wrapped, rec);
+            rec.record_shared_at(AccessKind::Write, w as u64, stages, || {
+                AddrPattern::TileRow {
+                    tile: id,
+                    index: i as u32,
+                }
+            });
+        }
+    }
+
+    /// The tile-level store, the inverse of [`Self::load`]: per row one
+    /// shared row read, then one contiguous global write of the row's two
+    /// rotated halves to `base + i·pitch` — the warps of a
+    /// [`Self::read_row`] then [`GlobalView::write_contig`] loop.
+    pub fn store(&self, g: &GlobalView<'_, T>, base: usize, pitch: usize, rec: &mut TxnRecorder) {
+        let (w, stages) = (self.w, self.row_stages());
+        for (i, row) in self.data.chunks_exact(w).enumerate() {
+            rec.record_shared_at(AccessKind::Read, w as u64, stages, || {
+                AddrPattern::TileRow {
+                    tile: self.id,
+                    index: i as u32,
+                }
+            });
+            let (wrapped, lead) = row.split_at(self.layout.rotation(i));
+            g.write_contig_split(base + i * pitch, lead, wrapped, rec);
+        }
+    }
+
+    /// The tile SAT (Figure 6), in place: column-wise prefix sums by row
+    /// steps (`row i = add(row i, row i − 1)` for `i = 1 … w−1`), then
+    /// row-wise prefix sums by column steps (`column j = add(column j,
+    /// column j − 1)`). Each step records the warps of the read-read-write
+    /// loop it replaces (the previous line, the current line, the current
+    /// line written back), so a [`TileLayout::RowMajor`] column step still
+    /// pays `w` stages per access. The words never leave the tile.
+    pub fn scan(&mut self, add: impl Fn(T, T) -> T, rec: &mut TxnRecorder) {
+        let (w, id, layout) = (self.w, self.id, self.layout);
+        let (row_stages, col_stages) = (self.row_stages(), self.col_stages());
+        let row = |index: usize| {
+            move || AddrPattern::TileRow {
+                tile: id,
+                index: index as u32,
+            }
+        };
+        let col = |index: usize| {
+            move || AddrPattern::TileCol {
+                tile: id,
+                index: index as u32,
+            }
+        };
+        for i in 1..w {
+            rec.record_shared_at(AccessKind::Read, w as u64, row_stages, row(i - 1));
+            rec.record_shared_at(AccessKind::Read, w as u64, row_stages, row(i));
+            rec.record_shared_at(AccessKind::Write, w as u64, row_stages, row(i));
+            // Logical column j of row i sits `shift` banks right of its
+            // place in row i − 1 (one on the diagonal, none row-major);
+            // the second loop is the lane that wraps.
+            let shift = layout.rotation(i) - layout.rotation(i - 1);
+            let (above, below) = self.data.split_at_mut(i * w);
+            let (prev, cur) = (&above[(i - 1) * w..], &mut below[..w]);
+            for (c, &p) in cur[shift..].iter_mut().zip(&prev[..w - shift]) {
+                *c = add(*c, p);
+            }
+            for (c, &p) in cur[..shift].iter_mut().zip(&prev[w - shift..]) {
+                *c = add(*c, p);
+            }
+        }
+        for j in 1..w {
+            rec.record_shared_at(AccessKind::Read, w as u64, col_stages, col(j - 1));
+            rec.record_shared_at(AccessKind::Read, w as u64, col_stages, col(j));
+            rec.record_shared_at(AccessKind::Write, w as u64, col_stages, col(j));
+            // One step of every row's prefix, the rows' chains independent.
+            // Logical column j sits at physical word `i·w + j` row-major;
+            // on the diagonal at `i·(w + 1) + j` in rows i < w − j, in bank
+            // 0 of row w − j (column j − 1 wrapped to bank w − 1), and one
+            // row's width earlier in the rows below.
+            let d = &mut self.data;
+            match layout {
+                TileLayout::RowMajor => {
+                    for f in (j..w * w).step_by(w) {
+                        d[f] = add(d[f], d[f - 1]);
+                    }
+                }
+                TileLayout::Diagonal => {
+                    for f in (j..(w - j) * w).step_by(w + 1) {
+                        d[f] = add(d[f], d[f - 1]);
+                    }
+                    let f = (w - j) * w;
+                    d[f] = add(d[f], d[f + w - 1]);
+                    for f in (f + w + 1..w * w).step_by(w + 1) {
+                        d[f] = add(d[f], d[f - 1]);
+                    }
+                }
+            }
         }
     }
 
