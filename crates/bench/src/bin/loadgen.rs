@@ -37,6 +37,7 @@
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use gpu_exec::{Device, DeviceOptions};
@@ -142,14 +143,18 @@ fn main() -> ExitCode {
     );
     let mismatches = AtomicU64::new(0);
     let rejected = AtomicU64::new(0);
-    let started = Instant::now();
-    std::thread::scope(|s| {
+    // Every client starts at once, so the first batch does not linger out
+    // while later threads are still being spawned.
+    let start = Barrier::new(threads + 1);
+    let started = std::thread::scope(|s| {
         for t in 0..threads {
             let client = service.client();
             let pool = &pool;
             let mismatches = &mismatches;
             let rejected = &rejected;
+            let start = &start;
             s.spawn(move || {
+                start.wait();
                 let interval = if rate > 0.0 {
                     Some(Duration::from_secs_f64(1.0 / rate))
                 } else {
@@ -177,6 +182,8 @@ fn main() -> ExitCode {
                 }
             });
         }
+        start.wait();
+        Instant::now()
     });
     let wall = started.elapsed().as_secs_f64();
     let metrics_snapshot = snapshot_path.as_ref().map(|_| service.metrics_text());

@@ -38,9 +38,12 @@
 //!   ([`ServiceError::QueueFull`]), which is the backpressure edge.
 //! * The batch-former thread owns the device. It groups queued requests by
 //!   `(rows, cols, algorithm)` and dispatches a group when it reaches
-//!   [`ServiceConfig::max_batch`] width **or** its oldest request has
-//!   lingered [`ServiceConfig::max_linger`] — the adaptive window that
-//!   trades a bounded sliver of latency for launch-count amortisation.
+//!   [`ServiceConfig::max_batch`] width, when its oldest request has
+//!   lingered [`ServiceConfig::max_linger`], **or** as soon as every client
+//!   the service has seen is waiting — then no company can arrive except
+//!   from a new client. `max_linger` is an upper bound on the wait, which
+//!   is paid only while company can still arrive; the `cause` label of
+//!   `sat_service_batches_total` says why each batch left.
 //! * Requests whose **deadline** passes while queued are rejected
 //!   ([`ServiceError::DeadlineExceeded`]) rather than wedging the queue.
 //! * [`Service::shutdown`] stops admissions and **fails fast**: requests
@@ -187,8 +190,11 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum requests fused into one batched launch sequence.
     pub max_batch: usize,
-    /// Longest a request may linger waiting for same-shape company before
-    /// its batch is dispatched anyway.
+    /// Upper bound on how long a request may linger waiting for
+    /// same-shape company before its batch is dispatched anyway. A group
+    /// leaves early once every client the service has seen is waiting;
+    /// until the service has answered its first request it has no evidence
+    /// of its population and waits the full window.
     pub max_linger: Duration,
     /// Deadline applied when [`Client::submit`] passes `None`.
     pub default_deadline: Duration,

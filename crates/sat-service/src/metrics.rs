@@ -115,7 +115,8 @@ struct Counters {
     completed: Counter,
     /// `rejected_total{reason=…}`, indexed by [`RejectReason`].
     rejected: Vec<Counter>,
-    batches: Counter,
+    /// `batches_total{cause=…}`, indexed by [`BatchCause`].
+    batches: Vec<Counter>,
     launches_issued: Counter,
     launches_unbatched_equiv: Counter,
     barriers_issued: Counter,
@@ -136,11 +137,46 @@ struct Inner {
     batch_width_hist: Vec<u64>,
 }
 
+/// Why the batch-former dispatched a batch: the `cause` label of
+/// `sat_service_batches_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BatchCause {
+    /// The group reached [`crate::ServiceConfig::max_batch`].
+    Full,
+    /// The group's oldest request waited out
+    /// [`crate::ServiceConfig::max_linger`].
+    Lingered,
+    /// The algorithm does not batch; it dispatches one request at a time.
+    Unbatchable,
+    /// Every client the service has seen was waiting in the queue, so no
+    /// company could arrive except from a new client.
+    AllWaiting,
+}
+
+impl BatchCause {
+    const ALL: [BatchCause; 4] = [
+        BatchCause::Full,
+        BatchCause::Lingered,
+        BatchCause::Unbatchable,
+        BatchCause::AllWaiting,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            BatchCause::Full => "full",
+            BatchCause::Lingered => "lingered",
+            BatchCause::Unbatchable => "unbatchable",
+            BatchCause::AllWaiting => "all_waiting",
+        }
+    }
+}
+
 /// One dispatched batch's accounting: its width, the launches/barriers it
 /// actually cost, what per-request execution would have cost, and the
 /// per-request latencies (`queue_ns` per request; `exec_ns` is shared by
 /// every request of the batch).
 pub(crate) struct BatchRecord<'a> {
+    pub cause: BatchCause,
     pub width: usize,
     pub launches: u64,
     pub launches_equiv: u64,
@@ -169,7 +205,10 @@ impl Metrics {
                 .iter()
                 .map(|r| counter(REJECTED, "reason", r.name()))
                 .collect(),
-            batches: registry.counter(BATCHES),
+            batches: BatchCause::ALL
+                .iter()
+                .map(|c| counter(BATCHES, "cause", c.name()))
+                .collect(),
             launches_issued: counter(LAUNCHES, "kind", "issued"),
             launches_unbatched_equiv: counter(LAUNCHES, "kind", "unbatched_equiv"),
             barriers_issued: counter(BARRIER_STEPS, "kind", "issued"),
@@ -223,10 +262,7 @@ impl Metrics {
             Event::AttemptFailed { .. } => self.c.attempts_failed.inc(),
             Event::Canary { .. } => self.c.canaries.inc(),
             Event::Degraded { .. } => self.c.degraded.inc(),
-            Event::Complete { width, .. } => {
-                self.c.batches.inc();
-                self.c.completed.add(width);
-            }
+            Event::Complete { width, .. } => self.c.completed.add(width),
             _ => {}
         }
     }
@@ -282,9 +318,10 @@ impl Metrics {
         self.burn_stats(&request).1
     }
 
-    /// Record one answered batch's launches, barriers and latencies; its
-    /// batch and completion counts arrive as [`Event::Complete`].
+    /// Record one answered batch: its cause, launches, barriers and
+    /// latencies; its completion count arrives as [`Event::Complete`].
     pub(crate) fn on_batch(&self, b: &BatchRecord<'_>) {
+        self.c.batches[b.cause as usize].inc();
         self.c.launches_issued.add(b.launches);
         self.c.launches_unbatched_equiv.add(b.launches_equiv);
         self.c.barriers_issued.add(b.barriers);
@@ -358,7 +395,7 @@ impl Metrics {
             rejected_queue_full: rejected(RejectReason::QueueFull),
             rejected_shutdown: rejected(RejectReason::Shutdown),
             rejected_invalid: rejected(RejectReason::Invalid),
-            batches: self.c.batches.total(),
+            batches: self.c.batches.iter().map(Counter::total).sum(),
             batch_width_hist: m.batch_width_hist.clone(),
             launches_issued: self.c.launches_issued.total(),
             launches_unbatched_equiv: self.c.launches_unbatched_equiv.total(),
@@ -612,6 +649,7 @@ mod tests {
             width: 2,
         });
         m.on_batch(&BatchRecord {
+            cause: BatchCause::Lingered,
             width: 2,
             launches: 3,
             launches_equiv: 6,
@@ -642,6 +680,7 @@ mod tests {
         // 100 requests: queue k ms (k = 1..=100), exec 0.
         for k in 1..=100u64 {
             m.on_batch(&BatchRecord {
+                cause: BatchCause::Lingered,
                 width: 1,
                 launches: 1,
                 launches_equiv: 1,
@@ -677,6 +716,7 @@ mod tests {
             reason: RejectReason::Deadline,
         });
         m.on_batch(&BatchRecord {
+            cause: BatchCause::Lingered,
             width: 1,
             launches: 2,
             launches_equiv: 2,
@@ -775,6 +815,7 @@ mod tests {
         // 3 fast requests (1 ms) and 1 slow (1 s): attainment 0.75, and a
         // burn rate of (1 - 0.75) / 0.1 = 2.5.
         m.on_batch(&BatchRecord {
+            cause: BatchCause::Lingered,
             width: 4,
             launches: 1,
             launches_equiv: 4,
@@ -797,6 +838,7 @@ mod tests {
         );
         for exec_ns in [1_000_000, 1_000_000, 1_000_000, 1_000_000_000] {
             m.on_batch(&BatchRecord {
+                cause: BatchCause::Lingered,
                 width: 1,
                 launches: 1,
                 launches_equiv: 1,

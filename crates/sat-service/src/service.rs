@@ -17,7 +17,7 @@ use parking_lot::{Condvar, Mutex};
 use sat_core::{compute_sat, compute_sat_batch, Matrix, SumTable};
 
 use crate::http::Telemetry;
-use crate::metrics::{Metrics, MODEL_PREFIX};
+use crate::metrics::{BatchCause, Metrics, MODEL_PREFIX};
 use crate::resilience::{backoff_delay, canary_ok, verify_sat, CircuitBreaker, Disposition};
 use crate::{ServiceConfig, ServiceError, ServiceStats, VerifyMode};
 
@@ -38,12 +38,64 @@ pub(crate) struct Request {
 pub(crate) struct QueueState {
     pub(crate) queue: VecDeque<Request>,
     pub(crate) shutdown: bool,
+    /// Requests admitted and not yet answered: the queue plus the dispatch
+    /// on the device. Raised at admission, lowered before each reply.
+    outstanding: usize,
+    population: Population,
 }
 
 impl QueueState {
     /// Queue depth, for the health endpoint.
     pub(crate) fn depth(&self) -> usize {
         self.queue.len()
+    }
+
+    /// One request is admitted.
+    fn admit(&mut self) {
+        self.outstanding += 1;
+        self.population.admit(self.outstanding);
+    }
+
+    /// `n` requests are about to be answered, on any exit path.
+    fn answer(&mut self, n: usize) {
+        self.outstanding -= n;
+        self.population.answered |= n > 0;
+    }
+}
+
+/// Admissions per bucket of [`Population`]'s peak.
+const POPULATION_WINDOW: u32 = 16;
+
+/// An estimate of how many closed-loop clients the service serves: the
+/// peak of `outstanding` seen at admission over the last one to two
+/// buckets of [`POPULATION_WINDOW`] admissions, so it decays once a client
+/// leaves. A closed-loop client has at most one request outstanding, and
+/// the batch-former is the only executor, so when the queue holds this
+/// many requests no company can arrive except from a new client.
+#[derive(Default)]
+struct Population {
+    /// Whether any request has been answered yet; before that the service
+    /// has no evidence of its population.
+    answered: bool,
+    peak: usize,
+    previous_peak: usize,
+    admissions: u32,
+}
+
+impl Population {
+    fn admit(&mut self, outstanding: usize) {
+        if self.admissions == POPULATION_WINDOW {
+            self.previous_peak = std::mem::take(&mut self.peak);
+            self.admissions = 0;
+        }
+        self.admissions += 1;
+        self.peak = self.peak.max(outstanding);
+    }
+
+    /// Whether every client seen is waiting in a queue of length `queued`;
+    /// always false before the first answer.
+    fn all_waiting(&self, queued: usize) -> bool {
+        self.answered && queued >= self.peak.max(self.previous_peak)
     }
 }
 
@@ -286,6 +338,7 @@ impl Client {
             // Mint the request id at admission: 1-based so 0 can mean "no
             // request" in launch metadata and flight events.
             id = self.shared.next_request.fetch_add(1, Ordering::Relaxed) + 1;
+            st.admit();
             st.queue.push_back(Request {
                 id,
                 image,
@@ -355,6 +408,7 @@ fn close_request_span(obs: &Obs, id: u64, enqueued: Instant, ended: Instant, sta
 /// One dispatch decision: a same-shape, same-algorithm slice of the queue.
 struct Dispatch {
     algorithm: SatAlgorithm,
+    cause: BatchCause,
     requests: Vec<Request>,
 }
 
@@ -451,33 +505,60 @@ fn batcher_loop(shared: &Shared, dev: Device) {
                     }
                 }
 
-                // Adaptive window: a group dispatches when full, when its
-                // oldest request has lingered long enough, or when the
-                // algorithm cannot batch anyway.
-                for g in &groups {
-                    let batchable = g.algorithm == SatAlgorithm::OneR1W;
-                    let linger_hit = g.oldest + shared.cfg.max_linger <= now;
-                    if g.count >= shared.cfg.max_batch || linger_hit || !batchable {
-                        // Non-batchable algorithms dispatch one at a time so
-                        // the width histogram reflects true fused widths.
-                        let cap = if batchable { shared.cfg.max_batch } else { 1 };
-                        let mut take = Vec::new();
-                        let mut i = 0;
-                        while i < st.queue.len() && take.len() < cap {
-                            let r = &st.queue[i];
-                            if (r.image.rows(), r.image.cols(), r.algorithm)
-                                == (g.rows, g.cols, g.algorithm)
-                            {
-                                take.push(st.queue.remove(i).expect("index in bounds"));
-                            } else {
-                                i += 1;
-                            }
+                // Adaptive window: a group dispatches when its algorithm
+                // cannot batch anyway, when full, or when its oldest request
+                // has lingered `max_linger`.
+                let mut chosen: Vec<(&GroupView, BatchCause)> = groups
+                    .iter()
+                    .filter_map(|g| {
+                        let cause = if g.algorithm != SatAlgorithm::OneR1W {
+                            BatchCause::Unbatchable
+                        } else if g.count >= shared.cfg.max_batch {
+                            BatchCause::Full
+                        } else if g.oldest + shared.cfg.max_linger <= now {
+                            BatchCause::Lingered
+                        } else {
+                            return None;
+                        };
+                        Some((g, cause))
+                    })
+                    .collect();
+                // When every client seen is waiting, company can only come
+                // from clients a dispatch answers: send the oldest group
+                // alone, and none while another dispatch is going anyway.
+                if chosen.is_empty() && st.population.all_waiting(st.queue.len()) {
+                    chosen.extend(
+                        groups
+                            .iter()
+                            .min_by_key(|g| g.oldest)
+                            .map(|g| (g, BatchCause::AllWaiting)),
+                    );
+                }
+                for (g, cause) in chosen {
+                    // Non-batchable algorithms dispatch one at a time so
+                    // the width histogram reflects true fused widths.
+                    let cap = if cause == BatchCause::Unbatchable {
+                        1
+                    } else {
+                        shared.cfg.max_batch
+                    };
+                    let mut take = Vec::new();
+                    let mut i = 0;
+                    while i < st.queue.len() && take.len() < cap {
+                        let r = &st.queue[i];
+                        if (r.image.rows(), r.image.cols(), r.algorithm)
+                            == (g.rows, g.cols, g.algorithm)
+                        {
+                            take.push(st.queue.remove(i).expect("index in bounds"));
+                        } else {
+                            i += 1;
                         }
-                        ready.push(Dispatch {
-                            algorithm: g.algorithm,
-                            requests: take,
-                        });
                     }
+                    ready.push(Dispatch {
+                        algorithm: g.algorithm,
+                        cause,
+                        requests: take,
+                    });
                 }
 
                 if st.queue.len() < before {
@@ -505,6 +586,7 @@ fn batcher_loop(shared: &Shared, dev: Device) {
                     }
                 }
             }
+            st.answer(expired.len() + drained.len());
         }
 
         for r in expired {
@@ -759,6 +841,7 @@ impl Router<'_> {
             width: width as u64,
         });
         shared.metrics.on_batch(&crate::metrics::BatchRecord {
+            cause: d.cause,
             width,
             launches: issued,
             launches_equiv,
@@ -839,6 +922,7 @@ impl Router<'_> {
         for trigger in std::mem::take(&mut self.dumps) {
             maybe_dump(shared, &trigger);
         }
+        shared.state.lock().answer(width);
         for (reply, sat) in replies.into_iter().zip(results) {
             let sat = sat.expect("the attempt loop resolves every request");
             let _ = reply.send(Ok(SumTable::from_sat(sat)));

@@ -333,3 +333,111 @@ fn observed_service_exposes_metrics_text_and_lifecycle_spans() {
         trace_stats.flows
     );
 }
+
+/// `sat_service_batches_total{cause="<cause>"}` read from a scrape.
+fn batches_by_cause(text: &str, cause: &str) -> u64 {
+    let prefix = format!("sat_service_batches_total{{cause=\"{cause}\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("no {prefix}in\n{text}"))
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn closed_loop_clients_never_wait_out_the_window() {
+    // A window far above the test budget: only "full", "unbatchable" and
+    // "every client seen is waiting" can dispatch.
+    let mut cfg = small_config();
+    cfg.max_linger = Duration::from_secs(3600);
+    let service = Service::start(cfg);
+    let verify = Device::new(DeviceOptions::new(MachineConfig::with_width(4)).workers(0));
+    let (first, second) = (service.client(), service.client());
+    let run = |client: sat_service::Client, c: usize| {
+        let verify = &verify;
+        move || {
+            for k in 0..40usize {
+                let img = image(16, 16, c * 100 + k);
+                let got = client
+                    .submit(img.clone(), SatAlgorithm::OneR1W, None)
+                    .expect("accepted");
+                let want = compute_sat(verify, SatAlgorithm::OneR1W, &img);
+                assert_eq!(got.sat().as_slice(), want.as_slice(), "client {c} #{k}");
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        // The first client's first request waits in the fixed window of a
+        // service that has answered nothing yet. The 2R1W warm-up is
+        // admitted beside it and answered at once, so the service has seen
+        // two clients by the time the second client starts; the two then
+        // stay in step. (A client one request ahead would leave its
+        // partner's last request alone: a departed client, which costs up
+        // to the window.)
+        s.spawn(run(first, 0));
+        while service.stats().submitted == 0 {
+            std::thread::yield_now();
+        }
+        service
+            .client()
+            .submit(image(16, 16, 999), SatAlgorithm::TwoR1W, None)
+            .expect("unbatchable warm-up dispatches at once");
+        s.spawn(run(second, 1));
+    });
+    let text = service.metrics_text();
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 81);
+    assert_eq!(
+        stats.batch_width_hist.get(2),
+        Some(&40),
+        "fusing survives: {:?}",
+        stats.batch_width_hist
+    );
+    assert!(batches_by_cause(&text, "all_waiting") > 0, "{text}");
+    assert_eq!(batches_by_cause(&text, "lingered"), 0);
+    assert_eq!(batches_by_cause(&text, "unbatchable"), 1);
+    assert_eq!(stats.batches, stats.batch_width_hist.iter().sum::<u64>());
+}
+
+#[test]
+fn a_departed_client_costs_at_most_the_window() {
+    let linger = Duration::from_millis(20);
+    let mut cfg = small_config();
+    cfg.max_linger = linger;
+    let service = Service::start(cfg);
+    let (stays, leaves) = (service.client(), service.client());
+    let submit = |client: &sat_service::Client, seed: usize| {
+        let t = std::time::Instant::now();
+        client
+            .submit(image(16, 16, seed), SatAlgorithm::OneR1W, None)
+            .expect("accepted");
+        t.elapsed()
+    };
+    std::thread::scope(|s| {
+        let gone = s.spawn(|| {
+            for k in 0..30usize {
+                submit(&leaves, k);
+            }
+        });
+        for k in 0..30usize {
+            submit(&stays, 100 + k);
+        }
+        gone.join().unwrap();
+    });
+    // The other client stopped but kept its handle: until the population
+    // estimate decays, each request may wait out the window, and no longer.
+    let alone: Vec<Duration> = (0..64usize).map(|k| submit(&stays, 200 + k)).collect();
+    let slack = Duration::from_millis(500);
+    for (k, took) in alone.iter().enumerate() {
+        assert!(*took < linger + slack, "request {k} took {took:?}");
+    }
+    let mut tail = alone[alone.len() - 16..].to_vec();
+    tail.sort();
+    assert!(
+        tail[tail.len() / 2] < linger / 2,
+        "median after the estimate decayed: {:?}",
+        tail[tail.len() / 2]
+    );
+    let stats = service.shutdown();
+    assert_eq!(stats.completed, 124);
+}

@@ -59,6 +59,18 @@ grep -q '^sat_service_model_fit_converged 1$' target/loadgen_conformance_metrics
     exit 1
 }
 
+echo "== loadgen burst width gate (the BENCH_service.json command: 16 threads"
+echo "   x 64 requests of 64x64 must keep fusing, mean batch width >= 15)"
+cargo run --release -q -p sat-bench --bin loadgen -- \
+    --threads 16 --requests 64 --n 64 --width 32 --max-batch 16 \
+    --json target/BENCH_service_burst.json
+width=$(grep -o '"mean_batch_width": [-0-9.eE+]*' target/BENCH_service_burst.json |
+    awk '{ print $2 }')
+awk -v w="$width" 'BEGIN { exit !(w != "" && w >= 15) }' || {
+    echo "error: loadgen burst mean_batch_width ${width:-missing} is below 15" >&2
+    exit 1
+}
+
 echo "== chaosgen smoke (fault injection + self-healing, abort+corruption)"
 cargo run --release -q -p sat-bench --bin chaosgen -- \
     --threads 4 --requests 8 --n 16 --width 4 --seed 7 \
