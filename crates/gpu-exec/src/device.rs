@@ -1,6 +1,7 @@
 //! The virtual GPU device: launch machinery, block contexts and statistics.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hmm_model::cost::CostCounters;
@@ -248,6 +249,10 @@ pub struct Device {
     pool: Pool,
     /// Serializes launches: the worker pool supports one job at a time.
     launch_gate: Mutex<()>,
+    /// One counter slot per pool thread (launcher first), reused by every
+    /// launch: a block adds its recorder to its thread's slot, and the
+    /// launch sums and clears the slots once.
+    slots: Vec<Mutex<CostCounters>>,
     stats: Mutex<CostCounters>,
     trace: Mutex<RunTrace>,
     launches: AtomicU64,
@@ -256,7 +261,7 @@ pub struct Device {
     launches_total: AtomicU64,
     fault: Option<FaultState>,
     /// Request-scoped metadata for the next launches (serving layer hook).
-    launch_ctx: Mutex<Option<LaunchContext>>,
+    launch_ctx: Mutex<Option<Arc<LaunchContext>>>,
     /// Model-conformance tracker fed once per launch.
     conformance: Option<Conformance>,
 }
@@ -312,6 +317,7 @@ impl Device {
             counters,
             pool: Pool::new(workers),
             launch_gate: Mutex::new(()),
+            slots: (0..=workers).map(|_| Mutex::default()).collect(),
             stats: Mutex::new(CostCounters::new()),
             trace: Mutex::new(RunTrace::default()),
             launches: AtomicU64::new(0),
@@ -331,7 +337,7 @@ impl Device {
     /// clear it after; launches are serialized by the launch gate, so the
     /// context observed by a launch is the one its dispatcher set.
     pub fn set_launch_context(&self, ctx: Option<LaunchContext>) {
-        *self.launch_ctx.lock() = ctx;
+        *self.launch_ctx.lock() = ctx.map(Arc::new);
     }
 
     /// The attached model-conformance tracker, if any.
@@ -420,7 +426,8 @@ impl Device {
         let started = (self.counters.is_some() || self.conformance.is_some()).then(Instant::now);
         let seq = self.launches.fetch_add(1, Ordering::Relaxed);
         let launch = self.launches_total.fetch_add(1, Ordering::Relaxed);
-        let lc = self.launch_ctx.lock().clone().unwrap_or_default();
+        let lc = self.launch_ctx.lock().clone();
+        let requests = lc.as_ref().map_or(&[][..], |c| &c.requests);
         let (stats, trace, addrs) = (self.record_stats, self.record_trace, self.record_addrs);
         let obs = &self.obs;
 
@@ -463,22 +470,22 @@ impl Device {
         let mut span = obs.span(Track::wall(0), "launch");
         span.arg("launch", ArgValue::from(seq));
         span.arg("grid", ArgValue::from(grid));
-        if persistent {
+        // The mode's string arg is built only for a recording span.
+        if persistent && obs.is_enabled() {
             span.arg("mode", ArgValue::from("persistent"));
         }
-        if let Some(&first) = lc.requests.first() {
-            span.arg("batch", ArgValue::from(lc.batch));
+        if let (Some(&first), Some(c)) = (requests.first(), &lc) {
+            span.arg("batch", ArgValue::from(c.batch));
             span.arg("request", ArgValue::from(first));
         }
-        let request = lc.requests.first().copied().unwrap_or(0);
+        let request = requests.first().copied().unwrap_or(0);
         obs.emit(Event::LaunchBegin {
             request,
             launch,
             grid: grid as u64,
         });
 
-        // Blocks: each merges its recorder into the launch-local delta.
-        let delta = Mutex::new(CostCounters::new());
+        // Blocks: each adds its recorder to its thread's counter slot.
         let corrupt_hit = AtomicBool::new(false);
         let launch_trace = trace.then(|| {
             Mutex::new(LaunchTrace {
@@ -487,7 +494,7 @@ impl Device {
                 lost,
             })
         });
-        let wrapper = |idx: usize| {
+        let wrapper = |idx: usize, worker: usize| {
             let block_id = perm.as_ref().map_or(idx, |p| p[idx] as usize);
             if skips(block_id as u64) {
                 return; // this block never runs
@@ -518,7 +525,7 @@ impl Device {
                 corrupt_hit.store(true, Ordering::Relaxed);
             }
             if stats {
-                delta.lock().merge_parallel(&ctx.rec.take());
+                self.slots[worker].lock().merge_parallel(&ctx.rec.take());
             }
             if let Some(lt) = &launch_trace {
                 let mut lt = lt.lock();
@@ -528,11 +535,16 @@ impl Device {
                 }
             }
         };
-        self.pool.run(grid, &wrapper);
+        self.pool.run(grid, &wrapper, persistent);
         if let Some(lt) = launch_trace {
             self.trace.lock().launches.push(lt.into_inner());
         }
-        let delta = delta.into_inner();
+        let mut delta = CostCounters::new();
+        if stats {
+            for slot in &self.slots {
+                delta.merge_parallel(&std::mem::take(&mut *slot.lock()));
+            }
+        }
         self.stats.lock().merge_parallel(&delta);
 
         if let Some(f) = fault {
@@ -573,7 +585,8 @@ impl Device {
             // Unlabeled launches still get a stable mode/grid bucket.
             let mode = if persistent { "persistent" } else { "launch" };
             let bucket = grid.max(1).next_power_of_two();
-            let cell = lc.cell.unwrap_or_else(|| format!("{mode}/g{bucket}"));
+            let cell = lc.as_ref().and_then(|c| c.cell.clone());
+            let cell = cell.unwrap_or_else(|| format!("{mode}/g{bucket}"));
             conf.ingest(LaunchSample {
                 cell,
                 coalesced_ops: delta.coalesced_ops(),
@@ -593,7 +606,7 @@ impl Device {
         // the launch span is still open so they anchor *inside* it —
         // Perfetto then routes each request's arrow chain through this
         // launch. Dropped after, the span guard records the slice.
-        for &rid in &lc.requests {
+        for &rid in requests {
             let now = Instant::now();
             obs.flow_wall(Track::wall(0), "request", FlowPhase::Step, rid, now);
         }

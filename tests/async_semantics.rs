@@ -217,27 +217,52 @@ fn persistent_1r1w_trace_is_clean_under_hmm_lint() {
 
 #[test]
 fn stats_are_schedule_invariant() {
-    // Transaction counts are a property of the algorithm, not the schedule.
+    // Transaction counts are a property of the algorithm, not the schedule
+    // or the thread that ran a block: each pool thread adds its blocks to
+    // its own counter slot, and a launch sums the slots once.
     let n = 32;
     let a = input(n);
-    let mut baseline = None;
-    for (workers, order) in [
-        (0usize, BlockOrder::Forward),
-        (0, BlockOrder::Reverse),
-        (4, BlockOrder::Shuffled(7)),
-        (4, BlockOrder::Adversarial(7)),
-    ] {
-        let dev = Device::new(
-            DeviceOptions::new(MachineConfig::with_width(4))
-                .workers(workers)
-                .order(order),
-        );
-        dev.reset_stats();
-        let _ = compute_sat(&dev, SatAlgorithm::OneR1W, &a);
-        let stats = dev.stats();
-        match &baseline {
-            None => baseline = Some(stats),
-            Some(b) => assert_eq!(&stats, b),
+    let batch = [a.clone(), input(n).transposed(), a.clone()];
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Alg(SatAlgorithm),
+        Persistent1R1W,
+        FusedBatchOf3,
+    }
+    let paths = SatAlgorithm::ALL.map(Path::Alg).into_iter();
+    let paths = paths.chain([Path::Persistent1R1W, Path::FusedBatchOf3]);
+    let run = |dev: &Device, path| match path {
+        Path::Alg(alg) => drop(compute_sat(dev, alg, &a)),
+        Path::Persistent1R1W => {
+            let buf = GlobalBuffer::from_vec(a.as_slice().to_vec());
+            let s = GlobalBuffer::from_vec(vec![0i64; n * n]);
+            par::sat_1r1w_persistent(dev, &buf, &s, n, n);
+        }
+        Path::FusedBatchOf3 => drop(sat_core::compute_sat_batch(dev, &batch)),
+    };
+    for path in paths {
+        let mut baseline = None;
+        for (workers, order) in [
+            (0usize, BlockOrder::Forward),
+            (0, BlockOrder::Reverse),
+            (1, BlockOrder::Forward),
+            (1, BlockOrder::Shuffled(7)),
+            (3, BlockOrder::Forward),
+            (3, BlockOrder::Shuffled(7)),
+            (3, BlockOrder::Adversarial(7)),
+        ] {
+            let dev = Device::new(
+                DeviceOptions::new(MachineConfig::with_width(4))
+                    .workers(workers)
+                    .order(order),
+            );
+            dev.reset_stats();
+            run(&dev, path);
+            let stats = dev.stats();
+            match &baseline {
+                None => baseline = Some(stats),
+                Some(b) => assert_eq!(&stats, b, "{path:?}, workers {workers}, {order:?}"),
+            }
         }
     }
 }
