@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use gpu_exec::{BlockCtx, GlobalView, SharedTile, TileLayout};
+use gpu_exec::{BlockCtx, GlobalView, RowPass, SharedTile, TileLayout};
 
 use crate::element::SatElement;
 
@@ -157,6 +157,22 @@ pub fn prefix_down<T: SatElement>(
 /// exists for.
 pub fn tile_sat<T: SatElement>(ctx: &mut BlockCtx<'_>, tile: &mut SharedTile<T>) {
     tile.scan(T::add, &mut ctx.rec);
+}
+
+/// [`load_block`] then [`tile_sat`] in one pass over the tile
+/// ([`SharedTile::load_scan`]), recorded as those two steps: the column
+/// pass runs as each row lands, and each row's prefix when
+/// [`RowPass::store_with`] reads the row out.
+pub fn load_scan_block<'t, T: SatElement>(
+    ctx: &mut BlockCtx<'_>,
+    g: &GlobalView<'_, T>,
+    grid: Grid,
+    bi: usize,
+    bj: usize,
+    tile: &'t mut SharedTile<T>,
+) -> RowPass<'t, T, impl Fn(T, T) -> T> {
+    let (r0, c0) = grid.origin(bi, bj);
+    tile.load_scan(g, grid.addr(r0, c0), grid.cols, T::add, &mut ctx.rec)
 }
 
 /// Allocate the tile layout the algorithms use by default (diagonal, per

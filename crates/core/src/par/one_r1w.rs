@@ -28,14 +28,17 @@
 //! stages, whose latency dominates for small matrices — hence the hybrid
 //! `(1+r²)R1W`.
 //!
-//! Every 1R1W variant — staged, batched, mirror and persistent — emits its
-//! blocks through one body; they differ only in where the fringes come
-//! from.
+//! Every 1R1W variant — staged, batched, mirror and persistent — runs its
+//! blocks through one body, a single pass over the tile: the local SAT's
+//! column pass runs as each row is loaded, and its row pass as each row is
+//! emitted, just before the row's fringe add and its global write
+//! ([`load_scan_block`], `Fringes::emit`). The variants differ only in
+//! where the fringes come from.
 
-use gpu_exec::{BlockCtx, Device, GlobalBuffer, GlobalView, HandoffFlags, SharedTile};
+use gpu_exec::{BlockCtx, Device, GlobalBuffer, GlobalView, HandoffFlags, RowPass, SharedTile};
 
 use crate::element::SatElement;
-use crate::par::common::{default_tile, load_block, tile_sat, Grid};
+use crate::par::common::{default_tile, load_scan_block, Grid};
 
 /// **1R1W**: compute into `s` the SAT of the `rows × cols` matrix in `a`,
 /// by `rows/w + cols/w − 1` block-wavefront launches.
@@ -126,12 +129,11 @@ fn stage<T: SatElement>(
 
 /// A block's fringes, read from its finished neighbours by pairwise
 /// subtraction: `top[j] = T[j]`, `left[i] = Lᵢ` and `corner = c` (zero
-/// where the neighbour does not exist), plus a row of scratch.
+/// where the neighbour does not exist).
 struct Fringes<T> {
     top: Vec<T>,
     left: Vec<T>,
     corner: T,
-    row: Vec<T>,
 }
 
 impl<T: SatElement> Fringes<T> {
@@ -140,40 +142,39 @@ impl<T: SatElement> Fringes<T> {
             top: vec![T::ZERO; w],
             left: vec![T::ZERO; w],
             corner: T::ZERO,
-            row: vec![T::ZERO; w],
         }
     }
 
-    /// Emit the block at element `(r0, c0)` from its local SAT `ℓ` in
-    /// `tile`: `S(r0+i, c0+j) = ℓ(i,j) + T[j] + (Lᵢ − c)`, one coalesced
-    /// row write per tile row. `right`, when given, receives the block's
-    /// right column (the payload of a mirror write).
+    /// Emit the block at element `(r0, c0)` from its scanned tile `rows`:
+    /// each row finishes its local SAT `ℓ` and is written as
+    /// `S(r0+i, c0+j) = ℓ(i,j) + T[j] + (Lᵢ − c)`, one coalesced row write
+    /// per tile row. `right`, when given, receives the block's right column
+    /// (the payload of a mirror write).
     fn emit(
-        &mut self,
+        &self,
         ctx: &mut BlockCtx<'_>,
         gs: &GlobalView<'_, T>,
-        tile: &SharedTile<T>,
+        rows: RowPass<'_, T, impl Fn(T, T) -> T>,
         grid: Grid,
         (r0, c0): (usize, usize),
         mut right: Option<&mut [T]>,
     ) {
         let w = grid.w;
-        for i in 0..w {
-            tile.read_row(i, &mut self.row, &mut ctx.rec);
+        rows.store_with(gs, grid.addr(r0, c0), grid.cols, &mut ctx.rec, |i, row| {
             let li = self.left[i].sub(self.corner);
-            for (v, t) in self.row.iter_mut().zip(&self.top) {
+            for (v, t) in row.iter_mut().zip(&self.top) {
                 *v = v.add(*t).add(li);
             }
             if let Some(right) = right.as_deref_mut() {
-                right[i] = self.row[w - 1];
+                right[i] = row[w - 1];
             }
-            gs.write_contig(grid.addr(r0 + i, c0), &self.row, &mut ctx.rec);
-        }
+        });
     }
 }
 
 /// One block of a launch-per-stage 1R1W kernel: load block `(bi, bj)` and
-/// scan it in shared memory, read its fringes, and emit it.
+/// scan it in shared memory, read its fringes, and emit it (recorded in
+/// that order; the scan's row pass runs inside the emit).
 ///
 /// * `above` is the row above the block, `S(r0 − 1, c)` at word `base + c`
 ///   of the view — the finished block-row in `s` — or `None` in the first
@@ -196,8 +197,7 @@ fn stage_block<T: SatElement>(
     let w = grid.w;
     let (r0, c0) = grid.origin(bi, bj);
     let mut tile: SharedTile<T> = default_tile(ctx);
-    load_block(ctx, ga, grid, bi, bj, &mut tile);
-    tile_sat(ctx, &mut tile);
+    let rows = load_scan_block(ctx, ga, grid, bi, bj, &mut tile);
     let mut f = Fringes::zero(w);
     if let Some((g, base)) = above {
         g.read_contig(base + c0, &mut f.top, &mut ctx.rec);
@@ -212,7 +212,7 @@ fn stage_block<T: SatElement>(
         }
     }
     let mut right = mirror.map(|_| vec![T::ZERO; w]);
-    f.emit(ctx, gs, &tile, grid, (r0, c0), right.as_deref_mut());
+    f.emit(ctx, gs, rows, grid, (r0, c0), right.as_deref_mut());
     if let (Some(gm), Some(right)) = (mirror, right) {
         gm.write_contig(bj * grid.rows + r0, &right, &mut ctx.rec);
     }
@@ -318,7 +318,7 @@ pub fn one_r1w_persistent<T: SatElement>(
     let w = grid.w;
     let ga = ctx.view(a);
     let gs = ctx.view(s);
-    // One tile per resident, reused for every block it owns (`load_block`
+    // One tile per resident, reused for every block it owns (each load
     // overwrites all w² words) — persistent blocks must live within the
     // same shared-memory budget as a single launch-per-stage block.
     let mut tile: SharedTile<T> = default_tile(ctx);
@@ -337,8 +337,7 @@ pub fn one_r1w_persistent<T: SatElement>(
             } else {
                 f.top.fill(T::ZERO);
             }
-            load_block(ctx, &ga, grid, bi, bj, &mut tile);
-            tile_sat(ctx, &mut tile);
+            let rows = load_scan_block(ctx, &ga, grid, bi, bj, &mut tile);
             if bj > 0 {
                 // Same-resident program order: tile (bi, bj−1) is already
                 // final. Stride w reads, as in the launch-per-stage kernel.
@@ -353,7 +352,7 @@ pub fn one_r1w_persistent<T: SatElement>(
             } else {
                 T::ZERO
             };
-            f.emit(ctx, &gs, &tile, grid, (r0, c0), None);
+            f.emit(ctx, &gs, rows, grid, (r0, c0), None);
             if bi + 1 < grid.mr {
                 // Release the finished bottom row to the block-row below.
                 flags.publish(

@@ -1,5 +1,6 @@
-//! Pins of four SAT drivers: 4R1W, 2R1W, the hybrid (1+r²)R1W at
-//! r ∈ {¼, ½, 1} and 2R2W. On every width and block shape of the grid below,
+//! Pins of the SAT drivers: 4R1W, 2R1W, the hybrid (1+r²)R1W at
+//! r ∈ {¼, ½, 1}, 2R2W and the 1R1W family (staged, persistent, mirror and
+//! a fused batch of three). On every width and block shape of the grid below,
 //! `dev.stats()`, a digest of every launch's op sequence and a digest of a
 //! fractional `f64` output must equal golden values, and the output must
 //! equal `sat_reference` bit for bit — also on race-checked buffers under a
@@ -8,15 +9,21 @@
 //! The 4R1W goldens were recorded from the gather-based kernel the strided
 //! one replaced. Those of 2R1W, the hybrid and 2R2W were recorded before
 //! plain 2R1W, the hybrid's staircase triangles and 2R2W's column pass came
-//! to share one set of block-sum, fringe-prefix and fix-up kernels. 2R1W is
-//! not pinned at w = 1, where its recursion cannot shrink the problem.
+//! to share one set of block-sum, fringe-prefix and fix-up kernels. Those of
+//! the 1R1W family were recorded before its block body fused the tile scan
+//! into the load and the emit, and before the tile kept its words in logical
+//! order. 2R1W is not pinned at w = 1, where its recursion cannot shrink the
+//! problem.
 
 use gpu_exec::replay::fingerprint_bits;
 use gpu_exec::{BlockOrder, Device, DeviceOptions, GlobalBuffer, RunTrace};
 use hmm_model::cost::CostCounters;
 use hmm_model::{AccessKind, MachineConfig, MemSpace};
 use sat_core::element::SatElement;
-use sat_core::par::{sat_2r1w, sat_2r2w, sat_4r1w, sat_hybrid};
+use sat_core::par::{
+    sat_1r1w, sat_1r1w_batch, sat_1r1w_mirror, sat_1r1w_persistent, sat_2r1w, sat_2r2w, sat_4r1w,
+    sat_hybrid,
+};
 use sat_core::seq::sat_reference;
 use sat_core::Matrix;
 
@@ -89,10 +96,18 @@ enum Driver {
     TwoR1W,
     Hybrid(f64),
     TwoR2W,
+    OneR1W,
+    Persistent,
+    Mirror,
+    /// [`sat_1r1w_batch`] over three images (see [`images`]).
+    Batch3,
 }
 
 /// The drivers of [`GOLDEN_DRIVERS`], in table order.
 const DRIVERS: [Driver; 5] = [TwoR1W, Hybrid(0.25), Hybrid(0.5), Hybrid(1.0), TwoR2W];
+
+/// The drivers of [`GOLDEN_ONE_R1W`], in table order.
+const ONE_R1W: [Driver; 4] = [OneR1W, Persistent, Mirror, Batch3];
 
 impl Driver {
     /// The widths this driver is pinned at.
@@ -285,15 +300,172 @@ static GOLDEN_DRIVERS: [(Driver, usize, usize, usize, [u64; 3], Pin); 174] = [
     (TwoR2W, 32, 4, 4, [0, 0, 0], Pin { global: [16384, 16256, 16384, 16256, 33660, 1], ops: 0x9ad67a19965643d3, out: 0x768ffc658760e208 }),
 ];
 
-/// Every pinned row, 4R1W's first.
-fn rows() -> impl Iterator<Item = (Driver, usize, usize, usize, [u64; 3], &'static Pin)> {
+/// Golden values of the 1R1W family, one row per `(driver, w, br, bc)` in
+/// [`ONE_R1W`] and grid order. The array is `shared_reads, shared_writes,
+/// shared_stages, handoff_publishes, handoff_acquires`. The persistent
+/// driver runs one resident on the pinning device.
+#[rustfmt::skip]
+static GOLDEN_ONE_R1W: [(Driver, usize, usize, usize, [u64; 5], Pin); 144] = [
+    (OneR1W, 1, 1, 1, [1, 1, 2, 0, 0], Pin { global: [1, 1, 0, 0, 2, 0], ops: 0x8e4ad64ca032efcb, out: 0xa87d743227db20ff }),
+    (OneR1W, 1, 1, 5, [5, 5, 10, 0, 0], Pin { global: [9, 5, 0, 0, 14, 4], ops: 0x02664636915760cb, out: 0x06bf71880ecf8eb1 }),
+    (OneR1W, 1, 5, 1, [5, 5, 10, 0, 0], Pin { global: [9, 5, 0, 0, 14, 4], ops: 0x02664636915760cb, out: 0x4d07e66a613c6c03 }),
+    (OneR1W, 1, 2, 3, [6, 6, 12, 0, 0], Pin { global: [15, 6, 0, 0, 21, 3], ops: 0xa4f7ebaa1ac8af73, out: 0x2a4a961c8192088f }),
+    (OneR1W, 1, 3, 2, [6, 6, 12, 0, 0], Pin { global: [15, 6, 0, 0, 21, 3], ops: 0xfe2fa70f6f68736f, out: 0x897e5335d149db39 }),
+    (OneR1W, 1, 4, 4, [16, 16, 32, 0, 0], Pin { global: [49, 16, 0, 0, 65, 6], ops: 0x25e10b6b8289e0b1, out: 0x64bd0d978e7e5297 }),
+    (OneR1W, 2, 1, 1, [12, 8, 10, 0, 0], Pin { global: [4, 4, 0, 0, 4, 0], ops: 0xc7a2aba6f4d40477, out: 0xb4dc97bdca152325 }),
+    (OneR1W, 2, 1, 5, [60, 40, 50, 0, 0], Pin { global: [20, 20, 8, 0, 28, 4], ops: 0x4d15caa6c9253dbf, out: 0x124bfc0a8ca024b4 }),
+    (OneR1W, 2, 5, 1, [60, 40, 50, 0, 0], Pin { global: [28, 20, 0, 0, 24, 4], ops: 0x6ef2c2daccb6d0d7, out: 0x036cf6e9f69c23a2 }),
+    (OneR1W, 2, 2, 3, [72, 48, 60, 0, 0], Pin { global: [32, 24, 8, 0, 37, 3], ops: 0x830435b80da0c8a5, out: 0x45890cb7e6970c55 }),
+    (OneR1W, 2, 3, 2, [72, 48, 60, 0, 0], Pin { global: [34, 24, 6, 0, 36, 3], ops: 0x19d0c11a5d61aa88, out: 0xa39db7808ec369c7 }),
+    (OneR1W, 2, 4, 4, [192, 128, 160, 0, 0], Pin { global: [97, 64, 24, 0, 109, 6], ops: 0x3dd73d7e63107f66, out: 0x2fdd5c68e2c6bbd7 }),
+    (OneR1W, 3, 1, 1, [33, 21, 18, 0, 0], Pin { global: [9, 9, 0, 0, 6, 0], ops: 0x8cf1b75a04467e41, out: 0x029e4d7a77fa8106 }),
+    (OneR1W, 3, 1, 5, [165, 105, 90, 0, 0], Pin { global: [45, 45, 12, 0, 42, 4], ops: 0x014d34afcbef5e91, out: 0xad4f76635f03dba7 }),
+    (OneR1W, 3, 5, 1, [165, 105, 90, 0, 0], Pin { global: [57, 45, 0, 0, 34, 4], ops: 0xbeefe11aed516e81, out: 0xaf920110d8c1eb8b }),
+    (OneR1W, 3, 2, 3, [198, 126, 108, 0, 0], Pin { global: [65, 54, 12, 0, 53, 3], ops: 0x792c7e4d8722dfde, out: 0xffc79fc52a29f3d8 }),
+    (OneR1W, 3, 3, 2, [198, 126, 108, 0, 0], Pin { global: [68, 54, 9, 0, 51, 3], ops: 0x6f554bb2a933fcd3, out: 0xd25aef30d7e7821d }),
+    (OneR1W, 3, 4, 4, [528, 336, 288, 0, 0], Pin { global: [189, 144, 36, 0, 153, 6], ops: 0x146243b7eb596bdf, out: 0x4617ff8ccfbe00a4 }),
+    (OneR1W, 4, 1, 1, [64, 40, 26, 0, 0], Pin { global: [16, 16, 0, 0, 8, 0], ops: 0xa018cb5484828288, out: 0x42f81b0d5b609dda }),
+    (OneR1W, 4, 1, 5, [320, 200, 130, 0, 0], Pin { global: [80, 80, 16, 0, 56, 4], ops: 0x1eccecfab0de9ce0, out: 0xf5caa23978710bab }),
+    (OneR1W, 4, 5, 1, [320, 200, 130, 0, 0], Pin { global: [96, 80, 0, 0, 44, 4], ops: 0x0facf615cc961548, out: 0x408b7f7b7e88a4a1 }),
+    (OneR1W, 4, 2, 3, [384, 240, 156, 0, 0], Pin { global: [110, 96, 16, 0, 69, 3], ops: 0x3a141f5418956842, out: 0x39d31423ea7d8b05 }),
+    (OneR1W, 4, 3, 2, [384, 240, 156, 0, 0], Pin { global: [114, 96, 12, 0, 66, 3], ops: 0xe8178df35dcf0d15, out: 0x06ee2f9f9bc0861b }),
+    (OneR1W, 4, 4, 4, [1024, 640, 416, 0, 0], Pin { global: [313, 256, 48, 0, 197, 6], ops: 0x3d254fada5295ccc, out: 0x08fea12eab832215 }),
+    (OneR1W, 8, 1, 1, [288, 176, 58, 0, 0], Pin { global: [64, 64, 0, 0, 16, 0], ops: 0x650a1b708759fe17, out: 0x9f08ed814cd52595 }),
+    (OneR1W, 8, 1, 5, [1440, 880, 290, 0, 0], Pin { global: [320, 320, 32, 0, 112, 4], ops: 0x4c0ae063725f73d7, out: 0x4b1461b039e0a8d0 }),
+    (OneR1W, 8, 5, 1, [1440, 880, 290, 0, 0], Pin { global: [352, 320, 0, 0, 84, 4], ops: 0x7f3fd77cb3be94cf, out: 0x64913d26eb789311 }),
+    (OneR1W, 8, 2, 3, [1728, 1056, 348, 0, 0], Pin { global: [410, 384, 32, 0, 133, 3], ops: 0x2e60060c64a31ee6, out: 0x41b09290e051ffe4 }),
+    (OneR1W, 8, 3, 2, [1728, 1056, 348, 0, 0], Pin { global: [418, 384, 24, 0, 126, 3], ops: 0x6c73eca877febbb5, out: 0x87abbd219035a29e }),
+    (OneR1W, 8, 4, 4, [4608, 2816, 928, 0, 0], Pin { global: [1129, 1024, 96, 0, 373, 6], ops: 0x6f7895bbed875b06, out: 0x29c50d976ca998b6 }),
+    (OneR1W, 32, 1, 1, [4992, 3008, 250, 0, 0], Pin { global: [1024, 1024, 0, 0, 64, 0], ops: 0xc8154ce5b5dc29fa, out: 0xd9bd36dc782973de }),
+    (OneR1W, 32, 1, 5, [24960, 15040, 1250, 0, 0], Pin { global: [5120, 5120, 128, 0, 448, 4], ops: 0xcbaea76ac4ac83ea, out: 0x9536088575386519 }),
+    (OneR1W, 32, 5, 1, [24960, 15040, 1250, 0, 0], Pin { global: [5248, 5120, 0, 0, 324, 4], ops: 0xccf6ff09f4b5ff32, out: 0x4a27b584ea408ec4 }),
+    (OneR1W, 32, 2, 3, [29952, 18048, 1500, 0, 0], Pin { global: [6242, 6144, 128, 0, 517, 3], ops: 0xbe6bf163e6682068, out: 0x178076619a8a4e0c }),
+    (OneR1W, 32, 3, 2, [29952, 18048, 1500, 0, 0], Pin { global: [6274, 6144, 96, 0, 486, 3], ops: 0xcb757cc962b6513f, out: 0xcb3e7de56ea20e06 }),
+    (OneR1W, 32, 4, 4, [79872, 48128, 4000, 0, 0], Pin { global: [16777, 16384, 384, 0, 1429, 6], ops: 0x479c52cec01584a6, out: 0x26a1a8d601b4991a }),
+    (Persistent, 1, 1, 1, [1, 1, 2, 0, 0], Pin { global: [1, 1, 0, 0, 2, 0], ops: 0x8e4ad64ca032efcb, out: 0xa87d743227db20ff }),
+    (Persistent, 1, 1, 5, [5, 5, 10, 0, 0], Pin { global: [9, 5, 0, 0, 14, 0], ops: 0xe7551676c587cce7, out: 0x06bf71880ecf8eb1 }),
+    (Persistent, 1, 5, 1, [5, 5, 10, 4, 4], Pin { global: [13, 9, 0, 0, 22, 0], ops: 0xeef13ed77e08ffc7, out: 0x4d07e66a613c6c03 }),
+    (Persistent, 1, 2, 3, [6, 6, 12, 3, 3], Pin { global: [18, 9, 0, 0, 27, 0], ops: 0x6fb6c6bc603b9349, out: 0x2a4a961c8192088f }),
+    (Persistent, 1, 3, 2, [6, 6, 12, 4, 4], Pin { global: [19, 10, 0, 0, 29, 0], ops: 0x498c056f389a7d79, out: 0x897e5335d149db39 }),
+    (Persistent, 1, 4, 4, [16, 16, 32, 12, 12], Pin { global: [61, 28, 0, 0, 89, 0], ops: 0x188b98bd511661b2, out: 0x64bd0d978e7e5297 }),
+    (Persistent, 2, 1, 1, [12, 8, 10, 0, 0], Pin { global: [4, 4, 0, 0, 4, 0], ops: 0xc7a2aba6f4d40477, out: 0xb4dc97bdca152325 }),
+    (Persistent, 2, 1, 5, [60, 40, 50, 0, 0], Pin { global: [20, 20, 8, 0, 28, 0], ops: 0xa3847afbb5b5c260, out: 0x124bfc0a8ca024b4 }),
+    (Persistent, 2, 5, 1, [60, 40, 50, 4, 4], Pin { global: [32, 24, 0, 0, 32, 0], ops: 0x97b0dd40403f0df8, out: 0x036cf6e9f69c23a2 }),
+    (Persistent, 2, 2, 3, [72, 48, 60, 3, 3], Pin { global: [35, 27, 8, 0, 43, 0], ops: 0x522ea3a4f96e74b5, out: 0x45890cb7e6970c55 }),
+    (Persistent, 2, 3, 2, [72, 48, 60, 4, 4], Pin { global: [38, 28, 6, 0, 44, 0], ops: 0x21af39a82179a29e, out: 0xa39db7808ec369c7 }),
+    (Persistent, 2, 4, 4, [192, 128, 160, 12, 12], Pin { global: [109, 76, 24, 0, 133, 0], ops: 0x21c6a63a09a0dd95, out: 0x2fdd5c68e2c6bbd7 }),
+    (Persistent, 3, 1, 1, [33, 21, 18, 0, 0], Pin { global: [9, 9, 0, 0, 6, 0], ops: 0x8cf1b75a04467e41, out: 0x029e4d7a77fa8106 }),
+    (Persistent, 3, 1, 5, [165, 105, 90, 0, 0], Pin { global: [45, 45, 12, 0, 42, 0], ops: 0x0f4e68b2c0c64cda, out: 0xad4f76635f03dba7 }),
+    (Persistent, 3, 5, 1, [165, 105, 90, 4, 4], Pin { global: [61, 49, 0, 0, 42, 0], ops: 0x82c0ca3428199c5d, out: 0xaf920110d8c1eb8b }),
+    (Persistent, 3, 2, 3, [198, 126, 108, 3, 3], Pin { global: [68, 57, 12, 0, 59, 0], ops: 0xca71d0fdc67da6b1, out: 0xffc79fc52a29f3d8 }),
+    (Persistent, 3, 3, 2, [198, 126, 108, 4, 4], Pin { global: [72, 58, 9, 0, 59, 0], ops: 0x09f82b47e651fd61, out: 0xd25aef30d7e7821d }),
+    (Persistent, 3, 4, 4, [528, 336, 288, 12, 12], Pin { global: [201, 156, 36, 0, 177, 0], ops: 0x00dbac80885dedf6, out: 0x4617ff8ccfbe00a4 }),
+    (Persistent, 4, 1, 1, [64, 40, 26, 0, 0], Pin { global: [16, 16, 0, 0, 8, 0], ops: 0xa018cb5484828288, out: 0x42f81b0d5b609dda }),
+    (Persistent, 4, 1, 5, [320, 200, 130, 0, 0], Pin { global: [80, 80, 16, 0, 56, 0], ops: 0xf510f065bfad1a4d, out: 0xf5caa23978710bab }),
+    (Persistent, 4, 5, 1, [320, 200, 130, 4, 4], Pin { global: [100, 84, 0, 0, 52, 0], ops: 0xd28ab185a8c0633e, out: 0x408b7f7b7e88a4a1 }),
+    (Persistent, 4, 2, 3, [384, 240, 156, 3, 3], Pin { global: [113, 99, 16, 0, 75, 0], ops: 0x8f9a77798cc5d5ff, out: 0x39d31423ea7d8b05 }),
+    (Persistent, 4, 3, 2, [384, 240, 156, 4, 4], Pin { global: [118, 100, 12, 0, 74, 0], ops: 0x834c014098cdb3bf, out: 0x06ee2f9f9bc0861b }),
+    (Persistent, 4, 4, 4, [1024, 640, 416, 12, 12], Pin { global: [325, 268, 48, 0, 221, 0], ops: 0x4ffcff27b749d73e, out: 0x08fea12eab832215 }),
+    (Persistent, 8, 1, 1, [288, 176, 58, 0, 0], Pin { global: [64, 64, 0, 0, 16, 0], ops: 0x650a1b708759fe17, out: 0x9f08ed814cd52595 }),
+    (Persistent, 8, 1, 5, [1440, 880, 290, 0, 0], Pin { global: [320, 320, 32, 0, 112, 0], ops: 0x29d56cbe84dec2da, out: 0x4b1461b039e0a8d0 }),
+    (Persistent, 8, 5, 1, [1440, 880, 290, 4, 4], Pin { global: [356, 324, 0, 0, 92, 0], ops: 0x6e62632533c071a8, out: 0x64913d26eb789311 }),
+    (Persistent, 8, 2, 3, [1728, 1056, 348, 3, 3], Pin { global: [413, 387, 32, 0, 139, 0], ops: 0x40b72756cd2827b7, out: 0x41b09290e051ffe4 }),
+    (Persistent, 8, 3, 2, [1728, 1056, 348, 4, 4], Pin { global: [422, 388, 24, 0, 134, 0], ops: 0x55c14719cc5b7250, out: 0x87abbd219035a29e }),
+    (Persistent, 8, 4, 4, [4608, 2816, 928, 12, 12], Pin { global: [1141, 1036, 96, 0, 397, 0], ops: 0x7c3b0cf87d4f7eb3, out: 0x29c50d976ca998b6 }),
+    (Persistent, 32, 1, 1, [4992, 3008, 250, 0, 0], Pin { global: [1024, 1024, 0, 0, 64, 0], ops: 0xc8154ce5b5dc29fa, out: 0xd9bd36dc782973de }),
+    (Persistent, 32, 1, 5, [24960, 15040, 1250, 0, 0], Pin { global: [5120, 5120, 128, 0, 448, 0], ops: 0x8388809a889445f1, out: 0x9536088575386519 }),
+    (Persistent, 32, 5, 1, [24960, 15040, 1250, 4, 4], Pin { global: [5252, 5124, 0, 0, 332, 0], ops: 0x07481de41d01f7ea, out: 0x4a27b584ea408ec4 }),
+    (Persistent, 32, 2, 3, [29952, 18048, 1500, 3, 3], Pin { global: [6245, 6147, 128, 0, 523, 0], ops: 0xaa044e6c54a5dfad, out: 0x178076619a8a4e0c }),
+    (Persistent, 32, 3, 2, [29952, 18048, 1500, 4, 4], Pin { global: [6278, 6148, 96, 0, 494, 0], ops: 0xf6c2fb1adeb04ef8, out: 0xcb3e7de56ea20e06 }),
+    (Persistent, 32, 4, 4, [79872, 48128, 4000, 12, 12], Pin { global: [16789, 16396, 384, 0, 1453, 0], ops: 0xcf20fcb8d3ed7efb, out: 0x26a1a8d601b4991a }),
+    (Mirror, 1, 1, 1, [1, 1, 2, 0, 0], Pin { global: [1, 2, 0, 0, 3, 0], ops: 0xeaa925879ec2acd8, out: 0xa87d743227db20ff }),
+    (Mirror, 1, 1, 5, [5, 5, 10, 0, 0], Pin { global: [9, 10, 0, 0, 19, 4], ops: 0x48f57701c2062d40, out: 0x06bf71880ecf8eb1 }),
+    (Mirror, 1, 5, 1, [5, 5, 10, 0, 0], Pin { global: [9, 10, 0, 0, 19, 4], ops: 0x48f57701c2062d40, out: 0x4d07e66a613c6c03 }),
+    (Mirror, 1, 2, 3, [6, 6, 12, 0, 0], Pin { global: [15, 12, 0, 0, 27, 3], ops: 0x98b9fdf8112c5a30, out: 0x2a4a961c8192088f }),
+    (Mirror, 1, 3, 2, [6, 6, 12, 0, 0], Pin { global: [15, 12, 0, 0, 27, 3], ops: 0x78639b3fe526ddbc, out: 0x897e5335d149db39 }),
+    (Mirror, 1, 4, 4, [16, 16, 32, 0, 0], Pin { global: [49, 32, 0, 0, 81, 6], ops: 0x14cf59c0285b3ad5, out: 0x64bd0d978e7e5297 }),
+    (Mirror, 2, 1, 1, [12, 8, 10, 0, 0], Pin { global: [4, 6, 0, 0, 5, 0], ops: 0xac624d724b3ce405, out: 0xb4dc97bdca152325 }),
+    (Mirror, 2, 1, 5, [60, 40, 50, 0, 0], Pin { global: [28, 30, 0, 0, 29, 4], ops: 0xe8c7bd64cf657915, out: 0x124bfc0a8ca024b4 }),
+    (Mirror, 2, 5, 1, [60, 40, 50, 0, 0], Pin { global: [28, 30, 0, 0, 29, 4], ops: 0xe8c7bd64cf657915, out: 0x036cf6e9f69c23a2 }),
+    (Mirror, 2, 2, 3, [72, 48, 60, 0, 0], Pin { global: [40, 36, 0, 0, 39, 3], ops: 0x80ac14851763d34c, out: 0x45890cb7e6970c55 }),
+    (Mirror, 2, 3, 2, [72, 48, 60, 0, 0], Pin { global: [40, 36, 0, 0, 39, 3], ops: 0xb1398de4ff769018, out: 0xa39db7808ec369c7 }),
+    (Mirror, 2, 4, 4, [192, 128, 160, 0, 0], Pin { global: [121, 96, 0, 0, 113, 6], ops: 0xfc6946d44be31f22, out: 0x2fdd5c68e2c6bbd7 }),
+    (Mirror, 3, 1, 1, [33, 21, 18, 0, 0], Pin { global: [9, 12, 0, 0, 7, 0], ops: 0x4fbf00df097c1229, out: 0x029e4d7a77fa8106 }),
+    (Mirror, 3, 1, 5, [165, 105, 90, 0, 0], Pin { global: [57, 60, 0, 0, 39, 4], ops: 0xf7e61615a5ccadf9, out: 0xad4f76635f03dba7 }),
+    (Mirror, 3, 5, 1, [165, 105, 90, 0, 0], Pin { global: [57, 60, 0, 0, 39, 4], ops: 0xf7e61615a5ccadf9, out: 0xaf920110d8c1eb8b }),
+    (Mirror, 3, 2, 3, [198, 126, 108, 0, 0], Pin { global: [77, 72, 0, 0, 51, 3], ops: 0x29580015c20dc14b, out: 0xffc79fc52a29f3d8 }),
+    (Mirror, 3, 3, 2, [198, 126, 108, 0, 0], Pin { global: [77, 72, 0, 0, 51, 3], ops: 0x3488b05a2ab35e2b, out: 0xd25aef30d7e7821d }),
+    (Mirror, 3, 4, 4, [528, 336, 288, 0, 0], Pin { global: [225, 192, 0, 0, 145, 6], ops: 0x114c581484a4685a, out: 0x4617ff8ccfbe00a4 }),
+    (Mirror, 4, 1, 1, [64, 40, 26, 0, 0], Pin { global: [16, 20, 0, 0, 9, 0], ops: 0xa5a77ad264475622, out: 0x42f81b0d5b609dda }),
+    (Mirror, 4, 1, 5, [320, 200, 130, 0, 0], Pin { global: [96, 100, 0, 0, 49, 4], ops: 0xc2612d5f6f13d222, out: 0xf5caa23978710bab }),
+    (Mirror, 4, 5, 1, [320, 200, 130, 0, 0], Pin { global: [96, 100, 0, 0, 49, 4], ops: 0xc2612d5f6f13d222, out: 0x408b7f7b7e88a4a1 }),
+    (Mirror, 4, 2, 3, [384, 240, 156, 0, 0], Pin { global: [126, 120, 0, 0, 63, 3], ops: 0xf2c14960d30e3d71, out: 0x39d31423ea7d8b05 }),
+    (Mirror, 4, 3, 2, [384, 240, 156, 0, 0], Pin { global: [126, 120, 0, 0, 63, 3], ops: 0x3888902c45e8962a, out: 0x06ee2f9f9bc0861b }),
+    (Mirror, 4, 4, 4, [1024, 640, 416, 0, 0], Pin { global: [361, 320, 0, 0, 177, 6], ops: 0x0065bbcc8e2a91a0, out: 0x08fea12eab832215 }),
+    (Mirror, 8, 1, 1, [288, 176, 58, 0, 0], Pin { global: [64, 72, 0, 0, 17, 0], ops: 0xf0a9f713209bbed3, out: 0x9f08ed814cd52595 }),
+    (Mirror, 8, 1, 5, [1440, 880, 290, 0, 0], Pin { global: [352, 360, 0, 0, 89, 4], ops: 0xef67196f9a76d43b, out: 0x4b1461b039e0a8d0 }),
+    (Mirror, 8, 5, 1, [1440, 880, 290, 0, 0], Pin { global: [352, 360, 0, 0, 89, 4], ops: 0xef67196f9a76d43b, out: 0x64913d26eb789311 }),
+    (Mirror, 8, 2, 3, [1728, 1056, 348, 0, 0], Pin { global: [442, 432, 0, 0, 111, 3], ops: 0xe89537bf2d7a8932, out: 0x41b09290e051ffe4 }),
+    (Mirror, 8, 3, 2, [1728, 1056, 348, 0, 0], Pin { global: [442, 432, 0, 0, 111, 3], ops: 0xaa5640c9b91b57bc, out: 0x87abbd219035a29e }),
+    (Mirror, 8, 4, 4, [4608, 2816, 928, 0, 0], Pin { global: [1225, 1152, 0, 0, 305, 6], ops: 0x941158e9bdb5eedb, out: 0x29c50d976ca998b6 }),
+    (Mirror, 32, 1, 1, [4992, 3008, 250, 0, 0], Pin { global: [1024, 1056, 0, 0, 65, 0], ops: 0x0d52e43c5cac994b, out: 0xd9bd36dc782973de }),
+    (Mirror, 32, 1, 5, [24960, 15040, 1250, 0, 0], Pin { global: [5248, 5280, 0, 0, 329, 4], ops: 0xab94b0694d1dcb83, out: 0x9536088575386519 }),
+    (Mirror, 32, 5, 1, [24960, 15040, 1250, 0, 0], Pin { global: [5248, 5280, 0, 0, 329, 4], ops: 0xab94b0694d1dcb83, out: 0x4a27b584ea408ec4 }),
+    (Mirror, 32, 2, 3, [29952, 18048, 1500, 0, 0], Pin { global: [6370, 6336, 0, 0, 399, 3], ops: 0x3f9fb0be917db161, out: 0x178076619a8a4e0c }),
+    (Mirror, 32, 3, 2, [29952, 18048, 1500, 0, 0], Pin { global: [6370, 6336, 0, 0, 399, 3], ops: 0xd20183ad69bcd2f0, out: 0xcb3e7de56ea20e06 }),
+    (Mirror, 32, 4, 4, [79872, 48128, 4000, 0, 0], Pin { global: [17161, 16896, 0, 0, 1073, 6], ops: 0x8a9843b3bc4584a3, out: 0x26a1a8d601b4991a }),
+    (Batch3, 1, 1, 1, [3, 3, 6, 0, 0], Pin { global: [3, 3, 0, 0, 6, 0], ops: 0x5a0e65529ae3b400, out: 0x9b0a6a056d8aea7f }),
+    (Batch3, 1, 1, 5, [15, 15, 30, 0, 0], Pin { global: [27, 15, 0, 0, 42, 4], ops: 0xff42b2dbdcc265a8, out: 0xc21887653de132b1 }),
+    (Batch3, 1, 5, 1, [15, 15, 30, 0, 0], Pin { global: [27, 15, 0, 0, 42, 4], ops: 0xff42b2dbdcc265a8, out: 0xeb66bc5b7d7d4082 }),
+    (Batch3, 1, 2, 3, [18, 18, 36, 0, 0], Pin { global: [45, 18, 0, 0, 63, 3], ops: 0x5fdfad3e52414d1a, out: 0xe945c081a9860575 }),
+    (Batch3, 1, 3, 2, [18, 18, 36, 0, 0], Pin { global: [45, 18, 0, 0, 63, 3], ops: 0x8d788e6f6c09e48f, out: 0x3e4d0773325f2f50 }),
+    (Batch3, 1, 4, 4, [48, 48, 96, 0, 0], Pin { global: [147, 48, 0, 0, 195, 6], ops: 0x8bd274cd16c5e78d, out: 0x2832cad918213329 }),
+    (Batch3, 2, 1, 1, [36, 24, 30, 0, 0], Pin { global: [12, 12, 0, 0, 12, 0], ops: 0x6fc99e512542424a, out: 0x8fa4373f852ec56d }),
+    (Batch3, 2, 1, 5, [180, 120, 150, 0, 0], Pin { global: [60, 60, 24, 0, 84, 4], ops: 0x9ccdc371085ad4ba, out: 0xea12fdb2ef46a1c0 }),
+    (Batch3, 2, 5, 1, [180, 120, 150, 0, 0], Pin { global: [84, 60, 0, 0, 72, 4], ops: 0x354984c6830a20a2, out: 0xcfa7d860327483ec }),
+    (Batch3, 2, 2, 3, [216, 144, 180, 0, 0], Pin { global: [96, 72, 24, 0, 111, 3], ops: 0xfa6b05208f5a51a2, out: 0xd3f5a0f7597189dd }),
+    (Batch3, 2, 3, 2, [216, 144, 180, 0, 0], Pin { global: [102, 72, 18, 0, 108, 3], ops: 0x35ca03d2c2c37dc2, out: 0x3402e23e5b4ecfc2 }),
+    (Batch3, 2, 4, 4, [576, 384, 480, 0, 0], Pin { global: [291, 192, 72, 0, 327, 6], ops: 0xfef6adaeb7cfc6a9, out: 0xda32bdc41944bdb2 }),
+    (Batch3, 3, 1, 1, [99, 63, 54, 0, 0], Pin { global: [27, 27, 0, 0, 18, 0], ops: 0xd09854582a06bf0a, out: 0x711a2fc43727bf87 }),
+    (Batch3, 3, 1, 5, [495, 315, 270, 0, 0], Pin { global: [135, 135, 36, 0, 126, 4], ops: 0xb492ccf1c36025da, out: 0x5bdb06295a42e4f3 }),
+    (Batch3, 3, 5, 1, [495, 315, 270, 0, 0], Pin { global: [171, 135, 0, 0, 102, 4], ops: 0xa5b5fbcd7f91c422, out: 0x743025b7ad4267fd }),
+    (Batch3, 3, 2, 3, [594, 378, 324, 0, 0], Pin { global: [195, 162, 36, 0, 159, 3], ops: 0x632a68540f03fa33, out: 0x78e65dc9c46876f2 }),
+    (Batch3, 3, 3, 2, [594, 378, 324, 0, 0], Pin { global: [204, 162, 27, 0, 153, 3], ops: 0xcfe9a677a8d6e9ef, out: 0xc4ddedc44cc08e9a }),
+    (Batch3, 3, 4, 4, [1584, 1008, 864, 0, 0], Pin { global: [567, 432, 108, 0, 459, 6], ops: 0xf339df8a3529e47d, out: 0x110ad2b657b8124a }),
+    (Batch3, 4, 1, 1, [192, 120, 78, 0, 0], Pin { global: [48, 48, 0, 0, 24, 0], ops: 0x0b93a279cd4f9bf3, out: 0xb4cc16b400f8c7ec }),
+    (Batch3, 4, 1, 5, [960, 600, 390, 0, 0], Pin { global: [240, 240, 48, 0, 168, 4], ops: 0xef0d2cc3ab3e9243, out: 0x3f9253d24fe859ee }),
+    (Batch3, 4, 5, 1, [960, 600, 390, 0, 0], Pin { global: [288, 240, 0, 0, 132, 4], ops: 0x88c1d9318662b8f3, out: 0xd8113795919ec0e0 }),
+    (Batch3, 4, 2, 3, [1152, 720, 468, 0, 0], Pin { global: [330, 288, 48, 0, 207, 3], ops: 0x41bbf38cd8fb3437, out: 0x95d0565a5e740419 }),
+    (Batch3, 4, 3, 2, [1152, 720, 468, 0, 0], Pin { global: [342, 288, 36, 0, 198, 3], ops: 0x10f61588276d7adf, out: 0x95f2e4f1e758353a }),
+    (Batch3, 4, 4, 4, [3072, 1920, 1248, 0, 0], Pin { global: [939, 768, 144, 0, 591, 6], ops: 0xc4a787f619eab296, out: 0xb7c5b2d64115da85 }),
+    (Batch3, 8, 1, 1, [864, 528, 174, 0, 0], Pin { global: [192, 192, 0, 0, 48, 0], ops: 0xe7c19fb283875acb, out: 0xd4f9e7927d625f79 }),
+    (Batch3, 8, 1, 5, [4320, 2640, 870, 0, 0], Pin { global: [960, 960, 96, 0, 336, 4], ops: 0xa705f378faf46edb, out: 0x1e6da2b97dd0dd1c }),
+    (Batch3, 8, 5, 1, [4320, 2640, 870, 0, 0], Pin { global: [1056, 960, 0, 0, 252, 4], ops: 0x4cbb5f4f78db5003, out: 0xc3c09e251b48093e }),
+    (Batch3, 8, 2, 3, [5184, 3168, 1044, 0, 0], Pin { global: [1230, 1152, 96, 0, 399, 3], ops: 0xe031ba2d7068719f, out: 0xe04b66d05a1df872 }),
+    (Batch3, 8, 3, 2, [5184, 3168, 1044, 0, 0], Pin { global: [1254, 1152, 72, 0, 378, 3], ops: 0xaadb431b5c946076, out: 0x81fc60f75e41bb7f }),
+    (Batch3, 8, 4, 4, [13824, 8448, 2784, 0, 0], Pin { global: [3387, 3072, 288, 0, 1119, 6], ops: 0x0751cfd0502c196f, out: 0xb78874f5cb1921fe }),
+    (Batch3, 32, 1, 1, [14976, 9024, 750, 0, 0], Pin { global: [3072, 3072, 0, 0, 192, 0], ops: 0x2458a23a4ecfedfc, out: 0x0819fe2e58a2a799 }),
+    (Batch3, 32, 1, 5, [74880, 45120, 3750, 0, 0], Pin { global: [15360, 15360, 384, 0, 1344, 4], ops: 0xa3a941655dcff0d4, out: 0x5977d9eb843ae5da }),
+    (Batch3, 32, 5, 1, [74880, 45120, 3750, 0, 0], Pin { global: [15744, 15360, 0, 0, 972, 4], ops: 0x037d442d72341f84, out: 0x98bc37882a058190 }),
+    (Batch3, 32, 2, 3, [89856, 54144, 4500, 0, 0], Pin { global: [18726, 18432, 384, 0, 1551, 3], ops: 0xe04523bfd84ba3f3, out: 0xf3c6b3b0e97cfef5 }),
+    (Batch3, 32, 3, 2, [89856, 54144, 4500, 0, 0], Pin { global: [18822, 18432, 288, 0, 1458, 3], ops: 0x79c8022a2de95e2c, out: 0xc4120f143dda166b }),
+    (Batch3, 32, 4, 4, [239616, 144384, 12000, 0, 0], Pin { global: [50331, 49152, 1152, 0, 4287, 6], ops: 0x017cfb1c6902857e, out: 0x9ea7957fe54aee4a }),
+];
+
+/// Every pinned row, 4R1W's first. The array is the shared counters then
+/// the handoff counters, zero but in the 1R1W family's persistent rows.
+fn rows() -> impl Iterator<Item = (Driver, usize, usize, usize, [u64; 5], &'static Pin)> {
+    let other = |(d, w, br, bc, [r, wr, st], pin): &'static (_, _, _, _, [u64; 3], Pin)| {
+        (*d, *w, *br, *bc, [*r, *wr, *st, 0, 0], pin)
+    };
     GOLDEN
         .iter()
-        .map(|(w, br, bc, pin)| (FourR1W, *w, *br, *bc, [0; 3], pin))
+        .map(|(w, br, bc, pin)| (FourR1W, *w, *br, *bc, [0; 5], pin))
+        .chain(GOLDEN_DRIVERS.iter().map(other))
         .chain(
-            GOLDEN_DRIVERS
+            GOLDEN_ONE_R1W
                 .iter()
-                .map(|(d, w, br, bc, shared, pin)| (*d, *w, *br, *bc, *shared, pin)),
+                .map(|(d, w, br, bc, counts, pin)| (*d, *w, *br, *bc, *counts, pin)),
         )
 }
 
@@ -338,8 +510,26 @@ fn op_digest(trace: &RunTrace) -> u64 {
     }))
 }
 
-/// `driver` on `a` on `dev`; `checked` attaches the per-word race detector
-/// to every buffer.
+/// The images `driver` computes for the input `a`: `a` itself, or for
+/// [`Batch3`] `a` and two copies of it with the rows rotated by one and two.
+fn images<T: SatElement>(driver: Driver, a: &Matrix<T>) -> Vec<Matrix<T>> {
+    let count = if driver == Batch3 { 3 } else { 1 };
+    let rows = a.rows();
+    (0..count)
+        .map(|k| Matrix::from_fn(rows, a.cols(), |i, j| a.get((i + k) % rows, j)))
+        .collect()
+}
+
+/// The SATs of [`images`], concatenated.
+fn reference<T: SatElement>(driver: Driver, a: &Matrix<T>) -> Vec<T> {
+    let sats = images(driver, a)
+        .into_iter()
+        .map(|m| sat_reference(&m).into_vec());
+    sats.flatten().collect()
+}
+
+/// `driver` on `a` on `dev`, its outputs concatenated; `checked` attaches
+/// the per-word race detector to every buffer.
 fn run<T: SatElement>(driver: Driver, dev: &Device, a: &Matrix<T>, checked: bool) -> Vec<T> {
     let (rows, cols) = (a.rows(), a.cols());
     let buffer = |data: Vec<T>| {
@@ -349,35 +539,47 @@ fn run<T: SatElement>(driver: Driver, dev: &Device, a: &Matrix<T>, checked: bool
             GlobalBuffer::from_vec(data)
         }
     };
-    let buf = buffer(a.as_slice().to_vec());
-    let out = buffer(vec![T::ZERO; rows * cols]);
+    let ins: Vec<_> = images(driver, a)
+        .iter()
+        .map(|m| buffer(m.as_slice().to_vec()))
+        .collect();
+    let outs: Vec<_> = ins
+        .iter()
+        .map(|_| buffer(vec![T::ZERO; rows * cols]))
+        .collect();
+    let (buf, out) = (&ins[0], &outs[0]);
     match driver {
-        FourR1W => sat_4r1w(dev, &buf, rows, cols),
-        TwoR2W => sat_2r2w(dev, &buf, rows, cols),
-        TwoR1W => {
-            sat_2r1w(dev, &buf, &out, rows, cols);
-            return out.into_vec();
-        }
-        Hybrid(r) => {
-            sat_hybrid(dev, &buf, &out, rows, cols, r);
-            return out.into_vec();
-        }
+        FourR1W => sat_4r1w(dev, buf, rows, cols),
+        TwoR2W => sat_2r2w(dev, buf, rows, cols),
+        TwoR1W => sat_2r1w(dev, buf, out, rows, cols),
+        Hybrid(r) => sat_hybrid(dev, buf, out, rows, cols, r),
+        OneR1W => sat_1r1w(dev, buf, out, rows, cols),
+        Persistent => sat_1r1w_persistent(dev, buf, out, rows, cols),
+        Mirror => sat_1r1w_mirror(dev, buf, out, rows, cols),
+        Batch3 => sat_1r1w_batch(
+            dev,
+            &ins.iter().collect::<Vec<_>>(),
+            &outs.iter().collect::<Vec<_>>(),
+            rows,
+            cols,
+        ),
     }
-    buf.into_vec()
+    let result = match driver {
+        FourR1W | TwoR2W => ins,
+        _ => outs,
+    };
+    result
+        .into_iter()
+        .flat_map(GlobalBuffer::into_vec)
+        .collect()
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The global and shared counters of `s`, after checking the handoff
-/// counters are zero.
-fn counters(s: CostCounters) -> ([u64; 6], [u64; 3]) {
-    assert_eq!(
-        (s.handoff_publishes, s.handoff_acquires),
-        (0, 0),
-        "no pinned driver hands off"
-    );
+/// The global counters of `s`, then its shared and handoff counters.
+fn counters(s: CostCounters) -> ([u64; 6], [u64; 5]) {
     let global = [
         s.coalesced_reads,
         s.coalesced_writes,
@@ -386,14 +588,26 @@ fn counters(s: CostCounters) -> ([u64; 6], [u64; 3]) {
         s.global_stages,
         s.barrier_steps,
     ];
-    (global, [s.shared_reads, s.shared_writes, s.shared_stages])
+    let rest = [
+        s.shared_reads,
+        s.shared_writes,
+        s.shared_stages,
+        s.handoff_publishes,
+        s.handoff_acquires,
+    ];
+    (global, rest)
 }
 
-fn measure(driver: Driver, w: usize, br: usize, bc: usize) -> ([u64; 3], Pin) {
+fn measure(driver: Driver, w: usize, br: usize, bc: usize) -> ([u64; 5], Pin) {
     let dev = device(w, true);
     let out = run(driver, &dev, &fractional(br * w, bc * w), false);
     let (global, shared) = counters(dev.stats());
-    assert_eq!(dev.launches(), global[5] + 1, "launches = barriers + 1");
+    let launches = if driver == Persistent {
+        1
+    } else {
+        global[5] + 1
+    };
+    assert_eq!(dev.launches(), launches, "launches = barriers + 1");
     let pin = Pin {
         global,
         ops: op_digest(&dev.take_trace()),
@@ -423,6 +637,19 @@ fn golden_tables_cover_the_full_grid() {
         })
         .collect();
     assert_eq!(cells, want);
+    let cells: Vec<_> = GOLDEN_ONE_R1W
+        .iter()
+        .map(|(d, w, br, bc, _, _)| (*d, *w, *br, *bc))
+        .collect();
+    let want: Vec<_> = ONE_R1W
+        .iter()
+        .flat_map(|&d| {
+            WIDTHS
+                .iter()
+                .flat_map(move |&w| BLOCKS.iter().map(move |&(br, bc)| (d, w, br, bc)))
+        })
+        .collect();
+    assert_eq!(cells, want);
 }
 
 #[test]
@@ -445,10 +672,10 @@ fn output_equals_reference_for_f64_and_i64() {
         let dev = device(w, false);
         assert_eq!(
             run(d, &dev, &a, false),
-            sat_reference(&a).into_vec(),
+            reference(d, &a),
             "i64 {d:?} w={w} {br}x{bc}"
         );
-        let want = bits(sat_reference(&af).as_slice());
+        let want = bits(&reference(d, &af));
         assert_eq!(
             bits(&run(d, &dev, &af, false)),
             want,
@@ -473,7 +700,7 @@ fn race_checked_shuffled_two_workers_match_reference_and_counters() {
         let dv = dev();
         assert_eq!(
             run(d, &dv, &a, true),
-            sat_reference(&a).into_vec(),
+            reference(d, &a),
             "i64 {d:?} w={w} {br}x{bc}"
         );
         assert_eq!(
@@ -482,7 +709,7 @@ fn race_checked_shuffled_two_workers_match_reference_and_counters() {
             "i64 {d:?} w={w} {br}x{bc}"
         );
         let dv = dev();
-        let want = bits(sat_reference(&af).as_slice());
+        let want = bits(&reference(d, &af));
         assert_eq!(
             bits(&run(d, &dv, &af, true)),
             want,

@@ -136,9 +136,8 @@ impl<T: Copy> GlobalBuffer<T> {
 ///
 /// All accessors are warp-shaped and report to the block's [`TxnRecorder`].
 /// Each decides once per warp whether the race table or an armed corruption
-/// applies; a contiguous warp then moves as one bounds-checked slice copy
-/// (two, into or out of a rotated shared-tile row), so without a race table
-/// the copy is the only per-word work.
+/// applies; a contiguous warp then moves as one bounds-checked slice copy,
+/// so without a race table the copy is the only per-word work.
 #[derive(Clone, Copy)]
 pub struct GlobalView<'a, T> {
     cells: &'a [UnsafeCell<T>],
@@ -213,91 +212,43 @@ impl<'a, T: Copy> GlobalView<'a, T> {
     }
 
     /// Warp read of `[base, base + out.len())` into `out` (coalesced when
-    /// the range is group-aligned).
+    /// the range is group-aligned), copied in one piece.
     pub fn read_contig(&self, base: usize, out: &mut [T], rec: &mut TxnRecorder) {
-        self.read_contig_split(base, out, &mut [], rec);
-    }
-
-    /// Warp write of `vals` to `[base, base + vals.len())`.
-    pub fn write_contig(&self, base: usize, vals: &[T], rec: &mut TxnRecorder) {
-        self.write_contig_split(base, vals, &[], rec);
-    }
-
-    /// [`Self::read_contig`] of `head.len() + tail.len()` words, recorded
-    /// as one access, copied in two pieces: the first `head.len()` words
-    /// into `head`, the rest into `tail` (the two halves of a rotated
-    /// shared-tile row).
-    pub(crate) fn read_contig_split(
-        &self,
-        base: usize,
-        head: &mut [T],
-        tail: &mut [T],
-        rec: &mut TxnRecorder,
-    ) {
-        let len = head.len() + tail.len();
+        let len = out.len();
         rec.record_contig(AccessKind::Read, self.buf, base, len);
         let cells = &self.cells[base..base + len];
         self.check_race(AccessKind::Read, base, 1, len);
-        let (first, rest) = cells.split_at(head.len());
-        // SAFETY: `first` holds `head.len()` words and `rest` holds
-        // `tail.len()`; `head` and `tail` are unique borrows, so they cannot
-        // overlap the buffer. Launch contract: no other block writes these
-        // words in this launch (dynamically verified when the race table is
-        // present). `UnsafeCell<T>` has the layout of `T`.
+        // SAFETY: `cells` holds `len` words; `out` is a unique borrow, so it
+        // cannot overlap the buffer. Launch contract: no other block writes
+        // these words in this launch (dynamically verified when the race
+        // table is present). `UnsafeCell<T>` has the layout of `T`.
         unsafe {
             std::ptr::copy_nonoverlapping(
-                UnsafeCell::raw_get(first.as_ptr()),
-                head.as_mut_ptr(),
-                head.len(),
-            );
-            std::ptr::copy_nonoverlapping(
-                UnsafeCell::raw_get(rest.as_ptr()),
-                tail.as_mut_ptr(),
-                tail.len(),
+                UnsafeCell::raw_get(cells.as_ptr()),
+                out.as_mut_ptr(),
+                len,
             );
         }
     }
 
-    /// [`Self::write_contig`] of `head` followed by `tail`, recorded as one
-    /// access of `head.len() + tail.len()` words: an armed corruption picks
-    /// its lane across both pieces.
-    pub(crate) fn write_contig_split(
-        &self,
-        base: usize,
-        head: &[T],
-        tail: &[T],
-        rec: &mut TxnRecorder,
-    ) {
-        let len = head.len() + tail.len();
+    /// Warp write of `vals` to `[base, base + vals.len())`, copied in one
+    /// piece; an armed corruption picks one of its lanes.
+    pub fn write_contig(&self, base: usize, vals: &[T], rec: &mut TxnRecorder) {
+        let len = vals.len();
         rec.record_contig(AccessKind::Write, self.buf, base, len);
         let victim = rec.corrupt_lane(len);
         let cells = &self.cells[base..base + len];
         self.check_race(AccessKind::Write, base, 1, len);
-        let (first, rest) = cells.split_at(head.len());
-        // SAFETY: `first` holds `head.len()` words and `rest` holds
-        // `tail.len()`; `head` and `tail` cannot borrow the buffer's cells,
-        // which are reachable only through views or `&mut GlobalBuffer`.
-        // Launch contract: this block exclusively writes these words.
-        // `UnsafeCell<T>` has the layout of `T`.
+        // SAFETY: `cells` holds `len` words; `vals` cannot borrow the
+        // buffer's cells, which are reachable only through views or
+        // `&mut GlobalBuffer`. Launch contract: this block exclusively
+        // writes these words. `UnsafeCell<T>` has the layout of `T`.
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                head.as_ptr(),
-                UnsafeCell::raw_get(first.as_ptr()),
-                head.len(),
-            );
-            std::ptr::copy_nonoverlapping(
-                tail.as_ptr(),
-                UnsafeCell::raw_get(rest.as_ptr()),
-                tail.len(),
-            );
+            std::ptr::copy_nonoverlapping(vals.as_ptr(), UnsafeCell::raw_get(cells.as_ptr()), len);
         }
         if let Some(k) = victim {
-            let v = match k.checked_sub(head.len()) {
-                Some(t) => tail[t],
-                None => head[k],
-            };
             // SAFETY: as above; lane `k` is one of the words just written.
-            unsafe { *cells[k].get() = corrupt_value(v) }
+            unsafe { *cells[k].get() = corrupt_value(vals[k]) }
         }
     }
 

@@ -1,5 +1,6 @@
 //! The virtual GPU device: launch machinery, block contexts and statistics.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -247,8 +248,10 @@ pub struct Device {
     obs: Obs,
     counters: Option<DeviceCounters>,
     pool: Pool,
-    /// Serializes launches: the worker pool supports one job at a time.
-    launch_gate: Mutex<()>,
+    /// Serializes launches (the worker pool supports one job at a time) and
+    /// holds the conformance cells of unlabeled launches, one label per
+    /// (persistent, grid bucket) built by the first such launch.
+    launch_gate: Mutex<BTreeMap<(bool, usize), String>>,
     /// One counter slot per pool thread (launcher first), reused by every
     /// launch: a block adds its recorder to its thread's slot, and the
     /// launch sums and clears the slots once.
@@ -316,7 +319,7 @@ impl Device {
             obs: opts.observer,
             counters,
             pool: Pool::new(workers),
-            launch_gate: Mutex::new(()),
+            launch_gate: Mutex::new(BTreeMap::new()),
             slots: (0..=workers).map(|_| Mutex::default()).collect(),
             stats: Mutex::new(CostCounters::new()),
             trace: Mutex::new(RunTrace::default()),
@@ -422,7 +425,7 @@ impl Device {
         // stats reset; the never-reset `launch` keys fault decisions, fault
         // events and the cumulative barrier counter. The clock is read only
         // for the sinks that take wall time (duration histogram, conformance).
-        let _stream = self.launch_gate.lock();
+        let mut fallback_cells = self.launch_gate.lock();
         let started = (self.counters.is_some() || self.conformance.is_some()).then(Instant::now);
         let seq = self.launches.fetch_add(1, Ordering::Relaxed);
         let launch = self.launches_total.fetch_add(1, Ordering::Relaxed);
@@ -585,8 +588,12 @@ impl Device {
             // Unlabeled launches still get a stable mode/grid bucket.
             let mode = if persistent { "persistent" } else { "launch" };
             let bucket = grid.max(1).next_power_of_two();
-            let cell = lc.as_ref().and_then(|c| c.cell.clone());
-            let cell = cell.unwrap_or_else(|| format!("{mode}/g{bucket}"));
+            let cell = match lc.as_ref().and_then(|c| c.cell.as_deref()) {
+                Some(cell) => cell,
+                None => fallback_cells
+                    .entry((persistent, bucket))
+                    .or_insert_with(|| format!("{mode}/g{bucket}")),
+            };
             conf.ingest(LaunchSample {
                 cell,
                 coalesced_ops: delta.coalesced_ops(),
@@ -1046,7 +1053,7 @@ mod tests {
         let base_tau = tracker.cells()[0].baseline_tau.max(1e-9);
         for _ in 0..3 {
             tracker.ingest(obs::LaunchSample {
-                cell: cell.to_string(),
+                cell,
                 coalesced_ops: 40_000,
                 stride_ops: 0,
                 global_stages: 10_000,

@@ -69,5 +69,5 @@ pub use fault::{FaultEvent, FaultPlan, LossWindow};
 pub use handoff::HandoffFlags;
 pub use recorder::TxnRecorder;
 pub use replay::{replay_schedules, ReplayReport, ScheduleRun};
-pub use shared::{SharedTile, TileLayout};
+pub use shared::{RowPass, SharedTile, TileLayout};
 pub use trace::{AddrPattern, BlockTrace, LaunchTrace, RunTrace, TraceOp};

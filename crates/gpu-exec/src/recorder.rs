@@ -269,6 +269,28 @@ impl TxnRecorder {
         });
     }
 
+    /// Whether this recorder logs each transaction (a trace, with or
+    /// without its address channel). One that does not keeps only the
+    /// counters, so the order of a run of warps is invisible to it and
+    /// [`Self::count_shared`] may add the run in one update.
+    #[inline]
+    pub(crate) fn logs(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Count a run of shared-memory warps in closed form: `reads` and
+    /// `writes` lanes over `stages` DMM stages in all, one update per
+    /// counter. Only for a recorder that does not [log](Self::logs).
+    #[inline]
+    pub(crate) fn count_shared(&mut self, reads: u64, writes: u64, stages: u64) {
+        debug_assert!(!self.logs(), "a logging recorder records every warp");
+        if self.enabled {
+            self.counters.shared_reads += reads;
+            self.counters.shared_writes += writes;
+            self.counters.shared_stages += stages;
+        }
+    }
+
     /// Record a shared-memory warp access with a precomputed stage count
     /// (layouts know their bank-conflict degree analytically) and no tile
     /// provenance.

@@ -5,32 +5,34 @@
 //! allocation and dropped when the block finishes — they cannot outlive a
 //! launch, which *is* the asynchronous HMM's reset-at-barrier semantics.
 //!
-//! A tile carries its bank [`TileLayout`]:
+//! A tile carries its bank [`TileLayout`], which sets what its warps cost:
 //!
-//! * [`TileLayout::RowMajor`] — element `(i, j)` at offset `i·w + j`; a
-//!   column access is a `w`-way bank conflict (`w` DMM pipeline stages);
-//! * [`TileLayout::Diagonal`] — element `(i, j)` at offset
-//!   `i·w + (i + j) mod w`; both row and column access are conflict-free
-//!   (Lemma 1 / Figure 6 of the paper).
+//! * [`TileLayout::RowMajor`] — element `(i, j)` in bank `j`; a column
+//!   access is a `w`-way bank conflict (`w` DMM pipeline stages);
+//! * [`TileLayout::Diagonal`] — element `(i, j)` in bank `(i + j) mod w`
+//!   ([`hmm_model::DiagonalLayout`]); both row and column access are
+//!   conflict-free (Lemma 1 / Figure 6 of the paper).
 //!
-//! The warp-shaped accessors ([`SharedTile::read_row`],
-//! [`SharedTile::write_row`], [`SharedTile::read_col`],
-//! [`SharedTile::write_col`]) report their DMM stage counts to the block's
-//! [`TxnRecorder`], so executions expose shared-memory bank conflicts the
-//! same way they expose global-memory coalescing. They move a warp's words
-//! without computing any address per word: a diagonal row is the physical
-//! row rotated by `i`, copied as two slices, and a column walks the physical
-//! rows with a bank offset stepped by one (mod `w`). The scalar
-//! [`SharedTile::get`] and [`SharedTile::set`] keep the definitional offset
-//! ([`DiagonalLayout::addr`]), which the tests hold the accessors to.
+//! The layout is a recorded cost, not a host word order: the tile keeps
+//! its words in logical row-major order under either layout, so a row is
+//! one slice and a column one stride of `w`. The warp-shaped accessors
+//! ([`SharedTile::read_row`], [`SharedTile::write_row`],
+//! [`SharedTile::read_col`], [`SharedTile::write_col`]) report the layout's
+//! DMM stage counts to the block's [`TxnRecorder`], so executions expose
+//! shared-memory bank conflicts the same way they expose global-memory
+//! coalescing.
 //!
 //! The tile-level primitives do a whole step of a block at once and move
 //! each word once: [`SharedTile::load`] and [`SharedTile::store`] copy a
-//! `w × w` block between a [`GlobalView`] and the tile's rotated half-rows,
-//! and [`SharedTile::scan`] computes the tile SAT in place. Each records
-//! exactly the warps of the accessor loop it replaces, in the same order.
+//! `w × w` block between a [`GlobalView`] and the tile, one copy per row,
+//! and [`SharedTile::scan`] computes the tile SAT in place.
+//! [`SharedTile::load_scan`] fuses the load with the scan and leaves each
+//! row's last pass to the store ([`RowPass::store_with`]). Each records
+//! exactly the warps of the accessor loop it replaces, in the same order,
+//! when the recorder keeps a trace; a recorder that only counts adds a
+//! step's shared warps in one update per counter.
 
-use hmm_model::{AccessKind, DiagonalLayout};
+use hmm_model::AccessKind;
 
 use crate::buffer::GlobalView;
 use crate::recorder::TxnRecorder;
@@ -45,32 +47,10 @@ pub enum TileLayout {
     Diagonal,
 }
 
-impl TileLayout {
-    /// Logical row `i` starts `rotation(i)` words into physical row `i`:
-    /// the diagonal arrangement rotates row `i` by `i`, row-major by 0.
-    fn rotation(self, i: usize) -> usize {
-        match self {
-            TileLayout::RowMajor => 0,
-            TileLayout::Diagonal => i,
-        }
-    }
-
-    /// Physical offset of a logical column in the next physical row of a
-    /// `w`-wide tile, given its offset `k` in this one: `k + 1 mod w` on
-    /// the diagonal, `k` row-major. A column walk needs no division.
-    #[inline]
-    fn next_bank(self, k: usize, w: usize) -> usize {
-        match self {
-            TileLayout::RowMajor => k,
-            TileLayout::Diagonal if k + 1 == w => 0,
-            TileLayout::Diagonal => k + 1,
-        }
-    }
-}
-
 /// A `w × w` shared-memory tile owned by one block.
 #[derive(Debug)]
 pub struct SharedTile<T> {
+    /// The words in logical row-major order, whatever the layout.
     data: Vec<T>,
     w: usize,
     layout: TileLayout,
@@ -104,31 +84,24 @@ impl<T: Copy + Default> SharedTile<T> {
         self.id
     }
 
-    #[inline]
-    fn offset(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < self.w && j < self.w, "tile element out of range");
-        match self.layout {
-            TileLayout::RowMajor => i * self.w + j,
-            TileLayout::Diagonal => DiagonalLayout::new(self.w).addr(i, j),
-        }
-    }
-
     /// Register-style scalar read (not a warp access; unrecorded).
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> T {
-        self.data[self.offset(i, j)]
+        debug_assert!(i < self.w && j < self.w, "tile element out of range");
+        self.data[i * self.w + j]
     }
 
     /// Register-style scalar write (not a warp access; unrecorded).
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, v: T) {
-        let o = self.offset(i, j);
-        self.data[o] = v;
+        debug_assert!(i < self.w && j < self.w, "tile element out of range");
+        self.data[i * self.w + j] = v;
     }
 
-    /// DMM pipeline stages of one full-warp row access under this layout.
+    /// DMM pipeline stages of one full-warp row access: rows touch all `w`
+    /// banks exactly once in both layouts.
     fn row_stages(&self) -> u64 {
-        1 // rows touch all w banks exactly once in both layouts
+        1
     }
 
     /// DMM pipeline stages of one full-warp column access under this layout.
@@ -139,12 +112,48 @@ impl<T: Copy + Default> SharedTile<T> {
         }
     }
 
+    /// Record one full-warp access of logical row `index`.
+    #[inline]
+    fn record_row(&self, kind: AccessKind, index: usize, rec: &mut TxnRecorder) {
+        let tile = self.id;
+        rec.record_shared_at(kind, self.w as u64, self.row_stages(), || {
+            AddrPattern::TileRow {
+                tile,
+                index: index as u32,
+            }
+        });
+    }
+
+    /// Record one full-warp access of logical column `index`.
+    #[inline]
+    fn record_col(&self, kind: AccessKind, index: usize, rec: &mut TxnRecorder) {
+        let tile = self.id;
+        rec.record_shared_at(kind, self.w as u64, self.col_stages(), || {
+            AddrPattern::TileCol {
+                tile,
+                index: index as u32,
+            }
+        });
+    }
+
+    /// Count all `w` row warps of a step of `kind` in one update, on a
+    /// recorder that does not log (a logging one recorded them one by one).
+    fn count_rows(&self, kind: AccessKind, rec: &mut TxnRecorder) {
+        if !rec.logs() {
+            let (w, lanes) = (self.w as u64, (self.w * self.w) as u64);
+            let (reads, writes) = match kind {
+                AccessKind::Read => (lanes, 0),
+                AccessKind::Write => (0, lanes),
+            };
+            rec.count_shared(reads, writes, w * self.row_stages());
+        }
+    }
+
     /// The tile-level load: logical row `i` of the tile is read from the
     /// `w` global words at `base + i·pitch`. Per row it records one
     /// contiguous global read and one shared row write, in that order —
     /// the warps of a [`GlobalView::read_contig`] then [`Self::write_row`]
-    /// loop — and copies the words straight into the row's two rotated
-    /// halves.
+    /// loop — and copies the words straight into the row.
     pub fn load(
         &mut self,
         g: &GlobalView<'_, T>,
@@ -152,35 +161,72 @@ impl<T: Copy + Default> SharedTile<T> {
         pitch: usize,
         rec: &mut TxnRecorder,
     ) {
-        let (w, id, layout, stages) = (self.w, self.id, self.layout, self.row_stages());
-        for (i, row) in self.data.chunks_exact_mut(w).enumerate() {
-            // Logical columns [0, w − r) sit at physical [r, w).
-            let (wrapped, lead) = row.split_at_mut(layout.rotation(i));
-            g.read_contig_split(base + i * pitch, lead, wrapped, rec);
-            rec.record_shared_at(AccessKind::Write, w as u64, stages, || {
-                AddrPattern::TileRow {
-                    tile: id,
-                    index: i as u32,
-                }
-            });
+        self.load_rows(g, base, pitch, rec, |_, _| {});
+    }
+
+    /// [`Self::load`], calling `landed(above, row)` on each row as it lands
+    /// (`above` is the row before it, empty for row 0).
+    fn load_rows(
+        &mut self,
+        g: &GlobalView<'_, T>,
+        base: usize,
+        pitch: usize,
+        rec: &mut TxnRecorder,
+        mut landed: impl FnMut(&[T], &mut [T]),
+    ) {
+        let (w, logs) = (self.w, rec.logs());
+        for i in 0..w {
+            let (above, rest) = self.data.split_at_mut(i * w);
+            let row = &mut rest[..w];
+            g.read_contig(base + i * pitch, row, rec);
+            landed(&above[above.len().saturating_sub(w)..], row);
+            if logs {
+                self.record_row(AccessKind::Write, i, rec);
+            }
         }
+        self.count_rows(AccessKind::Write, rec);
     }
 
     /// The tile-level store, the inverse of [`Self::load`]: per row one
-    /// shared row read, then one contiguous global write of the row's two
-    /// rotated halves to `base + i·pitch` — the warps of a
-    /// [`Self::read_row`] then [`GlobalView::write_contig`] loop.
+    /// shared row read, then one contiguous global write of the row to
+    /// `base + i·pitch` — the warps of a [`Self::read_row`] then
+    /// [`GlobalView::write_contig`] loop.
     pub fn store(&self, g: &GlobalView<'_, T>, base: usize, pitch: usize, rec: &mut TxnRecorder) {
-        let (w, stages) = (self.w, self.row_stages());
-        for (i, row) in self.data.chunks_exact(w).enumerate() {
-            rec.record_shared_at(AccessKind::Read, w as u64, stages, || {
-                AddrPattern::TileRow {
-                    tile: self.id,
-                    index: i as u32,
-                }
-            });
-            let (wrapped, lead) = row.split_at(self.layout.rotation(i));
-            g.write_contig_split(base + i * pitch, lead, wrapped, rec);
+        let logs = rec.logs();
+        for (i, row) in self.data.chunks_exact(self.w).enumerate() {
+            if logs {
+                self.record_row(AccessKind::Read, i, rec);
+            }
+            g.write_contig(base + i * pitch, row, rec);
+        }
+        self.count_rows(AccessKind::Read, rec);
+    }
+
+    /// Record the warps of the tile SAT: `w − 1` row steps, then `w − 1`
+    /// column steps, each the previous line read, the current line read and
+    /// the current line written back. A logging recorder gets every warp in
+    /// that order; a counting one gets the `6(w − 1)` warps in one update.
+    fn record_scan(&self, rec: &mut TxnRecorder) {
+        let w = self.w;
+        if !rec.logs() {
+            let steps = w.saturating_sub(1) as u64;
+            let lanes = steps * w as u64;
+            rec.count_shared(
+                4 * lanes,
+                2 * lanes,
+                3 * steps * (self.row_stages() + self.col_stages()),
+            );
+            return;
+        }
+        for i in 1..w {
+            self.record_row(AccessKind::Read, i - 1, rec);
+            self.record_row(AccessKind::Read, i, rec);
+            self.record_row(AccessKind::Write, i, rec);
+        }
+        for j in 1..w {
+            self.record_col(AccessKind::Read, j - 1, rec);
+            self.record_col(AccessKind::Read, j, rec);
+            self.record_col(AccessKind::Write, j, rec);
         }
     }
 
@@ -190,131 +236,127 @@ impl<T: Copy + Default> SharedTile<T> {
     /// column j − 1)`). Each step records the warps of the read-read-write
     /// loop it replaces (the previous line, the current line, the current
     /// line written back), so a [`TileLayout::RowMajor`] column step still
-    /// pays `w` stages per access. The words never leave the tile.
+    /// pays `w` stages per access. The words never leave the tile; a column
+    /// step is computed as one step of every row's prefix, with the same
+    /// operands.
     pub fn scan(&mut self, add: impl Fn(T, T) -> T, rec: &mut TxnRecorder) {
-        let (w, id, layout) = (self.w, self.id, self.layout);
-        let (row_stages, col_stages) = (self.row_stages(), self.col_stages());
-        let row = |index: usize| {
-            move || AddrPattern::TileRow {
-                tile: id,
-                index: index as u32,
-            }
-        };
-        let col = |index: usize| {
-            move || AddrPattern::TileCol {
-                tile: id,
-                index: index as u32,
-            }
-        };
+        self.record_scan(rec);
+        let w = self.w;
         for i in 1..w {
-            rec.record_shared_at(AccessKind::Read, w as u64, row_stages, row(i - 1));
-            rec.record_shared_at(AccessKind::Read, w as u64, row_stages, row(i));
-            rec.record_shared_at(AccessKind::Write, w as u64, row_stages, row(i));
-            // Logical column j of row i sits `shift` banks right of its
-            // place in row i − 1 (one on the diagonal, none row-major);
-            // the second loop is the lane that wraps.
-            let shift = layout.rotation(i) - layout.rotation(i - 1);
-            let (above, below) = self.data.split_at_mut(i * w);
-            let (prev, cur) = (&above[(i - 1) * w..], &mut below[..w]);
-            for (c, &p) in cur[shift..].iter_mut().zip(&prev[..w - shift]) {
-                *c = add(*c, p);
-            }
-            for (c, &p) in cur[..shift].iter_mut().zip(&prev[w - shift..]) {
-                *c = add(*c, p);
-            }
+            let (above, rest) = self.data.split_at_mut(i * w);
+            add_rows(&above[(i - 1) * w..], &mut rest[..w], &add);
         }
-        for j in 1..w {
-            rec.record_shared_at(AccessKind::Read, w as u64, col_stages, col(j - 1));
-            rec.record_shared_at(AccessKind::Read, w as u64, col_stages, col(j));
-            rec.record_shared_at(AccessKind::Write, w as u64, col_stages, col(j));
-            // One step of every row's prefix, the rows' chains independent.
-            // Logical column j sits at physical word `i·w + j` row-major;
-            // on the diagonal at `i·(w + 1) + j` in rows i < w − j, in bank
-            // 0 of row w − j (column j − 1 wrapped to bank w − 1), and one
-            // row's width earlier in the rows below.
-            let d = &mut self.data;
-            match layout {
-                TileLayout::RowMajor => {
-                    for f in (j..w * w).step_by(w) {
-                        d[f] = add(d[f], d[f - 1]);
-                    }
-                }
-                TileLayout::Diagonal => {
-                    for f in (j..(w - j) * w).step_by(w + 1) {
-                        d[f] = add(d[f], d[f - 1]);
-                    }
-                    let f = (w - j) * w;
-                    d[f] = add(d[f], d[f + w - 1]);
-                    for f in (f + w + 1..w * w).step_by(w + 1) {
-                        d[f] = add(d[f], d[f - 1]);
-                    }
-                }
-            }
+        for row in self.data.chunks_exact_mut(w) {
+            prefix(row, &add);
         }
+    }
+
+    /// [`Self::load`] then [`Self::scan`], recorded exactly as those two
+    /// steps, in one pass over the tile: each row's column step runs as the
+    /// row lands, and each row's prefix is left to [`RowPass::store_with`],
+    /// which finishes the row just before it is read out.
+    pub fn load_scan<A: Fn(T, T) -> T>(
+        &mut self,
+        g: &GlobalView<'_, T>,
+        base: usize,
+        pitch: usize,
+        add: A,
+        rec: &mut TxnRecorder,
+    ) -> RowPass<'_, T, A> {
+        self.load_rows(g, base, pitch, rec, |above, row| {
+            if !above.is_empty() {
+                add_rows(above, row, &add);
+            }
+        });
+        self.record_scan(rec);
+        RowPass { tile: self, add }
     }
 
     /// Warp read of logical row `i` into `out` (length `w`).
     pub fn read_row(&self, i: usize, out: &mut [T], rec: &mut TxnRecorder) {
         assert_eq!(out.len(), self.w, "row access is a full warp");
-        rec.record_shared_at(AccessKind::Read, self.w as u64, self.row_stages(), || {
-            AddrPattern::TileRow {
-                tile: self.id,
-                index: i as u32,
-            }
-        });
-        let (w, r) = (self.w, self.layout.rotation(i));
-        let (head, tail) = self.data[i * w..(i + 1) * w].split_at(r);
-        out[..w - r].copy_from_slice(tail);
-        out[w - r..].copy_from_slice(head);
+        self.record_row(AccessKind::Read, i, rec);
+        out.copy_from_slice(&self.data[i * self.w..(i + 1) * self.w]);
     }
 
     /// Warp write of `vals` (length `w`) to logical row `i`.
     pub fn write_row(&mut self, i: usize, vals: &[T], rec: &mut TxnRecorder) {
         assert_eq!(vals.len(), self.w, "row access is a full warp");
-        let (id, stages) = (self.id, self.row_stages());
-        rec.record_shared_at(AccessKind::Write, self.w as u64, stages, || {
-            AddrPattern::TileRow {
-                tile: id,
-                index: i as u32,
-            }
-        });
-        let (w, r) = (self.w, self.layout.rotation(i));
-        let (head, tail) = self.data[i * w..(i + 1) * w].split_at_mut(r);
-        tail.copy_from_slice(&vals[..w - r]);
-        head.copy_from_slice(&vals[w - r..]);
+        self.record_row(AccessKind::Write, i, rec);
+        self.data[i * self.w..(i + 1) * self.w].copy_from_slice(vals);
     }
 
     /// Warp read of logical column `j` into `out` (length `w`).
     pub fn read_col(&self, j: usize, out: &mut [T], rec: &mut TxnRecorder) {
         assert_eq!(out.len(), self.w, "column access is a full warp");
-        rec.record_shared_at(AccessKind::Read, self.w as u64, self.col_stages(), || {
-            AddrPattern::TileCol {
-                tile: self.id,
-                index: j as u32,
-            }
-        });
-        let mut k = j;
+        self.record_col(AccessKind::Read, j, rec);
         for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.w)) {
-            *o = row[k];
-            k = self.layout.next_bank(k, self.w);
+            *o = row[j];
         }
     }
 
     /// Warp write of `vals` (length `w`) to logical column `j`.
     pub fn write_col(&mut self, j: usize, vals: &[T], rec: &mut TxnRecorder) {
         assert_eq!(vals.len(), self.w, "column access is a full warp");
-        let (id, stages) = (self.id, self.col_stages());
-        rec.record_shared_at(AccessKind::Write, self.w as u64, stages, || {
-            AddrPattern::TileCol {
-                tile: id,
-                index: j as u32,
+        self.record_col(AccessKind::Write, j, rec);
+        for (&v, row) in vals.iter().zip(self.data.chunks_exact_mut(self.w)) {
+            row[j] = v;
+        }
+    }
+}
+
+/// A tile whose scan waits for its rows' prefixes (see
+/// [`SharedTile::load_scan`]); [`Self::store_with`] finishes and stores it.
+pub struct RowPass<'t, T, A> {
+    tile: &'t mut SharedTile<T>,
+    add: A,
+}
+
+impl<T: Copy + Default, A: Fn(T, T) -> T> RowPass<'_, T, A> {
+    /// [`SharedTile::store`] of the scanned tile through `f`: per row,
+    /// finish the row's prefix, record one shared row read, let `f(i, row)`
+    /// rewrite the row in registers, then write it with one contiguous
+    /// global write to `base + i·pitch`. The tile's words are consumed.
+    pub fn store_with(
+        self,
+        g: &GlobalView<'_, T>,
+        base: usize,
+        pitch: usize,
+        rec: &mut TxnRecorder,
+        mut f: impl FnMut(usize, &mut [T]),
+    ) {
+        let tile = self.tile;
+        let (w, logs) = (tile.w, rec.logs());
+        for i in 0..w {
+            if logs {
+                tile.record_row(AccessKind::Read, i, rec);
             }
-        });
-        let (w, layout) = (self.w, self.layout);
-        let mut k = j;
-        for (&v, row) in vals.iter().zip(self.data.chunks_exact_mut(w)) {
-            row[k] = v;
-            k = layout.next_bank(k, w);
+            let row = &mut tile.data[i * w..(i + 1) * w];
+            prefix(row, &self.add);
+            f(i, row);
+            g.write_contig(base + i * pitch, row, rec);
+        }
+        tile.count_rows(AccessKind::Read, rec);
+    }
+}
+
+/// One column step of every lane: `row[t] = add(row[t], above[t])`.
+#[inline]
+fn add_rows<T: Copy>(above: &[T], row: &mut [T], add: impl Fn(T, T) -> T) {
+    for (c, &p) in row.iter_mut().zip(above) {
+        *c = add(*c, p);
+    }
+}
+
+/// The row's inclusive prefix: `row[j] = add(row[j], row[j − 1])` for
+/// `j = 1 … w−1`.
+#[inline]
+fn prefix<T: Copy>(row: &mut [T], add: impl Fn(T, T) -> T) {
+    if let Some((first, rest)) = row.split_first_mut() {
+        let mut acc = *first;
+        for v in rest {
+            acc = add(*v, acc);
+            *v = acc;
         }
     }
 }
@@ -348,7 +390,8 @@ mod tests {
                 };
                 let mut t: SharedTile<u32> = SharedTile::new(w, layout, 0);
                 let mut buf = vec![0u32; w];
-                // Warp writes land where the definitional offset says.
+                // Warp writes land in logical row-major order, whatever the
+                // layout; the layout sets only the recorded stages.
                 for i in 0..w {
                     let vals: Vec<u32> = (0..w).map(|j| word(i, j)).collect();
                     let mut r = rec();
@@ -357,7 +400,7 @@ mod tests {
                 }
                 for i in 0..w {
                     for j in 0..w {
-                        assert_eq!(t.data[t.offset(i, j)], word(i, j), "{layout:?} w={w}");
+                        assert_eq!(t.data[i * w + j], word(i, j), "{layout:?} w={w}");
                         assert_eq!(t.get(i, j), word(i, j));
                     }
                 }

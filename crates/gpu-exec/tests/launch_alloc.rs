@@ -1,12 +1,16 @@
 //! A warm launch allocates nothing: the pool's job slot, the per-worker
 //! counter slots and the launch context are owned by the device and reused,
-//! so the only allocations a launch can cause are its kernel's own.
+//! and a conformance tracker finds a known cell by its borrowed label (an
+//! unlabeled launch's fallback label is built once per mode and grid
+//! bucket), so the only allocations a launch can cause are its kernel's
+//! own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use gpu_exec::{BlockCtx, Device, DeviceOptions, GlobalBuffer, LaunchContext};
 use hmm_model::MachineConfig;
+use obs::{Conformance, ConformanceConfig, Registry};
 
 /// Counts allocations on top of the system allocator.
 struct Counting;
@@ -79,35 +83,52 @@ fn allocations(dev: &Device, grid: usize, persistent: bool, launches: usize) -> 
 
 #[test]
 fn warm_launches_allocate_nothing() {
-    for workers in [0, 1] {
-        for context in [false, true] {
-            let opts = DeviceOptions::new(MachineConfig::with_width(W)).workers(workers);
-            let dev = Device::new(opts);
-            if context {
-                dev.set_launch_context(Some(LaunchContext {
-                    batch: 7,
-                    requests: vec![11, 12, 13],
-                    cell: Some("1R1W/64".to_string()),
-                }));
-            }
-            let label = format!("workers {workers}, context {context}");
-            // A worker thread's start allocates: a resident grid whose
-            // blocks wait for each other has every worker running first.
-            let resident = dev.resident_capacity();
-            let arrived = AtomicUsize::new(0);
-            dev.launch_persistent(resident, |_| {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                while arrived.load(Ordering::SeqCst) < resident {
-                    std::hint::spin_loop();
-                }
-            });
-            for grid in [1, 8, 64] {
-                let n = allocations(&dev, grid, false, 1_000);
-                assert_eq!(n, 0, "{label}: 1000 launches of grid {grid}");
-            }
-            let n = allocations(&dev, resident, true, 1_000);
-            assert_eq!(n, 0, "{label}: 1000 persistent launches of grid {resident}");
-            assert!(dev.stats().coalesced_ops() > 0, "{label}: stats are on");
+    for (workers, context, tracked) in modes() {
+        let mut opts = DeviceOptions::new(MachineConfig::with_width(W)).workers(workers);
+        if tracked {
+            // As a serving device attaches it: with registry metrics.
+            let cfg = ConformanceConfig::for_machine(W as u64, 40);
+            opts = opts.conformance(Conformance::with_registry(cfg, &Registry::new(), "t_"));
         }
+        let dev = Device::new(opts);
+        if context {
+            dev.set_launch_context(Some(LaunchContext {
+                batch: 7,
+                requests: vec![11, 12, 13],
+                cell: Some("1R1W/64".to_string()),
+            }));
+        }
+        let label = format!("workers {workers}, context {context}, tracked {tracked}");
+        // A worker thread's start allocates: a resident grid whose
+        // blocks wait for each other has every worker running first.
+        let resident = dev.resident_capacity();
+        let arrived = AtomicUsize::new(0);
+        dev.launch_persistent(resident, |_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            while arrived.load(Ordering::SeqCst) < resident {
+                std::hint::spin_loop();
+            }
+        });
+        for grid in [1, 8, 64] {
+            let n = allocations(&dev, grid, false, 1_000);
+            assert_eq!(n, 0, "{label}: 1000 launches of grid {grid}");
+        }
+        let n = allocations(&dev, resident, true, 1_000);
+        assert_eq!(n, 0, "{label}: 1000 persistent launches of grid {resident}");
+        assert!(dev.stats().coalesced_ops() > 0, "{label}: stats are on");
+        let samples = dev.conformance().map(Conformance::sample_count);
+        let want = tracked.then_some(dev.launches());
+        assert_eq!(samples, want, "{label}: the tracker saw every launch");
     }
+}
+
+/// Every `(workers, labeled context, conformance tracker)` combination.
+fn modes() -> impl Iterator<Item = (usize, bool, bool)> {
+    [0, 1].into_iter().flat_map(|workers| {
+        [false, true].into_iter().flat_map(move |context| {
+            [false, true]
+                .into_iter()
+                .map(move |tracked| (workers, context, tracked))
+        })
+    })
 }

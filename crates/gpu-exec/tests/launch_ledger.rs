@@ -151,7 +151,7 @@ fn every_launch_sink_agrees_with_the_device_stats() {
     let mirror = Conformance::new(ccfg);
     for &(mode, grid, coalesced_ops, stride_ops, global_stages) in &spans {
         mirror.ingest(LaunchSample {
-            cell: format!("{mode}/g{}", grid.max(1).next_power_of_two()),
+            cell: &format!("{mode}/g{}", grid.max(1).next_power_of_two()),
             coalesced_ops,
             stride_ops,
             global_stages,

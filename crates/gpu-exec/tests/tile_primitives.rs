@@ -1,11 +1,14 @@
 //! The tile-level primitives — [`SharedTile::load`], [`SharedTile::scan`]
-//! and [`SharedTile::store`] — held to their definition: the warp-op loops
-//! they replace, kept here as the oracle. For every width, layout and
-//! element type the two must record the same counters, the same op
-//! sequence and the same address channel, and leave the same words in the
-//! tile and in global memory, bit for bit; on a race-checked buffer they
-//! must pass and fail alike, and an armed corruption must land on the same
-//! lane of the store.
+//! and [`SharedTile::store`], and the fused [`SharedTile::load_scan`] with
+//! [`gpu_exec::RowPass::store_with`] — held to their definition: the
+//! warp-op loops they replace, kept here as the oracle. For every width,
+//! layout and element type the two must record the same counters, the same
+//! op sequence and the same address channel, and leave the same words in
+//! the tile and in global memory, bit for bit; on a device that only counts
+//! (where the primitives add a step's shared warps in one update) the
+//! counters must still be the loops'; on a race-checked buffer they must
+//! pass and fail alike, and an armed corruption must land on the same lane
+//! of the store.
 
 use std::sync::Mutex;
 
@@ -58,6 +61,8 @@ enum Path {
     Loop,
     /// The tile-level primitives.
     Primitive,
+    /// `load_scan`, then `store_with` leaving each row as scanned.
+    Fused,
 }
 
 fn load_loop<T: Word>(
@@ -122,7 +127,7 @@ fn load<T: Word>(
 ) {
     match path {
         Path::Loop => load_loop(ctx, g, base, pitch, tile),
-        Path::Primitive => tile.load(g, base, pitch, &mut ctx.rec),
+        Path::Primitive | Path::Fused => tile.load(g, base, pitch, &mut ctx.rec),
     }
 }
 
@@ -136,15 +141,38 @@ fn store<T: Word>(
 ) {
     match path {
         Path::Loop => store_loop(ctx, g, base, pitch, tile),
-        Path::Primitive => tile.store(g, base, pitch, &mut ctx.rec),
+        Path::Primitive | Path::Fused => tile.store(g, base, pitch, &mut ctx.rec),
     }
 }
 
 fn scan<T: Word>(path: Path, ctx: &mut BlockCtx<'_>, tile: &mut SharedTile<T>) {
     match path {
         Path::Loop => scan_loop(ctx, tile),
-        Path::Primitive => tile.scan(T::add, &mut ctx.rec),
+        Path::Primitive | Path::Fused => tile.scan(T::add, &mut ctx.rec),
     }
+}
+
+/// Load, scan and store one block: the three steps of `path`, or for
+/// [`Path::Fused`] the fused pair, which leaves no scanned tile to
+/// snapshot. `snapshot` sees the tile after the load and after the scan.
+fn load_scan_store<T: Word>(
+    path: Path,
+    ctx: &mut BlockCtx<'_>,
+    src: &GlobalView<'_, T>,
+    dst: &GlobalView<'_, T>,
+    (base, dst_base, pitch): (usize, usize, usize),
+    tile: &mut SharedTile<T>,
+    mut snapshot: impl FnMut(&SharedTile<T>),
+) {
+    if let Path::Fused = path {
+        let rows = tile.load_scan(src, base, pitch, T::add, &mut ctx.rec);
+        return rows.store_with(dst, dst_base, pitch, &mut ctx.rec, |_, _| {});
+    }
+    load(path, ctx, src, base, pitch, tile);
+    snapshot(tile);
+    scan(path, ctx, tile);
+    snapshot(tile);
+    store(path, ctx, dst, dst_base, pitch, tile);
 }
 
 /// The block of a run: a `w × w` block of a `(2w + 1) × (3w + 1)` matrix
@@ -172,11 +200,13 @@ impl Shape {
     }
 }
 
-fn device(w: usize, plan: Option<FaultPlan>) -> Device {
+/// A sequential device that traces with addresses, or with `trace` off
+/// only counts.
+fn device(w: usize, plan: Option<FaultPlan>, trace: bool) -> Device {
     let mut opts = DeviceOptions::new(MachineConfig::with_width(w))
         .workers(0)
-        .record_trace(true)
-        .record_addrs(true);
+        .record_trace(trace)
+        .record_addrs(trace);
     if let Some(plan) = plan {
         opts = opts.fault_plan(plan);
     }
@@ -190,16 +220,30 @@ struct Run {
     stats: CostCounters,
     ops: Vec<Vec<Vec<TraceOp>>>,
     addrs: Vec<Vec<Vec<AddrPattern>>>,
-    /// The tile's logical words after the load and after the scan.
+    /// The tile's logical words after the load and after the scan (none
+    /// on [`Path::Fused`]).
     tiles: Vec<Vec<u64>>,
     out: Vec<u64>,
     faults: Vec<FaultEvent>,
 }
 
-/// One launch of one block: load the block of `src` into a tile, scan it,
-/// and store it to the same block of a zeroed output buffer.
+/// One launch of one block on a tracing device: load the block of `src`
+/// into a tile, scan it, and store it to the same block of a zeroed output
+/// buffer.
 fn run<T: Word>(w: usize, layout: TileLayout, path: Path, plan: Option<FaultPlan>) -> Run {
-    let dev = device(w, plan);
+    run_on::<T>(w, layout, path, plan, true)
+}
+
+/// [`run`] on a tracing device, or with `trace` off on one that only
+/// counts.
+fn run_on<T: Word>(
+    w: usize,
+    layout: TileLayout,
+    path: Path,
+    plan: Option<FaultPlan>,
+    trace: bool,
+) -> Run {
+    let dev = device(w, plan, trace);
     let shape = Shape::new(w);
     let src = GlobalBuffer::from_vec((0..shape.len).map(T::input).collect());
     let dst = GlobalBuffer::filled(T::default(), shape.len);
@@ -211,11 +255,8 @@ fn run<T: Word>(w: usize, layout: TileLayout, path: Path, plan: Option<FaultPlan
     dev.launch(1, |ctx| {
         let (gs, gd) = (ctx.view(&src), ctx.view(&dst));
         let mut tile: SharedTile<T> = ctx.shared_tile(layout);
-        load(path, ctx, &gs, shape.base, shape.pitch, &mut tile);
-        snapshot(&tile);
-        scan(path, ctx, &mut tile);
-        snapshot(&tile);
-        store(path, ctx, &gd, shape.base, shape.pitch, &tile);
+        let at = (shape.base, shape.base, shape.pitch);
+        load_scan_store(path, ctx, &gs, &gd, at, &mut tile, snapshot);
     });
     let role = |buf: u64| [src.id(), dst.id()].iter().position(|&b| b == buf).unwrap() as u64;
     let trace = dev.take_trace();
@@ -246,12 +287,25 @@ fn run<T: Word>(w: usize, layout: TileLayout, path: Path, plan: Option<FaultPlan
     }
 }
 
+/// `got`, a [`Path::Fused`] run, against the loops' `want`, all but the
+/// tile snapshots the fused pair does not leave.
+fn assert_fused_matches(got: Run, want: &Run, at: &str) {
+    assert!(got.tiles.is_empty(), "{at}");
+    let got = Run {
+        tiles: want.tiles.clone(),
+        ..got
+    };
+    assert_eq!(&got, want, "{at}: fused");
+}
+
 fn primitives_match_the_loops<T: Word>() {
     for w in WIDTHS {
         for layout in LAYOUTS {
             let want = run::<T>(w, layout, Path::Loop, None);
             let got = run::<T>(w, layout, Path::Primitive, None);
             assert_eq!(got, want, "w = {w}, {layout:?}");
+            let fused = run::<T>(w, layout, Path::Fused, None);
+            assert_fused_matches(fused, &want, &format!("w = {w}, {layout:?}"));
             // The run is not vacuous: every step issued its warps, and the
             // stored block holds the scanned tile.
             assert_eq!(want.ops[0][0].len(), 4 * w + 6 * (w - 1));
@@ -274,6 +328,23 @@ fn primitives_match_the_loops_on_fractional_floats() {
 }
 
 #[test]
+fn a_counting_device_counts_the_primitives_like_the_loops() {
+    for w in WIDTHS {
+        for layout in LAYOUTS {
+            let want = run_on::<f64>(w, layout, Path::Loop, None, false);
+            assert!(want.ops.is_empty() && want.addrs.is_empty(), "no trace");
+            assert_eq!(want.stats, run::<f64>(w, layout, Path::Loop, None).stats);
+            for path in [Path::Primitive, Path::Fused] {
+                let got = run_on::<f64>(w, layout, path, None, false);
+                let at = format!("w = {w}, {layout:?}, {path:?}");
+                assert_eq!(got.stats, want.stats, "{at}");
+                assert_eq!(got.out, want.out, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
 fn an_armed_corruption_lands_on_the_same_store_lane() {
     let mut wrapped = 0;
     for w in [3, 4, 5, 8] {
@@ -286,6 +357,8 @@ fn an_armed_corruption_lands_on_the_same_store_lane() {
                 let want = run::<f64>(w, layout, Path::Loop, plan());
                 let got = run::<f64>(w, layout, Path::Primitive, plan());
                 assert_eq!(got, want, "w = {w}, {layout:?}, seed {seed}");
+                let fused = run::<f64>(w, layout, Path::Fused, plan());
+                assert_fused_matches(fused, &want, &format!("w = {w}, {layout:?}, seed {seed}"));
                 let hit: Vec<usize> = (0..shape.len).filter(|&a| got.out[a] != clean[a]).collect();
                 if got.faults.is_empty() {
                     assert!(hit.is_empty(), "w = {w}, seed {seed}");
@@ -298,8 +371,8 @@ fn an_armed_corruption_lands_on_the_same_store_lane() {
                     .find(|&n| shape.word(n / w, n % w) == hit[0])
                     .unwrap();
                 lanes.push(n % w);
-                // On the diagonal, lanes j ≥ w − i of row i sit in the
-                // row's wrapped half.
+                // On the diagonal, lanes j ≥ w − i of row i are the ones
+                // whose bank index wraps past w − 1.
                 if layout == TileLayout::Diagonal && n % w >= w - n / w {
                     wrapped += 1;
                 }
@@ -309,7 +382,7 @@ fn an_armed_corruption_lands_on_the_same_store_lane() {
             assert!(lanes.len() > 1, "w = {w}, {layout:?}: lanes {lanes:?}");
         }
     }
-    assert!(wrapped > 0, "no corruption landed in a wrapped half-row");
+    assert!(wrapped > 0, "no corruption landed on a wrapped bank");
 }
 
 /// Run `f`, which must panic, and return its panic message.
@@ -326,21 +399,20 @@ fn panic_message(f: impl FnOnce()) -> String {
 fn race_checked_buffers_pass_and_fail_alike() {
     for w in [1, 3, 8] {
         for layout in LAYOUTS {
-            for path in [Path::Loop, Path::Primitive] {
+            for path in [Path::Loop, Path::Primitive, Path::Fused] {
                 let at = format!("w = {w}, {layout:?}, {path:?}");
                 let shape = Shape::new(w);
                 let src = GlobalBuffer::from_vec_checked((0..shape.len).map(i64::input).collect());
                 let dst = GlobalBuffer::from_vec_checked(vec![0i64; shape.len]);
-                let dev = device(w, None);
+                let dev = device(w, None, true);
                 // Two blocks read the same words and each writes its own
                 // block of the output: legal.
                 dev.launch(2, |ctx| {
                     let (gs, gd) = (ctx.view(&src), ctx.view(&dst));
                     let mut tile: SharedTile<i64> = ctx.shared_tile(layout);
-                    load(path, ctx, &gs, shape.base, shape.pitch, &mut tile);
-                    scan(path, ctx, &mut tile);
                     let base = [shape.base, (w + 1) * shape.pitch][ctx.block_id()];
-                    store(path, ctx, &gd, base, shape.pitch, &tile);
+                    let at = (shape.base, base, shape.pitch);
+                    load_scan_store(path, ctx, &gs, &gd, at, &mut tile, |_| {});
                 });
                 // Two blocks store the same block: a write-write race.
                 let msg = panic_message(|| {

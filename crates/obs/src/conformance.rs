@@ -111,12 +111,13 @@ impl ConformanceConfig {
     }
 }
 
-/// One launch's contribution to the conformance stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaunchSample {
+/// One launch's contribution to the conformance stream. It borrows its
+/// cell label, so ingesting a launch of a known cell allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaunchSample<'a> {
     /// The (algorithm × shape-bucket) cell label, e.g. `1r1w/64x64` (see
     /// [`cell_label`]).
-    pub cell: String,
+    pub cell: &'a str,
     /// Coalesced global operations `C` (words) of the launch.
     pub coalesced_ops: u64,
     /// Stride global operations `S` (words) of the launch.
@@ -356,7 +357,7 @@ impl Conformance {
 
     /// Ingest one launch. This is the only hot(ish) path: one short
     /// mutex-guarded accumulation plus a handful of atomic metric updates.
-    pub fn ingest(&self, sample: LaunchSample) {
+    pub fn ingest(&self, sample: LaunchSample<'_>) {
         let cfg = &self.inner.cfg;
         let c = sample.coalesced_ops as f64;
         let s = sample.stride_ops as f64;
@@ -402,7 +403,13 @@ impl Conformance {
             st.units_total += units;
 
             {
-                let cell = st.cells.entry(sample.cell.clone()).or_default();
+                // A known cell is found by its borrowed label; only a new
+                // one allocates its key.
+                if !st.cells.contains_key(sample.cell) {
+                    st.cells
+                        .insert(sample.cell.to_owned(), CellState::default());
+                }
+                let cell = st.cells.get_mut(sample.cell).expect("inserted above");
                 cell.samples += 1;
                 cell.last_tau = tau;
                 cell.ewma_tau = if cell.samples == 1 {
@@ -429,7 +436,7 @@ impl Conformance {
                     if !cell.drifted && cell.cusum >= DRIFT_THRESHOLD {
                         cell.drifted = true;
                         alert = Some(DriftAlert {
-                            cell: sample.cell.clone(),
+                            cell: sample.cell.to_owned(),
                             score: cell.cusum,
                             baseline_tau: tau_base,
                             recent_tau: tau,
@@ -670,11 +677,17 @@ mod tests {
 
     /// A synthetic launch whose counters satisfy the closed form exactly
     /// and whose wall clock is `tau` seconds per unit.
-    fn exact_sample(cell: &str, c: u64, s: u64, tau: f64, cfg: &ConformanceConfig) -> LaunchSample {
+    fn exact_sample<'a>(
+        cell: &'a str,
+        c: u64,
+        s: u64,
+        tau: f64,
+        cfg: &ConformanceConfig,
+    ) -> LaunchSample<'a> {
         let stages = c / cfg.width + s;
         let units = stages + cfg.window_overhead;
         LaunchSample {
-            cell: cell.to_string(),
+            cell,
             coalesced_ops: c,
             stride_ops: s,
             global_stages: stages,

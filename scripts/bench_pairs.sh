@@ -12,7 +12,10 @@
 # how many pairs the working tree won, then the same for every other
 # end-to-end metric BENCHMARK.json declares, each judged by its own
 # `better` direction. Every run's result line is kept in
-# target/bench_pairs/{base,head}.jsonl. `SEED`
+# target/bench_pairs/{base,head}.jsonl. A run whose result line reads
+# `"correct": false` or a nonzero `"failed"` (or that prints no result
+# line) stops the script with an error naming its side and pair, so no
+# table ever summarizes wrong outputs. `SEED`
 # (default 7) is the perfbench seed of every run. perfbench is called only
 # through its command line; nothing under perfbench/ changes.
 set -euo pipefail
@@ -59,19 +62,27 @@ won() { # <better> <base> <head>: 1 if head beats base, else 0 (ties lose)
     awk -v hi="$1" -v b="$2" -v h="$3" 'BEGIN { print ((hi == "higher") ? (h > b) : (h < b)) }'
 }
 
-value() { # <checkout dir> <side>: one run, keeps its result line, prints the metric
-    perfbench "$1" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
-        tail -n 1 | tee -a "$out/$2.jsonl" | metric_of "$metric"
+value() { # <checkout dir> <side> <pair>: one run, keeps its result line, prints the metric
+    local line status=0
+    line=$(perfbench "$1" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 |
+        tail -n 1) || status=$?
+    if ! grep -q '"correct": true' <<<"$line" || ! grep -Eq '"failed": 0[,}]' <<<"$line"; then
+        echo "error: pair $3, $2 run (exit $status) has wrong outputs or failed operations:" >&2
+        echo "  ${line:-<no result line>}" | cut -c1-300 >&2
+        exit 1
+    fi
+    echo "$line" >>"$out/$2.jsonl"
+    metric_of "$metric" <<<"$line"
 }
 
 rm -f "$out"/{base,head}.jsonl
 for ((p = 0; p < pairs; p++)); do
     if ((p % 2 == 0)); then
-        b=$(value "$base_dir" base)
-        h=$(value . head)
+        b=$(value "$base_dir" base $((p + 1)))
+        h=$(value . head $((p + 1)))
     else
-        h=$(value . head)
-        b=$(value "$base_dir" base)
+        h=$(value . head $((p + 1)))
+        b=$(value "$base_dir" base $((p + 1)))
     fi
     echo "pair $((p + 1)): base $b  head $h  $([ "$(won "$better" "$b" "$h")" = 1 ] && echo win || echo loss)" >&2
 done
