@@ -18,8 +18,8 @@
 //!   `BENCH_perf.json`);
 //! * `--history PATH` — history file `--write` appends to (default
 //!   `BENCH_history.jsonl`);
-//! * `--tolerance F` — relative band for the calibration-normalized wall
-//!   clock (default 0.6, i.e. ±60%);
+//! * `--tolerance F` — how far the calibration-normalized wall clock may
+//!   rise above the baseline (default 0.6, i.e. +60%);
 //! * `--write` — rewrite the baseline from this run and append a history
 //!   record instead of comparing;
 //! * `--inject-slowdown ALGO:FACTOR` — scale the measured wall clock of
@@ -50,7 +50,12 @@
 //! **exactly**: any drift is a semantic change, not noise. Wall clock is
 //! noisy and host-dependent, so each cell's median-of-`K` is divided by a
 //! fixed CPU calibration loop timed in the same process, and only that
-//! normalized ratio is compared, within `--tolerance`.
+//! normalized ratio is compared. The wall gate is one-sided: a cell fails
+//! only when it runs slower than `(1 + tolerance)` times its baseline. A
+//! cell faster than `(1 − tolerance)` times its baseline passes with a
+//! note that the baseline is stale: a gain is not a regression, and the
+//! injected-slowdown drill trips against any baseline no slower than the
+//! current build.
 //!
 //! The cells are every [`Path`] at every size: the six `SatAlgorithm`s
 //! and `1R1W-persist`, persistent blocks with one launch total.
@@ -699,7 +704,7 @@ fn compare(perf: &PerfFile, baseline_path: &str, tolerance: f64) -> ExitCode {
         .unwrap_or(&empty);
 
     println!(
-        "\ncomparing {} cells against {baseline_path} (wall tolerance ±{:.0}%)",
+        "\ncomparing {} cells against {baseline_path} (wall tolerance +{:.0}%)",
         perf.entries.len(),
         tolerance * 100.0
     );
@@ -742,24 +747,29 @@ fn compare(perf: &PerfFile, baseline_path: &str, tolerance: f64) -> ExitCode {
                 ));
             }
         }
-        // Wall clock: normalized ratio within the tolerance band.
+        // Wall clock: the normalized ratio may not exceed the band's upper
+        // edge. A NaN baseline must fail the gate, so test for being
+        // *within* the bound and negate the boolean.
         let base_norm = b
             .get("wall")
             .and_then(|w| w.get("normalized"))
             .and_then(|v| v.as_f64())
             .unwrap_or(f64::NAN);
         let cur_norm = e.wall.normalized;
-        // A NaN baseline must fail the gate, so test for being *within*
-        // the band and negate the boolean.
-        let within = (cur_norm - base_norm).abs() <= tolerance * base_norm;
+        let change = (cur_norm / base_norm - 1.0) * 100.0;
+        let within = cur_norm <= (1.0 + tolerance) * base_norm;
         if !within {
             failures.push(format!(
-                "REGRESSION {} n={}: normalized_wall {cur_norm:.3} vs baseline {base_norm:.3} ({:+.1}% outside ±{:.0}%)",
+                "REGRESSION {} n={}: normalized_wall {cur_norm:.3} vs baseline {base_norm:.3} ({change:+.1}% above +{:.0}%)",
                 e.algorithm,
                 e.n,
-                (cur_norm / base_norm - 1.0) * 100.0,
                 tolerance * 100.0
             ));
+        } else if cur_norm < (1.0 - tolerance) * base_norm {
+            println!(
+                "note: {} n={}: normalized_wall {cur_norm:.3} vs baseline {base_norm:.3} ({change:+.1}%): stale baseline, re-record with --write",
+                e.algorithm, e.n
+            );
         }
     }
 

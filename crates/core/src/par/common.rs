@@ -85,11 +85,15 @@ impl Grid {
         self.mr + self.mc - 1
     }
 
+    /// The block-rows `bi` of anti-diagonal `d`: block `k` of a launch
+    /// over it is `(lo + k, d − lo − k)`.
+    pub fn diagonal_rows(&self, d: usize) -> Range<usize> {
+        d.saturating_sub(self.mc - 1)..d.min(self.mr - 1) + 1
+    }
+
     /// The blocks `(bi, bj)` with `bi + bj = d`, in increasing `bi`.
     pub fn diagonal_blocks(&self, d: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let lo = d.saturating_sub(self.mc - 1);
-        let hi = d.min(self.mr - 1);
-        (lo..=hi).map(move |bi| (bi, d - bi))
+        self.diagonal_rows(d).map(move |bi| (bi, d - bi))
     }
 }
 

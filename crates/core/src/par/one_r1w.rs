@@ -114,14 +114,15 @@ fn stage<T: SatElement>(
     grid: Grid,
     d: usize,
 ) {
-    let blocks: Vec<(usize, usize)> = grid.diagonal_blocks(d).collect();
-    let per_image = blocks.len();
+    let rows = grid.diagonal_rows(d);
+    let (lo, per_image) = (rows.start, rows.len());
     dev.launch(per_image * inputs.len(), |ctx| {
         let id = ctx.block_id();
         let (img, which) = (id / per_image, id % per_image);
         let ga = ctx.view(inputs[img]);
         let gs = ctx.view(outputs[img]);
-        let (bi, bj) = blocks[which];
+        let bi = lo + which;
+        let bj = d - bi;
         let above = (bi > 0).then(|| (gs, grid.addr(bi * grid.w - 1, 0)));
         stage_block(ctx, &ga, &gs, None, grid, (bi, bj), above);
     });
@@ -413,12 +414,14 @@ pub fn sat_1r1w_mirror<T: SatElement>(
     );
     let mirror = GlobalBuffer::filled(T::ZERO, grid.mc * grid.rows);
     for d in 0..grid.diagonals() {
-        let blocks: Vec<(usize, usize)> = grid.diagonal_blocks(d).collect();
-        dev.launch(blocks.len(), |ctx| {
+        let rows = grid.diagonal_rows(d);
+        let lo = rows.start;
+        dev.launch(rows.len(), |ctx| {
             let ga = ctx.view(a);
             let gs = ctx.view(s);
             let gm = ctx.view(&mirror);
-            let (bi, bj) = blocks[ctx.block_id()];
+            let bi = lo + ctx.block_id();
+            let bj = d - bi;
             let above = (bi > 0).then(|| (gs, grid.addr(bi * grid.w - 1, 0)));
             stage_block(ctx, &ga, &gs, Some(&gm), grid, (bi, bj), above);
         });

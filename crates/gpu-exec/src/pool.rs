@@ -3,16 +3,18 @@
 //! The worker pool is created once per [`crate::Device`] and reused by every
 //! launch, so a wavefront algorithm issuing hundreds of small kernels does
 //! not pay thread spawn cost per kernel. A job is a borrowed closure plus
-//! two atomic block counts; workers (and the launching thread itself) claim
-//! block indices until the grid is exhausted. Panics inside kernels are
-//! caught, the launch is drained, and the first panic is re-raised on the
-//! launching thread — so race-detector panics in tests surface cleanly
-//! instead of deadlocking the pool.
+//! an atomic range of unclaimed blocks; the launching thread claims block
+//! indices from its front and the workers from its back until the grid is
+//! exhausted. Panics inside kernels are caught, the launch is drained, and
+//! the first panic is re-raised on the launching thread — so race-detector
+//! panics in tests surface cleanly instead of deadlocking the pool.
 //!
-//! A launch costs its blocks (DESIGN.md §22): the launcher wakes a parked
-//! worker only when a block is left for it and the launch's remaining work
-//! outweighs a wake, returns as soon as every block is done (a worker that
-//! woke too late to claim one is not waited for), and allocates nothing.
+//! A launch costs its blocks (DESIGN.md §22): the launcher opens a launch
+//! to the workers only when a block is left for them and the launch's
+//! remaining work outweighs a wake, returns as soon as every block is done
+//! (a worker that came too late to claim one is not waited for), and
+//! allocates nothing. A worker that just ran blocks waits up to a wake's
+//! worth of time for the next open launch before it parks.
 
 use std::cell::UnsafeCell;
 use std::panic::AssertUnwindSafe;
@@ -27,7 +29,9 @@ use parking_lot::{Condvar, Mutex};
 /// unclaimed blocks (their count times the launcher's mean block time, in
 /// the previous launch and then in this one) reaches this: a parked
 /// worker takes tens of microseconds to arrive, so a launch of cheaper
-/// blocks finishes sooner alone.
+/// blocks finishes sooner alone. It also bounds the two spins that stand
+/// in for a wake or a sleep: a worker's wait for the next launch after
+/// running blocks, and the launcher's wait for the workers' last blocks.
 const WAKE_WORTH: Duration = Duration::from_micros(20);
 
 /// A launch kernel, called as `kernel(block, worker)`: `worker` is 0 on the
@@ -39,10 +43,20 @@ pub(crate) type Kernel<'a> = dyn Fn(usize, usize) + Sync + 'a;
 #[derive(Clone, Copy)]
 struct KernelPtr(*const Kernel<'static>);
 
+/// The claim word: blocks `front..back` are unclaimed, `front` in the low
+/// and `back` in the high 32 bits.
+fn pack(front: usize, back: usize) -> u64 {
+    (back as u64) << 32 | front as u64
+}
+
+fn unpack(word: u64) -> (usize, usize) {
+    ((word & u64::from(u32::MAX)) as usize, (word >> 32) as usize)
+}
+
 #[derive(Default)]
 struct State {
-    /// Launches published so far; a worker parks only while this still
-    /// reads the value it saw when it last looked for work.
+    /// Launches published so far; a worker parks only after it has looked
+    /// at every launch up to this one.
     seq: u64,
     /// Workers waiting on `work_cv` that no launch has woken yet.
     parked: usize,
@@ -65,14 +79,18 @@ impl State {
 }
 
 struct Shared {
-    /// Blocks of the current job not yet claimed. A claim moves it from
-    /// `r ≥ 1` to `r − 1` and takes block `grid − r` of the job then in
-    /// `job`; at 0 nothing can be claimed.
-    unclaimed: AtomicUsize,
+    /// The current job's unclaimed blocks ([`pack`]). The launcher claims
+    /// from the front and the workers from the back; at `front == back`
+    /// nothing can be claimed.
+    claims: AtomicU64,
     /// Blocks of the current job not yet finished.
     unfinished: AtomicUsize,
-    /// The current job's kernel and grid (see [`Shared::claim`]).
-    job: UnsafeCell<Option<(KernelPtr, usize)>>,
+    /// The `seq` of the newest launch open to workers (eager when
+    /// published, or since found worth a wake): the lock-free copy of
+    /// `seq` that an awake worker watches for a launch to join.
+    open: AtomicU64,
+    /// The current job's kernel (see [`Shared::claim`]).
+    job: UnsafeCell<Option<KernelPtr>>,
     panic: Mutex<Option<String>>,
     state: Mutex<State>,
     work_cv: Condvar,
@@ -90,33 +108,50 @@ unsafe impl Send for Shared {}
 
 impl Shared {
     /// Claim one block of the current job: its kernel and block index, or
-    /// `None` when every block has been claimed.
-    fn claim(&self) -> Option<(KernelPtr, usize)> {
-        let mut r = self.unclaimed.load(Ordering::Relaxed);
-        loop {
-            if r == 0 {
+    /// `None` when every block has been claimed. The launcher (`worker`
+    /// 0) takes the lowest unclaimed block and a pool worker the highest,
+    /// so from one wavefront stage to the next each thread keeps its end
+    /// of the grid, and the fringes it reads were mostly written on its
+    /// own core.
+    fn claim(&self, worker: usize) -> Option<(KernelPtr, usize)> {
+        let mut word = self.claims.load(Ordering::Relaxed);
+        let block = loop {
+            let (front, back) = unpack(word);
+            if front >= back {
                 return None;
             }
-            match self.unclaimed.compare_exchange_weak(
-                r,
-                r - 1,
+            let (next, block) = if worker == 0 {
+                (pack(front + 1, back), front)
+            } else {
+                (pack(front, back - 1), back - 1)
+            };
+            match self.claims.compare_exchange_weak(
+                word,
+                next,
                 Ordering::Acquire,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => break,
-                Err(now) => r = now,
+                Ok(_) => break block,
+                Err(now) => word = now,
             }
-        }
-        // SAFETY: the claim took the count from `r ≥ 1` to `r − 1`, so it
-        // read a value that the publishing `unclaimed.store(grid, Release)`
-        // in `Pool::run` heads (other claims only continue its release
-        // sequence); that store follows the write of `job`, so this read
-        // sees the job whose block it claimed, whatever launch the caller
-        // last looked at. The claimed block is not finished yet, so
-        // `unfinished > 0` and that launch's `run` has not returned; the
-        // next `run` writes `job` only after it has, i.e. after this read.
-        let (kernel, grid) = unsafe { *self.job.get() }.expect("a claimed block has a job");
-        Some((kernel, grid - r))
+        };
+        // SAFETY: the claim moved the word from `front < back` to one block
+        // fewer, so it read a value that the publishing
+        // `claims.store(pack(0, grid), Release)` in `Pool::run` heads
+        // (other claims only continue its release sequence); that store
+        // follows the write of `job`, so this read sees the job whose
+        // block it claimed, whatever launch the caller last looked at. The
+        // claimed block is not finished yet, so `unfinished > 0` and that
+        // launch's `run` has not returned; the next `run` writes `job`
+        // only after it has, i.e. after this read.
+        let kernel = unsafe { *self.job.get() }.expect("a claimed block has a job");
+        Some((kernel, block))
+    }
+
+    /// Blocks of the current job not yet claimed.
+    fn unclaimed(&self) -> usize {
+        let (front, back) = unpack(self.claims.load(Ordering::Relaxed));
+        back - front
     }
 
     /// Run one claimed block. `worker` is 0 on the launching thread.
@@ -169,8 +204,9 @@ impl Pool {
     /// participates too, so `extra_workers = 0` is a valid sequential pool).
     pub(crate) fn new(extra_workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            unclaimed: AtomicUsize::new(0),
+            claims: AtomicU64::new(pack(0, 0)),
             unfinished: AtomicUsize::new(0),
+            open: AtomicU64::new(0),
             job: UnsafeCell::new(None),
             panic: Mutex::new(None),
             state: Mutex::new(State::default()),
@@ -202,14 +238,19 @@ impl Pool {
     /// until all blocks completed. Re-raises the first kernel panic, if any.
     ///
     /// A `resident` grid needs every block running at once (a persistent
-    /// kernel's blocks wait on each other), so it wakes `grid − 1` parked
-    /// workers up front; any other launch wakes them only once its
-    /// remaining work is worth a wake ([`WAKE_WORTH`]), judged first by
-    /// the previous launch's blocks and then by its own.
+    /// kernel's blocks wait on each other), so it is open to the workers
+    /// and wakes `grid − 1` parked workers up front; any other launch is
+    /// opened to them only once its remaining work is worth a wake
+    /// ([`WAKE_WORTH`]), judged first by the previous launch's blocks and
+    /// then by its own.
     pub(crate) fn run(&self, grid: usize, kernel: &Kernel<'_>, resident: bool) {
         if grid == 0 {
             return;
         }
+        assert!(
+            grid <= u32::MAX as usize,
+            "a grid has at most 2³² − 1 blocks"
+        );
         let s = &*self.shared;
         // Reserve the job: `unfinished` is 0 exactly when no launch is in
         // flight, so this also rejects a second concurrent launcher.
@@ -224,36 +265,40 @@ impl Pool {
         // `Shared::claim`), and this function returns only once
         // `unfinished` is back to 0, so no call outlives the borrow.
         let kernel: &'static Kernel<'static> = unsafe { std::mem::transmute(kernel) };
-        // SAFETY: `unclaimed` is 0 (the previous job was fully claimed
-        // before it finished), so no thread can claim a block and read
-        // `job` until the store below publishes this one; every read of
-        // the previous job happened before its block's `unfinished`
+        // SAFETY: no block is left to claim (the previous job was fully
+        // claimed before it finished), so no thread can claim a block and
+        // read `job` until the store below publishes this one; every read
+        // of the previous job happened before its block's `unfinished`
         // decrement, which the previous `run` acquired before returning.
-        unsafe { *s.job.get() = Some((KernelPtr(kernel), grid)) };
-        s.unclaimed.store(grid, Ordering::Release);
+        unsafe { *s.job.get() = Some(KernelPtr(kernel)) };
+        s.claims.store(pack(0, grid), Ordering::Release);
 
-        // Workers that are not parked look at `seq` before they park, so
-        // they join without a wake call. The launcher takes a block itself,
-        // so at most `grid − 1` parked workers are worth waking.
+        // The launcher takes a block itself, so at most `grid − 1` parked
+        // workers are worth waking. An awake worker joins only a launch
+        // open to it, without a wake call.
         let expected = u128::from(self.block_ns.load(Ordering::Relaxed)) * (grid as u128 - 1);
         let eager = resident || expected >= WAKE_WORTH.as_nanos();
-        let wake = {
+        let (seq, wake) = {
             let mut st = s.state.lock();
             st.seq += 1;
-            st.count_out(if eager { grid - 1 } else { 0 })
+            if eager {
+                s.open.store(st.seq, Ordering::Release);
+            }
+            (st.seq, st.count_out(if eager { grid - 1 } else { 0 }))
         };
         s.notify(wake);
 
         let started = Instant::now();
-        let (mut ran, mut woke) = (0u128, eager);
-        while let Some((kernel, block)) = s.claim() {
+        let (mut ran, mut opened) = (0u128, eager);
+        while let Some((kernel, block)) = s.claim(0) {
             s.run_block(kernel, block, 0);
             ran += 1;
-            let left = s.unclaimed.load(Ordering::Relaxed);
-            if !woke && left > 0 {
+            let left = s.unclaimed();
+            if !opened && left > 0 {
                 let projected = started.elapsed().as_nanos() * left as u128;
                 if projected >= WAKE_WORTH.as_nanos() * ran {
-                    woke = true;
+                    opened = true;
+                    s.open.store(seq, Ordering::Release);
                     s.wake(left);
                 }
             }
@@ -263,8 +308,13 @@ impl Pool {
             self.block_ns.store(mean, Ordering::Relaxed);
         }
 
-        // Return once every block is done; a worker that adopted the job
-        // but claimed nothing is not waited for.
+        // Return once every block is done; a worker that joined the job
+        // but claimed nothing is not waited for. A worker's last block is
+        // waited out in a spin as long as a wake before sleeping on it.
+        let until = Instant::now() + WAKE_WORTH;
+        while s.unfinished.load(Ordering::Acquire) != 0 && Instant::now() < until {
+            std::hint::spin_loop();
+        }
         if s.unfinished.load(Ordering::Acquire) != 0 {
             let mut st = s.state.lock();
             st.launcher_waiting = true;
@@ -292,14 +342,32 @@ impl Drop for Pool {
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {
+    // The newest launch this worker has looked at.
     let mut seen = 0u64;
+    let mut ran = false;
     loop {
-        {
+        if ran {
+            // Stay for the next open launch as long as a wake would take to
+            // bring this worker back; spinning longer would cost more than
+            // the wake it saves.
+            let until = Instant::now() + WAKE_WORTH;
+            while shared.open.load(Ordering::Acquire) <= seen && Instant::now() < until {
+                std::hint::spin_loop();
+            }
+        }
+        let open = shared.open.load(Ordering::Acquire);
+        if open > seen {
+            seen = open;
+        } else {
             let mut st = shared.state.lock();
-            if st.seq == seen {
-                // Park until a launch counts this worker out for a wake-up
-                // (possibly the launch it already looked at, once that
-                // launch finds its blocks costly) or publishes a new job.
+            // Look again under the lock: a launch opened since the look
+            // above counted out only parked workers, so not this one.
+            if shared.open.load(Ordering::Acquire) <= seen {
+                // Pass over the launches published since, none of them open,
+                // and park until a launch counts this worker out for a
+                // wake-up (possibly one it already passed over, once that
+                // launch finds its blocks costly) or opens a new one.
+                seen = st.seq;
                 st.parked += 1;
                 loop {
                     if st.shutdown {
@@ -309,7 +377,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                         st.woken -= 1;
                         break;
                     }
-                    if st.seq != seen {
+                    if shared.open.load(Ordering::Acquire) > seen {
                         st.parked -= 1;
                         break;
                     }
@@ -321,8 +389,10 @@ fn worker_loop(shared: &Shared, worker: usize) {
             }
             seen = st.seq;
         }
-        while let Some((kernel, block)) = shared.claim() {
+        ran = false;
+        while let Some((kernel, block)) = shared.claim(worker) {
             shared.run_block(kernel, block, worker);
+            ran = true;
         }
     }
 }
@@ -624,5 +694,110 @@ mod tests {
             on_worker.load(Ordering::Relaxed) > 0,
             "the workers never joined"
         );
+    }
+
+    /// Run costly launches of `grid` blocks until the worker has run one
+    /// of their blocks.
+    fn until_the_worker_runs_a_block(pool: &Pool, grid: usize) {
+        for _ in 0..100 {
+            let on_worker = AtomicUsize::new(0);
+            pool.run(
+                grid,
+                &|_, worker| {
+                    busy(200);
+                    on_worker.fetch_add(usize::from(worker != 0), Ordering::Relaxed);
+                },
+                false,
+            );
+            if on_worker.load(Ordering::Relaxed) > 0 {
+                return;
+            }
+        }
+        panic!("the worker never joined a costly launch");
+    }
+
+    #[test]
+    fn the_launcher_takes_a_prefix_and_the_worker_a_suffix() {
+        let pool = Pool::new(1);
+        let owner: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let on_worker = AtomicUsize::new(0);
+        for k in 0..1000 {
+            let grid = 1 + k % 64;
+            for h in &hits[..grid] {
+                h.store(0, Ordering::Relaxed);
+            }
+            let body = |b: usize, worker| {
+                busy(20);
+                owner[b].store(worker, Ordering::Relaxed);
+                hits[b].fetch_add(1, Ordering::Relaxed);
+                on_worker.fetch_add(usize::from(worker != 0), Ordering::Relaxed);
+            };
+            pool.run(grid, &body, false);
+            let owners: Vec<usize> = owner[..grid]
+                .iter()
+                .map(|o| o.load(Ordering::Relaxed))
+                .collect();
+            assert!(
+                hits[..grid].iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "launch {k}: a block did not run exactly once"
+            );
+            assert!(
+                owners.windows(2).all(|p| p[0] <= p[1]),
+                "launch {k}: blocks by thread {owners:?}"
+            );
+        }
+        assert!(
+            on_worker.load(Ordering::Relaxed) > 0,
+            "the worker never joined"
+        );
+    }
+
+    #[test]
+    fn a_worker_that_ran_blocks_parks_again_soon() {
+        let pool = Pool::new(1);
+        let s = &*pool.shared;
+        for _ in 0..5 {
+            until_the_worker_runs_a_block(&pool, 4);
+            let deadline = Instant::now() + Duration::from_millis(100);
+            while s.state.lock().parked != 1 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the worker did not park within 100 ms of its last block"
+                );
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn a_hot_worker_does_not_join_cheap_launches() {
+        let pool = Pool::new(1);
+        until_the_worker_runs_a_block(&pool, 4);
+        let on_worker = AtomicUsize::new(0);
+        let count = |_, worker| {
+            on_worker.fetch_add(usize::from(worker != 0), Ordering::Relaxed);
+        };
+        for _ in 0..1000 {
+            pool.run(8, &count, false);
+        }
+        assert!(
+            on_worker.load(Ordering::Relaxed) < 800,
+            "cheap blocks ran on the hot worker"
+        );
+    }
+
+    #[test]
+    fn a_resident_grid_starts_with_the_worker_hot_or_parked() {
+        let pool = Pool::new(1);
+        let s = &*pool.shared;
+        for _ in 0..5 {
+            until_the_worker_runs_a_block(&pool, 4);
+            let started = AtomicUsize::new(0);
+            pool.run(2, &|_, _| both_started(&started), true);
+            spin_until("the worker to park", || s.state.lock().parked == 1);
+            let started = AtomicUsize::new(0);
+            pool.run(2, &|_, _| both_started(&started), true);
+        }
     }
 }

@@ -9,7 +9,10 @@
 # Then runs <pairs> pairs of `--trace 0` runs of <seconds> each (default
 # 10), the side that goes first switching every pair, and prints each
 # side's median and quartiles of <metric> (default throughput_mpix_s) and
-# how many pairs the working tree won, then the same for every other
+# how many pairs the working tree won, with a verdict on <metric>: "claim
+# shown" when the working tree won at least 0.9 of the pairs and its
+# median beats the base median by more than the base's interquartile
+# range, "claim not shown" otherwise. Then the same table for every other
 # end-to-end metric BENCHMARK.json declares, each judged by its own
 # `better` direction. Every run's result line is kept in
 # target/bench_pairs/{base,head}.jsonl. A run whose result line reads
@@ -87,26 +90,53 @@ for ((p = 0; p < pairs; p++)); do
     echo "pair $((p + 1)): base $b  head $h  $([ "$(won "$better" "$b" "$h")" = 1 ] && echo win || echo loss)" >&2
 done
 
-summary() { # <metric> <better>: each side's median and quartiles (nearest rank), head's wins
-    local m=$1 hi=$2 side wins=0 b h
-    for side in base head; do
-        metric_of "$m" <"$out/$side.jsonl" | sort -g | awk -v label="$side" '
-            { v[NR] = $1 }
-            END {
-                q1 = v[int((NR + 3) / 4)]; med = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
-                q3 = v[NR + 1 - int((NR + 3) / 4)]
-                printf "  %s median %.4g  q1 %.4g  q3 %.4g  iqr %.4g\n", label, med, q1, q3, q3 - q1
-            }'
-    done
+quartiles() { # <metric> <side>: "median q1 q3" of the side's runs (nearest rank)
+    metric_of "$1" <"$out/$2.jsonl" | sort -g | awk '
+        { v[NR] = $1 }
+        END {
+            q1 = v[int((NR + 3) / 4)]; med = (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+            q3 = v[NR + 1 - int((NR + 3) / 4)]
+            print med, q1, q3
+        }'
+}
+
+wins_of() { # <metric> <better>: how many pairs head won
+    local wins=0 b h
     while read -r b h; do
-        wins=$((wins + $(won "$hi" "$b" "$h")))
-    done < <(paste <(metric_of "$m" <"$out/base.jsonl") <(metric_of "$m" <"$out/head.jsonl"))
-    echo "  head wins $wins/$pairs"
+        wins=$((wins + $(won "$2" "$b" "$h")))
+    done < <(paste <(metric_of "$1" <"$out/base.jsonl") <(metric_of "$1" <"$out/head.jsonl"))
+    echo "$wins"
+}
+
+summary() { # <metric> <better>: each side's median and quartiles, head's wins
+    local side med q1 q3
+    for side in base head; do
+        read -r med q1 q3 < <(quartiles "$1" "$side")
+        awk -v s="$side" -v m="$med" -v a="$q1" -v b="$q3" \
+            'BEGIN { printf "  %s median %.4g  q1 %.4g  q3 %.4g  iqr %.4g\n", s, m, a, b, b - a }'
+    done
+    echo "  head wins $(wins_of "$1" "$2")/$pairs"
+}
+
+# The claimed metric's verdict: shown when head wins at least 0.9 of the
+# pairs and its median beats base's by more than base's interquartile range.
+verdict() { # <metric> <better>
+    local bmed bq1 bq3 hmed
+    read -r bmed bq1 bq3 < <(quartiles "$1" base)
+    read -r hmed _ < <(quartiles "$1" head)
+    awk -v hi="$2" -v b="$bmed" -v q1="$bq1" -v q3="$bq3" -v h="$hmed" \
+        -v w="$(wins_of "$1" "$2")" -v n="$pairs" 'BEGIN {
+            gain = (hi == "higher") ? h - b : b - h
+            iqr = q3 - q1
+            shown = w >= 0.9 * n && gain > iqr
+            printf "  %s: %d/%d wins, median gain %.4g against base iqr %.4g\n", shown ? "claim shown" : "claim not shown", w, n, gain, iqr
+        }'
 }
 
 echo "$workload, $pairs pairs of ${seconds}s, seed $seed"
 echo "$metric ($better is better)"
 summary "$metric" "$better"
+verdict "$metric" "$better"
 echo "the other end-to-end metrics:"
 while read -r m hi; do
     [ "$m" != "$metric" ] || continue
